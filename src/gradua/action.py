@@ -21,9 +21,9 @@ arithmetic; nothing is trusted to hold just because the theory says so.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -33,15 +33,15 @@ from .errors import (
     DomainError,
     EngineDefectError,
     InconsistentActionError,
+    NotDoubleStructureError,
     NotGradedActionError,
     SingularMatrixError,
 )
-from .graded import ActionFamily, PolyMap, standard_action
+from .graded import ActionFamily, PolyMap
 from .linalg import Matrix
 from .wpoly import WPolynomial
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 _INVERSE_DEGREE_CAP = 64
 
@@ -147,7 +147,7 @@ def _resolve_theta(
         unknown = set(theta) - set(chart.names)
         if unknown:
             raise DomainError(f"theta mentions unknown variables {sorted(unknown)}")
-    zero_map = h.at(0)
+    zero_map = h._zero_map
     for v in chart.names:
         if zero_map.pullbacks[v].evaluate(point) != point[v]:
             hint = "" if theta is not None else "; pass a fixed point of h_0"
@@ -158,7 +158,7 @@ def _resolve_theta(
 def base_projection(h: ActionFamily, laws: LawReport | None = None) -> PolyMap:
     """The parameter-0 self-map; checked to be idempotent."""
     _require_monoid(h, laws)
-    p0 = h.at(0)
+    p0 = h._zero_map
     if p0.then(p0) != p0:
         raise InconsistentActionError("the parameter-0 map is not idempotent")
     return p0
@@ -192,33 +192,29 @@ def taylor_projections(
     Q_r is 1/r! times the r-th t-derivative of H(t) at t=0, which for
     polynomial entries is just the t^r coefficient matrix. The matrices are
     checked to be complementary projections summing to the identity.
+
+    Two checks suffice: sum Q_r = I, and Q_r Q_r = Q_r for each nonzero Q_r.
+    Over the rationals they imply Q_r Q_s = 0 for r != s. The trace of an
+    idempotent is its rank, so the ranks add up to tr I = N. The images span
+    everything, since x = sum Q_r x, so their sum is direct. Then for each x,
+    Q_s x = sum_r Q_r Q_s x writes an element of the image of Q_s as a sum
+    over the images; by uniqueness Q_r Q_s x = 0 for every r != s.
     """
     _require_monoid(h, laws)
     point = _resolve_theta(h, theta)
-    chart = h.chart
-    n_vars = len(chart)
-    jac = _jacobian_at(h, point)
-    degree = 0
-    coeff_rows: list[list[dict[int, Fraction]]] = []
-    for row in jac:
-        crow = []
-        for p in row:
-            by_power = {
-                k: q.constant_term() for k, q in p.coefficients_in(h.param).items()
-            }
-            if by_power:
-                degree = max(degree, max(by_power))
-            crow.append(by_power)
-        coeff_rows.append(crow)
-
-    qs: list[Matrix] = []
-    for r in range(degree + 1):
-        qs.append(
-            tuple(
-                tuple(coeff_rows[i][j].get(r, _ZERO) for j in range(n_vars))
-                for i in range(n_vars)
-            )
-        )
+    n_vars = len(h.chart)
+    coeffs = [
+        [
+            {k: q.constant_term() for k, q in p.coefficients_in(h.param).items()}
+            for p in row
+        ]
+        for row in _jacobian_at(h, point)
+    ]
+    degree = max((k for row in coeffs for c in row for k in c), default=0)
+    qs = tuple(
+        tuple(tuple(c.get(r, _ZERO) for c in row) for row in coeffs)
+        for r in range(degree + 1)
+    )
 
     total = linalg.zeros(n_vars, n_vars)
     for q in qs:
@@ -230,16 +226,11 @@ def taylor_projections(
                 "some direction is annihilated by every Taylor projection"
             )
         raise NotGradedActionError("Taylor projections do not sum to the identity")
-    for r, qr in enumerate(qs):
-        for s, qs_ in enumerate(qs):
-            prod = linalg.mat_mul(qr, qs_)
-            expected = qr if r == s else linalg.zeros(n_vars, n_vars)
-            if prod != expected:
-                raise NotGradedActionError(
-                    f"Taylor coefficients Q_{r} and Q_{s} are not complementary "
-                    "projections"
-                )
-    return tuple(qs)
+    zero = linalg.zeros(n_vars, n_vars)
+    for r, q in enumerate(qs):
+        if q != zero and linalg.mat_mul(q, q) != q:
+            raise NotGradedActionError(f"Taylor coefficient Q_{r} is not a projection")
+    return qs
 
 
 def homogenize(
@@ -249,83 +240,135 @@ def homogenize(
 ) -> Homogenization:
     """Build coordinates on which the family acts by plain powers of t.
 
-    For each order r with a nonzero projection Q_r, a maximal independent set
-    of columns of Q_r is selected by exact elimination (first pivot wins).
-    The dual linear coordinates are pushed through h_t and their t^r Taylor
-    coefficients become the new weight-r coordinates. Each new coordinate is
-    checked to scale exactly by t**r, and the collected change of coordinates
-    is inverted and verified two-sided.
+    The one-family case of _homogenize_joint: for each order r with a nonzero
+    projection Q_r, the t^r coefficients of the pushed dual coordinates
+    become the new weight-r coordinates y{r}_1, y{r}_2, ...
     """
-    laws = _require_monoid(h, laws)
-    point = _resolve_theta(h, theta)
-    chart = h.chart
-    qs = taylor_projections(h, point, laws)
-    n_vars = len(chart)
-
-    basis_cols: list[tuple[Fraction, ...]] = []
-    orders: list[int] = []
-    for r, q in enumerate(qs):
-        for j in linalg.independent_columns(q):
-            basis_cols.append(linalg.column(q, j))
-            orders.append(r)
-    if len(basis_cols) != n_vars:
-        raise NotGradedActionError("projection images do not fill the chart")
-    cmat = linalg.mat_from_cols(basis_cols)
-    try:
-        cinv = linalg.inverse(cmat)
-    except SingularMatrixError as exc:
-        raise NotGradedActionError("adapted basis is not invertible") from exc
-
-    ext = h.extended_chart
-    shifted_entries = [
-        h.entries[v].lift(ext) - WPolynomial.constant(ext, point[v])
-        for v in chart.names
-    ]
-
-    counter: dict[int, int] = {}
-    new_vars: list[tuple[str, int]] = []
-    pullbacks: list[WPolynomial] = []
-    for row, r in zip(cinv, orders):
-        pushed = WPolynomial.zero(ext)
-        for coeff, entry in zip(row, shifted_entries):
-            if coeff:
-                pushed = pushed + entry * coeff
-        coeff_r = pushed.coefficients_in(h.param).get(r)
-        new_coord = (
-            coeff_r.restrict_chart(chart) if coeff_r is not None
-            else WPolynomial.zero(chart)
-        )
-        counter[r] = counter.get(r, 0) + 1
-        new_vars.append((f"y{r}_{counter[r]}", r))
-        pullbacks.append(new_coord)
-
-    ordering = sorted(range(n_vars), key=lambda i: (new_vars[i][1], i))
-    new_chart = GradedChart(f"{chart.name}_h", tuple(new_vars[i] for i in ordering))
-    phi = PolyMap(
-        chart,
-        new_chart,
-        {new_vars[i][0]: pullbacks[i] for i in ordering},
+    joint = _homogenize_joint((h,), theta, (laws,), f"{h.chart.name}_h")
+    return Homogenization(
+        chart=joint.chart,
+        homogenizer=joint.homogenizer,
+        inverse=joint.inverse,
+        projections=tuple(joint.projections.values()),
+        theta=joint.theta,
+        orders=tuple(r for (r,) in joint.orders),
     )
 
-    tvar = WPolynomial.variable(ext, h.param)
-    action_sigma = dict(h.entries)
-    action_sigma[h.param] = tvar
-    for name, r in new_vars:
-        p = phi.pullbacks[name]
-        moved = p.substitute(action_sigma, into=ext)
-        if moved != p.lift(ext) * tvar ** r:
-            raise NotGradedActionError(
-                f"candidate coordinate {name!r} does not scale by t^{r}"
-            )
 
-    inverse = _invert_coordinate_change(phi, point)
-    return Homogenization(
+@dataclass(frozen=True)
+class _JointHomogenization:
+    """Coordinates that scale under k commuting families at once."""
+
+    chart: GradedChart
+    homogenizer: PolyMap
+    inverse: PolyMap
+    projections: dict[tuple[int, ...], Matrix]
+    orders: tuple[tuple[int, ...], ...]
+    theta: dict[str, Fraction]
+
+
+def _homogenize_joint(
+    families: Sequence[ActionFamily],
+    theta: Mapping[str, Fraction | int] | None,
+    laws: Sequence[LawReport | None],
+    name: str,
+) -> _JointHomogenization:
+    """Coordinates scaling by t_1**r_1 ... t_k**r_k under k monoid families.
+
+    The families share one chart, have distinct parameters and commute as
+    self-map families (the caller checks that). Each family's Taylor
+    projections are computed and checked, and the nonzero projections of
+    different families are checked to commute. Commuting families of
+    complementary projections summing to I have products that are again
+    complementary projections summing to I, so the joint projection of the
+    multi-index (r_1, ..., r_k) is the product Q1_r_1 ... Qk_r_k with no
+    further check; a product with a zero factor is not computed.
+
+    For each joint projection a maximal independent set of columns is
+    selected by exact elimination (first pivot wins). The dual linear
+    coordinates are pushed through the composite of the families, and their
+    t_1^r_1 ... t_k^r_k coefficients become the new coordinates
+    y{r_1}_..._{r_k}_{i}, of weight r_1 + ... + r_k. Each new coordinate is
+    checked to scale exactly under every family, and the change of
+    coordinates is inverted and verified two-sided.
+    """
+    laws = [_require_monoid(h, law) for h, law in zip(families, laws)]
+    chart = families[0].chart
+    point = _resolve_theta(families[0], theta)
+    per_family = [taylor_projections(h, theta, law) for h, law in zip(families, laws)]
+    n_vars = len(chart)
+    zero = linalg.zeros(n_vars, n_vars)
+
+    for qs_a, qs_b in combinations(per_family, 2):
+        for a, b in product(qs_a, qs_b):
+            if zero not in (a, b) and linalg.mat_mul(a, b) != linalg.mat_mul(b, a):
+                raise NotDoubleStructureError(
+                    "the families' Taylor projections do not commute"
+                )
+    joint = {(r,): q for r, q in enumerate(per_family[0])}
+    for qs in per_family[1:]:
+        joint = {
+            idx + (r,): p if p == zero else q if q == zero else linalg.mat_mul(p, q)
+            for idx, p in joint.items()
+            for r, q in enumerate(qs)
+        }
+
+    basis_cols: list[tuple[Fraction, ...]] = []
+    orders: list[tuple[int, ...]] = []
+    for idx, p in joint.items():
+        for j in linalg.independent_columns(p):
+            basis_cols.append(linalg.column(p, j))
+            orders.append(idx)
+    if len(basis_cols) != n_vars:
+        raise EngineDefectError("projection images do not fill the chart")
+    cinv = linalg.inverse(linalg.mat_from_cols(basis_cols))
+
+    # the composite applies the last family first; its chart lists the
+    # parameters in that order so the innermost entries lift unchanged
+    params = [h.param for h in families]
+    ext = chart.extend(tuple((t, 0) for t in reversed(params)))
+    composite = [families[-1].entries[v].lift(ext) for v in chart.names]
+    for h in reversed(families[:-1]):
+        sigma = dict(zip(chart.names, composite))
+        sigma[h.param] = WPolynomial.variable(ext, h.param)
+        composite = [h.entries[v].substitute(sigma, into=ext) for v in chart.names]
+    shifted = [
+        p - WPolynomial.constant(ext, point[v]) for v, p in zip(chart.names, composite)
+    ]
+
+    counter: dict[tuple[int, ...], int] = {}
+    new_vars: list[tuple[str, int]] = []
+    pullbacks: list[WPolynomial] = []
+    for row, idx in zip(cinv, orders):
+        coeff = WPolynomial.zero(ext)
+        for c, entry in zip(row, shifted):
+            if c:
+                coeff = coeff + entry * c
+        for t, r in zip(params, idx):
+            coeff = coeff.coefficients_in(t).get(r, WPolynomial.zero(ext))
+        counter[idx] = counter.get(idx, 0) + 1
+        new_vars.append((f"y{'_'.join(map(str, idx))}_{counter[idx]}", sum(idx)))
+        pullbacks.append(coeff.restrict_chart(chart))
+    new_chart = GradedChart(name, tuple(new_vars))
+    phi = PolyMap(chart, new_chart, {v: p for (v, _), p in zip(new_vars, pullbacks)})
+
+    for i, h in enumerate(families):
+        hext = h.extended_chart
+        tvar = WPolynomial.variable(hext, h.param)
+        for (v, _), idx in zip(new_vars, orders):
+            p = phi.pullbacks[v]
+            if p.substitute(h.entries, into=hext) != p.lift(hext) * tvar ** idx[i]:
+                raise NotGradedActionError(
+                    f"coordinate {v!r} does not scale by {h.param}^{idx[i]}"
+                )
+
+    return _JointHomogenization(
         chart=new_chart,
         homogenizer=phi,
-        inverse=inverse,
-        projections=qs,
+        inverse=_invert_coordinate_change(phi, point),
+        projections=joint,
+        orders=tuple(orders),
         theta=point,
-        orders=tuple(new_vars[ordering[i]][1] for i in range(n_vars)),
     )
 
 

@@ -31,7 +31,7 @@ class GradedChart:
                 raise DomainError("empty variable name")
             if var in seen:
                 raise DomainError(f"duplicate variable {var!r} in chart {self.name!r}")
-            if not isinstance(weight, int) or weight < 0:
+            if not isinstance(weight, int) or isinstance(weight, bool) or weight < 0:
                 raise DomainError(f"variable {var!r} has invalid weight {weight!r}")
             seen.add(var)
 
@@ -89,12 +89,6 @@ class GradedChart:
             self.index_of(var)
         vars_kept = tuple(spec for spec in self.variables if spec[0] in keep_set)
         return GradedChart(name or self.name, vars_kept)
-
-    def base_names(self) -> tuple[str, ...]:
-        return tuple(var for var, w in self.variables if w == 0)
-
-    def fiber_names(self) -> tuple[str, ...]:
-        return tuple(var for var, w in self.variables if w > 0)
 
 
 def fresh_name(base: str, taken: Iterable[str]) -> str:

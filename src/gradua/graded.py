@@ -130,6 +130,11 @@ class ActionFamily:
     def extended_chart(self) -> GradedChart:
         return self.chart.extend(((self.param, 0),))
 
+    @cached_property
+    def _zero_map(self) -> PolyMap:
+        """The parameter-0 map, evaluated once per family."""
+        return self.at(0)
+
     def at(self, value: Fraction | int) -> PolyMap:
         """The self-map at one rational parameter value."""
         ext = self.extended_chart

@@ -26,10 +26,6 @@ def zeros(rows: int, cols: int) -> Matrix:
     return tuple(tuple(_ZERO for _ in range(cols)) for _ in range(rows))
 
 
-def mat_from_rows(rows: Sequence[Sequence[Fraction]]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def mat_from_cols(cols: Sequence[Sequence[Fraction]]) -> Matrix:
     if not cols:
         return ()
@@ -47,16 +43,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
-    return tuple(sum((a[i][k] * v[k] for k in range(len(v))), _ZERO) for i in range(len(a)))
-
-
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 def column(a: Matrix, j: int) -> Vector:

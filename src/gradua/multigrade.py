@@ -16,15 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from . import linalg
-from .action import (
-    _invert_coordinate_change,
-    _require_monoid,
-    _resolve_theta,
-    taylor_projections,
-)
+from .action import _homogenize_joint
 from .charts import GradedChart, fresh_name
-from .errors import NotDoubleStructureError, NotGradedActionError
+from .errors import NotDoubleStructureError
 from .graded import ActionFamily, PolyMap
 from .jets import adapt
 from .linalg import Matrix
@@ -110,126 +104,24 @@ def bihomogenize(
 ) -> Bihomogenization:
     """Joint coordinates scaling by t**r under h1 and u**s under h2.
 
-    The order-(r, s) projection is the product of the order-r projection of
-    the first family and the order-s projection of the second; the products
-    are checked to commute and to resolve the identity before any basis is
-    drawn from them. Every produced coordinate is checked to scale exactly
-    under both families, and the coordinate change is inverted and verified.
+    After the families are checked to commute, this is the two-family case
+    of action._homogenize_joint: the order-(r, s) projection is the product
+    of the order-r projection of h1 and the order-s projection of h2, and
+    the new coordinates y{r}_{s}_1, y{r}_{s}_2, ... have weight r + s.
     """
     h1, h2 = _distinct_params(h1, h2)
-    laws1 = _require_monoid(h1, None)
-    laws2 = _require_monoid(h2, None)
     ok, witnesses = check_commuting(h1, h2)
     if not ok:
         names = ", ".join(v for v, _ in witnesses)
         raise NotDoubleStructureError(f"the families do not commute (see {names})")
-
-    chart = h1.chart
-    point = _resolve_theta(h1, theta)
-    point2 = _resolve_theta(h2, theta)
-    if point != point2:
-        raise NotDoubleStructureError("no common fixed point for the two families")
-    qs1 = taylor_projections(h1, point, laws1)
-    qs2 = taylor_projections(h2, point, laws2)
-    n_vars = len(chart)
-
-    for q1 in qs1:
-        for q2 in qs2:
-            if linalg.mat_mul(q1, q2) != linalg.mat_mul(q2, q1):
-                raise NotDoubleStructureError(
-                    "the families' Taylor projections do not commute"
-                )
-
-    projections: dict[tuple[int, int], Matrix] = {}
-    total = linalg.zeros(n_vars, n_vars)
-    for r, q1 in enumerate(qs1):
-        for s, q2 in enumerate(qs2):
-            p = linalg.mat_mul(q1, q2)
-            projections[(r, s)] = p
-            total = linalg.mat_add(total, p)
-    if total != linalg.identity(n_vars):
-        raise NotDoubleStructureError(
-            "the joint projections do not resolve the identity"
-        )
-    pairs = sorted(projections)
-    for a in pairs:
-        for b in pairs:
-            prod = linalg.mat_mul(projections[a], projections[b])
-            expected = projections[a] if a == b else linalg.zeros(n_vars, n_vars)
-            if prod != expected:
-                raise NotDoubleStructureError(
-                    f"joint projections {a} and {b} are not complementary"
-                )
-
-    basis_cols = []
-    orders: list[tuple[int, int]] = []
-    for rs in pairs:
-        p = projections[rs]
-        for j in linalg.independent_columns(p):
-            basis_cols.append(linalg.column(p, j))
-            orders.append(rs)
-    if len(basis_cols) != n_vars:
-        raise NotDoubleStructureError("joint projection images do not fill the chart")
-    cmat = linalg.mat_from_cols(basis_cols)
-    cinv = linalg.inverse(cmat)
-
-    ext = chart.extend(((h1.param, 0), (h2.param, 0)))
-    composite = _composite_entries(h2, h1, ext)
-    shifted = [
-        composite[v] - WPolynomial.constant(ext, point[v]) for v in chart.names
-    ]
-
-    counter: dict[tuple[int, int], int] = {}
-    new_vars: list[tuple[str, int]] = []
-    biweights: list[tuple[int, int]] = []
-    pullbacks: list[WPolynomial] = []
-    for row, (r, s) in zip(cinv, orders):
-        pushed = WPolynomial.zero(ext)
-        for coeff, entry in zip(row, shifted):
-            if coeff:
-                pushed = pushed + entry * coeff
-        by_t = pushed.coefficients_in(h1.param)
-        coeff_t = by_t.get(r)
-        if coeff_t is None:
-            new_coord = WPolynomial.zero(chart)
-        else:
-            by_u = coeff_t.coefficients_in(h2.param)
-            coeff_u = by_u.get(s)
-            new_coord = (
-                coeff_u.restrict_chart(chart) if coeff_u is not None
-                else WPolynomial.zero(chart)
-            )
-        counter[(r, s)] = counter.get((r, s), 0) + 1
-        new_vars.append((f"y{r}_{s}_{counter[(r, s)]}", r + s))
-        biweights.append((r, s))
-        pullbacks.append(new_coord)
-
-    new_chart = GradedChart(f"{chart.name}_bh", tuple(new_vars))
-    phi = PolyMap(chart, new_chart, dict(zip((v for v, _ in new_vars), pullbacks)))
-
-    for h, exponent_of in ((h1, 0), (h2, 1)):
-        hext = h.extended_chart
-        tvar = WPolynomial.variable(hext, h.param)
-        sigma = dict(h.entries)
-        sigma[h.param] = tvar
-        for (name, _), (r, s) in zip(new_vars, biweights):
-            p = phi.pullbacks[name]
-            moved = p.substitute(sigma, into=hext)
-            power = r if exponent_of == 0 else s
-            if moved != p.lift(hext) * tvar**power:
-                raise NotGradedActionError(
-                    f"joint coordinate {name!r} does not scale by "
-                    f"{h.param}^{power}"
-                )
-
-    inverse = _invert_coordinate_change(phi, point)
+    joint = _homogenize_joint((h1, h2), theta, (None, None), f"{h1.chart.name}_bh")
     return Bihomogenization(
-        chart=new_chart,
-        biweights=tuple(biweights),
-        homogenizer=phi,
-        inverse=inverse,
-        projections=projections,
-        theta=point,
+        chart=joint.chart,
+        biweights=joint.orders,
+        homogenizer=joint.homogenizer,
+        inverse=joint.inverse,
+        projections=joint.projections,
+        theta=joint.theta,
     )
 
 

@@ -78,6 +78,13 @@ def _mono_sort_key(mono: Monomial, chart: GradedChart) -> tuple:
     return (-wdeg, tuple(-e for e in dense))
 
 
+def _exact(value: Fraction | int) -> Fraction:
+    """The value as a Fraction; floats and other inexact numbers are refused."""
+    if not isinstance(value, (int, Fraction)):
+        raise DomainError(f"coefficient {value!r} is not an exact rational")
+    return Fraction(value)
+
+
 def weighted_degree(exponents: Mapping[str, int], chart: GradedChart) -> int:
     """Weight inner product sum(w_i * k_i) of an exponent assignment."""
     total = 0
@@ -107,7 +114,7 @@ class WPolynomial:
 
     @classmethod
     def constant(cls, chart: GradedChart, value: Fraction | int) -> WPolynomial:
-        return cls(chart, {(): Fraction(value)})
+        return cls(chart, {(): _exact(value)})
 
     @classmethod
     def variable(cls, chart: GradedChart, name: str) -> WPolynomial:
@@ -128,7 +135,7 @@ class WPolynomial:
             if e > 0:
                 pairs.append((chart.index_of(var), e))
         pairs.sort()
-        return cls(chart, {tuple(pairs): Fraction(coefficient)})
+        return cls(chart, {tuple(pairs): _exact(coefficient)})
 
     # predicates and views ----------------------------------------------
 

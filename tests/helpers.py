@@ -17,12 +17,15 @@ _LETTERS = "xyz"
 
 
 def random_chart(
-    rng: random.Random, max_rank: tuple[int, ...] = (3, 2, 1), name: str = "R"
+    rng: random.Random,
+    max_rank: tuple[int, ...] = (3, 2, 1),
+    name: str = "R",
+    min_vars: int = 1,
 ) -> GradedChart:
-    """A chart with up to max_rank[w-1] variables of weight w, at least one."""
+    """A chart with up to max_rank[w-1] variables of weight w, at least min_vars."""
     while True:
         counts = [rng.randint(0, m) for m in max_rank]
-        if any(counts):
+        if sum(counts) >= min_vars:
             break
     variables = []
     for w, count in enumerate(counts, start=1):
@@ -109,16 +112,48 @@ def random_graded_automorphism(rng: random.Random, chart: GradedChart) -> PolyMa
     return compose(random_unipotent(rng, chart), random_linear(rng, chart))
 
 
+def random_shear(rng: random.Random, chart: GradedChart) -> tuple[PolyMap, PolyMap]:
+    """A weight-mixing triangular (de Jonquieres) shear and its inverse.
+
+    The variables split into an earlier and a later half. Each later x_i
+    becomes x_i + c * u^e for an earlier u and e in (1, 2), chosen so that
+    u^e has a weighted degree other than weight(x_i); the earlier variables
+    stay fixed, so the inverse is x_i - c * u^e. On a chart of two or more
+    variables, all of positive weight, the shear is therefore never graded.
+    """
+    names = chart.names
+    earlier = names[: len(names) // 2]
+    forward = {v: WPolynomial.variable(chart, v) for v in names}
+    backward = dict(forward)
+    for v in names[len(earlier):]:
+        mixing = [
+            {u: e}
+            for u in earlier
+            for e in (1, 2)
+            if chart.weight_of(u) * e != chart.weight_of(v)
+        ]
+        if mixing:
+            term = WPolynomial.monomial(chart, rng.choice(mixing), random_coefficient(rng))
+            forward[v] = forward[v] + term
+            backward[v] = backward[v] - term
+    return PolyMap(chart, chart, forward), PolyMap(chart, chart, backward)
+
+
 def conjugated_action(
     rng: random.Random, chart: GradedChart, param: str = "t"
 ) -> tuple[ActionFamily, PolyMap]:
-    """A standard family dressed up by a random graded automorphism.
+    """A standard family dressed up by a shear and a random graded automorphism.
 
-    Returns the family and the conjugating map gamma, which satisfies
-    gamma(h_t(y)) = t-scaling of gamma(y), so gamma is a valid homogenizer.
+    The conjugating map gamma applies a weight-mixing shear (see
+    random_shear), then a random graded automorphism. Where the shear is not
+    graded, neither is gamma, and the family differs from the standard one.
+    Returns the family and gamma, which satisfies gamma(h_t(y)) = t-scaling
+    of gamma(y), so gamma is a valid homogenizer.
     """
-    gamma = random_graded_automorphism(rng, chart)
-    gamma_inv = invert_automorphism(gamma)
+    graded = random_graded_automorphism(rng, chart)
+    shear, shear_inv = random_shear(rng, chart)
+    gamma = compose(shear, graded)
+    gamma_inv = compose(invert_automorphism(graded), shear_inv)
     ext = chart.extend(((param, 0),))
     tvar = WPolynomial.variable(ext, param)
     sigma = {

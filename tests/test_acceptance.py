@@ -65,15 +65,18 @@ def _pass(n: int, detail: str, elapsed: float | None = None) -> None:
 def corpus():
     """200 randomized conjugated monoid families, homogenized once.
 
-    Shared by criteria 2, 3, 6, and 7; the generation plus homogenization
-    time is part of criterion 2's budget.
+    Every chart has at least two variables, so the weight-mixing shear in
+    conjugated_action makes every family differ from the standard one and
+    every homogenizer is genuine. Shared by criteria 2, 3, 6, and 7; the
+    generation plus homogenization time is part of criterion 2's budget.
     """
     rng = random.Random(SEED)
     entries = []
     started = time.perf_counter()
     for _ in range(200):
-        chart = random_chart(rng, max_rank=(3, 2, 1))
+        chart = random_chart(rng, max_rank=(3, 2, 1), min_vars=2)
         family, gamma = conjugated_action(rng, chart)
+        assert family.entries != standard_action(chart, family.param).entries
         hom = homogenize(family)
         entries.append((chart, family, gamma, hom))
     elapsed = time.perf_counter() - started

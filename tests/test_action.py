@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gradua.action import (
     AnalysisReport,
     LawReport,
+    _homogenize_joint,
     analyze,
     base_projection,
     detect_degree,
@@ -28,6 +29,8 @@ from gradua.errors import (
     NotGradedActionError,
 )
 from gradua.graded import ActionFamily, standard_action
+from gradua.linalg import identity, inverse, mat_add, mat_mul, zeros
+from gradua.multigrade import bihomogenize
 from gradua.wpoly import WPolynomial
 
 from helpers import conjugated_action, random_chart
@@ -155,6 +158,21 @@ def test_analyze_full_report():
     assert report.base_projection is not None
 
 
+def test_analyze_evaluates_the_parameter_0_map_once(monkeypatch):
+    values = []
+    at = ActionFamily.at
+
+    def counted(h, value):
+        values.append(value)
+        return at(h, value)
+
+    monkeypatch.setattr(ActionFamily, "at", counted)
+    fresh = ActionFamily(M, "t", dict(H.entries))
+    analyze(fresh)
+    analyze(fresh)
+    assert values == [1, 0, 1]
+
+
 def test_analyze_stops_at_broken_monoid():
     bad = ActionFamily(M, "t", {"x": T * X, "y": WPolynomial.zero(EXT)})
     report = analyze(bad)
@@ -208,3 +226,162 @@ def test_conjugated_actions_homogenize_back(seed):
     hom = homogenize(family)
     assert sorted(hom.chart.weights) == sorted(chart.weights)
     assert reconstruct_entries(hom, family) == dict(family.entries)
+
+
+# --- the projection check against the pairwise one ----------------------------
+
+
+def pairwise_complementary(qs):
+    """Reference check: sum Q_r = I and Q_r Q_s = delta_rs Q_r for every r, s."""
+    n = len(qs[0])
+    total = zeros(n, n)
+    for q in qs:
+        total = mat_add(total, q)
+    return total == identity(n) and all(
+        mat_mul(a, b) == (a if r == s else zeros(n, n))
+        for r, a in enumerate(qs)
+        for s, b in enumerate(qs)
+    )
+
+
+def linear_family(qs, param="t"):
+    """The family x -> sum_r param^r Q_r x on a chart with one variable per row."""
+    n = len(qs[0])
+    chart = GradedChart("L", tuple((f"x{i}", 1) for i in range(n)))
+    ext = chart.extend(((param, 0),))
+    xs = [WPolynomial.variable(ext, v) for v in chart.names]
+    t = WPolynomial.variable(ext, param)
+    entries = {}
+    for i, v in enumerate(chart.names):
+        acc = WPolynomial.zero(ext)
+        for r, q in enumerate(qs):
+            for j, x in enumerate(xs):
+                if q[i][j]:
+                    acc = acc + t**r * x * q[i][j]
+        entries[v] = acc
+    return ActionFamily(chart, param, entries)
+
+
+def identity_minus(m):
+    return tuple(
+        tuple((i == j) - x for j, x in enumerate(row)) for i, row in enumerate(m)
+    )
+
+
+def accepts(qs):
+    try:
+        taylor_projections(linear_family(qs), laws=FAKE_OK)
+    except (NotGradedActionError, DegenerateActionError):
+        return False
+    return True
+
+
+def random_basis_change(rng, n):
+    """C = L U with unit triangular L and U, and its exact inverse."""
+    def unit_triangular(below):
+        return tuple(
+            tuple(
+                Fraction(1) if i == j
+                else Fraction(rng.randint(-2, 2)) if (i > j) == below
+                else Fraction(0)
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+
+    c = mat_mul(unit_triangular(True), unit_triangular(False))
+    return c, inverse(c)
+
+
+def conjugated_diagonal(c, c_inv, diagonal):
+    n = len(diagonal)
+    d = tuple(
+        tuple(Fraction(diagonal[i]) if i == j else Fraction(0) for j in range(n))
+        for i in range(n)
+    )
+    return mat_mul(mat_mul(c, d), c_inv)
+
+
+def order_projections(c, c_inv, orders, degree):
+    """Q_r = C E_r C^-1, where E_r picks the coordinates of order r."""
+    return [
+        conjugated_diagonal(c, c_inv, [1 if o == r else 0 for o in orders])
+        for r in range(degree + 1)
+    ]
+
+
+def test_projection_check_agrees_with_pairwise_reference():
+    rng = random.Random(20260818)
+    seen = {"accepted": 0, "rejected": 0, "zero Q_r": 0, "weight-0 block": 0}
+
+    def compare(qs):
+        verdict = accepts(qs)
+        assert verdict == pairwise_complementary(qs)
+        seen["accepted" if verdict else "rejected"] += 1
+
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        degree = rng.randint(1, 4)
+        c, c_inv = random_basis_change(rng, n)
+        orders = [rng.randint(0, degree) for _ in range(n)]
+        qs = order_projections(c, c_inv, orders, degree)
+        seen["zero Q_r"] += len(set(orders)) < degree + 1
+        seen["weight-0 block"] += 0 in orders
+        compare(qs)
+
+        # a perturbed entry, alone and moved from one summand to another
+        r, s = rng.sample(range(degree + 1), 2)
+        i, j = rng.randrange(n), rng.randrange(n)
+        delta = Fraction(rng.choice([-1, 1]), rng.choice([1, 2, 3]))
+        bumped = [[list(row) for row in q] for q in qs]
+        bumped[r][i][j] += delta
+        compare([tuple(map(tuple, q)) for q in bumped])
+        bumped[s][i][j] -= delta
+        compare([tuple(map(tuple, q)) for q in bumped])
+
+        # a non-idempotent summand M next to I - M (idempotent when the
+        # diagonal happens to hold only 0 and 1)
+        diagonal = [rng.choice([0, 1, 1, 2, -1, Fraction(1, 2)]) for _ in range(n)]
+        m = conjugated_diagonal(c, c_inv, diagonal)
+        compare([identity_minus(m), m])
+
+        # overlapping idempotents P, P summing to I with I - 2P
+        p = next(q for q in qs if q != zeros(n, n))
+        twice = tuple(tuple(2 * x for x in row) for row in p)
+        compare([identity_minus(twice), p, p])
+
+    # every 2x2 split I = (I - M) + M with entries of M in {-1, 0, 1}
+    for entries in range(81):
+        digits = [entries // 3**k % 3 - 1 for k in range(4)]
+        m = tuple(tuple(Fraction(d) for d in digits[k:k + 2]) for k in (0, 2))
+        compare([identity_minus(m), m])
+
+    assert all(seen.values()), seen
+
+
+def test_joint_projections_pass_the_pairwise_reference():
+    rng = random.Random(5)
+    c, c_inv = random_basis_change(rng, 4)
+    first, second = [0, 1, 1, 2], [1, 0, 2, 1]
+    h1 = linear_family(order_projections(c, c_inv, first, 2), "t")
+    h2 = linear_family(order_projections(c, c_inv, second, 2), "u")
+    bihom = bihomogenize(h1, h2)
+    assert len(bihom.projections) == 9
+    assert pairwise_complementary(list(bihom.projections.values()))
+    assert sorted(bihom.biweights) == sorted(zip(first, second))
+    assert bihom.homogenizer.then(bihom.inverse).is_identity()
+
+
+def test_three_commuting_families_homogenize_jointly():
+    rng = random.Random(6)
+    c, c_inv = random_basis_change(rng, 4)
+    orders = [(0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 0, 1)]
+    families = [
+        linear_family(order_projections(c, c_inv, [o[k] for o in orders], 2), param)
+        for k, param in enumerate("tuv")
+    ]
+    joint = _homogenize_joint(families, None, (None, None, None), "L_h3")
+    assert sorted(joint.orders) == sorted(orders)
+    assert [w for _, w in joint.chart.variables] == [sum(o) for o in joint.orders]
+    assert pairwise_complementary(list(joint.projections.values()))
+    assert joint.homogenizer.then(joint.inverse).is_identity()

@@ -169,6 +169,21 @@ def test_pow_negative_rejected():
         X ** (-1)
 
 
+def test_bool_weight_rejected():
+    with pytest.raises(DomainError):
+        GradedChart("B", (("x", True),))
+
+
+def test_float_constant_rejected():
+    with pytest.raises(DomainError):
+        WPolynomial.constant(V, 0.1)
+
+
+def test_float_monomial_coefficient_rejected():
+    with pytest.raises(DomainError):
+        WPolynomial.monomial(V, {"x": 1}, 0.5)
+
+
 # --- algebraic laws ----------------------------------------------------------
 
 CHARTS = (
