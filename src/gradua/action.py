@@ -292,10 +292,9 @@ def _homogenize_joint(
     checked to scale exactly under every family, and the change of
     coordinates is inverted and verified two-sided.
     """
-    laws = [_require_monoid(h, law) for h, law in zip(families, laws)]
+    per_family = [taylor_projections(h, theta, law) for h, law in zip(families, laws)]
     chart = families[0].chart
     point = _resolve_theta(families[0], theta)
-    per_family = [taylor_projections(h, theta, law) for h, law in zip(families, laws)]
     n_vars = len(chart)
     zero = linalg.zeros(n_vars, n_vars)
 
