@@ -1,7 +1,7 @@
 """Analysis of one-parameter polynomial families: when is one a grading?
 
-A family h assigns to the parameter t a polynomial self-map h_t. The engine
-decides the two laws exactly, symbolically in t and s:
+A family h assigns to the parameter t a polynomial self-map h_t. It is a
+monoid action when two laws hold, exactly in t and s:
 
     semigroup   h_t after h_s equals h_(t*s)
     monoid      semigroup and h_1 = identity
@@ -15,8 +15,16 @@ powers of t. That change of coordinates (the homogenizer) is built, checked
 exactly, and inverted; its existence is what makes the family a grading in
 disguise.
 
-The construction and every claimed identity are verified by exact rational
-arithmetic; nothing is trusted to hold just because the theory says so.
+The checked homogenizer is also the certificate of the laws: a family that
+acts by plain powers of t in polynomial coordinates with a polynomial
+inverse is a monoid action, and families that all act by plain powers in
+the same coordinates commute (the argument is in _homogenize_joint). So the
+laws (verify_laws) and the commutation of families (check_commuting) are
+checked directly only when the homogenizer cannot be built, to explain the
+failure.
+
+Every claimed identity is either verified by exact rational arithmetic or
+follows from one that is by that argument.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .errors import (
     DegenerateActionError,
     DomainError,
     EngineDefectError,
+    GraduaError,
     InconsistentActionError,
     NotDoubleStructureError,
     NotGradedActionError,
@@ -128,12 +137,54 @@ def verify_laws(h: ActionFamily) -> LawReport:
     return LawReport(semigroup_ok, monoid_ok, tuple(witnesses))
 
 
-def _require_monoid(h: ActionFamily, laws: LawReport | None) -> LawReport:
-    laws = laws if laws is not None else verify_laws(h)
+def _require_monoid(h: ActionFamily) -> None:
+    laws = verify_laws(h)
     if not laws.monoid_ok:
         broken = ", ".join(sorted({w.law for w in laws.witnesses}))
-        raise InconsistentActionError(f"the family breaks the {broken} law")
-    return laws
+        raise InconsistentActionError(f"the family breaks the {broken} law", laws)
+
+
+def _distinct_params(
+    h1: ActionFamily, h2: ActionFamily
+) -> tuple[ActionFamily, ActionFamily]:
+    if h1.chart != h2.chart:
+        raise NotDoubleStructureError("the two families live on different charts")
+    if h2.param == h1.param:
+        h2 = h2.with_param(fresh_name(h2.param, h2.chart.names + (h1.param,)))
+    return h1, h2
+
+
+def _composite_entries(
+    first: ActionFamily, last: ActionFamily, ext: GradedChart
+) -> dict[str, WPolynomial]:
+    """Pullbacks of applying `first`, then `last`, over the two-parameter chart."""
+    chart = first.chart
+    rename = {v: WPolynomial.variable(ext, v) for v in chart.names}
+    rename[first.param] = WPolynomial.variable(ext, first.param)
+    sigma = {v: first.entries[v].substitute(rename, into=ext) for v in chart.names}
+    sigma[last.param] = WPolynomial.variable(ext, last.param)
+    return {v: last.entries[v].substitute(sigma, into=ext) for v in chart.names}
+
+
+def check_commuting(
+    h1: ActionFamily, h2: ActionFamily
+) -> tuple[bool, tuple[tuple[str, WPolynomial], ...]]:
+    """Do the two families commute as self-map families, exactly in t and u?
+
+    Returns the verdict and, per failing variable, the pullback through
+    first-family-last minus the pullback through second-family-last.
+    """
+    h1, h2 = _distinct_params(h1, h2)
+    chart = h1.chart
+    ext = chart.extend(((h1.param, 0), (h2.param, 0)))
+    h1_last = _composite_entries(h2, h1, ext)
+    h2_last = _composite_entries(h1, h2, ext)
+    witnesses = tuple(
+        (v, h1_last[v] - h2_last[v])
+        for v in chart.names
+        if h1_last[v] != h2_last[v]
+    )
+    return (not witnesses, witnesses)
 
 
 def _resolve_theta(
@@ -155,9 +206,9 @@ def _resolve_theta(
     return point
 
 
-def base_projection(h: ActionFamily, laws: LawReport | None = None) -> PolyMap:
-    """The parameter-0 self-map; checked to be idempotent."""
-    _require_monoid(h, laws)
+def base_projection(h: ActionFamily) -> PolyMap:
+    """The parameter-0 self-map of a monoid family; checked to be idempotent."""
+    _require_monoid(h)
     p0 = h._zero_map
     if p0.then(p0) != p0:
         raise InconsistentActionError("the parameter-0 map is not idempotent")
@@ -183,9 +234,7 @@ def _jacobian_at(
 
 
 def taylor_projections(
-    h: ActionFamily,
-    theta: Mapping[str, Fraction | int] | None = None,
-    laws: LawReport | None = None,
+    h: ActionFamily, theta: Mapping[str, Fraction | int] | None = None
 ) -> tuple[Matrix, ...]:
     """Taylor coefficient matrices Q_0 .. Q_n of the derivative at theta.
 
@@ -199,8 +248,9 @@ def taylor_projections(
     everything, since x = sum Q_r x, so their sum is direct. Then for each x,
     Q_s x = sum_r Q_r Q_s x writes an element of the image of Q_s as a sum
     over the images; by uniqueness Q_r Q_s x = 0 for every r != s.
+
+    The laws are not checked here; _homogenize_joint explains a failure.
     """
-    _require_monoid(h, laws)
     point = _resolve_theta(h, theta)
     n_vars = len(h.chart)
     coeffs = [
@@ -234,17 +284,16 @@ def taylor_projections(
 
 
 def homogenize(
-    h: ActionFamily,
-    theta: Mapping[str, Fraction | int] | None = None,
-    laws: LawReport | None = None,
+    h: ActionFamily, theta: Mapping[str, Fraction | int] | None = None
 ) -> Homogenization:
     """Build coordinates on which the family acts by plain powers of t.
 
     The one-family case of _homogenize_joint: for each order r with a nonzero
     projection Q_r, the t^r coefficients of the pushed dual coordinates
-    become the new weight-r coordinates y{r}_1, y{r}_2, ...
+    become the new weight-r coordinates y{r}_1, y{r}_2, ... A family that
+    breaks a law raises InconsistentActionError.
     """
-    joint = _homogenize_joint((h,), theta, (laws,), f"{h.chart.name}_h")
+    joint = _homogenize_joint((h,), theta, f"{h.chart.name}_h")
     return Homogenization(
         chart=joint.chart,
         homogenizer=joint.homogenizer,
@@ -270,19 +319,18 @@ class _JointHomogenization:
 def _homogenize_joint(
     families: Sequence[ActionFamily],
     theta: Mapping[str, Fraction | int] | None,
-    laws: Sequence[LawReport | None],
     name: str,
 ) -> _JointHomogenization:
     """Coordinates scaling by t_1**r_1 ... t_k**r_k under k monoid families.
 
-    The families share one chart, have distinct parameters and commute as
-    self-map families (the caller checks that). Each family's Taylor
-    projections are computed and checked, and the nonzero projections of
-    different families are checked to commute. Commuting families of
+    The families share one chart and have distinct parameters. Each family's
+    Taylor projections are computed and checked, and the nonzero projections
+    of different families are checked to commute. Commuting families of
     complementary projections summing to I have products that are again
     complementary projections summing to I, so the joint projection of the
     multi-index (r_1, ..., r_k) is the product Q1_r_1 ... Qk_r_k with no
-    further check; a product with a zero factor is not computed.
+    further check. A product with a zero factor is not computed, and the
+    products Q1_r Q2_s formed by the commutation check are reused.
 
     For each joint projection a maximal independent set of columns is
     selected by exact elimination (first pivot wins). The dual linear
@@ -291,25 +339,80 @@ def _homogenize_joint(
     y{r_1}_..._{r_k}_{i}, of weight r_1 + ... + r_k. Each new coordinate is
     checked to scale exactly under every family, and the change of
     coordinates is inverted and verified two-sided.
+
+    That certificate proves the laws, the commutation of the families and
+    the total degree, so none of them is checked when it succeeds. Write phi
+    for the new coordinates, psi for the verified inverse (phi o psi = id =
+    psi o phi) and w_i for the order of phi_i under one family h.
+
+    - A pullback h_t^* is a ring homomorphism.
+    - h_t^* phi_i = t^w_i phi_i is checked exactly, so h_t^* x_v =
+      h_t^* psi_v(phi) = psi_v(t^w phi): h_t = psi o s_t o phi, where s_t
+      scales the i-th coordinate by t^w_i. As phi o psi = id, h_t o h_s =
+      psi o s_ts o phi = h_ts and h_1 = id.
+    - Each of the k families is psi o s_i o phi with s_i a diagonal scaling,
+      and diagonal scalings commute, so the families commute.
+    - Setting every parameter to t gives psi o s o phi, where s scales the
+      coordinate of multi-index (r_1, ..., r_k) by t^(r_1 + ... + r_k). So
+      the total action is standard with these weights in the joint
+      coordinates, and its degree is the largest of them, the degree of the
+      returned chart.
+
+    When a stage raises, the direct checks explain the failure, in this
+    order: the commutation of each pair of families (NotDoubleStructureError
+    with the witnesses as detail), then each family's laws in argument order
+    (InconsistentActionError with the LawReport as detail). If all of them
+    hold, the original error is re-raised.
     """
-    per_family = [taylor_projections(h, theta, law) for h, law in zip(families, laws)]
+    try:
+        return _joint_certificate(families, theta, name)
+    except GraduaError:
+        for a, b in combinations(families, 2):
+            commuting, witnesses = check_commuting(a, b)
+            if not commuting:
+                names = ", ".join(v for v, _ in witnesses)
+                raise NotDoubleStructureError(
+                    f"the families do not commute (see {names})", witnesses
+                )
+        for h in families:
+            _require_monoid(h)
+        raise
+
+
+def _joint_certificate(
+    families: Sequence[ActionFamily],
+    theta: Mapping[str, Fraction | int] | None,
+    name: str,
+) -> _JointHomogenization:
+    """The construction and exact checks of _homogenize_joint, unexplained."""
+    per_family = [taylor_projections(h, theta) for h in families]
     chart = families[0].chart
     point = _resolve_theta(families[0], theta)
     n_vars = len(chart)
     zero = linalg.zeros(n_vars, n_vars)
 
-    for qs_a, qs_b in combinations(per_family, 2):
-        for a, b in product(qs_a, qs_b):
-            if zero not in (a, b) and linalg.mat_mul(a, b) != linalg.mat_mul(b, a):
+    first_pair: dict[tuple[int, int], Matrix] = {}
+    for (i, qs_a), (j, qs_b) in combinations(enumerate(per_family), 2):
+        for (r, a), (s, b) in product(enumerate(qs_a), enumerate(qs_b)):
+            if zero in (a, b):
+                continue
+            ab = linalg.mat_mul(a, b)
+            if ab != linalg.mat_mul(b, a):
                 raise NotDoubleStructureError(
                     "the families' Taylor projections do not commute"
                 )
+            if (i, j) == (0, 1):
+                first_pair[r, s] = ab
+    # the products of the first two families are those formed just above
     joint = {(r,): q for r, q in enumerate(per_family[0])}
-    for qs in per_family[1:]:
+    for j, qs in enumerate(per_family[1:], start=1):
         joint = {
-            idx + (r,): p if p == zero else q if q == zero else linalg.mat_mul(p, q)
+            idx + (s,): (
+                first_pair.get((idx[0], s), zero) if j == 1
+                else zero if zero in (p, q) else linalg.mat_mul(p, q)
+            )
             for idx, p in joint.items()
-            for r, q in enumerate(qs)
+            for s, q in enumerate(qs)
         }
 
     basis_cols: list[tuple[Fraction, ...]] = []
@@ -465,12 +568,10 @@ def _picard_inverse(
 
 
 def detect_degree(
-    h: ActionFamily,
-    theta: Mapping[str, Fraction | int] | None = None,
-    laws: LawReport | None = None,
+    h: ActionFamily, theta: Mapping[str, Fraction | int] | None = None
 ) -> int:
     """Largest weight of the homogenized chart."""
-    return homogenize(h, theta, laws).chart.degree
+    return homogenize(h, theta).chart.degree
 
 
 def reconstruct_entries(hom: Homogenization, h: ActionFamily) -> dict[str, WPolynomial]:
@@ -493,9 +594,7 @@ def reconstruct_entries(hom: Homogenization, h: ActionFamily) -> dict[str, WPoly
 
 
 def extend_negative(
-    h: ActionFamily,
-    theta: Mapping[str, Fraction | int] | None = None,
-    laws: LawReport | None = None,
+    h: ActionFamily, theta: Mapping[str, Fraction | int] | None = None
 ) -> ActionFamily:
     """The family read over every rational parameter value, negatives included.
 
@@ -506,8 +605,7 @@ def extend_negative(
     coordinates the parameter -1 map negates the odd-weight variables, and
     it is an involution.
     """
-    laws = _require_monoid(h, laws)
-    hom = homogenize(h, theta, laws)
+    hom = homogenize(h, theta)
     rebuilt = reconstruct_entries(hom, h)
     for v in h.chart.names:
         if rebuilt[v] != h.entries[v]:
@@ -537,17 +635,23 @@ def analyze(
     h: ActionFamily,
     theta: Mapping[str, Fraction | int] | None = None,
 ) -> AnalysisReport:
-    """Full pipeline: laws, base projection, projections, homogenization."""
-    laws = verify_laws(h)
-    if not laws.monoid_ok:
+    """Full pipeline: homogenization, or the broken laws that prevent it.
+
+    The checked homogenizer certifies both laws, and with the semigroup law
+    the parameter-0 map is idempotent, so the laws are verified directly
+    only when homogenize fails. A broken law gives a report of the law
+    verdicts and witnesses; any other failure is raised.
+    """
+    try:
+        hom = homogenize(h, theta)
+    except InconsistentActionError as exc:
+        laws = exc.detail
         return AnalysisReport(laws.semigroup_ok, laws.monoid_ok, laws.witnesses)
-    p0 = base_projection(h, laws)
-    hom = homogenize(h, theta, laws)
     return AnalysisReport(
         semigroup_ok=True,
         monoid_ok=True,
         witnesses=(),
-        base_projection=p0,
+        base_projection=h._zero_map,
         degree=hom.chart.degree,
         projections=hom.projections,
         homogenizer=hom.homogenizer,

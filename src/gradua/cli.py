@@ -33,10 +33,15 @@ from .dsl import (
     ReportCmd,
     parse,
 )
-from .errors import GraduaError, ParseError, UnsupportedChartError
+from .errors import (
+    GraduaError,
+    NotDoubleStructureError,
+    ParseError,
+    UnsupportedChartError,
+)
 from .graded import compose, is_graded_morphism, matrix_representation
 from .jets import prolong
-from .multigrade import bihomogenize, check_commuting, flip, total_action
+from .multigrade import bihomogenize, flip
 
 SCHEMA_VERSION = "1"
 SCHEMA_ENV_VAR = "GRADUA_SCHEMA_VERSION"
@@ -142,23 +147,26 @@ def _run_check_double(stmt: CheckDoubleCmd, actions, doubles) -> dict:
         "first": first_name,
         "second": second_name,
     }
-    commuting, witnesses = check_commuting(h1, h2)
-    entry["ok"] = commuting
-    entry["commuting"] = commuting
-    if not commuting:
+    try:
+        bihom = bihomogenize(h1, h2)
+    except NotDoubleStructureError as exc:
+        if exc.detail is None:
+            raise
+        entry["ok"] = False
+        entry["commuting"] = False
         entry["witnesses"] = [
-            {"variable": v, "defect": str(d)} for v, d in witnesses
+            {"variable": v, "defect": str(d)} for v, d in exc.detail
         ]
         return entry
-    bihom = bihomogenize(h1, h2)
+    entry["ok"] = True
+    entry["commuting"] = True
     entry["chart"] = _chart_json(bihom.chart)
     entry["biweights"] = {
         v: list(rs) for v, rs in zip(bihom.chart.names, bihom.biweights)
     }
     entry["homogenizer"] = _pullbacks_json(bihom.homogenizer)
     entry["inverse"] = _pullbacks_json(bihom.inverse)
-    total_report = analyze(total_action(h1, h2))
-    entry["total_degree"] = total_report.degree
+    entry["total_degree"] = bihom.chart.degree
     return entry
 
 

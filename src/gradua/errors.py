@@ -8,7 +8,16 @@ from __future__ import annotations
 
 
 class GraduaError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors.
+
+    `detail` is the structured data behind the message, where there is some:
+    the action.LawReport of a broken law, or the commutation witnesses of a
+    pair of families that does not commute.
+    """
+
+    def __init__(self, message: str, detail=None):
+        super().__init__(message)
+        self.detail = detail
 
 
 class DomainError(GraduaError):

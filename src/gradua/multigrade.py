@@ -8,6 +8,11 @@ u**s under the second. The resulting chart records the pair (r, s) for each
 variable and carries r + s as its weight, so collapsing both parameters to
 one recovers an ordinary homogenized chart, possibly of lower degree than
 the pair suggests.
+
+The checked joint coordinates certify that the families commute and give
+the degree of their total action (the argument is in
+action._homogenize_joint). The direct check, check_commuting, lives in
+action, which runs it only to explain a failure; it is re-exported here.
 """
 
 from __future__ import annotations
@@ -16,9 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .action import _homogenize_joint
-from .charts import GradedChart, fresh_name
-from .errors import NotDoubleStructureError
+from .action import _distinct_params, _homogenize_joint, check_commuting  # noqa: F401
+from .charts import GradedChart
 from .graded import ActionFamily, PolyMap
 from .jets import adapt
 from .linalg import Matrix
@@ -35,49 +39,6 @@ class Bihomogenization:
     inverse: PolyMap
     projections: dict[tuple[int, int], Matrix]
     theta: dict[str, Fraction]
-
-
-def _distinct_params(
-    h1: ActionFamily, h2: ActionFamily
-) -> tuple[ActionFamily, ActionFamily]:
-    if h1.chart != h2.chart:
-        raise NotDoubleStructureError("the two families live on different charts")
-    if h2.param == h1.param:
-        h2 = h2.with_param(fresh_name(h2.param, h2.chart.names + (h1.param,)))
-    return h1, h2
-
-
-def _composite_entries(
-    first: ActionFamily, last: ActionFamily, ext: GradedChart
-) -> dict[str, WPolynomial]:
-    """Pullbacks of applying `first`, then `last`, over the two-parameter chart."""
-    chart = first.chart
-    rename = {v: WPolynomial.variable(ext, v) for v in chart.names}
-    rename[first.param] = WPolynomial.variable(ext, first.param)
-    sigma = {v: first.entries[v].substitute(rename, into=ext) for v in chart.names}
-    sigma[last.param] = WPolynomial.variable(ext, last.param)
-    return {v: last.entries[v].substitute(sigma, into=ext) for v in chart.names}
-
-
-def check_commuting(
-    h1: ActionFamily, h2: ActionFamily
-) -> tuple[bool, tuple[tuple[str, WPolynomial], ...]]:
-    """Do the two families commute as self-map families, exactly in t and u?
-
-    Returns the verdict and, per failing variable, the pullback through
-    first-family-last minus the pullback through second-family-last.
-    """
-    h1, h2 = _distinct_params(h1, h2)
-    chart = h1.chart
-    ext = chart.extend(((h1.param, 0), (h2.param, 0)))
-    h1_last = _composite_entries(h2, h1, ext)
-    h2_last = _composite_entries(h1, h2, ext)
-    witnesses = tuple(
-        (v, h1_last[v] - h2_last[v])
-        for v in chart.names
-        if h1_last[v] != h2_last[v]
-    )
-    return (not witnesses, witnesses)
 
 
 def total_action(
@@ -104,17 +65,16 @@ def bihomogenize(
 ) -> Bihomogenization:
     """Joint coordinates scaling by t**r under h1 and u**s under h2.
 
-    After the families are checked to commute, this is the two-family case
-    of action._homogenize_joint: the order-(r, s) projection is the product
-    of the order-r projection of h1 and the order-s projection of h2, and
-    the new coordinates y{r}_{s}_1, y{r}_{s}_2, ... have weight r + s.
+    The two-family case of action._homogenize_joint: the order-(r, s)
+    projection is the product of the order-r projection of h1 and the
+    order-s projection of h2, and the new coordinates y{r}_{s}_1,
+    y{r}_{s}_2, ... have weight r + s. The checked coordinates certify that
+    the families commute, so check_commuting runs only when they cannot be
+    built; a pair that does not commute raises NotDoubleStructureError with
+    the commutation witnesses, before any broken law is reported.
     """
     h1, h2 = _distinct_params(h1, h2)
-    ok, witnesses = check_commuting(h1, h2)
-    if not ok:
-        names = ", ".join(v for v, _ in witnesses)
-        raise NotDoubleStructureError(f"the families do not commute (see {names})")
-    joint = _homogenize_joint((h1, h2), theta, (None, None), f"{h1.chart.name}_bh")
+    joint = _homogenize_joint((h1, h2), theta, f"{h1.chart.name}_bh")
     return Bihomogenization(
         chart=joint.chart,
         biweights=joint.orders,

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from gradua.charts import GradedChart
 from gradua.graded import PolyMap, ActionFamily, compose, invert_automorphism
+from gradua.linalg import inverse, mat_mul
 from gradua.wpoly import WPolynomial, monomial_basis
 
 _LETTERS = "xyz"
@@ -164,3 +165,55 @@ def conjugated_action(
         v: gamma_inv.pullbacks[v].substitute(sigma, into=ext) for v in chart.names
     }
     return ActionFamily(chart, param, entries), gamma
+
+
+def linear_family(qs, param="t"):
+    """The family x -> sum_r param^r Q_r x on a chart with one variable per row."""
+    n = len(qs[0])
+    chart = GradedChart("L", tuple((f"x{i}", 1) for i in range(n)))
+    ext = chart.extend(((param, 0),))
+    xs = [WPolynomial.variable(ext, v) for v in chart.names]
+    t = WPolynomial.variable(ext, param)
+    entries = {}
+    for i, v in enumerate(chart.names):
+        acc = WPolynomial.zero(ext)
+        for r, q in enumerate(qs):
+            for j, x in enumerate(xs):
+                if q[i][j]:
+                    acc = acc + t**r * x * q[i][j]
+        entries[v] = acc
+    return ActionFamily(chart, param, entries)
+
+
+def random_basis_change(rng, n):
+    """C = L U with unit triangular L and U, and its exact inverse."""
+    def unit_triangular(below):
+        return tuple(
+            tuple(
+                Fraction(1) if i == j
+                else Fraction(rng.randint(-2, 2)) if (i > j) == below
+                else Fraction(0)
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+
+    c = mat_mul(unit_triangular(True), unit_triangular(False))
+    return c, inverse(c)
+
+
+def conjugated_diagonal(c, c_inv, diagonal):
+    n = len(diagonal)
+    d = tuple(
+        tuple(Fraction(diagonal[i]) if i == j else Fraction(0) for j in range(n))
+        for i in range(n)
+    )
+    return mat_mul(mat_mul(c, d), c_inv)
+
+
+def order_projections(c, c_inv, orders, degree):
+    """Q_r = C E_r C^-1, where E_r picks the coordinates of order r."""
+    return [
+        conjugated_diagonal(c, c_inv, [1 if o == r else 0 for o in orders])
+        for r in range(degree + 1)
+    ]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gradua.action import (
     AnalysisReport,
-    LawReport,
     _homogenize_joint,
     analyze,
     base_projection,
@@ -29,11 +28,18 @@ from gradua.errors import (
     NotGradedActionError,
 )
 from gradua.graded import ActionFamily, standard_action
-from gradua.linalg import identity, inverse, mat_add, mat_mul, zeros
+from gradua.linalg import identity, mat_add, mat_mul, zeros
 from gradua.multigrade import bihomogenize
 from gradua.wpoly import WPolynomial
 
-from helpers import conjugated_action, random_chart
+from helpers import (
+    conjugated_action,
+    conjugated_diagonal,
+    linear_family,
+    order_projections,
+    random_basis_change,
+    random_chart,
+)
 
 M = GradedChart("M", (("x", 1), ("y", 2)))
 EXT = M.extend((("t", 0),))
@@ -44,8 +50,6 @@ T = WPolynomial.variable(EXT, "t")
 # the running example: x scales once, y mixes a weight-2 scaling with a
 # t-dependent shear along x
 H = ActionFamily(M, "t", {"x": T * X, "y": T**2 * Y + (T - T**2) * X})
-
-FAKE_OK = LawReport(True, True, ())
 
 
 def test_laws_hold_for_running_example():
@@ -94,17 +98,17 @@ def test_taylor_projections_frozen():
 
 
 def test_degenerate_direction_detected():
-    # bypass the law check to reach the projection analysis with a family
+    # the projection analysis does not check the laws, so it reaches a family
     # whose parameter-derivative kills the y-direction outright
     bad = ActionFamily(M, "t", {"x": T * X, "y": WPolynomial.zero(EXT)})
     with pytest.raises(DegenerateActionError):
-        taylor_projections(bad, laws=FAKE_OK)
+        taylor_projections(bad)
 
 
 def test_nonprojection_coefficients_detected():
     bad = ActionFamily(M, "t", {"x": T * X, "y": T * X + T * Y})
     with pytest.raises(NotGradedActionError):
-        taylor_projections(bad, laws=FAKE_OK)
+        taylor_projections(bad)
 
 
 def test_homogenize_frozen():
@@ -170,7 +174,8 @@ def test_analyze_evaluates_the_parameter_0_map_once(monkeypatch):
     fresh = ActionFamily(M, "t", dict(H.entries))
     analyze(fresh)
     analyze(fresh)
-    assert values == [1, 0, 1]
+    # the homogenizer certifies the monoid law, so h_1 is never evaluated
+    assert values == [0]
 
 
 def test_analyze_stops_at_broken_monoid():
@@ -244,24 +249,6 @@ def pairwise_complementary(qs):
     )
 
 
-def linear_family(qs, param="t"):
-    """The family x -> sum_r param^r Q_r x on a chart with one variable per row."""
-    n = len(qs[0])
-    chart = GradedChart("L", tuple((f"x{i}", 1) for i in range(n)))
-    ext = chart.extend(((param, 0),))
-    xs = [WPolynomial.variable(ext, v) for v in chart.names]
-    t = WPolynomial.variable(ext, param)
-    entries = {}
-    for i, v in enumerate(chart.names):
-        acc = WPolynomial.zero(ext)
-        for r, q in enumerate(qs):
-            for j, x in enumerate(xs):
-                if q[i][j]:
-                    acc = acc + t**r * x * q[i][j]
-        entries[v] = acc
-    return ActionFamily(chart, param, entries)
-
-
 def identity_minus(m):
     return tuple(
         tuple((i == j) - x for j, x in enumerate(row)) for i, row in enumerate(m)
@@ -270,44 +257,10 @@ def identity_minus(m):
 
 def accepts(qs):
     try:
-        taylor_projections(linear_family(qs), laws=FAKE_OK)
+        taylor_projections(linear_family(qs))
     except (NotGradedActionError, DegenerateActionError):
         return False
     return True
-
-
-def random_basis_change(rng, n):
-    """C = L U with unit triangular L and U, and its exact inverse."""
-    def unit_triangular(below):
-        return tuple(
-            tuple(
-                Fraction(1) if i == j
-                else Fraction(rng.randint(-2, 2)) if (i > j) == below
-                else Fraction(0)
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-
-    c = mat_mul(unit_triangular(True), unit_triangular(False))
-    return c, inverse(c)
-
-
-def conjugated_diagonal(c, c_inv, diagonal):
-    n = len(diagonal)
-    d = tuple(
-        tuple(Fraction(diagonal[i]) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-    return mat_mul(mat_mul(c, d), c_inv)
-
-
-def order_projections(c, c_inv, orders, degree):
-    """Q_r = C E_r C^-1, where E_r picks the coordinates of order r."""
-    return [
-        conjugated_diagonal(c, c_inv, [1 if o == r else 0 for o in orders])
-        for r in range(degree + 1)
-    ]
 
 
 def test_projection_check_agrees_with_pairwise_reference():
@@ -380,7 +333,7 @@ def test_three_commuting_families_homogenize_jointly():
         linear_family(order_projections(c, c_inv, [o[k] for o in orders], 2), param)
         for k, param in enumerate("tuv")
     ]
-    joint = _homogenize_joint(families, None, (None, None, None), "L_h3")
+    joint = _homogenize_joint(families, None, "L_h3")
     assert sorted(joint.orders) == sorted(orders)
     assert [w for _, w in joint.chart.variables] == [sum(o) for o in joint.orders]
     assert pairwise_complementary(list(joint.projections.values()))

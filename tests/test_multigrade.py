@@ -1,14 +1,18 @@
 """Commuting family pairs, joint homogenization, and the order flip."""
 
+import random
+
 import pytest
 
-from gradua.action import analyze, euler_field
+from gradua.action import _homogenize_joint, analyze, euler_field
 from gradua.charts import GradedChart
 from gradua.errors import NotDoubleStructureError
 from gradua.graded import ActionFamily, compose
 from gradua.jets import adapt, jet_action, prolong_action
 from gradua.multigrade import bihomogenize, check_commuting, flip, total_action
 from gradua.wpoly import WPolynomial
+
+from helpers import linear_family, order_projections, random_basis_change
 
 M = GradedChart("M", (("x", 1), ("y", 2)))
 
@@ -113,6 +117,30 @@ def test_bihomogenize_with_corrections():
     bihom = bihomogenize(h1, h2)
     assert sorted(bihom.biweights) == [(0, 1), (1, 0), (1, 2)]
     assert str(bihom.homogenizer.pullbacks["y1_2_1"]) == "z + x1*x2"
+
+
+def test_total_degree_is_the_largest_joint_weight():
+    # check-double reports the degree of the joint chart as the total degree;
+    # homogenizing the total action itself is the reference
+    ext = M.extend((("t", 0),))
+    x, y, t = (WPolynomial.variable(ext, v) for v in ("x", "y", "t"))
+    sheared = ActionFamily(M, "t", {"x": t * x, "y": t**2 * y + (t - t**2) * x})
+    for order in (1, 2):
+        lifted = prolong_action(sheared, order)
+        scaling = jet_action(adapt(M, order), "u")
+        total_degree = bihomogenize(lifted, scaling).chart.degree
+        assert total_degree == analyze(total_action(lifted, scaling)).degree
+
+    rng = random.Random(6)
+    c, c_inv = random_basis_change(rng, 4)
+    orders = [(0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 0, 1)]
+    families = [
+        linear_family(order_projections(c, c_inv, [o[k] for o in orders], 2), param)
+        for k, param in enumerate("tuv")
+    ]
+    total_degree = _homogenize_joint(families, None, "L_h3").chart.degree
+    total = total_action(total_action(families[0], families[1]), families[2])
+    assert total_degree == analyze(total).degree == 3
 
 
 def test_flip_one_one_is_involution():
