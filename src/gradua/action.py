@@ -48,7 +48,7 @@ from .errors import (
 )
 from .graded import ActionFamily, PolyMap
 from .linalg import Matrix
-from .wpoly import WPolynomial
+from .wpoly import WPolynomial, _exact
 
 _ZERO = Fraction(0)
 
@@ -194,7 +194,7 @@ def _resolve_theta(
     if theta is None:
         point = {v: _ZERO for v in chart.names}
     else:
-        point = {v: Fraction(theta.get(v, 0)) for v in chart.names}
+        point = {v: _exact(theta.get(v, 0)) for v in chart.names}
         unknown = set(theta) - set(chart.names)
         if unknown:
             raise DomainError(f"theta mentions unknown variables {sorted(unknown)}")
@@ -266,10 +266,12 @@ def taylor_projections(
         for r in range(degree + 1)
     )
 
-    total = linalg.zeros(n_vars, n_vars)
-    for q in qs:
-        total = linalg.mat_add(total, q)
-    if total != linalg.identity(n_vars):
+    # sum Q_r = I, read entry by entry from the t-coefficients
+    if any(
+        sum(c.values()) != (i == j)
+        for i, row in enumerate(coeffs)
+        for j, c in enumerate(row)
+    ):
         stacked = tuple(row for q in qs for row in q)
         if linalg.rank(stacked) < n_vars:
             raise DegenerateActionError(

@@ -1,15 +1,23 @@
 """Exact linear algebra over the rationals, just enough for this engine.
 
-Matrices are tuples of row tuples of Fractions. Everything is pure and
-allocation-happy; sizes here never exceed a couple dozen rows.
+Matrices are tuples of row tuples of Fractions, and that is all a caller
+sees. Inside, the kernels work over Python ints: `_scaled` writes a matrix
+as integer numerators over one shared denominator (the lcm of its entries'
+denominators), products multiply numerators only, and elimination is
+fraction-free (Bareiss, Math. Comp. 22, 1968), so every division is exact.
+Fractions are built only at the boundary, once per returned entry. Sizes
+here never exceed a couple dozen rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
-from .errors import SingularMatrixError
+from .errors import DomainError, SingularMatrixError
+from .wpoly import _exact
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -30,16 +38,32 @@ def mat_from_cols(cols: Sequence[Sequence[Fraction]]) -> Matrix:
     if not cols:
         return ()
     n = len(cols[0])
-    return tuple(tuple(Fraction(col[i]) for col in cols) for i in range(n))
+    return tuple(tuple(_exact(col[i]) for col in cols) for i in range(n))
+
+
+def _scaled(a: Matrix) -> tuple[list[list[int]], int]:
+    """Integer rows N and the lcm d of the entry denominators, so a = N / d."""
+    if len({len(row) for row in a}) > 1:
+        raise DomainError("matrix rows have different lengths")
+    d = lcm(*{x.denominator for row in a for x in row})
+    return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    return Fraction(n, d) if n else _ZERO
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix shape mismatch")
-    cols = len(b[0]) if b else 0
+    if a and len(a[0]) != len(b):
+        raise DomainError(
+            f"matrix shape mismatch: {len(a[0])} columns times {len(b)} rows"
+        )
+    na, da = _scaled(a)
+    nb, db = _scaled(b)
+    d = da * db
+    cols = list(zip(*nb))
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), _ZERO) for j in range(cols))
-        for i in range(len(a))
+        tuple(_fraction(sum(map(mul, row, col)), d) for col in cols) for row in na
     )
 
 
@@ -52,46 +76,65 @@ def column(a: Matrix, j: int) -> Vector:
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Gauss-Jordan inverse; raises SingularMatrixError when rank-deficient."""
+    """Inverse by fraction-free Gauss-Jordan; SingularMatrixError when singular.
+
+    With a = N / d, eliminate on the integer matrix [N | dI]. After step k
+    every pivot of rows 0..k equals the newest pivot, and every entry is, up
+    to sign, a minor of [N | dI], so the division by the previous pivot is
+    exact. At the end the left block is D*I and the right block is D * a^-1.
+    """
     n = len(a)
     if any(len(row) != n for row in a):
-        raise ValueError("inverse needs a square matrix")
-    work = [list(row) + [_ONE if i == j else _ZERO for j in range(n)] for i, row in enumerate(a)]
+        raise DomainError(
+            f"inverse needs a square matrix, got {n} rows of lengths "
+            f"{sorted({len(row) for row in a})}"
+        )
+    rows, d = _scaled(a)
+    work = [row + [d if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
         if pivot is None:
             raise SingularMatrixError(f"column {col} has no pivot")
         work[col], work[pivot] = work[pivot], work[col]
-        inv_p = _ONE / work[col][col]
-        work[col] = [x * inv_p for x in work[col]]
+        top = work[col]
+        p = top[col]
         for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+            if r != col:
+                f = work[r][col]
+                work[r] = [(p * x - f * y) // prev for x, y in zip(work[r], top)]
+        prev = p
+    return tuple(tuple(_fraction(x, prev) for x in row[n:]) for row in work)
 
 
 def independent_columns(a: Matrix) -> list[int]:
     """Indices of a maximal independent set of columns, scanning left to right.
 
     The first column that extends the span is always taken, so the result
-    is deterministic (the first-pivot tie break).
+    is deterministic (the first-pivot tie break): these are the pivot
+    columns of a's echelon form. Scaling a by the shared denominator does
+    not change which columns are independent, so the elimination runs
+    fraction-free (Bareiss) on the integer numerators.
     """
     if not a:
         return []
-    rows = len(a)
-    echelon: list[tuple[int, list[Fraction]]] = []
+    work, _ = _scaled(a)
+    n_rows = len(work)
     picked: list[int] = []
-    for j in range(len(a[0])):
-        v = [a[i][j] for i in range(rows)]
-        for pivot, basis_vec in echelon:
-            if v[pivot] != 0:
-                factor = v[pivot] / basis_vec[pivot]
-                v = [x - factor * y for x, y in zip(v, basis_vec)]
-        lead = next((i for i, x in enumerate(v) if x != 0), None)
-        if lead is not None:
-            echelon.append((lead, v))
-            picked.append(j)
+    prev = 1
+    for j in range(len(work[0])):
+        r = len(picked)
+        pivot = next((i for i in range(r, n_rows) if work[i][j]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        top = work[r]
+        p = top[j]
+        for i in range(r + 1, n_rows):
+            f = work[i][j]
+            work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], top)]
+        prev = p
+        picked.append(j)
     return picked
 
 

@@ -204,7 +204,7 @@ class WPolynomial:
         return NotImplemented
 
     def scale(self, factor: Fraction | int) -> WPolynomial:
-        factor = Fraction(factor)
+        factor = _exact(factor)
         if factor == 0:
             return WPolynomial.zero(self.chart)
         return WPolynomial(self.chart, {m: c * factor for m, c in self.terms.items()})
@@ -405,7 +405,7 @@ class WPolynomial:
                 var = names[i]
                 if var not in point:
                     raise DomainError(f"no value for variable {var!r}")
-                val *= Fraction(point[var]) ** e
+                val *= _exact(point[var]) ** e
             total += val
         return total
 

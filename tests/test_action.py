@@ -206,6 +206,19 @@ def test_shifted_fixed_point():
     assert str(hom.inverse.pullbacks["x"]) == "y1_1 + 1"
 
 
+def test_float_theta_rejected():
+    chart = GradedChart("L", (("x", 1),))
+    ext = chart.extend((("t", 0),))
+    x = WPolynomial.variable(ext, "x")
+    t = WPolynomial.variable(ext, "t")
+    shifted = ActionFamily(chart, "t", {"x": t * (x - 1) + 1})
+    # 1.0 is the fixed point, but not an exact rational
+    with pytest.raises(DomainError):
+        homogenize(shifted, theta={"x": 1.0})
+    with pytest.raises(DomainError):
+        taylor_projections(shifted, theta={"x": 1.0})
+
+
 def test_weight_zero_directions_become_base_coordinates():
     chart = GradedChart("Bc", (("a", 0), ("y", 1)))
     ext = chart.extend((("t", 0),))

@@ -25,3 +25,20 @@ def test_perfbench_tracer_installs():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_oracle_accepts_the_engine():
+    """perfbench's own checks pass gradua's outputs and reject corrupted ones.
+
+    mutation_check.py runs a few operations of each workload through the
+    benchmark's independent oracle, then corrupts their outputs and exits
+    non-zero if a corruption goes unnoticed or a genuine output is rejected.
+    """
+    done = subprocess.run(
+        [sys.executable, "perfbench/mutation_check.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

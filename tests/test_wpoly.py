@@ -184,6 +184,17 @@ def test_float_monomial_coefficient_rejected():
         WPolynomial.monomial(V, {"x": 1}, 0.5)
 
 
+def test_float_scale_factor_rejected():
+    # Fraction(0.1) would store 3602879701896397/36028797018963968
+    with pytest.raises(DomainError):
+        X.scale(0.1)
+
+
+def test_float_evaluation_point_rejected():
+    with pytest.raises(DomainError):
+        (X + Y).evaluate({"x": 0.5, "y": 2})
+
+
 # --- algebraic laws ----------------------------------------------------------
 
 CHARTS = (
