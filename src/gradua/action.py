@@ -420,6 +420,8 @@ def _joint_certificate(
     basis_cols: list[tuple[Fraction, ...]] = []
     orders: list[tuple[int, ...]] = []
     for idx, p in joint.items():
+        if p == zero:
+            continue  # a zero projection has no column to contribute
         for j in linalg.independent_columns(p):
             basis_cols.append(linalg.column(p, j))
             orders.append(idx)

@@ -39,11 +39,11 @@ class GradedChart:
     def _index(self) -> dict[str, int]:
         return {var: i for i, (var, _) in enumerate(self.variables)}
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(var for var, _ in self.variables)
 
-    @property
+    @cached_property
     def weights(self) -> tuple[int, ...]:
         return tuple(w for _, w in self.variables)
 

@@ -53,7 +53,7 @@ class PolyMap:
         if extra:
             raise DomainError(f"pullbacks for unknown variables {sorted(extra)}")
         for var, p in self.pullbacks.items():
-            if p.chart != self.source:
+            if p.chart is not self.source and p.chart != self.source:
                 raise ChartMismatchError(
                     f"pullback of {var!r} lives on chart {p.chart.name!r}, "
                     f"expected {self.source.name!r}"
@@ -65,7 +65,7 @@ class PolyMap:
 
     def pull(self, f: WPolynomial) -> WPolynomial:
         """Pullback of a polynomial on the target chart."""
-        if f.chart != self.target:
+        if f.chart is not self.target and f.chart != self.target:
             raise ChartMismatchError(
                 f"polynomial lives on {f.chart.name!r}, expected {self.target.name!r}"
             )
@@ -73,7 +73,7 @@ class PolyMap:
 
     def then(self, other: PolyMap) -> PolyMap:
         """The composite map: this one first, then `other`."""
-        if self.target != other.source:
+        if self.target is not other.source and self.target != other.source:
             raise DomainError(
                 f"cannot compose: {self.source.name!r}->{self.target.name!r} "
                 f"then {other.source.name!r}->{other.target.name!r}"
@@ -85,11 +85,10 @@ class PolyMap:
         )
 
     def is_identity(self) -> bool:
-        if self.source != self.target:
+        if self.source is not self.target and self.source != self.target:
             return False
-        return all(
-            p == WPolynomial.variable(self.source, v) for v, p in self.pullbacks.items()
-        )
+        index_of = self.source.index_of
+        return all(p.terms == {((index_of(v), 1),): 1} for v, p in self.pullbacks.items())
 
     def __str__(self) -> str:
         rules = "; ".join(f"{v} = {self.pullbacks[v]}" for v in self.target.names)

@@ -1,8 +1,10 @@
 """Sparse multivariate polynomials over exact rationals, with weights.
 
-A polynomial is a mapping from monomials to nonzero Fraction coefficients.
-A monomial is a sorted tuple of (variable index, exponent) pairs with all
-exponents positive; the empty tuple is the constant monomial. Indices refer
+A polynomial is a mapping from monomials to nonzero exact rational
+coefficients, stored as int when integral and as a reduced Fraction
+otherwise; floats and other inexact numbers are refused. A monomial is a
+sorted tuple of (variable index, exponent) pairs with all exponents
+positive; the empty tuple is the constant monomial. Indices refer
 to positions in the owning chart, which also assigns each variable a natural
 weight. The weighted degree of a monomial is sum(weight(v) * exp(v)) over
 its factors, and a polynomial is homogeneous of degree r when every monomial
@@ -25,9 +27,9 @@ from .errors import ChartMismatchError, DomainError, EngineDefectError
 
 Rational = Fraction
 Monomial = tuple[tuple[int, int], ...]
+Terms = Mapping[Monomial, Fraction | int]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -85,6 +87,62 @@ def _exact(value: Fraction | int) -> Fraction:
     return Fraction(value)
 
 
+def _coefficient(value: Fraction | int) -> Fraction | int:
+    """The stored form of an exact rational: int when integral, else a Fraction."""
+    if type(value) is not Fraction:
+        value = _exact(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _terms_mul(a: Terms, b: Terms) -> dict[Monomial, Fraction | int]:
+    """Product of two term dicts, dropping coefficients that cancel to zero.
+
+    The inputs hold no zero coefficient, so a cell's first product is
+    nonzero and is stored as it is; no running sum starts from a zero.
+    """
+    out: dict[Monomial, Fraction | int] = {}
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = _mono_mul(m1, m2)
+            s = get(mono)
+            if s is None:
+                out[mono] = c1 * c2
+            else:
+                s += c1 * c2
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+    return out
+
+
+def _terms_add_into(out: dict[Monomial, Fraction | int], terms: Terms) -> None:
+    """Add terms into out in place, dropping coefficients that cancel to zero."""
+    for mono, c in terms.items():
+        s = out.get(mono)
+        if s is None:
+            out[mono] = c
+        else:
+            s += c
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+
+
+def _terms_pow(a: Terms, n: int) -> Terms:
+    """The n-th power of a term dict by repeated squaring; n = 0 gives 1."""
+    result: Terms = {(): 1}
+    while n:
+        if n & 1:
+            result = _terms_mul(result, a)
+        n >>= 1
+        if n:
+            a = _terms_mul(a, a)
+    return result
+
+
 def weighted_degree(exponents: Mapping[str, int], chart: GradedChart) -> int:
     """Weight inner product sum(w_i * k_i) of an exponent assignment."""
     total = 0
@@ -100,11 +158,15 @@ class WPolynomial:
 
     __slots__ = ("chart", "terms")
 
-    def __init__(self, chart: GradedChart, terms: Mapping[Monomial, Fraction]):
+    def __init__(self, chart: GradedChart, terms: Terms):
         self.chart = chart
-        self.terms: dict[Monomial, Fraction] = {
-            m: c for m, c in terms.items() if c != 0
-        }
+        out: dict[Monomial, Fraction | int] = {}
+        for m, c in terms.items():
+            if type(c) is not int:
+                c = _coefficient(c)
+            if c:
+                out[m] = c
+        self.terms = out
 
     # construction -----------------------------------------------------
 
@@ -114,12 +176,12 @@ class WPolynomial:
 
     @classmethod
     def constant(cls, chart: GradedChart, value: Fraction | int) -> WPolynomial:
-        return cls(chart, {(): _exact(value)})
+        return cls(chart, {(): value})
 
     @classmethod
     def variable(cls, chart: GradedChart, name: str) -> WPolynomial:
         idx = chart.index_of(name)
-        return cls(chart, {((idx, 1),): _ONE})
+        return cls(chart, {((idx, 1),): 1})
 
     @classmethod
     def monomial(
@@ -135,7 +197,7 @@ class WPolynomial:
             if e > 0:
                 pairs.append((chart.index_of(var), e))
         pairs.sort()
-        return cls(chart, {tuple(pairs): _exact(coefficient)})
+        return cls(chart, {tuple(pairs): coefficient})
 
     # predicates and views ----------------------------------------------
 
@@ -157,10 +219,10 @@ class WPolynomial:
 
     def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
         pairs = sorted((self.chart.index_of(v), e) for v, e in exponents.items() if e > 0)
-        return self.terms.get(tuple(pairs), _ZERO)
+        return Fraction(self.terms.get(tuple(pairs), 0))
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((), _ZERO)
+        return Fraction(self.terms.get((), 0))
 
     # arithmetic ---------------------------------------------------------
 
@@ -171,18 +233,13 @@ class WPolynomial:
             )
 
     def __add__(self, other: WPolynomial | Fraction | int) -> WPolynomial:
-        if isinstance(other, (Fraction, int)):
-            other = WPolynomial.constant(self.chart, other)
         if not isinstance(other, WPolynomial):
-            return NotImplemented
+            if not isinstance(other, (Fraction, int)):
+                return NotImplemented
+            other = WPolynomial.constant(self.chart, other)
         self._check_chart(other)
         out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, _ZERO) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+        _terms_add_into(out, other.terms)
         return WPolynomial(self.chart, out)
 
     def __radd__(self, other: Fraction | int) -> WPolynomial:
@@ -192,10 +249,10 @@ class WPolynomial:
         return WPolynomial(self.chart, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: WPolynomial | Fraction | int) -> WPolynomial:
-        if isinstance(other, (Fraction, int)):
-            other = WPolynomial.constant(self.chart, other)
         if not isinstance(other, WPolynomial):
-            return NotImplemented
+            if not isinstance(other, (Fraction, int)):
+                return NotImplemented
+            other = WPolynomial.constant(self.chart, other)
         return self + (-other)
 
     def __rsub__(self, other: Fraction | int) -> WPolynomial:
@@ -204,27 +261,18 @@ class WPolynomial:
         return NotImplemented
 
     def scale(self, factor: Fraction | int) -> WPolynomial:
-        factor = _exact(factor)
+        factor = _coefficient(factor)
         if factor == 0:
             return WPolynomial.zero(self.chart)
         return WPolynomial(self.chart, {m: c * factor for m, c in self.terms.items()})
 
     def __mul__(self, other: WPolynomial | Fraction | int) -> WPolynomial:
-        if isinstance(other, (Fraction, int)):
-            return self.scale(other)
         if not isinstance(other, WPolynomial):
-            return NotImplemented
+            if not isinstance(other, (Fraction, int)):
+                return NotImplemented
+            return self.scale(other)
         self._check_chart(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                s = out.get(mono, _ZERO) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return WPolynomial(self.chart, out)
+        return WPolynomial(self.chart, _terms_mul(self.terms, other.terms))
 
     def __rmul__(self, other: Fraction | int) -> WPolynomial:
         if isinstance(other, (Fraction, int)):
@@ -234,19 +282,14 @@ class WPolynomial:
     def __pow__(self, n: int) -> WPolynomial:
         if not isinstance(n, int) or n < 0:
             raise DomainError(f"polynomial power must be a natural number, got {n!r}")
-        result = WPolynomial.constant(self.chart, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return WPolynomial(self.chart, _terms_pow(self.terms, n))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WPolynomial):
             return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+        return (
+            self.chart is other.chart or self.chart == other.chart
+        ) and self.terms == other.terms
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -267,7 +310,7 @@ class WPolynomial:
                             reduced = mono[:pos] + mono[pos + 1:]
                         else:
                             reduced = mono[:pos] + ((i, e - 1),) + mono[pos + 1:]
-                        s = out.get(reduced, _ZERO) + c * e
+                        s = out.get(reduced, 0) + c * e
                         if s:
                             out[reduced] = s
                         else:
@@ -361,10 +404,12 @@ class WPolynomial:
         occurring in this polynomial must be assigned.
         """
         target = into
-        for p in sigma.values():
+        for var, p in sigma.items():
+            if not isinstance(p, WPolynomial):
+                raise DomainError(f"image of {var!r} is {p!r}, not a polynomial")
             if target is None:
                 target = p.chart
-            elif p.chart != target:
+            elif p.chart is not target and p.chart != target:
                 raise ChartMismatchError("substitution images live on different charts")
         if target is None:
             raise DomainError("substitution into an unknown chart; pass `into`")
@@ -372,27 +417,23 @@ class WPolynomial:
         for var in self.variables():
             if var not in sigma:
                 raise DomainError(f"no assignment for variable {var!r}")
-        cache: dict[tuple[int, int], WPolynomial] = {}
+        cache: dict[tuple[int, int], Terms] = {}
 
-        def power(i: int, e: int) -> WPolynomial:
+        def power(i: int, e: int) -> Terms:
             key = (i, e)
             got = cache.get(key)
             if got is None:
-                got = sigma[names[i]] ** e
+                image = sigma[names[i]].terms
+                got = image if e == 1 else _terms_pow(image, e)
                 cache[key] = got
             return got
 
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Fraction | int] = {}
         for mono, c in self.terms.items():
-            prod = WPolynomial.constant(target, c)
+            prod: Terms = {(): c}
             for i, e in mono:
-                prod = prod * power(i, e)
-            for m, cc in prod.terms.items():
-                s = acc.get(m, _ZERO) + cc
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
+                prod = _terms_mul(prod, power(i, e))
+            _terms_add_into(acc, prod)
         return WPolynomial(target, acc)
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:

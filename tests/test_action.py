@@ -178,6 +178,31 @@ def test_analyze_evaluates_the_parameter_0_map_once(monkeypatch):
     assert values == [0]
 
 
+def test_zero_joint_projections_are_not_scanned(monkeypatch):
+    from gradua import linalg
+
+    seen = []
+    scan = linalg.independent_columns
+
+    def recorded(a):
+        seen.append(a)
+        return scan(a)
+
+    monkeypatch.setattr(linalg, "independent_columns", recorded)
+    # on M, without weight-0 coordinates, Q_0 is zero
+    assert homogenize(H).chart.variables == (("y1_1", 1), ("y2_1", 2))
+    assert len(seen) == 2
+    rng = random.Random(5)
+    c, c_inv = random_basis_change(rng, 4)
+    h1 = linear_family(order_projections(c, c_inv, [0, 1, 1, 2], 2), "t")
+    h2 = linear_family(order_projections(c, c_inv, [1, 0, 2, 1], 2), "u")
+    seen.clear()
+    bihom = bihomogenize(h1, h2)
+    nonzero = [q for q in bihom.projections.values() if q != zeros(4, 4)]
+    assert len(nonzero) == 4 < len(bihom.projections)
+    assert seen == nonzero
+
+
 def test_analyze_stops_at_broken_monoid():
     bad = ActionFamily(M, "t", {"x": T * X, "y": WPolynomial.zero(EXT)})
     report = analyze(bad)

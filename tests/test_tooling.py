@@ -1,4 +1,5 @@
-"""The benchmark's tracer still finds every gradua layer it wraps.
+"""The benchmark's tracer still finds every gradua layer it wraps, and the
+fused polynomial kernels build one polynomial object per operation.
 
 perfbench/spans.py wraps engine functions by name from outside; renaming or
 removing one of them would break `perfbench/run.py --trace 1` without any
@@ -8,6 +9,10 @@ engine test noticing. This test installs the tracer in a fresh interpreter.
 import subprocess
 import sys
 from pathlib import Path
+
+from gradua.charts import GradedChart
+from gradua.graded import PolyMap
+from gradua.wpoly import WPolynomial
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,3 +47,39 @@ def test_benchmark_oracle_accepts_the_engine():
         timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def _count_constructions(monkeypatch):
+    """Patch WPolynomial.__init__ with a counting wrapper; return the counter."""
+    calls = []
+    init = WPolynomial.__init__
+
+    def counted(self, chart, terms):
+        calls.append(chart)
+        init(self, chart, terms)
+
+    monkeypatch.setattr(WPolynomial, "__init__", counted)
+    return calls
+
+
+def test_substitute_builds_one_polynomial(monkeypatch):
+    src = GradedChart("S", (("a", 0), ("x", 1), ("y", 2)))
+    dst = GradedChart("D", (("u", 1), ("v", 2)))
+    a, x, y = (WPolynomial.variable(src, n) for n in src.names)
+    u, v = (WPolynomial.variable(dst, n) for n in dst.names)
+    f = (x + a) ** 3 * y - y**2 * 5 + a * x - 1
+    sigma = {"a": u + 1, "x": u * 2 - v, "y": v**2 + u}
+    calls = _count_constructions(monkeypatch)
+    f.substitute(sigma, into=dst)
+    assert calls == [dst]
+
+
+def test_is_identity_builds_no_polynomial(monkeypatch):
+    chart = GradedChart("C", (("x", 1), ("y", 2)))
+    ident = PolyMap.identity(chart)
+    x = WPolynomial.variable(chart, "x")
+    shear = PolyMap(chart, chart, {"x": x, "y": WPolynomial.variable(chart, "y") + x * x})
+    calls = _count_constructions(monkeypatch)
+    assert ident.is_identity()
+    assert not shear.is_identity()
+    assert calls == []

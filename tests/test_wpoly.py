@@ -1,5 +1,12 @@
-"""Core polynomial arithmetic: frozen values plus algebraic laws."""
+"""Core polynomial arithmetic: frozen values, algebraic laws, fused kernels.
 
+The reference kernels near the end are the object-level `__mul__`, `__pow__`
+and `substitute` that the fused term-dict kernels in gradua.wpoly replaced:
+Fraction running sums, one WPolynomial per factor. They are kept here only
+as the oracle, next to a sympy oracle for the same three operations.
+"""
+
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +20,7 @@ from gradua.errors import (
     EngineDefectError,
     UnknownVariableError,
 )
-from gradua.wpoly import WPolynomial, monomial_basis, weighted_degree
+from gradua.wpoly import WPolynomial, _mono_mul, monomial_basis, weighted_degree
 
 V = GradedChart("V", (("x", 1), ("y", 2)))
 W = GradedChart("W", (("x1", 1), ("x2", 1), ("y", 2)))
@@ -195,6 +202,25 @@ def test_float_evaluation_point_rejected():
         (X + Y).evaluate({"x": 0.5, "y": 2})
 
 
+@pytest.mark.parametrize("value", [0.5, 0.0, 2.0, "1"])
+def test_raw_constructor_rejects_inexact_coefficients(value):
+    # 0.0 must be refused too, not dropped as a zero coefficient
+    with pytest.raises(DomainError):
+        WPolynomial(V, {((0, 1),): value})
+
+
+def test_raw_constructor_stores_integral_coefficients_as_int():
+    p = WPolynomial(V, {((0, 1),): Fraction(6, 3), ((1, 1),): Fraction(1, 2), (): True})
+    assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
+    assert p.terms == {((0, 1),): 2, ((1, 1),): Fraction(1, 2), (): 1}
+
+
+@pytest.mark.parametrize("image", [2, Fraction(1, 2), 0.5, "x"])
+def test_substitute_rejects_a_non_polynomial_image(image):
+    with pytest.raises(DomainError):
+        X.substitute({"x": image})
+
+
 # --- algebraic laws ----------------------------------------------------------
 
 CHARTS = (
@@ -316,3 +342,222 @@ def test_derivative_leibniz(pair):
     lhs = (f * g).differentiate(v)
     rhs = f.differentiate(v) * g + f * g.differentiate(v)
     assert lhs == rhs
+
+
+# --- fused kernels against the object-level reference ------------------------
+
+ZERO = Fraction(0)
+
+
+def ref_mul(f, g):
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            mono = _mono_mul(m1, m2)
+            s = out.get(mono, ZERO) + c1 * c2
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+    return WPolynomial(f.chart, out)
+
+
+def ref_pow(f, n):
+    result = WPolynomial.constant(f.chart, 1)
+    base = f
+    while n:
+        if n & 1:
+            result = ref_mul(result, base)
+        base = ref_mul(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+def ref_substitute(f, sigma, target):
+    names = f.chart.names
+    acc = {}
+    for mono, c in f.terms.items():
+        prod = WPolynomial.constant(target, c)
+        for i, e in mono:
+            prod = ref_mul(prod, ref_pow(sigma[names[i]], e))
+        for m, cc in prod.terms.items():
+            s = acc.get(m, ZERO) + cc
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
+    return WPolynomial(target, acc)
+
+
+def assert_same(got, want):
+    # equal, and with the terms in the same order: reports list terms in
+    # canonical order, but dict order must not drift under the kernels either
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+
+
+def assert_stored_form(p):
+    """No stored coefficient is zero or an integral Fraction."""
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction)
+        assert c != 0
+        assert type(c) is int or c.denominator != 1
+
+
+KERNEL_CHARTS = (
+    V,
+    W,
+    B,
+    GradedChart("Z", (("a", 0), ("b", 0))),
+    GradedChart("E", ()),
+)
+
+# ints, proper fractions, and integral Fractions passed in unreduced
+COEFFS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    st.integers(-3, 3).map(lambda k: Fraction(2 * k, 2)),
+)
+
+
+@st.composite
+def raw_polynomials(draw, chart):
+    """Polynomials built through the raw constructor, zero included."""
+    exps = st.tuples(*[st.integers(0, 2) for _ in chart.names])
+    terms = draw(st.dictionaries(exps, COEFFS, max_size=4))
+    return WPolynomial(
+        chart,
+        {tuple((i, e) for i, e in enumerate(k) if e): c for k, c in terms.items()},
+    )
+
+
+@st.composite
+def kernel_pairs(draw):
+    chart = draw(st.sampled_from(KERNEL_CHARTS))
+    return draw(raw_polynomials(chart)), draw(raw_polynomials(chart))
+
+
+@st.composite
+def substitutions(draw):
+    source = draw(st.sampled_from(KERNEL_CHARTS))
+    target = draw(st.sampled_from(KERNEL_CHARTS))
+    f = draw(raw_polynomials(source))
+    sigma = {v: draw(raw_polynomials(target)) for v in source.names}
+    return f, sigma, target
+
+
+@given(kernel_pairs())
+def test_fused_mul_matches_reference(pair):
+    f, g = pair
+    got = f * g
+    assert_same(got, ref_mul(f, g))
+    assert_stored_form(got)
+
+
+@given(kernel_pairs())
+def test_fused_mul_with_cancelling_cross_terms(pair):
+    # (a + b)(a - b): the cross terms cancel cell by cell inside the kernel
+    a, b = pair
+    got = (a + b) * (a - b)
+    assert_same(got, ref_mul(a + b, a - b))
+    assert got == ref_mul(a, a) - ref_mul(b, b)
+    assert_stored_form(got)
+
+
+@given(st.sampled_from(KERNEL_CHARTS).flatmap(raw_polynomials), st.integers(0, 5))
+def test_fused_pow_matches_reference(f, n):
+    got = f**n
+    assert_same(got, ref_pow(f, n))
+    assert_stored_form(got)
+
+
+@settings(max_examples=150)
+@given(substitutions())
+def test_fused_substitute_matches_reference(case):
+    f, sigma, target = case
+    got = f.substitute(sigma, into=target)
+    assert_same(got, ref_substitute(f, sigma, target))
+    assert_stored_form(got)
+
+
+def test_cancellation_to_zero_is_dropped():
+    x1, x2 = (WPolynomial.variable(W, v) for v in ("x1", "x2"))
+    assert (x1 + x2) * (x1 - x2) == x1 * x1 - x2 * x2
+    assert ((x1 + x2) * (x1 - x2)).coefficient({"x1": 1, "x2": 1}) == 0
+    half = Fraction(1, 2)
+    assert_same((X * half - Y * half) * 2, X - Y)
+    # a substitution whose image cancels entirely
+    sigma = {"x1": x1, "x2": x1, "y": WPolynomial.variable(W, "y")}
+    gone = (WPolynomial.variable(W, "x1") - WPolynomial.variable(W, "x2")).substitute(sigma)
+    assert gone.is_zero() and gone.terms == {}
+    assert_same(gone, ref_substitute(x1 - x2, sigma, W))
+    # a cell that cancels and then reappears moves to the end of the terms
+    f = x1 + x2 + WPolynomial.variable(W, "y")
+    sigma = {"x1": X + Y, "x2": -X, "y": X}
+    assert list(f.substitute(sigma).terms) == [((1, 1),), ((0, 1),)]
+    assert_same(f.substitute(sigma), ref_substitute(f, sigma, V))
+
+
+def test_weight_zero_and_empty_polynomials():
+    a = WPolynomial.variable(B, "a")
+    zero = WPolynomial.zero(B)
+    assert (a * zero).is_zero() and (zero**0) == WPolynomial.constant(B, 1)
+    assert_same((a + Fraction(1, 3)) ** 3, ref_pow(a + Fraction(1, 3), 3))
+    assert zero.substitute({}, into=V) == WPolynomial.zero(V)
+    empty = GradedChart("E", ())
+    c = WPolynomial.constant(empty, Fraction(4, 2))
+    assert c.terms == {(): 2} and type(c.terms[()]) is int
+    assert_same(c.substitute({}, into=B), WPolynomial.constant(B, 2))
+
+
+@settings(max_examples=60)
+@given(kernel_pairs())
+def test_every_operation_keeps_the_stored_form(pair):
+    f, g = pair
+    results = [f, g, f + g, f - g, -f, f * g, f.scale(Fraction(2, 4)), f.scale(2)]
+    for v in f.chart.names:
+        results.append(f.differentiate(v))
+        results.extend(f.coefficients_in(v).values())
+    results.extend(f.homogeneous_components().values())
+    for p in results:
+        assert_stored_form(p)
+
+
+# --- fused kernels against sympy ---------------------------------------------
+
+
+def _random_poly(rng, chart, max_terms=4):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        mono = tuple((i, e) for i in range(len(chart)) if (e := rng.randint(0, 2)))
+        terms[mono] = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+    return WPolynomial(chart, terms)
+
+
+def test_fused_kernels_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(p):
+        syms = sympy.symbols(p.chart.names) if len(p.chart) else ()
+        expr = sympy.Integer(0)
+        for mono, c in p.terms.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for i, e in mono:
+                term *= syms[i] ** e
+            expr += term
+        return sympy.expand(expr)
+
+    rng = random.Random(6)
+    charts = [V, W, B]
+    for _ in range(60):
+        chart = rng.choice(charts)
+        f, g = _random_poly(rng, chart), _random_poly(rng, chart)
+        assert to_sympy(f * g) == sympy.expand(to_sympy(f) * to_sympy(g))
+        n = rng.randint(0, 4)
+        assert to_sympy(f**n) == sympy.expand(to_sympy(f) ** n)
+        target = rng.choice(charts)
+        sigma = {v: _random_poly(rng, target, 3) for v in chart.names}
+        replaced = to_sympy(f).subs(
+            {sympy.Symbol(v): to_sympy(p) for v, p in sigma.items()}, simultaneous=True
+        )
+        assert to_sympy(f.substitute(sigma, into=target)) == sympy.expand(replaced)
