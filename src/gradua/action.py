@@ -48,7 +48,7 @@ from .errors import (
 )
 from .graded import ActionFamily, PolyMap
 from .linalg import Matrix
-from .wpoly import WPolynomial, _exact
+from .wpoly import WPolynomial, _coefficient, _exact
 
 _ZERO = Fraction(0)
 
@@ -215,20 +215,51 @@ def base_projection(h: ActionFamily) -> PolyMap:
     return p0
 
 
-def _jacobian_at(
+def _fraction(x: Fraction | int) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _jacobian_coefficients(
     h: ActionFamily, theta: Mapping[str, Fraction]
-) -> list[list[WPolynomial]]:
-    """Matrix of entry derivatives at theta, entries polynomial in t."""
-    chart = h.chart
-    ext = h.extended_chart
-    consts = {v: WPolynomial.constant(ext, theta[v]) for v in chart.names}
-    consts[h.param] = WPolynomial.variable(ext, h.param)
+) -> list[list[dict[int, Fraction | int]]]:
+    """The t-coefficients of the derivative at theta, read from the entries' terms.
+
+    Cell (v, u) maps k to the t^k coefficient of d(h_t^* x_v)/dx_u at theta.
+    A term c * t^k * prod x_i^e_i adds c * e_u * theta_u^(e_u - 1) *
+    prod_(i != u) theta_i^e_i to cell (v, u) at power k. Cells that cancel
+    are dropped, so every stored coefficient is nonzero. No polynomial is
+    built.
+    """
+    names = h.chart.names
+    n_vars = len(names)  # the parameter's index on the extended chart
+    point = [_coefficient(theta[v]) for v in names]
     rows = []
-    for v in chart.names:
-        row = []
-        for u in chart.names:
-            d = h.entries[v].differentiate(u)
-            row.append(d.substitute(consts, into=ext))
+    for v in names:
+        row: list[dict[int, Fraction | int]] = [{} for _ in names]
+        for mono, c in h.entries[v].terms.items():
+            k = 0
+            if mono and mono[-1][0] == n_vars:
+                k = mono[-1][1]
+                mono = mono[:-1]
+            for u, e in mono:
+                value = c * e
+                for i, f in mono:
+                    if i == u:
+                        f -= 1
+                    if f:
+                        value *= point[i] ** f
+                if not value:
+                    continue
+                cell = row[u]
+                s = cell.get(k)
+                if s is None:
+                    cell[k] = value
+                else:
+                    s += value
+                    if s:
+                        cell[k] = s
+                    else:
+                        del cell[k]
         rows.append(row)
     return rows
 
@@ -239,8 +270,10 @@ def taylor_projections(
     """Taylor coefficient matrices Q_0 .. Q_n of the derivative at theta.
 
     Q_r is 1/r! times the r-th t-derivative of H(t) at t=0, which for
-    polynomial entries is just the t^r coefficient matrix. The matrices are
-    checked to be complementary projections summing to the identity.
+    polynomial entries is just the t^r coefficient matrix. The coefficients
+    are read in one pass over the entries' terms (_jacobian_coefficients):
+    no derivative or substitution is formed. The matrices are checked to be
+    complementary projections summing to the identity.
 
     Two checks suffice: sum Q_r = I, and Q_r Q_r = Q_r for each nonzero Q_r.
     Over the rationals they imply Q_r Q_s = 0 for r != s. The trace of an
@@ -248,21 +281,16 @@ def taylor_projections(
     everything, since x = sum Q_r x, so their sum is direct. Then for each x,
     Q_s x = sum_r Q_r Q_s x writes an element of the image of Q_s as a sum
     over the images; by uniqueness Q_r Q_s x = 0 for every r != s.
+    Idempotence is decided over the integers (linalg.is_idempotent).
 
     The laws are not checked here; _homogenize_joint explains a failure.
     """
     point = _resolve_theta(h, theta)
     n_vars = len(h.chart)
-    coeffs = [
-        [
-            {k: q.constant_term() for k, q in p.coefficients_in(h.param).items()}
-            for p in row
-        ]
-        for row in _jacobian_at(h, point)
-    ]
+    coeffs = _jacobian_coefficients(h, point)
     degree = max((k for row in coeffs for c in row for k in c), default=0)
     qs = tuple(
-        tuple(tuple(c.get(r, _ZERO) for c in row) for row in coeffs)
+        tuple(tuple(_fraction(c[r]) if r in c else _ZERO for c in row) for row in coeffs)
         for r in range(degree + 1)
     )
 
@@ -278,9 +306,8 @@ def taylor_projections(
                 "some direction is annihilated by every Taylor projection"
             )
         raise NotGradedActionError("Taylor projections do not sum to the identity")
-    zero = linalg.zeros(n_vars, n_vars)
     for r, q in enumerate(qs):
-        if q != zero and linalg.mat_mul(q, q) != q:
+        if any(map(any, q)) and not linalg.is_idempotent(q):
             raise NotGradedActionError(f"Taylor coefficient Q_{r} is not a projection")
     return qs
 
@@ -340,7 +367,19 @@ def _homogenize_joint(
     t_1^r_1 ... t_k^r_k coefficients become the new coordinates
     y{r_1}_..._{r_k}_{i}, of weight r_1 + ... + r_k. Each new coordinate is
     checked to scale exactly under every family, and the change of
-    coordinates is inverted and verified two-sided.
+    coordinates is inverted. One composite of the inverse is checked, which
+    proves both:
+
+    - The checked composite says phi^* o psi^* = id on Q[x], so phi^* :
+      Q[y] -> Q[x] is onto. There are as many new coordinates y as old
+      ones x (len(basis_cols) == n_vars is checked), so renaming y to x
+      makes phi^* a surjective endomorphism of Q[x].
+    - A surjective endomorphism f of a Noetherian ring is injective (cf.
+      Matsumura, Commutative Ring Theory, Thm 2.4): the chain ker f^m
+      stops growing, say at m, and if f(a) = 0 then a = f^m(b) with
+      f^(m+1)(b) = 0, so b lies in ker f^m and a = 0.
+    - phi^* psi^* phi^* = phi^* and phi^* is injective, so psi^* o phi^* =
+      id on Q[y] as well.
 
     That certificate proves the laws, the commutation of the families and
     the total degree, so none of them is checked when it succeeds. Write phi
@@ -396,7 +435,7 @@ def _joint_certificate(
     first_pair: dict[tuple[int, int], Matrix] = {}
     for (i, qs_a), (j, qs_b) in combinations(enumerate(per_family), 2):
         for (r, a), (s, b) in product(enumerate(qs_a), enumerate(qs_b)):
-            if zero in (a, b):
+            if not (any(map(any, a)) and any(map(any, b))):
                 continue
             ab = linalg.mat_mul(a, b)
             if ab != linalg.mat_mul(b, a):
@@ -411,7 +450,8 @@ def _joint_certificate(
         joint = {
             idx + (s,): (
                 first_pair.get((idx[0], s), zero) if j == 1
-                else zero if zero in (p, q) else linalg.mat_mul(p, q)
+                else linalg.mat_mul(p, q) if any(map(any, p)) and any(map(any, q))
+                else zero
             )
             for idx, p in joint.items()
             for s, q in enumerate(qs)
@@ -420,7 +460,7 @@ def _joint_certificate(
     basis_cols: list[tuple[Fraction, ...]] = []
     orders: list[tuple[int, ...]] = []
     for idx, p in joint.items():
-        if p == zero:
+        if not any(map(any, p)):
             continue  # a zero projection has no column to contribute
         for j in linalg.independent_columns(p):
             basis_cols.append(linalg.column(p, j))
@@ -484,13 +524,18 @@ def _invert_coordinate_change(
     """Exact inverse of a polynomial coordinate change fixing theta.
 
     Runs the fixed-point iteration for the formal inverse, truncated at a
-    total degree that starts at a sensible bound and doubles on failure; the
-    candidate is accepted only if both composites are exactly the identity.
+    total degree that starts at a sensible bound and doubles on failure. A
+    candidate psi is accepted when phi.then(psi) is exactly the identity,
+    that is phi^* o psi^* = id. The other composite then holds too: the
+    linear part of phi is inverted, so it is square and both charts have the
+    same number of variables; phi^* is then a surjective endomorphism of a
+    polynomial ring up to renaming, hence injective, and phi^* psi^* phi^* =
+    phi^* gives psi^* o phi^* = id. The proof is spelled out in
+    _homogenize_joint.
     """
     chart = phi.source
     new_chart = phi.target
     names = chart.names
-    n_vars = len(names)
 
     lin_rows = []
     for v in new_chart.names:
@@ -521,7 +566,7 @@ def _invert_coordinate_change(
             chart, new_chart, names, theta, linv, nonlinear, new_vars, bound
         )
         inverse = PolyMap(new_chart, chart, candidate)
-        if phi.then(inverse).is_identity() and inverse.then(phi).is_identity():
+        if phi.then(inverse).is_identity():
             return inverse
         bound *= 2
     raise NotGradedActionError(

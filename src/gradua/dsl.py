@@ -68,6 +68,11 @@ def _is_ident_char(ch: str) -> bool:
     return ch.isalnum() or ch in ("_", "'")
 
 
+def _is_digit(ch: str) -> bool:
+    """ASCII digits only: str.isdigit also accepts '²', which int() refuses."""
+    return "0" <= ch <= "9"
+
+
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     i = 0
@@ -106,16 +111,19 @@ def tokenize(source: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if _is_digit(ch):
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and _is_digit(source[j]):
                 j += 1
-            if source[j : j + 1] == "/" and source[j + 1 : j + 2].isdigit():
+            if source[j : j + 1] == "/" and _is_digit(source[j + 1 : j + 2]):
                 k = j + 1
-                while k < n and source[k].isdigit():
+                while k < n and _is_digit(source[k]):
                     k += 1
                 text = source[i:k]
-                value = Fraction(int(source[i:j]), int(source[j + 1 : k]))
+                denominator = int(source[j + 1 : k])
+                if not denominator:
+                    raise ParseError(f"zero denominator in {text!r}", line, col)
+                value = Fraction(int(source[i:j]), denominator)
                 j = k
             else:
                 text = source[i:j]

@@ -223,6 +223,13 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
     already-built inverse. The weight-0 block must be affine and every linear
     block must have constant rational coefficients, otherwise there is no
     polynomial inverse in the supported class.
+
+    One composite is checked: psi.then(inverse) is the identity, that is
+    psi^* o inverse^* = id. Then psi^* is a surjective endomorphism of the
+    chart's polynomial ring, which is Noetherian, so psi^* is also injective
+    (the kernels of its powers stop growing; cf. Matsumura, Commutative
+    Ring Theory, Thm 2.4), and psi^* inverse^* psi^* = psi^* gives
+    inverse^* o psi^* = id. A wrong inverse still raises EngineDefectError.
     """
     if psi.source != psi.target:
         raise DomainError("only self-maps of one chart can be inverted here")
@@ -275,7 +282,7 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
                 acc = acc + part * binv[i][j]
             inv[v] = acc
     result = PolyMap(chart, chart, inv)
-    if not psi.then(result).is_identity() or not result.then(psi).is_identity():
+    if not psi.then(result).is_identity():
         raise EngineDefectError("back-substitution produced a wrong inverse")
     return result
 

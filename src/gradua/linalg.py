@@ -7,6 +7,10 @@ denominators), products multiply numerators only, and elimination is
 fraction-free (Bareiss, Math. Comp. 22, 1968), so every division is exact.
 Fractions are built only at the boundary, once per returned entry. Sizes
 here never exceed a couple dozen rows.
+
+The kernels: `mat_mul`, `inverse`, `independent_columns` (and `rank`), and
+the predicate `is_idempotent`, which decides a*a == a over the integers and
+builds no Fraction at all.
 """
 
 from __future__ import annotations
@@ -64,6 +68,26 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     cols = list(zip(*nb))
     return tuple(
         tuple(_fraction(sum(map(mul, row, col)), d) for col in cols) for row in na
+    )
+
+
+def is_idempotent(a: Matrix) -> bool:
+    """Is a*a == a? With a = N / d this is N*N == d*N, decided over ints.
+
+    The product is compared row by row and stops at the first difference.
+    A non-square matrix raises DomainError, as mat_mul(a, a) would.
+    """
+    if any(len(row) != len(a) for row in a):
+        raise DomainError(
+            f"idempotence needs a square matrix, got {len(a)} rows of lengths "
+            f"{sorted({len(row) for row in a})}"
+        )
+    n, d = _scaled(a)
+    cols = list(zip(*n))
+    return all(
+        sum(map(mul, row, col)) == d * x
+        for row in n
+        for col, x in zip(cols, row)
     )
 
 

@@ -178,6 +178,31 @@ def test_analyze_evaluates_the_parameter_0_map_once(monkeypatch):
     assert values == [0]
 
 
+def test_analyze_forms_no_derivative_no_product_and_one_composite(monkeypatch):
+    from gradua import linalg
+    from gradua.graded import PolyMap
+
+    calls = {"differentiate": 0, "then": 0, "mat_mul": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(
+        WPolynomial, "differentiate", counting("differentiate", WPolynomial.differentiate)
+    )
+    monkeypatch.setattr(PolyMap, "then", counting("then", PolyMap.then))
+    monkeypatch.setattr(linalg, "mat_mul", counting("mat_mul", linalg.mat_mul))
+    fresh = ActionFamily(M, "t", dict(H.entries))
+    assert analyze(fresh).degree == 2
+    # the Jacobian is read from the terms, idempotence is decided over the
+    # integers, and one composite of the inverse is checked
+    assert calls == {"differentiate": 0, "then": 1, "mat_mul": 0}
+
+
 def test_zero_joint_projections_are_not_scanned(monkeypatch):
     from gradua import linalg
 

@@ -5,17 +5,26 @@ families before building coordinates. Now the checked coordinates certify
 both, and the direct checks run only to explain a failure. The functions
 below keep the old order as a reference; every report, result, error type
 and error message must agree with it.
+
+The certificate's own stages keep references too: the Jacobian built from
+n^2 derivatives and substitutions (the term-level read must equal it), the
+Fraction-matrix projection checks, and the two-sided inverse check (the
+one-composite verdict must equal it, on correct and on wrong candidates).
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradua.action import (
     AnalysisReport,
     _distinct_params,
+    _jacobian_coefficients,
     _joint_certificate,
+    _resolve_theta,
     analyze,
     base_projection,
     detect_degree,
@@ -26,17 +35,24 @@ from gradua.action import (
 )
 from gradua.charts import GradedChart
 from gradua.errors import (
+    DegenerateActionError,
     DomainError,
     GraduaError,
     InconsistentActionError,
     NotDoubleStructureError,
     NotGradedActionError,
 )
-from gradua.graded import ActionFamily
+from gradua.graded import ActionFamily, PolyMap, invert_automorphism
+from gradua.linalg import mat_mul, rank, zeros
 from gradua.multigrade import bihomogenize, check_commuting
 from gradua.wpoly import WPolynomial
 
-from helpers import conjugated_action, random_chart, random_coefficient
+from helpers import (
+    conjugated_action,
+    random_chart,
+    random_coefficient,
+    random_graded_automorphism,
+)
 
 
 # --- the old order, kept as a reference ---------------------------------------
@@ -351,3 +367,191 @@ def test_direct_checks_run_only_on_failure(monkeypatch):
     with pytest.raises(NotDoubleStructureError):
         bihomogenize(MONOID_GAP, shear)
     assert calls == {"verify_laws": 1, "check_commuting": 1}
+
+
+# --- the derivative at theta, read from the entries' terms ---------------------
+
+
+def reference_jacobian_at(h, theta):
+    """The route the term-level read replaced: n^2 derivatives, substituted."""
+    ext = h.extended_chart
+    consts = {v: WPolynomial.constant(ext, theta[v]) for v in h.chart.names}
+    consts[h.param] = ext_var(ext, h.param)
+    return [
+        [h.entries[v].differentiate(u).substitute(consts, into=ext) for u in h.chart.names]
+        for v in h.chart.names
+    ]
+
+
+def reference_coefficients(h, theta):
+    return [
+        [{k: q.constant_term() for k, q in p.coefficients_in(h.param).items()} for p in row]
+        for row in reference_jacobian_at(h, theta)
+    ]
+
+
+def reference_taylor_projections(h, theta=None):
+    """taylor_projections on the reference route, comparing Fraction matrices."""
+    point = _resolve_theta(h, theta)
+    n_vars = len(h.chart)
+    coeffs = reference_coefficients(h, point)
+    degree = max((k for row in coeffs for c in row for k in c), default=0)
+    qs = tuple(
+        tuple(tuple(c.get(r, Fraction(0)) for c in row) for row in coeffs)
+        for r in range(degree + 1)
+    )
+    if any(
+        sum(c.values()) != (i == j)
+        for i, row in enumerate(coeffs)
+        for j, c in enumerate(row)
+    ):
+        if rank(tuple(row for q in qs for row in q)) < n_vars:
+            raise DegenerateActionError(
+                "some direction is annihilated by every Taylor projection"
+            )
+        raise NotGradedActionError("Taylor projections do not sum to the identity")
+    zero = zeros(n_vars, n_vars)
+    for r, q in enumerate(qs):
+        if q != zero and mat_mul(q, q) != q:
+            raise NotGradedActionError(f"Taylor coefficient Q_{r} is not a projection")
+    return qs
+
+
+def term_level(h, theta):
+    return [
+        [{k: Fraction(c) for k, c in cell.items()} for cell in row]
+        for row in _jacobian_coefficients(h, theta)
+    ]
+
+
+VALUES = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 4)]
+COEFFICIENTS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]
+
+
+@st.composite
+def families_at_points(draw):
+    """Arbitrary entries (exponents up to 3) on charts with weight-0 variables.
+
+    theta takes repeated values, nonzero ones included, on every weight.
+    Half of the cases add c * t^k * m * (z_a - z_b) to one entry with
+    theta_a = theta_b, so the contributions of two terms to every cell
+    (v, u) with u in m cancel at theta.
+    """
+    weights = draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
+    chart = GradedChart("J", tuple((f"z{i}", w) for i, w in enumerate(weights)))
+    ext = chart.extend((("t", 0),))
+    exponents = st.lists(
+        st.integers(0, 3), min_size=len(ext), max_size=len(ext)
+    ).map(lambda es: tuple((i, e) for i, e in enumerate(es) if e))
+    coefficients = st.sampled_from(COEFFICIENTS)
+    theta = {v: draw(st.sampled_from(VALUES)) for v in chart.names}
+    entries = {
+        v: WPolynomial(ext, draw(st.dictionaries(exponents, coefficients, max_size=5)))
+        for v in chart.names
+    }
+    if len(chart) >= 2 and draw(st.booleans()):
+        a, b = draw(st.permutations(chart.names))[:2]
+        theta[b] = theta[a]
+        v = draw(st.sampled_from(chart.names))
+        m = WPolynomial(ext, {draw(exponents): draw(coefficients)})
+        entries[v] = entries[v] + m * (ext_var(ext, a) - ext_var(ext, b))
+    return ActionFamily(chart, "t", entries), theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(families_at_points())
+def test_term_level_jacobian_matches_the_reference_route(case):
+    family, theta = case
+    got = term_level(family, theta)
+    assert got == reference_coefficients(family, theta)
+    assert all(c for row in got for cell in row for c in cell.values())
+
+
+def test_cells_that_cancel_are_dropped():
+    chart = GradedChart("C", (("x", 1), ("y", 0), ("z", 0)))
+    ext = chart.extend((("t", 0),))
+    x, y, z, t = (ext_var(ext, v) for v in ext.names)
+    entry = t * x * y - t * x * z + t**2 * x**2 * y
+    h = ActionFamily(chart, "t", {"x": entry, "y": y, "z": z})
+    theta = {"x": Fraction(1), "y": Fraction(2), "z": Fraction(2)}
+    # d/dx at theta: (2 - 2) t + 4 t^2, so the t^1 cell cancels and is dropped
+    assert term_level(h, theta)[0] == [{2: 4}, {1: 1, 2: 1}, {1: -1}]
+    assert term_level(h, theta) == reference_coefficients(h, theta)
+
+
+def test_taylor_projections_match_the_reference_route(dressed):
+    rng = random.Random(19)
+    seen = {"projections": 0, "error": 0}
+    for family, theta in dressed:
+        v, u = rng.choice(family.chart.names), rng.choice(family.chart.names)
+        z = ext_var(family.extended_chart, u) - theta[u]
+        for h in (family, bumped(family, v, z, random_coefficient(rng))):
+            got = outcome(taylor_projections, h, theta)
+            assert got == outcome(reference_taylor_projections, h, theta)
+            if isinstance(got, tuple) and isinstance(got[0], type):
+                seen["error"] += 1
+                continue
+            seen["projections"] += 1
+            assert all(type(x) is Fraction for q in got for row in q for x in row)
+    assert all(seen.values()), seen
+
+
+# --- one composite of the inverse ----------------------------------------------
+
+
+def picard_candidate(monkeypatch, phi, theta, bound):
+    """The Picard iterate that _invert_coordinate_change forms at `bound`."""
+    import gradua.action as action
+
+    formed = []
+    picard = action._picard_inverse
+
+    def at_bound(*args):
+        formed.append(picard(*args[:-1], bound))
+        return picard(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(action, "_picard_inverse", at_bound)
+        action._invert_coordinate_change(phi, theta)
+    return PolyMap(phi.target, phi.source, formed[0])
+
+
+def perturbed(psi, rng):
+    """psi with 1 added to one coefficient of one pullback."""
+    v = rng.choice(psi.target.names)
+    terms = dict(psi.pullbacks[v].terms)
+    mono = rng.choice(sorted(terms))
+    terms[mono] += 1
+    return PolyMap(
+        psi.source, psi.target, {**psi.pullbacks, v: WPolynomial(psi.source, terms)}
+    )
+
+
+def test_one_composite_agrees_with_the_two_sided_check(dressed, monkeypatch):
+    rng = random.Random(29)
+    verdicts = {"inverse": [], "picard at bound 1": [], "perturbed": []}
+
+    def record(kind, phi, psi):
+        # the two-sided verdict is one_sided and this; by the lemma they agree
+        one_sided = phi.then(psi).is_identity()
+        assert psi.then(phi).is_identity() == one_sided
+        verdicts[kind].append(one_sided)
+
+    for i, (family, theta) in enumerate(dressed):
+        hom = homogenize(family, theta)
+        pairs = [hom] if i % 4 else [hom, bihomogenize(family, family.with_param("u"), theta)]
+        for joint in pairs:
+            phi, psi = joint.homogenizer, joint.inverse
+            record("inverse", phi, psi)
+            record("picard at bound 1", phi, picard_candidate(monkeypatch, phi, hom.theta, 1))
+            record("perturbed", phi, perturbed(psi, rng))
+    for seed in range(20):
+        seeded = random.Random(seed)
+        gamma = random_graded_automorphism(seeded, random_chart(seeded))
+        inv = invert_automorphism(gamma)
+        record("inverse", gamma, inv)
+        record("perturbed", gamma, perturbed(inv, rng))
+
+    assert all(verdicts["inverse"]) and not any(verdicts["perturbed"])
+    # the linear guess is right only where the coordinate change is affine
+    assert verdicts["picard at bound 1"].count(False) > 10

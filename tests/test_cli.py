@@ -107,6 +107,16 @@ def test_parse_error_exit_code_and_location():
     assert "line 2" in result.stderr and "column" in result.stderr
 
 
+@pytest.mark.parametrize("literal,col", [("3\u00b2", 23), ("1/0", 22)])
+def test_malformed_number_literal_is_a_parse_error(literal, col):
+    source = f"chart V (x:1)\nmap m : V -> V {{ x = {literal}*x; }}\n"
+    result = gradua("run", "-", stdin=source)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"line 2, column {col}:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_missing_file_is_usage_error():
     result = gradua("run", str(DATA / "no_such_file.gradua"))
     assert result.returncode == 2

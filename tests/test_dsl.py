@@ -250,6 +250,28 @@ ERROR_CASES = [
         "chart V (x:1)\nmap m : V -> V { x = x;",
         "line 2, column 24: unexpected end of input (expected target variable)",
     ),
+    # str.isdigit accepts superscripts (int() refuses them) and other
+    # scripts' digits; number literals take ASCII digits only
+    (
+        "chart V (x:3\u00b2)",
+        "line 1, column 13: unexpected character '\u00b2'",
+    ),
+    (
+        "chart V (x:\u0663)",
+        "line 1, column 12: unexpected character '\u0663'",
+    ),
+    (
+        "chart V (x:1)\nmap m : V -> V { x = 1/\u00b3*x; }",
+        "line 2, column 23: unexpected character '/'",
+    ),
+    (
+        "chart V (x:1)\nmap m : V -> V { x = 1/0*x; }",
+        "line 2, column 22: zero denominator in '1/0'",
+    ),
+    (
+        "chart V (x:1)\nmap m : V -> V { x = x^3/00; }",
+        "line 2, column 24: zero denominator in '3/00'",
+    ),
 ]
 
 

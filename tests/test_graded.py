@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gradua.charts import GradedChart
 from gradua.errors import (
     DomainError,
+    EngineDefectError,
     NotInvertibleError,
     UnsupportedChartError,
 )
@@ -107,6 +108,20 @@ def test_invert_automorphism_frozen():
     assert str(inv.pullbacks["y"]) == "-5/12*x^2 + 1/3*y"
     assert compose(psi, inv).is_identity()
     assert compose(inv, psi).is_identity()
+
+
+def test_a_wrong_inverse_is_still_caught(monkeypatch):
+    from gradua import linalg
+
+    inverse = linalg.inverse
+
+    def off_by_one(a):
+        inv = inverse(a)
+        return ((inv[0][0] + 1,) + inv[0][1:],) + inv[1:]
+
+    monkeypatch.setattr(linalg, "inverse", off_by_one)
+    with pytest.raises(EngineDefectError):
+        invert_automorphism(scaling_map(2, 3, 5))
 
 
 def test_invert_rejects_singular_linear_part():

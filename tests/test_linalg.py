@@ -5,6 +5,7 @@ integer (shared-denominator, fraction-free) kernels in gradua.linalg
 replaced. They are kept here only as the oracle: products and inverses must
 be equal, singular inputs must fail at the same column, and
 independent_columns must pick the same indices (the first-pivot tie break).
+is_idempotent must agree with comparing mat_mul(a, a) to a.
 """
 
 import random
@@ -221,6 +222,75 @@ def test_small_integer_matrices_agree_with_reference(rows, den):
             assert linalg.inverse(square) == expected
 
 
+def projection_cases():
+    """Idempotents C D C^-1 of every rank, and near misses of each.
+
+    D keeps the first r coordinates, so r < n gives rank-deficient
+    projections and r = 0 the zero matrix. Each projection comes with three
+    matrices that are not idempotent: one entry moved by 1/3, twice the
+    projection (unless it is zero), and a nilpotent strictly upper part.
+    """
+    rng = random.Random(5311)
+    cases = [(), ((ZERO,),), ((ONE,),), linalg.zeros(3, 3), linalg.identity(4)]
+    for n in range(1, 7):
+        for max_den in (1, 9, 10**6):
+            c = random_matrix(rng, n, n, max_den, density=1.0)
+            try:
+                c_inv = ref_inverse(c)
+            except SingularMatrixError:
+                continue
+            r = rng.randrange(n + 1)
+            d = tuple(
+                tuple(ONE if i == j < r else ZERO for j in range(n)) for i in range(n)
+            )
+            p = ref_mat_mul(ref_mat_mul(c, d), c_inv)
+            moved = [list(row) for row in p]
+            moved[rng.randrange(n)][rng.randrange(n)] += Fraction(1, 3)
+            cases.append(p)
+            cases.append(tuple(map(tuple, moved)))
+            cases.append(tuple(tuple(2 * x for x in row) for row in p))
+            cases.append(
+                tuple(tuple(x if j > i else ZERO for j, x in enumerate(row))
+                      for i, row in enumerate(c))
+            )
+    return cases
+
+
+PROJECTIONS = projection_cases()
+
+
+def test_is_idempotent_matches_the_product():
+    verdicts = []
+    for a in PROJECTIONS + [a for a, _ in SQUARE]:
+        got = linalg.is_idempotent(a)
+        assert got == (linalg.mat_mul(a, a) == a) == (ref_mat_mul(a, a) == a)
+        verdicts.append(got)
+    # genuine projections of every rank, and matrices that are not
+    assert verdicts.count(True) > 15 and verdicts.count(False) > 40
+
+
+def test_is_idempotent_refuses_what_mat_mul_refuses():
+    for a in ((ONE, ZERO),), ((ONE, ONE), (ONE,)), ((), ()):
+        with pytest.raises(DomainError):
+            linalg.mat_mul(a, a)
+        with pytest.raises(DomainError):
+            linalg.is_idempotent(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-1, 1), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+    st.integers(1, 3),
+)
+def test_small_integer_matrices_idempotence_agrees(rows, den):
+    a = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+    assert linalg.is_idempotent(a) == (ref_mat_mul(a, a) == a)
+
+
 # --- against sympy -----------------------------------------------------------
 
 
@@ -253,6 +323,9 @@ def test_kernels_agree_with_sympy():
     for a in RECTANGULAR:
         if a and a[0]:
             assert linalg.rank(a) == to_sympy(a, len(a[0])).rank()
+    for a in PROJECTIONS[1:]:
+        s = to_sympy(a, len(a))
+        assert linalg.is_idempotent(a) == (s * s == s)
 
 
 # --- typed errors at the boundary --------------------------------------------
