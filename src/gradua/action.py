@@ -537,10 +537,11 @@ def _invert_coordinate_change(
     new_chart = phi.target
     names = chart.names
 
+    linear_monos = [((i, 1),) for i in range(len(names))]
     lin_rows = []
     for v in new_chart.names:
-        p = phi.pullbacks[v]
-        lin_rows.append(tuple(p.coefficient({u: 1}) for u in names))
+        terms = phi.pullbacks[v].terms
+        lin_rows.append(tuple(Fraction(terms.get(m, 0)) for m in linear_monos))
     lmat = tuple(lin_rows)
     try:
         linv = linalg.inverse(lmat)

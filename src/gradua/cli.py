@@ -3,7 +3,9 @@
 `gradua run FILE` executes a program and prints a report (JSON by default,
 text on request); `gradua check FILE` only parses. FILE may be `-` for
 stdin. Exit codes: 0 when every verification command passed, 1 when some
-verdict is negative or a command failed, 2 for usage or parse errors.
+verdict is negative or a command failed, 2 for usage or parse errors, a
+program that cannot be read (missing, or not UTF-8) and a report that
+cannot be written.
 
 Reports serialize deterministically: dictionary keys appear in a fixed
 order, every number is an exact rational rendered as a string, and timing
@@ -39,9 +41,9 @@ from .errors import (
     ParseError,
     UnsupportedChartError,
 )
-from .graded import compose, is_graded_morphism, matrix_representation
+from .graded import _graded_matrix, is_graded_morphism
 from .jets import prolong
-from .multigrade import bihomogenize, flip
+from .multigrade import bihomogenize, flip, is_renaming_round_trip
 
 SCHEMA_VERSION = "1"
 SCHEMA_ENV_VAR = "GRADUA_SCHEMA_VERSION"
@@ -91,7 +93,7 @@ def _run_check_morphism(stmt: CheckMorphismCmd, maps) -> dict:
         return entry
     if pmap.source == pmap.target:
         try:
-            entry["matrix"] = _matrix_json(matrix_representation(pmap))
+            entry["matrix"] = _matrix_json(_graded_matrix(pmap))
         except UnsupportedChartError:
             pass
     return entry
@@ -174,10 +176,7 @@ def _run_flip(stmt: FlipCmd, charts) -> dict:
     chart = charts[stmt.chart_name]
     forward = flip(stmt.m, stmt.n, chart)
     backward = flip(stmt.n, stmt.m, chart)
-    round_trip = (
-        compose(forward, backward).is_identity()
-        and compose(backward, forward).is_identity()
-    )
+    round_trip = is_renaming_round_trip(forward, backward)
     return {
         "command": "flip",
         "m": stmt.m,
@@ -382,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         source = _read_source(args.file)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"gradua: cannot read {args.file!r}: {exc}", file=sys.stderr)
         return 2
 
@@ -400,7 +399,11 @@ def main(argv: list[str] | None = None) -> int:
     fmt = args.format or report.format or "json"
     rendered = emit(report, fmt)
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.out).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            print(f"gradua: cannot write {args.out!r}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return 0 if report.all_ok else 1

@@ -10,13 +10,21 @@ parsing that text yields an equal program, spans aside.
 
 Rationals are single tokens (2/3); there is no division operator. The
 family parameter in action bodies is always called t.
+
+The tokenizer scans with one compiled regular expression, one alternative
+per token class, and builds tokens and spans as named tuples. An
+identifier starts with a letter (str.isalpha) or `_` and goes on with
+letters, digits (str.isalnum), `_` and `'`; number literals use ASCII
+digits only. Any other character, `\f` included, is a parse error at its
+line and column.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .charts import GradedChart
 from .errors import DomainError, ParseError
@@ -41,109 +49,87 @@ KEYWORDS = {
     "check-double",
 }
 
-_HYPHENATED = ("check-morphism", "analyze-action", "check-double")
+# One alternative per token class, tried in order at each position: the
+# hyphenated keywords come before identifiers, so `check-morphismX` lexes as
+# the keyword and then `X`. `\w` is str.isalnum() or `_`, so `[^\W\d]` also
+# admits numerals that are not letters, such as `²`; tokenize refuses a word
+# that starts with one. `[0-9]` is ASCII only (str.isdigit accepts `²`,
+# which int() refuses). Any other character, `\f` included, is `bad`.
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r]+)"
+    r"|(?P<newline>\n)"
+    r"|(?P<comment>#[^\n]*)"
+    r"|(?P<hyphenated>check-morphism|analyze-action|check-double)"
+    r"|(?P<word>[^\W\d][\w']*)"
+    r"|(?P<number>(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?)"
+    r"|(?P<symbol>->|[(){}:;,=+\-*^])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
-_SYMBOLS = ("->", "(", ")", "{", "}", ":", ";", ",", "=", "+", "-", "*", "^")
 
-
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "number", "keyword", "symbol", "eof"
     text: str
     span: Span
     value: Fraction | None = None
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in ("_", "'")
-
-
-def _is_digit(ch: str) -> bool:
-    """ASCII digits only: str.isdigit also accepts '²', which int() refuses."""
-    return "0" <= ch <= "9"
-
-
 def tokenize(source: str) -> list[Token]:
+    """Tokens of a program, ending with an eof token; raises ParseError.
+
+    Lines and columns count from 1, in characters. A comment does not move
+    the column, so after a trailing comment with no newline the eof token
+    sits where the comment starts.
+    """
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
+    line_start = 0
     col = 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    group = None
+    for m in _TOKEN.finditer(source):
+        group = m.lastgroup
+        if group == "space":
+            continue
+        if group == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        col = m.start() - line_start + 1
+        if group == "comment":
             continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        span = Span(line, col)
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            word = source[i:j]
-            if source[j : j + 1] == "-":
-                for kw in _HYPHENATED:
-                    if source.startswith(kw, i):
-                        word = kw
-                        j = i + len(kw)
-                        break
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, span))
-            col += j - i
-            i = j
-            continue
-        if _is_digit(ch):
-            j = i
-            while j < n and _is_digit(source[j]):
-                j += 1
-            if source[j : j + 1] == "/" and _is_digit(source[j + 1 : j + 2]):
-                k = j + 1
-                while k < n and _is_digit(source[k]):
-                    k += 1
-                text = source[i:k]
-                denominator = int(source[j + 1 : k])
+        text = m.group()
+        if group == "word":
+            first = text[0]
+            if not (first.isalpha() or first == "_"):
+                raise ParseError(f"unexpected character {first!r}", line, col)
+            kind = "keyword" if text in KEYWORDS else "ident"
+            append(Token(kind, text, Span(line, col)))
+        elif group == "symbol":
+            append(Token("symbol", text, Span(line, col)))
+        elif group == "number":
+            den = m.group("den")
+            if den is None:
+                value = Fraction(int(text))
+            else:
+                denominator = int(den)
                 if not denominator:
                     raise ParseError(f"zero denominator in {text!r}", line, col)
-                value = Fraction(int(source[i:j]), denominator)
-                j = k
-            else:
-                text = source[i:j]
-                value = Fraction(int(text))
-            tokens.append(Token("number", text, span, value))
-            col += j - i
-            i = j
-            continue
-        if source.startswith("->", i):
-            tokens.append(Token("symbol", "->", span))
-            i += 2
-            col += 2
-            continue
-        if ch in "(){}:;,=+-*^":
-            tokens.append(Token("symbol", ch, span))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", Span(line, col)))
+                value = Fraction(int(m.group("num")), denominator)
+            append(Token("number", text, Span(line, col), value))
+        elif group == "hyphenated":
+            append(Token("keyword", text, Span(line, col)))
+        else:
+            raise ParseError(f"unexpected character {text!r}", line, col)
+    if group != "comment":
+        col = len(source) - line_start + 1
+    append(Token("eof", "", Span(line, col)))
     return tokens
 
 

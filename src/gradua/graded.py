@@ -9,10 +9,11 @@ An ActionFamily is a one-parameter family of self-maps whose entries are
 polynomials in the chart variables and one formal parameter. The standard
 family scales every variable by t**weight and fixes weight-0 variables.
 
-Whether a map respects the grading is decided by two independent routes:
-each pullback must be weighted-homogeneous of the target weight, and the
-map must intertwine the two standard families symbolically. The routes must
-agree or EngineDefectError is raised.
+A map respects the grading when each pullback is weighted-homogeneous of
+its target variable's weight. Homogeneity itself is decided by two
+independent routes, scaling substitution and the weighted Euler operator
+(WPolynomial.is_homogeneous), which must agree or EngineDefectError is
+raised.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .errors import (
 )
 from .linalg import Matrix
 from .wpoly import WPolynomial
-
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -178,40 +177,17 @@ def standard_action(chart: GradedChart, param: str = "t") -> ActionFamily:
 
 
 def is_graded_morphism(psi: PolyMap) -> bool:
-    """True when psi respects the weights, decided by two routes.
+    """True when every pullback is homogeneous of its target variable's weight.
 
-    Route one checks each pullback for homogeneity of the target weight.
-    Route two intertwines the standard families symbolically: scaling on the
-    source followed by the pullback must match the pullback followed by
-    scaling on the target. Disagreement raises EngineDefectError.
+    Each test runs both of is_homogeneous's routes, scaling and Euler. A
+    third route, intertwining the two standard families symbolically, is
+    not run: p(t^w . x) == t^r . p(x) over the source chart is the scaling
+    route's identity on the same chart, so it could never disagree.
     """
-    by_components = all(
-        psi.pullbacks[v].is_homogeneous(psi.target.weight_of(v))
-        for v in psi.target.names
+    target = psi.target
+    return all(
+        psi.pullbacks[v].is_homogeneous(target.weight_of(v)) for v in target.names
     )
-
-    tname = fresh_name("_t", psi.source.names + psi.target.names)
-    ext_src = psi.source.extend(((tname, 0),))
-    tvar = WPolynomial.variable(ext_src, tname)
-    scale_src = {
-        v: tvar ** psi.source.weight_of(v) * WPolynomial.variable(ext_src, v)
-        for v in psi.source.names
-    }
-    by_intertwining = True
-    for v in psi.target.names:
-        p = psi.pullbacks[v]
-        lhs = p.substitute(scale_src, into=ext_src)
-        rhs = p.lift(ext_src) * tvar ** psi.target.weight_of(v)
-        if lhs != rhs:
-            by_intertwining = False
-            break
-
-    if by_components != by_intertwining:
-        raise EngineDefectError(
-            "graded-morphism routes disagree: "
-            f"components={by_components} intertwining={by_intertwining}"
-        )
-    return by_components
 
 
 def invert_automorphism(psi: PolyMap) -> PolyMap:
@@ -239,12 +215,12 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
     inv: dict[str, WPolynomial] = {}
     for w in sorted(set(chart.weights)):
         block_vars = [v for v in chart.names if chart.weight_of(v) == w]
-        k = len(block_vars)
+        block_monos = [((chart.index_of(u), 1),) for u in block_vars]
         rows: list[list[Fraction]] = []
         residues: list[WPolynomial] = []
         for v in block_vars:
             p = psi.pullbacks[v]
-            row = [p.coefficient({u: 1}) for u in block_vars]
+            row = [Fraction(p.terms.get(m, 0)) for m in block_monos]
             linear = WPolynomial.zero(chart)
             for u, c in zip(block_vars, row):
                 linear = linear + WPolynomial.variable(chart, u) * c
@@ -294,8 +270,16 @@ def matrix_representation(psi: PolyMap) -> Matrix:
     variables, then the products x_i*x_j with i <= j ordered lexicographically
     by declaration position. Columns hold the expansions of the pullbacks of
     the basis monomials. Charts of degree above 2 or with weight-0 variables
-    are not supported.
+    are not supported; they are refused before gradedness is decided.
     """
+    _matrix_chart(psi)
+    if not is_graded_morphism(psi):
+        raise DomainError("the map does not respect the weights")
+    return _graded_matrix(psi)
+
+
+def _matrix_chart(psi: PolyMap) -> GradedChart:
+    """The chart of a self-map the matrix model supports; raises otherwise."""
     if psi.source != psi.target:
         raise DomainError("matrix representation needs a self-map")
     chart = psi.source
@@ -305,9 +289,16 @@ def matrix_representation(psi: PolyMap) -> Matrix:
         )
     if any(w == 0 for w in chart.weights):
         raise UnsupportedChartError("weight-0 variables are not supported here")
-    if not is_graded_morphism(psi):
-        raise DomainError("the map does not respect the weights")
+    return chart
 
+
+def _graded_matrix(psi: PolyMap) -> Matrix:
+    """matrix_representation of a map whose gradedness is already decided.
+
+    Callers that have just run is_graded_morphism use this to avoid
+    deciding it a second time; the chart checks still apply.
+    """
+    chart = _matrix_chart(psi)
     xs = [v for v in chart.names if chart.weight_of(v) == 1]
     ys = [v for v in chart.names if chart.weight_of(v) == 2]
     pairs = [(i, j) for i in range(len(xs)) for j in range(i, len(xs))]

@@ -10,7 +10,9 @@ ambiguous names.
 
 Prolonging a polynomial map pushes it to the adapted charts by substituting
 truncated Taylor curves and reading off coefficients; prolonging a parameter
-family does the same entrywise, keeping the family parameter inert.
+family does the same entrywise, keeping the family parameter inert. One
+prolongation builds the curves once, as term dicts, and substitutes every
+pullback (or every family entry) into them, once each.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .charts import GradedChart, fresh_name
 from .errors import DomainError
@@ -84,46 +87,52 @@ def adapt(chart: GradedChart, order: int, marker: str | None = None) -> AdaptedC
 
 
 def _taylor_components(
-    p: WPolynomial,
+    polys: Sequence[WPolynomial],
     source: AdaptedChart,
-    order: int,
     inert: tuple[str, ...] = (),
-) -> list[WPolynomial]:
-    """Levels 0..order of p along truncated Taylor curves.
+) -> list[list[WPolynomial]]:
+    """Levels 0..order of each polynomial along truncated Taylor curves.
 
     Every base variable is replaced by its level sum x + s*x'1 + s^2/2*x'2
     + ... with a fresh curve parameter s; component k is k! times the s^k
-    coefficient. Extra weight-0 variables of p (a family parameter, say)
-    ride along untouched when named in inert.
+    coefficient. Extra weight-0 variables of the polynomials (a family
+    parameter, say) ride along untouched when named in inert. The curves
+    and charts are built once, for all the polynomials: the work chart is
+    the jet chart, then the inert variables, then s, so dropping the s
+    factor, the last of a sorted monomial, leaves a monomial of the result
+    chart with the same indices.
     """
     jet_chart = source.chart
-    taken = jet_chart.names + inert
-    s = fresh_name("s", taken)
-    work = jet_chart.extend(((s, 0),) + tuple((v, 0) for v in inert))
-    svar = WPolynomial.variable(work, s)
+    s = fresh_name("s", jet_chart.names + inert)
+    result_chart = jet_chart.extend(tuple((v, 0) for v in inert)) if inert else jet_chart
+    work = result_chart.extend(((s, 0),))
+    s_index = len(result_chart)
 
+    order = source.order
     sigma: dict[str, WPolynomial] = {}
     for v in source.source.names:
-        acc = WPolynomial.zero(work)
-        power = WPolynomial.constant(work, 1)
-        for k in range(source.order + 1):
-            jv = WPolynomial.variable(work, source.jet_name(v, k))
-            acc = acc + jv * power * Fraction(1, math.factorial(k))
-            power = power * svar
-        sigma[v] = acc
+        curve = {}
+        for k in range(order + 1):
+            mono = ((jet_chart.index_of(source.jet_name(v, k)), 1),)
+            if k:
+                mono += ((s_index, k),)
+            curve[mono] = Fraction(1, math.factorial(k))
+        sigma[v] = WPolynomial(work, curve)
     for v in inert:
         sigma[v] = WPolynomial.variable(work, v)
 
-    expanded = p.substitute(sigma, into=work)
-    by_power = expanded.coefficients_in(s)
-    restrict_to = jet_chart if not inert else work.restrict(jet_chart.names + inert)
-    components: list[WPolynomial] = []
-    for k in range(order + 1):
-        coeff = by_power.get(k)
-        if coeff is None:
-            components.append(WPolynomial.zero(restrict_to))
-        else:
-            components.append(coeff.restrict_chart(restrict_to) * math.factorial(k))
+    components: list[list[WPolynomial]] = []
+    for p in polys:
+        by_power: list[dict] = [{} for _ in range(order + 1)]
+        for mono, c in p.substitute(sigma, into=work).terms.items():
+            if not mono or mono[-1][0] != s_index:
+                by_power[0][mono] = c
+            elif mono[-1][1] <= order:
+                by_power[mono[-1][1]][mono[:-1]] = c
+        components.append([
+            WPolynomial(result_chart, {m: c * math.factorial(k) for m, c in terms.items()})
+            for k, terms in enumerate(by_power)
+        ])
     return components
 
 
@@ -137,9 +146,10 @@ def prolong(phi: PolyMap, order: int) -> PolyMap:
     """
     src = adapt(phi.source, order)
     dst = adapt(phi.target, order)
+    names = phi.target.names
+    lifted = _taylor_components([phi.pullbacks[v] for v in names], src)
     pullbacks: dict[str, WPolynomial] = {}
-    for v in phi.target.names:
-        components = _taylor_components(phi.pullbacks[v], src, order)
+    for v, components in zip(names, lifted):
         for k, comp in enumerate(components):
             pullbacks[dst.jet_name(v, k)] = comp
     return PolyMap(src.chart, dst.chart, pullbacks)
@@ -206,9 +216,10 @@ def prolong_action(h: ActionFamily, order: int) -> ActionFamily:
     adapted chart under the same parameter name.
     """
     src = adapt(h.chart, order)
+    names = h.chart.names
+    lifted = _taylor_components([h.entries[v] for v in names], src, inert=(h.param,))
     pullbacks: dict[str, WPolynomial] = {}
-    for v in h.chart.names:
-        components = _taylor_components(h.entries[v], src, order, inert=(h.param,))
+    for v, components in zip(names, lifted):
         for k, comp in enumerate(components):
             pullbacks[src.jet_name(v, k)] = comp
     return ActionFamily(src.chart, h.param, pullbacks)

@@ -105,3 +105,36 @@ def flip(m: int, n: int, chart: GradedChart) -> PolyMap:
         source_name = outer_src.jet_name(inner_src.jet_name(base, q), p)
         pullbacks[name] = WPolynomial.variable(outer_src.chart, source_name)
     return PolyMap(outer_src.chart, outer_dst.chart, pullbacks)
+
+
+def _renaming(pmap: PolyMap) -> dict[str, str] | None:
+    """Target name -> source name when every pullback is one variable with
+    coefficient 1; None otherwise."""
+    names = pmap.source.names
+    out: dict[str, str] = {}
+    for v, p in pmap.pullbacks.items():
+        if len(p.terms) != 1:
+            return None
+        ((mono, c),) = p.terms.items()
+        if c != 1 or len(mono) != 1 or mono[0][1] != 1:
+            return None
+        out[v] = names[mono[0][0]]
+    return out
+
+
+def is_renaming_round_trip(forward: PolyMap, backward: PolyMap) -> bool:
+    """True when two renamings undo each other, both ways round.
+
+    For renamings this is compose(forward, backward).is_identity() and
+    compose(backward, forward).is_identity(), decided by composing the
+    maps of names, with no polynomial substituted. A map with a pullback
+    that is not a single variable with coefficient 1, or a pair whose
+    charts do not compose back to where they started, gives False.
+    """
+    if forward.target != backward.source or backward.target != forward.source:
+        return False
+    f = _renaming(forward)
+    g = _renaming(backward)
+    if f is None or g is None:
+        return False
+    return all(f[g[u]] == u for u in g) and all(g[f[v]] == v for v in f)

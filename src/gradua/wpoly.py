@@ -81,7 +81,13 @@ def _mono_sort_key(mono: Monomial, chart: GradedChart) -> tuple:
 
 
 def _exact(value: Fraction | int) -> Fraction:
-    """The value as a Fraction; floats and other inexact numbers are refused."""
+    """The value as a Fraction; floats and other inexact numbers are refused.
+
+    A Fraction is returned as it is, without a trip through Fraction's
+    constructor.
+    """
+    if type(value) is Fraction:
+        return value
     if not isinstance(value, (int, Fraction)):
         raise DomainError(f"coefficient {value!r} is not an exact rational")
     return Fraction(value)

@@ -123,6 +123,35 @@ def test_missing_file_is_usage_error():
     assert "cannot read" in result.stderr
 
 
+def test_unwritable_out_is_usage_error(tmp_path):
+    out = tmp_path / "no_such_dir" / "r.json"
+    result = gradua("run", str(DATA / "scaling.gradua"), "--out", str(out))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"gradua: cannot write {str(out)!r}: ")
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_program_that_is_not_utf8_is_usage_error(tmp_path, command):
+    path = tmp_path / "b.gradua"
+    path.write_bytes(b"\xff\xfe chart")
+    result = gradua(command, str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"gradua: cannot read {str(path)!r}: ")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_missing_file_is_usage_error_for_both_commands(command):
+    result = gradua(command, str(DATA / "no_such_file.gradua"))
+    assert result.returncode == 2
+    assert "gradua: cannot read" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_bad_usage_exits_2():
     result = gradua()
     assert result.returncode == 2

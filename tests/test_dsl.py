@@ -4,13 +4,17 @@ Error positions and messages are frozen: they are part of the interface a
 user sees, so regressions here matter as much as wrong parses.
 """
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradua.charts import GradedChart
 from gradua.dsl import (
+    KEYWORDS,
     AnalyzeActionCmd,
     ChartStmt,
     Program,
@@ -154,6 +158,160 @@ def test_analyze_point_with_negative_fraction():
 def test_rational_coefficients_in_expressions():
     program = parse("chart V (x:1)\nmap m : V -> V { x = 1/2*x; }\n")
     assert str(program.maps()["m"].pullbacks["x"]) == "1/2*x"
+
+
+# --- the regex tokenizer against the old character scanner --------------------
+
+
+def _reference_tokenize(source):
+    """The tokenizer as it was before the one-regex scanner, kept as the oracle.
+
+    It walks the program one character at a time with str predicates and
+    returns (kind, text, (line, col), value) tuples, raising ParseError
+    like tokenize.
+    """
+    hyphenated = ("check-morphism", "analyze-action", "check-double")
+
+    def is_digit(ch):
+        return "0" <= ch <= "9"
+
+    tokens = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        span = (line, col)
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] in ("_", "'")):
+                j += 1
+            word = source[i:j]
+            if source[j : j + 1] == "-":
+                for kw in hyphenated:
+                    if source.startswith(kw, i):
+                        word = kw
+                        j = i + len(kw)
+                        break
+            kind = "keyword" if word in KEYWORDS else "ident"
+            tokens.append((kind, word, span, None))
+            col += j - i
+            i = j
+            continue
+        if is_digit(ch):
+            j = i
+            while j < n and is_digit(source[j]):
+                j += 1
+            if source[j : j + 1] == "/" and is_digit(source[j + 1 : j + 2]):
+                k = j + 1
+                while k < n and is_digit(source[k]):
+                    k += 1
+                text = source[i:k]
+                denominator = int(source[j + 1 : k])
+                if not denominator:
+                    raise ParseError(f"zero denominator in {text!r}", line, col)
+                value = Fraction(int(source[i:j]), denominator)
+                j = k
+            else:
+                text = source[i:j]
+                value = Fraction(int(text))
+            tokens.append(("number", text, span, value))
+            col += j - i
+            i = j
+            continue
+        if source.startswith("->", i):
+            tokens.append(("symbol", "->", span, None))
+            i += 2
+            col += 2
+            continue
+        if ch in "(){}:;,=+-*^":
+            tokens.append(("symbol", ch, span, None))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("eof", "", (line, col), None))
+    return tokens
+
+
+def _lexed(lex, source):
+    """Tokens as plain tuples, or the ParseError message."""
+    try:
+        return [(t[0], t[1], tuple(t[2]), t[3]) for t in lex(source)]
+    except ParseError as exc:
+        return str(exc)
+
+
+_PIECES = [
+    *"axyzZ_'éΩª²½٣Ⅷ",  # letters, numerals that are not digits
+    *"0129/",
+    "/0", "00", "1/0", "3/00",
+    *" \t\r\n\f\v\u00a0#",
+    *"(){}:;,=+-*^>$",
+    "->",
+    "check-morphism", "analyze-action", "check-double", "check-", "check",
+    "analyze", "-morphism", "chart", "report", "json", "prolong", "t",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
+def test_tokenize_matches_the_character_scanner(source):
+    assert _lexed(tokenize, source) == _lexed(_reference_tokenize, source)
+
+
+def test_tokenize_matches_the_character_scanner_on_programs():
+    rng = random.Random(8)
+    for path in sorted(DATA.glob("*.gradua")):
+        text = path.read_text()
+        assert _lexed(tokenize, text) == _lexed(_reference_tokenize, text), path.name
+        for _ in range(200):
+            cut = rng.randrange(len(text))
+            mutated = text[:cut] + rng.choice(_PIECES) + text[cut + 1 :]
+            assert _lexed(tokenize, mutated) == _lexed(_reference_tokenize, mutated)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "chart V (x:1)  # trailing",
+        "chart V (x:1)\n# last line",
+        "#",
+        "x\f",
+        "check-morphismX",
+        "check-doubles",
+        "x² = 3²",
+        "²x",
+        "٣",
+        "_a'1 __ x''2",
+        "\r\n\t  ",
+        "1/0",
+        "12/",
+        "a->b-->c",
+    ],
+)
+def test_tokenize_edge_cases_match_the_character_scanner(source):
+    assert _lexed(tokenize, source) == _lexed(_reference_tokenize, source)
+
+
+def test_eof_after_a_trailing_comment_stays_at_the_comment():
+    toks = tokenize("chart V (x:1)  # trailing")
+    assert toks[-1].kind == "eof"
+    assert toks[-1].span == Span(1, 16)
 
 
 # --- frozen errors ----------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradua.charts import GradedChart
+from gradua.charts import GradedChart, fresh_name
 from gradua.errors import (
     DomainError,
     EngineDefectError,
@@ -208,3 +208,96 @@ def test_random_graded_automorphisms_are_graded(seed):
     chart = random_chart(rng)
     gamma = random_graded_automorphism(rng, chart)
     assert is_graded_morphism(gamma)
+
+
+# --- one gradedness route against the old three routes --------------------------
+
+
+def _reference_is_graded_morphism(psi):
+    """The gradedness test as it was, kept as the oracle.
+
+    Each pullback is tested for homogeneity (scaling and Euler routes), and
+    the map is also checked to intertwine the two standard families
+    symbolically; the two verdicts must agree.
+    """
+    by_components = all(
+        psi.pullbacks[v].is_homogeneous(psi.target.weight_of(v))
+        for v in psi.target.names
+    )
+    tname = fresh_name("_t", psi.source.names + psi.target.names)
+    ext_src = psi.source.extend(((tname, 0),))
+    tvar = WPolynomial.variable(ext_src, tname)
+    scale_src = {
+        v: tvar ** psi.source.weight_of(v) * WPolynomial.variable(ext_src, v)
+        for v in psi.source.names
+    }
+    by_intertwining = all(
+        psi.pullbacks[v].substitute(scale_src, into=ext_src)
+        == psi.pullbacks[v].lift(ext_src) * tvar ** psi.target.weight_of(v)
+        for v in psi.target.names
+    )
+    assert by_components == by_intertwining
+    return by_components
+
+
+def _small_monomials(chart, max_exp=2):
+    """Every exponent assignment with entries in 0..max_exp."""
+    monos = [{}]
+    for v in chart.names:
+        monos = [dict(m, **{v: e}) for m in monos for e in range(max_exp + 1)]
+    return monos
+
+
+def _random_weighted_chart(rng, name):
+    """One to three variables of weights 0..3, weight 0 included."""
+    count = rng.randint(1, 3)
+    return GradedChart(
+        name, tuple((f"{name.lower()}{i}", rng.randint(0, 3)) for i in range(count))
+    )
+
+
+def _random_map(rng, source, target, graded):
+    """Pullbacks built from the small monomials of each target weight.
+
+    When graded is False, some pullbacks get one extra monomial of another
+    weight (or a stray constant), so the map usually is not graded.
+    """
+    monos = _small_monomials(source)
+    pullbacks = {}
+    for v in target.names:
+        w = target.weight_of(v)
+        fitting = [m for m in monos if sum(source.weight_of(u) * e for u, e in m.items()) == w]
+        acc = WPolynomial.zero(source)
+        for m in rng.sample(fitting, min(len(fitting), rng.randint(0, 3))):
+            acc = acc + WPolynomial.monomial(source, m, rng.choice([-2, -1, 1, Fraction(1, 2), 3]))
+        if not graded and rng.random() < 0.7:
+            stray = [m for m in monos if sum(source.weight_of(u) * e for u, e in m.items()) != w]
+            if stray:
+                acc = acc + WPolynomial.monomial(source, rng.choice(stray), rng.choice([-1, 2]))
+        pullbacks[v] = acc
+    return PolyMap(source, target, pullbacks)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.booleans())
+def test_gradedness_matches_the_three_route_reference(seed, graded, same_chart):
+    rng = random.Random(seed)
+    source = _random_weighted_chart(rng, "S")
+    target = source if same_chart else _random_weighted_chart(rng, "T")
+    psi = _random_map(rng, source, target, graded)
+    verdict = is_graded_morphism(psi)
+    assert verdict == _reference_is_graded_morphism(psi)
+    if graded:
+        assert verdict
+
+
+def test_gradedness_reference_on_the_fixed_maps():
+    x = WPolynomial.variable(V, "x")
+    maps = [
+        scaling_map(2, 3, 5),
+        PolyMap(V, V, {"x": x, "y": x}),
+        PolyMap(V, V, {"x": x + 1, "y": WPolynomial.variable(V, "y")}),
+        PolyMap.identity(GradedChart("Z", (("a", 0), ("x", 1)))),
+    ]
+    for psi in maps:
+        assert is_graded_morphism(psi) == _reference_is_graded_morphism(psi)

@@ -1,13 +1,15 @@
 """Jet adaptation and prolongation, checked against a chain-rule oracle."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradua.action import verify_laws
-from gradua.charts import GradedChart
+from gradua.charts import GradedChart, fresh_name
 from gradua.errors import DomainError
 from gradua.graded import ActionFamily, PolyMap, compose, standard_action
 from gradua.jets import adapt, iota, jet_action, jet_projection, prolong, prolong_action
@@ -215,3 +217,109 @@ def test_prolong_functorial_random(seed, order):
     lhs = prolong(compose(first, second), order)
     rhs = compose(prolong(first, order), prolong(second, order))
     assert lhs.pullbacks == rhs.pullbacks
+
+
+# --- one Taylor substitution against the old per-variable one --------------------
+
+
+def _reference_taylor_components(p, source, order, inert=()):
+    """Levels 0..order of one polynomial, as computed before the curves
+    were shared: the curves, work chart and restricted chart are rebuilt
+    from polynomial arithmetic for every polynomial. Kept as the oracle.
+    """
+    jet_chart = source.chart
+    s = fresh_name("s", jet_chart.names + inert)
+    work = jet_chart.extend(((s, 0),) + tuple((v, 0) for v in inert))
+    svar = WPolynomial.variable(work, s)
+    sigma = {}
+    for v in source.source.names:
+        acc = WPolynomial.zero(work)
+        power = WPolynomial.constant(work, 1)
+        for k in range(source.order + 1):
+            jv = WPolynomial.variable(work, source.jet_name(v, k))
+            acc = acc + jv * power * Fraction(1, math.factorial(k))
+            power = power * svar
+        sigma[v] = acc
+    for v in inert:
+        sigma[v] = WPolynomial.variable(work, v)
+    by_power = p.substitute(sigma, into=work).coefficients_in(s)
+    restrict_to = jet_chart if not inert else work.restrict(jet_chart.names + inert)
+    components = []
+    for k in range(order + 1):
+        coeff = by_power.get(k)
+        if coeff is None:
+            components.append(WPolynomial.zero(restrict_to))
+        else:
+            components.append(coeff.restrict_chart(restrict_to) * math.factorial(k))
+    return components
+
+
+def _reference_prolong(phi, order):
+    src = adapt(phi.source, order)
+    dst = adapt(phi.target, order)
+    pullbacks = {}
+    for v in phi.target.names:
+        for k, comp in enumerate(_reference_taylor_components(phi.pullbacks[v], src, order)):
+            pullbacks[dst.jet_name(v, k)] = comp
+    return PolyMap(src.chart, dst.chart, pullbacks)
+
+
+def _reference_prolong_action(h, order):
+    src = adapt(h.chart, order)
+    pullbacks = {}
+    for v in h.chart.names:
+        components = _reference_taylor_components(h.entries[v], src, order, inert=(h.param,))
+        for k, comp in enumerate(components):
+            pullbacks[src.jet_name(v, k)] = comp
+    return ActionFamily(src.chart, h.param, pullbacks)
+
+
+def _random_poly(rng, chart, max_terms=3, max_exp=2):
+    """A sparse polynomial, not necessarily homogeneous, constants allowed."""
+    acc = WPolynomial.zero(chart)
+    for _ in range(rng.randint(0, max_terms)):
+        exps = {v: rng.randint(0, max_exp) for v in chart.names if rng.random() < 0.5}
+        acc = acc + WPolynomial.monomial(chart, exps, rng.choice([-3, -1, 1, Fraction(2, 3), 5]))
+    return acc
+
+
+def _random_base_chart(rng, name):
+    count = rng.randint(1, 3)
+    return GradedChart(
+        name, tuple((f"{name.lower()}{i}", rng.randint(0, 2)) for i in range(count))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 4))
+def test_prolong_matches_the_per_variable_reference(seed, order):
+    rng = random.Random(seed)
+    source = _random_base_chart(rng, "S")
+    target = _random_base_chart(rng, "T")
+    phi = PolyMap(source, target, {v: _random_poly(rng, source) for v in target.names})
+    got = prolong(phi, order)
+    expected = _reference_prolong(phi, order)
+    assert got.source == expected.source and got.target == expected.target
+    assert got.pullbacks == expected.pullbacks
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 4))
+def test_prolong_action_matches_the_per_variable_reference(seed, order):
+    rng = random.Random(seed)
+    chart = _random_base_chart(rng, "C")
+    ext = chart.extend((("t", 0),))
+    family = ActionFamily(chart, "t", {v: _random_poly(rng, ext) for v in chart.names})
+    got = prolong_action(family, order)
+    expected = _reference_prolong_action(family, order)
+    assert got.chart == expected.chart and got.param == expected.param
+    assert got.entries == expected.entries
+
+
+def test_prolong_of_a_ticked_chart_matches_the_reference():
+    # names that already carry ticks and a variable called s
+    chart = GradedChart("Q", (("s", 1), ("x'1", 2)))
+    s, x = (WPolynomial.variable(chart, n) for n in chart.names)
+    phi = PolyMap(chart, chart, {"s": s * 2 + 1, "x'1": x * s - s**3})
+    for order in (1, 3):
+        assert prolong(phi, order).pullbacks == _reference_prolong(phi, order).pullbacks

@@ -1,15 +1,22 @@
 """Commuting family pairs, joint homogenization, and the order flip."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from gradua.action import _homogenize_joint, analyze, euler_field
 from gradua.charts import GradedChart
 from gradua.errors import NotDoubleStructureError
-from gradua.graded import ActionFamily, compose
+from gradua.graded import ActionFamily, PolyMap, compose
 from gradua.jets import adapt, jet_action, prolong_action
-from gradua.multigrade import bihomogenize, check_commuting, flip, total_action
+from gradua.multigrade import (
+    bihomogenize,
+    check_commuting,
+    flip,
+    is_renaming_round_trip,
+    total_action,
+)
 from gradua.wpoly import WPolynomial
 
 from helpers import linear_family, order_projections, random_basis_change
@@ -189,3 +196,91 @@ def test_charts_must_match():
     h2 = family(other, "u", lambda v, u: {"w": u * v["w"]})
     with pytest.raises(NotDoubleStructureError):
         check_commuting(h1, h2)
+
+
+# --- the flip round trip by composing name maps -----------------------------------
+
+
+def _round_trip_by_composition(a, b):
+    return compose(a, b).is_identity() and compose(b, a).is_identity()
+
+
+def _renaming(source, target, names):
+    """The map whose pullback of target variable v is the source variable names[v]."""
+    return PolyMap(
+        source, target, {v: WPolynomial.variable(source, names[v]) for v in target.names}
+    )
+
+
+@pytest.mark.parametrize("chart", [M, GradedChart("B", (("a", 0), ("x", 1), ("x'", 1)))])
+def test_flip_round_trip_matches_composition(chart):
+    for m in range(3):
+        for n in range(3):
+            forward, backward = flip(m, n, chart), flip(n, m, chart)
+            assert is_renaming_round_trip(forward, backward)
+            assert _round_trip_by_composition(forward, backward)
+            if m == n and m:
+                # a flip that swaps levels is not undone by the identity
+                ident = PolyMap.identity(forward.source)
+                assert not _round_trip_by_composition(forward, ident)
+                assert not is_renaming_round_trip(forward, ident)
+
+
+def test_renaming_round_trip_on_hand_made_permutations():
+    chart = GradedChart("P", (("a", 1), ("b", 1), ("c", 1)))
+    cycle = _renaming(chart, chart, {"a": "b", "b": "c", "c": "a"})
+    back = _renaming(chart, chart, {"a": "c", "b": "a", "c": "b"})
+    swap = _renaming(chart, chart, {"a": "b", "b": "a", "c": "c"})
+    collapse = _renaming(chart, chart, {"a": "a", "b": "a", "c": "c"})
+    ident = PolyMap.identity(chart)
+    cases = [
+        (cycle, back, True),
+        (back, cycle, True),
+        (swap, swap, True),
+        (ident, ident, True),
+        (cycle, cycle, False),
+        (cycle, swap, False),
+        (collapse, swap, False),
+        (collapse, ident, False),
+    ]
+    for a, b, expected in cases:
+        assert _round_trip_by_composition(a, b) == expected
+        assert is_renaming_round_trip(a, b) == expected
+
+
+def test_renaming_round_trip_refuses_scaled_and_composite_pullbacks():
+    chart = GradedChart("P", (("a", 1), ("b", 2)))
+    a, b = (WPolynomial.variable(chart, n) for n in chart.names)
+    ident = PolyMap.identity(chart)
+    others = [
+        PolyMap(chart, chart, {"a": a * 2, "b": b}),
+        PolyMap(chart, chart, {"a": a, "b": b * Fraction(1, 2)}),
+        PolyMap(chart, chart, {"a": a, "b": b + a * a}),
+        PolyMap(chart, chart, {"a": a, "b": a * a}),
+        PolyMap(chart, chart, {"a": a + 1, "b": b}),
+        PolyMap(chart, chart, {"a": a, "b": WPolynomial.zero(chart)}),
+    ]
+    for other in others:
+        for first, second in ((ident, other), (other, ident)):
+            assert not _round_trip_by_composition(first, second)
+            assert not is_renaming_round_trip(first, second)
+
+
+def test_renaming_round_trip_needs_charts_that_close_up():
+    one = GradedChart("P", (("a", 1),))
+    two = GradedChart("Q", (("a", 1),))
+    there = _renaming(one, two, {"a": "a"})
+    assert is_renaming_round_trip(there, _renaming(two, one, {"a": "a"}))
+    assert not is_renaming_round_trip(there, there)
+
+
+def test_renaming_round_trip_needs_both_composites():
+    # one composite is the identity, the other sends q to p
+    small = GradedChart("S", (("a", 1),))
+    big = GradedChart("T", (("p", 1), ("q", 1)))
+    doubled = _renaming(small, big, {"p": "a", "q": "a"})
+    first = _renaming(big, small, {"a": "p"})
+    assert compose(doubled, first).is_identity()
+    assert not compose(first, doubled).is_identity()
+    assert not is_renaming_round_trip(doubled, first)
+    assert not is_renaming_round_trip(first, doubled)

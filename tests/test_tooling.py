@@ -1,5 +1,6 @@
-"""The benchmark's tracer still finds every gradua layer it wraps, and the
-fused polynomial kernels build one polynomial object per operation.
+"""The benchmark's tracer still finds every gradua layer it wraps, the
+fused polynomial kernels build one polynomial object per operation, and
+each command of `gradua run` derives what it needs once.
 
 perfbench/spans.py wraps engine functions by name from outside; renaming or
 removing one of them would break `perfbench/run.py --trace 1` without any
@@ -10,7 +11,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from gradua import cli, jets
 from gradua.charts import GradedChart
+from gradua.dsl import parse
 from gradua.graded import PolyMap
 from gradua.wpoly import WPolynomial
 
@@ -82,4 +85,52 @@ def test_is_identity_builds_no_polynomial(monkeypatch):
     calls = _count_constructions(monkeypatch)
     assert ident.is_identity()
     assert not shear.is_identity()
+    assert calls == []
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Patch owner.name with a counting wrapper; return the list of calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+GRADED_SHEAR = """\
+chart A (x1:1, x2:1, y1:2)
+map psi : A -> A {
+  x1 = x1 + 1/3*x2;
+  x2 = x1 + 2*x2;
+  y1 = 3*x1^2 - 3/2*x1*x2 + 3*y1;
+}
+"""
+
+
+def test_check_morphism_decides_gradedness_once(monkeypatch):
+    program = parse(GRADED_SHEAR + "check-morphism psi\n")
+    calls = _count_calls(monkeypatch, WPolynomial, "is_homogeneous")
+    report = cli.run(program)
+    assert report.results[0]["graded"] is True
+    assert "matrix" in report.results[0]
+    assert len(calls) == 3
+
+
+def test_prolong_substitutes_the_curves_once(monkeypatch):
+    program = parse(GRADED_SHEAR)
+    calls = _count_calls(monkeypatch, jets, "_taylor_components")
+    lifted = jets.prolong(program.maps()["psi"], 4)
+    assert len(lifted.pullbacks) == 15
+    assert len(calls) == 1
+
+
+def test_flip_round_trip_substitutes_nothing(monkeypatch):
+    program = parse("chart A (x1:1, x2:1, y1:2)\nflip 2 2 A\n")
+    calls = _count_calls(monkeypatch, WPolynomial, "substitute")
+    report = cli.run(program)
+    assert report.results[0]["round_trip_identity"] is True
     assert calls == []

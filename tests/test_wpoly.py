@@ -20,7 +20,7 @@ from gradua.errors import (
     EngineDefectError,
     UnknownVariableError,
 )
-from gradua.wpoly import WPolynomial, _mono_mul, monomial_basis, weighted_degree
+from gradua.wpoly import WPolynomial, _exact, _mono_mul, monomial_basis, weighted_degree
 
 V = GradedChart("V", (("x", 1), ("y", 2)))
 W = GradedChart("W", (("x1", 1), ("x2", 1), ("y", 2)))
@@ -207,6 +207,16 @@ def test_raw_constructor_rejects_inexact_coefficients(value):
     # 0.0 must be refused too, not dropped as a zero coefficient
     with pytest.raises(DomainError):
         WPolynomial(V, {((0, 1),): value})
+
+
+def test_exact_passes_a_fraction_through_and_converts_the_rest():
+    half = Fraction(1, 2)
+    assert _exact(half) is half
+    assert _exact(3) == Fraction(3) and type(_exact(3)) is Fraction
+    assert type(_exact(True)) is Fraction
+    for value in (0.5, "1", None):
+        with pytest.raises(DomainError):
+            _exact(value)
 
 
 def test_raw_constructor_stores_integral_coefficients_as_int():
