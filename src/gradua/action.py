@@ -44,15 +44,12 @@ from .errors import (
     InconsistentActionError,
     NotDoubleStructureError,
     NotGradedActionError,
-    SingularMatrixError,
 )
 from .graded import ActionFamily, PolyMap
 from .linalg import Matrix
 from .wpoly import WPolynomial, _coefficient, _exact
 
 _ZERO = Fraction(0)
-
-_INVERSE_DEGREE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -215,10 +212,6 @@ def base_projection(h: ActionFamily) -> PolyMap:
     return p0
 
 
-def _fraction(x: Fraction | int) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
-
-
 def _jacobian_coefficients(
     h: ActionFamily, theta: Mapping[str, Fraction]
 ) -> list[list[dict[int, Fraction | int]]]:
@@ -290,7 +283,7 @@ def taylor_projections(
     coeffs = _jacobian_coefficients(h, point)
     degree = max((k for row in coeffs for c in row for k in c), default=0)
     qs = tuple(
-        tuple(tuple(_fraction(c[r]) if r in c else _ZERO for c in row) for row in coeffs)
+        tuple(tuple(_exact(c[r]) if r in c else _ZERO for c in row) for row in coeffs)
         for r in range(degree + 1)
     )
 
@@ -399,6 +392,28 @@ def _homogenize_joint(
       coordinates, and its degree is the largest of them, the degree of the
       returned chart.
 
+    The inverse comes from one Picard pass of bounded length
+    (_invert_coordinate_change). The bounds hold for commuting monoid
+    families fixing theta, which the families are whenever a failure of the
+    pass is reported, since the direct checks below run first.
+
+    - The derivative of phi at theta is C^-1, C being the basis matrix: row
+      i is C^-1_i P for the joint projection P of phi_i's multi-index, and
+      C^-1_i P c_j = delta_ij if c_j lies in the image of P, else 0. As
+      phi(theta) = 0 (scaling at t = 0), N = phi - C^-1 (x - theta) has
+      order >= 2 at theta, so round k of x = theta + C (y - N(x)) from
+      x = theta, truncated at total degree k, is the degree-k truncation of
+      the formal inverse psi.
+    - If every weight is at least 1: with every parameter set to t,
+      h_t^* x_v = psi_v(t^w phi) = sum_m c_m t^(w.m) phi^m has t-degree at
+      most D, the largest summed parameter exponent of the composite. Each
+      d = w.m has finitely many m and the phi^m are linearly independent,
+      so c_m = 0 for w.m > D: psi has weighted, hence total, degree <= D,
+      and a failure at round D is an engine defect.
+    - Otherwise a polynomial inverse of phi, if any, has total degree at
+      most deg(phi)^(n-1) (Bass, Connell and Wright, Bull. AMS 7 (1982),
+      Thm 1.5), so a failure at that round proves that phi has none.
+
     When a stage raises, the direct checks explain the failure, in this
     order: the commutation of each pair of families (NotDoubleStructureError
     with the witnesses as detail), then each family's laws in argument order
@@ -467,7 +482,8 @@ def _joint_certificate(
             orders.append(idx)
     if len(basis_cols) != n_vars:
         raise EngineDefectError("projection images do not fill the chart")
-    cinv = linalg.inverse(linalg.mat_from_cols(basis_cols))
+    basis = linalg.mat_from_cols(basis_cols)
+    cinv = linalg.inverse(basis)
 
     # the composite applies the last family first; its chart lists the
     # parameters in that order so the innermost entries lift unchanged
@@ -481,6 +497,10 @@ def _joint_certificate(
     shifted = [
         p - WPolynomial.constant(ext, point[v]) for v, p in zip(chart.names, composite)
     ]
+    degree = max(
+        (sum(e for i, e in mono if i >= n_vars) for p in composite for mono in p.terms),
+        default=0,
+    )
 
     counter: dict[tuple[int, ...], int] = {}
     new_vars: list[tuple[str, int]] = []
@@ -511,7 +531,7 @@ def _joint_certificate(
     return _JointHomogenization(
         chart=new_chart,
         homogenizer=phi,
-        inverse=_invert_coordinate_change(phi, point),
+        inverse=_invert_coordinate_change(phi, point, basis, cinv, degree),
         projections=joint,
         orders=tuple(orders),
         theta=point,
@@ -519,102 +539,85 @@ def _joint_certificate(
 
 
 def _invert_coordinate_change(
-    phi: PolyMap, theta: Mapping[str, Fraction]
+    phi: PolyMap,
+    theta: Mapping[str, Fraction],
+    basis: Matrix,
+    cinv: Matrix,
+    degree: int,
 ) -> PolyMap:
-    """Exact inverse of a polynomial coordinate change fixing theta.
+    """Exact inverse of the homogenizer phi, from one bounded Picard pass.
 
-    Runs the fixed-point iteration for the formal inverse, truncated at a
-    total degree that starts at a sensible bound and doubles on failure. A
-    candidate psi is accepted when phi.then(psi) is exactly the identity,
-    that is phi^* o psi^* = id. The other composite then holds too: the
-    linear part of phi is inverted, so it is square and both charts have the
-    same number of variables; phi^* is then a surjective endomorphism of a
-    polynomial ring up to renaming, hence injective, and phi^* psi^* phi^* =
-    phi^* gives psi^* o phi^* = id. The proof is spelled out in
-    _homogenize_joint.
+    basis is the matrix C of _joint_certificate, cinv its inverse (the
+    derivative of phi at theta) and degree the bound D; the limits of the
+    pass and their proofs are in _homogenize_joint.
     """
     chart = phi.source
-    new_chart = phi.target
-    names = chart.names
-
-    linear_monos = [((i, 1),) for i in range(len(names))]
-    lin_rows = []
-    for v in new_chart.names:
-        terms = phi.pullbacks[v].terms
-        lin_rows.append(tuple(Fraction(terms.get(m, 0)) for m in linear_monos))
-    lmat = tuple(lin_rows)
-    try:
-        linv = linalg.inverse(lmat)
-    except SingularMatrixError as exc:
-        raise NotGradedActionError("coordinate change is singular at theta") from exc
-
-    shift = {v: WPolynomial.variable(chart, v) - WPolynomial.constant(chart, theta[v])
-             for v in names}
+    shift = [WPolynomial.variable(chart, v) - theta[v] for v in chart.names]
     nonlinear: list[WPolynomial] = []
-    for i, v in enumerate(new_chart.names):
+    for v, row in zip(phi.target.names, cinv):
         p = phi.pullbacks[v]
-        linear = WPolynomial.zero(chart)
-        for u, c in zip(names, lin_rows[i]):
-            if c:
-                linear = linear + shift[u] * c
-        nonlinear.append(p - linear)
+        for a, z in zip(row, shift):
+            if a:
+                p = p - z * a
+        nonlinear.append(p)
 
-    new_vars = [WPolynomial.variable(new_chart, v) for v in new_chart.names]
-    max_pb_degree = max((p.total_degree() for p in phi.pullbacks.values()), default=1)
-    bound = max(new_chart.degree, max_pb_degree, 2)
-    while bound <= _INVERSE_DEGREE_CAP:
-        candidate = _picard_inverse(
-            chart, new_chart, names, theta, linv, nonlinear, new_vars, bound
+    positive = all(phi.target.weights)
+    if positive:
+        limit = degree
+    else:
+        phi_degree = max(p.total_degree() for p in phi.pullbacks.values())
+        limit = phi_degree ** (len(chart) - 1)
+    inverse, exact = _picard_inverse(phi, theta, basis, nonlinear, max(limit, 1))
+    if exact:
+        return inverse
+    if positive:
+        raise EngineDefectError(
+            f"the homogenizer has no inverse of total degree <= {limit}"
         )
-        inverse = PolyMap(new_chart, chart, candidate)
-        if phi.then(inverse).is_identity():
-            return inverse
-        bound *= 2
     raise NotGradedActionError(
-        f"no polynomial inverse of total degree <= {_INVERSE_DEGREE_CAP} exists"
+        f"no polynomial inverse of total degree <= {limit} exists "
+        "(the Bass-Connell-Wright bound)"
     )
 
 
 def _picard_inverse(
-    chart: GradedChart,
-    new_chart: GradedChart,
-    names: Sequence[str],
+    phi: PolyMap,
     theta: Mapping[str, Fraction],
-    linv: Matrix,
+    basis: Matrix,
     nonlinear: Sequence[WPolynomial],
-    new_vars: Sequence[WPolynomial],
-    bound: int,
-) -> dict[str, WPolynomial]:
+    limit: int,
+) -> tuple[PolyMap, bool]:
+    """Rounds k = 1 .. limit of x = theta + C (y - N(x)), truncated at degree k.
+
+    Returns the last iterate and whether phi.then(iterate) is the identity,
+    checked whenever a round adds no term and once at the limit.
+    """
+    chart, new_chart = phi.source, phi.target
+    names = chart.names
+    rhs = ys = [WPolynomial.variable(new_chart, v) for v in new_chart.names]
     guesses: list[WPolynomial] = []
-    for i, v in enumerate(names):
-        acc = WPolynomial.constant(new_chart, theta[v])
-        for j, nv in enumerate(new_vars):
-            if linv[i][j]:
-                acc = acc + nv * linv[i][j]
-        guesses.append(acc)
-    for _ in range(bound):
-        sigma = dict(zip(names, guesses))
-        updated: list[WPolynomial] = []
-        changed = False
-        for i, v in enumerate(names):
+    for k in range(1, limit + 1):
+        if guesses:  # round 1 needs no substitution: N(theta) = 0
+            sigma = dict(zip(names, guesses))
+            rhs = [
+                y - n.substitute(sigma, into=new_chart).truncate_total_degree(k)
+                if n.terms else y
+                for y, n in zip(ys, nonlinear)
+            ]
+        updated = []
+        for v, row in zip(names, basis):
             acc = WPolynomial.constant(new_chart, theta[v])
-            for j, nv in enumerate(new_vars):
-                c = linv[i][j]
-                if not c:
-                    continue
-                correction = nonlinear[j]
-                if correction.is_zero():
-                    acc = acc + nv * c
-                else:
-                    pushed = correction.substitute(sigma, into=new_chart)
-                    acc = acc + (nv - pushed.truncate_total_degree(bound)) * c
+            for a, r in zip(row, rhs):
+                if a:
+                    acc = acc + r * a
             updated.append(acc)
-            if acc != guesses[i]:
-                changed = True
+        settled = updated == guesses
         guesses = updated
-        if not changed:
-            break
-    return dict(zip(names, guesses))
+        if settled or k == limit:
+            candidate = PolyMap(new_chart, chart, dict(zip(names, guesses)))
+            if phi.then(candidate).is_identity():
+                return candidate, True
+    return candidate, False
 
 
 def detect_degree(

@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
     UnsupportedChartError,
 )
-from .graded import _graded_matrix, is_graded_morphism
+from .graded import _graded_matrix
 from .jets import prolong
 from .multigrade import bihomogenize, flip, is_renaming_round_trip
 
@@ -74,7 +74,13 @@ def _pullbacks_json(pmap) -> dict[str, str]:
 
 def _run_check_morphism(stmt: CheckMorphismCmd, maps) -> dict:
     pmap = maps[stmt.name]
-    graded = is_graded_morphism(pmap)
+    # is_graded_morphism's test, run once per target variable to list failures
+    failures = [
+        {"variable": v, "weight": w, "pullback": str(pmap.pullbacks[v])}
+        for v, w in pmap.target.variables
+        if not pmap.pullbacks[v].is_homogeneous(w)
+    ]
+    graded = not failures
     entry = {
         "command": "check-morphism",
         "name": stmt.name,
@@ -82,13 +88,6 @@ def _run_check_morphism(stmt: CheckMorphismCmd, maps) -> dict:
         "graded": graded,
     }
     if not graded:
-        failures = []
-        for v in pmap.target.names:
-            w = pmap.target.weight_of(v)
-            if not pmap.pullbacks[v].is_homogeneous(w):
-                failures.append(
-                    {"variable": v, "weight": w, "pullback": str(pmap.pullbacks[v])}
-                )
         entry["failures"] = failures
         return entry
     if pmap.source == pmap.target:

@@ -221,10 +221,9 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
         for v in block_vars:
             p = psi.pullbacks[v]
             row = [Fraction(p.terms.get(m, 0)) for m in block_monos]
-            linear = WPolynomial.zero(chart)
-            for u, c in zip(block_vars, row):
-                linear = linear + WPolynomial.variable(chart, u) * c
-            residue = p - linear
+            residue = WPolynomial(
+                chart, {m: c for m, c in p.terms.items() if m not in block_monos}
+            )
             if w == 0:
                 if residue.total_degree() > 0:
                     raise NotInvertibleError(
@@ -245,12 +244,9 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
             raise NotInvertibleError(
                 f"weight-{w} linear block is singular: {exc}"
             ) from exc
-        solved_residues = []
-        for residue in residues:
-            if residue.is_zero():
-                solved_residues.append(residue)
-            else:
-                solved_residues.append(residue.substitute(inv, into=chart))
+        solved_residues = [
+            r.substitute(inv, into=chart) if r.terms else r for r in residues
+        ]
         for i, v in enumerate(block_vars):
             acc = WPolynomial.zero(chart)
             for j, u in enumerate(block_vars):
@@ -295,8 +291,8 @@ def _matrix_chart(psi: PolyMap) -> GradedChart:
 def _graded_matrix(psi: PolyMap) -> Matrix:
     """matrix_representation of a map whose gradedness is already decided.
 
-    Callers that have just run is_graded_morphism use this to avoid
-    deciding it a second time; the chart checks still apply.
+    Callers that have just decided it (is_graded_morphism's test) use this
+    to avoid deciding it a second time; the chart checks still apply.
     """
     chart = _matrix_chart(psi)
     xs = [v for v in chart.names if chart.weight_of(v) == 1]

@@ -8,8 +8,10 @@ and error message must agree with it.
 
 The certificate's own stages keep references too: the Jacobian built from
 n^2 derivatives and substitutions (the term-level read must equal it), the
-Fraction-matrix projection checks, and the two-sided inverse check (the
-one-composite verdict must equal it, on correct and on wrong candidates).
+Fraction-matrix projection checks, the two-sided inverse check (the
+one-composite verdict must equal it, on correct and on wrong candidates),
+and the doubling search for the inverse (the bounded Picard pass must find
+the same inverse).
 """
 
 import random
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradua.action as action
 from gradua.action import (
     AnalysisReport,
     _distinct_params,
@@ -37,13 +40,15 @@ from gradua.charts import GradedChart
 from gradua.errors import (
     DegenerateActionError,
     DomainError,
+    EngineDefectError,
     GraduaError,
     InconsistentActionError,
     NotDoubleStructureError,
     NotGradedActionError,
+    SingularMatrixError,
 )
 from gradua.graded import ActionFamily, PolyMap, invert_automorphism
-from gradua.linalg import mat_mul, rank, zeros
+from gradua.linalg import inverse, mat_mul, rank, zeros
 from gradua.multigrade import bihomogenize, check_commuting
 from gradua.wpoly import WPolynomial
 
@@ -499,21 +504,35 @@ def test_taylor_projections_match_the_reference_route(dressed):
 # --- one composite of the inverse ----------------------------------------------
 
 
-def picard_candidate(monkeypatch, phi, theta, bound):
-    """The Picard iterate that _invert_coordinate_change forms at `bound`."""
-    import gradua.action as action
+def inversion_inputs(monkeypatch, build, *args):
+    """build(*args), and the arguments its _invert_coordinate_change call got."""
+    seen = []
+    invert = action._invert_coordinate_change
 
+    def recording(*inputs):
+        seen.append(inputs)
+        return invert(*inputs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(action, "_invert_coordinate_change", recording)
+        result = build(*args)
+    return result, seen[0]
+
+
+def picard_candidate(monkeypatch, inputs, limit):
+    """The last iterate of the Picard pass of _invert_coordinate_change(*inputs),
+    cut at round `limit`."""
     formed = []
     picard = action._picard_inverse
 
-    def at_bound(*args):
-        formed.append(picard(*args[:-1], bound))
+    def at_limit(*args):
+        formed.append(picard(*args[:-1], limit)[0])
         return picard(*args)
 
     with monkeypatch.context() as patched:
-        patched.setattr(action, "_picard_inverse", at_bound)
-        action._invert_coordinate_change(phi, theta)
-    return PolyMap(phi.target, phi.source, formed[0])
+        patched.setattr(action, "_picard_inverse", at_limit)
+        action._invert_coordinate_change(*inputs)
+    return formed[0]
 
 
 def perturbed(psi, rng):
@@ -529,7 +548,7 @@ def perturbed(psi, rng):
 
 def test_one_composite_agrees_with_the_two_sided_check(dressed, monkeypatch):
     rng = random.Random(29)
-    verdicts = {"inverse": [], "picard at bound 1": [], "perturbed": []}
+    verdicts = {"inverse": [], "picard at limit 1": [], "perturbed": []}
 
     def record(kind, phi, psi):
         # the two-sided verdict is one_sided and this; by the lemma they agree
@@ -538,12 +557,14 @@ def test_one_composite_agrees_with_the_two_sided_check(dressed, monkeypatch):
         verdicts[kind].append(one_sided)
 
     for i, (family, theta) in enumerate(dressed):
-        hom = homogenize(family, theta)
-        pairs = [hom] if i % 4 else [hom, bihomogenize(family, family.with_param("u"), theta)]
-        for joint in pairs:
+        builds = [(homogenize, family, theta)]
+        if not i % 4:
+            builds.append((bihomogenize, family, family.with_param("u"), theta))
+        for build, *args in builds:
+            joint, inputs = inversion_inputs(monkeypatch, build, *args)
             phi, psi = joint.homogenizer, joint.inverse
             record("inverse", phi, psi)
-            record("picard at bound 1", phi, picard_candidate(monkeypatch, phi, hom.theta, 1))
+            record("picard at limit 1", phi, picard_candidate(monkeypatch, inputs, 1))
             record("perturbed", phi, perturbed(psi, rng))
     for seed in range(20):
         seeded = random.Random(seed)
@@ -554,4 +575,168 @@ def test_one_composite_agrees_with_the_two_sided_check(dressed, monkeypatch):
 
     assert all(verdicts["inverse"]) and not any(verdicts["perturbed"])
     # the linear guess is right only where the coordinate change is affine
-    assert verdicts["picard at bound 1"].count(False) > 10
+    assert verdicts["picard at limit 1"].count(False) > 10
+
+
+# --- one bounded Picard pass ----------------------------------------------------
+
+
+def reference_invert(phi, theta):
+    """The search the bounded pass replaced, kept as the reference.
+
+    The linear part is read at the origin, and Picard rounds truncated at a
+    start bound are repeated with the bound doubled, up to 64.
+    """
+    chart, new_chart = phi.source, phi.target
+    names = chart.names
+    linear_monos = [((i, 1),) for i in range(len(names))]
+    lin_rows = tuple(
+        tuple(Fraction(phi.pullbacks[v].terms.get(m, 0)) for m in linear_monos)
+        for v in new_chart.names
+    )
+    try:
+        linv = inverse(lin_rows)
+    except SingularMatrixError as exc:
+        raise NotGradedActionError("coordinate change is singular at theta") from exc
+    shift = {v: ext_var(chart, v) - theta[v] for v in names}
+    nonlinear = []
+    for v, row in zip(new_chart.names, lin_rows):
+        linear = WPolynomial.zero(chart)
+        for u, c in zip(names, row):
+            if c:
+                linear = linear + shift[u] * c
+        nonlinear.append(phi.pullbacks[v] - linear)
+    new_vars = [ext_var(new_chart, v) for v in new_chart.names]
+    max_pb_degree = max((p.total_degree() for p in phi.pullbacks.values()), default=1)
+    bound = max(new_chart.degree, max_pb_degree, 2)
+    while bound <= 64:
+        guesses = []
+        for i, v in enumerate(names):
+            acc = WPolynomial.constant(new_chart, theta[v])
+            for j, nv in enumerate(new_vars):
+                if linv[i][j]:
+                    acc = acc + nv * linv[i][j]
+            guesses.append(acc)
+        for _ in range(bound):
+            sigma = dict(zip(names, guesses))
+            updated = []
+            for i, v in enumerate(names):
+                acc = WPolynomial.constant(new_chart, theta[v])
+                for j, nv in enumerate(new_vars):
+                    c = linv[i][j]
+                    if not c:
+                        continue
+                    if nonlinear[j].is_zero():
+                        acc = acc + nv * c
+                    else:
+                        pushed = nonlinear[j].substitute(sigma, into=new_chart)
+                        acc = acc + (nv - pushed.truncate_total_degree(bound)) * c
+                updated.append(acc)
+            settled = updated == guesses
+            guesses = updated
+            if settled:
+                break
+        candidate = PolyMap(new_chart, chart, dict(zip(names, guesses)))
+        if phi.then(candidate).is_identity():
+            return candidate
+        bound *= 2
+    raise NotGradedActionError("no polynomial inverse of total degree <= 64 exists")
+
+
+def chained_family(rng, blocks):
+    """A standard family conjugated by a de Jonquieres map whose corrections chain.
+
+    The chart has `blocks` weight-0 coordinates b1.., which are only shifted,
+    and a random positive part. In a random order each positive coordinate
+    gains a constant (half of the time) and c * u^e for the coordinate u just
+    before it, so the corrections compose and the inverse outgrows the map.
+    Returns the family and its fixed point gamma^-1(0).
+    """
+    base = random_chart(rng, max_rank=(2, 1, 1), min_vars=2)
+    blocks = tuple((f"b{i}", 0) for i in range(1, blocks + 1))
+    chart = GradedChart("K", blocks + base.variables)
+    x = {v: ext_var(chart, v) for v in chart.names}
+    forward, backward = {}, {}
+    for b, _ in blocks:
+        k = Fraction(rng.randint(-2, 2))
+        forward[b], backward[b] = x[b] + k, x[b] - k
+    order = list(base.names)
+    rng.shuffle(order)
+    earlier = [b for b, _ in blocks]
+    for v in order:
+        c = random_coefficient(rng) if rng.random() < 0.5 else 0
+        forward[v], backward[v] = x[v] + c, x[v] - c
+        if earlier:
+            u, e, a = earlier[-1], rng.choice((1, 2, 2)), random_coefficient(rng)
+            forward[v] = forward[v] + x[u] ** e * a
+            backward[v] = backward[v] - backward[u] ** e * a
+        earlier.append(v)
+    ext = chart.extend((("t", 0),))
+    t = ext_var(ext, "t")
+    scaled = {u: forward[u].lift(ext) * t ** chart.weight_of(u) for u in chart.names}
+    entries = {v: backward[v].substitute(scaled, into=ext) for v in chart.names}
+    origin = {v: 0 for v in chart.names}
+    return ActionFamily(chart, "t", entries), {v: backward[v].evaluate(origin) for v in chart.names}
+
+
+def total_degree(pmap):
+    return max(p.total_degree() for p in pmap.pullbacks.values())
+
+
+def test_bounded_pass_agrees_with_the_doubling_search(dressed):
+    rng = random.Random(37)
+    chained = [chained_family(rng, i % 3) for i in range(36)]
+    seen = {"weight 0": 0, "positive": 0, "outgrew the start bound": 0}
+    for family, theta in dressed + chained:
+        hom = homogenize(family, theta)
+        phi, psi = hom.homogenizer, hom.inverse
+        assert psi == reference_invert(phi, hom.theta)
+        start = max(hom.chart.degree, total_degree(phi), 2)
+        seen["outgrew the start bound"] += total_degree(psi) > start
+        if not all(hom.chart.weights):
+            seen["weight 0"] += 1
+            continue
+        seen["positive"] += 1
+        d = max(max(p.coefficients_in(family.param)) for p in family.entries.values())
+        assert all(p.weighted_degree() <= d for p in psi.pullbacks.values())
+    assert seen["weight 0"] >= 20 and seen["positive"] >= 20, seen
+    assert seen["outgrew the start bound"] >= 5, seen
+
+
+def test_a_degree_bound_below_the_inverse_is_an_engine_defect(monkeypatch):
+    rng = random.Random(41)
+    while True:
+        family, theta = chained_family(rng, 0)
+        hom, inputs = inversion_inputs(monkeypatch, homogenize, family, theta)
+        if total_degree(hom.inverse) >= 4:
+            break
+    phi, point, basis, cinv, degree = inputs
+    exact = total_degree(hom.inverse)
+    assert exact <= degree
+    assert action._invert_coordinate_change(phi, point, basis, cinv, exact) == hom.inverse
+    with pytest.raises(EngineDefectError, match=f"<= {exact - 1}$"):
+        action._invert_coordinate_change(phi, point, basis, cinv, exact - 1)
+
+
+def test_weight0_coordinates_with_no_inverse_stop_at_the_bcw_bound(monkeypatch):
+    # h_t = Psi o s_t o Psi^-1 with Psi(s, u) = (s + (u + s^2)^2, u + s^2): a
+    # graded bundle, but the weight-0 coordinate the engine reads off h_0 has
+    # no polynomial inverse. phi has total degree 8 on 2 variables, so the
+    # Bass-Connell-Wright bound deg(phi)^(n-1) is 8.
+    chart = GradedChart("G", (("a", 0), ("b", 1)))
+    ext = chart.extend((("t", 0),))
+    a, b, t = (ext_var(ext, v) for v in ext.names)
+    s = a - b**2
+    u = t * (b - (a - b**2) ** 2)
+    family = ActionFamily(chart, "t", {"a": s + (u + s**2) ** 2, "b": u + s**2})
+    assert verify_laws(family).monoid_ok
+
+    truncate = WPolynomial.truncate_total_degree
+
+    def at_most_8(self, bound):
+        assert bound <= 8, f"truncated at total degree {bound}"
+        return truncate(self, bound)
+
+    monkeypatch.setattr(WPolynomial, "truncate_total_degree", at_most_8)
+    with pytest.raises(NotGradedActionError, match="total degree <= 8 "):
+        homogenize(family)

@@ -1,6 +1,6 @@
 """The benchmark's tracer still finds every gradua layer it wraps, the
 fused polynomial kernels build one polynomial object per operation, and
-each command of `gradua run` derives what it needs once.
+each command of `gradua run` and each `analyze` derives what it needs once.
 
 perfbench/spans.py wraps engine functions by name from outside; renaming or
 removing one of them would break `perfbench/run.py --trace 1` without any
@@ -11,10 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from gradua import cli, jets
+from gradua import cli, jets, linalg
+from gradua.action import analyze
 from gradua.charts import GradedChart
 from gradua.dsl import parse
-from gradua.graded import PolyMap
+from gradua.graded import ActionFamily, PolyMap
 from gradua.wpoly import WPolynomial
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -111,13 +112,40 @@ map psi : A -> A {
 """
 
 
+NOT_GRADED = """\
+map bad : A -> A {
+  x1 = x1;
+  x2 = x2 - x1;
+  y1 = x1 + y1;
+}
+"""
+
+
 def test_check_morphism_decides_gradedness_once(monkeypatch):
-    program = parse(GRADED_SHEAR + "check-morphism psi\n")
     calls = _count_calls(monkeypatch, WPolynomial, "is_homogeneous")
-    report = cli.run(program)
-    assert report.results[0]["graded"] is True
-    assert "matrix" in report.results[0]
-    assert len(calls) == 3
+    for name, graded in (("psi", True), ("bad", False)):
+        program = parse(GRADED_SHEAR + NOT_GRADED + f"check-morphism {name}\n")
+        calls.clear()
+        (entry,) = cli.run(program).results
+        assert entry["graded"] is graded
+        assert ("matrix" in entry) is graded
+        assert len(calls) == 3  # one per target variable
+    assert entry["failures"] == [{"variable": "y1", "weight": 2, "pullback": "y1 + x1"}]
+
+
+def test_analyze_inverts_one_matrix(monkeypatch):
+    # h_t = gamma^-1 o s_t o gamma, gamma = (x + 1, y + x^2 + 2): nonlinear,
+    # with the fixed point gamma^-1(0) = (-1, -3) off the origin
+    chart = GradedChart("S", (("x", 1), ("y", 2)))
+    ext = chart.extend((("t", 0),))
+    x, y, t = (WPolynomial.variable(ext, v) for v in ext.names)
+    gx, gy = (x + 1) * t, (y + x**2 + 2) * t**2
+    family = ActionFamily(chart, "t", {"x": gx - 1, "y": gy - (gx - 1) ** 2 - 2})
+    calls = _count_calls(monkeypatch, linalg, "inverse")
+    report = analyze(family, {"x": -1, "y": -3})
+    assert report.monoid_ok and report.degree == 2
+    assert len(report.inverse_homogenizer.pullbacks["y"].terms) > 2
+    assert len(calls) == 1
 
 
 def test_prolong_substitutes_the_curves_once(monkeypatch):
