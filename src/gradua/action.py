@@ -257,6 +257,19 @@ def _jacobian_coefficients(
     return rows
 
 
+class _Projections(tuple):
+    """The Taylor projections Q_0 .. Q_n, a plain tuple of matrices to every
+    caller, carrying in `pivots` the basis columns of each Q_r that the rank
+    check picked (linalg.independent_columns; empty for a zero Q_r)."""
+
+    pivots: tuple[list[int], ...]
+
+    def __new__(cls, qs: Sequence[Matrix], pivots: Sequence[list[int]]) -> _Projections:
+        self = super().__new__(cls, qs)
+        self.pivots = tuple(pivots)
+        return self
+
+
 def taylor_projections(
     h: ActionFamily, theta: Mapping[str, Fraction | int] | None = None
 ) -> tuple[Matrix, ...]:
@@ -268,13 +281,20 @@ def taylor_projections(
     no derivative or substitution is formed. The matrices are checked to be
     complementary projections summing to the identity.
 
-    Two checks suffice: sum Q_r = I, and Q_r Q_r = Q_r for each nonzero Q_r.
-    Over the rationals they imply Q_r Q_s = 0 for r != s. The trace of an
-    idempotent is its rank, so the ranks add up to tr I = N. The images span
-    everything, since x = sum Q_r x, so their sum is direct. Then for each x,
-    Q_s x = sum_r Q_r Q_s x writes an element of the image of Q_s as a sum
-    over the images; by uniqueness Q_r Q_s x = 0 for every r != s.
-    Idempotence is decided over the integers (linalg.is_idempotent).
+    Two checks suffice: sum Q_r = I, and sum_r rank Q_r = N. Given the sum:
+
+    - Complementary projections have ranks adding up to N: the trace of an
+      idempotent is its rank, and sum tr Q_r = tr I = N.
+    - Conversely, the images span everything, since x = sum Q_r x, and their
+      dimensions add up to N, so their sum is direct. For x in the image of
+      Q_s, x = sum_r Q_r x writes x as a sum over the images; by uniqueness
+      Q_s x = x and Q_r x = 0 for r != s. So Q_s Q_s = Q_s and Q_r Q_s = 0.
+
+    The ranks are the numbers of pivot columns linalg.independent_columns
+    picks, and the pivots travel with the result to be the homogenizer's
+    basis (_joint_certificate). The ranks of matrices summing to I add up to
+    at least N, so a failure means a sum above N; the first Q_r that is not
+    idempotent (linalg.is_idempotent) is then reported.
 
     The laws are not checked here; _homogenize_joint explains a failure.
     """
@@ -299,10 +319,13 @@ def taylor_projections(
                 "some direction is annihilated by every Taylor projection"
             )
         raise NotGradedActionError("Taylor projections do not sum to the identity")
-    for r, q in enumerate(qs):
-        if any(map(any, q)) and not linalg.is_idempotent(q):
-            raise NotGradedActionError(f"Taylor coefficient Q_{r} is not a projection")
-    return qs
+    pivots = [linalg.independent_columns(q) if any(map(any, q)) else [] for q in qs]
+    if sum(map(len, pivots)) != n_vars:
+        for r, q in enumerate(qs):
+            if any(map(any, q)) and not linalg.is_idempotent(q):
+                raise NotGradedActionError(f"Taylor coefficient Q_{r} is not a projection")
+        raise EngineDefectError("idempotent Taylor projections have ranks above the chart")
+    return _Projections(qs, pivots)
 
 
 def homogenize(
@@ -355,24 +378,25 @@ def _homogenize_joint(
     products Q1_r Q2_s formed by the commutation check are reused.
 
     For each joint projection a maximal independent set of columns is
-    selected by exact elimination (first pivot wins). The dual linear
+    selected by exact elimination (first pivot wins); for one family these
+    are the pivots its rank check picked (taylor_projections). The dual linear
     coordinates are pushed through the composite of the families, and their
     t_1^r_1 ... t_k^r_k coefficients become the new coordinates
     y{r_1}_..._{r_k}_{i}, of weight r_1 + ... + r_k. Each new coordinate is
     checked to scale exactly under every family, and the change of
-    coordinates is inverted. One composite of the inverse is checked, which
-    proves both:
+    coordinates is inverted. One side of the inverse is certified, phi o psi
+    = id, which proves both:
 
-    - The checked composite says phi^* o psi^* = id on Q[x], so phi^* :
-      Q[y] -> Q[x] is onto. There are as many new coordinates y as old
-      ones x (len(basis_cols) == n_vars is checked), so renaming y to x
-      makes phi^* a surjective endomorphism of Q[x].
+    - phi o psi = id says psi^* o phi^* = id on Q[y], so psi^* : Q[x] ->
+      Q[y] is onto. There are as many new coordinates y as old ones x
+      (len(basis_cols) == n_vars is checked), so renaming x to y makes
+      psi^* a surjective endomorphism of Q[y].
     - A surjective endomorphism f of a Noetherian ring is injective (cf.
       Matsumura, Commutative Ring Theory, Thm 2.4): the chain ker f^m
       stops growing, say at m, and if f(a) = 0 then a = f^m(b) with
       f^(m+1)(b) = 0, so b lies in ker f^m and a = 0.
-    - phi^* psi^* phi^* = phi^* and phi^* is injective, so psi^* o phi^* =
-      id on Q[y] as well.
+    - psi^* phi^* psi^* = psi^* and psi^* is injective, so phi^* o psi^* =
+      id on Q[x] as well: psi o phi = id.
 
     That certificate proves the laws, the commutation of the families and
     the total degree, so none of them is checked when it succeeds. Write phi
@@ -404,6 +428,13 @@ def _homogenize_joint(
       order >= 2 at theta, so round k of x = theta + C (y - N(x)) from
       x = theta, truncated at total degree k, is the degree-k truncation of
       the formal inverse psi.
+    - Round k substitutes x_(k-1) into N in full, giving F, and then sets
+      x_k = theta + C (y - trunc_k F). If the round settles (x_k =
+      x_(k-1)), then N(x_k) = F and phi(x_k) = C^-1 (x_k - theta) + N(x_k)
+      = y + (F - trunc_k F). So phi o x_k = id exactly when F has no term
+      of total degree above k, and the round is certified with no
+      composite; otherwise the pass goes on. A pass that reaches its limit
+      unsettled checks the composite x_k.then(phi), phi at the iterate.
     - If every weight is at least 1: with every parameter set to t,
       h_t^* x_v = psi_v(t^w phi) = sum_m c_m t^(w.m) phi^m has t-degree at
       most D, the largest summed parameter exponent of the composite. Each
@@ -472,13 +503,21 @@ def _joint_certificate(
             for s, q in enumerate(qs)
         }
 
+    # one family's joint projections are its Q_r, whose pivots the rank
+    # check has picked; a zero projection has no column to contribute
+    if len(families) == 1:
+        pivots = dict(zip(joint, per_family[0].pivots))
+    else:
+        pivots = {
+            idx: linalg.independent_columns(p)
+            for idx, p in joint.items()
+            if any(map(any, p))
+        }
     basis_cols: list[tuple[Fraction, ...]] = []
     orders: list[tuple[int, ...]] = []
-    for idx, p in joint.items():
-        if not any(map(any, p)):
-            continue  # a zero projection has no column to contribute
-        for j in linalg.independent_columns(p):
-            basis_cols.append(linalg.column(p, j))
+    for idx, cols in pivots.items():
+        for j in cols:
+            basis_cols.append(linalg.column(joint[idx], j))
             orders.append(idx)
     if len(basis_cols) != n_vars:
         raise EngineDefectError("projection images do not fill the chart")
@@ -589,21 +628,30 @@ def _picard_inverse(
 ) -> tuple[PolyMap, bool]:
     """Rounds k = 1 .. limit of x = theta + C (y - N(x)), truncated at degree k.
 
-    Returns the last iterate and whether phi.then(iterate) is the identity,
-    checked whenever a round adds no term and once at the limit.
+    Returns the last iterate and whether it inverts phi. Round k substitutes
+    the previous iterate into N in full, giving F, before it truncates. A
+    round that settles is certified from F alone (the proof is in
+    _homogenize_joint): the iterate inverts phi exactly when F has no term
+    of total degree above k. A pass that reaches the limit unsettled checks
+    the composite candidate.then(phi).
     """
     chart, new_chart = phi.source, phi.target
     names = chart.names
     rhs = ys = [WPolynomial.variable(new_chart, v) for v in new_chart.names]
     guesses: list[WPolynomial] = []
     for k in range(1, limit + 1):
+        within = True  # no term of F above total degree k
         if guesses:  # round 1 needs no substitution: N(theta) = 0
             sigma = dict(zip(names, guesses))
-            rhs = [
-                y - n.substitute(sigma, into=new_chart).truncate_total_degree(k)
-                if n.terms else y
-                for y, n in zip(ys, nonlinear)
-            ]
+            rhs = []
+            for y, n in zip(ys, nonlinear):
+                if not n.terms:
+                    rhs.append(y)
+                    continue
+                pushed = n.substitute(sigma, into=new_chart)
+                kept = pushed.truncate_total_degree(k)
+                within = within and len(kept.terms) == len(pushed.terms)
+                rhs.append(y - kept)
         updated = []
         for v, row in zip(names, basis):
             acc = WPolynomial.constant(new_chart, theta[v])
@@ -613,11 +661,10 @@ def _picard_inverse(
             updated.append(acc)
         settled = updated == guesses
         guesses = updated
-        if settled or k == limit:
-            candidate = PolyMap(new_chart, chart, dict(zip(names, guesses)))
-            if phi.then(candidate).is_identity():
-                return candidate, True
-    return candidate, False
+        if settled and within:
+            return PolyMap(new_chart, chart, dict(zip(names, guesses))), True
+    candidate = PolyMap(new_chart, chart, dict(zip(names, guesses)))
+    return candidate, not settled and candidate.then(phi).is_identity()
 
 
 def detect_degree(

@@ -10,7 +10,9 @@ here never exceed a couple dozen rows.
 
 The kernels: `mat_mul`, `inverse`, `independent_columns` (and `rank`), and
 the predicate `is_idempotent`, which decides a*a == a over the integers and
-builds no Fraction at all.
+builds no Fraction at all. The engine decides its Taylor projections by
+their ranks (`independent_columns`), and calls `is_idempotent` only to
+explain a failure: to name the first projection that is not idempotent.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ def mat_from_cols(cols: Sequence[Sequence[Fraction]]) -> Matrix:
     if not cols:
         return ()
     n = len(cols[0])
+    if any(len(col) != n for col in cols):
+        raise DomainError(
+            f"matrix columns have different lengths {sorted({len(col) for col in cols})}"
+        )
     return tuple(tuple(_exact(col[i]) for col in cols) for i in range(n))
 
 

@@ -217,3 +217,39 @@ def order_projections(c, c_inv, orders, degree):
         conjugated_diagonal(c, c_inv, [1 if o == r else 0 for o in orders])
         for r in range(degree + 1)
     ]
+
+
+def chained_family(rng, blocks):
+    """A standard family conjugated by a de Jonquieres map whose corrections chain.
+
+    The chart has `blocks` weight-0 coordinates b1.., which are only shifted,
+    and a random positive part. In a random order each positive coordinate
+    gains a constant (half of the time) and c * u^e for the coordinate u just
+    before it, so the corrections compose and the inverse outgrows the map.
+    Returns the family and its fixed point gamma^-1(0).
+    """
+    base = random_chart(rng, max_rank=(2, 1, 1), min_vars=2)
+    blocks = tuple((f"b{i}", 0) for i in range(1, blocks + 1))
+    chart = GradedChart("K", blocks + base.variables)
+    x = {v: WPolynomial.variable(chart, v) for v in chart.names}
+    forward, backward = {}, {}
+    for b, _ in blocks:
+        k = Fraction(rng.randint(-2, 2))
+        forward[b], backward[b] = x[b] + k, x[b] - k
+    order = list(base.names)
+    rng.shuffle(order)
+    earlier = [b for b, _ in blocks]
+    for v in order:
+        c = random_coefficient(rng) if rng.random() < 0.5 else 0
+        forward[v], backward[v] = x[v] + c, x[v] - c
+        if earlier:
+            u, e, a = earlier[-1], rng.choice((1, 2, 2)), random_coefficient(rng)
+            forward[v] = forward[v] + x[u] ** e * a
+            backward[v] = backward[v] - backward[u] ** e * a
+        earlier.append(v)
+    ext = chart.extend((("t", 0),))
+    t = WPolynomial.variable(ext, "t")
+    scaled = {u: forward[u].lift(ext) * t ** chart.weight_of(u) for u in chart.names}
+    entries = {v: backward[v].substitute(scaled, into=ext) for v in chart.names}
+    origin = {v: 0 for v in chart.names}
+    return ActionFamily(chart, "t", entries), {v: backward[v].evaluate(origin) for v in chart.names}

@@ -178,7 +178,7 @@ def test_analyze_evaluates_the_parameter_0_map_once(monkeypatch):
     assert values == [0]
 
 
-def test_analyze_forms_no_derivative_no_product_and_one_composite(monkeypatch):
+def test_analyze_forms_no_derivative_no_product_and_no_composite(monkeypatch):
     from gradua import linalg
     from gradua.graded import PolyMap
 
@@ -198,9 +198,9 @@ def test_analyze_forms_no_derivative_no_product_and_one_composite(monkeypatch):
     monkeypatch.setattr(linalg, "mat_mul", counting("mat_mul", linalg.mat_mul))
     fresh = ActionFamily(M, "t", dict(H.entries))
     assert analyze(fresh).degree == 2
-    # the Jacobian is read from the terms, idempotence is decided over the
-    # integers, and one composite of the inverse is checked
-    assert calls == {"differentiate": 0, "then": 1, "mat_mul": 0}
+    # the Jacobian is read from the terms, the projections are decided by
+    # their ranks, and the inverse is certified by its settled Picard round
+    assert calls == {"differentiate": 0, "then": 0, "mat_mul": 0}
 
 
 def test_zero_joint_projections_are_not_scanned(monkeypatch):
@@ -219,13 +219,16 @@ def test_zero_joint_projections_are_not_scanned(monkeypatch):
     assert len(seen) == 2
     rng = random.Random(5)
     c, c_inv = random_basis_change(rng, 4)
-    h1 = linear_family(order_projections(c, c_inv, [0, 1, 1, 2], 2), "t")
-    h2 = linear_family(order_projections(c, c_inv, [1, 0, 2, 1], 2), "u")
+    first = order_projections(c, c_inv, [0, 1, 1, 2], 2)
+    second = order_projections(c, c_inv, [1, 0, 2, 1], 2)
+    h1, h2 = linear_family(first, "t"), linear_family(second, "u")
     seen.clear()
     bihom = bihomogenize(h1, h2)
     nonzero = [q for q in bihom.projections.values() if q != zeros(4, 4)]
     assert len(nonzero) == 4 < len(bihom.projections)
-    assert seen == nonzero
+    # each family's rank check scans its Q_r, then the joint projections
+    assert zeros(4, 4) not in first + second
+    assert seen == first + second + nonzero
 
 
 def test_analyze_stops_at_broken_monoid():
@@ -318,22 +321,48 @@ def identity_minus(m):
     )
 
 
-def accepts(qs):
+def rejection(qs):
+    """The error taylor_projections raises on linear_family(qs), or None."""
     try:
         taylor_projections(linear_family(qs))
-    except (NotGradedActionError, DegenerateActionError):
-        return False
-    return True
+    except (NotGradedActionError, DegenerateActionError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def first_nonprojection(qs):
+    """The idempotence check the rank test replaced, run after the sum check:
+    the first nonzero Q_r with Q_r Q_r != Q_r is reported."""
+    n = len(qs[0])
+    for r, q in enumerate(qs):
+        if q != zeros(n, n) and mat_mul(q, q) != q:
+            return NotGradedActionError, f"Taylor coefficient Q_{r} is not a projection"
+    return None
 
 
 def test_projection_check_agrees_with_pairwise_reference():
     rng = random.Random(20260818)
-    seen = {"accepted": 0, "rejected": 0, "zero Q_r": 0, "weight-0 block": 0}
+    seen = {
+        "accepted": 0,
+        "rejected": 0,
+        "rejected by rank": 0,
+        "zero Q_r": 0,
+        "weight-0 block": 0,
+    }
 
     def compare(qs):
-        verdict = accepts(qs)
+        got = rejection(qs)
+        verdict = got is None
         assert verdict == pairwise_complementary(qs)
         seen["accepted" if verdict else "rejected"] += 1
+        n = len(qs[0])
+        total = zeros(n, n)
+        for q in qs:
+            total = mat_add(total, q)
+        if total == identity(n):
+            # the rank verdict and its message match the per-Q_r check
+            assert got == first_nonprojection(qs)
+            seen["rejected by rank"] += not verdict
 
     for _ in range(40):
         n = rng.randint(1, 4)

@@ -8,10 +8,12 @@ and error message must agree with it.
 
 The certificate's own stages keep references too: the Jacobian built from
 n^2 derivatives and substitutions (the term-level read must equal it), the
-Fraction-matrix projection checks, the two-sided inverse check (the
-one-composite verdict must equal it, on correct and on wrong candidates),
-and the doubling search for the inverse (the bounded Picard pass must find
-the same inverse).
+Fraction-matrix projection checks with idempotence per Q_r (the rank
+verdict and its message must equal them), the two-sided inverse check (the
+one-composite verdict must equal it, on correct and on wrong candidates,
+and so must the degree verdict of every settled Picard round), and the
+doubling search for the inverse (the bounded Picard pass must find the same
+inverse).
 """
 
 import random
@@ -53,6 +55,7 @@ from gradua.multigrade import bihomogenize, check_commuting
 from gradua.wpoly import WPolynomial
 
 from helpers import (
+    chained_family,
     conjugated_action,
     random_chart,
     random_coefficient,
@@ -486,7 +489,7 @@ def test_cells_that_cancel_are_dropped():
 
 def test_taylor_projections_match_the_reference_route(dressed):
     rng = random.Random(19)
-    seen = {"projections": 0, "error": 0}
+    seen = {"projections": 0, "error": 0, "not a projection": 0}
     for family, theta in dressed:
         v, u = rng.choice(family.chart.names), rng.choice(family.chart.names)
         z = ext_var(family.extended_chart, u) - theta[u]
@@ -495,6 +498,8 @@ def test_taylor_projections_match_the_reference_route(dressed):
             assert got == outcome(reference_taylor_projections, h, theta)
             if isinstance(got, tuple) and isinstance(got[0], type):
                 seen["error"] += 1
+                # the rank verdict, explained by the per-Q_r check
+                seen["not a projection"] += got[1].endswith("is not a projection")
                 continue
             seen["projections"] += 1
             assert all(type(x) is Fraction for q in got for row in q for x in row)
@@ -504,17 +509,17 @@ def test_taylor_projections_match_the_reference_route(dressed):
 # --- one composite of the inverse ----------------------------------------------
 
 
-def inversion_inputs(monkeypatch, build, *args):
-    """build(*args), and the arguments its _invert_coordinate_change call got."""
+def inversion_inputs(monkeypatch, build, *args, stage="_invert_coordinate_change"):
+    """build(*args), and the arguments its first call of action.<stage> got."""
     seen = []
-    invert = action._invert_coordinate_change
+    invert = getattr(action, stage)
 
     def recording(*inputs):
         seen.append(inputs)
         return invert(*inputs)
 
     with monkeypatch.context() as patched:
-        patched.setattr(action, "_invert_coordinate_change", recording)
+        patched.setattr(action, stage, recording)
         result = build(*args)
     return result, seen[0]
 
@@ -643,42 +648,6 @@ def reference_invert(phi, theta):
     raise NotGradedActionError("no polynomial inverse of total degree <= 64 exists")
 
 
-def chained_family(rng, blocks):
-    """A standard family conjugated by a de Jonquieres map whose corrections chain.
-
-    The chart has `blocks` weight-0 coordinates b1.., which are only shifted,
-    and a random positive part. In a random order each positive coordinate
-    gains a constant (half of the time) and c * u^e for the coordinate u just
-    before it, so the corrections compose and the inverse outgrows the map.
-    Returns the family and its fixed point gamma^-1(0).
-    """
-    base = random_chart(rng, max_rank=(2, 1, 1), min_vars=2)
-    blocks = tuple((f"b{i}", 0) for i in range(1, blocks + 1))
-    chart = GradedChart("K", blocks + base.variables)
-    x = {v: ext_var(chart, v) for v in chart.names}
-    forward, backward = {}, {}
-    for b, _ in blocks:
-        k = Fraction(rng.randint(-2, 2))
-        forward[b], backward[b] = x[b] + k, x[b] - k
-    order = list(base.names)
-    rng.shuffle(order)
-    earlier = [b for b, _ in blocks]
-    for v in order:
-        c = random_coefficient(rng) if rng.random() < 0.5 else 0
-        forward[v], backward[v] = x[v] + c, x[v] - c
-        if earlier:
-            u, e, a = earlier[-1], rng.choice((1, 2, 2)), random_coefficient(rng)
-            forward[v] = forward[v] + x[u] ** e * a
-            backward[v] = backward[v] - backward[u] ** e * a
-        earlier.append(v)
-    ext = chart.extend((("t", 0),))
-    t = ext_var(ext, "t")
-    scaled = {u: forward[u].lift(ext) * t ** chart.weight_of(u) for u in chart.names}
-    entries = {v: backward[v].substitute(scaled, into=ext) for v in chart.names}
-    origin = {v: 0 for v in chart.names}
-    return ActionFamily(chart, "t", entries), {v: backward[v].evaluate(origin) for v in chart.names}
-
-
 def total_degree(pmap):
     return max(p.total_degree() for p in pmap.pullbacks.values())
 
@@ -740,3 +709,54 @@ def test_weight0_coordinates_with_no_inverse_stop_at_the_bcw_bound(monkeypatch):
     monkeypatch.setattr(WPolynomial, "truncate_total_degree", at_most_8)
     with pytest.raises(NotGradedActionError, match="total degree <= 8 "):
         homogenize(family)
+
+
+# --- the settled Picard round as the certificate --------------------------------
+
+
+def cubic_shear_family():
+    """h_t = gamma^-1 o s_t o gamma on (x:1, y:2), with gamma = (x, y + x^3).
+
+    The homogenizer is gamma and N = (0, x^3). Round 2 of the Picard pass
+    settles at the identity while F = N(x_1) = (0, y1_1^3) still has a term
+    above degree 2, so it is not the inverse.
+    """
+    chart = GradedChart("C", (("x", 1), ("y", 2)))
+    ext = chart.extend((("t", 0),))
+    x, y, t = (ext_var(ext, v) for v in ext.names)
+    return ActionFamily(chart, "t", {"x": t * x, "y": t**2 * (y + x**3) - t**3 * x**3})
+
+
+def test_a_settled_round_is_certified_by_its_degree(dressed, monkeypatch):
+    rng = random.Random(37)
+    chained = [chained_family(rng, i % 3) for i in range(36)]
+    cases = dressed + chained + [(cubic_shear_family(), None)]
+    seen = {"accepted": 0, "terms above k": 0}
+    for family, theta in cases:
+        _, inputs = inversion_inputs(
+            monkeypatch, homogenize, family, theta, stage="_picard_inverse"
+        )
+        phi, point, basis, nonlinear, limit = inputs
+        previous = None
+        for k in range(1, limit + 1):
+            iterate, verdict = action._picard_inverse(phi, point, basis, nonlinear, k)
+            if iterate == previous:  # round k settled
+                pushed = [n.substitute(previous.pullbacks, into=phi.target) for n in nonlinear]
+                within = all(f.total_degree() <= k for f in pushed)
+                assert verdict == within
+                assert within == iterate.then(phi).is_identity()
+                assert within == phi.then(iterate).is_identity()
+                seen["accepted" if within else "terms above k"] += 1
+                if within:
+                    break
+            previous = iterate
+    assert seen["accepted"] >= 50 and seen["terms above k"] >= 3, seen
+
+
+def test_a_settled_round_with_terms_above_its_degree_goes_on():
+    hom = homogenize(cubic_shear_family())
+    assert str(hom.homogenizer.pullbacks["y2_1"]) == "x^3 + y"
+    y1, y2 = (ext_var(hom.chart, v) for v in ("y1_1", "y2_1"))
+    # accepting the settled round 2 would give y = y2_1
+    assert hom.inverse.pullbacks["y"] == y2 - y1**3
+    assert hom.homogenizer.then(hom.inverse).is_identity()

@@ -359,3 +359,13 @@ def test_ragged_rows_are_a_domain_error():
         linalg.independent_columns(ragged)
     with pytest.raises(DomainError):
         linalg.inverse(ragged)
+
+
+@pytest.mark.parametrize(
+    "cols", [[(1, 2), (4, 5, 6)], [(1, 2, 3), (4, 5)]], ids=["longer", "shorter"]
+)
+def test_ragged_columns_are_a_domain_error(cols):
+    # reading row i of every column would drop a longer column's extra
+    # entries, and run off the end of a shorter one
+    with pytest.raises(DomainError, match="columns have different lengths"):
+        linalg.mat_from_cols(cols)

@@ -7,16 +7,19 @@ removing one of them would break `perfbench/run.py --trace 1` without any
 engine test noticing. This test installs the tracer in a fresh interpreter.
 """
 
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 from gradua import cli, jets, linalg
-from gradua.action import analyze
+from gradua.action import analyze, homogenize
 from gradua.charts import GradedChart
 from gradua.dsl import parse
-from gradua.graded import ActionFamily, PolyMap
+from gradua.graded import ActionFamily, PolyMap, standard_action
 from gradua.wpoly import WPolynomial
+
+from helpers import chained_family, conjugated_action
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -146,6 +149,32 @@ def test_analyze_inverts_one_matrix(monkeypatch):
     assert report.monoid_ok and report.degree == 2
     assert len(report.inverse_homogenizer.pullbacks["y"].terms) > 2
     assert len(calls) == 1
+
+
+def test_analyze_decides_projections_by_rank_and_composes_nothing(monkeypatch):
+    # one coordinate of each weight 1..6, as in the benchmark's deep workload
+    chart = GradedChart("D", tuple((f"x{w}", w) for w in range(1, 7)))
+    family, _ = conjugated_action(random.Random(3), chart)
+    assert family.entries != standard_action(chart).entries
+    idempotent = _count_calls(monkeypatch, linalg, "is_idempotent")
+    scanned = _count_calls(monkeypatch, linalg, "independent_columns")
+    composed = _count_calls(monkeypatch, PolyMap, "then")
+    report = analyze(family)
+    nonzero = [q for q in report.projections if any(map(any, q))]
+    assert len(nonzero) == 6 < len(report.projections)  # Q_0 is zero
+    # the rank check's pivots are the homogenizer's basis columns, and the
+    # settled Picard round certifies the inverse
+    assert (len(idempotent), len(scanned), len(composed)) == (0, 6, 0)
+    assert [a for a, in scanned] == nonzero
+
+    # psi_y1 of this family has total degree 8 and 134 terms; checking it by
+    # the composite phi.then(psi) took most of its homogenize time
+    rng = random.Random(31)
+    family, theta = [chained_family(rng, i % 3) for i in range(21)][20]
+    composed.clear()
+    hom = homogenize(family, theta)
+    assert len(hom.inverse.pullbacks["y1"].terms) == 134
+    assert composed == []
 
 
 def test_prolong_substitutes_the_curves_once(monkeypatch):
