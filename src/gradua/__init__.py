@@ -18,6 +18,7 @@ from .errors import (
     NotGradedActionError,
     NotInvertibleError,
     ParseError,
+    ResourceLimitError,
     SingularMatrixError,
     UnknownVariableError,
     UnsupportedChartError,
@@ -40,6 +41,7 @@ __all__ = [
     "ParseError",
     "PolyMap",
     "Rational",
+    "ResourceLimitError",
     "SingularMatrixError",
     "UnknownVariableError",
     "UnsupportedChartError",

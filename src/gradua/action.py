@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import cached_property
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -292,7 +293,7 @@ def taylor_projections(
 
     The ranks are the numbers of pivot columns linalg.independent_columns
     picks, and the pivots travel with the result to be the homogenizer's
-    basis (_joint_certificate). The ranks of matrices summing to I add up to
+    basis (_joint_basis). The ranks of matrices summing to I add up to
     at least N, so a failure means a sum above N; the first Q_r that is not
     idempotent (linalg.is_idempotent) is then reported.
 
@@ -349,16 +350,44 @@ def homogenize(
     )
 
 
+def _joint_projections(
+    factors: Sequence[Sequence[Matrix]],
+) -> dict[tuple[int, ...], Matrix]:
+    """The joint projection Q1_r_1 ... Qk_r_k of every multi-index, in
+    lexicographic order, from each family's Taylor projections; a product
+    with a zero factor is the zero matrix and is not computed."""
+    n_vars = len(factors[0][0])
+    zero = linalg.zeros(n_vars, n_vars)
+    joint = {(r,): q for r, q in enumerate(factors[0])}
+    for qs in factors[1:]:
+        joint = {
+            idx + (s,): (
+                linalg.mat_mul(p, q) if any(map(any, p)) and any(map(any, q)) else zero
+            )
+            for idx, p in joint.items()
+            for s, q in enumerate(qs)
+        }
+    return joint
+
+
 @dataclass(frozen=True)
 class _JointHomogenization:
-    """Coordinates that scale under k commuting families at once."""
+    """Coordinates that scale under k commuting families at once.
+
+    factors holds each family's Taylor projections; the joint projections
+    are multiplied out only when `projections` is read.
+    """
 
     chart: GradedChart
     homogenizer: PolyMap
     inverse: PolyMap
-    projections: dict[tuple[int, ...], Matrix]
     orders: tuple[tuple[int, ...], ...]
     theta: dict[str, Fraction]
+    factors: tuple[tuple[Matrix, ...], ...]
+
+    @cached_property
+    def projections(self) -> dict[tuple[int, ...], Matrix]:
+        return _joint_projections(self.factors)
 
 
 def _homogenize_joint(
@@ -369,23 +398,53 @@ def _homogenize_joint(
     """Coordinates scaling by t_1**r_1 ... t_k**r_k under k monoid families.
 
     The families share one chart and have distinct parameters. Each family's
-    Taylor projections are computed and checked, and the nonzero projections
-    of different families are checked to commute. Commuting families of
-    complementary projections summing to I have products that are again
-    complementary projections summing to I, so the joint projection of the
-    multi-index (r_1, ..., r_k) is the product Q1_r_1 ... Qk_r_k with no
-    further check. A product with a zero factor is not computed, and the
-    products Q1_r Q2_s formed by the commutation check are reused.
+    Taylor projections are computed and checked (taylor_projections).
+    Commuting families of complementary projections summing to I have
+    products that are again complementary projections summing to I, so the
+    joint projection P of the multi-index (r_1, ..., r_k) is the product
+    Q1_r_1 ... Qk_r_k with no further check. Neither these products nor the
+    commutation of the families' projections are formed as n x n products:
+    both are read off the images, one family at a time (_joint_basis). Let B
+    hold basis columns of Im P for a nonzero joint projection P of the
+    first j families, an n x rank(P) matrix; for one family these are the
+    pivot columns of Q1_r that its rank check picked. For each nonzero
+    projection Q of the next family, form C = Q B, again n x rank(P).
 
-    For each joint projection a maximal independent set of columns is
-    selected by exact elimination (first pivot wins); for one family these
-    are the pivots its rank check picked (taylor_projections). The dual linear
-    coordinates are pushed through the composite of the families, and their
-    t_1^r_1 ... t_k^r_k coefficients become the new coordinates
-    y{r_1}_..._{r_k}_{i}, of weight r_1 + ... + r_k. Each new coordinate is
-    checked to scale exactly under every family, and the change of
-    coordinates is inverted. One side of the inverse is certified, phi o psi
-    = id, which proves both:
+    - Invariance is commutation. Let the P_i be complementary projections
+      summing to I. A matrix Q commutes with every P_i exactly when Q maps
+      every Im P_i into itself. If Q P_i = P_i Q and x = P_i x, then Q x =
+      P_i Q x. Conversely, Q P_l x lies in Im P_l for any x, so P_i Q P_l x
+      = delta_il Q P_l x, and summing over l gives P_i Q x = Q P_i x. As y
+      lies in Im P exactly when P y = y, Q commutes with every P_i exactly
+      when P_i C = C for every nonzero P_i (Im 0 is kept by any Q).
+    - The k-family step. When the first j families commute, Im P is the
+      intersection of the images of P's factors: P y = y for y in all of
+      them, and P = Q_i R with R the product of the other factors, for each
+      factor Q_i. So P C = C exactly when every factor of P fixes C
+      (linalg.fixes, decided over ints). And Q commutes with every joint
+      projection of the first j families exactly when it commutes with
+      each of their projections, since Qi_r is the sum of the joint
+      projections with r in place i. By induction on j, the families
+      commute pairwise exactly when every such test passes; the first that
+      fails raises NotDoubleStructureError.
+    - The images restrict. Q P = P Q gives Im(P Q) = Q(Im P), which the
+      columns of C span. So rank(P Q) = rank(C), and a zero C is dropped.
+    - The pivots stay. pivots(Q P) lies in pivots(P): a non-pivot column
+      P e_j of P is a combination of earlier columns P e_i, so Q P e_j is
+      the same combination of the earlier columns Q P e_i, and j is no
+      pivot of Q P. The columns of C are the columns of Q P at the pivots
+      of P; the ones left out lie in the span of earlier columns, so
+      first-pivot elimination of C (linalg.independent_columns) picks the
+      columns it would pick from the n x n product, and the basis is
+      unchanged.
+
+    The joint projections themselves are multiplied out only when read
+    (_joint_projections). The dual linear coordinates are pushed through
+    the composite of the families, and their t_1^r_1 ... t_k^r_k
+    coefficients become the new coordinates y{r_1}_..._{r_k}_{i}, of
+    weight r_1 + ... + r_k. Each new coordinate is checked to scale exactly
+    under every family, and the change of coordinates is inverted. One side
+    of the inverse is certified, phi o psi = id, which proves both:
 
     - phi o psi = id says psi^* o phi^* = id on Q[y], so psi^* : Q[x] ->
       Q[y] is onto. There are as many new coordinates y as old ones x
@@ -476,49 +535,7 @@ def _joint_certificate(
     chart = families[0].chart
     point = _resolve_theta(families[0], theta)
     n_vars = len(chart)
-    zero = linalg.zeros(n_vars, n_vars)
-
-    first_pair: dict[tuple[int, int], Matrix] = {}
-    for (i, qs_a), (j, qs_b) in combinations(enumerate(per_family), 2):
-        for (r, a), (s, b) in product(enumerate(qs_a), enumerate(qs_b)):
-            if not (any(map(any, a)) and any(map(any, b))):
-                continue
-            ab = linalg.mat_mul(a, b)
-            if ab != linalg.mat_mul(b, a):
-                raise NotDoubleStructureError(
-                    "the families' Taylor projections do not commute"
-                )
-            if (i, j) == (0, 1):
-                first_pair[r, s] = ab
-    # the products of the first two families are those formed just above
-    joint = {(r,): q for r, q in enumerate(per_family[0])}
-    for j, qs in enumerate(per_family[1:], start=1):
-        joint = {
-            idx + (s,): (
-                first_pair.get((idx[0], s), zero) if j == 1
-                else linalg.mat_mul(p, q) if any(map(any, p)) and any(map(any, q))
-                else zero
-            )
-            for idx, p in joint.items()
-            for s, q in enumerate(qs)
-        }
-
-    # one family's joint projections are its Q_r, whose pivots the rank
-    # check has picked; a zero projection has no column to contribute
-    if len(families) == 1:
-        pivots = dict(zip(joint, per_family[0].pivots))
-    else:
-        pivots = {
-            idx: linalg.independent_columns(p)
-            for idx, p in joint.items()
-            if any(map(any, p))
-        }
-    basis_cols: list[tuple[Fraction, ...]] = []
-    orders: list[tuple[int, ...]] = []
-    for idx, cols in pivots.items():
-        for j in cols:
-            basis_cols.append(linalg.column(joint[idx], j))
-            orders.append(idx)
+    basis_cols, orders = _joint_basis(per_family)
     if len(basis_cols) != n_vars:
         raise EngineDefectError("projection images do not fill the chart")
     basis = linalg.mat_from_cols(basis_cols)
@@ -571,10 +588,52 @@ def _joint_certificate(
         chart=new_chart,
         homogenizer=phi,
         inverse=_invert_coordinate_change(phi, point, basis, cinv, degree),
-        projections=joint,
         orders=tuple(orders),
         theta=point,
+        factors=tuple(per_family),
     )
+
+
+def _joint_basis(
+    per_family: Sequence[_Projections],
+) -> tuple[list[linalg.Vector], list[tuple[int, ...]]]:
+    """Basis columns of the image of each nonzero joint projection, and the
+    multi-index of each column, by restriction (proofs in _homogenize_joint).
+
+    One family's columns are the pivot columns of its Q_r. For each further
+    family, each block B of columns is restricted to C = Q B for each
+    nonzero Q of that family; every factor of the block must fix C, else the
+    families do not commute. NotDoubleStructureError is raised then.
+    """
+    first = per_family[0]
+    # multi-index -> (factors of the joint projection, its basis columns)
+    blocks = {
+        (r,): ((q,), [linalg.column(q, j) for j in cols])
+        for r, (q, cols) in enumerate(zip(first, first.pivots))
+        if cols
+    }
+    for qs in per_family[1:]:
+        restricted = {}
+        for idx, (factors, cols) in blocks.items():
+            b = linalg.mat_from_cols(cols)
+            for s, (q, q_cols) in enumerate(zip(qs, qs.pivots)):
+                if not q_cols:
+                    continue
+                c = linalg.mat_mul(q, b)
+                if not any(map(any, c)):
+                    continue
+                if not all(linalg.fixes(f, c) for f in factors):
+                    raise NotDoubleStructureError(
+                        "the families' Taylor projections do not commute"
+                    )
+                restricted[idx + (s,)] = (
+                    factors + (q,),
+                    [linalg.column(c, j) for j in linalg.independent_columns(c)],
+                )
+        blocks = restricted
+    basis_cols = [col for _, cols in blocks.values() for col in cols]
+    orders = [idx for idx, (_, cols) in blocks.items() for _ in cols]
+    return basis_cols, orders
 
 
 def _invert_coordinate_change(

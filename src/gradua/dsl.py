@@ -11,6 +11,10 @@ parsing that text yields an equal program, spans aside.
 Rationals are single tokens (2/3); there is no division operator. The
 family parameter in action bodies is always called t.
 
+Three fixed budgets keep one line from exhausting memory. A power, a
+prolongation or a flip above one is refused before anything is expanded,
+with a ResourceLimitError (a ParseError) at the offending token.
+
 The tokenizer scans with one compiled regular expression, one alternative
 per token class, and builds tokens and spans as named tuples. An
 identifier starts with a letter (str.isalpha) or `_` and goes on with
@@ -24,12 +28,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, prod
 from typing import Callable, NamedTuple
 
 from .charts import GradedChart
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, ResourceLimitError
 from .graded import ActionFamily, PolyMap
-from .wpoly import WPolynomial
+from .wpoly import (
+    Monomial,
+    WPolynomial,
+    _coefficient,
+    _terms_add_into,
+    _terms_mul,
+    _terms_pow,
+)
 
 KEYWORDS = {
     "chart",
@@ -216,6 +228,14 @@ Statement = (
 )
 
 ACTION_PARAM = "t"
+
+# Budgets that keep one line of a program from exhausting the machine; a
+# statement above one raises ResourceLimitError at the offending token. The
+# largest programs in the tests and the benchmark use ^3, order 4 and
+# flip 2 2 on three variables (27 variables).
+DEGREE_BUDGET = 1000  # exponent times the base's total degree (at least 1)
+TERM_BUDGET = 10_000  # the most terms a power or a prolongation can expand to
+VARIABLE_BUDGET = 1000  # variables of an adapted chart (prolong, flip)
 
 
 @dataclass(frozen=True)
@@ -529,11 +549,31 @@ class _Parser:
     def parse_prolong(self) -> ProlongCmd:
         kw = self.expect_keyword("prolong")
         name_tok = self.expect_ident("map name")
-        self.lookup(self.maps, name_tok, "map")
+        pmap = self.lookup(self.maps, name_tok, "map")
         self.expect_keyword("order")
         order, otok = self.expect_integer("order")
         if order < 0:
             raise self.error("order must be nonnegative", otok)
+        size = max(len(pmap.source), len(pmap.target)) * (order + 1)
+        if size > VARIABLE_BUDGET:
+            raise ResourceLimitError(
+                f"order {order} would adapt a chart to {size} variables, "
+                f"above the budget of {VARIABLE_BUDGET}",
+                *otok.span,
+            )
+        # prolong substitutes (order + 1)-term curves in full, and x^e of a
+        # curve has comb(order + e, e) terms before the levels are cut
+        terms = sum(
+            prod(comb(order + e, e) for _, e in mono)
+            for p in pmap.pullbacks.values()
+            for mono in p.terms
+        )
+        if terms > TERM_BUDGET:
+            raise ResourceLimitError(
+                f"order {order} may expand the pullbacks to {terms} terms, "
+                f"above the budget of {TERM_BUDGET}",
+                *otok.span,
+            )
         return ProlongCmd(name_tok.text, order, kw.span)
 
     def parse_check_double(self) -> CheckDoubleCmd:
@@ -549,7 +589,14 @@ class _Parser:
         if m < 0 or n < 0:
             raise self.error("orders must be nonnegative", mtok if m < 0 else ntok)
         chart_tok = self.expect_ident("chart name")
-        self.lookup(self.charts, chart_tok, "chart")
+        chart = self.lookup(self.charts, chart_tok, "chart")
+        size = len(chart) * (m + 1) * (n + 1)
+        if size > VARIABLE_BUDGET:
+            raise ResourceLimitError(
+                f"flip {m} {n} would adapt chart {chart.name!r} to {size} "
+                f"variables, above the budget of {VARIABLE_BUDGET}",
+                *chart_tok.span,
+            )
         return FlipCmd(m, n, chart_tok.text, kw.span)
 
     def parse_report(self) -> ReportCmd:
@@ -565,39 +612,45 @@ class _Parser:
         )
 
     # --- expressions --------------------------------------------------------
+    #
+    # The expression parsers return term dicts (wpoly.Terms) and combine them
+    # with wpoly's term kernels; parse_expression builds the one WPolynomial.
+    # Every dict they return is fresh, so parse_sum adds into its own in place.
 
     def parse_expression(self, chart: GradedChart) -> WPolynomial:
-        return self.parse_sum(chart)
+        return WPolynomial(chart, self.parse_sum(chart))
 
-    def parse_sum(self, chart: GradedChart) -> WPolynomial:
+    def parse_sum(self, chart: GradedChart) -> dict[Monomial, Fraction | int]:
         acc = self.parse_product(chart)
         while True:
             tok = self.peek()
             if tok.kind == "symbol" and tok.text in ("+", "-"):
                 self.advance()
                 rhs = self.parse_product(chart)
-                acc = acc + rhs if tok.text == "+" else acc - rhs
+                if tok.text == "-":
+                    rhs = {m: -c for m, c in rhs.items()}
+                _terms_add_into(acc, rhs)
                 continue
             return acc
 
-    def parse_product(self, chart: GradedChart) -> WPolynomial:
+    def parse_product(self, chart: GradedChart) -> dict[Monomial, Fraction | int]:
         acc = self.parse_unary(chart)
         while True:
             tok = self.peek()
             if tok.kind == "symbol" and tok.text == "*":
                 self.advance()
-                acc = acc * self.parse_unary(chart)
+                acc = _terms_mul(acc, self.parse_unary(chart))
                 continue
             return acc
 
-    def parse_unary(self, chart: GradedChart) -> WPolynomial:
+    def parse_unary(self, chart: GradedChart) -> dict[Monomial, Fraction | int]:
         tok = self.peek()
         if tok.kind == "symbol" and tok.text == "-":
             self.advance()
-            return -self.parse_unary(chart)
+            return {m: -c for m, c in self.parse_unary(chart).items()}
         return self.parse_power(chart)
 
-    def parse_power(self, chart: GradedChart) -> WPolynomial:
+    def parse_power(self, chart: GradedChart) -> dict[Monomial, Fraction | int]:
         base = self.parse_atom(chart)
         tok = self.peek()
         if tok.kind == "symbol" and tok.text == "^":
@@ -605,22 +658,37 @@ class _Parser:
             exponent, etok = self.expect_integer("nonnegative integer exponent")
             if exponent < 0:
                 raise self.error("exponents must be nonnegative", etok)
-            return base**exponent
+            # a number counts as degree 1: its power's coefficient grows too
+            degree = max((sum(e for _, e in m) for m in base), default=0)
+            if exponent * max(degree, 1) > DEGREE_BUDGET:
+                raise ResourceLimitError(
+                    f"exponent {exponent} on a base of total degree {degree} "
+                    f"exceeds the degree budget of {DEGREE_BUDGET}",
+                    *etok.span,
+                )
+            if len(base) > 1 and comb(len(base) + exponent - 1, exponent) > TERM_BUDGET:
+                raise ResourceLimitError(
+                    f"exponent {exponent} on a base of {len(base)} terms may give "
+                    f"more terms than the budget of {TERM_BUDGET}",
+                    *etok.span,
+                )
+            return _terms_pow(base, exponent)
         return base
 
-    def parse_atom(self, chart: GradedChart) -> WPolynomial:
+    def parse_atom(self, chart: GradedChart) -> dict[Monomial, Fraction | int]:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
             assert tok.value is not None
-            return WPolynomial.constant(chart, tok.value)
+            value = _coefficient(tok.value)
+            return {(): value} if value else {}
         if tok.kind == "ident":
             if tok.text not in chart:
                 raise self.error(
                     f"variable {tok.text!r} is not in chart {chart.name!r}", tok
                 )
             self.advance()
-            return WPolynomial.variable(chart, tok.text)
+            return {((chart.index_of(tok.text), 1),): 1}
         if tok.kind == "symbol" and tok.text == "(":
             self.advance()
             inner = self.parse_sum(chart)

@@ -76,3 +76,7 @@ class ParseError(GraduaError):
         if expected:
             message = f"{message} (expected {', '.join(expected)})"
         super().__init__(f"{loc}: {message}")
+
+
+class ResourceLimitError(ParseError):
+    """A program asks for more than a fixed budget allows (see dsl's budgets)."""

@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedChartError,
 )
 from .linalg import Matrix
-from .wpoly import WPolynomial
+from .wpoly import Monomial, WPolynomial, _coefficient
 
 
 @dataclass(frozen=True)
@@ -134,29 +134,44 @@ class ActionFamily:
         return self.at(0)
 
     def at(self, value: Fraction | int) -> PolyMap:
-        """The self-map at one rational parameter value."""
-        ext = self.extended_chart
-        sigma = {v: WPolynomial.variable(self.chart, v) for v in self.chart.names}
-        sigma[self.param] = WPolynomial.constant(self.chart, value)
-        return PolyMap(
-            self.chart,
-            self.chart,
-            {v: p.substitute(sigma, into=self.chart) for v, p in self.entries.items()},
-        )
+        """The self-map at one rational parameter value.
+
+        The parameter is the last variable of extended_chart, so it is the
+        last factor of any monomial that has it, and the chart variables keep
+        their indices. A term c * x^m * t^k becomes c * value^k * x^m, read
+        off in one pass over the terms, equal monomials merged and zeros
+        dropped; no polynomial is substituted. A float value raises
+        DomainError.
+        """
+        value = _coefficient(value)
+        n_vars = len(self.chart)
+        pullbacks = {}
+        for v, p in self.entries.items():
+            out: dict[Monomial, Fraction | int] = {}
+            for mono, c in p.terms.items():
+                if mono and mono[-1][0] == n_vars:
+                    c *= value ** mono[-1][1]
+                    mono = mono[:-1]
+                out[mono] = out.get(mono, 0) + c
+            pullbacks[v] = WPolynomial(self.chart, out)  # drops the zeros
+        return PolyMap(self.chart, self.chart, pullbacks)
 
     def with_param(self, param: str) -> ActionFamily:
-        """The same family written with a different parameter name."""
+        """The same family written with a different parameter name.
+
+        The parameter is the last variable of both extended charts, so every
+        index stays where it is: each entry's terms are re-wrapped, unchanged,
+        on the new extended chart.
+        """
         if param == self.param:
             return self
         if param in self.chart:
             raise DomainError(f"parameter {param!r} collides with a chart variable")
         ext_new = self.chart.extend(((param, 0),))
-        sigma = {v: WPolynomial.variable(ext_new, v) for v in self.chart.names}
-        sigma[self.param] = WPolynomial.variable(ext_new, param)
         return ActionFamily(
             self.chart,
             param,
-            {v: p.substitute(sigma, into=ext_new) for v, p in self.entries.items()},
+            {v: WPolynomial(ext_new, p.terms) for v, p in self.entries.items()},
         )
 
     def __str__(self) -> str:

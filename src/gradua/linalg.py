@@ -9,10 +9,12 @@ Fractions are built only at the boundary, once per returned entry. Sizes
 here never exceed a couple dozen rows.
 
 The kernels: `mat_mul`, `inverse`, `independent_columns` (and `rank`), and
-the predicate `is_idempotent`, which decides a*a == a over the integers and
-builds no Fraction at all. The engine decides its Taylor projections by
-their ranks (`independent_columns`), and calls `is_idempotent` only to
-explain a failure: to name the first projection that is not idempotent.
+the predicates `fixes` and `is_idempotent`, which decide a*b == b and a*a
+== a over the integers and build no Fraction at all. The engine decides its
+Taylor projections by their ranks (`independent_columns`), and calls
+`is_idempotent` only to explain a failure: to name the first projection
+that is not idempotent. `fixes` decides whether commuting families'
+projections keep each other's images (action._homogenize_joint).
 """
 
 from __future__ import annotations
@@ -77,24 +79,31 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def is_idempotent(a: Matrix) -> bool:
-    """Is a*a == a? With a = N / d this is N*N == d*N, decided over ints.
+def fixes(a: Matrix, b: Matrix) -> bool:
+    """Is a*b == b? With a = N / d and b = M / e this is N*M == d*M, over ints.
 
-    The product is compared row by row and stops at the first difference.
-    A non-square matrix raises DomainError, as mat_mul(a, a) would.
+    No Fraction is built, and the product is compared row by row and stops
+    at the first difference. `a` must be square, with as many rows as `b`;
+    otherwise DomainError, as for mat_mul.
     """
-    if any(len(row) != len(a) for row in a):
+    if any(len(row) != len(b) for row in a) or len(a) != len(b):
         raise DomainError(
-            f"idempotence needs a square matrix, got {len(a)} rows of lengths "
-            f"{sorted({len(row) for row in a})}"
+            f"a*b == b needs a square a as tall as b, got {len(a)} rows of "
+            f"lengths {sorted({len(row) for row in a})} and {len(b)} rows"
         )
     n, d = _scaled(a)
-    cols = list(zip(*n))
+    m, _ = _scaled(b)
+    cols = list(zip(*m))
     return all(
         sum(map(mul, row, col)) == d * x
-        for row in n
-        for col, x in zip(cols, row)
+        for row, m_row in zip(n, m)
+        for col, x in zip(cols, m_row)
     )
+
+
+def is_idempotent(a: Matrix) -> bool:
+    """Is a*a == a? That is fixes(a, a), decided over ints."""
+    return fixes(a, a)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

@@ -1,13 +1,14 @@
 """Pairs of commuting parameter families and their joint homogenization.
 
 Two monoid families on one chart that commute as self-map families give
-every direction a pair of orders, one per family. The joint analysis builds
-products of the two families' Taylor projections, picks bases of their
-images, and produces coordinates scaling by t**r under the first family and
-u**s under the second. The resulting chart records the pair (r, s) for each
-variable and carries r + s as its weight, so collapsing both parameters to
-one recovers an ordinary homogenized chart, possibly of lower degree than
-the pair suggests.
+every direction a pair of orders, one per family. The joint analysis
+restricts the second family's Taylor projections to the images of the
+first's, picks bases of the restricted images, and produces coordinates
+scaling by t**r under the first family and u**s under the second. The
+resulting chart records the pair (r, s) for each variable and carries
+r + s as its weight, so collapsing both parameters to one recovers an
+ordinary homogenized chart, possibly of lower degree than the pair
+suggests.
 
 The checked joint coordinates certify that the families commute and give
 the degree of their total action (the argument is in
@@ -17,11 +18,17 @@ action, which runs it only to explain a failure; it is re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
-from .action import _distinct_params, _homogenize_joint, check_commuting  # noqa: F401
+from .action import (  # noqa: F401
+    _distinct_params,
+    _homogenize_joint,
+    _joint_projections,
+    check_commuting,
+)
 from .charts import GradedChart
 from .graded import ActionFamily, PolyMap
 from .jets import adapt
@@ -31,14 +38,23 @@ from .wpoly import WPolynomial
 
 @dataclass(frozen=True)
 class Bihomogenization:
-    """A joint coordinate change and the order pair of each new variable."""
+    """A joint coordinate change and the order pair of each new variable.
+
+    factors holds the two families' Taylor projections; the joint
+    projections Q1_r Q2_s are multiplied out only when `projections` is
+    read.
+    """
 
     chart: GradedChart
     biweights: tuple[tuple[int, int], ...]
     homogenizer: PolyMap
     inverse: PolyMap
-    projections: dict[tuple[int, int], Matrix]
     theta: dict[str, Fraction]
+    factors: tuple[tuple[Matrix, ...], ...] = field(repr=False)
+
+    @cached_property
+    def projections(self) -> dict[tuple[int, int], Matrix]:
+        return _joint_projections(self.factors)
 
 
 def total_action(
@@ -67,11 +83,13 @@ def bihomogenize(
 
     The two-family case of action._homogenize_joint: the order-(r, s)
     projection is the product of the order-r projection of h1 and the
-    order-s projection of h2, and the new coordinates y{r}_{s}_1,
-    y{r}_{s}_2, ... have weight r + s. The checked coordinates certify that
-    the families commute, so check_commuting runs only when they cannot be
-    built; a pair that does not commute raises NotDoubleStructureError with
-    the commutation witnesses, before any broken law is reported.
+    order-s projection of h2, whose image is the order-s projection of h2
+    applied to the image of the order-r projection of h1. The new
+    coordinates y{r}_{s}_1, y{r}_{s}_2, ... have weight r + s. The checked
+    coordinates certify that the families commute, so check_commuting runs
+    only when they cannot be built; a pair that does not commute raises
+    NotDoubleStructureError with the commutation witnesses, before any
+    broken law is reported.
     """
     h1, h2 = _distinct_params(h1, h2)
     joint = _homogenize_joint((h1, h2), theta, f"{h1.chart.name}_bh")
@@ -80,8 +98,8 @@ def bihomogenize(
         biweights=joint.orders,
         homogenizer=joint.homogenizer,
         inverse=joint.inverse,
-        projections=joint.projections,
         theta=joint.theta,
+        factors=joint.factors,
     )
 
 

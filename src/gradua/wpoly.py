@@ -66,20 +66,6 @@ def _mono_total_degree(mono: Monomial) -> int:
     return sum(e for _, e in mono)
 
 
-def _mono_sort_key(mono: Monomial, chart: GradedChart) -> tuple:
-    """Canonical order: weighted degree descending, then lexicographic.
-
-    Lexicographic compares dense exponent tuples in declaration order, higher
-    powers of earlier variables first, so x^2 precedes y at equal weighted
-    degree on the chart (x:1, y:2).
-    """
-    dense = [0] * len(chart)
-    for i, e in mono:
-        dense[i] = e
-    wdeg = _mono_weighted_degree(mono, chart.weights)
-    return (-wdeg, tuple(-e for e in dense))
-
-
 def _exact(value: Fraction | int) -> Fraction:
     """The value as a Fraction; floats and other inexact numbers are refused.
 
@@ -484,7 +470,34 @@ class WPolynomial:
     # printing -----------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda mc: _mono_sort_key(mc[0], self.chart))
+        """Terms in canonical order: weighted degree descending, then lexicographic.
+
+        Lexicographic compares dense exponent tuples in declaration order,
+        higher powers of earlier variables first, so x^2 precedes y at equal
+        weighted degree on the chart (x:1, y:2). The key is sparse: (-wdeg,
+        ((i, -e) for each factor x_i^e) + ((n, 0),)), n being the chart's
+        length. It orders monomials exactly as the dense key (-wdeg, (-e_0,
+        ..., -e_(n-1))) does. At equal weighted degree, let j be the first
+        index where the dense exponents differ, say a_j > b_j. Both sparse
+        keys hold the same pairs before index j, and a's next pair is (j,
+        -a_j). b's next pair is (j, -b_j) when b_j > 0, which a's precedes
+        as -a_j < -b_j; otherwise it is a pair (i, -b_i) with i > j or the
+        sentinel (n, 0), which a's precedes as j < i and j < n. So a comes
+        first under both keys. Without the sentinel, a monomial that lacks
+        every later variable would be a prefix of the other's key and sort
+        first, which is the wrong way round.
+        """
+        weights = self.chart.weights
+        end = ((len(weights), 0),)
+
+        def key(term: tuple[Monomial, Fraction | int]) -> tuple:
+            mono = term[0]
+            return (
+                -sum([weights[i] * e for i, e in mono]),
+                tuple([(i, -e) for i, e in mono]) + end,
+            )
+
+        return sorted(self.terms.items(), key=key)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -28,7 +28,7 @@ from gradua.errors import (
     NotGradedActionError,
 )
 from gradua.graded import ActionFamily, standard_action
-from gradua.linalg import identity, mat_add, mat_mul, zeros
+from gradua.linalg import column, identity, mat_add, mat_from_cols, mat_mul, rank, zeros
 from gradua.multigrade import bihomogenize
 from gradua.wpoly import WPolynomial
 
@@ -226,9 +226,21 @@ def test_zero_joint_projections_are_not_scanned(monkeypatch):
     bihom = bihomogenize(h1, h2)
     nonzero = [q for q in bihom.projections.values() if q != zeros(4, 4)]
     assert len(nonzero) == 4 < len(bihom.projections)
-    # each family's rank check scans its Q_r, then the joint projections
+    # each family's rank check scans its Q_r, then each nonzero restricted
+    # block Q2_s B_r, 4 x rank(Q1_r), B_r being the pivot columns of Q1_r;
+    # no joint projection is formed, and no zero matrix is scanned
     assert zeros(4, 4) not in first + second
-    assert seen == first + second + nonzero
+    blocks = []
+    for q1 in first:
+        b = mat_from_cols([column(q1, j) for j in scan(q1)])
+        for q2 in second:
+            block = mat_mul(q2, b)
+            if any(map(any, block)):
+                blocks.append(block)
+    assert seen == first + second + blocks
+    assert all(len(block[0]) < 4 for block in blocks)
+    # a block spans the image of its joint projection
+    assert [rank(block) for block in blocks] == [rank(q) for q in nonzero]
 
 
 def test_analyze_stops_at_broken_monoid():

@@ -13,11 +13,14 @@ verdict and its message must equal them), the two-sided inverse check (the
 one-composite verdict must equal it, on correct and on wrong candidates,
 and so must the degree verdict of every settled Picard round), and the
 doubling search for the inverse (the bounded Picard pass must find the same
-inverse).
+inverse), and the n x n products of the families' projections for k >= 2
+(the restricted blocks must give the same verdict, error, basis and joint
+projections).
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +31,9 @@ from gradua.action import (
     AnalysisReport,
     _distinct_params,
     _jacobian_coefficients,
+    _joint_basis,
     _joint_certificate,
+    _joint_projections,
     _resolve_theta,
     analyze,
     base_projection,
@@ -50,13 +55,16 @@ from gradua.errors import (
     SingularMatrixError,
 )
 from gradua.graded import ActionFamily, PolyMap, invert_automorphism
-from gradua.linalg import inverse, mat_mul, rank, zeros
+from gradua.linalg import column, independent_columns, inverse, mat_mul, rank, zeros
 from gradua.multigrade import bihomogenize, check_commuting
 from gradua.wpoly import WPolynomial
 
 from helpers import (
     chained_family,
     conjugated_action,
+    linear_family,
+    order_projections,
+    random_basis_change,
     random_chart,
     random_coefficient,
     random_graded_automorphism,
@@ -760,3 +768,127 @@ def test_a_settled_round_with_terms_above_its_degree_goes_on():
     # accepting the settled round 2 would give y = y2_1
     assert hom.inverse.pullbacks["y"] == y2 - y1**3
     assert hom.homogenizer.then(hom.inverse).is_identity()
+
+
+# --- the k-family certificate by restriction ------------------------------------
+
+
+def reference_joint_route(per_family):
+    """The product route _joint_certificate took for k >= 2, kept as the oracle.
+
+    Every pair of nonzero projections of different families is multiplied
+    both ways and compared; every joint projection is multiplied out and
+    eliminated. Returns the joint projections, the basis columns and their
+    multi-indices.
+    """
+    n = len(per_family[0][0])
+    zero = zeros(n, n)
+    first_pair = {}
+    for (i, qs_a), (j, qs_b) in combinations(enumerate(per_family), 2):
+        for (r, a), (s, b) in product(enumerate(qs_a), enumerate(qs_b)):
+            if not (any(map(any, a)) and any(map(any, b))):
+                continue
+            ab = mat_mul(a, b)
+            if ab != mat_mul(b, a):
+                raise NotDoubleStructureError(
+                    "the families' Taylor projections do not commute"
+                )
+            if (i, j) == (0, 1):
+                first_pair[r, s] = ab
+    joint = {(r,): q for r, q in enumerate(per_family[0])}
+    for j, qs in enumerate(per_family[1:], start=1):
+        joint = {
+            idx + (s,): (
+                first_pair.get((idx[0], s), zero) if j == 1
+                else mat_mul(p, q) if any(map(any, p)) and any(map(any, q))
+                else zero
+            )
+            for idx, p in joint.items()
+            for s, q in enumerate(qs)
+        }
+    basis, orders = [], []
+    for idx, p in joint.items():
+        if any(map(any, p)):
+            for j in independent_columns(p):
+                basis.append(column(p, j))
+                orders.append(idx)
+    return joint, basis, orders
+
+
+def _block_change(rng, c, c_inv, orders):
+    """C M with M unit lower triangular inside the blocks of equal order: its
+    order projections commute with those of C for the same orders."""
+    n = len(orders)
+    m = tuple(
+        tuple(
+            Fraction(1) if i == j
+            else Fraction(rng.randint(-2, 2)) if i > j and orders[i] == orders[j]
+            else Fraction(0)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return mat_mul(c, m), mat_mul(inverse(m), c_inv)
+
+
+def joint_cases():
+    """Seeded pairs and triples of linear families: sharing one basis change
+    (commuting), changed inside the first family's order blocks (commuting
+    with it, with other joint projections), or with a basis change of their
+    own (commuting only by chance)."""
+    rng = random.Random(41)
+    cases = []
+    for i in range(90):
+        n = rng.randint(2, 5)
+        c, c_inv = random_basis_change(rng, n)
+        first = [rng.randint(0, 2) for _ in range(n)]
+        families = [linear_family(order_projections(c, c_inv, first, 2), "t")]
+        for param in "uv"[: 1 + i % 2]:
+            orders = [rng.randint(0, 2) for _ in range(n)]
+            mode = rng.random()
+            if mode < 0.5:
+                d, d_inv = random_basis_change(rng, n)
+            elif mode < 0.8:
+                d, d_inv = _block_change(rng, c, c_inv, first)
+            else:
+                d, d_inv = c, c_inv
+            families.append(linear_family(order_projections(d, d_inv, orders, 2), param))
+        cases.append(families)
+    return cases
+
+
+def test_restricted_blocks_agree_with_the_product_route():
+    seen = {"pair": 0, "triple": 0, "pair raises": 0, "triple raises": 0}
+    for families in joint_cases():
+        per_family = [taylor_projections(h) for h in families]
+        kind = "pair" if len(families) == 2 else "triple"
+        try:
+            joint, basis, orders = reference_joint_route(per_family)
+        except NotDoubleStructureError as exc:
+            expected = (type(exc), str(exc))
+            assert outcome(_joint_basis, per_family) == expected
+            assert outcome(_joint_certificate, families, None, "L_h") == expected
+            seen[f"{kind} raises"] += 1
+            continue
+        assert _joint_basis(per_family) == (basis, orders)
+        assert _joint_projections(per_family) == joint
+        cert = _joint_certificate(families, None, "L_h")
+        assert cert.orders == tuple(orders)
+        assert cert.projections == joint
+        assert cert.homogenizer.then(cert.inverse).is_identity()
+        seen[kind] += 1
+    assert min(seen.values()) >= 8, seen
+
+
+def test_bihomogenize_projections_are_the_products():
+    for families in joint_cases()[:40]:
+        h1, h2 = families[:2]
+        try:
+            joint, _, _ = reference_joint_route(
+                [taylor_projections(h1), taylor_projections(h2)]
+            )
+        except NotDoubleStructureError:
+            continue
+        bihom = bihomogenize(h1, h2)
+        assert bihom.projections == joint
+        assert "projections" not in repr(bihom)

@@ -12,19 +12,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradua import cli
 from gradua.charts import GradedChart
 from gradua.dsl import (
+    DEGREE_BUDGET,
     KEYWORDS,
+    TERM_BUDGET,
+    VARIABLE_BUDGET,
     AnalyzeActionCmd,
     ChartStmt,
     Program,
     ReportCmd,
     Span,
+    _Parser,
     parse,
     print_program,
     tokenize,
 )
-from gradua.errors import ParseError
+from gradua.errors import ParseError, ResourceLimitError
+from gradua.wpoly import WPolynomial
 
 DATA = Path(__file__).parent / "data"
 
@@ -498,3 +504,241 @@ def test_spans_do_not_affect_equality():
     assert a == b
     assert isinstance(a.statements[0], ChartStmt)
     assert a.statements[0].span != b.statements[0].span
+
+
+# --- the term-dict expression parser against the object-level one -----------
+
+
+class _ReferenceParser(_Parser):
+    """The expression parser as it was before term dicts, kept as the oracle:
+    it builds one WPolynomial per atom and per operator."""
+
+    def parse_expression(self, chart):
+        return self.parse_sum(chart)
+
+    def parse_sum(self, chart):
+        acc = self.parse_product(chart)
+        while True:
+            tok = self.peek()
+            if tok.kind == "symbol" and tok.text in ("+", "-"):
+                self.advance()
+                rhs = self.parse_product(chart)
+                acc = acc + rhs if tok.text == "+" else acc - rhs
+                continue
+            return acc
+
+    def parse_product(self, chart):
+        acc = self.parse_unary(chart)
+        while True:
+            tok = self.peek()
+            if tok.kind == "symbol" and tok.text == "*":
+                self.advance()
+                acc = acc * self.parse_unary(chart)
+                continue
+            return acc
+
+    def parse_unary(self, chart):
+        tok = self.peek()
+        if tok.kind == "symbol" and tok.text == "-":
+            self.advance()
+            return -self.parse_unary(chart)
+        return self.parse_power(chart)
+
+    def parse_power(self, chart):
+        base = self.parse_atom(chart)
+        tok = self.peek()
+        if tok.kind == "symbol" and tok.text == "^":
+            self.advance()
+            exponent, etok = self.expect_integer("nonnegative integer exponent")
+            if exponent < 0:
+                raise self.error("exponents must be nonnegative", etok)
+            return base**exponent
+        return base
+
+    def parse_atom(self, chart):
+        tok = self.peek()
+        if tok.kind == "number":
+            self.advance()
+            return WPolynomial.constant(chart, tok.value)
+        if tok.kind == "ident":
+            if tok.text not in chart:
+                raise self.error(
+                    f"variable {tok.text!r} is not in chart {chart.name!r}", tok
+                )
+            self.advance()
+            return WPolynomial.variable(chart, tok.text)
+        if tok.kind == "symbol" and tok.text == "(":
+            self.advance()
+            inner = self.parse_sum(chart)
+            self.expect_symbol(")")
+            return inner
+        raise self.error(
+            f"found {tok.text!r}" if tok.text else "unexpected end of input",
+            tok,
+            ("a variable", "a number", "("),
+        )
+
+
+EXPR_CHART = GradedChart("E", (("b", 0), ("x", 1), ("y", 2)))
+
+
+def _parsed(parser_class, source):
+    """The parsed polynomial and the stop position, or the error's particulars."""
+    parser = parser_class(tokenize(source))
+    try:
+        poly = parser.parse_expression(EXPR_CHART)
+    except ParseError as exc:
+        return type(exc), exc.message, exc.line, exc.col, exc.expected
+    # equal polynomials with the same coefficient types: int when integral
+    return poly, {m: type(c) for m, c in poly.terms.items()}, parser.pos
+
+
+def _random_expression(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["b", "x", "y", "0", "1", "2", "7", "1/2", "2/3", "3/2", "4/6"])
+    a = _random_expression(rng, depth - 1)
+    b = _random_expression(rng, depth - 1)
+    return rng.choice([
+        f"{a} + {b}",
+        f"{a} - {b}",
+        f"{a}*{b}",
+        f"{a} - ({a})",
+        f"({a})*({b})",
+        f"-{a}",
+        f"- -({a})",
+        f"-(-(-{a}))",
+        f"({a})^{rng.randint(0, 3)}",
+        f"(({a}))",
+        f"0*{a}",
+        f"2/3*3/2*{a}",
+    ])
+
+
+FIXED_EXPRESSIONS = [
+    "x - x",
+    "0*x",
+    "x^0",
+    "(x + y)^0",
+    "0^0",
+    "0^2",
+    "2/3*3/2",
+    "2/3*3/2*x - x",
+    "1/2*x*2 + 4/6*y*3/2",
+    "- - - x",
+    "-(-(x - y)) + -(y - x)",
+    "((((x))))^2 - x*x",
+    "b^3*x - x*b*b*b",
+    "(b + x)^3 - (b + x)*(b + x)^2",
+    "3/4*(x + 4/3*y)^2",
+    "0",
+]
+
+
+def test_term_dict_parser_matches_the_object_parser():
+    rng = random.Random(11)
+    sources = FIXED_EXPRESSIONS + [_random_expression(rng, 4) for _ in range(300)]
+    for source in sources:
+        got = _parsed(_Parser, source)
+        assert got == _parsed(_ReferenceParser, source), source
+        assert all((type(c) is int) == (c.denominator == 1) for c in got[0].terms.values())
+    assert _parsed(_Parser, "x - x")[0].is_zero()
+    assert _parsed(_Parser, "2/3*3/2*x - x")[0].is_zero()
+    assert _parsed(_Parser, "1/2*x*2")[1] == {((1, 1),): int}
+
+
+def test_term_dict_parser_errors_match_the_object_parser():
+    rng = random.Random(12)
+    junk = ["(", ")", "+", "-", "*", "^", "^-1", "1/2", "z", "t", ";", "^x", "", "2/0"]
+    errors = 0
+    for i in range(400):
+        source = _random_expression(rng, 3)
+        tokens = source.split(" ")
+        cut = rng.randrange(len(tokens) + 1)
+        if i % 3 == 0:
+            broken = " ".join(tokens[:cut])  # truncated
+        elif i % 3 == 1:
+            broken = " ".join(tokens[:cut] + [rng.choice(junk)] + tokens[cut:])
+        else:
+            pos = rng.randrange(len(source) + 1)
+            broken = source[:pos] + rng.choice(junk) + source[pos:]
+        try:
+            tokenize(broken)
+        except ParseError:  # refused before either parser runs
+            continue
+        got = _parsed(_Parser, broken)
+        assert got == _parsed(_ReferenceParser, broken), broken
+        errors += not isinstance(got[0], WPolynomial)
+    assert errors > 100
+
+
+# --- resource budgets ---------------------------------------------------------
+
+RESOURCE_CASES = [
+    (
+        "chart V (x:1, y:1)\nmap m : V -> V { x = (x + y)^100000; y = y; }",
+        f"line 2, column 30: exponent 100000 on a base of total degree 1 "
+        f"exceeds the degree budget of {DEGREE_BUDGET}",
+    ),
+    (
+        "chart V (x:1)\nmap m : V -> V { x = x*2^1000000; }",
+        f"line 2, column 26: exponent 1000000 on a base of total degree 0 "
+        f"exceeds the degree budget of {DEGREE_BUDGET}",
+    ),
+    (
+        "chart V (x:1)\nmap m : V -> V { x = ((x^2)^30)^30; }",
+        f"line 2, column 33: exponent 30 on a base of total degree 60 "
+        f"exceeds the degree budget of {DEGREE_BUDGET}",
+    ),
+    (
+        "chart V (a:1, b:1, c:1, d:1, e:1, f:1)\n"
+        "map m : V -> V { a = (a + b + c + d + e + f)^20; b = b; c = c; d = d; e = e; f = f; }",
+        f"line 2, column 46: exponent 20 on a base of 6 terms may give more "
+        f"terms than the budget of {TERM_BUDGET}",
+    ),
+    (
+        "chart V (x:1)\nmap m : V -> V { x = x; }\nprolong m order 1000000",
+        f"line 3, column 17: order 1000000 would adapt a chart to 1000001 "
+        f"variables, above the budget of {VARIABLE_BUDGET}",
+    ),
+    (
+        # within the variable budget, but x^3 of a 81-term curve is not
+        "chart V (x:1)\nmap m : V -> V { x = x^3 + x; }\nprolong m order 80",
+        f"line 3, column 17: order 80 may expand the pullbacks to 91962 terms, "
+        f"above the budget of {TERM_BUDGET}",
+    ),
+    (
+        "chart V (x:1, y:2)\nflip 1000 1000 V",
+        f"line 2, column 16: flip 1000 1000 would adapt chart 'V' to 2004002 "
+        f"variables, above the budget of {VARIABLE_BUDGET}",
+    ),
+]
+
+
+@pytest.mark.parametrize("source,message", RESOURCE_CASES, ids=range(len(RESOURCE_CASES)))
+def test_resource_limits_refuse_before_expanding(source, message):
+    with pytest.raises(ResourceLimitError) as exc:
+        parse(source)
+    assert str(exc.value) == message
+
+
+def test_budgets_admit_what_they_allow():
+    # each check refuses strictly above its budget; nothing here is run
+    parse(f"chart V (x:1)\nmap m : V -> V {{ x = x^{DEGREE_BUDGET}; }}")
+    parse(f"chart V (x:1)\nmap m : V -> V {{ x = x; }}\nprolong m order {VARIABLE_BUDGET - 1}")
+    parse("chart V (x:1)\nmap m : V -> V { x = x^3; }\nprolong m order 37")  # 9880 terms
+    parse(f"chart V (x:1)\nflip 9 {VARIABLE_BUDGET // 10 - 1} V")
+    with pytest.raises(ResourceLimitError):
+        parse(f"chart V (x:1)\nflip 9 {VARIABLE_BUDGET // 10} V")
+    # the largest term count a power may reach: comb(2 + e - 1, e) = e + 1
+    e = min(DEGREE_BUDGET, TERM_BUDGET - 1)
+    parse(f"chart V (x:1, y:1)\nmap m : V -> V {{ x = (x + y)^{e}; y = y; }}")
+    # every program in the tests parses within the budgets
+    for path in sorted(DATA.glob("*.gradua")):
+        parse(path.read_text())
+
+
+def test_cli_reports_a_resource_limit_as_a_located_parse_error(tmp_path, capsys):
+    path = tmp_path / "huge.gradua"
+    path.write_text(RESOURCE_CASES[0][0])
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"gradua: {path}: {RESOURCE_CASES[0][1]}\n"

@@ -29,7 +29,13 @@ from gradua.graded import (
 from gradua.linalg import mat_mul
 from gradua.wpoly import WPolynomial
 
-from helpers import random_chart, random_graded_automorphism
+from helpers import (
+    chained_family,
+    conjugated_action,
+    random_chart,
+    random_coefficient,
+    random_graded_automorphism,
+)
 
 V = GradedChart("V", (("x", 1), ("y", 2)))
 W = GradedChart("W", (("x1", 1), ("x2", 1), ("y", 2)))
@@ -301,3 +307,82 @@ def test_gradedness_reference_on_the_fixed_maps():
     ]
     for psi in maps:
         assert is_graded_morphism(psi) == _reference_is_graded_morphism(psi)
+
+
+# --- at and with_param against the substitution route -------------------------
+
+
+def reference_at(h, value):
+    """The self-map at one parameter value by substitution, as at once was."""
+    sigma = {v: WPolynomial.variable(h.chart, v) for v in h.chart.names}
+    sigma[h.param] = WPolynomial.constant(h.chart, value)
+    return PolyMap(
+        h.chart,
+        h.chart,
+        {v: p.substitute(sigma, into=h.chart) for v, p in h.entries.items()},
+    )
+
+
+def reference_with_param(h, param):
+    """The family renamed by substitution, as with_param once was."""
+    ext = h.chart.extend(((param, 0),))
+    sigma = {v: WPolynomial.variable(ext, v) for v in h.chart.names}
+    sigma[h.param] = WPolynomial.variable(ext, param)
+    return ActionFamily(
+        h.chart, param, {v: p.substitute(sigma, into=ext) for v, p in h.entries.items()}
+    )
+
+
+def seeded_families():
+    """Dressed standard families, chained ones with weight-0 coordinates, and
+    raw families whose terms merge or cancel once t is set."""
+    rng = random.Random(21)
+    families = [conjugated_action(rng, random_chart(rng))[0] for _ in range(10)]
+    families += [chained_family(rng, i % 3)[0] for i in range(12)]
+    chart = GradedChart("Z", (("b", 0), ("x", 1), ("y", 2)))
+    ext = chart.extend((("t", 0),))
+    b, x, y, t = (WPolynomial.variable(ext, v) for v in ext.names)
+    for _ in range(12):
+        entries = {}
+        for v in chart.names:
+            acc = WPolynomial.zero(ext)
+            for _ in range(rng.randint(0, 6)):
+                mono = rng.choice([b, x, y, x * b, y * x, b * b, WPolynomial.constant(ext, 1)])
+                c = random_coefficient(rng)
+                # c*m*(t^j - t^k) vanishes at t = 1, and merges with c*m at t = 0
+                j, k = rng.randint(0, 3), rng.randint(0, 3)
+                acc = acc + mono * (t**j - t**k) * c + mono * t**rng.randint(0, 2) * c
+            entries[v] = acc
+        families.append(ActionFamily(chart, "t", entries))
+    return families
+
+
+def _stored(pmap):
+    return {v: {m: type(c) for m, c in p.terms.items()} for v, p in pmap.pullbacks.items()}
+
+
+def test_at_matches_the_substitution_route():
+    families = seeded_families()
+    assert any(0 in h.chart.weights for h in families)
+    for h in families:
+        for value in (0, 1, -1, Fraction(2, 3)):
+            got = h.at(value)
+            expected = reference_at(h, value)
+            assert got == expected
+            assert _stored(got) == _stored(expected)
+        with pytest.raises(DomainError) as got:
+            h.at(1.5)
+        with pytest.raises(DomainError) as expected:
+            reference_at(h, 1.5)
+        assert str(got.value) == str(expected.value)
+
+
+def test_with_param_matches_the_substitution_route():
+    for h in seeded_families():
+        for param in ("s", "u", "t_1"):
+            if param == h.param:
+                continue
+            assert h.with_param(param) == reference_with_param(h, param)
+        assert h.with_param(h.param) is h
+        with pytest.raises(DomainError):
+            h.with_param(h.chart.names[0])

@@ -1,6 +1,7 @@
 """The benchmark's tracer still finds every gradua layer it wraps, the
-fused polynomial kernels build one polynomial object per operation, and
-each command of `gradua run` and each `analyze` derives what it needs once.
+fused polynomial kernels and the parser build one polynomial object per
+operation or expression, and each command of `gradua run` and each
+`analyze` derives what it needs once.
 
 perfbench/spans.py wraps engine functions by name from outside; renaming or
 removing one of them would break `perfbench/run.py --trace 1` without any
@@ -12,11 +13,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 from gradua import cli, jets, linalg
 from gradua.action import analyze, homogenize
 from gradua.charts import GradedChart
 from gradua.dsl import parse
 from gradua.graded import ActionFamily, PolyMap, standard_action
+from gradua.multigrade import bihomogenize
 from gradua.wpoly import WPolynomial
 
 from helpers import chained_family, conjugated_action
@@ -191,3 +195,46 @@ def test_flip_round_trip_substitutes_nothing(monkeypatch):
     report = cli.run(program)
     assert report.results[0]["round_trip_identity"] is True
     assert calls == []
+
+
+def test_parsing_builds_one_polynomial_per_pullback_and_entry(monkeypatch):
+    source = (ROOT / "tests" / "data" / "tour.gradua").read_text()
+    calls = _count_constructions(monkeypatch)
+    program = parse(source)
+    polys = [p for m in program.maps().values() for p in m.pullbacks.values()]
+    polys += [p for h in program.actions().values() for p in h.entries.values()]
+    assert len(calls) == len(polys) == 8
+    assert calls == [p.chart for p in polys]
+
+
+def test_at_and_with_param_substitute_nothing(monkeypatch):
+    family, _ = chained_family(random.Random(4), 2)  # two weight-0 coordinates
+    calls = _count_calls(monkeypatch, WPolynomial, "substitute")
+    for value in (0, 1, -1, Fraction(2, 3)):
+        family.at(value)
+    family.with_param("s")
+    assert calls == []
+
+
+def test_check_double_multiplies_no_square_matrix(monkeypatch):
+    """Commutation and the joint basis come from n x rank blocks: no right
+    operand of mat_mul is n x n, and no joint projection is multiplied out."""
+    calls = _count_calls(monkeypatch, linalg, "mat_mul")
+    source = (ROOT / "tests" / "data" / "tour.gradua").read_text()
+    program = parse(source.replace("check-double D", "").replace("report text", ""))
+    cli.run(program)
+    assert calls == []  # the one-family commands multiply nothing
+    report = cli.run(parse(source.split("analyze-action")[0] + "check-double D\n"))
+    assert report.results[0]["commuting"] is True
+    # each of the first family's two rank-1 blocks times each Q_s of the second
+    assert len(calls) == 4 and all(len(b) == 2 > len(b[0]) for _, b in calls)
+
+    # the order-1 jet double of a dressed structure and its level scaling
+    chart = GradedChart("P", (("x1", 1), ("y1", 2)))
+    family, _ = conjugated_action(random.Random(9), chart)
+    lifted = jets.prolong_action(family, 1)
+    levels = jets.jet_action(jets.adapt(chart, 1), "u")
+    calls.clear()
+    bihom = bihomogenize(lifted, levels)
+    assert len(bihom.chart) == 4 and len(calls) >= 4
+    assert all(len(b) == 4 > len(b[0]) for _, b in calls)

@@ -571,3 +571,34 @@ def test_fused_kernels_agree_with_sympy():
             {sympy.Symbol(v): to_sympy(p) for v, p in sigma.items()}, simultaneous=True
         )
         assert to_sympy(f.substitute(sigma, into=target)) == sympy.expand(replaced)
+
+
+# --- the sparse print key against the dense one --------------------------------
+
+
+def _mono_sort_key(mono, chart):
+    """The dense print key sorted_terms used before the sparse one, kept as
+    the oracle: weighted degree descending, then the dense exponent tuple
+    in declaration order, higher powers of earlier variables first."""
+    dense = [0] * len(chart)
+    for i, e in mono:
+        dense[i] = e
+    wdeg = sum(chart.weights[i] * e for i, e in mono)
+    return (-wdeg, tuple(-e for e in dense))
+
+
+def test_sparse_print_key_orders_like_the_dense_key():
+    rng = random.Random(7)
+    weight_zero = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        chart = GradedChart("K", tuple((f"v{i}", rng.randint(0, 3)) for i in range(n)))
+        weight_zero += 0 in chart.weights
+        terms = {}
+        for _ in range(rng.randint(1, 30)):
+            mono = tuple((i, rng.randint(1, 3)) for i in range(n) if rng.random() < 0.5)
+            terms[mono] = rng.choice([1, -2, Fraction(1, 3)])
+        p = WPolynomial(chart, terms)
+        expected = sorted(p.terms.items(), key=lambda mc: _mono_sort_key(mc[0], chart))
+        assert p.sorted_terms() == expected
+    assert weight_zero > 100
