@@ -48,7 +48,14 @@ from .errors import (
 )
 from .graded import ActionFamily, PolyMap
 from .linalg import Matrix
-from .wpoly import WPolynomial, _coefficient, _exact
+from .wpoly import (
+    Monomial,
+    WPolynomial,
+    _coefficient,
+    _exact,
+    _mono_total_degree,
+    _terms_combine,
+)
 
 _ZERO = Fraction(0)
 
@@ -442,9 +449,29 @@ def _homogenize_joint(
     (_joint_projections). The dual linear coordinates are pushed through
     the composite of the families, and their t_1^r_1 ... t_k^r_k
     coefficients become the new coordinates y{r_1}_..._{r_k}_{i}, of
-    weight r_1 + ... + r_k. Each new coordinate is checked to scale exactly
-    under every family, and the change of coordinates is inverted. One side
-    of the inverse is certified, phi o psi = id, which proves both:
+    weight r_1 + ... + r_k. Both steps run on term dicts, one linear
+    combination (wpoly._terms_combine) and one polynomial per coordinate:
+
+    - The split. The composite's chart is the chart followed by the k
+      parameters, so in every sorted monomial of the composite the
+      parameter factors come last. Cutting each monomial where they begin
+      writes it once as a monomial over the chart, with the same indices,
+      times a multi-index of parameter exponents; a constant lies in the
+      zero multi-index only, where theta_v is subtracted. Taking the
+      coefficient of one multi-index is linear, so the coordinate of row i
+      and multi-index m is sum_j C^-1_ij part_j[m] over the split entries:
+      what the t_1^r_1 ... t_k^r_k coefficient of the whole row, read off
+      and rewritten over the chart, would give.
+    - The scaling check. A family's extended chart is the chart followed by
+      its parameter t, so t has index n = len(chart), above every index of
+      a monomial over the chart. The terms of t^r phi_i are therefore those
+      of phi_i with (n, r) appended to each monomial, still sorted (phi_i
+      itself when r = 0), and h_t^* phi_i == t^r phi_i is the equality of
+      the term dicts of h_t^* phi_i and of t^r phi_i.
+
+    Each new coordinate is checked to scale exactly under every family, and
+    the change of coordinates is inverted. One side of the inverse is
+    certified, phi o psi = id, which proves both:
 
     - phi o psi = id says psi^* o phi^* = id on Q[y], so psi^* : Q[x] ->
       Q[y] is onto. There are as many new coordinates y as old ones x
@@ -540,46 +567,62 @@ def _joint_certificate(
         raise EngineDefectError("projection images do not fill the chart")
     basis = linalg.mat_from_cols(basis_cols)
     cinv = linalg.inverse(basis)
+    # both in stored form, so that integral entries multiply as ints
+    basis, cinv = ([[_coefficient(x) for x in row] for row in m] for m in (basis, cinv))
 
     # the composite applies the last family first; its chart lists the
-    # parameters in that order so the innermost entries lift unchanged
+    # parameters in that order so the innermost entries' terms are already
+    # over it
     params = [h.param for h in families]
+    k = len(params)
     ext = chart.extend(tuple((t, 0) for t in reversed(params)))
-    composite = [families[-1].entries[v].lift(ext) for v in chart.names]
+    composite = [families[-1].entries[v].terms for v in chart.names]
     for h in reversed(families[:-1]):
-        sigma = dict(zip(chart.names, composite))
+        sigma = {v: WPolynomial(ext, terms) for v, terms in zip(chart.names, composite)}
         sigma[h.param] = WPolynomial.variable(ext, h.param)
-        composite = [h.entries[v].substitute(sigma, into=ext) for v in chart.names]
-    shifted = [
-        p - WPolynomial.constant(ext, point[v]) for v, p in zip(chart.names, composite)
-    ]
-    degree = max(
-        (sum(e for i, e in mono if i >= n_vars) for p in composite for mono in p.terms),
-        default=0,
-    )
+        composite = [h.entries[v].substitute(sigma, into=ext).terms for v in chart.names]
+
+    # each entry minus theta, split once by its multi-index of parameter
+    # exponents (parameter j sits at index n_vars + k - 1 - j of ext); the
+    # rest of each monomial is a monomial over chart
+    parts: list[dict[tuple[int, ...], dict[Monomial, Fraction | int]]] = []
+    for terms, v in zip(composite, chart.names):
+        split: dict[tuple[int, ...], dict[Monomial, Fraction | int]] = {}
+        for mono, c in terms.items():
+            exps = [0] * k
+            cut = len(mono)
+            while cut and mono[cut - 1][0] >= n_vars:
+                cut -= 1
+                i, e = mono[cut]
+                exps[n_vars + k - 1 - i] = e
+            split.setdefault(tuple(exps), {})[mono[:cut]] = c
+        if point[v]:
+            constant = {(): _coefficient(point[v])}
+            _terms_combine(((-1, constant),), split.setdefault((0,) * k, {}))
+        parts.append(split)
+    degree = max((sum(idx) for split in parts for idx in split), default=0)
 
     counter: dict[tuple[int, ...], int] = {}
     new_vars: list[tuple[str, int]] = []
     pullbacks: list[WPolynomial] = []
     for row, idx in zip(cinv, orders):
-        coeff = WPolynomial.zero(ext)
-        for c, entry in zip(row, shifted):
-            if c:
-                coeff = coeff + entry * c
-        for t, r in zip(params, idx):
-            coeff = coeff.coefficients_in(t).get(r, WPolynomial.zero(ext))
+        pairs = ((c, split[idx]) for c, split in zip(row, parts) if idx in split)
+        coeff = _terms_combine(pairs)
         counter[idx] = counter.get(idx, 0) + 1
         new_vars.append((f"y{'_'.join(map(str, idx))}_{counter[idx]}", sum(idx)))
-        pullbacks.append(coeff.restrict_chart(chart))
+        pullbacks.append(WPolynomial(chart, coeff))
     new_chart = GradedChart(name, tuple(new_vars))
     phi = PolyMap(chart, new_chart, {v: p for (v, _), p in zip(new_vars, pullbacks)})
 
+    # h_t^* p == t^r p, with t at index n_vars of h's extended chart, after
+    # every index of p's monomials
     for i, h in enumerate(families):
         hext = h.extended_chart
-        tvar = WPolynomial.variable(hext, h.param)
         for (v, _), idx in zip(new_vars, orders):
             p = phi.pullbacks[v]
-            if p.substitute(h.entries, into=hext) != p.lift(hext) * tvar ** idx[i]:
+            r = idx[i]
+            scaled = {m + ((n_vars, r),): c for m, c in p.terms.items()} if r else p.terms
+            if p.substitute(h.entries, into=hext).terms != scaled:
                 raise NotGradedActionError(
                     f"coordinate {v!r} does not scale by {h.param}^{idx[i]}"
                 )
@@ -646,18 +689,20 @@ def _invert_coordinate_change(
     """Exact inverse of the homogenizer phi, from one bounded Picard pass.
 
     basis is the matrix C of _joint_certificate, cinv its inverse (the
-    derivative of phi at theta) and degree the bound D; the limits of the
-    pass and their proofs are in _homogenize_joint.
+    derivative of phi at theta), both best given in stored form (int when
+    integral, see wpoly), and degree the bound D; the limits of the pass and
+    their proofs are in _homogenize_joint.
     """
     chart = phi.source
-    shift = [WPolynomial.variable(chart, v) - theta[v] for v in chart.names]
-    nonlinear: list[WPolynomial] = []
+    shift = [  # x_j - theta_j
+        {((j, 1),): 1, (): -_coefficient(theta[v])} if theta[v] else {((j, 1),): 1}
+        for j, v in enumerate(chart.names)
+    ]
+    nonlinear = []  # N = phi - C^-1 (x - theta), one combination per row
     for v, row in zip(phi.target.names, cinv):
-        p = phi.pullbacks[v]
-        for a, z in zip(row, shift):
-            if a:
-                p = p - z * a
-        nonlinear.append(p)
+        pairs = ((-a, z) for a, z in zip(row, shift))
+        terms = _terms_combine(pairs, dict(phi.pullbacks[v].terms))
+        nonlinear.append(WPolynomial(chart, terms))
 
     positive = all(phi.target.weights)
     if positive:
@@ -693,10 +738,14 @@ def _picard_inverse(
     _homogenize_joint): the iterate inverts phi exactly when F has no term
     of total degree above k. A pass that reaches the limit unsettled checks
     the composite candidate.then(phi).
+
+    Each iterate is one linear combination of term dicts per coordinate,
+    with theta in stored form, and trunc_k F is read off F's terms.
     """
     chart, new_chart = phi.source, phi.target
     names = chart.names
-    rhs = ys = [WPolynomial.variable(new_chart, v) for v in new_chart.names]
+    rhs = ys = [{((j, 1),): 1} for j in range(len(new_chart))]
+    start = [{(): _coefficient(theta[v])} if theta[v] else {} for v in names]
     guesses: list[WPolynomial] = []
     for k in range(1, limit + 1):
         within = True  # no term of F above total degree k
@@ -707,17 +756,14 @@ def _picard_inverse(
                 if not n.terms:
                     rhs.append(y)
                     continue
-                pushed = n.substitute(sigma, into=new_chart)
-                kept = pushed.truncate_total_degree(k)
-                within = within and len(kept.terms) == len(pushed.terms)
-                rhs.append(y - kept)
-        updated = []
-        for v, row in zip(names, basis):
-            acc = WPolynomial.constant(new_chart, theta[v])
-            for a, r in zip(row, rhs):
-                if a:
-                    acc = acc + r * a
-            updated.append(acc)
+                pushed = n.substitute(sigma, into=new_chart).terms
+                kept = {m: c for m, c in pushed.items() if _mono_total_degree(m) <= k}
+                within = within and len(kept) == len(pushed)
+                rhs.append(_terms_combine(((-1, kept),), dict(y)))
+        updated = [
+            WPolynomial(new_chart, _terms_combine(zip(row, rhs), dict(t)))
+            for t, row in zip(start, basis)
+        ]
         settled = updated == guesses
         guesses = updated
         if settled and within:

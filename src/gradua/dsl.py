@@ -12,8 +12,8 @@ Rationals are single tokens (2/3); there is no division operator. The
 family parameter in action bodies is always called t.
 
 Three fixed budgets keep one line from exhausting memory. A power, a
-prolongation or a flip above one is refused before anything is expanded,
-with a ResourceLimitError (a ParseError) at the offending token.
+product, a prolongation or a flip above one is refused before anything is
+expanded, with a ResourceLimitError (a ParseError) at the offending token.
 
 The tokenizer scans with one compiled regular expression, one alternative
 per token class, and builds tokens and spans as named tuples. An
@@ -231,10 +231,11 @@ ACTION_PARAM = "t"
 
 # Budgets that keep one line of a program from exhausting the machine; a
 # statement above one raises ResourceLimitError at the offending token. The
-# largest programs in the tests and the benchmark use ^3, order 4 and
-# flip 2 2 on three variables (27 variables).
+# largest programs in the tests and the benchmark use ^3, order 4,
+# flip 2 2 on three variables (27 variables) and products of at most 2 term
+# pairs. A product's budget is the product of its operands' term counts.
 DEGREE_BUDGET = 1000  # exponent times the base's total degree (at least 1)
-TERM_BUDGET = 10_000  # the most terms a power or a prolongation can expand to
+TERM_BUDGET = 10_000  # the most terms (or product term pairs) an expansion may reach
 VARIABLE_BUDGET = 1000  # variables of an adapted chart (prolong, flip)
 
 
@@ -639,7 +640,14 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "symbol" and tok.text == "*":
                 self.advance()
-                acc = _terms_mul(acc, self.parse_unary(chart))
+                rhs = self.parse_unary(chart)
+                if len(acc) * len(rhs) > TERM_BUDGET:
+                    raise ResourceLimitError(
+                        f"a product of {len(acc)} by {len(rhs)} terms may give more "
+                        f"terms than the budget of {TERM_BUDGET}",
+                        *tok.span,
+                    )
+                acc = _terms_mul(acc, rhs)
                 continue
             return acc
 

@@ -54,11 +54,18 @@ def mat_from_cols(cols: Sequence[Sequence[Fraction]]) -> Matrix:
 
 
 def _scaled(a: Matrix) -> tuple[list[list[int]], int]:
-    """Integer rows N and the lcm d of the entry denominators, so a = N / d."""
+    """Integer rows N and the lcm d of the entry denominators, so a = N / d.
+
+    Each entry's numerator and denominator are read once, as one pair. When
+    every entry is integral, N is the numerators and d = 1.
+    """
     if len({len(row) for row in a}) > 1:
         raise DomainError("matrix rows have different lengths")
-    d = lcm(*{x.denominator for row in a for x in row})
-    return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
+    rows = [[x.as_integer_ratio() for x in row] for row in a]
+    d = lcm(*{q for row in rows for _, q in row})
+    if d == 1:
+        return [[p for p, _ in row] for row in rows], 1
+    return [[p * (d // q) for p, q in row] for row in rows], d
 
 
 def _fraction(n: int, d: int) -> Fraction:

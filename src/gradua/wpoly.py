@@ -20,7 +20,7 @@ it can only come from a defect in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .charts import GradedChart, fresh_name
 from .errors import ChartMismatchError, DomainError, EngineDefectError
@@ -121,6 +121,36 @@ def _terms_add_into(out: dict[Monomial, Fraction | int], terms: Terms) -> None:
                 out[mono] = s
             else:
                 del out[mono]
+
+
+def _terms_combine(
+    pairs: Iterable[tuple[Fraction | int, Terms]],
+    out: dict[Monomial, Fraction | int] | None = None,
+) -> dict[Monomial, Fraction | int]:
+    """The linear combination sum c * terms over (c, terms) pairs, added into
+    out (a fresh dict by default), dropping cells that cancel to zero.
+
+    A pair with c = 0 is skipped, so every stored product is nonzero. The
+    coefficients are not put in stored form: an integral Fraction product
+    stays a Fraction until one WPolynomial is built from the result.
+    """
+    if out is None:
+        out = {}
+    get = out.get
+    for c, terms in pairs:
+        if not c:
+            continue
+        for mono, a in terms.items():
+            s = get(mono)
+            if s is None:
+                out[mono] = a * c
+            else:
+                s += a * c
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+    return out
 
 
 def _terms_pow(a: Terms, n: int) -> Terms:

@@ -13,9 +13,12 @@ verdict and its message must equal them), the two-sided inverse check (the
 one-composite verdict must equal it, on correct and on wrong candidates,
 and so must the degree verdict of every settled Picard round), and the
 doubling search for the inverse (the bounded Picard pass must find the same
-inverse), and the n x n products of the families' projections for k >= 2
+inverse), the n x n products of the families' projections for k >= 2
 (the restricted blocks must give the same verdict, error, basis and joint
-projections).
+projections), and the object-level linear combinations of the homogenizer
+rows, the scaling check, N and the Picard iterates (the term-dict
+combinations must give the same coordinates, inverse, orders, verdicts and
+errors).
 """
 
 import random
@@ -55,9 +58,17 @@ from gradua.errors import (
     SingularMatrixError,
 )
 from gradua.graded import ActionFamily, PolyMap, invert_automorphism
-from gradua.linalg import column, independent_columns, inverse, mat_mul, rank, zeros
+from gradua.linalg import (
+    column,
+    independent_columns,
+    inverse,
+    mat_from_cols,
+    mat_mul,
+    rank,
+    zeros,
+)
 from gradua.multigrade import bihomogenize, check_commuting
-from gradua.wpoly import WPolynomial
+from gradua.wpoly import WPolynomial, _terms_combine
 
 from helpers import (
     chained_family,
@@ -892,3 +903,270 @@ def test_bihomogenize_projections_are_the_products():
         bihom = bihomogenize(h1, h2)
         assert bihom.projections == joint
         assert "projections" not in repr(bihom)
+
+
+# --- the term-dict linear combinations ------------------------------------------
+
+
+def reference_nonlinear(phi, theta, cinv):
+    """N = phi - C^-1 (x - theta), built as p - z * a, one term at a time."""
+    chart = phi.source
+    shift = [ext_var(chart, v) - theta[v] for v in chart.names]
+    nonlinear = []
+    for v, row in zip(phi.target.names, cinv):
+        p = phi.pullbacks[v]
+        for a, z in zip(row, shift):
+            if a:
+                p = p - z * a
+        nonlinear.append(p)
+    return nonlinear
+
+
+def reference_picard(phi, theta, basis, nonlinear, limit):
+    """The Picard pass with its iterates built as acc + r * a and its
+    truncation by truncate_total_degree."""
+    chart, new_chart = phi.source, phi.target
+    names = chart.names
+    rhs = ys = [ext_var(new_chart, v) for v in new_chart.names]
+    guesses = []
+    for k in range(1, limit + 1):
+        within = True
+        if guesses:
+            sigma = dict(zip(names, guesses))
+            rhs = []
+            for y, n in zip(ys, nonlinear):
+                if not n.terms:
+                    rhs.append(y)
+                    continue
+                pushed = n.substitute(sigma, into=new_chart)
+                kept = pushed.truncate_total_degree(k)
+                within = within and len(kept.terms) == len(pushed.terms)
+                rhs.append(y - kept)
+        updated = []
+        for v, row in zip(names, basis):
+            acc = WPolynomial.constant(new_chart, theta[v])
+            for a, r in zip(row, rhs):
+                if a:
+                    acc = acc + r * a
+            updated.append(acc)
+        settled = updated == guesses
+        guesses = updated
+        if settled and within:
+            return PolyMap(new_chart, chart, dict(zip(names, guesses))), True
+    candidate = PolyMap(new_chart, chart, dict(zip(names, guesses)))
+    return candidate, not settled and candidate.then(phi).is_identity()
+
+
+def reference_certificate(families, theta, name):
+    """_joint_certificate with object-level combinations, kept as the oracle.
+
+    Each row is coeff + entry * c over the whole extended chart, then
+    coefficients_in once per parameter and restrict_chart; each coordinate
+    is checked against lift * t ** r; the inverse comes from
+    reference_nonlinear and reference_picard. Returns the chart, phi, psi,
+    the orders and theta.
+    """
+    per_family = [taylor_projections(h, theta) for h in families]
+    chart = families[0].chart
+    point = _resolve_theta(families[0], theta)
+    n_vars = len(chart)
+    basis_cols, orders = _joint_basis(per_family)
+    if len(basis_cols) != n_vars:
+        raise EngineDefectError("projection images do not fill the chart")
+    basis = mat_from_cols(basis_cols)
+    cinv = inverse(basis)
+
+    params = [h.param for h in families]
+    ext = chart.extend(tuple((t, 0) for t in reversed(params)))
+    composite = [families[-1].entries[v].lift(ext) for v in chart.names]
+    for h in reversed(families[:-1]):
+        sigma = dict(zip(chart.names, composite))
+        sigma[h.param] = ext_var(ext, h.param)
+        composite = [h.entries[v].substitute(sigma, into=ext) for v in chart.names]
+    shifted = [
+        p - WPolynomial.constant(ext, point[v]) for v, p in zip(chart.names, composite)
+    ]
+    degree = max(
+        (sum(e for i, e in mono if i >= n_vars) for p in composite for mono in p.terms),
+        default=0,
+    )
+
+    counter = {}
+    new_vars, pullbacks = [], []
+    for row, idx in zip(cinv, orders):
+        coeff = WPolynomial.zero(ext)
+        for c, entry in zip(row, shifted):
+            if c:
+                coeff = coeff + entry * c
+        for t, r in zip(params, idx):
+            coeff = coeff.coefficients_in(t).get(r, WPolynomial.zero(ext))
+        counter[idx] = counter.get(idx, 0) + 1
+        new_vars.append((f"y{'_'.join(map(str, idx))}_{counter[idx]}", sum(idx)))
+        pullbacks.append(coeff.restrict_chart(chart))
+    new_chart = GradedChart(name, tuple(new_vars))
+    phi = PolyMap(chart, new_chart, {v: p for (v, _), p in zip(new_vars, pullbacks)})
+
+    for i, h in enumerate(families):
+        hext = h.extended_chart
+        tvar = ext_var(hext, h.param)
+        for (v, _), idx in zip(new_vars, orders):
+            p = phi.pullbacks[v]
+            if p.substitute(h.entries, into=hext) != p.lift(hext) * tvar ** idx[i]:
+                raise NotGradedActionError(
+                    f"coordinate {v!r} does not scale by {h.param}^{idx[i]}"
+                )
+
+    nonlinear = reference_nonlinear(phi, point, cinv)
+    positive = all(new_chart.weights)
+    if positive:
+        limit = degree
+    else:
+        limit = max(p.total_degree() for p in pullbacks) ** (n_vars - 1)
+    psi, exact = reference_picard(phi, point, basis, nonlinear, max(limit, 1))
+    if not exact:
+        if positive:
+            raise EngineDefectError(
+                f"the homogenizer has no inverse of total degree <= {limit}"
+            )
+        raise NotGradedActionError(
+            f"no polynomial inverse of total degree <= {limit} exists "
+            "(the Bass-Connell-Wright bound)"
+        )
+    return new_chart, phi, psi, tuple(orders), point
+
+
+def certificate_fields(families, theta, name):
+    cert = _joint_certificate(families, theta, name)
+    return cert.chart, cert.homogenizer, cert.inverse, cert.orders, cert.theta
+
+
+def in_stored_form(pmap):
+    return all(
+        (type(c) is int) if c.denominator == 1 else type(c) is Fraction
+        for p in pmap.pullbacks.values()
+        for c in p.terms.values()
+    )
+
+
+def broken_inverse_family():
+    """The graded bundle of test_weight0_coordinates_with_no_inverse_stop_at_the_bcw_bound."""
+    chart = GradedChart("G", (("a", 0), ("b", 1)))
+    ext = chart.extend((("t", 0),))
+    a, b, t = (ext_var(ext, v) for v in ext.names)
+    s = a - b**2
+    u = t * (b - (a - b**2) ** 2)
+    return ActionFamily(chart, "t", {"a": s + (u + s**2) ** 2, "b": u + s**2})
+
+
+def test_term_dict_certificate_agrees_with_the_object_level_route(dressed):
+    rng = random.Random(43)
+    cases = []
+    for family, theta in dressed:
+        v, u = rng.choice(family.chart.names), rng.choice(family.chart.names)
+        z = ext_var(family.extended_chart, u) - theta[u]
+        c = random_coefficient(rng)
+        cases.append(("one", [family], theta))
+        # a linear bump moves the projections, a second-order one does not
+        cases.append(("bumped", [bumped(family, v, z, c)], theta))
+        cases.append(("bumped", [bumped(family, v, z**2, c)], theta))
+    for family, theta in dressed[:10]:
+        cases.append(("k = 2", [family, family.with_param("u")], theta))
+        cases.append(("k = 3", [family, family.with_param("u"), family.with_param("v")], theta))
+        t = ext_var(family.extended_chart, "t")
+        broken = bumped(family, family.chart.names[0], t, 1).with_param("u")
+        cases.append(("k = 2 broken", [family, broken], theta))
+    for families in joint_cases()[:40]:
+        cases.append((f"k = {len(families)} linear", families, None))
+    cases.append(("no inverse", [broken_inverse_family()], None))
+    cases.append(("settled too early", [cubic_shear_family()], None))
+
+    seen = {}
+    for kind, families, theta in cases:
+        got = outcome(certificate_fields, families, theta, "W_h")
+        assert got == outcome(reference_certificate, families, theta, "W_h"), kind
+        if isinstance(got[0], type):
+            stages = ("commute", "does not scale", "inverse", "projection")
+            kind += ": " + next(stage for stage in stages if stage in got[1])
+        else:
+            assert in_stored_form(got[1]) and in_stored_form(got[2])
+        seen[kind] = seen.get(kind, 0) + 1
+    assert seen["one"] == 40 and seen["k = 2"] == seen["k = 3"] == 10, seen
+    assert seen["bumped: projection"] >= 30 and seen["bumped: does not scale"] >= 30, seen
+    assert seen["k = 2 broken: does not scale"] >= 5, seen
+    assert seen["k = 2 linear: commute"] >= 5 and seen["k = 3 linear: commute"] >= 5, seen
+    assert seen["k = 2 linear"] >= 5 and seen["k = 3 linear"] >= 5, seen
+    assert seen["no inverse: inverse"] == seen["settled too early"] == 1, seen
+
+
+def test_term_dict_inverse_agrees_with_the_object_level_route(dressed, monkeypatch):
+    """N, and every round's iterate and verdict, equal the reference's."""
+    rng = random.Random(47)
+    chained = [chained_family(rng, i % 3) for i in range(12)]
+    rounds = 0
+    for family, theta in dressed[:20] + chained + [(cubic_shear_family(), None)]:
+        _, (phi, point, basis, cinv, _) = inversion_inputs(
+            monkeypatch, homogenize, family, theta
+        )
+        _, (_, _, _, nonlinear, limit) = inversion_inputs(
+            monkeypatch, homogenize, family, theta, stage="_picard_inverse"
+        )
+        assert list(nonlinear) == reference_nonlinear(phi, point, cinv)
+        for k in range(1, limit + 1):
+            got = action._picard_inverse(phi, point, basis, nonlinear, k)
+            assert got == reference_picard(phi, point, basis, nonlinear, k)
+            rounds += 1
+            if got[1]:
+                break
+    assert rounds >= 60, rounds
+
+
+nonzero_coefficient = st.one_of(
+    st.integers(-4, 4), st.fractions(-2, 2, max_denominator=4)
+).filter(bool)
+TERMS_CHART = GradedChart("T", (("x", 1), ("y", 2)))
+small_terms = st.dictionaries(
+    st.sampled_from([(), ((0, 1),), ((1, 1),), ((0, 2),), ((0, 1), (1, 1))]),
+    nonzero_coefficient,
+    max_size=4,
+)
+
+
+@st.composite
+def combinations_to_sum(draw):
+    """Pairs (c, terms); some repeat an earlier pair with -c, so that their
+    cells cancel to zero, and some pair c = 1/d with terms of d * a."""
+    coefficient = st.integers(-3, 3) | nonzero_coefficient  # 0 included
+    pairs = draw(st.lists(st.tuples(coefficient, small_terms), max_size=5))
+    for c, terms in draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else ():
+        pairs.append((-c, terms))
+    d = draw(st.integers(2, 4))
+    integral = {m: a * d for m, a in draw(small_terms).items()}
+    pairs.append((Fraction(1, d), integral))
+    return draw(st.permutations(pairs))
+
+
+@given(combinations_to_sum(), small_terms)
+@settings(max_examples=150, deadline=None)
+def test_terms_combine_is_a_sum_of_scaled_polynomials(pairs, start):
+    expected = WPolynomial(TERMS_CHART, start)
+    for c, terms in pairs:
+        expected = expected + WPolynomial(TERMS_CHART, terms).scale(c)
+    out = dict(start)
+    assert _terms_combine(pairs, out) is out
+    assert all(out.values())  # cells that cancel are dropped
+    got = WPolynomial(TERMS_CHART, out)
+    assert got == expected and got.terms == expected.terms
+    assert all(
+        (type(c) is int) if c.denominator == 1 else type(c) is Fraction
+        for c in got.terms.values()
+    )
+    assert WPolynomial(TERMS_CHART, _terms_combine(pairs)) == expected - WPolynomial(
+        TERMS_CHART, start
+    )
+
+
+def test_terms_combine_drops_a_full_cancellation():
+    x = {((0, 1),): Fraction(1, 2), (): 3}
+    assert _terms_combine([(2, x), (Fraction(-4, 2), x)]) == {}
+    assert _terms_combine([(0, x)]) == {}
+    assert _terms_combine([(Fraction(2), x)]) == {((0, 1),): 1, (): 6}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradua import cli
+from gradua import cli, dsl
 from gradua.charts import GradedChart
 from gradua.dsl import (
     DEGREE_BUDGET,
@@ -711,6 +711,13 @@ RESOURCE_CASES = [
         f"line 2, column 16: flip 1000 1000 would adapt chart 'V' to 2004002 "
         f"variables, above the budget of {VARIABLE_BUDGET}",
     ),
+    (
+        # each power is within the budget (165 terms), their product is not
+        "chart V (a:1, b:1, c:1, d:1)\n"
+        "map m : V -> V { a = (a + b + c + d)^8*(a + b + c + d)^8; b = b; c = c; d = d; }",
+        f"line 2, column 39: a product of 165 by 165 terms may give more "
+        f"terms than the budget of {TERM_BUDGET}",
+    ),
 ]
 
 
@@ -719,6 +726,19 @@ def test_resource_limits_refuse_before_expanding(source, message):
     with pytest.raises(ResourceLimitError) as exc:
         parse(source)
     assert str(exc.value) == message
+
+
+def test_a_product_over_the_budget_is_refused_before_it_is_expanded(monkeypatch):
+    def expand(a, b):
+        raise AssertionError(f"a product of {len(a)} by {len(b)} terms was expanded")
+
+    monkeypatch.setattr(dsl, "_terms_mul", expand)
+    with pytest.raises(ResourceLimitError) as exc:
+        parse(
+            "chart V (a:1, b:1, c:1, d:1)\n"
+            "map m : V -> V { a = (a + b + c + d)^8*(a + b + c + d)^8; b = b; c = c; d = d; }"
+        )
+    assert (exc.value.line, exc.value.col) == (2, 39)
 
 
 def test_budgets_admit_what_they_allow():
@@ -732,6 +752,11 @@ def test_budgets_admit_what_they_allow():
     # the largest term count a power may reach: comb(2 + e - 1, e) = e + 1
     e = min(DEGREE_BUDGET, TERM_BUDGET - 1)
     parse(f"chart V (x:1, y:1)\nmap m : V -> V {{ x = (x + y)^{e}; y = y; }}")
+    # the largest product the budget admits: 100 by 100 terms
+    parse(
+        "chart V (x:1, y:1)\n"
+        "map m : V -> V { x = (x + y)^99*(x + y)^99; y = y; }"
+    )
     # every program in the tests parses within the budgets
     for path in sorted(DATA.glob("*.gradua")):
         parse(path.read_text())

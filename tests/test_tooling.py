@@ -181,6 +181,23 @@ def test_analyze_decides_projections_by_rank_and_composes_nothing(monkeypatch):
     assert composed == []
 
 
+def test_analyze_forms_its_linear_combinations_on_term_dicts(monkeypatch):
+    """The homogenizer rows, the scaling check, N and the Picard iterates are
+    term-dict combinations: no polynomial sum, difference, scaling, lift,
+    coefficient split or chart rewrite, and one polynomial per result."""
+    chart = GradedChart("D", tuple((f"x{w}", w) for w in range(1, 7)))
+    family, _ = conjugated_action(random.Random(3), chart)
+    methods = ("__add__", "__sub__", "scale", "coefficients_in", "restrict_chart", "lift")
+    calls = {name: _count_calls(monkeypatch, WPolynomial, name) for name in methods}
+    built = _count_constructions(monkeypatch)
+    report = analyze(family)
+    assert report.degree == 6
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(methods, 0)
+    # 44 measured: h_0, phi, the scaling checks and N build 6 each, the
+    # Picard pass 20; the object-level route built 224
+    assert len(built) <= 44
+
+
 def test_prolong_substitutes_the_curves_once(monkeypatch):
     program = parse(GRADED_SHEAR)
     calls = _count_calls(monkeypatch, jets, "_taylor_components")
