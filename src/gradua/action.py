@@ -25,6 +25,11 @@ failure.
 
 Every claimed identity is either verified by exact rational arithmetic or
 follows from one that is by that argument.
+
+The homogenizer is inverted by graded's one inverse kernel,
+_invert_coordinate_change. Its pass, _picard_inverse, is imported here too,
+though not called, because perfbench/spans.py wraps both by name in this
+module.
 """
 
 from __future__ import annotations
@@ -46,16 +51,11 @@ from .errors import (
     NotDoubleStructureError,
     NotGradedActionError,
 )
-from .graded import ActionFamily, PolyMap
-from .linalg import Matrix
-from .wpoly import (
-    Monomial,
-    WPolynomial,
-    _coefficient,
-    _exact,
-    _mono_total_degree,
-    _terms_combine,
+from .graded import (  # noqa: F401
+    ActionFamily, PolyMap, _invert_coordinate_change, _picard_inverse
 )
+from .linalg import Matrix
+from .wpoly import Monomial, WPolynomial, _coefficient, _exact, _terms_combine
 
 _ZERO = Fraction(0)
 
@@ -470,24 +470,17 @@ def _homogenize_joint(
       the term dicts of h_t^* phi_i and of t^r phi_i.
 
     Each new coordinate is checked to scale exactly under every family, and
-    the change of coordinates is inverted. One side of the inverse is
-    certified, phi o psi = id, which proves both:
-
-    - phi o psi = id says psi^* o phi^* = id on Q[y], so psi^* : Q[x] ->
-      Q[y] is onto. There are as many new coordinates y as old ones x
-      (len(basis_cols) == n_vars is checked), so renaming x to y makes
-      psi^* a surjective endomorphism of Q[y].
-    - A surjective endomorphism f of a Noetherian ring is injective (cf.
-      Matsumura, Commutative Ring Theory, Thm 2.4): the chain ker f^m
-      stops growing, say at m, and if f(a) = 0 then a = f^m(b) with
-      f^(m+1)(b) = 0, so b lies in ker f^m and a = 0.
-    - psi^* phi^* psi^* = psi^* and psi^* is injective, so phi^* o psi^* =
-      id on Q[x] as well: psi o phi = id.
-
-    That certificate proves the laws, the commutation of the families and
-    the total degree, so none of them is checked when it succeeds. Write phi
-    for the new coordinates, psi for the verified inverse (phi o psi = id =
-    psi o phi) and w_i for the order of phi_i under one family h.
+    the change of coordinates is inverted by the one inverse kernel,
+    graded._invert_coordinate_change: a Picard pass of bounded length,
+    certified on one side, phi o psi = id, which proves both. The kernel's
+    docstring has the proofs: the checked premise, the settle certificate,
+    the bound D (the largest summed parameter exponent of the composite)
+    when every new weight is at least 1, and the Bass-Connell-Wright bound
+    otherwise. That certificate proves the laws, the commutation of the
+    families and the total degree, so none of them is checked when it
+    succeeds. Write phi for the new coordinates, psi for the verified
+    inverse (phi o psi = id = psi o phi) and w_i for the order of phi_i
+    under one family h.
 
     - A pullback h_t^* is a ring homomorphism.
     - h_t^* phi_i = t^w_i phi_i is checked exactly, so h_t^* x_v =
@@ -501,35 +494,6 @@ def _homogenize_joint(
       the total action is standard with these weights in the joint
       coordinates, and its degree is the largest of them, the degree of the
       returned chart.
-
-    The inverse comes from one Picard pass of bounded length
-    (_invert_coordinate_change). The bounds hold for commuting monoid
-    families fixing theta, which the families are whenever a failure of the
-    pass is reported, since the direct checks below run first.
-
-    - The derivative of phi at theta is C^-1, C being the basis matrix: row
-      i is C^-1_i P for the joint projection P of phi_i's multi-index, and
-      C^-1_i P c_j = delta_ij if c_j lies in the image of P, else 0. As
-      phi(theta) = 0 (scaling at t = 0), N = phi - C^-1 (x - theta) has
-      order >= 2 at theta, so round k of x = theta + C (y - N(x)) from
-      x = theta, truncated at total degree k, is the degree-k truncation of
-      the formal inverse psi.
-    - Round k substitutes x_(k-1) into N in full, giving F, and then sets
-      x_k = theta + C (y - trunc_k F). If the round settles (x_k =
-      x_(k-1)), then N(x_k) = F and phi(x_k) = C^-1 (x_k - theta) + N(x_k)
-      = y + (F - trunc_k F). So phi o x_k = id exactly when F has no term
-      of total degree above k, and the round is certified with no
-      composite; otherwise the pass goes on. A pass that reaches its limit
-      unsettled checks the composite x_k.then(phi), phi at the iterate.
-    - If every weight is at least 1: with every parameter set to t,
-      h_t^* x_v = psi_v(t^w phi) = sum_m c_m t^(w.m) phi^m has t-degree at
-      most D, the largest summed parameter exponent of the composite. Each
-      d = w.m has finitely many m and the phi^m are linearly independent,
-      so c_m = 0 for w.m > D: psi has weighted, hence total, degree <= D,
-      and a failure at round D is an engine defect.
-    - Otherwise a polynomial inverse of phi, if any, has total degree at
-      most deg(phi)^(n-1) (Bass, Connell and Wright, Bull. AMS 7 (1982),
-      Thm 1.5), so a failure at that round proves that phi has none.
 
     When a stage raises, the direct checks explain the failure, in this
     order: the commutation of each pair of families (NotDoubleStructureError
@@ -677,99 +641,6 @@ def _joint_basis(
     basis_cols = [col for _, cols in blocks.values() for col in cols]
     orders = [idx for idx, (_, cols) in blocks.items() for _ in cols]
     return basis_cols, orders
-
-
-def _invert_coordinate_change(
-    phi: PolyMap,
-    theta: Mapping[str, Fraction],
-    basis: Matrix,
-    cinv: Matrix,
-    degree: int,
-) -> PolyMap:
-    """Exact inverse of the homogenizer phi, from one bounded Picard pass.
-
-    basis is the matrix C of _joint_certificate, cinv its inverse (the
-    derivative of phi at theta), both best given in stored form (int when
-    integral, see wpoly), and degree the bound D; the limits of the pass and
-    their proofs are in _homogenize_joint.
-    """
-    chart = phi.source
-    shift = [  # x_j - theta_j
-        {((j, 1),): 1, (): -_coefficient(theta[v])} if theta[v] else {((j, 1),): 1}
-        for j, v in enumerate(chart.names)
-    ]
-    nonlinear = []  # N = phi - C^-1 (x - theta), one combination per row
-    for v, row in zip(phi.target.names, cinv):
-        pairs = ((-a, z) for a, z in zip(row, shift))
-        terms = _terms_combine(pairs, dict(phi.pullbacks[v].terms))
-        nonlinear.append(WPolynomial(chart, terms))
-
-    positive = all(phi.target.weights)
-    if positive:
-        limit = degree
-    else:
-        phi_degree = max(p.total_degree() for p in phi.pullbacks.values())
-        limit = phi_degree ** (len(chart) - 1)
-    inverse, exact = _picard_inverse(phi, theta, basis, nonlinear, max(limit, 1))
-    if exact:
-        return inverse
-    if positive:
-        raise EngineDefectError(
-            f"the homogenizer has no inverse of total degree <= {limit}"
-        )
-    raise NotGradedActionError(
-        f"no polynomial inverse of total degree <= {limit} exists "
-        "(the Bass-Connell-Wright bound)"
-    )
-
-
-def _picard_inverse(
-    phi: PolyMap,
-    theta: Mapping[str, Fraction],
-    basis: Matrix,
-    nonlinear: Sequence[WPolynomial],
-    limit: int,
-) -> tuple[PolyMap, bool]:
-    """Rounds k = 1 .. limit of x = theta + C (y - N(x)), truncated at degree k.
-
-    Returns the last iterate and whether it inverts phi. Round k substitutes
-    the previous iterate into N in full, giving F, before it truncates. A
-    round that settles is certified from F alone (the proof is in
-    _homogenize_joint): the iterate inverts phi exactly when F has no term
-    of total degree above k. A pass that reaches the limit unsettled checks
-    the composite candidate.then(phi).
-
-    Each iterate is one linear combination of term dicts per coordinate,
-    with theta in stored form, and trunc_k F is read off F's terms.
-    """
-    chart, new_chart = phi.source, phi.target
-    names = chart.names
-    rhs = ys = [{((j, 1),): 1} for j in range(len(new_chart))]
-    start = [{(): _coefficient(theta[v])} if theta[v] else {} for v in names]
-    guesses: list[WPolynomial] = []
-    for k in range(1, limit + 1):
-        within = True  # no term of F above total degree k
-        if guesses:  # round 1 needs no substitution: N(theta) = 0
-            sigma = dict(zip(names, guesses))
-            rhs = []
-            for y, n in zip(ys, nonlinear):
-                if not n.terms:
-                    rhs.append(y)
-                    continue
-                pushed = n.substitute(sigma, into=new_chart).terms
-                kept = {m: c for m, c in pushed.items() if _mono_total_degree(m) <= k}
-                within = within and len(kept) == len(pushed)
-                rhs.append(_terms_combine(((-1, kept),), dict(y)))
-        updated = [
-            WPolynomial(new_chart, _terms_combine(zip(row, rhs), dict(t)))
-            for t, row in zip(start, basis)
-        ]
-        settled = updated == guesses
-        guesses = updated
-        if settled and within:
-            return PolyMap(new_chart, chart, dict(zip(names, guesses))), True
-    candidate = PolyMap(new_chart, chart, dict(zip(names, guesses)))
-    return candidate, not settled and candidate.then(phi).is_identity()
 
 
 def detect_degree(

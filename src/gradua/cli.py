@@ -174,7 +174,8 @@ def _run_check_double(stmt: CheckDoubleCmd, actions, doubles) -> dict:
 def _run_flip(stmt: FlipCmd, charts) -> dict:
     chart = charts[stmt.chart_name]
     forward = flip(stmt.m, stmt.n, chart)
-    backward = flip(stmt.n, stmt.m, chart)
+    # with m = n the flip maps the chart to itself and is its own candidate inverse
+    backward = forward if stmt.m == stmt.n else flip(stmt.n, stmt.m, chart)
     round_trip = is_renaming_round_trip(forward, backward)
     return {
         "command": "flip",

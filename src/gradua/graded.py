@@ -14,6 +14,10 @@ its target variable's weight. Homogeneity itself is decided by two
 independent routes, scaling substitution and the weighted Euler operator
 (WPolynomial.is_homogeneous), which must agree or EngineDefectError is
 raised.
+
+Polynomial maps are inverted by one kernel, the bounded Picard pass of
+_invert_coordinate_change. It inverts graded automorphisms here
+(invert_automorphism) and the homogenizer of action's certificate.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Mapping, Sequence
 
 from . import linalg
 from .charts import GradedChart, fresh_name
@@ -28,12 +33,15 @@ from .errors import (
     ChartMismatchError,
     DomainError,
     EngineDefectError,
+    NotGradedActionError,
     NotInvertibleError,
     SingularMatrixError,
     UnsupportedChartError,
 )
 from .linalg import Matrix
-from .wpoly import Monomial, WPolynomial, _coefficient
+from .wpoly import (
+    Monomial, WPolynomial, _coefficient, _exact, _mono_total_degree, _terms_combine
+)
 
 
 @dataclass(frozen=True)
@@ -206,72 +214,219 @@ def is_graded_morphism(psi: PolyMap) -> bool:
 
 
 def invert_automorphism(psi: PolyMap) -> PolyMap:
-    """Inverse of a graded self-map, by weight-filtered back-substitution.
+    """Inverse of a graded self-map, from the Picard pass of
+    _invert_coordinate_change.
 
-    For each weight r in increasing order the pullbacks split into a linear
-    block in the weight-r variables plus corrections in lower weights; the
-    block is inverted exactly and the corrections are pushed through the
-    already-built inverse. The weight-0 block must be affine and every linear
-    block must have constant rational coefficients, otherwise there is no
-    polynomial inverse in the supported class.
-
-    One composite is checked: psi.then(inverse) is the identity, that is
-    psi^* o inverse^* = id. Then psi^* is a surjective endomorphism of the
-    chart's polynomial ring, which is Noetherian, so psi^* is also injective
-    (the kernels of its powers stop growing; cf. Matsumura, Commutative
-    Ring Theory, Thm 2.4), and psi^* inverse^* psi^* = psi^* gives
-    inverse^* o psi^* = id. A wrong inverse still raises EngineDefectError.
+    Weight by weight, the pullbacks of the weight-w variables must be a
+    linear block B_w in those variables plus terms in lower weights only;
+    the weight-0 block must be affine, and every B_w constant and
+    invertible. Otherwise there is no polynomial inverse in the supported
+    class, and NotInvertibleError is raised. The checks build what the pass
+    takes: theta, the block-diagonal B_w as the derivative at theta, the
+    block-diagonal B_w^-1 as C, and the chart degree as the bound. The
+    kernel's docstring proves that these are right. The checks also
+    guarantee a triangular inverse, so any failure of the pass is an
+    EngineDefectError.
     """
     if psi.source != psi.target:
         raise DomainError("only self-maps of one chart can be inverted here")
     if not is_graded_morphism(psi):
         raise DomainError("the map does not respect the weights")
     chart = psi.source
-    inv: dict[str, WPolynomial] = {}
-    for w in sorted(set(chart.weights)):
-        block_vars = [v for v in chart.names if chart.weight_of(v) == w]
-        block_monos = [((chart.index_of(u), 1),) for u in block_vars]
-        rows: list[list[Fraction]] = []
-        residues: list[WPolynomial] = []
-        for v in block_vars:
-            p = psi.pullbacks[v]
-            row = [Fraction(p.terms.get(m, 0)) for m in block_monos]
-            residue = WPolynomial(
-                chart, {m: c for m, c in p.terms.items() if m not in block_monos}
-            )
-            if w == 0:
-                if residue.total_degree() > 0:
-                    raise NotInvertibleError(
-                        f"pullback of weight-0 variable {v!r} is not affine"
-                    )
-            else:
-                for u in residue.variables():
-                    if chart.weight_of(u) >= w:
-                        raise NotInvertibleError(
-                            f"pullback of {v!r} has a non-constant linear block "
-                            f"(term mixing {u!r})"
-                        )
-            rows.append(row)
-            residues.append(residue)
+    names, weights = chart.names, chart.weights
+    constants = [psi.pullbacks[v].terms.get((), 0) for v in names]  # 0 if w > 0
+    cinv = [[0] * len(names) for _ in names]  # the B_w, read off psi
+    basis = [[0] * len(names) for _ in names]  # the B_w^-1
+    theta = {}  # B_w theta_w + constants_w = 0, so 0 in every positive weight
+    for w in sorted(set(weights)):
+        block = [i for i, u in enumerate(weights) if u == w]
+        linear = {((j, 1),) for j in block}
+        for i in block:
+            terms = psi.pullbacks[names[i]].terms
+            for j in block:
+                cinv[i][j] = terms.get(((j, 1),), 0)
+            residue = [m for m in terms if m not in linear]
+            if w == 0 and any(residue):
+                raise NotInvertibleError(
+                    f"pullback of weight-0 variable {names[i]!r} is not affine"
+                )
+            mixing = sorted(u for m in residue for u, _ in m if weights[u] >= w)
+            if mixing:
+                raise NotInvertibleError(
+                    f"pullback of {names[i]!r} has a non-constant linear block "
+                    f"(term mixing {names[mixing[0]]!r})"
+                )
+        b_w = tuple(tuple(_exact(cinv[i][j]) for j in block) for i in block)
         try:
-            binv = linalg.inverse(tuple(tuple(r) for r in rows))
+            binv = linalg.inverse(b_w)
         except SingularMatrixError as exc:
             raise NotInvertibleError(
                 f"weight-{w} linear block is singular: {exc}"
             ) from exc
-        solved_residues = [
-            r.substitute(inv, into=chart) if r.terms else r for r in residues
+        for i, row in zip(block, binv):
+            for j, c in zip(block, row):
+                basis[i][j] = _coefficient(c)
+            theta[names[i]] = -sum(c * constants[j] for j, c in zip(block, row))
+    try:
+        return _invert_coordinate_change(psi, theta, basis, cinv, chart.degree)
+    except NotGradedActionError as exc:
+        raise EngineDefectError(f"a graded automorphism was not inverted: {exc}") from exc
+
+
+def _invert_coordinate_change(
+    phi: PolyMap,
+    theta: Mapping[str, Fraction | int],
+    basis: Matrix,
+    cinv: Matrix,
+    degree: int,
+) -> PolyMap:
+    """Exact inverse of a polynomial map phi, from one bounded Picard pass.
+
+    This is the one inverse kernel: the homogenizer of action._joint_certificate
+    and the graded automorphisms of invert_automorphism are inverted here.
+    phi maps the chart of x to a chart of y with as many variables, theta is
+    a point with phi(theta) = 0, cinv is the derivative of phi at theta and
+    basis is a matrix C. Both matrices are best given in stored form (int
+    when integral, see wpoly). degree is a bound D on the total degree of
+    the inverse, used when every weight of the y chart is at least 1.
+
+    - The premise, checked. cinv C = I is decided exactly, over ints
+      (linalg.is_inverse), and EngineDefectError is raised when it fails.
+      The settle certificate below rests on it: with a wrong C it would
+      accept a wrong inverse.
+    - The pass. N = phi - cinv (x - theta) has order >= 2 at theta, so round
+      k of x = theta + C (y - N(x)) from x = theta, truncated at total degree
+      k, is the degree-k truncation of the formal inverse psi.
+    - The settle certificate. Round k substitutes x_(k-1) into N in full,
+      giving F, and then sets x_k = theta + C (y - trunc_k F). If the round
+      settles (x_k = x_(k-1)), then N(x_k) = F and phi(x_k) = cinv (x_k -
+      theta) + N(x_k) = cinv C (y - trunc_k F) + F = y + (F - trunc_k F). So
+      phi o x_k = id exactly when F has no term of total degree above k,
+      and the round is certified with no composite; otherwise the pass goes
+      on. A pass that reaches its limit unsettled checks the composite
+      x_k.then(phi), phi at the iterate.
+    - One side proves both. phi o psi = id says psi^* o phi^* = id on Q[y],
+      so psi^* : Q[x] -> Q[y] is onto. As x and y are equally many,
+      renaming x to y makes psi^* a surjective endomorphism of Q[y]. A
+      surjective endomorphism f of a Noetherian ring is injective (cf.
+      Matsumura, Commutative Ring Theory, Thm 2.4): the chain ker f^m stops
+      growing, say at m, and if f(a) = 0 then a = f^m(b) with f^(m+1)(b) =
+      0, so b lies in ker f^m and a = 0. psi^* phi^* psi^* = psi^* and psi^*
+      is injective, so phi^* o psi^* = id as well: psi o phi = id. (The
+      homogenizer checks that it has as many coordinates as the chart; an
+      automorphism is a self-map.)
+    - The limits. If every weight of the y chart is at least 1, the pass
+      stops at round D and a failure there is an engine defect
+      (EngineDefectError). Otherwise a polynomial inverse of phi, if any,
+      has total degree at most deg(phi)^(n-1) (Bass, Connell and Wright,
+      Bull. AMS 7 (1982), Thm 1.5), so a failure at that round proves that
+      phi has none (NotGradedActionError).
+
+    Each caller's inputs meet these conditions:
+
+    - The homogenizer phi of k commuting monoid families fixing theta.
+      phi(theta) = 0, from scaling at t = 0. C is the basis matrix and cinv
+      its inverse, the derivative of phi at theta: row i of cinv is C^-1_i P
+      for the joint projection P of phi_i's multi-index, and C^-1_i P c_j =
+      delta_ij if c_j lies in the image of P, else 0. D is the largest
+      summed parameter exponent of the families' composite. With every
+      parameter set to t, h_t^* x_v = psi_v(t^w phi) = sum_m c_m t^(w.m)
+      phi^m has t-degree at most D. Each d = w.m has finitely many m and the
+      phi^m are linearly independent, so c_m = 0 for w.m > D: psi has
+      weighted, hence total, degree <= D. The families are commuting
+      monoid families whenever a failure of the pass is reported, since
+      action._homogenize_joint's direct checks run first.
+    - A graded automorphism psi that passed invert_automorphism's checks.
+      theta solves the affine weight-0 block and is 0 in every positive
+      weight. A pullback of weight w >= 1 is B_w times its block plus terms
+      in lower weights, and each such term has at least two factors of
+      positive weight, counted with multiplicity. So every one of its
+      terms vanishes at theta, and all but the linear block vanish there
+      to first order: psi(theta) = 0, and the derivative at theta is the
+      block-diagonal B_w (B_0 on the affine block). C is the block-diagonal
+      B_w^-1. The inverse exists and is graded, so psi^-1_v is homogeneous
+      of weight w_v. When every weight is at least 1 its total degree is
+      at most w_v, so D is the chart degree.
+    """
+    if not linalg.is_inverse(cinv, basis):
+        raise EngineDefectError("the Picard pass needs cinv * C = I, which fails")
+    chart = phi.source
+    shift = [  # x_j - theta_j
+        {((j, 1),): 1, (): -_coefficient(theta[v])} if theta[v] else {((j, 1),): 1}
+        for j, v in enumerate(chart.names)
+    ]
+    nonlinear = []  # N = phi - cinv (x - theta), one combination per row
+    for v, row in zip(phi.target.names, cinv):
+        pairs = ((-a, z) for a, z in zip(row, shift))
+        terms = _terms_combine(pairs, dict(phi.pullbacks[v].terms))
+        nonlinear.append(WPolynomial(chart, terms))
+
+    positive = all(phi.target.weights)
+    if positive:
+        limit = degree
+    else:
+        phi_degree = max(p.total_degree() for p in phi.pullbacks.values())
+        limit = phi_degree ** (len(chart) - 1)
+    inverse, exact = _picard_inverse(phi, theta, basis, nonlinear, max(limit, 1))
+    if exact:
+        return inverse
+    if positive:
+        raise EngineDefectError(
+            f"the map has no inverse of total degree <= {limit}"
+        )
+    raise NotGradedActionError(
+        f"no polynomial inverse of total degree <= {limit} exists "
+        "(the Bass-Connell-Wright bound)"
+    )
+
+
+def _picard_inverse(
+    phi: PolyMap,
+    theta: Mapping[str, Fraction | int],
+    basis: Matrix,
+    nonlinear: Sequence[WPolynomial],
+    limit: int,
+) -> tuple[PolyMap, bool]:
+    """Rounds k = 1 .. limit of x = theta + C (y - N(x)), truncated at degree k.
+
+    Returns the last iterate and whether it inverts phi. Round k substitutes
+    the previous iterate into N in full, giving F, before it truncates. A
+    round that settles is certified from F alone (the proof is in
+    _invert_coordinate_change): the iterate inverts phi exactly when F has
+    no term of total degree above k. A pass that reaches the limit
+    unsettled checks the composite candidate.then(phi).
+
+    Each iterate is one linear combination of term dicts per coordinate,
+    with theta in stored form, and trunc_k F is read off F's terms.
+    """
+    chart, new_chart = phi.source, phi.target
+    names = chart.names
+    rhs = ys = [{((j, 1),): 1} for j in range(len(new_chart))]
+    start = [{(): _coefficient(theta[v])} if theta[v] else {} for v in names]
+    guesses: list[WPolynomial] = []
+    for k in range(1, limit + 1):
+        within = True  # no term of F above total degree k
+        if guesses:  # round 1 needs no substitution: N(theta) = 0
+            sigma = dict(zip(names, guesses))
+            rhs = []
+            for y, n in zip(ys, nonlinear):
+                if not n.terms:
+                    rhs.append(y)
+                    continue
+                pushed = n.substitute(sigma, into=new_chart).terms
+                kept = {m: c for m, c in pushed.items() if _mono_total_degree(m) <= k}
+                within = within and len(kept) == len(pushed)
+                rhs.append(_terms_combine(((-1, kept),), dict(y)))
+        updated = [
+            WPolynomial(new_chart, _terms_combine(zip(row, rhs), dict(t)))
+            for t, row in zip(start, basis)
         ]
-        for i, v in enumerate(block_vars):
-            acc = WPolynomial.zero(chart)
-            for j, u in enumerate(block_vars):
-                part = WPolynomial.variable(chart, u) - solved_residues[j]
-                acc = acc + part * binv[i][j]
-            inv[v] = acc
-    result = PolyMap(chart, chart, inv)
-    if not psi.then(result).is_identity():
-        raise EngineDefectError("back-substitution produced a wrong inverse")
-    return result
+        settled = updated == guesses
+        guesses = updated
+        if settled and within:
+            return PolyMap(new_chart, chart, dict(zip(names, guesses))), True
+    candidate = PolyMap(new_chart, chart, dict(zip(names, guesses)))
+    return candidate, not settled and candidate.then(phi).is_identity()
 
 
 def matrix_representation(psi: PolyMap) -> Matrix:

@@ -9,12 +9,14 @@ Fractions are built only at the boundary, once per returned entry. Sizes
 here never exceed a couple dozen rows.
 
 The kernels: `mat_mul`, `inverse`, `independent_columns` (and `rank`), and
-the predicates `fixes` and `is_idempotent`, which decide a*b == b and a*a
-== a over the integers and build no Fraction at all. The engine decides its
-Taylor projections by their ranks (`independent_columns`), and calls
-`is_idempotent` only to explain a failure: to name the first projection
-that is not idempotent. `fixes` decides whether commuting families'
-projections keep each other's images (action._homogenize_joint).
+the predicates `fixes`, `is_idempotent` and `is_inverse`, which decide a*b
+== b, a*a == a and a*b == I over the integers and build no Fraction at
+all. The engine decides its Taylor projections by their ranks
+(`independent_columns`), and calls `is_idempotent` only to explain a
+failure: to name the first projection that is not idempotent. `fixes`
+decides whether commuting families' projections keep each other's images
+(action._homogenize_joint). `is_inverse` is the checked premise of the
+Picard pass that inverts polynomial maps (graded._invert_coordinate_change).
 """
 
 from __future__ import annotations
@@ -111,6 +113,30 @@ def fixes(a: Matrix, b: Matrix) -> bool:
 def is_idempotent(a: Matrix) -> bool:
     """Is a*a == a? That is fixes(a, a), decided over ints."""
     return fixes(a, a)
+
+
+def is_inverse(a: Matrix, b: Matrix) -> bool:
+    """Is a*b == I? With a = N / d and b = M / e this is N*M == d*e*I, over ints.
+
+    No Fraction is built, and the product is compared row by row and stops
+    at the first difference. Both must be square of one size; otherwise
+    DomainError, as for fixes.
+    """
+    n = len(a)
+    if len(b) != n or any(len(row) != n for m in (a, b) for row in m):
+        raise DomainError(
+            f"a*b == I needs two square matrices of one size, got {n} and "
+            f"{len(b)} rows of lengths {sorted({len(row) for m in (a, b) for row in m})}"
+        )
+    na, d = _scaled(a)
+    nb, e = _scaled(b)
+    de = d * e
+    cols = list(zip(*nb))
+    return all(
+        sum(map(mul, row, col)) == (de if i == j else 0)
+        for i, row in enumerate(na)
+        for j, col in enumerate(cols)
+    )
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

@@ -22,13 +22,20 @@ def random_chart(
     max_rank: tuple[int, ...] = (3, 2, 1),
     name: str = "R",
     min_vars: int = 1,
+    max_base: int = 0,
 ) -> GradedChart:
-    """A chart with up to max_rank[w-1] variables of weight w, at least min_vars."""
+    """A chart with up to max_rank[w-1] variables of weight w, at least min_vars.
+
+    With max_base > 0 it also has up to max_base weight-0 variables b1, b2,
+    .., listed first. The count is drawn only then, so max_base = 0 draws
+    the same charts as before the option existed.
+    """
     while True:
         counts = [rng.randint(0, m) for m in max_rank]
-        if sum(counts) >= min_vars:
+        base = rng.randint(0, max_base) if max_base else 0
+        if sum(counts) + base >= min_vars:
             break
-    variables = []
+    variables = [(f"b{i}", 0) for i in range(1, base + 1)]
     for w, count in enumerate(counts, start=1):
         letter = _LETTERS[(w - 1) % len(_LETTERS)]
         for i in range(1, count + 1):
@@ -64,11 +71,31 @@ def random_homogeneous(
 
 
 def random_unipotent(rng: random.Random, chart: GradedChart) -> PolyMap:
-    """Identity plus nonlinear same-weight corrections; always invertible."""
+    """Identity plus nonlinear same-weight corrections; always invertible.
+
+    On a chart with weight-0 variables, each weight-0 pullback is shifted by
+    a constant, and each term of a correction, drawn over the positive part
+    of the chart, gains a factor b^e with b of weight 0 and e in 0..3. A
+    chart of positive weights is drawn as before.
+    """
+    base = [v for v, w in chart.variables if w == 0]
+    if base:
+        positive = GradedChart("P", tuple((v, w) for v, w in chart.variables if w))
     pullbacks = {}
     for v, w in chart.variables:
-        correction = random_homogeneous(rng, chart, w, exclude_linear=True)
-        pullbacks[v] = WPolynomial.variable(chart, v) + correction
+        x = WPolynomial.variable(chart, v)
+        if not base:
+            pullbacks[v] = x + random_homogeneous(rng, chart, w, exclude_linear=True)
+        elif w == 0:
+            pullbacks[v] = x + random_coefficient(rng)
+        else:
+            correction = random_homogeneous(rng, positive, w, exclude_linear=True)
+            for mono, c in correction.terms.items():
+                exps = {positive.names[i]: e for i, e in mono}
+                b = rng.choice(base)
+                exps[b] = rng.randint(0, 3)
+                x = x + WPolynomial.monomial(chart, exps, c)
+            pullbacks[v] = x
     return PolyMap(chart, chart, pullbacks)
 
 

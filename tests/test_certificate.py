@@ -19,6 +19,10 @@ projections), and the object-level linear combinations of the homogenizer
 rows, the scaling check, N and the Picard iterates (the term-dict
 combinations must give the same coordinates, inverse, orders, verdicts and
 errors).
+
+The inverse kernel lives in gradua.graded, which runs the pass; action
+calls the kernel. The helpers that intercept a stage patch it in the
+module that calls it.
 """
 
 import random
@@ -30,6 +34,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradua.action as action
+import gradua.graded as graded
+import gradua.linalg as linalg
 from gradua.action import (
     AnalysisReport,
     _distinct_params,
@@ -528,17 +534,22 @@ def test_taylor_projections_match_the_reference_route(dressed):
 # --- one composite of the inverse ----------------------------------------------
 
 
+# the module whose code calls each stage of the inverse kernel: action calls
+# the kernel, and the kernel, in graded, runs the pass
+CALLER = {"_invert_coordinate_change": action, "_picard_inverse": graded}
+
+
 def inversion_inputs(monkeypatch, build, *args, stage="_invert_coordinate_change"):
-    """build(*args), and the arguments its first call of action.<stage> got."""
+    """build(*args), and the arguments its first call of <stage> got."""
     seen = []
-    invert = getattr(action, stage)
+    invert = getattr(CALLER[stage], stage)
 
     def recording(*inputs):
         seen.append(inputs)
         return invert(*inputs)
 
     with monkeypatch.context() as patched:
-        patched.setattr(action, stage, recording)
+        patched.setattr(CALLER[stage], stage, recording)
         result = build(*args)
     return result, seen[0]
 
@@ -547,15 +558,15 @@ def picard_candidate(monkeypatch, inputs, limit):
     """The last iterate of the Picard pass of _invert_coordinate_change(*inputs),
     cut at round `limit`."""
     formed = []
-    picard = action._picard_inverse
+    picard = graded._picard_inverse
 
     def at_limit(*args):
         formed.append(picard(*args[:-1], limit)[0])
         return picard(*args)
 
     with monkeypatch.context() as patched:
-        patched.setattr(action, "_picard_inverse", at_limit)
-        action._invert_coordinate_change(*inputs)
+        patched.setattr(graded, "_picard_inverse", at_limit)
+        graded._invert_coordinate_change(*inputs)
     return formed[0]
 
 
@@ -728,6 +739,38 @@ def test_weight0_coordinates_with_no_inverse_stop_at_the_bcw_bound(monkeypatch):
     monkeypatch.setattr(WPolynomial, "truncate_total_degree", at_most_8)
     with pytest.raises(NotGradedActionError, match="total degree <= 8 "):
         homogenize(family)
+
+
+# --- the kernel's checked premise ---------------------------------------------
+
+
+def test_a_wrong_basis_inverse_is_caught_by_the_premise(monkeypatch):
+    """With linalg.inverse off by one, C^-1 is wrong, yet every coordinate it
+    builds still scales (a combination of t^r coefficients of a monoid action
+    does). The Picard pass checks cinv * C = I and refuses every family; with
+    that check bypassed, the settle certificate accepts wrong inverses."""
+    families = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        families.append(conjugated_action(rng, random_chart(rng, min_vars=2))[0])
+    invert = linalg.inverse
+
+    def off_by_one(a):
+        inv = invert(a)
+        return ((inv[0][0] + 1,) + inv[0][1:],) + inv[1:]
+
+    monkeypatch.setattr(graded.linalg, "inverse", off_by_one)
+    for family in families:
+        with pytest.raises(EngineDefectError, match="cinv \\* C = I"):
+            homogenize(family)
+    monkeypatch.setattr(graded.linalg, "is_inverse", lambda a, b: True)
+    wrong = 0
+    for family in families:
+        got = outcome(homogenize, family)
+        if not isinstance(got, tuple):
+            assert not got.homogenizer.then(got.inverse).is_identity()
+            wrong += 1
+    assert wrong >= 30, wrong
 
 
 # --- the settled Picard round as the certificate --------------------------------
@@ -1026,7 +1069,7 @@ def reference_certificate(families, theta, name):
     if not exact:
         if positive:
             raise EngineDefectError(
-                f"the homogenizer has no inverse of total degree <= {limit}"
+                f"the map has no inverse of total degree <= {limit}"
             )
         raise NotGradedActionError(
             f"no polynomial inverse of total degree <= {limit} exists "

@@ -1,6 +1,13 @@
-"""Polynomial maps between charts: composition, gradedness, matrices."""
+"""Polynomial maps between charts: composition, gradedness, matrices.
+
+invert_automorphism runs on the Picard kernel that also inverts the
+homogenizer. The weight-filtered back-substitution it replaced is kept
+below as the oracle: inverses, error types and messages must agree with it,
+on charts with and without weight-0 coordinates.
+"""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,10 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradua.charts import GradedChart, fresh_name
+from gradua import linalg
 from gradua.errors import (
     DomainError,
     EngineDefectError,
+    GraduaError,
     NotInvertibleError,
+    SingularMatrixError,
     UnsupportedChartError,
 )
 from gradua.graded import (
@@ -386,3 +396,192 @@ def test_with_param_matches_the_substitution_route():
         assert h.with_param(h.param) is h
         with pytest.raises(DomainError):
             h.with_param(h.chart.names[0])
+
+
+# --- the Picard kernel against the back-substitution ----------------------------
+
+
+def reference_invert_automorphism(psi):
+    """invert_automorphism as it was, by weight-filtered back-substitution,
+    kept as the oracle.
+
+    For each weight r in increasing order the pullbacks split into a linear
+    block in the weight-r variables plus corrections in lower weights; the
+    block is inverted exactly and the corrections are pushed through the
+    already-built inverse. One composite is checked, psi.then(inverse).
+    """
+    if psi.source != psi.target:
+        raise DomainError("only self-maps of one chart can be inverted here")
+    if not is_graded_morphism(psi):
+        raise DomainError("the map does not respect the weights")
+    chart = psi.source
+    inv = {}
+    for w in sorted(set(chart.weights)):
+        block_vars = [v for v in chart.names if chart.weight_of(v) == w]
+        block_monos = [((chart.index_of(u), 1),) for u in block_vars]
+        rows = []
+        residues = []
+        for v in block_vars:
+            p = psi.pullbacks[v]
+            row = [Fraction(p.terms.get(m, 0)) for m in block_monos]
+            residue = WPolynomial(
+                chart, {m: c for m, c in p.terms.items() if m not in block_monos}
+            )
+            if w == 0:
+                if residue.total_degree() > 0:
+                    raise NotInvertibleError(
+                        f"pullback of weight-0 variable {v!r} is not affine"
+                    )
+            else:
+                for u in residue.variables():
+                    if chart.weight_of(u) >= w:
+                        raise NotInvertibleError(
+                            f"pullback of {v!r} has a non-constant linear block "
+                            f"(term mixing {u!r})"
+                        )
+            rows.append(row)
+            residues.append(residue)
+        try:
+            binv = linalg.inverse(tuple(tuple(r) for r in rows))
+        except SingularMatrixError as exc:
+            raise NotInvertibleError(
+                f"weight-{w} linear block is singular: {exc}"
+            ) from exc
+        solved_residues = [
+            r.substitute(inv, into=chart) if r.terms else r for r in residues
+        ]
+        for i, v in enumerate(block_vars):
+            acc = WPolynomial.zero(chart)
+            for j, u in enumerate(block_vars):
+                part = WPolynomial.variable(chart, u) - solved_residues[j]
+                acc = acc + part * binv[i][j]
+            inv[v] = acc
+    result = PolyMap(chart, chart, inv)
+    if not psi.then(result).is_identity():
+        raise EngineDefectError("back-substitution produced a wrong inverse")
+    return result
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except GraduaError as exc:
+        return type(exc), str(exc)
+
+
+def with_pullback(psi, v, p):
+    return PolyMap(psi.source, psi.target, {**psi.pullbacks, v: p})
+
+
+def refusals(rng, psi):
+    """Maps that invert_automorphism must refuse, made from psi: a weight-0
+    pullback that is not affine, a positive one with a non-constant linear
+    block (b * x_v mixes in x_v alone), a singular block (one pullback
+    repeated within its weight), a map that is not graded and one between
+    two charts."""
+    chart = psi.source
+    x = {v: WPolynomial.variable(chart, v) for v in chart.names}
+    base = [v for v, w in chart.variables if w == 0]
+    positive = [v for v, w in chart.variables if w]
+    out = []
+    if base:
+        b = rng.choice(base)
+        out.append(with_pullback(psi, b, psi.pullbacks[b] + x[rng.choice(base)] ** 2))
+        if positive:
+            v = rng.choice(positive)
+            out.append(with_pullback(psi, v, psi.pullbacks[v] + x[b] * x[v]))
+    for w in set(chart.weights):
+        block = [v for v in chart.names if chart.weight_of(v) == w]
+        if len(block) > 1:
+            u, v = rng.sample(block, 2)
+            out.append(with_pullback(psi, v, psi.pullbacks[u]))
+    if positive and len(chart) > 1:
+        v = rng.choice(positive)
+        u = rng.choice([u for u in chart.names if u != v])
+        out.append(with_pullback(psi, v, psi.pullbacks[v] + x[u] * x[u] * x[u] + 1))
+    other = GradedChart("O", chart.variables)
+    out.append(PolyMap(chart, other, {v: x[v] for v in chart.names}))
+    return out
+
+
+def bcw_shear():
+    """y -> y + b^5 x^2: its inverse has total degree 7 on a weight-2 coordinate."""
+    chart = GradedChart("G", (("b", 0), ("x", 1), ("y", 2)))
+    b, x, y = (WPolynomial.variable(chart, v) for v in chart.names)
+    return PolyMap(chart, chart, {"b": b, "x": x, "y": y + b**5 * x**2})
+
+
+def shifted_base():
+    """b -> c + 3, c -> 2b + c - 1, with a weight-1 coordinate over it."""
+    chart = GradedChart("H", (("b", 0), ("c", 0), ("x", 1)))
+    b, c, x = (WPolynomial.variable(chart, v) for v in chart.names)
+    return PolyMap(chart, chart, {"b": c + 3, "c": b * 2 + c - 1, "x": x * 2})
+
+
+def test_invert_automorphism_agrees_with_the_back_substitution():
+    rng = random.Random(53)
+    maps = [bcw_shear(), shifted_base()]
+    for seed in range(200):
+        seeded = random.Random(seed)
+        chart = random_chart(seeded, max_rank=(2, 1, 1), max_base=2 * (seed % 2))
+        maps.append(random_graded_automorphism(seeded, chart))
+    seen = {"inverted": 0, "weight 0": 0, "beyond the chart degree": 0}
+    for psi in maps:
+        got = invert_automorphism(psi)
+        expected = reference_invert_automorphism(psi)
+        assert got == expected and _stored(got) == _stored(expected)
+        seen["inverted"] += 1
+        if 0 in psi.source.weights:
+            seen["weight 0"] += 1
+            degree = max(p.total_degree() for p in got.pullbacks.values())
+            seen["beyond the chart degree"] += degree > psi.source.degree
+        for bad in refusals(rng, psi):
+            refused = outcome(invert_automorphism, bad)
+            assert refused == outcome(reference_invert_automorphism, bad)
+            assert isinstance(refused, tuple), bad
+            kind = re.sub(r"'\w+'|-?\d+", "_", refused[1].split(":")[0])
+            seen[kind] = seen.get(kind, 0) + 1
+    assert str(maps[0].then(invert_automorphism(maps[0])).pullbacks["y"]) == "y"
+    assert str(invert_automorphism(maps[0]).pullbacks["y"]) == "-b^5*x^2 + y"
+    assert seen["weight 0"] >= 60 and seen["beyond the chart degree"] >= 20, seen
+    # the five refusals: not affine, non-constant block, singular block, not
+    # graded, not a self-map
+    assert len(seen) == 3 + 5 and min(seen.values()) >= 20, seen
+
+
+def off_by_one(inverse):
+    """linalg.inverse with 1 added to the first entry of every result."""
+
+    def wrong(a):
+        inv = inverse(a)
+        return ((inv[0][0] + 1,) + inv[0][1:],) + inv[1:]
+
+    return wrong
+
+
+def test_a_wrong_block_inverse_is_caught_by_the_premise(monkeypatch):
+    """With linalg.inverse off by one, C no longer inverts the derivative.
+    The pass's checked premise refuses every map. With the check bypassed,
+    the settle certificate accepts wrong inverses, and a pass that fails
+    is still an EngineDefectError, at the Bass-Connell-Wright bound too."""
+    maps = []
+    for seed in range(300):
+        seeded = random.Random(seed)
+        chart = random_chart(seeded, max_base=2 if seed >= 200 else 0)
+        maps.append(random_graded_automorphism(seeded, chart))
+    monkeypatch.setattr(linalg, "inverse", off_by_one(linalg.inverse))
+    for psi in maps:
+        with pytest.raises(EngineDefectError, match="cinv \\* C = I"):
+            invert_automorphism(psi)
+    monkeypatch.setattr(linalg, "is_inverse", lambda a, b: True)
+    seen = {"wrong": 0, "not inverted": 0}
+    for psi in maps:
+        got = outcome(invert_automorphism, psi)
+        if isinstance(got, PolyMap):
+            assert not compose(psi, got).is_identity()
+            seen["wrong"] += 1
+        else:
+            assert got[0] is EngineDefectError, got
+            seen["not inverted"] += "Bass-Connell-Wright" in got[1]
+    assert seen["wrong"] >= 100 and seen["not inverted"] >= 20, seen

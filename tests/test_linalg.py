@@ -5,7 +5,8 @@ integer (shared-denominator, fraction-free) kernels in gradua.linalg
 replaced. They are kept here only as the oracle: products and inverses must
 be equal, singular inputs must fail at the same column, and
 independent_columns must pick the same indices (the first-pivot tie break).
-is_idempotent must agree with comparing mat_mul(a, a) to a.
+is_idempotent must agree with comparing mat_mul(a, a) to a, and is_inverse
+with comparing the Fraction product a * b to the identity.
 """
 
 import random
@@ -289,6 +290,72 @@ def test_is_idempotent_refuses_what_mat_mul_refuses():
 def test_small_integer_matrices_idempotence_agrees(rows, den):
     a = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
     assert linalg.is_idempotent(a) == (ref_mat_mul(a, a) == a)
+
+
+def inverse_pairs():
+    """(a, b) with b = a^-1, b moved by 1/3 in one entry, and b = a, for the
+    invertible SQUARE and PROJECTIONS cases."""
+    rng = random.Random(5333)
+    pairs = [((), ()), (((ONE,),), ((ONE,),))]
+    for a in [a for a, _ in SQUARE] + PROJECTIONS:
+        if not a:
+            continue
+        try:
+            b = ref_inverse(a)
+        except SingularMatrixError:
+            continue
+        moved = [list(row) for row in b]
+        moved[rng.randrange(len(b))][rng.randrange(len(b))] += Fraction(1, 3)
+        pairs += [(a, b), (a, tuple(map(tuple, moved))), (a, a)]
+    return pairs
+
+
+def test_is_inverse_matches_the_product():
+    verdicts = []
+    for a, b in inverse_pairs():
+        got = linalg.is_inverse(a, b)
+        assert got == (ref_mat_mul(a, b) == linalg.identity(len(a)))
+        verdicts.append(got)
+    assert verdicts.count(True) > 10 and verdicts.count(False) > 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+    st.integers(1, 3),
+    st.sampled_from(["inverse", "moved", "scaled", "transposed"]),
+)
+def test_small_matrices_inverse_verdict_agrees(rows, den, kind):
+    a = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+    try:
+        b = ref_inverse(a)
+    except SingularMatrixError:
+        b = tuple(zip(*a))
+    if kind == "moved":
+        b = ((b[0][0] + Fraction(1, 2),) + b[0][1:],) + b[1:]
+    elif kind == "scaled":
+        b = tuple(tuple(x * den for x in row) for row in b)
+    elif kind == "transposed":
+        b = tuple(zip(*b))
+    assert linalg.is_inverse(a, b) == (ref_mat_mul(a, b) == linalg.identity(len(a)))
+
+
+def test_is_inverse_refuses_shapes_as_fixes_does():
+    square, column_pair = ((ONE, ZERO), (ZERO, ONE)), ((ONE,), (ONE,))
+    for a, b in (
+        (((ONE, ZERO),), ((ONE,), (ZERO,))),  # a*b is 1 x 1, but a is not square
+        (square, column_pair),
+        (column_pair, square),
+        (square, linalg.identity(3)),
+        (((ONE, ONE), (ONE,)), square),  # ragged
+        (square, ((ONE, ONE), (ONE,))),
+    ):
+        with pytest.raises(DomainError):
+            linalg.is_inverse(a, b)
 
 
 # --- against sympy -----------------------------------------------------------

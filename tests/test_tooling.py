@@ -15,7 +15,7 @@ from pathlib import Path
 
 from fractions import Fraction
 
-from gradua import cli, jets, linalg
+from gradua import cli, graded, jets, linalg
 from gradua.action import analyze, homogenize
 from gradua.charts import GradedChart
 from gradua.dsl import parse
@@ -23,7 +23,7 @@ from gradua.graded import ActionFamily, PolyMap, standard_action
 from gradua.multigrade import bihomogenize
 from gradua.wpoly import WPolynomial
 
-from helpers import chained_family, conjugated_action
+from helpers import chained_family, conjugated_action, random_graded_automorphism
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -198,6 +198,26 @@ def test_analyze_forms_its_linear_combinations_on_term_dicts(monkeypatch):
     assert len(built) <= 44
 
 
+def test_invert_automorphism_runs_one_picard_pass(monkeypatch):
+    """One pass, one inverse per weight block, and no polynomial sum,
+    difference or scaling beyond those of the gradedness check."""
+    chart = GradedChart("A", (("x1", 1), ("x2", 1), ("y1", 2), ("z1", 3)))
+    psi = random_graded_automorphism(random.Random(5), chart)
+    methods = ("__add__", "__sub__", "scale")
+    calls = {name: _count_calls(monkeypatch, WPolynomial, name) for name in methods}
+    graded.is_graded_morphism(psi)
+    checking = {name: len(c) for name, c in calls.items()}
+    for c in calls.values():
+        c.clear()
+    passes = _count_calls(monkeypatch, graded, "_picard_inverse")
+    blocks = _count_calls(monkeypatch, linalg, "inverse")
+    inverse = graded.invert_automorphism(psi)
+    assert psi.then(inverse).is_identity()
+    assert (len(passes), len(blocks)) == (1, 3)
+    # is_homogeneous's Euler route makes its own sums and scalings
+    assert {name: len(c) for name, c in calls.items()} == checking
+
+
 def test_prolong_substitutes_the_curves_once(monkeypatch):
     program = parse(GRADED_SHEAR)
     calls = _count_calls(monkeypatch, jets, "_taylor_components")
@@ -212,6 +232,15 @@ def test_flip_round_trip_substitutes_nothing(monkeypatch):
     report = cli.run(program)
     assert report.results[0]["round_trip_identity"] is True
     assert calls == []
+
+
+def test_flip_with_equal_orders_builds_one_renaming(monkeypatch):
+    # with m = n the flip is its own candidate inverse
+    program = parse("chart A (x1:1, x2:1, y1:2)\nflip 2 2 A\nflip 1 2 A\n")
+    calls = _count_calls(monkeypatch, cli, "flip")
+    report = cli.run(program)
+    assert [args[:2] for args in calls] == [(2, 2), (1, 2), (2, 1)]
+    assert [entry["round_trip_identity"] for entry in report.results] == [True, True]
 
 
 def test_parsing_builds_one_polynomial_per_pullback_and_entry(monkeypatch):
