@@ -26,6 +26,12 @@ failure.
 Every claimed identity is either verified by exact rational arithmetic or
 follows from one that is by that argument.
 
+The composites these checks compare, h_t o h_s for the laws, both orders of
+two families for commutation and all k families for the homogenizer, come
+from graded._compose_families. The parameter of a family is never renamed or
+evaluated by substitution: h_(ts) is a term map, and the infinitesimal
+generator reads the t-derivatives at 1 with ActionFamily.at.
+
 The homogenizer is inverted by graded's one inverse kernel,
 _invert_coordinate_change. Its pass, _picard_inverse, is imported here too,
 though not called, because perfbench/spans.py wraps both by name in this
@@ -52,7 +58,7 @@ from .errors import (
     NotGradedActionError,
 )
 from .graded import (  # noqa: F401
-    ActionFamily, PolyMap, _invert_coordinate_change, _picard_inverse
+    ActionFamily, PolyMap, _compose_families, _invert_coordinate_change, _picard_inverse
 )
 from .linalg import Matrix
 from .wpoly import Monomial, WPolynomial, _coefficient, _exact, _terms_combine
@@ -105,31 +111,29 @@ class AnalysisReport:
 
 
 def verify_laws(h: ActionFamily) -> LawReport:
-    """Check the semigroup and monoid laws as exact polynomial identities."""
+    """Check the semigroup and monoid laws as exact polynomial identities.
+
+    The composite h_t o h_s is one _compose_families call over the chart
+    followed by t and s. h_(ts) is a term map: t is the last factor of any
+    monomial of an entry that has it, at index n = len(chart), so t^k
+    becomes t^k s^k by appending (n + 1, k) after (n, k).
+    """
     chart = h.chart
     t = h.param
     s = fresh_name("s", chart.names + (t,))
     ext2 = chart.extend(((t, 0), (s, 0)))
-    tvar = WPolynomial.variable(ext2, t)
-    svar = WPolynomial.variable(ext2, s)
-
-    entries_s: dict[str, WPolynomial] = {}
-    rename = {v: WPolynomial.variable(ext2, v) for v in chart.names}
-    rename[t] = svar
-    for v in chart.names:
-        entries_s[v] = h.entries[v].substitute(rename, into=ext2)
-
-    compose_sigma = dict(entries_s)
-    compose_sigma[t] = tvar
-    product_sigma = {v: WPolynomial.variable(ext2, v) for v in chart.names}
-    product_sigma[t] = tvar * svar
+    n_vars = len(chart)
+    composite = _compose_families((h, h.with_param(s)), ext2)
 
     witnesses: list[LawWitness] = []
-    for v in chart.names:
-        composed = h.entries[v].substitute(compose_sigma, into=ext2)
-        merged = h.entries[v].substitute(product_sigma, into=ext2)
-        if composed != merged:
-            witnesses.append(LawWitness("semigroup", v, composed - merged))
+    for v, terms in zip(chart.names, composite):
+        merged = {
+            (m + ((n_vars + 1, m[-1][1]),) if m and m[-1][0] == n_vars else m): c
+            for m, c in h.entries[v].terms.items()
+        }
+        if terms != merged:
+            difference = WPolynomial(ext2, terms) - WPolynomial(ext2, merged)
+            witnesses.append(LawWitness("semigroup", v, difference))
     semigroup_ok = not witnesses
 
     unit = h.at(1)
@@ -159,18 +163,6 @@ def _distinct_params(
     return h1, h2
 
 
-def _composite_entries(
-    first: ActionFamily, last: ActionFamily, ext: GradedChart
-) -> dict[str, WPolynomial]:
-    """Pullbacks of applying `first`, then `last`, over the two-parameter chart."""
-    chart = first.chart
-    rename = {v: WPolynomial.variable(ext, v) for v in chart.names}
-    rename[first.param] = WPolynomial.variable(ext, first.param)
-    sigma = {v: first.entries[v].substitute(rename, into=ext) for v in chart.names}
-    sigma[last.param] = WPolynomial.variable(ext, last.param)
-    return {v: last.entries[v].substitute(sigma, into=ext) for v in chart.names}
-
-
 def check_commuting(
     h1: ActionFamily, h2: ActionFamily
 ) -> tuple[bool, tuple[tuple[str, WPolynomial], ...]]:
@@ -182,12 +174,12 @@ def check_commuting(
     h1, h2 = _distinct_params(h1, h2)
     chart = h1.chart
     ext = chart.extend(((h1.param, 0), (h2.param, 0)))
-    h1_last = _composite_entries(h2, h1, ext)
-    h2_last = _composite_entries(h1, h2, ext)
+    h1_last = _compose_families((h1, h2), ext)
+    h2_last = _compose_families((h2, h1), ext)
     witnesses = tuple(
-        (v, h1_last[v] - h2_last[v])
-        for v in chart.names
-        if h1_last[v] != h2_last[v]
+        (v, WPolynomial(ext, a) - WPolynomial(ext, b))
+        for v, a, b in zip(chart.names, h1_last, h2_last)
+        if a != b
     )
     return (not witnesses, witnesses)
 
@@ -265,23 +257,22 @@ def _jacobian_coefficients(
     return rows
 
 
-class _Projections(tuple):
-    """The Taylor projections Q_0 .. Q_n, a plain tuple of matrices to every
-    caller, carrying in `pivots` the basis columns of each Q_r that the rank
-    check picked (linalg.independent_columns; empty for a zero Q_r)."""
-
-    pivots: tuple[list[int], ...]
-
-    def __new__(cls, qs: Sequence[Matrix], pivots: Sequence[list[int]]) -> _Projections:
-        self = super().__new__(cls, qs)
-        self.pivots = tuple(pivots)
-        return self
-
-
 def taylor_projections(
     h: ActionFamily, theta: Mapping[str, Fraction | int] | None = None
 ) -> tuple[Matrix, ...]:
     """Taylor coefficient matrices Q_0 .. Q_n of the derivative at theta.
+
+    The projections of _taylor_projections, which has the checks.
+    """
+    return _taylor_projections(h, theta)[0]
+
+
+def _taylor_projections(
+    h: ActionFamily, theta: Mapping[str, Fraction | int] | None = None
+) -> tuple[tuple[Matrix, ...], list[list[int]], dict[str, Fraction]]:
+    """The Taylor projections Q_0 .. Q_n at theta, the pivot columns of each
+    Q_r that the rank check picked (linalg.independent_columns; empty for a
+    zero Q_r), and theta resolved to a point of the chart.
 
     Q_r is 1/r! times the r-th t-derivative of H(t) at t=0, which for
     polynomial entries is just the t^r coefficient matrix. The coefficients
@@ -333,7 +324,7 @@ def taylor_projections(
             if any(map(any, q)) and not linalg.is_idempotent(q):
                 raise NotGradedActionError(f"Taylor coefficient Q_{r} is not a projection")
         raise EngineDefectError("idempotent Taylor projections have ranks above the chart")
-    return _Projections(qs, pivots)
+    return qs, pivots, point
 
 
 def homogenize(
@@ -522,11 +513,11 @@ def _joint_certificate(
     name: str,
 ) -> _JointHomogenization:
     """The construction and exact checks of _homogenize_joint, unexplained."""
-    per_family = [taylor_projections(h, theta) for h in families]
+    per_family = [_taylor_projections(h, theta) for h in families]
     chart = families[0].chart
-    point = _resolve_theta(families[0], theta)
+    point = per_family[0][2]
     n_vars = len(chart)
-    basis_cols, orders = _joint_basis(per_family)
+    basis_cols, orders = _joint_basis([(qs, pivots) for qs, pivots, _ in per_family])
     if len(basis_cols) != n_vars:
         raise EngineDefectError("projection images do not fill the chart")
     basis = linalg.mat_from_cols(basis_cols)
@@ -535,16 +526,11 @@ def _joint_certificate(
     basis, cinv = ([[_coefficient(x) for x in row] for row in m] for m in (basis, cinv))
 
     # the composite applies the last family first; its chart lists the
-    # parameters in that order so the innermost entries' terms are already
-    # over it
+    # parameters in that order
     params = [h.param for h in families]
     k = len(params)
     ext = chart.extend(tuple((t, 0) for t in reversed(params)))
-    composite = [families[-1].entries[v].terms for v in chart.names]
-    for h in reversed(families[:-1]):
-        sigma = {v: WPolynomial(ext, terms) for v, terms in zip(chart.names, composite)}
-        sigma[h.param] = WPolynomial.variable(ext, h.param)
-        composite = [h.entries[v].substitute(sigma, into=ext).terms for v in chart.names]
+    composite = _compose_families(families, ext)
 
     # each entry minus theta, split once by its multi-index of parameter
     # exponents (parameter j sits at index n_vars + k - 1 - j of ext); the
@@ -597,33 +583,35 @@ def _joint_certificate(
         inverse=_invert_coordinate_change(phi, point, basis, cinv, degree),
         orders=tuple(orders),
         theta=point,
-        factors=tuple(per_family),
+        factors=tuple(qs for qs, _, _ in per_family),
     )
 
 
 def _joint_basis(
-    per_family: Sequence[_Projections],
+    per_family: Sequence[tuple[Sequence[Matrix], Sequence[list[int]]]],
 ) -> tuple[list[linalg.Vector], list[tuple[int, ...]]]:
     """Basis columns of the image of each nonzero joint projection, and the
     multi-index of each column, by restriction (proofs in _homogenize_joint).
 
-    One family's columns are the pivot columns of its Q_r. For each further
-    family, each block B of columns is restricted to C = Q B for each
-    nonzero Q of that family; every factor of the block must fix C, else the
-    families do not commute. NotDoubleStructureError is raised then.
+    Each family gives its Taylor projections and their pivots, as
+    _taylor_projections returns them. One family's columns are the pivot
+    columns of its Q_r. For each further family, each block B of columns is
+    restricted to C = Q B for each nonzero Q of that family; every factor of
+    the block must fix C, else the families do not commute.
+    NotDoubleStructureError is raised then.
     """
-    first = per_family[0]
+    first, first_pivots = per_family[0]
     # multi-index -> (factors of the joint projection, its basis columns)
     blocks = {
         (r,): ((q,), [linalg.column(q, j) for j in cols])
-        for r, (q, cols) in enumerate(zip(first, first.pivots))
+        for r, (q, cols) in enumerate(zip(first, first_pivots))
         if cols
     }
-    for qs in per_family[1:]:
+    for qs, pivots in per_family[1:]:
         restricted = {}
         for idx, (factors, cols) in blocks.items():
             b = linalg.mat_from_cols(cols)
-            for s, (q, q_cols) in enumerate(zip(qs, qs.pivots)):
+            for s, (q, q_cols) in enumerate(zip(qs, pivots)):
                 if not q_cols:
                     continue
                 c = linalg.mat_mul(q, b)
@@ -695,16 +683,15 @@ def euler_field(h: ActionFamily) -> tuple[tuple[str, WPolynomial], ...]:
     """Coefficients of the infinitesimal generator at parameter 1.
 
     For the standard family this is the weight field: each variable times
-    its weight.
+    its weight. The t-derivatives of the entries are again a family in t,
+    and ActionFamily.at reads it at 1 in one pass over its terms.
     """
-    chart = h.chart
-    out = []
-    sigma = {v: WPolynomial.variable(chart, v) for v in chart.names}
-    sigma[h.param] = WPolynomial.constant(chart, 1)
-    for v in chart.names:
-        d = h.entries[v].differentiate(h.param)
-        out.append((v, d.substitute(sigma, into=chart)))
-    return tuple(out)
+    names = h.chart.names
+    derivative = ActionFamily(
+        h.chart, h.param, {v: h.entries[v].differentiate(h.param) for v in names}
+    )
+    generator = derivative.at(1)
+    return tuple((v, generator.pullbacks[v]) for v in names)
 
 
 def analyze(

@@ -283,40 +283,32 @@ class _Parser:
     def error(self, message: str, tok: Token, expected: tuple[str, ...] = ()) -> ParseError:
         return ParseError(message, tok.span.line, tok.span.col, expected)
 
+    def unexpected(self, tok: Token, expected: tuple[str, ...]) -> ParseError:
+        """The error for a token that is none of the expected ones."""
+        found = f"found {tok.text!r}" if tok.text else "unexpected end of input"
+        return self.error(found, tok, expected)
+
     def expect_symbol(self, text: str) -> Token:
         tok = self.peek()
         if tok.kind == "symbol" and tok.text == text:
             return self.advance()
-        raise self.error(f"found {tok.text!r}" if tok.text else "unexpected end of input", tok, (text,))
+        raise self.unexpected(tok, (text,))
 
     def expect_keyword(self, text: str) -> Token:
         tok = self.peek()
         if tok.kind == "keyword" and tok.text == text:
             return self.advance()
-        raise self.error(f"found {tok.text!r}" if tok.text else "unexpected end of input", tok, (text,))
+        raise self.unexpected(tok, (text,))
 
-    def expect_ident(self, what: str) -> Token:
+    def expect(self, kind: str, what: str) -> Token:
+        """The next token, which must be of this kind (ident or number)."""
         tok = self.peek()
-        if tok.kind == "ident":
+        if tok.kind == kind:
             return self.advance()
-        raise self.error(
-            f"found {tok.text!r}" if tok.text else "unexpected end of input",
-            tok,
-            (what,),
-        )
-
-    def expect_number(self, what: str = "number") -> Token:
-        tok = self.peek()
-        if tok.kind == "number":
-            return self.advance()
-        raise self.error(
-            f"found {tok.text!r}" if tok.text else "unexpected end of input",
-            tok,
-            (what,),
-        )
+        raise self.unexpected(tok, (what,))
 
     def expect_integer(self, what: str) -> tuple[int, Token]:
-        tok = self.expect_number(what)
+        tok = self.expect("number", what)
         assert tok.value is not None
         if tok.value.denominator != 1:
             raise self.error(f"{tok.text!r} is not an integer", tok, (what,))
@@ -331,10 +323,8 @@ class _Parser:
             if tok.kind == "eof":
                 break
             if tok.kind != "keyword":
-                raise self.error(
-                    f"found {tok.text!r}",
-                    tok,
-                    ("chart", "map", "action", "double", "a command"),
+                raise self.unexpected(
+                    tok, ("chart", "map", "action", "double", "a command")
                 )
             handler: Callable[[], Statement] | None = {
                 "chart": self.parse_chart,
@@ -369,11 +359,11 @@ class _Parser:
 
     def parse_chart(self) -> ChartStmt:
         kw = self.expect_keyword("chart")
-        name_tok = self.expect_ident("chart name")
+        name_tok = self.expect("ident", "chart name")
         self.expect_symbol("(")
         variables: list[tuple[str, int]] = []
         while True:
-            var_tok = self.expect_ident("variable name")
+            var_tok = self.expect("ident", "variable name")
             self.expect_symbol(":")
             weight, wtok = self.expect_integer("weight")
             if weight < 0:
@@ -394,17 +384,17 @@ class _Parser:
 
     def parse_map(self) -> MapStmt:
         kw = self.expect_keyword("map")
-        name_tok = self.expect_ident("map name")
+        name_tok = self.expect("ident", "map name")
         self.expect_symbol(":")
-        src_tok = self.expect_ident("chart name")
+        src_tok = self.expect("ident", "chart name")
         source = self.lookup(self.charts, src_tok, "chart")
         self.expect_symbol("->")
-        dst_tok = self.expect_ident("chart name")
+        dst_tok = self.expect("ident", "chart name")
         target = self.lookup(self.charts, dst_tok, "chart")
         self.expect_symbol("{")
         pullbacks: dict[str, WPolynomial] = {}
         while not (self.peek().kind == "symbol" and self.peek().text == "}"):
-            var_tok = self.expect_ident("target variable")
+            var_tok = self.expect("ident", "target variable")
             if var_tok.text not in target:
                 raise self.error(
                     f"variable {var_tok.text!r} is not in chart {target.name!r}",
@@ -427,9 +417,9 @@ class _Parser:
 
     def parse_action(self) -> ActionStmt:
         kw = self.expect_keyword("action")
-        name_tok = self.expect_ident("action name")
+        name_tok = self.expect("ident", "action name")
         self.expect_keyword("on")
-        chart_tok = self.expect_ident("chart name")
+        chart_tok = self.expect("ident", "chart name")
         chart = self.lookup(self.charts, chart_tok, "chart")
         if ACTION_PARAM in chart:
             raise self.error(
@@ -441,7 +431,7 @@ class _Parser:
         self.expect_symbol("{")
         entries: dict[str, WPolynomial] = {}
         while not (self.peek().kind == "symbol" and self.peek().text == "}"):
-            var_tok = self.expect_ident("chart variable")
+            var_tok = self.expect("ident", "chart variable")
             if var_tok.text not in chart:
                 raise self.error(
                     f"variable {var_tok.text!r} is not in chart {chart.name!r}",
@@ -467,24 +457,20 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "keyword" and tok.text == "action":
             self.advance()
-        member = self.expect_ident("action name")
+        member = self.expect("ident", "action name")
         self.lookup(self.actions, member, "action")
         return member
 
     def parse_double(self) -> DoubleStmt:
         kw = self.expect_keyword("double")
-        name_tok = self.expect_ident("double name")
+        name_tok = self.expect("ident", "double name")
         self.expect_symbol("{")
         first_tok = self._double_member()
         tok = self.peek()
         if tok.kind == "symbol" and tok.text in (",", ";"):
             self.advance()
         else:
-            raise self.error(
-                f"found {tok.text!r}" if tok.text else "unexpected end of input",
-                tok,
-                (",", ";"),
-            )
+            raise self.unexpected(tok, (",", ";"))
         second_tok = self._double_member()
         if self.peek().kind == "symbol" and self.peek().text == ";":
             self.advance()
@@ -502,13 +488,13 @@ class _Parser:
 
     def parse_check_morphism(self) -> CheckMorphismCmd:
         kw = self.expect_keyword("check-morphism")
-        name_tok = self.expect_ident("map name")
+        name_tok = self.expect("ident", "map name")
         self.lookup(self.maps, name_tok, "map")
         return CheckMorphismCmd(name_tok.text, kw.span)
 
     def parse_analyze_action(self) -> AnalyzeActionCmd:
         kw = self.expect_keyword("analyze-action")
-        name_tok = self.expect_ident("action name")
+        name_tok = self.expect("ident", "action name")
         family = self.lookup(self.actions, name_tok, "action")
         point: tuple[tuple[str, Fraction], ...] | None = None
         tok = self.peek()
@@ -517,7 +503,7 @@ class _Parser:
             self.expect_symbol("(")
             seen: dict[str, Fraction] = {}
             while True:
-                var_tok = self.expect_ident("chart variable")
+                var_tok = self.expect("ident", "chart variable")
                 if var_tok.text not in family.chart:
                     raise self.error(
                         f"variable {var_tok.text!r} is not in chart "
@@ -533,7 +519,7 @@ class _Parser:
                 if self.peek().kind == "symbol" and self.peek().text == "-":
                     self.advance()
                     negative = True
-                num_tok = self.expect_number("rational value")
+                num_tok = self.expect("number", "rational value")
                 assert num_tok.value is not None
                 seen[var_tok.text] = -num_tok.value if negative else num_tok.value
                 tok = self.peek()
@@ -549,7 +535,7 @@ class _Parser:
 
     def parse_prolong(self) -> ProlongCmd:
         kw = self.expect_keyword("prolong")
-        name_tok = self.expect_ident("map name")
+        name_tok = self.expect("ident", "map name")
         pmap = self.lookup(self.maps, name_tok, "map")
         self.expect_keyword("order")
         order, otok = self.expect_integer("order")
@@ -579,7 +565,7 @@ class _Parser:
 
     def parse_check_double(self) -> CheckDoubleCmd:
         kw = self.expect_keyword("check-double")
-        name_tok = self.expect_ident("double name")
+        name_tok = self.expect("ident", "double name")
         self.lookup(self.doubles, name_tok, "double")
         return CheckDoubleCmd(name_tok.text, kw.span)
 
@@ -589,7 +575,7 @@ class _Parser:
         n, ntok = self.expect_integer("order")
         if m < 0 or n < 0:
             raise self.error("orders must be nonnegative", mtok if m < 0 else ntok)
-        chart_tok = self.expect_ident("chart name")
+        chart_tok = self.expect("ident", "chart name")
         chart = self.lookup(self.charts, chart_tok, "chart")
         size = len(chart) * (m + 1) * (n + 1)
         if size > VARIABLE_BUDGET:
@@ -606,11 +592,7 @@ class _Parser:
         if tok.kind == "keyword" and tok.text in ("json", "text"):
             self.advance()
             return ReportCmd(tok.text, kw.span)
-        raise self.error(
-            f"found {tok.text!r}" if tok.text else "unexpected end of input",
-            tok,
-            ("json", "text"),
-        )
+        raise self.unexpected(tok, ("json", "text"))
 
     # --- expressions --------------------------------------------------------
     #
@@ -702,11 +684,7 @@ class _Parser:
             inner = self.parse_sum(chart)
             self.expect_symbol(")")
             return inner
-        raise self.error(
-            f"found {tok.text!r}" if tok.text else "unexpected end of input",
-            tok,
-            ("a variable", "a number", "("),
-        )
+        raise self.unexpected(tok, ("a variable", "a number", "("))
 
 
 def parse(source: str) -> Program:

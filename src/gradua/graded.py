@@ -8,6 +8,12 @@ composite substitutes a's pullbacks into b's.
 An ActionFamily is a one-parameter family of self-maps whose entries are
 polynomials in the chart variables and one formal parameter. The standard
 family scales every variable by t**weight and fixes weight-0 variables.
+The parameter is the last variable of the family's extended chart, so it is
+the last factor of every monomial that has it: ActionFamily.at evaluates it
+and with_param renames it without substituting. Composites of families,
+the semigroup law's h_t o h_s, the commutation of two families, their total
+family and the homogenizer's composite, all have one builder,
+_compose_families.
 
 A map respects the grading when each pullback is weighted-homogeneous of
 its target variable's weight. Homogeneity itself is decided by two
@@ -40,7 +46,7 @@ from .errors import (
 )
 from .linalg import Matrix
 from .wpoly import (
-    Monomial, WPolynomial, _coefficient, _exact, _mono_total_degree, _terms_combine
+    Monomial, Terms, WPolynomial, _coefficient, _exact, _mono_total_degree, _terms_combine
 )
 
 
@@ -185,6 +191,40 @@ class ActionFamily:
     def __str__(self) -> str:
         rules = "; ".join(f"{v} -> {self.entries[v]}" for v in self.chart.names)
         return f"{self.chart.name}[{self.param}] {{ {rules} }}"
+
+
+def _compose_families(families: Sequence[ActionFamily], ext: GradedChart) -> list[Terms]:
+    """Term dicts of the composite family over ext, one per chart variable in
+    chart order: families[-1] is applied first and families[0] last.
+
+    The families share one chart, and ext is that chart followed by their
+    parameters; each family's parameter is read as the ext variable of the
+    same name, so families with one parameter name share it. The innermost
+    family moves onto ext by re-indexing its parameter factor, (n, k) ->
+    (ext.index_of(param), k) with n = len(chart): the parameter is the last
+    factor of any monomial that has it, and every parameter of ext comes
+    after every chart index, so the monomial stays sorted. Each outer family
+    is substituted once, its chart variables by the composite so far and its
+    parameter by its ext variable.
+    """
+    names = families[0].chart.names
+    n_vars = len(names)
+    inner = families[-1]
+    at = ext.index_of(inner.param)
+    composite: list[Terms] = [inner.entries[v].terms for v in names]
+    if at != n_vars:
+        composite = [
+            {
+                (m[:-1] + ((at, m[-1][1]),) if m and m[-1][0] == n_vars else m): c
+                for m, c in terms.items()
+            }
+            for terms in composite
+        ]
+    for h in reversed(families[:-1]):
+        sigma = {v: WPolynomial(ext, terms) for v, terms in zip(names, composite)}
+        sigma[h.param] = WPolynomial.variable(ext, h.param)
+        composite = [h.entries[v].substitute(sigma, into=ext).terms for v in names]
+    return composite
 
 
 def standard_action(chart: GradedChart, param: str = "t") -> ActionFamily:

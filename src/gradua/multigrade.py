@@ -14,6 +14,8 @@ The checked joint coordinates certify that the families commute and give
 the degree of their total action (the argument is in
 action._homogenize_joint). The direct check, check_commuting, lives in
 action, which runs it only to explain a failure; it is re-exported here.
+The total family renames both families to one parameter and composes them
+with graded._compose_families, the builder of every family composite.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .action import (  # noqa: F401
     check_commuting,
 )
 from .charts import GradedChart
-from .graded import ActionFamily, PolyMap
+from .graded import ActionFamily, PolyMap, _compose_families
 from .jets import adapt
 from .linalg import Matrix
 from .wpoly import WPolynomial
@@ -60,17 +62,17 @@ class Bihomogenization:
 def total_action(
     h1: ActionFamily, h2: ActionFamily, param: str | None = None
 ) -> ActionFamily:
-    """Both families run with one shared parameter, second applied first."""
+    """Both families run with one shared parameter, second applied first.
+
+    Both are renamed to the shared parameter (with_param), which
+    _compose_families then reads as the one parameter of its chart.
+    """
     h1, h2 = _distinct_params(h1, h2)
     chart = h1.chart
     param = param or h1.param
-    ext = chart.extend(((param, 0),))
-    tvar = WPolynomial.variable(ext, param)
-    rename = {v: WPolynomial.variable(ext, v) for v in chart.names}
-    rename[h2.param] = tvar
-    sigma = {v: h2.entries[v].substitute(rename, into=ext) for v in chart.names}
-    sigma[h1.param] = tvar
-    entries = {v: h1.entries[v].substitute(sigma, into=ext) for v in chart.names}
+    ext = chart.extend(((param, 0),))  # a param that is a chart variable raises here
+    composite = _compose_families((h1.with_param(param), h2.with_param(param)), ext)
+    entries = {v: WPolynomial(ext, terms) for v, terms in zip(chart.names, composite)}
     return ActionFamily(chart, param, entries)
 
 

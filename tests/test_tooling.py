@@ -15,7 +15,7 @@ from pathlib import Path
 
 from fractions import Fraction
 
-from gradua import cli, graded, jets, linalg
+from gradua import action, cli, graded, jets, linalg, multigrade
 from gradua.action import analyze, homogenize
 from gradua.charts import GradedChart
 from gradua.dsl import parse
@@ -284,3 +284,29 @@ def test_check_double_multiplies_no_square_matrix(monkeypatch):
     bihom = bihomogenize(lifted, levels)
     assert len(bihom.chart) == 4 and len(calls) >= 4
     assert all(len(b) == 4 > len(b[0]) for _, b in calls)
+
+
+def test_family_composites_substitute_once_per_outer_family(monkeypatch):
+    """One substitution per chart variable and outer family: verify_laws n,
+    check_commuting 2n, total_action n, euler_field none. The parameter is
+    never renamed or evaluated by substitution."""
+    chart = GradedChart("P", (("x1", 1), ("y1", 2)))
+    family, _ = conjugated_action(random.Random(9), chart)
+    lifted = jets.prolong_action(family, 1)
+    levels = jets.jet_action(jets.adapt(chart, 1), "u")
+    n = len(lifted.chart)
+    calls = _count_calls(monkeypatch, WPolynomial, "substitute")
+    counts = {}
+    for name, run in (
+        ("verify_laws", lambda: action.verify_laws(lifted)),
+        ("check_commuting", lambda: multigrade.check_commuting(lifted, levels)),
+        ("total_action", lambda: multigrade.total_action(lifted, levels)),
+        ("euler_field", lambda: action.euler_field(lifted)),
+    ):
+        calls.clear()
+        run()
+        counts[name] = len(calls)
+    assert n == 4
+    assert counts == {
+        "verify_laws": n, "check_commuting": 2 * n, "total_action": n, "euler_field": 0
+    }
