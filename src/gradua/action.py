@@ -32,6 +32,11 @@ from graded._compose_families. The parameter of a family is never renamed or
 evaluated by substitution: h_(ts) is a term map, and the infinitesimal
 generator reads the t-derivatives at 1 with ActionFamily.at.
 
+The certificate's linear algebra stays in integer form (linalg.IntMatrix)
+from the Taylor projections to the inverse kernel's premise: the inverse of
+the basis matrix is read off the projections' rank factors, and Fractions
+are built only for the public projections.
+
 The homogenizer is inverted by graded's one inverse kernel,
 _invert_coordinate_change. Its pass, _picard_inverse, is imported here too,
 though not called, because perfbench/spans.py wraps both by name in this
@@ -44,7 +49,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Mapping, Sequence
+from math import lcm
+from operator import mul
+from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .charts import GradedChart, fresh_name
@@ -60,7 +67,7 @@ from .errors import (
 from .graded import (  # noqa: F401
     ActionFamily, PolyMap, _compose_families, _invert_coordinate_change, _picard_inverse
 )
-from .linalg import Matrix
+from .linalg import IntMatrix, Matrix
 from .wpoly import Monomial, WPolynomial, _coefficient, _exact, _terms_combine
 
 _ZERO = Fraction(0)
@@ -108,6 +115,19 @@ class AnalysisReport:
     homogenized_chart: GradedChart | None = None
     inverse_homogenizer: PolyMap | None = None
     theta: dict[str, Fraction] | None = None
+
+
+class _Factored(NamedTuple):
+    """A nonzero Taylor projection Q_r in integer form, as the rank check left it.
+
+    q is Q_r as integer rows over one denominator, pivots its pivot columns
+    and factor its rank factor R_r (rank rows over one denominator), so that
+    Q_r = Q_r[:, pivots] R_r.
+    """
+
+    q: IntMatrix
+    pivots: list[int]
+    factor: IntMatrix
 
 
 def verify_laws(h: ActionFamily) -> LawReport:
@@ -269,16 +289,19 @@ def taylor_projections(
 
 def _taylor_projections(
     h: ActionFamily, theta: Mapping[str, Fraction | int] | None = None
-) -> tuple[tuple[Matrix, ...], list[list[int]], dict[str, Fraction]]:
-    """The Taylor projections Q_0 .. Q_n at theta, the pivot columns of each
-    Q_r that the rank check picked (linalg.independent_columns; empty for a
-    zero Q_r), and theta resolved to a point of the chart.
+) -> tuple[tuple[Matrix, ...], list[_Factored | None], dict[str, Fraction]]:
+    """The Taylor projections Q_0 .. Q_n at theta, each nonzero Q_r factored
+    by the rank check (None for a zero Q_r), and theta resolved to a point of
+    the chart.
 
     Q_r is 1/r! times the r-th t-derivative of H(t) at t=0, which for
     polynomial entries is just the t^r coefficient matrix. The coefficients
     are read in one pass over the entries' terms (_jacobian_coefficients):
-    no derivative or substitution is formed. The matrices are checked to be
-    complementary projections summing to the identity.
+    no derivative or substitution is formed. The same pass writes each Q_r
+    twice: as the public Fraction matrix, and as integer numerators over
+    one denominator (linalg.IntMatrix), which is all the certificate uses.
+    The matrices are checked to be complementary projections summing to the
+    identity.
 
     Two checks suffice: sum Q_r = I, and sum_r rank Q_r = N. Given the sum:
 
@@ -289,11 +312,14 @@ def _taylor_projections(
       Q_s, x = sum_r Q_r x writes x as a sum over the images; by uniqueness
       Q_s x = x and Q_r x = 0 for r != s. So Q_s Q_s = Q_s and Q_r Q_s = 0.
 
-    The ranks are the numbers of pivot columns linalg.independent_columns
-    picks, and the pivots travel with the result to be the homogenizer's
-    basis (_joint_basis). The ranks of matrices summing to I add up to
-    at least N, so a failure means a sum above N; the first Q_r that is not
-    idempotent (linalg.is_idempotent) is then reported.
+    The ranks come from one fraction-free elimination of each nonzero Q_r's
+    numerators (linalg._eliminate), which also gives its pivot columns piv
+    and its rank factor R_r = rref(Q_r) restricted to the rank rows, with
+    Q_r = Q_r[:, piv] R_r. Both travel with the result (_Factored): the
+    pivot columns become the homogenizer's basis and the stacked R_r its
+    inverse (_joint_basis). The ranks of matrices summing to I add up to at
+    least N, so a failure means a sum above N; the first Q_r that is not
+    idempotent (linalg._fixes(q, q)) is then reported.
 
     The laws are not checked here; _homogenize_joint explains a failure.
     """
@@ -301,10 +327,28 @@ def _taylor_projections(
     n_vars = len(h.chart)
     coeffs = _jacobian_coefficients(h, point)
     degree = max((k for row in coeffs for c in row for k in c), default=0)
-    qs = tuple(
-        tuple(tuple(_exact(c[r]) if r in c else _ZERO for c in row) for row in coeffs)
-        for r in range(degree + 1)
-    )
+    nonzero: list[list[tuple[int, int, Fraction | int]]] = [[] for _ in range(degree + 1)]
+    for i, row in enumerate(coeffs):
+        for j, c in enumerate(row):
+            for r, x in c.items():
+                nonzero[r].append((i, j, x))
+    # each Q_r as Fractions and as integer rows over one denominator; the
+    # zero rows of both are shared and never written to
+    zero_row, zero_ints = (_ZERO,) * n_vars, (0,) * n_vars
+    public = []
+    ints = []
+    for entries in nonzero:
+        fractions: list = [zero_row] * n_vars
+        numerators: list = [zero_ints] * n_vars
+        d = lcm(*{x.denominator for _, _, x in entries})
+        for i, j, x in entries:
+            if fractions[i] is zero_row:
+                fractions[i], numerators[i] = [_ZERO] * n_vars, [0] * n_vars
+            fractions[i][j] = _exact(x)
+            numerators[i][j] = x.numerator * (d // x.denominator)
+        public.append(tuple(map(tuple, fractions)))
+        ints.append((numerators, d))
+    qs = tuple(public)
 
     # sum Q_r = I, read entry by entry from the t-coefficients
     if any(
@@ -312,19 +356,25 @@ def _taylor_projections(
         for i, row in enumerate(coeffs)
         for j, c in enumerate(row)
     ):
-        stacked = tuple(row for q in qs for row in q)
-        if linalg.rank(stacked) < n_vars:
+        stacked = [row for rows, _ in ints for row in rows]
+        if len(linalg._eliminate(stacked)[0]) < n_vars:
             raise DegenerateActionError(
                 "some direction is annihilated by every Taylor projection"
             )
         raise NotGradedActionError("Taylor projections do not sum to the identity")
-    pivots = [linalg.independent_columns(q) if any(map(any, q)) else [] for q in qs]
-    if sum(map(len, pivots)) != n_vars:
-        for r, q in enumerate(qs):
-            if any(map(any, q)) and not linalg.is_idempotent(q):
+    factored: list[_Factored | None] = []
+    for q, entries in zip(ints, nonzero):
+        if entries:
+            pivots, rows, scale = linalg._eliminate(q[0])
+            factored.append(_Factored(q, pivots, (rows, scale)))
+        else:
+            factored.append(None)
+    if sum(len(f.pivots) for f in factored if f) != n_vars:
+        for r, f in enumerate(factored):
+            if f and not linalg._fixes(f.q, f.q[0]):
                 raise NotGradedActionError(f"Taylor coefficient Q_{r} is not a projection")
         raise EngineDefectError("idempotent Taylor projections have ranks above the chart")
-    return qs, pivots, point
+    return qs, factored, point
 
 
 def homogenize(
@@ -396,17 +446,20 @@ def _homogenize_joint(
     """Coordinates scaling by t_1**r_1 ... t_k**r_k under k monoid families.
 
     The families share one chart and have distinct parameters. Each family's
-    Taylor projections are computed and checked (taylor_projections).
+    Taylor projections are computed and checked (_taylor_projections), and
+    each nonzero Q_r comes factored, Q_r = Q_r[:, piv] R_r, by one
+    fraction-free elimination of its integer numerators (linalg._eliminate).
     Commuting families of complementary projections summing to I have
     products that are again complementary projections summing to I, so the
     joint projection P of the multi-index (r_1, ..., r_k) is the product
     Q1_r_1 ... Qk_r_k with no further check. Neither these products nor the
     commutation of the families' projections are formed as n x n products:
-    both are read off the images, one family at a time (_joint_basis). Let B
-    hold basis columns of Im P for a nonzero joint projection P of the
-    first j families, an n x rank(P) matrix; for one family these are the
-    pivot columns of Q1_r that its rank check picked. For each nonzero
-    projection Q of the next family, form C = Q B, again n x rank(P).
+    both are read off the images, one family at a time and over ints
+    (_joint_basis). Each nonzero joint projection P of the first j families
+    is held as a rank factorization P = B R: B holds basis columns of Im P,
+    an n x rank(P) matrix, and R is rank(P) x n. For one family, B =
+    Q1_r[:, piv] and R = R_r. For each nonzero projection Q of the next
+    family, form c = Q B, again n x rank(P).
 
     - Invariance is commutation. Let the P_i be complementary projections
       summing to I. A matrix Q commutes with every P_i exactly when Q maps
@@ -414,34 +467,47 @@ def _homogenize_joint(
       P_i Q x. Conversely, Q P_l x lies in Im P_l for any x, so P_i Q P_l x
       = delta_il Q P_l x, and summing over l gives P_i Q x = Q P_i x. As y
       lies in Im P exactly when P y = y, Q commutes with every P_i exactly
-      when P_i C = C for every nonzero P_i (Im 0 is kept by any Q).
+      when P_i c = c for every nonzero P_i (Im 0 is kept by any Q).
     - The k-family step. When the first j families commute, Im P is the
       intersection of the images of P's factors: P y = y for y in all of
-      them, and P = Q_i R with R the product of the other factors, for each
-      factor Q_i. So P C = C exactly when every factor of P fixes C
-      (linalg.fixes, decided over ints). And Q commutes with every joint
+      them, and P = Q_i S with S the product of the other factors, for each
+      factor Q_i. So P c = c exactly when every factor of P fixes c
+      (linalg._fixes, decided over ints). And Q commutes with every joint
       projection of the first j families exactly when it commutes with
       each of their projections, since Qi_r is the sum of the joint
       projections with r in place i. By induction on j, the families
       commute pairwise exactly when every such test passes; the first that
       fails raises NotDoubleStructureError.
     - The images restrict. Q P = P Q gives Im(P Q) = Q(Im P), which the
-      columns of C span. So rank(P Q) = rank(C), and a zero C is dropped.
+      columns of c span. So rank(P Q) = rank(c), and a zero c is dropped.
     - The pivots stay. pivots(Q P) lies in pivots(P): a non-pivot column
       P e_j of P is a combination of earlier columns P e_i, so Q P e_j is
       the same combination of the earlier columns Q P e_i, and j is no
-      pivot of Q P. The columns of C are the columns of Q P at the pivots
+      pivot of Q P. The columns of c are the columns of Q P at the pivots
       of P; the ones left out lie in the span of earlier columns, so
-      first-pivot elimination of C (linalg.independent_columns) picks the
-      columns it would pick from the n x n product, and the basis is
-      unchanged.
+      first-pivot elimination of c picks the columns it would pick from
+      the n x n product, and the basis is unchanged.
+    - The factors restrict. P Q = Q P = Q B R = c R. The elimination of c
+      gives its pivots piv and rank factor G, c = c[:, piv] G, so P Q =
+      c[:, piv] (G R): the new block is B = c[:, piv] and R = G R, and no
+      n x n product is formed.
+    - The stacked factors are the inverse. Let C hold the blocks' B side by
+      side and stack their R in the same order. The joint projections sum
+      to I, and being complementary, their ranks add up to n, so C is
+      square (a count checked as an engine defect). C (stacked R) = sum_P
+      B_P R_P = sum_P P = I, and a square matrix with a right inverse is
+      invertible, so the stacked R is C^-1 and no inverse is computed. For
+      one family this needs only sum Q_r = I and sum rank Q_r = n, both
+      checked by _taylor_projections. The inverse kernel checks C^-1 C = I
+      over ints as its premise all the same.
 
     The joint projections themselves are multiplied out only when read
     (_joint_projections). The dual linear coordinates are pushed through
     the composite of the families, and their t_1^r_1 ... t_k^r_k
     coefficients become the new coordinates y{r_1}_..._{r_k}_{i}, of
     weight r_1 + ... + r_k. Both steps run on term dicts, one linear
-    combination (wpoly._terms_combine) and one polynomial per coordinate:
+    combination (wpoly._terms_combine) and one polynomial per coordinate,
+    with the entries of C^-1 in stored form (linalg._stored):
 
     - The split. The composite's chart is the chart followed by the k
       parameters, so in every sorted monomial of the composite the
@@ -517,13 +583,11 @@ def _joint_certificate(
     chart = families[0].chart
     point = per_family[0][2]
     n_vars = len(chart)
-    basis_cols, orders = _joint_basis([(qs, pivots) for qs, pivots, _ in per_family])
-    if len(basis_cols) != n_vars:
+    basis, cinv, orders = _joint_basis([factored for _, factored, _ in per_family])
+    if len(orders) != n_vars:
         raise EngineDefectError("projection images do not fill the chart")
-    basis = linalg.mat_from_cols(basis_cols)
-    cinv = linalg.inverse(basis)
-    # both in stored form, so that integral entries multiply as ints
-    basis, cinv = ([[_coefficient(x) for x in row] for row in m] for m in (basis, cinv))
+    # in stored form, so that integral entries multiply as ints
+    rows = linalg._stored(cinv)
 
     # the composite applies the last family first; its chart lists the
     # parameters in that order
@@ -555,7 +619,7 @@ def _joint_certificate(
     counter: dict[tuple[int, ...], int] = {}
     new_vars: list[tuple[str, int]] = []
     pullbacks: list[WPolynomial] = []
-    for row, idx in zip(cinv, orders):
+    for row, idx in zip(rows, orders):
         pairs = ((c, split[idx]) for c, split in zip(row, parts) if idx in split)
         coeff = _terms_combine(pairs)
         counter[idx] = counter.get(idx, 0) + 1
@@ -588,47 +652,70 @@ def _joint_certificate(
 
 
 def _joint_basis(
-    per_family: Sequence[tuple[Sequence[Matrix], Sequence[list[int]]]],
-) -> tuple[list[linalg.Vector], list[tuple[int, ...]]]:
-    """Basis columns of the image of each nonzero joint projection, and the
-    multi-index of each column, by restriction (proofs in _homogenize_joint).
+    per_family: Sequence[Sequence[_Factored | None]],
+) -> tuple[IntMatrix, IntMatrix, list[tuple[int, ...]]]:
+    """The basis matrix C, its inverse and the multi-index of each basis
+    column, by restriction over ints (proofs in _homogenize_joint).
 
-    Each family gives its Taylor projections and their pivots, as
-    _taylor_projections returns them. One family's columns are the pivot
-    columns of its Q_r. For each further family, each block B of columns is
-    restricted to C = Q B for each nonzero Q of that family; every factor of
-    the block must fix C, else the families do not commute.
-    NotDoubleStructureError is raised then.
+    Each family gives its factored Taylor projections, as
+    _taylor_projections returns them. Every nonzero joint projection P is
+    held as a block: the factors of P, basis columns B of its image and
+    the rank factor R with P = B R. One family's blocks are Q_r[:, piv] and
+    R_r. For each further family, each block is restricted to c = Q B for
+    each nonzero Q of that family; every factor of the block must fix c,
+    else the families do not commute and NotDoubleStructureError is raised.
+    The elimination of c gives its pivots piv and rank factor G, and the
+    new block is c[:, piv] and G R. C stacks the blocks' B side by side and
+    C^-1 their R, in the same order; both are integer rows over one
+    denominator.
     """
-    first, first_pivots = per_family[0]
-    # multi-index -> (factors of the joint projection, its basis columns)
+    # multi-index -> (factors of the joint projection, B, R): B as integer
+    # columns and R as integer rows, over one denominator each
     blocks = {
-        (r,): ((q,), [linalg.column(q, j) for j in cols])
-        for r, (q, cols) in enumerate(zip(first, first_pivots))
-        if cols
+        (r,): ((f.q,), ([[row[j] for row in f.q[0]] for j in f.pivots], f.q[1]), f.factor)
+        for r, f in enumerate(per_family[0])
+        if f
     }
-    for qs, pivots in per_family[1:]:
+    for factored in per_family[1:]:
         restricted = {}
-        for idx, (factors, cols) in blocks.items():
-            b = linalg.mat_from_cols(cols)
-            for s, (q, q_cols) in enumerate(zip(qs, pivots)):
-                if not q_cols:
+        for idx, (factors, (b_cols, b_den), (r_rows, r_den)) in blocks.items():
+            r_cols = list(zip(*r_rows))
+            for s, f in enumerate(factored):
+                if not f:
                     continue
-                c = linalg.mat_mul(q, b)
+                q, q_den = f.q
+                c = [[sum(map(mul, row, col)) for col in b_cols] for row in q]
                 if not any(map(any, c)):
                     continue
-                if not all(linalg.fixes(f, c) for f in factors):
+                if not all(linalg._fixes(g, c) for g in factors):
                     raise NotDoubleStructureError(
                         "the families' Taylor projections do not commute"
                     )
+                pivots, g_rows, g_den = linalg._eliminate(c)
                 restricted[idx + (s,)] = (
-                    factors + (q,),
-                    [linalg.column(c, j) for j in linalg.independent_columns(c)],
+                    factors + (f.q,),
+                    ([[row[j] for row in c] for j in pivots], q_den * b_den),
+                    (
+                        [[sum(map(mul, row, col)) for col in r_cols] for row in g_rows],
+                        g_den * r_den,
+                    ),
                 )
         blocks = restricted
-    basis_cols = [col for _, cols in blocks.values() for col in cols]
-    orders = [idx for idx, (_, cols) in blocks.items() for _ in cols]
-    return basis_cols, orders
+    c_den = lcm(*(b_den for _, (_, b_den), _ in blocks.values()))
+    r_den = lcm(*(den for _, _, (_, den) in blocks.values()))
+    cols = [
+        [x * (c_den // b_den) for x in col]
+        for _, (b_cols, b_den), _ in blocks.values()
+        for col in b_cols
+    ]
+    basis = [list(row) for row in zip(*cols)]
+    cinv = [
+        [x * (r_den // den) for x in row]
+        for _, _, (rows, den) in blocks.values()
+        for row in rows
+    ]
+    orders = [idx for idx, (_, _, (rows, _)) in blocks.items() for _ in rows]
+    return (basis, c_den), (cinv, r_den), orders
 
 
 def detect_degree(

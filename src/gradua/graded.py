@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -44,9 +45,9 @@ from .errors import (
     SingularMatrixError,
     UnsupportedChartError,
 )
-from .linalg import Matrix
+from .linalg import IntMatrix, Matrix
 from .wpoly import (
-    Monomial, Terms, WPolynomial, _coefficient, _exact, _mono_total_degree, _terms_combine
+    Monomial, Terms, WPolynomial, _coefficient, _mono_total_degree, _terms_combine
 )
 
 
@@ -263,7 +264,8 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
     invertible. Otherwise there is no polynomial inverse in the supported
     class, and NotInvertibleError is raised. The checks build what the pass
     takes: theta, the block-diagonal B_w as the derivative at theta, the
-    block-diagonal B_w^-1 as C, and the chart degree as the bound. The
+    block-diagonal B_w^-1 as C (each block inverted over ints by
+    linalg._inverse), and the chart degree as the bound. The
     kernel's docstring proves that these are right. The checks also
     guarantee a triangular inverse, so any failure of the pass is an
     EngineDefectError.
@@ -275,16 +277,15 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
     chart = psi.source
     names, weights = chart.names, chart.weights
     constants = [psi.pullbacks[v].terms.get((), 0) for v in names]  # 0 if w > 0
-    cinv = [[0] * len(names) for _ in names]  # the B_w, read off psi
-    basis = [[0] * len(names) for _ in names]  # the B_w^-1
-    theta = {}  # B_w theta_w + constants_w = 0, so 0 in every positive weight
+    derivative = [[0] * len(names) for _ in names]  # the B_w, read off psi
+    inverses = []  # per block: its indices, B_w^-1 as integer rows, their denominator
     for w in sorted(set(weights)):
         block = [i for i, u in enumerate(weights) if u == w]
         linear = {((j, 1),) for j in block}
         for i in block:
             terms = psi.pullbacks[names[i]].terms
             for j in block:
-                cinv[i][j] = terms.get(((j, 1),), 0)
+                derivative[i][j] = terms.get(((j, 1),), 0)
             residue = [m for m in terms if m not in linear]
             if w == 0 and any(residue):
                 raise NotInvertibleError(
@@ -296,19 +297,27 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
                     f"pullback of {names[i]!r} has a non-constant linear block "
                     f"(term mixing {names[mixing[0]]!r})"
                 )
-        b_w = tuple(tuple(_exact(cinv[i][j]) for j in block) for i in block)
+        b_w = [[derivative[i][j] for j in block] for i in block]
         try:
-            binv = linalg.inverse(b_w)
+            rows, e = linalg._inverse(linalg._scaled(b_w))
         except SingularMatrixError as exc:
             raise NotInvertibleError(
                 f"weight-{w} linear block is singular: {exc}"
             ) from exc
-        for i, row in zip(block, binv):
-            for j, c in zip(block, row):
-                basis[i][j] = _coefficient(c)
-            theta[names[i]] = -sum(c * constants[j] for j, c in zip(block, row))
+        inverses.append((block, rows, e))
+    e_all = lcm(*(e for _, _, e in inverses))
+    basis = [[0] * len(names) for _ in names]  # the B_w^-1
+    theta = {}  # B_w theta_w + constants_w = 0, so 0 in every positive weight
+    for block, rows, e in inverses:
+        for i, row in zip(block, rows):
+            for j, x in zip(block, row):
+                basis[i][j] = x * (e_all // e)
+            shift = sum(x * constants[j] for j, x in zip(block, row))
+            theta[names[i]] = _coefficient(Fraction(-shift, e)) if shift else 0
     try:
-        return _invert_coordinate_change(psi, theta, basis, cinv, chart.degree)
+        return _invert_coordinate_change(
+            psi, theta, (basis, e_all), linalg._scaled(derivative), chart.degree
+        )
     except NotGradedActionError as exc:
         raise EngineDefectError(f"a graded automorphism was not inverted: {exc}") from exc
 
@@ -316,8 +325,8 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
 def _invert_coordinate_change(
     phi: PolyMap,
     theta: Mapping[str, Fraction | int],
-    basis: Matrix,
-    cinv: Matrix,
+    basis: IntMatrix,
+    cinv: IntMatrix,
     degree: int,
 ) -> PolyMap:
     """Exact inverse of a polynomial map phi, from one bounded Picard pass.
@@ -326,12 +335,15 @@ def _invert_coordinate_change(
     and the graded automorphisms of invert_automorphism are inverted here.
     phi maps the chart of x to a chart of y with as many variables, theta is
     a point with phi(theta) = 0, cinv is the derivative of phi at theta and
-    basis is a matrix C. Both matrices are best given in stored form (int
-    when integral, see wpoly). degree is a bound D on the total degree of
-    the inverse, used when every weight of the y chart is at least 1.
+    basis is a matrix C. Both matrices come in integer form, integer rows
+    over one denominator (linalg.IntMatrix); they are put in stored form
+    (int when integral, see wpoly) once the premise holds. degree is a
+    bound D on the total degree of the inverse, used when every weight of
+    the y chart is at least 1.
 
-    - The premise, checked. cinv C = I is decided exactly, over ints
-      (linalg.is_inverse), and EngineDefectError is raised when it fails.
+    - The premise, checked. cinv C = I is decided exactly on the integer
+      forms (linalg._is_inverse), and EngineDefectError is raised when it
+      fails.
       The settle certificate below rests on it: with a wrong C it would
       accept a wrong inverse.
     - The pass. N = phi - cinv (x - theta) has order >= 2 at theta, so round
@@ -366,13 +378,15 @@ def _invert_coordinate_change(
 
     - The homogenizer phi of k commuting monoid families fixing theta.
       phi(theta) = 0, from scaling at t = 0. C is the basis matrix and cinv
-      its inverse, the derivative of phi at theta: row i of cinv is C^-1_i P
-      for the joint projection P of phi_i's multi-index, and C^-1_i P c_j =
-      delta_ij if c_j lies in the image of P, else 0. D is the largest
-      summed parameter exponent of the families' composite. With every
-      parameter set to t, h_t^* x_v = psi_v(t^w phi) = sum_m c_m t^(w.m)
-      phi^m has t-degree at most D. Each d = w.m has finitely many m and the
-      phi^m are linearly independent, so c_m = 0 for w.m > D: psi has
+      its inverse, read off the rank factors (proof in
+      action._homogenize_joint). cinv is the derivative of phi at theta:
+      row i of cinv is C^-1_i P for the joint projection P of phi_i's
+      multi-index, and C^-1_i P c_j = delta_ij if c_j lies in the image of
+      P, else 0. D is the largest summed parameter exponent of the
+      families' composite. With every parameter set to t, h_t^* x_v =
+      psi_v(t^w phi) = sum_m c_m t^(w.m) phi^m has t-degree at most D.
+      Each d = w.m has finitely many m and the phi^m are linearly
+      independent, so c_m = 0 for w.m > D: psi has
       weighted, hence total, degree <= D. The families are commuting
       monoid families whenever a failure of the pass is reported, since
       action._homogenize_joint's direct checks run first.
@@ -388,8 +402,9 @@ def _invert_coordinate_change(
       of weight w_v. When every weight is at least 1 its total degree is
       at most w_v, so D is the chart degree.
     """
-    if not linalg.is_inverse(cinv, basis):
+    if not linalg._is_inverse(cinv, basis):
         raise EngineDefectError("the Picard pass needs cinv * C = I, which fails")
+    basis, cinv = linalg._stored(basis), linalg._stored(cinv)
     chart = phi.source
     shift = [  # x_j - theta_j
         {((j, 1),): 1, (): -_coefficient(theta[v])} if theta[v] else {((j, 1),): 1}

@@ -1,22 +1,31 @@
 """Exact linear algebra over the rationals, just enough for this engine.
 
-Matrices are tuples of row tuples of Fractions, and that is all a caller
-sees. Inside, the kernels work over Python ints: `_scaled` writes a matrix
-as integer numerators over one shared denominator (the lcm of its entries'
-denominators), products multiply numerators only, and elimination is
-fraction-free (Bareiss, Math. Comp. 22, 1968), so every division is exact.
-Fractions are built only at the boundary, once per returned entry. Sizes
-here never exceed a couple dozen rows.
+The internal currency is the integer form: a matrix N / d held as a list of
+integer rows N and one nonzero int d (IntMatrix). The kernels compute on it
+alone. Products multiply numerators only; elimination is fraction-free
+Gauss-Jordan (Bareiss, Math. Comp. 22, 1968), so every division is exact.
+One elimination loop, `_eliminate`, serves every caller: it returns the
+pivot columns, the reduced rows D * rref and D.
 
-The kernels: `mat_mul`, `inverse`, `independent_columns` (and `rank`), and
-the predicates `fixes`, `is_idempotent` and `is_inverse`, which decide a*b
-== b, a*a == a and a*b == I over the integers and build no Fraction at
-all. The engine decides its Taylor projections by their ranks
-(`independent_columns`), and calls `is_idempotent` only to explain a
-failure: to name the first projection that is not idempotent. `fixes`
-decides whether commuting families' projections keep each other's images
-(action._homogenize_joint). `is_inverse` is the checked premise of the
-Picard pass that inverts polynomial maps (graded._invert_coordinate_change).
+Fractions are built only at the boundary. The public functions take and
+return tuples of row tuples of Fractions: `_scaled` writes such a matrix in
+integer form (over the lcm of its entries' denominators), and a result is
+built once per returned entry. `_stored` puts an integer form in wpoly's
+stored form (int when integral, else a Fraction) for use as polynomial
+coefficients. Sizes here never exceed a couple dozen rows.
+
+The public kernels: `mat_mul`, `inverse`, `independent_columns` (and
+`rank`), and the predicates `fixes`, `is_idempotent` and `is_inverse`,
+which decide a*b == b, a*a == a and a*b == I over the integers and build no
+Fraction at all. All but `mat_mul` are thin views of the integer kernels
+`_eliminate`, `_inverse`, `_fixes` and `_is_inverse`, which the engine
+calls directly on the integer forms it carries: action reads each Taylor
+projection's pivots and rank factor off `_eliminate`, decides with `_fixes`
+whether commuting families' projections keep each other's images, and
+explains a failed rank check with `_fixes(q, q)`; graded inverts the linear
+blocks of a graded automorphism with `_inverse`, and checks the premise of
+the Picard pass that inverts polynomial maps with `_is_inverse`
+(graded._invert_coordinate_change).
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .wpoly import _exact
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
+IntMatrix = tuple[Sequence[Sequence[int]], int]  # rows N and denominator d: N / d
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -55,11 +65,12 @@ def mat_from_cols(cols: Sequence[Sequence[Fraction]]) -> Matrix:
     return tuple(tuple(_exact(col[i]) for col in cols) for i in range(n))
 
 
-def _scaled(a: Matrix) -> tuple[list[list[int]], int]:
+def _scaled(a: Sequence[Sequence[Fraction | int]]) -> IntMatrix:
     """Integer rows N and the lcm d of the entry denominators, so a = N / d.
 
-    Each entry's numerator and denominator are read once, as one pair. When
-    every entry is integral, N is the numerators and d = 1.
+    The entries are Fractions or ints (a public matrix, or one in stored
+    form). Each entry's numerator and denominator are read once, as one
+    pair. When every entry is integral, N is the numerators and d = 1.
     """
     if len({len(row) for row in a}) > 1:
         raise DomainError("matrix rows have different lengths")
@@ -72,6 +83,15 @@ def _scaled(a: Matrix) -> tuple[list[list[int]], int]:
 
 def _fraction(n: int, d: int) -> Fraction:
     return Fraction(n, d) if n else _ZERO
+
+
+def _stored(a: IntMatrix) -> list[list[Fraction | int]]:
+    """The entries of N / d in wpoly's stored form: int when integral, else a
+    Fraction. An integral entry builds no Fraction."""
+    rows, d = a
+    if d == 1:
+        return rows
+    return [[Fraction(x, d) if x % d else x // d for x in row] for row in rows]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -88,20 +108,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def fixes(a: Matrix, b: Matrix) -> bool:
-    """Is a*b == b? With a = N / d and b = M / e this is N*M == d*M, over ints.
+def _fixes(a: IntMatrix, m: Sequence[Sequence[int]]) -> bool:
+    """Is a*b == b for any b = M / e? With a = N / d this is N*M == d*M.
 
-    No Fraction is built, and the product is compared row by row and stops
-    at the first difference. `a` must be square, with as many rows as `b`;
-    otherwise DomainError, as for mat_mul.
+    The product is compared row by row and stops at the first difference.
     """
-    if any(len(row) != len(b) for row in a) or len(a) != len(b):
-        raise DomainError(
-            f"a*b == b needs a square a as tall as b, got {len(a)} rows of "
-            f"lengths {sorted({len(row) for row in a})} and {len(b)} rows"
-        )
-    n, d = _scaled(a)
-    m, _ = _scaled(b)
+    n, d = a
     cols = list(zip(*m))
     return all(
         sum(map(mul, row, col)) == d * x
@@ -110,26 +122,31 @@ def fixes(a: Matrix, b: Matrix) -> bool:
     )
 
 
+def fixes(a: Matrix, b: Matrix) -> bool:
+    """Is a*b == b? `_fixes` over ints; no Fraction is built.
+
+    `a` must be square, with as many rows as `b`; otherwise DomainError, as
+    for mat_mul.
+    """
+    if any(len(row) != len(b) for row in a) or len(a) != len(b):
+        raise DomainError(
+            f"a*b == b needs a square a as tall as b, got {len(a)} rows of "
+            f"lengths {sorted({len(row) for row in a})} and {len(b)} rows"
+        )
+    return _fixes(_scaled(a), _scaled(b)[0])
+
+
 def is_idempotent(a: Matrix) -> bool:
     """Is a*a == a? That is fixes(a, a), decided over ints."""
     return fixes(a, a)
 
 
-def is_inverse(a: Matrix, b: Matrix) -> bool:
-    """Is a*b == I? With a = N / d and b = M / e this is N*M == d*e*I, over ints.
+def _is_inverse(a: IntMatrix, b: IntMatrix) -> bool:
+    """Is a*b == I for square a = N / d and b = M / e? That is N*M == d*e*I.
 
-    No Fraction is built, and the product is compared row by row and stops
-    at the first difference. Both must be square of one size; otherwise
-    DomainError, as for fixes.
+    The product is compared row by row and stops at the first difference.
     """
-    n = len(a)
-    if len(b) != n or any(len(row) != n for m in (a, b) for row in m):
-        raise DomainError(
-            f"a*b == I needs two square matrices of one size, got {n} and "
-            f"{len(b)} rows of lengths {sorted({len(row) for m in (a, b) for row in m})}"
-        )
-    na, d = _scaled(a)
-    nb, e = _scaled(b)
+    (na, d), (nb, e) = a, b
     de = d * e
     cols = list(zip(*nb))
     return all(
@@ -137,6 +154,20 @@ def is_inverse(a: Matrix, b: Matrix) -> bool:
         for i, row in enumerate(na)
         for j, col in enumerate(cols)
     )
+
+
+def is_inverse(a: Matrix, b: Matrix) -> bool:
+    """Is a*b == I? `_is_inverse` over ints; no Fraction is built.
+
+    Both must be square of one size; otherwise DomainError, as for fixes.
+    """
+    n = len(a)
+    if len(b) != n or any(len(row) != n for m in (a, b) for row in m):
+        raise DomainError(
+            f"a*b == I needs two square matrices of one size, got {n} and "
+            f"{len(b)} rows of lengths {sorted({len(row) for m in (a, b) for row in m})}"
+        )
+    return _is_inverse(_scaled(a), _scaled(b))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -147,67 +178,97 @@ def column(a: Matrix, j: int) -> Vector:
     return tuple(a[i][j] for i in range(len(a)))
 
 
-def inverse(a: Matrix) -> Matrix:
-    """Inverse by fraction-free Gauss-Jordan; SingularMatrixError when singular.
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[Sequence[int]], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows.
 
-    With a = N / d, eliminate on the integer matrix [N | dI]. After step k
-    every pivot of rows 0..k equals the newest pivot, and every entry is, up
-    to sign, a minor of [N | dI], so the division by the previous pivot is
-    exact. At the end the left block is D*I and the right block is D * a^-1.
+    Returns the pivot columns, the first rank rows of D * rref and D. The
+    columns are scanned left to right and the first one that extends the
+    span is always taken, so the pivots are deterministic (the first-pivot
+    tie break). Every row, above the pivot row as well as below it, is
+    updated as (p * x - f * y) / prev, p being the new pivot and prev the
+    one before (1 at the start). After each step every entry is, up to sign,
+    a minor of the input, so the division is exact, and every pivot of the
+    rows so far equals the newest one. So at the end the pivot rows are D
+    times the reduced row echelon form, D being the last pivot (1 if there
+    is none). With pivots piv, a = a[:, piv] * (rows / D): row operations
+    keep every linear relation among the columns, and column j of the
+    reduced form writes column j in the pivot columns.
+
+    A zero row stays zero and never holds a pivot, so zero rows are
+    dropped as they appear; the pass stops once every row left holds a
+    pivot. The input list is not changed; its rows are replaced, never
+    written to.
     """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise DomainError(
-            f"inverse needs a square matrix, got {n} rows of lengths "
-            f"{sorted({len(row) for row in a})}"
-        )
-    rows, d = _scaled(a)
-    work = [row + [d if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise SingularMatrixError(f"column {col} has no pivot")
-        work[col], work[pivot] = work[pivot], work[col]
-        top = work[col]
-        p = top[col]
-        for r in range(n):
-            if r != col:
-                f = work[r][col]
-                work[r] = [(p * x - f * y) // prev for x, y in zip(work[r], top)]
-        prev = p
-    return tuple(tuple(_fraction(x, prev) for x in row[n:]) for row in work)
-
-
-def independent_columns(a: Matrix) -> list[int]:
-    """Indices of a maximal independent set of columns, scanning left to right.
-
-    The first column that extends the span is always taken, so the result
-    is deterministic (the first-pivot tie break): these are the pivot
-    columns of a's echelon form. Scaling a by the shared denominator does
-    not change which columns are independent, so the elimination runs
-    fraction-free (Bareiss) on the integer numerators.
-    """
-    if not a:
-        return []
-    work, _ = _scaled(a)
-    n_rows = len(work)
+    work = [row for row in rows if any(row)]
     picked: list[int] = []
     prev = 1
-    for j in range(len(work[0])):
+    for j in range(len(rows[0]) if rows else 0):
         r = len(picked)
+        n_rows = len(work)
+        if r == n_rows:
+            break
         pivot = next((i for i in range(r, n_rows) if work[i][j]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         top = work[r]
         p = top[j]
-        for i in range(r + 1, n_rows):
+        for i in range(n_rows):
+            if i == r:
+                continue
             f = work[i][j]
-            work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], top)]
+            if f:
+                work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], top)]
+            elif p != prev:
+                work[i] = [p * x // prev for x in work[i]]
         prev = p
         picked.append(j)
-    return picked
+        work[r + 1 :] = [row for row in work[r + 1 :] if any(row)]
+    return picked, work[: len(picked)], prev
+
+
+def _inverse(a: IntMatrix) -> IntMatrix:
+    """The inverse of a square a = N / d, as integer rows over one denominator.
+
+    Eliminates [N | dI]. When a is invertible every pivot lies in the left
+    block, which ends as D * I, and the right block is D * d * N^-1 = D *
+    a^-1. Otherwise SingularMatrixError names the first column of N with no
+    pivot.
+    """
+    rows, d = a
+    n = len(rows)
+    work = [[*row] + [d if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
+    pivots, reduced, denominator = _eliminate(work)
+    if pivots[:n] != list(range(n)):
+        missing = next(j for j in range(n) if j not in pivots)
+        raise SingularMatrixError(f"column {missing} has no pivot")
+    return [row[n:] for row in reduced], denominator
+
+
+def inverse(a: Matrix) -> Matrix:
+    """Inverse by fraction-free Gauss-Jordan (`_inverse`); SingularMatrixError
+    when singular."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise DomainError(
+            f"inverse needs a square matrix, got {n} rows of lengths "
+            f"{sorted({len(row) for row in a})}"
+        )
+    rows, d = _inverse(_scaled(a))
+    return tuple(tuple(_fraction(x, d) for x in row) for row in rows)
+
+
+def independent_columns(a: Matrix) -> list[int]:
+    """Indices of a maximal independent set of columns, scanning left to right.
+
+    These are the pivot columns of `_eliminate` (the first-pivot tie
+    break). Scaling a by the shared denominator does not change which
+    columns are independent, so the elimination runs on the integer
+    numerators.
+    """
+    if not a:
+        return []
+    return _eliminate(_scaled(a)[0])[0]
 
 
 def rank(a: Matrix) -> int:

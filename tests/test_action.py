@@ -28,7 +28,7 @@ from gradua.errors import (
     NotGradedActionError,
 )
 from gradua.graded import ActionFamily, standard_action
-from gradua.linalg import column, identity, mat_add, mat_from_cols, mat_mul, rank, zeros
+from gradua.linalg import identity, mat_add, mat_mul, rank, zeros
 from gradua.multigrade import bihomogenize
 from gradua.wpoly import WPolynomial
 
@@ -207,13 +207,13 @@ def test_zero_joint_projections_are_not_scanned(monkeypatch):
     from gradua import linalg
 
     seen = []
-    scan = linalg.independent_columns
+    eliminate = linalg._eliminate
 
-    def recorded(a):
-        seen.append(a)
-        return scan(a)
+    def recorded(rows):
+        seen.append([list(row) for row in rows])
+        return eliminate(rows)
 
-    monkeypatch.setattr(linalg, "independent_columns", recorded)
+    monkeypatch.setattr(linalg, "_eliminate", recorded)
     # on M, without weight-0 coordinates, Q_0 is zero
     assert homogenize(H).chart.variables == (("y1_1", 1), ("y2_1", 2))
     assert len(seen) == 2
@@ -226,21 +226,23 @@ def test_zero_joint_projections_are_not_scanned(monkeypatch):
     bihom = bihomogenize(h1, h2)
     nonzero = [q for q in bihom.projections.values() if q != zeros(4, 4)]
     assert len(nonzero) == 4 < len(bihom.projections)
-    # each family's rank check scans its Q_r, then each nonzero restricted
-    # block Q2_s B_r, 4 x rank(Q1_r), B_r being the pivot columns of Q1_r;
-    # no joint projection is formed, and no zero matrix is scanned
+    # each family's rank check eliminates the integer numerators of its Q_r,
+    # then each nonzero restricted block Q2_s B_r, 4 x rank(Q1_r), B_r being
+    # the pivot columns of Q1_r, over ints; no joint projection is formed,
+    # and no zero matrix is scanned
     assert zeros(4, 4) not in first + second
+    numerators = [linalg._scaled(q)[0] for q in first + second]
     blocks = []
-    for q1 in first:
-        b = mat_from_cols([column(q1, j) for j in scan(q1)])
-        for q2 in second:
-            block = mat_mul(q2, b)
+    for n1 in numerators[: len(first)]:
+        b = [[row[j] for j in eliminate(n1)[0]] for row in n1]
+        for n2 in numerators[len(first) :]:
+            block = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in n2]
             if any(map(any, block)):
                 blocks.append(block)
-    assert seen == first + second + blocks
+    assert seen == numerators + blocks
     assert all(len(block[0]) < 4 for block in blocks)
     # a block spans the image of its joint projection
-    assert [rank(block) for block in blocks] == [rank(q) for q in nonzero]
+    assert [len(eliminate(block)[0]) for block in blocks] == [rank(q) for q in nonzero]
 
 
 def test_analyze_stops_at_broken_monoid():

@@ -18,7 +18,9 @@ inverse), the n x n products of the families' projections for k >= 2
 projections), and the object-level linear combinations of the homogenizer
 rows, the scaling check, N and the Picard iterates (the term-dict
 combinations must give the same coordinates, inverse, orders, verdicts and
-errors).
+errors). The reference certificate inverts the basis matrix with
+linalg.inverse, the certificate reads C^-1 off the Taylor projections'
+rank factors; both must give the same results.
 
 The inverse kernel lives in gradua.graded, which runs the pass; action
 calls the kernel. The helpers that intercept a stage patch it in the
@@ -67,6 +69,7 @@ from gradua.errors import (
 from gradua.graded import ActionFamily, PolyMap, invert_automorphism
 from gradua.linalg import (
     column,
+    identity,
     independent_columns,
     inverse,
     mat_from_cols,
@@ -746,25 +749,26 @@ def test_weight0_coordinates_with_no_inverse_stop_at_the_bcw_bound(monkeypatch):
 
 
 def test_a_wrong_basis_inverse_is_caught_by_the_premise(monkeypatch):
-    """With linalg.inverse off by one, C^-1 is wrong, yet every coordinate it
-    builds still scales (a combination of t^r coefficients of a monoid action
-    does). The Picard pass checks cinv * C = I and refuses every family; with
-    that check bypassed, the settle certificate accepts wrong inverses."""
+    """With the first entry of the stacked rank factors R off by one, C^-1 is
+    wrong, yet every coordinate it builds still scales (a combination of t^r
+    coefficients of a monoid action does). The Picard pass checks cinv * C =
+    I and refuses every family; with that check bypassed, the settle
+    certificate accepts wrong inverses."""
     families = []
     for seed in range(60):
         rng = random.Random(seed)
         families.append(conjugated_action(rng, random_chart(rng, min_vars=2))[0])
-    invert = linalg.inverse
+    joint_basis = action._joint_basis
 
-    def off_by_one(a):
-        inv = invert(a)
-        return ((inv[0][0] + 1,) + inv[0][1:],) + inv[1:]
+    def off_by_one(per_family):
+        basis, (rows, d), orders = joint_basis(per_family)
+        return basis, ([[rows[0][0] + d] + rows[0][1:]] + rows[1:], d), orders
 
-    monkeypatch.setattr(graded.linalg, "inverse", off_by_one)
+    monkeypatch.setattr(action, "_joint_basis", off_by_one)
     for family in families:
         with pytest.raises(EngineDefectError, match="cinv \\* C = I"):
             homogenize(family)
-    monkeypatch.setattr(graded.linalg, "is_inverse", lambda a, b: True)
+    monkeypatch.setattr(graded.linalg, "_is_inverse", lambda a, b: True)
     wrong = 0
     for family in families:
         got = outcome(homogenize, family)
@@ -823,6 +827,58 @@ def test_a_settled_round_with_terms_above_its_degree_goes_on():
     # accepting the settled round 2 would give y = y2_1
     assert hom.inverse.pullbacks["y"] == y2 - y1**3
     assert hom.homogenizer.then(hom.inverse).is_identity()
+
+
+# --- the rank factors are the inverse -------------------------------------------
+
+
+def as_fractions(m):
+    """The Fraction matrix of an integer form (rows, d)."""
+    rows, d = m
+    return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+
+
+def assert_blocks_factor(c, c_inv, orders, joint):
+    """C^-1 C = C C^-1 = I, and for every multi-index the columns of C and
+    the rows of C^-1 it owns multiply out to its joint projection."""
+    c, c_inv = as_fractions(c), as_fractions(c_inv)
+    n = len(c)
+    assert mat_mul(c_inv, c) == mat_mul(c, c_inv) == identity(n)
+    for idx, p in joint.items():
+        own = [i for i, o in enumerate(orders) if o == idx]
+        b = tuple(tuple(row[i] for i in own) for row in c)
+        r = tuple(c_inv[i] for i in own)
+        assert (mat_mul(b, r) if own else zeros(n, n)) == p
+
+
+def test_rank_factors_give_back_the_projections_and_invert_the_basis(dressed):
+    """Q_r = Q_r[:, piv] R_r for every nonzero Q_r, and the stacked R is C^-1,
+    for one family and for the k = 2 and k = 3 joint blocks of its copies."""
+    seen = {"weight-0 block": 0, "shifted theta": 0, "k = 2": 0, "k = 3": 0}
+    for i, (family, theta) in enumerate(dressed):
+        qs, factored, _ = _taylor_projections(family, theta)
+        for q, f in zip(qs, factored):
+            if f is None:
+                assert q == zeros(len(q), len(q))
+                continue
+            assert as_fractions(f.q) == q
+            at_pivots = tuple(tuple(row[j] for j in f.pivots) for row in q)
+            assert mat_mul(at_pivots, as_fractions(f.factor)) == q
+            assert len(f.factor[0]) == len(f.pivots) == rank(q)
+        c, c_inv, orders = _joint_basis([factored])
+        assert_blocks_factor(c, c_inv, orders, {(r,): q for r, q in enumerate(qs)})
+        seen["weight-0 block"] += 0 in family.chart.weights
+        seen["shifted theta"] += any(theta.values())
+        if i < 10:
+            for k, params in ((2, "u"), (3, "uv")):
+                families = [family] + [family.with_param(p) for p in params]
+                per_family = [_taylor_projections(h, theta) for h in families]
+                c, c_inv, orders = _joint_basis([f for _, f, _ in per_family])
+                joint = _joint_projections([qs for qs, _, _ in per_family])
+                assert_blocks_factor(c, c_inv, orders, joint)
+                seen[f"k = {k}"] += 1
+    assert seen["k = 2"] == seen["k = 3"] == 10, seen
+    assert seen["weight-0 block"] >= 10 and seen["shifted theta"] >= 10, seen
 
 
 # --- the k-family certificate by restriction ------------------------------------
@@ -916,17 +972,19 @@ def test_restricted_blocks_agree_with_the_product_route():
     seen = {"pair": 0, "triple": 0, "pair raises": 0, "triple raises": 0}
     for families in joint_cases():
         per_family = [taylor_projections(h) for h in families]
-        with_pivots = [_taylor_projections(h)[:2] for h in families]
+        factored = [_taylor_projections(h)[1] for h in families]
         kind = "pair" if len(families) == 2 else "triple"
         try:
             joint, basis, orders = reference_joint_route(per_family)
         except NotDoubleStructureError as exc:
             expected = (type(exc), str(exc))
-            assert outcome(_joint_basis, with_pivots) == expected
+            assert outcome(_joint_basis, factored) == expected
             assert outcome(_joint_certificate, families, None, "L_h") == expected
             seen[f"{kind} raises"] += 1
             continue
-        assert _joint_basis(with_pivots) == (basis, orders)
+        c, c_inv, got_orders = _joint_basis(factored)
+        assert (as_fractions(c), got_orders) == (mat_from_cols(basis), orders)
+        assert_blocks_factor(c, c_inv, got_orders, joint)
         assert _joint_projections(per_family) == joint
         cert = _joint_certificate(families, None, "L_h")
         assert cert.orders == tuple(orders)
@@ -1011,14 +1069,14 @@ def reference_certificate(families, theta, name):
     reference_nonlinear and reference_picard. Returns the chart, phi, psi,
     the orders and theta.
     """
-    per_family = [_taylor_projections(h, theta)[:2] for h in families]
+    per_family = [_taylor_projections(h, theta)[1] for h in families]
     chart = families[0].chart
     point = _resolve_theta(families[0], theta)
     n_vars = len(chart)
-    basis_cols, orders = _joint_basis(per_family)
-    if len(basis_cols) != n_vars:
+    basis, _, orders = _joint_basis(per_family)
+    if len(orders) != n_vars:
         raise EngineDefectError("projection images do not fill the chart")
-    basis = mat_from_cols(basis_cols)
+    basis = as_fractions(basis)
     cinv = inverse(basis)
 
     params = [h.param for h in families]
@@ -1149,13 +1207,13 @@ def test_term_dict_inverse_agrees_with_the_object_level_route(dressed, monkeypat
     chained = [chained_family(rng, i % 3) for i in range(12)]
     rounds = 0
     for family, theta in dressed[:20] + chained + [(cubic_shear_family(), None)]:
-        _, (phi, point, basis, cinv, _) = inversion_inputs(
+        _, (phi, point, _, cinv, _) = inversion_inputs(
             monkeypatch, homogenize, family, theta
         )
-        _, (_, _, _, nonlinear, limit) = inversion_inputs(
+        _, (_, _, basis, nonlinear, limit) = inversion_inputs(
             monkeypatch, homogenize, family, theta, stage="_picard_inverse"
         )
-        assert list(nonlinear) == reference_nonlinear(phi, point, cinv)
+        assert list(nonlinear) == reference_nonlinear(phi, point, as_fractions(cinv))
         for k in range(1, limit + 1):
             got = action._picard_inverse(phi, point, basis, nonlinear, k)
             assert got == reference_picard(phi, point, basis, nonlinear, k)

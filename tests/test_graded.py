@@ -129,13 +129,7 @@ def test_invert_automorphism_frozen():
 def test_a_wrong_inverse_is_still_caught(monkeypatch):
     from gradua import linalg
 
-    inverse = linalg.inverse
-
-    def off_by_one(a):
-        inv = inverse(a)
-        return ((inv[0][0] + 1,) + inv[0][1:],) + inv[1:]
-
-    monkeypatch.setattr(linalg, "inverse", off_by_one)
+    monkeypatch.setattr(linalg, "_inverse", off_by_one(linalg._inverse))
     with pytest.raises(EngineDefectError):
         invert_automorphism(scaling_map(2, 3, 5))
 
@@ -551,17 +545,18 @@ def test_invert_automorphism_agrees_with_the_back_substitution():
 
 
 def off_by_one(inverse):
-    """linalg.inverse with 1 added to the first entry of every result."""
+    """linalg._inverse with 1 added to the first entry of every result: the
+    result is rows over a denominator d, so d is added to its numerator."""
 
     def wrong(a):
-        inv = inverse(a)
-        return ((inv[0][0] + 1,) + inv[0][1:],) + inv[1:]
+        rows, d = inverse(a)
+        return [[rows[0][0] + d] + rows[0][1:]] + rows[1:], d
 
     return wrong
 
 
 def test_a_wrong_block_inverse_is_caught_by_the_premise(monkeypatch):
-    """With linalg.inverse off by one, C no longer inverts the derivative.
+    """With linalg._inverse off by one, C no longer inverts the derivative.
     The pass's checked premise refuses every map. With the check bypassed,
     the settle certificate accepts wrong inverses, and a pass that fails
     is still an EngineDefectError, at the Bass-Connell-Wright bound too."""
@@ -570,11 +565,11 @@ def test_a_wrong_block_inverse_is_caught_by_the_premise(monkeypatch):
         seeded = random.Random(seed)
         chart = random_chart(seeded, max_base=2 if seed >= 200 else 0)
         maps.append(random_graded_automorphism(seeded, chart))
-    monkeypatch.setattr(linalg, "inverse", off_by_one(linalg.inverse))
+    monkeypatch.setattr(linalg, "_inverse", off_by_one(linalg._inverse))
     for psi in maps:
         with pytest.raises(EngineDefectError, match="cinv \\* C = I"):
             invert_automorphism(psi)
-    monkeypatch.setattr(linalg, "is_inverse", lambda a, b: True)
+    monkeypatch.setattr(linalg, "_is_inverse", lambda a, b: True)
     seen = {"wrong": 0, "not inverted": 0}
     for psi in maps:
         got = outcome(invert_automorphism, psi)

@@ -436,3 +436,120 @@ def test_ragged_columns_are_a_domain_error(cols):
     # entries, and run off the end of a shorter one
     with pytest.raises(DomainError, match="columns have different lengths"):
         linalg.mat_from_cols(cols)
+
+
+# --- the elimination kernel against rref -------------------------------------
+
+
+def ref_rref(a, cols):
+    """Pivot columns and the nonzero rows of the reduced row echelon form,
+    by Gauss-Jordan over Fraction."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    pivots = []
+    for j in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        lead = rows[r][j]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][j]:
+                f = rows[i][j]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(j)
+    return pivots, [tuple(row) for row in rows[: len(pivots)]]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices, often of deficient rank, some with zero columns.
+
+    Half are products of a rows x k and a k x cols matrix (rank at most k,
+    the zero matrix when k = 0), half have free entries in -2..2. Up to two
+    zero columns are spliced in.
+    """
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(rows, cols)))
+        left = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=rows, max_size=rows))
+        right = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=k, max_size=k))
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if k else [0] * cols
+             for row in left]
+    else:
+        m = draw(st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+    for at in draw(st.lists(st.integers(0, cols), max_size=2)):
+        m = [row[:at] + [0] + row[at:] for row in m]
+    return m
+
+
+def check_rank_factor(m):
+    """_eliminate(m) against the Fraction rref; returns its pivots and R."""
+    before = [list(row) for row in m]
+    pivots, reduced, d = linalg._eliminate(m)
+    assert m == before  # the input is not written to
+    cols = len(m[0])
+    r = [tuple(Fraction(x, d) for x in row) for row in reduced]
+    assert d != 0 and all(type(x) is int for row in reduced for x in row)
+    assert (pivots, r) == ref_rref(m, cols)
+    # m = m[:, piv] R
+    a = tuple(tuple(Fraction(x) for x in row) for row in m)
+    at_pivots = tuple(tuple(row[j] for j in pivots) for row in a)
+    if pivots:
+        assert ref_mat_mul(at_pivots, tuple(r)) == a
+    else:
+        assert not any(map(any, m))
+    return pivots, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_elimination_kernel_matches_the_fraction_rref(m):
+    pivots, _ = check_rank_factor(m)
+    a = tuple(tuple(Fraction(x) for x in row) for row in m)
+    assert linalg.independent_columns(a) == pivots == ref_independent_columns(a)
+
+
+def test_elimination_kernel_sees_deficient_ranks_and_zero_columns():
+    rng = random.Random(1968)
+    seen = {"deficient": 0, "zero column": 0, "zero matrix": 0}
+    for a in RECTANGULAR:
+        if not a or not a[0]:
+            continue
+        n = linalg._scaled(a)[0]
+        pivots, _ = check_rank_factor(n)
+        seen["deficient"] += len(pivots) < min(len(a), len(a[0]))
+        seen["zero column"] += any(not any(col) for col in zip(*n))
+        seen["zero matrix"] += not pivots
+    for _ in range(50):
+        m = [[rng.choice((0, 0, 1, -2, 3)) for _ in range(6)] for _ in range(6)]
+        check_rank_factor(m)
+    assert min(seen.values()) >= 3, seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_elimination_kernel_agrees_with_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    pivots, r, d = linalg._eliminate(m)
+    expected, expected_pivots = sympy.Matrix(m).rref()
+    assert tuple(pivots) == expected_pivots
+    assert [[Fraction(x, d) for x in row] for row in r] == [
+        [Fraction(int(expected[i, j].p), int(expected[i, j].q)) for j in range(expected.cols)]
+        for i in range(len(pivots))
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_matrices(), st.integers(-6, 6).filter(bool))
+def test_stored_form_of_an_integer_matrix(m, d):
+    stored = linalg._stored((m, d))
+    assert stored == [[Fraction(x, d) for x in row] for row in m]
+    assert all(
+        (type(x) is int) if Fraction(x).denominator == 1 else type(x) is Fraction
+        for row in stored
+        for x in row
+    )

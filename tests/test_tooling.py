@@ -6,14 +6,20 @@ operation or expression, and each command of `gradua run` and each
 perfbench/spans.py wraps engine functions by name from outside; renaming or
 removing one of them would break `perfbench/run.py --trace 1` without any
 engine test noticing. This test installs the tracer in a fresh interpreter.
+The outputs of every benchmark operation are pinned by digest, so a speed
+change that alters a result fails here.
 """
 
+import hashlib
+import importlib.util
 import random
 import subprocess
 import sys
 from pathlib import Path
 
 from fractions import Fraction
+
+import pytest
 
 from gradua import action, cli, graded, jets, linalg, multigrade
 from gradua.action import analyze, homogenize
@@ -41,6 +47,32 @@ def test_perfbench_tracer_installs():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+# sha256 over the repr of every perfbench/run.py build_ops result, seeds 1-3,
+# one line per op. The engine's outputs are exact, so a change that keeps its
+# results keeps these digests; one that alters an output on purpose updates
+# them and says why.
+BENCH_OUTPUT_DIGESTS = {
+    "corpus": "b8f44995a283dced9e6b127e083132d7a8a35a73af71c457cb9fda8db2ce3cf2",
+    "deep": "aaba1d9ec9e96a5367cf7a224602bbc364e7dcfe062fe13d41cc978f6e3b799d",
+    "programs": "23fad1f0e2bb9dcac8693d9c53112837b230d4c67a8f25b9184fe8eaa7cc2b4a",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_OUTPUT_DIGESTS))
+def test_benchmark_outputs_are_pinned(workload, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # for its dataclasses
+    spec.loader.exec_module(bench)
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for op in bench.build_ops(workload, seed):
+            digest.update(repr(op.run()).encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == BENCH_OUTPUT_DIGESTS[workload]
 
 
 def test_benchmark_oracle_accepts_the_engine():
@@ -148,11 +180,16 @@ def test_analyze_inverts_one_matrix(monkeypatch):
     x, y, t = (WPolynomial.variable(ext, v) for v in ext.names)
     gx, gy = (x + 1) * t, (y + x**2 + 2) * t**2
     family = ActionFamily(chart, "t", {"x": gx - 1, "y": gy - (gx - 1) ** 2 - 2})
-    calls = _count_calls(monkeypatch, linalg, "inverse")
+    calls = {
+        name: _count_calls(monkeypatch, linalg, name)
+        for name in ("inverse", "_inverse", "_scaled", "mat_from_cols")
+    }
     report = analyze(family, {"x": -1, "y": -3})
     assert report.monoid_ok and report.degree == 2
     assert len(report.inverse_homogenizer.pullbacks["y"].terms) > 2
-    assert len(calls) == 1
+    # the one matrix inverted is the basis C: C^-1 is read off the Taylor
+    # projections' rank factors, and no Fraction matrix is scaled to ints
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 0)
 
 
 def test_analyze_decides_projections_by_rank_and_composes_nothing(monkeypatch):
@@ -161,15 +198,22 @@ def test_analyze_decides_projections_by_rank_and_composes_nothing(monkeypatch):
     family, _ = conjugated_action(random.Random(3), chart)
     assert family.entries != standard_action(chart).entries
     idempotent = _count_calls(monkeypatch, linalg, "is_idempotent")
-    scanned = _count_calls(monkeypatch, linalg, "independent_columns")
+    scanned = _count_calls(monkeypatch, linalg, "_eliminate")
     composed = _count_calls(monkeypatch, PolyMap, "then")
+    inverted = _count_calls(monkeypatch, linalg, "inverse")
+    scaled = _count_calls(monkeypatch, linalg, "_scaled")
     report = analyze(family)
     nonzero = [q for q in report.projections if any(map(any, q))]
     assert len(nonzero) == 6 < len(report.projections)  # Q_0 is zero
-    # the rank check's pivots are the homogenizer's basis columns, and the
+    # one elimination per nonzero Q_r gives its rank, its pivots (the
+    # homogenizer's basis columns) and its rank factor (rows of C^-1); the
     # settled Picard round certifies the inverse
     assert (len(idempotent), len(scanned), len(composed)) == (0, 6, 0)
-    assert [a for a, in scanned] == nonzero
+    assert (len(inverted), len(scaled)) == (0, 0)
+    # each elimination runs on the integer numerators of its Q_r
+    assert [[list(row) for row in a] for a, in scanned] == [
+        linalg._scaled(q)[0] for q in nonzero
+    ]
 
     # psi_y1 of this family has total degree 8 and 134 terms; checking it by
     # the composite phi.then(psi) took most of its homogenize time
@@ -210,7 +254,7 @@ def test_invert_automorphism_runs_one_picard_pass(monkeypatch):
     for c in calls.values():
         c.clear()
     passes = _count_calls(monkeypatch, graded, "_picard_inverse")
-    blocks = _count_calls(monkeypatch, linalg, "inverse")
+    blocks = _count_calls(monkeypatch, linalg, "_inverse")
     inverse = graded.invert_automorphism(psi)
     assert psi.then(inverse).is_identity()
     assert (len(passes), len(blocks)) == (1, 3)
@@ -263,27 +307,37 @@ def test_at_and_with_param_substitute_nothing(monkeypatch):
 
 
 def test_check_double_multiplies_no_square_matrix(monkeypatch):
-    """Commutation and the joint basis come from n x rank blocks: no right
-    operand of mat_mul is n x n, and no joint projection is multiplied out."""
+    """Commutation and the joint basis come from n x rank blocks over ints:
+    mat_mul is never called, no joint projection is multiplied out, and
+    every elimination but the rank checks' runs on an n x rank block."""
     calls = _count_calls(monkeypatch, linalg, "mat_mul")
+    eliminated = _count_calls(monkeypatch, linalg, "_eliminate")
     source = (ROOT / "tests" / "data" / "tour.gradua").read_text()
     program = parse(source.replace("check-double D", "").replace("report text", ""))
     cli.run(program)
     assert calls == []  # the one-family commands multiply nothing
+    eliminated.clear()
     report = cli.run(parse(source.split("analyze-action")[0] + "check-double D\n"))
     assert report.results[0]["commuting"] is True
-    # each of the first family's two rank-1 blocks times each Q_s of the second
-    assert len(calls) == 4 and all(len(b) == 2 > len(b[0]) for _, b in calls)
+    assert calls == []
+    # the rank checks eliminate each family's two nonzero Q_r, 2 x 2; of the
+    # first family's two rank-1 blocks times each Q_s of the second, the two
+    # nonzero products are eliminated, 2 x 1
+    blocks = [rows for rows, in eliminated if len(rows[0]) < len(rows)]
+    assert len(eliminated) == 4 + 2 and len(blocks) == 2
+    assert all(len(b) == 2 > len(b[0]) for b in blocks)
 
     # the order-1 jet double of a dressed structure and its level scaling
     chart = GradedChart("P", (("x1", 1), ("y1", 2)))
     family, _ = conjugated_action(random.Random(9), chart)
     lifted = jets.prolong_action(family, 1)
     levels = jets.jet_action(jets.adapt(chart, 1), "u")
-    calls.clear()
+    eliminated.clear()
     bihom = bihomogenize(lifted, levels)
-    assert len(bihom.chart) == 4 and len(calls) >= 4
-    assert all(len(b) == 4 > len(b[0]) for _, b in calls)
+    assert len(bihom.chart) == 4 and calls == []
+    blocks = [rows for rows, in eliminated if len(rows[0]) < len(rows)]
+    assert len(blocks) >= 4
+    assert all(len(b) == 4 > len(b[0]) for b in blocks)
 
 
 def test_family_composites_substitute_once_per_outer_family(monkeypatch):
