@@ -65,7 +65,8 @@ from .errors import (
     NotGradedActionError,
 )
 from .graded import (  # noqa: F401
-    ActionFamily, PolyMap, _compose_families, _invert_coordinate_change, _picard_inverse
+    ActionFamily, PolyMap, _checked_stored, _compose_families, _invert_coordinate_change,
+    _picard_inverse,
 )
 from .linalg import IntMatrix, Matrix
 from .wpoly import Monomial, WPolynomial, _coefficient, _exact, _terms_combine
@@ -498,8 +499,8 @@ def _homogenize_joint(
       B_P R_P = sum_P P = I, and a square matrix with a right inverse is
       invertible, so the stacked R is C^-1 and no inverse is computed. For
       one family this needs only sum Q_r = I and sum rank Q_r = n, both
-      checked by _taylor_projections. The inverse kernel checks C^-1 C = I
-      over ints as its premise all the same.
+      checked by _taylor_projections. The inverse kernel's premise C^-1 C
+      = I is checked over ints all the same (graded._checked_stored).
 
     The joint projections themselves are multiplied out only when read
     (_joint_projections). The dual linear coordinates are pushed through
@@ -507,7 +508,7 @@ def _homogenize_joint(
     coefficients become the new coordinates y{r_1}_..._{r_k}_{i}, of
     weight r_1 + ... + r_k. Both steps run on term dicts, one linear
     combination (wpoly._terms_combine) and one polynomial per coordinate,
-    with the entries of C^-1 in stored form (linalg._stored):
+    with the entries of C^-1 in stored form (graded._checked_stored):
 
     - The split. The composite's chart is the chart followed by the k
       parameters, so in every sorted monomial of the composite the
@@ -586,8 +587,9 @@ def _joint_certificate(
     basis, cinv, orders = _joint_basis([factored for _, factored, _ in per_family])
     if len(orders) != n_vars:
         raise EngineDefectError("projection images do not fill the chart")
-    # in stored form, so that integral entries multiply as ints
-    rows = linalg._stored(cinv)
+    # the inverse kernel's premise, checked once; both matrices in stored
+    # form, so that integral entries multiply as ints
+    basis, rows = _checked_stored(basis, cinv)
 
     # the composite applies the last family first; its chart lists the
     # parameters in that order
@@ -644,7 +646,7 @@ def _joint_certificate(
     return _JointHomogenization(
         chart=new_chart,
         homogenizer=phi,
-        inverse=_invert_coordinate_change(phi, point, basis, cinv, degree),
+        inverse=_invert_coordinate_change(phi, point, basis, rows, degree),
         orders=tuple(orders),
         theta=point,
         factors=tuple(qs for qs, _, _ in per_family),

@@ -7,6 +7,12 @@ verdict is negative or a command failed, 2 for usage or parse errors, a
 program that cannot be read (missing, or not UTF-8) and a report that
 cannot be written.
 
+One table, _COMMANDS, maps each command statement class to its name in the
+report and its runner. A runner takes the statement and the program and
+returns only its own fields; run() writes every entry's prefix (`command`,
+then `name` for a statement that has one) and, when the engine raises, its
+error tail (`ok: false`, then `error`), so each command is named once.
+
 Reports serialize deterministically: dictionary keys appear in a fixed
 order, every number is an exact rational rendered as a string, and timing
 is omitted unless --timing is given, so byte-identical inputs give
@@ -22,6 +28,7 @@ import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
+from typing import Callable
 
 from .action import analyze
 from .charts import fresh_name
@@ -72,8 +79,8 @@ def _pullbacks_json(pmap) -> dict[str, str]:
     return {v: str(pmap.pullbacks[v]) for v in pmap.target.names}
 
 
-def _run_check_morphism(stmt: CheckMorphismCmd, maps) -> dict:
-    pmap = maps[stmt.name]
+def _run_check_morphism(stmt: CheckMorphismCmd, program: Program) -> dict:
+    pmap = program.maps()[stmt.name]
     # is_graded_morphism's test, run once per target variable to list failures
     failures = [
         {"variable": v, "weight": w, "pullback": str(pmap.pullbacks[v])}
@@ -81,12 +88,7 @@ def _run_check_morphism(stmt: CheckMorphismCmd, maps) -> dict:
         if not pmap.pullbacks[v].is_homogeneous(w)
     ]
     graded = not failures
-    entry = {
-        "command": "check-morphism",
-        "name": stmt.name,
-        "ok": graded,
-        "graded": graded,
-    }
+    entry = {"ok": graded, "graded": graded}
     if not graded:
         entry["failures"] = failures
         return entry
@@ -98,14 +100,14 @@ def _run_check_morphism(stmt: CheckMorphismCmd, maps) -> dict:
     return entry
 
 
-def _run_analyze_action(stmt: AnalyzeActionCmd, actions) -> dict:
-    family = actions[stmt.name]
+def _run_analyze_action(stmt: AnalyzeActionCmd, program: Program) -> dict:
     theta = dict(stmt.point) if stmt.point is not None else None
-    entry = {"command": "analyze-action", "name": stmt.name}
-    report = analyze(family, theta)
-    entry["ok"] = report.monoid_ok
-    entry["semigroup_ok"] = report.semigroup_ok
-    entry["monoid_ok"] = report.monoid_ok
+    report = analyze(program.actions()[stmt.name], theta)
+    entry = {
+        "ok": report.monoid_ok,
+        "semigroup_ok": report.semigroup_ok,
+        "monoid_ok": report.monoid_ok,
+    }
     if report.witnesses:
         entry["witnesses"] = [
             {"law": w.law, "variable": w.variable, "defect": str(w.difference)}
@@ -124,11 +126,9 @@ def _run_analyze_action(stmt: AnalyzeActionCmd, actions) -> dict:
     return entry
 
 
-def _run_prolong(stmt: ProlongCmd, maps) -> dict:
-    lifted = prolong(maps[stmt.name], stmt.order)
+def _run_prolong(stmt: ProlongCmd, program: Program) -> dict:
+    lifted = prolong(program.maps()[stmt.name], stmt.order)
     return {
-        "command": "prolong",
-        "name": stmt.name,
         "order": stmt.order,
         "ok": True,
         "source": _chart_json(lifted.source),
@@ -137,17 +137,13 @@ def _run_prolong(stmt: ProlongCmd, maps) -> dict:
     }
 
 
-def _run_check_double(stmt: CheckDoubleCmd, actions, doubles) -> dict:
-    first_name, second_name = doubles[stmt.name]
+def _run_check_double(stmt: CheckDoubleCmd, program: Program) -> dict:
+    first_name, second_name = program.doubles()[stmt.name]
+    actions = program.actions()
     h1 = actions[first_name]
     h2 = actions[second_name]
     h2 = h2.with_param(fresh_name("u", h2.chart.names + (h1.param,)))
-    entry = {
-        "command": "check-double",
-        "name": stmt.name,
-        "first": first_name,
-        "second": second_name,
-    }
+    entry = {"first": first_name, "second": second_name}
     try:
         bihom = bihomogenize(h1, h2)
     except NotDoubleStructureError as exc:
@@ -171,14 +167,13 @@ def _run_check_double(stmt: CheckDoubleCmd, actions, doubles) -> dict:
     return entry
 
 
-def _run_flip(stmt: FlipCmd, charts) -> dict:
-    chart = charts[stmt.chart_name]
+def _run_flip(stmt: FlipCmd, program: Program) -> dict:
+    chart = program.charts()[stmt.chart_name]
     forward = flip(stmt.m, stmt.n, chart)
     # with m = n the flip maps the chart to itself and is its own candidate inverse
     backward = forward if stmt.m == stmt.n else flip(stmt.n, stmt.m, chart)
     round_trip = is_renaming_round_trip(forward, backward)
     return {
-        "command": "flip",
         "m": stmt.m,
         "n": stmt.n,
         "chart": stmt.chart_name,
@@ -190,42 +185,40 @@ def _run_flip(stmt: FlipCmd, charts) -> dict:
     }
 
 
+# each command statement class: its name in the report and its runner
+_COMMANDS: dict[type, tuple[str, Callable[..., dict]]] = {
+    CheckMorphismCmd: ("check-morphism", _run_check_morphism),
+    AnalyzeActionCmd: ("analyze-action", _run_analyze_action),
+    ProlongCmd: ("prolong", _run_prolong),
+    CheckDoubleCmd: ("check-double", _run_check_double),
+    FlipCmd: ("flip", _run_flip),
+}
+
+
 def run(program: Program, timing: bool = False) -> Report:
     """Execute a program's commands in order against the core engine.
 
     Engine errors become report entries with ok=false; nothing raises out
     of this function except genuine bugs.
     """
-    charts = program.charts()
-    maps = program.maps()
-    actions = program.actions()
-    doubles = program.doubles()
     report = Report()
     started = time.perf_counter()
-    commands = (CheckMorphismCmd, AnalyzeActionCmd, ProlongCmd, CheckDoubleCmd, FlipCmd)
     for stmt in program.statements:
         if isinstance(stmt, ReportCmd):
             report.format = stmt.format
             continue
-        if not isinstance(stmt, commands):
+        command = _COMMANDS.get(type(stmt))
+        if command is None:
             continue
         begun = time.perf_counter()
+        title, runner = command
+        entry = {"command": title}
+        name = getattr(stmt, "name", None)
+        if name is not None:
+            entry["name"] = name
         try:
-            if isinstance(stmt, CheckMorphismCmd):
-                entry = _run_check_morphism(stmt, maps)
-            elif isinstance(stmt, AnalyzeActionCmd):
-                entry = _run_analyze_action(stmt, actions)
-            elif isinstance(stmt, ProlongCmd):
-                entry = _run_prolong(stmt, maps)
-            elif isinstance(stmt, CheckDoubleCmd):
-                entry = _run_check_double(stmt, actions, doubles)
-            else:
-                entry = _run_flip(stmt, charts)
+            entry.update(runner(stmt, program))
         except GraduaError as exc:
-            entry = {"command": _command_name(stmt)}
-            name = getattr(stmt, "name", None)
-            if name is not None:
-                entry["name"] = name
             entry["ok"] = False
             entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
         if timing:
@@ -240,16 +233,6 @@ def run(program: Program, timing: bool = False) -> Report:
             }
         )
     return report
-
-
-def _command_name(stmt) -> str:
-    return {
-        CheckMorphismCmd: "check-morphism",
-        AnalyzeActionCmd: "analyze-action",
-        ProlongCmd: "prolong",
-        CheckDoubleCmd: "check-double",
-        FlipCmd: "flip",
-    }[type(stmt)]
 
 
 # --- emission ----------------------------------------------------------------

@@ -8,6 +8,12 @@ program carries finished engine objects and no unresolved names. Printing a
 program emits canonical text (polynomials in canonical term order), and
 parsing that text yields an equal program, spans aside.
 
+The parser states each statement kind once: one table, built with the
+class, maps each statement keyword to its parser, an optional token is one
+accept() call, and one rule-block parser reads the `{ v op expr; }` bodies
+of map (`=`, over the source chart) and action (`->`, over the chart
+extended by t).
+
 Rationals are single tokens (2/3); there is no division operator. The
 family parameter in action bodies is always called t.
 
@@ -29,7 +35,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .charts import GradedChart
 from .errors import DomainError, ParseError, ResourceLimitError
@@ -262,6 +268,10 @@ class Program:
         }
 
 
+# what may start a statement, listed by the errors that refuse a token there
+_STARTS = ("chart", "map", "action", "double", "a command")
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -288,17 +298,21 @@ class _Parser:
         found = f"found {tok.text!r}" if tok.text else "unexpected end of input"
         return self.error(found, tok, expected)
 
-    def expect_symbol(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "symbol" and tok.text == text:
-            return self.advance()
-        raise self.unexpected(tok, (text,))
+    def accept(self, text: str, kind: str = "symbol") -> Token | None:
+        """The next token, consumed, if it is this text of this kind; else None."""
+        tok = self.tokens[self.pos]
+        if tok.kind == kind and tok.text == text:
+            self.pos += 1
+            return tok
+        return None
 
-    def expect_keyword(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text == text:
-            return self.advance()
-        raise self.unexpected(tok, (text,))
+    def require(self, *texts: str, kind: str = "symbol") -> Token:
+        """The next token, consumed, which must be one of these texts of this kind."""
+        for text in texts:
+            tok = self.accept(text, kind)
+            if tok is not None:
+                return tok
+        raise self.unexpected(self.peek(), texts)
 
     def expect(self, kind: str, what: str) -> Token:
         """The next token, which must be of this kind (ident or number)."""
@@ -314,37 +328,21 @@ class _Parser:
             raise self.error(f"{tok.text!r} is not an integer", tok, (what,))
         return int(tok.value), tok
 
+    def check_variable(self, tok: Token, chart: GradedChart) -> None:
+        if tok.text not in chart:
+            raise self.error(f"variable {tok.text!r} is not in chart {chart.name!r}", tok)
+
     # --- declarations -----------------------------------------------------
 
     def parse_program(self) -> Program:
         statements: list[Statement] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                break
+        while (tok := self.peek()).kind != "eof":
             if tok.kind != "keyword":
-                raise self.unexpected(
-                    tok, ("chart", "map", "action", "double", "a command")
-                )
-            handler: Callable[[], Statement] | None = {
-                "chart": self.parse_chart,
-                "map": self.parse_map,
-                "action": self.parse_action,
-                "double": self.parse_double,
-                "check-morphism": self.parse_check_morphism,
-                "analyze-action": self.parse_analyze_action,
-                "prolong": self.parse_prolong,
-                "check-double": self.parse_check_double,
-                "flip": self.parse_flip,
-                "report": self.parse_report,
-            }.get(tok.text)
+                raise self.unexpected(tok, _STARTS)
+            handler = self.STATEMENTS.get(tok.text)
             if handler is None:
-                raise self.error(
-                    f"{tok.text!r} cannot start a statement",
-                    tok,
-                    ("chart", "map", "action", "double", "a command"),
-                )
-            statements.append(handler())
+                raise self.error(f"{tok.text!r} cannot start a statement", tok, _STARTS)
+            statements.append(handler(self, self.advance().span))
         return Program(tuple(statements))
 
     def define(self, table: dict, name: str, value, tok: Token, kind: str) -> None:
@@ -352,75 +350,72 @@ class _Parser:
             raise self.error(f"duplicate {kind} name {name!r}", tok)
         table[name] = value
 
-    def lookup(self, table: dict, tok: Token, kind: str):
+    def reference(self, table: dict, kind: str) -> tuple[Token, Any]:
+        """The next token, a declared name of this kind, and what it names."""
+        tok = self.expect("ident", f"{kind} name")
         if tok.text not in table:
             raise self.error(f"unknown {kind} {tok.text!r}", tok)
-        return table[tok.text]
+        return tok, table[tok.text]
 
-    def parse_chart(self) -> ChartStmt:
-        kw = self.expect_keyword("chart")
+    def construct(self, name_tok: Token, build: Callable, *args):
+        """build(*args), its DomainError raised as a ParseError at name_tok."""
+        try:
+            return build(*args)
+        except DomainError as exc:
+            raise self.error(str(exc), name_tok) from None
+
+    def parse_rules(
+        self, target: GradedChart, op: str, chart: GradedChart, what: str
+    ) -> dict[str, WPolynomial]:
+        """A block `{ v op expr; ... }`, at most one rule per variable v of
+        target, each expression over chart."""
+        self.require("{")
+        rules: dict[str, WPolynomial] = {}
+        while not self.accept("}"):
+            var_tok = self.expect("ident", what)
+            self.check_variable(var_tok, target)
+            if var_tok.text in rules:
+                raise self.error(f"variable {var_tok.text!r} is assigned twice", var_tok)
+            self.require(op)
+            rules[var_tok.text] = self.parse_expression(chart)
+            self.require(";")
+        return rules
+
+    # Each statement parser starts after its keyword, whose span it is given.
+
+    def parse_chart(self, span: Span) -> ChartStmt:
         name_tok = self.expect("ident", "chart name")
-        self.expect_symbol("(")
+        self.require("(")
         variables: list[tuple[str, int]] = []
         while True:
             var_tok = self.expect("ident", "variable name")
-            self.expect_symbol(":")
+            self.require(":")
             weight, wtok = self.expect_integer("weight")
             if weight < 0:
                 raise self.error("weights must be nonnegative", wtok)
             variables.append((var_tok.text, weight))
-            tok = self.peek()
-            if tok.kind == "symbol" and tok.text == ",":
-                self.advance()
-                continue
-            break
-        self.expect_symbol(")")
-        try:
-            chart = GradedChart(name_tok.text, tuple(variables))
-        except DomainError as exc:
-            raise self.error(str(exc), name_tok) from None
+            if not self.accept(","):
+                break
+        self.require(")")
+        chart = self.construct(name_tok, GradedChart, name_tok.text, tuple(variables))
         self.define(self.charts, name_tok.text, chart, name_tok, "chart")
-        return ChartStmt(name_tok.text, chart, kw.span)
+        return ChartStmt(name_tok.text, chart, span)
 
-    def parse_map(self) -> MapStmt:
-        kw = self.expect_keyword("map")
+    def parse_map(self, span: Span) -> MapStmt:
         name_tok = self.expect("ident", "map name")
-        self.expect_symbol(":")
-        src_tok = self.expect("ident", "chart name")
-        source = self.lookup(self.charts, src_tok, "chart")
-        self.expect_symbol("->")
-        dst_tok = self.expect("ident", "chart name")
-        target = self.lookup(self.charts, dst_tok, "chart")
-        self.expect_symbol("{")
-        pullbacks: dict[str, WPolynomial] = {}
-        while not (self.peek().kind == "symbol" and self.peek().text == "}"):
-            var_tok = self.expect("ident", "target variable")
-            if var_tok.text not in target:
-                raise self.error(
-                    f"variable {var_tok.text!r} is not in chart {target.name!r}",
-                    var_tok,
-                )
-            if var_tok.text in pullbacks:
-                raise self.error(
-                    f"variable {var_tok.text!r} is assigned twice", var_tok
-                )
-            self.expect_symbol("=")
-            pullbacks[var_tok.text] = self.parse_expression(source)
-            self.expect_symbol(";")
-        self.expect_symbol("}")
-        try:
-            pmap = PolyMap(source, target, pullbacks)
-        except DomainError as exc:
-            raise self.error(str(exc), name_tok) from None
+        self.require(":")
+        _, source = self.reference(self.charts, "chart")
+        self.require("->")
+        _, target = self.reference(self.charts, "chart")
+        pullbacks = self.parse_rules(target, "=", source, "target variable")
+        pmap = self.construct(name_tok, PolyMap, source, target, pullbacks)
         self.define(self.maps, name_tok.text, pmap, name_tok, "map")
-        return MapStmt(name_tok.text, pmap, kw.span)
+        return MapStmt(name_tok.text, pmap, span)
 
-    def parse_action(self) -> ActionStmt:
-        kw = self.expect_keyword("action")
+    def parse_action(self, span: Span) -> ActionStmt:
         name_tok = self.expect("ident", "action name")
-        self.expect_keyword("on")
-        chart_tok = self.expect("ident", "chart name")
-        chart = self.lookup(self.charts, chart_tok, "chart")
+        self.require("on", kind="keyword")
+        chart_tok, chart = self.reference(self.charts, "chart")
         if ACTION_PARAM in chart:
             raise self.error(
                 f"chart {chart.name!r} has a variable named {ACTION_PARAM!r}, "
@@ -428,116 +423,60 @@ class _Parser:
                 chart_tok,
             )
         ext = chart.extend(((ACTION_PARAM, 0),))
-        self.expect_symbol("{")
-        entries: dict[str, WPolynomial] = {}
-        while not (self.peek().kind == "symbol" and self.peek().text == "}"):
-            var_tok = self.expect("ident", "chart variable")
-            if var_tok.text not in chart:
-                raise self.error(
-                    f"variable {var_tok.text!r} is not in chart {chart.name!r}",
-                    var_tok,
-                )
-            if var_tok.text in entries:
-                raise self.error(
-                    f"variable {var_tok.text!r} is assigned twice", var_tok
-                )
-            self.expect_symbol("->")
-            entries[var_tok.text] = self.parse_expression(ext)
-            self.expect_symbol(";")
-        self.expect_symbol("}")
-        try:
-            family = ActionFamily(chart, ACTION_PARAM, entries)
-        except DomainError as exc:
-            raise self.error(str(exc), name_tok) from None
+        entries = self.parse_rules(chart, "->", ext, "chart variable")
+        family = self.construct(name_tok, ActionFamily, chart, ACTION_PARAM, entries)
         self.define(self.actions, name_tok.text, family, name_tok, "action")
-        return ActionStmt(name_tok.text, family, kw.span)
+        return ActionStmt(name_tok.text, family, span)
 
-    def _double_member(self) -> Token:
-        # an optional `action` keyword is tolerated before each member
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text == "action":
-            self.advance()
-        member = self.expect("ident", "action name")
-        self.lookup(self.actions, member, "action")
-        return member
+    def _double_member(self) -> str:
+        self.accept("action", "keyword")  # tolerated before each member
+        return self.reference(self.actions, "action")[0].text
 
-    def parse_double(self) -> DoubleStmt:
-        kw = self.expect_keyword("double")
+    def parse_double(self, span: Span) -> DoubleStmt:
         name_tok = self.expect("ident", "double name")
-        self.expect_symbol("{")
-        first_tok = self._double_member()
-        tok = self.peek()
-        if tok.kind == "symbol" and tok.text in (",", ";"):
-            self.advance()
-        else:
-            raise self.unexpected(tok, (",", ";"))
-        second_tok = self._double_member()
-        if self.peek().kind == "symbol" and self.peek().text == ";":
-            self.advance()
-        self.expect_symbol("}")
-        self.define(
-            self.doubles,
-            name_tok.text,
-            (first_tok.text, second_tok.text),
-            name_tok,
-            "double",
-        )
-        return DoubleStmt(name_tok.text, first_tok.text, second_tok.text, kw.span)
+        self.require("{")
+        first = self._double_member()
+        self.require(",", ";")
+        second = self._double_member()
+        self.accept(";")
+        self.require("}")
+        self.define(self.doubles, name_tok.text, (first, second), name_tok, "double")
+        return DoubleStmt(name_tok.text, first, second, span)
 
     # --- commands ---------------------------------------------------------
 
-    def parse_check_morphism(self) -> CheckMorphismCmd:
-        kw = self.expect_keyword("check-morphism")
-        name_tok = self.expect("ident", "map name")
-        self.lookup(self.maps, name_tok, "map")
-        return CheckMorphismCmd(name_tok.text, kw.span)
+    def parse_check_morphism(self, span: Span) -> CheckMorphismCmd:
+        return CheckMorphismCmd(self.reference(self.maps, "map")[0].text, span)
 
-    def parse_analyze_action(self) -> AnalyzeActionCmd:
-        kw = self.expect_keyword("analyze-action")
-        name_tok = self.expect("ident", "action name")
-        family = self.lookup(self.actions, name_tok, "action")
+    def parse_analyze_action(self, span: Span) -> AnalyzeActionCmd:
+        name_tok, family = self.reference(self.actions, "action")
         point: tuple[tuple[str, Fraction], ...] | None = None
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text == "at":
-            self.advance()
-            self.expect_symbol("(")
+        if self.accept("at", "keyword"):
+            self.require("(")
             seen: dict[str, Fraction] = {}
             while True:
                 var_tok = self.expect("ident", "chart variable")
-                if var_tok.text not in family.chart:
-                    raise self.error(
-                        f"variable {var_tok.text!r} is not in chart "
-                        f"{family.chart.name!r}",
-                        var_tok,
-                    )
+                self.check_variable(var_tok, family.chart)
                 if var_tok.text in seen:
                     raise self.error(
                         f"variable {var_tok.text!r} is given twice", var_tok
                     )
-                self.expect_symbol("=")
-                negative = False
-                if self.peek().kind == "symbol" and self.peek().text == "-":
-                    self.advance()
-                    negative = True
+                self.require("=")
+                negative = self.accept("-")
                 num_tok = self.expect("number", "rational value")
                 assert num_tok.value is not None
                 seen[var_tok.text] = -num_tok.value if negative else num_tok.value
-                tok = self.peek()
-                if tok.kind == "symbol" and tok.text == ",":
-                    self.advance()
-                    continue
-                break
-            self.expect_symbol(")")
+                if not self.accept(","):
+                    break
+            self.require(")")
             point = tuple(
                 (v, seen[v]) for v in family.chart.names if v in seen
             )
-        return AnalyzeActionCmd(name_tok.text, point, kw.span)
+        return AnalyzeActionCmd(name_tok.text, point, span)
 
-    def parse_prolong(self) -> ProlongCmd:
-        kw = self.expect_keyword("prolong")
-        name_tok = self.expect("ident", "map name")
-        pmap = self.lookup(self.maps, name_tok, "map")
-        self.expect_keyword("order")
+    def parse_prolong(self, span: Span) -> ProlongCmd:
+        name_tok, pmap = self.reference(self.maps, "map")
+        self.require("order", kind="keyword")
         order, otok = self.expect_integer("order")
         if order < 0:
             raise self.error("order must be nonnegative", otok)
@@ -561,22 +500,17 @@ class _Parser:
                 f"above the budget of {TERM_BUDGET}",
                 *otok.span,
             )
-        return ProlongCmd(name_tok.text, order, kw.span)
+        return ProlongCmd(name_tok.text, order, span)
 
-    def parse_check_double(self) -> CheckDoubleCmd:
-        kw = self.expect_keyword("check-double")
-        name_tok = self.expect("ident", "double name")
-        self.lookup(self.doubles, name_tok, "double")
-        return CheckDoubleCmd(name_tok.text, kw.span)
+    def parse_check_double(self, span: Span) -> CheckDoubleCmd:
+        return CheckDoubleCmd(self.reference(self.doubles, "double")[0].text, span)
 
-    def parse_flip(self) -> FlipCmd:
-        kw = self.expect_keyword("flip")
+    def parse_flip(self, span: Span) -> FlipCmd:
         m, mtok = self.expect_integer("order")
         n, ntok = self.expect_integer("order")
         if m < 0 or n < 0:
             raise self.error("orders must be nonnegative", mtok if m < 0 else ntok)
-        chart_tok = self.expect("ident", "chart name")
-        chart = self.lookup(self.charts, chart_tok, "chart")
+        chart_tok, chart = self.reference(self.charts, "chart")
         size = len(chart) * (m + 1) * (n + 1)
         if size > VARIABLE_BUDGET:
             raise ResourceLimitError(
@@ -584,15 +518,24 @@ class _Parser:
                 f"variables, above the budget of {VARIABLE_BUDGET}",
                 *chart_tok.span,
             )
-        return FlipCmd(m, n, chart_tok.text, kw.span)
+        return FlipCmd(m, n, chart_tok.text, span)
 
-    def parse_report(self) -> ReportCmd:
-        kw = self.expect_keyword("report")
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text in ("json", "text"):
-            self.advance()
-            return ReportCmd(tok.text, kw.span)
-        raise self.unexpected(tok, ("json", "text"))
+    def parse_report(self, span: Span) -> ReportCmd:
+        return ReportCmd(self.require("json", "text", kind="keyword").text, span)
+
+    # the parser of each statement keyword, built once with the class
+    STATEMENTS: dict[str, Callable[[_Parser, Span], Statement]] = {
+        "chart": parse_chart,
+        "map": parse_map,
+        "action": parse_action,
+        "double": parse_double,
+        "check-morphism": parse_check_morphism,
+        "analyze-action": parse_analyze_action,
+        "prolong": parse_prolong,
+        "check-double": parse_check_double,
+        "flip": parse_flip,
+        "report": parse_report,
+    }
 
     # --- expressions --------------------------------------------------------
     #
@@ -605,46 +548,34 @@ class _Parser:
 
     def parse_sum(self, chart: GradedChart) -> dict[Monomial, Fraction | int]:
         acc = self.parse_product(chart)
-        while True:
-            tok = self.peek()
-            if tok.kind == "symbol" and tok.text in ("+", "-"):
-                self.advance()
-                rhs = self.parse_product(chart)
-                if tok.text == "-":
-                    rhs = {m: -c for m, c in rhs.items()}
-                _terms_add_into(acc, rhs)
-                continue
-            return acc
+        while tok := self.accept("+") or self.accept("-"):
+            rhs = self.parse_product(chart)
+            if tok.text == "-":
+                rhs = {m: -c for m, c in rhs.items()}
+            _terms_add_into(acc, rhs)
+        return acc
 
     def parse_product(self, chart: GradedChart) -> dict[Monomial, Fraction | int]:
         acc = self.parse_unary(chart)
-        while True:
-            tok = self.peek()
-            if tok.kind == "symbol" and tok.text == "*":
-                self.advance()
-                rhs = self.parse_unary(chart)
-                if len(acc) * len(rhs) > TERM_BUDGET:
-                    raise ResourceLimitError(
-                        f"a product of {len(acc)} by {len(rhs)} terms may give more "
-                        f"terms than the budget of {TERM_BUDGET}",
-                        *tok.span,
-                    )
-                acc = _terms_mul(acc, rhs)
-                continue
-            return acc
+        while tok := self.accept("*"):
+            rhs = self.parse_unary(chart)
+            if len(acc) * len(rhs) > TERM_BUDGET:
+                raise ResourceLimitError(
+                    f"a product of {len(acc)} by {len(rhs)} terms may give more "
+                    f"terms than the budget of {TERM_BUDGET}",
+                    *tok.span,
+                )
+            acc = _terms_mul(acc, rhs)
+        return acc
 
     def parse_unary(self, chart: GradedChart) -> dict[Monomial, Fraction | int]:
-        tok = self.peek()
-        if tok.kind == "symbol" and tok.text == "-":
-            self.advance()
+        if self.accept("-"):
             return {m: -c for m, c in self.parse_unary(chart).items()}
         return self.parse_power(chart)
 
     def parse_power(self, chart: GradedChart) -> dict[Monomial, Fraction | int]:
         base = self.parse_atom(chart)
-        tok = self.peek()
-        if tok.kind == "symbol" and tok.text == "^":
-            self.advance()
+        if self.accept("^"):
             exponent, etok = self.expect_integer("nonnegative integer exponent")
             if exponent < 0:
                 raise self.error("exponents must be nonnegative", etok)
@@ -673,16 +604,12 @@ class _Parser:
             value = _coefficient(tok.value)
             return {(): value} if value else {}
         if tok.kind == "ident":
-            if tok.text not in chart:
-                raise self.error(
-                    f"variable {tok.text!r} is not in chart {chart.name!r}", tok
-                )
+            self.check_variable(tok, chart)
             self.advance()
             return {((chart.index_of(tok.text), 1),): 1}
-        if tok.kind == "symbol" and tok.text == "(":
-            self.advance()
+        if self.accept("("):
             inner = self.parse_sum(chart)
-            self.expect_symbol(")")
+            self.require(")")
             return inner
         raise self.unexpected(tok, ("a variable", "a number", "("))
 

@@ -47,7 +47,8 @@ from .errors import (
 )
 from .linalg import IntMatrix, Matrix
 from .wpoly import (
-    Monomial, Terms, WPolynomial, _coefficient, _mono_total_degree, _terms_combine
+    Monomial, Terms, WPolynomial, _coefficient, _mono_total_degree, _terms_combine,
+    _terms_mul,
 )
 
 
@@ -314,19 +315,33 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
                 basis[i][j] = x * (e_all // e)
             shift = sum(x * constants[j] for j, x in zip(block, row))
             theta[names[i]] = _coefficient(Fraction(-shift, e)) if shift else 0
+    basis, cinv = _checked_stored((basis, e_all), linalg._scaled(derivative))
     try:
-        return _invert_coordinate_change(
-            psi, theta, (basis, e_all), linalg._scaled(derivative), chart.degree
-        )
+        return _invert_coordinate_change(psi, theta, basis, cinv, chart.degree)
     except NotGradedActionError as exc:
         raise EngineDefectError(f"a graded automorphism was not inverted: {exc}") from exc
+
+
+def _checked_stored(
+    basis: IntMatrix, cinv: IntMatrix
+) -> tuple[list[list[Fraction | int]], list[list[Fraction | int]]]:
+    """C and cinv in stored form, once the inverse kernel's premise holds.
+
+    cinv C = I is decided exactly on the integer forms (linalg._is_inverse),
+    and EngineDefectError is raised when it fails. Both callers of
+    _invert_coordinate_change call this once and hand it what it returns,
+    so the kernel computes with the integers the premise checked.
+    """
+    if not linalg._is_inverse(cinv, basis):
+        raise EngineDefectError("the Picard pass needs cinv * C = I, which fails")
+    return linalg._stored(basis), linalg._stored(cinv)
 
 
 def _invert_coordinate_change(
     phi: PolyMap,
     theta: Mapping[str, Fraction | int],
-    basis: IntMatrix,
-    cinv: IntMatrix,
+    basis: Sequence[Sequence[Fraction | int]],
+    cinv: Sequence[Sequence[Fraction | int]],
     degree: int,
 ) -> PolyMap:
     """Exact inverse of a polynomial map phi, from one bounded Picard pass.
@@ -335,15 +350,14 @@ def _invert_coordinate_change(
     and the graded automorphisms of invert_automorphism are inverted here.
     phi maps the chart of x to a chart of y with as many variables, theta is
     a point with phi(theta) = 0, cinv is the derivative of phi at theta and
-    basis is a matrix C. Both matrices come in integer form, integer rows
-    over one denominator (linalg.IntMatrix); they are put in stored form
-    (int when integral, see wpoly) once the premise holds. degree is a
-    bound D on the total degree of the inverse, used when every weight of
-    the y chart is at least 1.
+    basis is a matrix C. Both matrices come in stored form (int when
+    integral, see wpoly), from _checked_stored. degree is a bound D on the
+    total degree of the inverse, used when every weight of the y chart is
+    at least 1.
 
-    - The premise, checked. cinv C = I is decided exactly on the integer
-      forms (linalg._is_inverse), and EngineDefectError is raised when it
-      fails.
+    - The premise, checked. cinv C = I is decided exactly by
+      _checked_stored, which both callers run on the integer forms before
+      they call the kernel, and EngineDefectError is raised when it fails.
       The settle certificate below rests on it: with a wrong C it would
       accept a wrong inverse.
     - The pass. N = phi - cinv (x - theta) has order >= 2 at theta, so round
@@ -402,9 +416,6 @@ def _invert_coordinate_change(
       of weight w_v. When every weight is at least 1 its total degree is
       at most w_v, so D is the chart degree.
     """
-    if not linalg._is_inverse(cinv, basis):
-        raise EngineDefectError("the Picard pass needs cinv * C = I, which fails")
-    basis, cinv = linalg._stored(basis), linalg._stored(cinv)
     chart = phi.source
     shift = [  # x_j - theta_j
         {((j, 1),): 1, (): -_coefficient(theta[v])} if theta[v] else {((j, 1),): 1}
@@ -517,48 +528,26 @@ def _graded_matrix(psi: PolyMap) -> Matrix:
     """matrix_representation of a map whose gradedness is already decided.
 
     Callers that have just decided it (is_graded_morphism's test) use this
-    to avoid deciding it a second time; the chart checks still apply.
+    to avoid deciding it a second time; the chart checks still apply. The
+    basis is held as monomial keys and each column is read off a term dict;
+    a monomial outside the basis is an EngineDefectError.
     """
     chart = _matrix_chart(psi)
-    xs = [v for v in chart.names if chart.weight_of(v) == 1]
-    ys = [v for v in chart.names if chart.weight_of(v) == 2]
-    pairs = [(i, j) for i in range(len(xs)) for j in range(i, len(xs))]
-    dim = len(xs) + len(ys) + len(pairs)
-    slot: dict[tuple, int] = {}
-    for a, v in enumerate(xs):
-        slot[("x", v)] = a
-    for b, v in enumerate(ys):
-        slot[("y", v)] = len(xs) + b
-    for c, (i, j) in enumerate(pairs):
-        slot[("z", i, j)] = len(xs) + len(ys) + c
-
-    def expand(p: WPolynomial) -> list[Fraction]:
-        col = [Fraction(0)] * dim
-        names = chart.names
-        for mono, coeff in p.terms.items():
-            if len(mono) == 1 and mono[0][1] == 1:
-                v = names[mono[0][0]]
-                key = ("x", v) if chart.weight_of(v) == 1 else ("y", v)
-            elif len(mono) == 1 and mono[0][1] == 2:
-                i = xs.index(names[mono[0][0]])
-                key = ("z", i, i)
-            elif len(mono) == 2 and mono[0][1] == 1 and mono[1][1] == 1:
-                i = xs.index(names[mono[0][0]])
-                j = xs.index(names[mono[1][0]])
-                key = ("z", min(i, j), max(i, j))
-            else:
-                raise EngineDefectError(f"unexpected monomial in graded pullback: {p}")
-            col[slot[key]] += coeff
-        return col
-
-    cols: list[list[Fraction]] = []
-    for v in xs:
-        cols.append(expand(psi.pullbacks[v]))
-    for v in ys:
-        cols.append(expand(psi.pullbacks[v]))
-    for i, j in pairs:
-        cols.append(expand(psi.pullbacks[xs[i]] * psi.pullbacks[xs[j]]))
-    return linalg.mat_from_cols(cols)
+    xs = [i for i, w in enumerate(chart.weights) if w == 1]
+    ys = [i for i, w in enumerate(chart.weights) if w == 2]
+    pairs = [(i, j) for a, i in enumerate(xs) for j in xs[a:]]
+    basis = [((i, 1),) for i in xs + ys]
+    basis += [((i, 2),) if i == j else ((i, 1), (j, 1)) for i, j in pairs]
+    pulled = [psi.pullbacks[v].terms for v in chart.names]
+    cols = [pulled[i] for i in xs + ys]
+    cols += [_terms_mul(pulled[i], pulled[j]) for i, j in pairs]
+    known = set(basis)
+    for terms in cols:
+        if not known.issuperset(terms):
+            raise EngineDefectError(
+                f"unexpected monomial in graded pullback: {WPolynomial(chart, terms)}"
+            )
+    return linalg.mat_from_cols([[terms.get(m, 0) for m in basis] for terms in cols])
 
 
 def truncate(chart: GradedChart, k: int) -> tuple[GradedChart, PolyMap]:

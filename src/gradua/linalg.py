@@ -25,7 +25,7 @@ whether commuting families' projections keep each other's images, and
 explains a failed rank check with `_fixes(q, q)`; graded inverts the linear
 blocks of a graded automorphism with `_inverse`, and checks the premise of
 the Picard pass that inverts polynomial maps with `_is_inverse`
-(graded._invert_coordinate_change).
+(graded._checked_stored).
 """
 
 from __future__ import annotations

@@ -751,9 +751,9 @@ def test_weight0_coordinates_with_no_inverse_stop_at_the_bcw_bound(monkeypatch):
 def test_a_wrong_basis_inverse_is_caught_by_the_premise(monkeypatch):
     """With the first entry of the stacked rank factors R off by one, C^-1 is
     wrong, yet every coordinate it builds still scales (a combination of t^r
-    coefficients of a monoid action does). The Picard pass checks cinv * C =
-    I and refuses every family; with that check bypassed, the settle
-    certificate accepts wrong inverses."""
+    coefficients of a monoid action does). The inverse kernel's premise
+    check, cinv * C = I, refuses every family; with that check bypassed,
+    the settle certificate accepts wrong inverses."""
     families = []
     for seed in range(60):
         rng = random.Random(seed)
@@ -1213,7 +1213,7 @@ def test_term_dict_inverse_agrees_with_the_object_level_route(dressed, monkeypat
         _, (_, _, basis, nonlinear, limit) = inversion_inputs(
             monkeypatch, homogenize, family, theta, stage="_picard_inverse"
         )
-        assert list(nonlinear) == reference_nonlinear(phi, point, as_fractions(cinv))
+        assert list(nonlinear) == reference_nonlinear(phi, point, cinv)
         for k in range(1, limit + 1):
             got = action._picard_inverse(phi, point, basis, nonlinear, k)
             assert got == reference_picard(phi, point, basis, nonlinear, k)

@@ -1,4 +1,5 @@
-"""End-to-end command-line tests, run through subprocess like a user would.
+"""End-to-end command-line tests, run through subprocess like a user would,
+and the shape of every report entry, checked on cli.run in process.
 
 The JSON goldens pin the report bytes: if serialization drifts, these fail
 and the golden files must be regenerated on purpose, not by accident.
@@ -8,9 +9,12 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
+
+from gradua import cli, dsl
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -207,3 +211,86 @@ def test_failure_report_still_renders_as_text():
     assert result.returncode == 1
     assert "monoid_ok: no" in result.stdout
     assert "defect=y" in result.stdout
+
+
+# --- the shape of a report entry ----------------------------------------------
+
+# Each of the five commands, passing, with a negative verdict, and failing:
+# `h` does not fix x = 3 at t = 0, and `g` commutes with itself but is not
+# a monoid action.
+SHAPE_PROGRAM = """
+chart V (x:1)
+chart M (x:1, y:2)
+chart W (a:0, b:1)
+map idm : M -> M { x = x; y = y; }
+map sq : M -> M { x = x*x; y = y; }
+action h on V { x -> t*x; }
+action g on V { x -> x + 1; }
+action a1 on M { x -> t*x; y -> y; }
+action a2 on M { x -> x; y -> t*y; }
+action s on M { x -> t*x; y -> t*y + x; }
+double D { a1, a2 }
+double E { a1, s }
+double G { g, g }
+check-morphism idm
+check-morphism sq
+analyze-action h
+analyze-action h at (x=3)
+prolong idm order 1
+check-double D
+check-double E
+check-double G
+flip 1 1 M
+flip 1 2 W
+"""
+
+# The keys of each entry, in order: `command`, then `name` for a statement
+# that has one (flip has none), then the runner's fields, or `ok` and `error`.
+ENTRY_KEYS = [
+    ["command", "name", "ok", "graded", "matrix"],
+    ["command", "name", "ok", "graded", "failures"],
+    [
+        "command", "name", "ok", "semigroup_ok", "monoid_ok", "degree", "weights",
+        "theta", "homogenized_chart", "homogenizer", "inverse", "projections",
+    ],
+    ["command", "name", "ok", "error"],
+    ["command", "name", "order", "ok", "source", "target", "pullbacks"],
+    [
+        "command", "name", "first", "second", "ok", "commuting", "chart",
+        "biweights", "homogenizer", "inverse", "total_degree",
+    ],
+    ["command", "name", "first", "second", "ok", "commuting", "witnesses"],
+    ["command", "name", "ok", "error"],
+    [
+        "command", "m", "n", "chart", "ok", "round_trip_identity", "source",
+        "target", "renaming",
+    ],
+    [
+        "command", "m", "n", "chart", "ok", "round_trip_identity", "source",
+        "target", "renaming",
+    ],
+]
+
+
+@pytest.mark.parametrize("timing", [False, True])
+def test_every_report_entry_keeps_its_key_order(timing):
+    results = cli.run(dsl.parse(SHAPE_PROGRAM), timing=timing).results
+    if timing:
+        assert list(results.pop()) == ["command", "ok", "total_ms"]
+    expected = [keys + ["elapsed_ms"] if timing else keys for keys in ENTRY_KEYS]
+    assert [list(entry) for entry in results] == expected
+    assert {entry["command"] for entry in results} == {
+        "check-morphism", "analyze-action", "prolong", "check-double", "flip"
+    }
+    errors = [entry["error"] for entry in results if "error" in entry]
+    assert [list(error) for error in errors] == [["type", "message"]] * 2
+    assert [error["type"] for error in errors] == [
+        "DomainError", "InconsistentActionError"
+    ]
+    assert all(entry["ok"] is False for entry in results if "error" in entry)
+
+
+def test_the_command_table_covers_exactly_the_command_statements():
+    declarations = {dsl.ChartStmt, dsl.MapStmt, dsl.ActionStmt, dsl.DoubleStmt}
+    statements = set(typing.get_args(dsl.Statement))
+    assert set(cli._COMMANDS) == statements - declarations - {dsl.ReportCmd}

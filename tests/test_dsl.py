@@ -570,7 +570,7 @@ class _ReferenceParser(_Parser):
         if tok.kind == "symbol" and tok.text == "(":
             self.advance()
             inner = self.parse_sum(chart)
-            self.expect_symbol(")")
+            self.require(")")
             return inner
         raise self.error(
             f"found {tok.text!r}" if tok.text else "unexpected end of input",

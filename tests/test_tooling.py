@@ -10,6 +10,7 @@ The outputs of every benchmark operation are pinned by digest, so a speed
 change that alters a result fails here.
 """
 
+import ast
 import hashlib
 import importlib.util
 import random
@@ -364,3 +365,34 @@ def test_family_composites_substitute_once_per_outer_family(monkeypatch):
     assert counts == {
         "verify_laws": n, "check_commuting": 2 * n, "total_action": n, "euler_field": 0
     }
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module of src/gradua imports is used in it, listed in its
+    __all__, or imported on purpose by a statement marked `# noqa: F401`
+    (a re-export, or a name perfbench/spans.py wraps in that module)."""
+    unused = []
+    for path in sorted((ROOT / "src" / "gradua").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            statement = lines[node.lineno - 1 : node.end_lineno]
+            if any("# noqa: F401" in line for line in statement):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert not unused, unused
