@@ -12,7 +12,8 @@ The parser states each statement kind once: one table, built with the
 class, maps each statement keyword to its parser, an optional token is one
 accept() call, and one rule-block parser reads the `{ v op expr; }` bodies
 of map (`=`, over the source chart) and action (`->`, over the chart
-extended by t).
+extended by t). Each statement class prints its own canonical text
+(__str__), and print_program joins them.
 
 Rationals are single tokens (2/3); there is no division operator. The
 family parameter in action bodies is always called t.
@@ -157,6 +158,10 @@ class ChartStmt:
     chart: GradedChart
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
+    def __str__(self) -> str:
+        vars_text = ", ".join(f"{v}:{w}" for v, w in self.chart.variables)
+        return f"chart {self.name} ({vars_text})"
+
 
 @dataclass(frozen=True)
 class MapStmt:
@@ -164,12 +169,24 @@ class MapStmt:
     pmap: PolyMap
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
+    def __str__(self) -> str:
+        pmap = self.pmap
+        lines = [f"map {self.name} : {pmap.source.name} -> {pmap.target.name} {{"]
+        lines += [f"  {v} = {pmap.pullbacks[v]};" for v in pmap.target.names]
+        return "\n".join(lines + ["}"])
+
 
 @dataclass(frozen=True)
 class ActionStmt:
     name: str
     family: ActionFamily
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
+
+    def __str__(self) -> str:
+        family = self.family
+        lines = [f"action {self.name} on {family.chart.name} {{"]
+        lines += [f"  {v} -> {family.entries[v]};" for v in family.chart.names]
+        return "\n".join(lines + ["}"])
 
 
 @dataclass(frozen=True)
@@ -179,11 +196,17 @@ class DoubleStmt:
     second: str
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
+    def __str__(self) -> str:
+        return f"double {self.name} {{ {self.first}, {self.second} }}"
+
 
 @dataclass(frozen=True)
 class CheckMorphismCmd:
     name: str
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
+
+    def __str__(self) -> str:
+        return f"check-morphism {self.name}"
 
 
 @dataclass(frozen=True)
@@ -192,6 +215,12 @@ class AnalyzeActionCmd:
     point: tuple[tuple[str, Fraction], ...] | None = None
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
+    def __str__(self) -> str:
+        if self.point is None:
+            return f"analyze-action {self.name}"
+        point = ", ".join(f"{v}={val}" for v, val in self.point)
+        return f"analyze-action {self.name} at ({point})"
+
 
 @dataclass(frozen=True)
 class ProlongCmd:
@@ -199,11 +228,17 @@ class ProlongCmd:
     order: int
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
+    def __str__(self) -> str:
+        return f"prolong {self.name} order {self.order}"
+
 
 @dataclass(frozen=True)
 class CheckDoubleCmd:
     name: str
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
+
+    def __str__(self) -> str:
+        return f"check-double {self.name}"
 
 
 @dataclass(frozen=True)
@@ -213,11 +248,17 @@ class FlipCmd:
     chart_name: str
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
+    def __str__(self) -> str:
+        return f"flip {self.m} {self.n} {self.chart_name}"
+
 
 @dataclass(frozen=True)
 class ReportCmd:
     format: str
     span: Span = field(compare=False, repr=False, default=Span(0, 0))
+
+    def __str__(self) -> str:
+        return f"report {self.format}"
 
 
 Statement = (
@@ -622,50 +663,7 @@ def parse(source: str) -> Program:
 # --- canonical printing ----------------------------------------------------
 
 
-def _print_point(point: tuple[tuple[str, Fraction], ...]) -> str:
-    return ", ".join(f"{v}={val}" for v, val in point)
-
-
 def print_program(program: Program) -> str:
     """Canonical text for a program; parsing it back gives an equal program."""
-    lines: list[str] = []
-    for stmt in program.statements:
-        if isinstance(stmt, ChartStmt):
-            vars_text = ", ".join(f"{v}:{w}" for v, w in stmt.chart.variables)
-            lines.append(f"chart {stmt.name} ({vars_text})")
-        elif isinstance(stmt, MapStmt):
-            pmap = stmt.pmap
-            lines.append(
-                f"map {stmt.name} : {pmap.source.name} -> {pmap.target.name} {{"
-            )
-            for v in pmap.target.names:
-                lines.append(f"  {v} = {pmap.pullbacks[v]};")
-            lines.append("}")
-        elif isinstance(stmt, ActionStmt):
-            family = stmt.family
-            lines.append(f"action {stmt.name} on {family.chart.name} {{")
-            for v in family.chart.names:
-                lines.append(f"  {v} -> {family.entries[v]};")
-            lines.append("}")
-        elif isinstance(stmt, DoubleStmt):
-            lines.append(f"double {stmt.name} {{ {stmt.first}, {stmt.second} }}")
-        elif isinstance(stmt, CheckMorphismCmd):
-            lines.append(f"check-morphism {stmt.name}")
-        elif isinstance(stmt, AnalyzeActionCmd):
-            if stmt.point is None:
-                lines.append(f"analyze-action {stmt.name}")
-            else:
-                lines.append(
-                    f"analyze-action {stmt.name} at ({_print_point(stmt.point)})"
-                )
-        elif isinstance(stmt, ProlongCmd):
-            lines.append(f"prolong {stmt.name} order {stmt.order}")
-        elif isinstance(stmt, CheckDoubleCmd):
-            lines.append(f"check-double {stmt.name}")
-        elif isinstance(stmt, FlipCmd):
-            lines.append(f"flip {stmt.m} {stmt.n} {stmt.chart_name}")
-        elif isinstance(stmt, ReportCmd):
-            lines.append(f"report {stmt.format}")
-        else:  # pragma: no cover - exhaustive
-            raise AssertionError(f"unknown statement {stmt!r}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    text = "\n".join(map(str, program.statements))
+    return text + "\n" if text else ""

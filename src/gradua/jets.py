@@ -12,7 +12,10 @@ Prolonging a polynomial map pushes it to the adapted charts by substituting
 truncated Taylor curves and reading off coefficients; prolonging a parameter
 family does the same entrywise, keeping the family parameter inert. One
 prolongation builds the curves once, as term dicts, and substitutes every
-pullback (or every family entry) into them, once each.
+pullback (or every family entry) into them, once each. The curves carry
+integer coefficients, K!/k! at level k for order K, and each output term is
+rescaled once by k!/K!^d (d its degree in the jet variables), which the
+curves' linearity in the jet variables makes exact.
 """
 
 from __future__ import annotations
@@ -101,14 +104,25 @@ def _taylor_components(
     the jet chart, then the inert variables, then s, so dropping the s
     factor, the last of a sorted monomial, leaves a monomial of the result
     chart with the same indices.
+
+    The curves are integer: with K the order, each is K! times the Taylor
+    curve, sum over k of (K!/k!) * s^k * x'k. Every curve is linear in the
+    jet variables and an inert variable maps to itself, so a monomial of
+    degree d in the base variables goes to a sum of terms of degree d in
+    the jet variables, each K!^d times the term the Taylor curves give.
+    Each output term is therefore scaled once, by k!/K!^d, with k its power
+    of s and d its degree in the jet variables (inert variables left out),
+    and the substitution itself forms no Fraction product from the curves.
     """
     jet_chart = source.chart
     s = fresh_name("s", jet_chart.names + inert)
     result_chart = jet_chart.extend(tuple((v, 0) for v in inert)) if inert else jet_chart
     work = result_chart.extend(((s, 0),))
     s_index = len(result_chart)
+    jets = len(jet_chart)
 
     order = source.order
+    top = math.factorial(order)
     sigma: dict[str, WPolynomial] = {}
     for v in source.source.names:
         curve = {}
@@ -116,10 +130,22 @@ def _taylor_components(
             mono = ((jet_chart.index_of(source.jet_name(v, k)), 1),)
             if k:
                 mono += ((s_index, k),)
-            curve[mono] = Fraction(1, math.factorial(k))
+            curve[mono] = top // math.factorial(k)
         sigma[v] = WPolynomial(work, curve)
     for v in inert:
         sigma[v] = WPolynomial.variable(work, v)
+
+    factors: dict[tuple[int, int], Fraction] = {}
+
+    def rescaled(terms: dict, k: int) -> WPolynomial:
+        out = {}
+        for m, c in terms.items():
+            d = sum([e for i, e in m if i < jets])
+            factor = factors.get((k, d))
+            if factor is None:
+                factor = factors[k, d] = Fraction(math.factorial(k), top**d)
+            out[m] = factor * c
+        return WPolynomial(result_chart, out)
 
     components: list[list[WPolynomial]] = []
     for p in polys:
@@ -129,10 +155,7 @@ def _taylor_components(
                 by_power[0][mono] = c
             elif mono[-1][1] <= order:
                 by_power[mono[-1][1]][mono[:-1]] = c
-        components.append([
-            WPolynomial(result_chart, {m: c * math.factorial(k) for m, c in terms.items()})
-            for k, terms in enumerate(by_power)
-        ])
+        components.append([rescaled(terms, k) for k, terms in enumerate(by_power)])
     return components
 
 

@@ -10,11 +10,15 @@ weight. The weighted degree of a monomial is sum(weight(v) * exp(v)) over
 its factors, and a polynomial is homogeneous of degree r when every monomial
 has weighted degree r.
 
-Homogeneity is always decided twice, by two independent routes: scaling
-every variable by t**weight and comparing against t**r times the original,
-and applying the weighted Euler operator and comparing against r times the
-original. The routes must agree; disagreement raises EngineDefectError since
-it can only come from a defect in this module.
+Homogeneity is always decided twice, by two independent routes, each on
+term dicts with no object-level product, sum or derivative. The scaling
+route substitutes t**weight * x for every variable x (one substitute, so it
+runs the product and power kernels) and compares the result with the term
+dict of t**r times the original, each monomial with t**r appended. The
+Euler route builds the weighted Euler operator as one _terms_combine of
+the parts x * df/dx, read off the exponents, and compares it with r times
+the original. The routes must agree; disagreement raises EngineDefectError
+since it can only come from a defect in this module.
 """
 
 from __future__ import annotations
@@ -344,13 +348,23 @@ class WPolynomial:
         return result
 
     def euler(self) -> WPolynomial:
-        """The weighted Euler operator sum(w_i * y_i * df/dy_i)."""
-        out = WPolynomial.zero(self.chart)
-        for var in sorted(self.variables(), key=self.chart.index_of):
-            w = self.chart.weight_of(var)
-            if w:
-                out = out + WPolynomial.variable(self.chart, var) * self.differentiate(var) * w
-        return out
+        """The weighted Euler operator sum(w_i * y_i * df/dy_i), as one
+        combination.
+
+        y_i * df/dy_i keeps every monomial that holds y_i and multiplies its
+        coefficient by the exponent of y_i, so each part is read off the
+        exponents with no product and no derivative; weight-0 parts are
+        skipped by the combination.
+        """
+        parts: dict[int, dict[Monomial, Fraction | int]] = {}
+        for mono, c in self.terms.items():
+            for i, e in mono:
+                parts.setdefault(i, {})[mono] = c * e
+        weights = self.chart.weights
+        return WPolynomial(
+            self.chart,
+            _terms_combine((weights[i], part) for i, part in sorted(parts.items())),
+        )
 
     # structure ------------------------------------------------------------
 
@@ -368,19 +382,29 @@ class WPolynomial:
         """True when the polynomial is weighted-homogeneous of degree r.
 
         Decided by both the scaling-substitution route and the Euler-operator
-        route; the zero polynomial is homogeneous of every degree.
+        route, each on term dicts; the zero polynomial is homogeneous of
+        every degree. The scaling route substitutes x_i -> t^(w_i) * x_i, t a
+        fresh last variable of the extended chart, and compares with the
+        term dict {m + ((n, r),): c}: appending t^r to a sorted monomial
+        keeps it sorted, as t's index n is the largest. The Euler route
+        compares euler() with {m: r * c}.
         """
         if r < 0:
             raise DomainError("homogeneity degree must be a natural number")
-        tname = fresh_name("_t", self.chart.names)
-        ext = self.chart.extend(((tname, 0),))
-        tvar = WPolynomial.variable(ext, tname)
+        chart = self.chart
+        n = len(chart)
+        ext = chart.extend(((fresh_name("_t", chart.names), 0),))
+        names, weights = chart.names, chart.weights
         sigma: dict[str, WPolynomial] = {}
-        for var in self.variables():
-            sigma[var] = tvar ** self.chart.weight_of(var) * WPolynomial.variable(ext, var)
+        for i in {i for mono in self.terms for i, _ in mono}:
+            w = weights[i]
+            sigma[names[i]] = WPolynomial(ext, {((i, 1), (n, w)) if w else ((i, 1),): 1})
         scaled = self.substitute(sigma, into=ext)
-        by_scaling = scaled == self.lift(ext) * tvar ** r
-        by_euler = self.euler() == self.scale(r)
+        tail = ((n, r),) if r else ()
+        by_scaling = scaled.terms == {m + tail: c for m, c in self.terms.items()}
+        by_euler = self.euler().terms == (
+            {m: c * r for m, c in self.terms.items()} if r else {}
+        )
         if by_scaling != by_euler:
             raise EngineDefectError(
                 "homogeneity routes disagree: "

@@ -5,6 +5,7 @@ user sees, so regressions here matter as much as wrong parses.
 """
 
 import random
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -491,6 +492,54 @@ def test_corpus_round_trips():
         text = print_program(program)
         assert parse(text) == program, path.name
         assert print_program(parse(text)) == text, path.name
+
+
+FULL_PRINTED = """\
+chart M (x:1, y:2)
+map idm : M -> M {
+  x = x;
+  y = y;
+}
+action g on M {
+  x -> x*t;
+  y -> y*t^2 - x*t^2 + x*t;
+}
+action a1 on M {
+  x -> x*t;
+  y -> y;
+}
+action a2 on M {
+  x -> x;
+  y -> y*t;
+}
+double D { a1, a2 }
+check-morphism idm
+analyze-action g at (x=0, y=0)
+prolong idm order 2
+check-double D
+flip 1 1 M
+report json
+"""
+
+
+def test_printed_text_is_frozen():
+    assert print_program(parse(FULL_SOURCE)) == FULL_PRINTED
+    # analyze-action without a point
+    source = "chart M (x:1)\naction g on M {\n  x -> x*t;\n}\nanalyze-action g\n"
+    assert print_program(parse(source)) == source
+
+
+def test_every_statement_class_prints_itself_under_its_table_keyword():
+    """Each statement kind states its canonical text once, in its own
+    __str__, and the text starts with the keyword whose parser in
+    _Parser.STATEMENTS reads it back (test_print_then_parse_is_identity)."""
+    classes = set(typing.get_args(dsl.Statement))
+    assert all("__str__" in vars(cls) for cls in classes)
+    assert set(_Parser.STATEMENTS) <= KEYWORDS
+    program = parse(FULL_SOURCE)
+    assert {type(stmt) for stmt in program.statements} == classes
+    keywords = {str(stmt).split(" ")[0] for stmt in program.statements}
+    assert keywords == set(_Parser.STATEMENTS)
 
 
 def test_report_statement_parses():

@@ -274,12 +274,18 @@ def _reference_prolong_action(h, order):
     return ActionFamily(src.chart, h.param, pullbacks)
 
 
+COEFFICIENTS = [-3, -1, 1, Fraction(2, 3), Fraction(-7, 4), 5]
+
+
 def _random_poly(rng, chart, max_terms=3, max_exp=2):
-    """A sparse polynomial, not necessarily homogeneous, constants allowed."""
+    """A sparse polynomial, not necessarily homogeneous, with non-integer
+    coefficients and a constant term allowed."""
     acc = WPolynomial.zero(chart)
     for _ in range(rng.randint(0, max_terms)):
         exps = {v: rng.randint(0, max_exp) for v in chart.names if rng.random() < 0.5}
-        acc = acc + WPolynomial.monomial(chart, exps, rng.choice([-3, -1, 1, Fraction(2, 3), 5]))
+        acc = acc + WPolynomial.monomial(chart, exps, rng.choice(COEFFICIENTS))
+    if rng.random() < 0.5:
+        acc = acc + rng.choice([Fraction(1, 3), -2, Fraction(5, 6)])
     return acc
 
 
@@ -291,7 +297,7 @@ def _random_base_chart(rng, name):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.integers(0, 4))
+@given(st.integers(0, 10**6), st.integers(0, 5))
 def test_prolong_matches_the_per_variable_reference(seed, order):
     rng = random.Random(seed)
     source = _random_base_chart(rng, "S")
@@ -304,12 +310,21 @@ def test_prolong_matches_the_per_variable_reference(seed, order):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.integers(0, 4))
+@given(st.integers(0, 10**6), st.integers(0, 5))
 def test_prolong_action_matches_the_per_variable_reference(seed, order):
+    # about half the entries carry a term of the inert parameter t with a
+    # non-integer coefficient; the rest may be free of t (such as y -> y)
     rng = random.Random(seed)
     chart = _random_base_chart(rng, "C")
     ext = chart.extend((("t", 0),))
-    family = ActionFamily(chart, "t", {v: _random_poly(rng, ext) for v in chart.names})
+    t = WPolynomial.variable(ext, "t")
+    entries = {}
+    for v in chart.names:
+        entries[v] = _random_poly(rng, ext)
+        if rng.random() < 0.5:
+            x = WPolynomial.variable(ext, v)
+            entries[v] = entries[v] + t ** rng.randint(1, 2) * x * Fraction(3, 2)
+    family = ActionFamily(chart, "t", entries)
     got = prolong_action(family, order)
     expected = _reference_prolong_action(family, order)
     assert got.chart == expected.chart and got.param == expected.param
@@ -323,3 +338,36 @@ def test_prolong_of_a_ticked_chart_matches_the_reference():
     phi = PolyMap(chart, chart, {"s": s * 2 + 1, "x'1": x * s - s**3})
     for order in (1, 3):
         assert prolong(phi, order).pullbacks == _reference_prolong(phi, order).pullbacks
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_taylor_curves_hold_only_integer_coefficients(order, monkeypatch):
+    """The curves are K! times the Taylor curves (K the order), so the
+    substitutions form no Fraction product from them; the inert parameter
+    maps to itself."""
+    images = []
+    original = WPolynomial.substitute
+
+    def recording(self, sigma, into=None):
+        images.append(sigma)
+        return original(self, sigma, into)
+
+    rng = random.Random(order)
+    chart = GradedChart("C", (("a", 0), ("x", 1), ("y", 2)))
+    ext = chart.extend((("t", 0),))
+    phi = PolyMap(chart, chart, {v: _random_poly(rng, chart) for v in chart.names})
+    t = WPolynomial.variable(ext, "t")
+    family = ActionFamily(chart, "t", {v: _random_poly(rng, ext) * t for v in chart.names})
+    monkeypatch.setattr(WPolynomial, "substitute", recording)
+    prolong(phi, order)
+    prolong_action(family, order)
+    assert len(images) == 2 * len(chart)  # one substitution per pullback or entry
+    top = math.factorial(order)
+    for sigma in images:
+        for v in chart.names:
+            assert sorted(sigma[v].terms.values()) == sorted(
+                top // math.factorial(k) for k in range(order + 1)
+            )
+        assert all(type(c) is int for p in sigma.values() for c in p.terms.values())
+    for sigma in images[len(chart):]:
+        assert sigma["t"] == WPolynomial.variable(sigma["t"].chart, "t")

@@ -173,6 +173,23 @@ def test_check_morphism_decides_gradedness_once(monkeypatch):
     assert entry["failures"] == [{"variable": "y1", "weight": 2, "pullback": "y1 + x1"}]
 
 
+def test_check_morphism_makes_no_object_level_product_or_derivative(monkeypatch):
+    """is_homogeneous's scaling route is one substitution compared with a
+    term dict, its Euler route one term-dict combination, and the matrix
+    multiplies term dicts: no WPolynomial product, sum, lift, scaling or
+    derivative, on a graded map and on one that is not graded."""
+    methods = ("__mul__", "__add__", "lift", "differentiate", "scale")
+    calls = {name: _count_calls(monkeypatch, WPolynomial, name) for name in methods}
+    substitutions = _count_calls(monkeypatch, WPolynomial, "substitute")
+    for map_name, is_graded in (("psi", True), ("bad", False)):
+        program = parse(GRADED_SHEAR + NOT_GRADED + f"check-morphism {map_name}\n")
+        substitutions.clear()
+        (entry,) = cli.run(program).results
+        assert entry["graded"] is is_graded
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(methods, 0)
+        assert len(substitutions) == 3  # the scaling route, once per target variable
+
+
 def test_analyze_inverts_one_matrix(monkeypatch):
     # h_t = gamma^-1 o s_t o gamma, gamma = (x + 1, y + x^2 + 2): nonlinear,
     # with the fixed point gamma^-1(0) = (-1, -3) off the origin
@@ -245,7 +262,7 @@ def test_analyze_forms_its_linear_combinations_on_term_dicts(monkeypatch):
 
 def test_invert_automorphism_runs_one_picard_pass(monkeypatch):
     """One pass, one inverse per weight block, and no polynomial sum,
-    difference or scaling beyond those of the gradedness check."""
+    difference or scaling, in the gradedness check or in the inverse."""
     chart = GradedChart("A", (("x1", 1), ("x2", 1), ("y1", 2), ("z1", 3)))
     psi = random_graded_automorphism(random.Random(5), chart)
     methods = ("__add__", "__sub__", "scale")
@@ -259,7 +276,9 @@ def test_invert_automorphism_runs_one_picard_pass(monkeypatch):
     inverse = graded.invert_automorphism(psi)
     assert psi.then(inverse).is_identity()
     assert (len(passes), len(blocks)) == (1, 3)
-    # is_homogeneous's Euler route makes its own sums and scalings
+    # both of is_homogeneous's routes run on term dicts, so the gradedness
+    # check makes no sum or scaling either; the inverse adds none to it
+    assert checking == dict.fromkeys(methods, 0)
     assert {name: len(c) for name, c in calls.items()} == checking
 
 

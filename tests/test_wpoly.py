@@ -3,7 +3,10 @@
 The reference kernels near the end are the object-level `__mul__`, `__pow__`
 and `substitute` that the fused term-dict kernels in gradua.wpoly replaced:
 Fraction running sums, one WPolynomial per factor. They are kept here only
-as the oracle, next to a sympy oracle for the same three operations.
+as the oracle, next to a sympy oracle for the same three operations. The
+object-level `is_homogeneous` and `euler`, which products, sums, lifts and
+derivatives of WPolynomials computed before both routes ran on term dicts,
+are kept the same way.
 """
 
 import random
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradua.charts import GradedChart
+from gradua.charts import GradedChart, fresh_name
 from gradua.errors import (
     ChartMismatchError,
     DomainError,
@@ -101,6 +104,15 @@ def test_dual_route_homogeneity():
     assert not (X**2 + Y).is_homogeneous(1)
     assert not (X**2 + X).is_homogeneous(2)
     assert WPolynomial.zero(V).is_homogeneous(5)
+    # weight-0 variables, r = 0, and a chart that already has a variable _t
+    T = GradedChart("T", (("_t", 1), ("a", 0), ("y", 2)))
+    t, a, y = (WPolynomial.variable(T, v) for v in T.names)
+    assert (t**2 * a + y * a**3 - Fraction(1, 3) * y).is_homogeneous(2)
+    assert not (t * a + y).is_homogeneous(1)
+    assert (a**2 + 5).is_homogeneous(0)
+    assert not (a + t).is_homogeneous(0)
+    assert WPolynomial.zero(T).is_homogeneous(0)
+    assert str((t * a + y).euler()) == "2*y + _t*a"
 
 
 def test_substitution_diagonalizes_quadric():
@@ -531,6 +543,60 @@ def test_every_operation_keeps_the_stored_form(pair):
     results.extend(f.homogeneous_components().values())
     for p in results:
         assert_stored_form(p)
+
+
+# --- the term-dict homogeneity routes against the object-level ones -----------
+
+
+def ref_euler(f):
+    """sum(w_i * y_i * df/dy_i) from WPolynomial products, sums and derivatives."""
+    out = WPolynomial.zero(f.chart)
+    for var in sorted(f.variables(), key=f.chart.index_of):
+        w = f.chart.weight_of(var)
+        if w:
+            out = out + WPolynomial.variable(f.chart, var) * f.differentiate(var) * w
+    return out
+
+
+def ref_is_homogeneous(f, r):
+    """Both routes from WPolynomial arithmetic: the scaling route compares
+    f(t^w * x) with lift(f) * t^r, the Euler route euler(f) with r * f."""
+    tname = fresh_name("_t", f.chart.names)
+    ext = f.chart.extend(((tname, 0),))
+    tvar = WPolynomial.variable(ext, tname)
+    sigma = {
+        var: tvar ** f.chart.weight_of(var) * WPolynomial.variable(ext, var)
+        for var in f.variables()
+    }
+    by_scaling = f.substitute(sigma, into=ext) == f.lift(ext) * tvar**r
+    by_euler = ref_euler(f) == f.scale(r)
+    assert by_scaling == by_euler
+    return by_scaling
+
+
+# weight-0 variables, a chart with no variable and one that already has a
+# variable named _t, which the scaling route's parameter must not capture
+HOMOGENEITY_CHARTS = KERNEL_CHARTS + (
+    GradedChart("T", (("_t", 1), ("a", 0), ("y", 2))),
+    GradedChart("T0", (("_t", 0), ("x", 1))),
+)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(HOMOGENEITY_CHARTS).flatmap(raw_polynomials))
+def test_term_dict_homogeneity_matches_the_object_level_routes(f):
+    got = f.euler()
+    assert got == ref_euler(f)
+    assert_stored_form(got)
+    # f itself, which is the zero polynomial or mixes degrees, and each of its
+    # homogeneous components, at r = 0 and on either side of its degree
+    cases = [f] + list(f.homogeneous_components().values())
+    for p in cases:
+        for r in range(0, f.weighted_degree() + 2):
+            assert p.is_homogeneous(r) == ref_is_homogeneous(p, r)
+    assert f.is_homogeneous(0) == all(
+        sum(f.chart.weights[i] * e for i, e in m) == 0 for m in f.terms
+    )
 
 
 # --- fused kernels against sympy ---------------------------------------------
