@@ -50,7 +50,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
@@ -667,9 +666,10 @@ def _joint_basis(
     each nonzero Q of that family; every factor of the block must fix c,
     else the families do not commute and NotDoubleStructureError is raised.
     The elimination of c gives its pivots piv and rank factor G, and the
-    new block is c[:, piv] and G R. C stacks the blocks' B side by side and
-    C^-1 their R, in the same order; both are integer rows over one
-    denominator.
+    new block is c[:, piv] and G R. Both products are linalg._product,
+    which neither _fixes nor the premise check of C^-1 C = I shares. C
+    stacks the blocks' B side by side and C^-1 their R, in the same order;
+    both are integer rows over one denominator.
     """
     # multi-index -> (factors of the joint projection, B, R): B as integer
     # columns and R as integer rows, over one denominator each
@@ -686,7 +686,7 @@ def _joint_basis(
                 if not f:
                     continue
                 q, q_den = f.q
-                c = [[sum(map(mul, row, col)) for col in b_cols] for row in q]
+                c = linalg._product(q, b_cols)
                 if not any(map(any, c)):
                     continue
                 if not all(linalg._fixes(g, c) for g in factors):
@@ -697,10 +697,7 @@ def _joint_basis(
                 restricted[idx + (s,)] = (
                     factors + (f.q,),
                     ([[row[j] for row in c] for j in pivots], q_den * b_den),
-                    (
-                        [[sum(map(mul, row, col)) for col in r_cols] for row in g_rows],
-                        g_den * r_den,
-                    ),
+                    (linalg._product(g_rows, r_cols), g_den * r_den),
                 )
         blocks = restricted
     c_den = lcm(*(b_den for _, (_, b_den), _ in blocks.values()))

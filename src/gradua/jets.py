@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping
 
 from .charts import GradedChart, fresh_name
 from .errors import DomainError
@@ -90,11 +90,15 @@ def adapt(chart: GradedChart, order: int, marker: str | None = None) -> AdaptedC
 
 
 def _taylor_components(
-    polys: Sequence[WPolynomial],
+    polys: Mapping[str, WPolynomial],
     source: AdaptedChart,
+    target: AdaptedChart,
     inert: tuple[str, ...] = (),
-) -> list[list[WPolynomial]]:
-    """Levels 0..order of each polynomial along truncated Taylor curves.
+) -> dict[str, WPolynomial]:
+    """Levels 0..order of each polynomial along truncated Taylor curves,
+    keyed by the jet names of target: polys maps each variable of
+    target.source to a polynomial on source.source, and level k of the
+    polynomial of v is the value at target.jet_name(v, k).
 
     Every base variable is replaced by its level sum x + s*x'1 + s^2/2*x'2
     + ... with a fresh curve parameter s; component k is k! times the s^k
@@ -147,15 +151,16 @@ def _taylor_components(
             out[m] = factor * c
         return WPolynomial(result_chart, out)
 
-    components: list[list[WPolynomial]] = []
-    for p in polys:
+    components: dict[str, WPolynomial] = {}
+    for v in target.source.names:
         by_power: list[dict] = [{} for _ in range(order + 1)]
-        for mono, c in p.substitute(sigma, into=work).terms.items():
+        for mono, c in polys[v].substitute(sigma, into=work).terms.items():
             if not mono or mono[-1][0] != s_index:
                 by_power[0][mono] = c
             elif mono[-1][1] <= order:
                 by_power[mono[-1][1]][mono[:-1]] = c
-        components.append([rescaled(terms, k) for k, terms in enumerate(by_power)])
+        for k, terms in enumerate(by_power):
+            components[target.jet_name(v, k)] = rescaled(terms, k)
     return components
 
 
@@ -169,13 +174,7 @@ def prolong(phi: PolyMap, order: int) -> PolyMap:
     """
     src = adapt(phi.source, order)
     dst = adapt(phi.target, order)
-    names = phi.target.names
-    lifted = _taylor_components([phi.pullbacks[v] for v in names], src)
-    pullbacks: dict[str, WPolynomial] = {}
-    for v, components in zip(names, lifted):
-        for k, comp in enumerate(components):
-            pullbacks[dst.jet_name(v, k)] = comp
-    return PolyMap(src.chart, dst.chart, pullbacks)
+    return PolyMap(src.chart, dst.chart, _taylor_components(phi.pullbacks, src, dst))
 
 
 def jet_action(ac: AdaptedChart, param: str = "t") -> ActionFamily:
@@ -239,10 +238,5 @@ def prolong_action(h: ActionFamily, order: int) -> ActionFamily:
     adapted chart under the same parameter name.
     """
     src = adapt(h.chart, order)
-    names = h.chart.names
-    lifted = _taylor_components([h.entries[v] for v in names], src, inert=(h.param,))
-    pullbacks: dict[str, WPolynomial] = {}
-    for v, components in zip(names, lifted):
-        for k, comp in enumerate(components):
-            pullbacks[src.jet_name(v, k)] = comp
-    return ActionFamily(src.chart, h.param, pullbacks)
+    entries = _taylor_components(h.entries, src, src, inert=(h.param,))
+    return ActionFamily(src.chart, h.param, entries)

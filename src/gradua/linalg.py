@@ -2,30 +2,23 @@
 
 The internal currency is the integer form: a matrix N / d held as a list of
 integer rows N and one nonzero int d (IntMatrix). The kernels compute on it
-alone. Products multiply numerators only; elimination is fraction-free
-Gauss-Jordan (Bareiss, Math. Comp. 22, 1968), so every division is exact.
-One elimination loop, `_eliminate`, serves every caller: it returns the
-pivot columns, the reduced rows D * rref and D.
+alone: `_product` multiplies integer rows by integer columns, and
+`_eliminate`, fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968),
+returns the pivot columns, the reduced rows D * rref and D. Fractions are
+met only at the boundary: `_scaled` writes a matrix in integer form over
+the lcm of its entries' denominators, `_fractions` builds one Fraction per
+entry of a public result, and `_stored` gives wpoly's stored form (int when
+integral, else a Fraction) for use as coefficients.
 
-Fractions are built only at the boundary. The public functions take and
-return tuples of row tuples of Fractions: `_scaled` writes such a matrix in
-integer form (over the lcm of its entries' denominators), and a result is
-built once per returned entry. `_stored` puts an integer form in wpoly's
-stored form (int when integral, else a Fraction) for use as polynomial
-coefficients. Sizes here never exceed a couple dozen rows.
-
-The public kernels: `mat_mul`, `inverse`, `independent_columns` (and
-`rank`), and the predicates `fixes`, `is_idempotent` and `is_inverse`,
-which decide a*b == b, a*a == a and a*b == I over the integers and build no
-Fraction at all. All but `mat_mul` are thin views of the integer kernels
-`_eliminate`, `_inverse`, `_fixes` and `_is_inverse`, which the engine
-calls directly on the integer forms it carries: action reads each Taylor
-projection's pivots and rank factor off `_eliminate`, decides with `_fixes`
-whether commuting families' projections keep each other's images, and
-explains a failed rank check with `_fixes(q, q)`; graded inverts the linear
-blocks of a graded automorphism with `_inverse`, and checks the premise of
-the Picard pass that inverts polynomial maps with `_is_inverse`
-(graded._checked_stored).
+action takes each Taylor projection's pivots and rank factor from
+`_eliminate` and restricts commuting families' blocks with `_product`;
+graded inverts linear blocks with `_inverse`. The checks `_fixes` (a*b ==
+b, do the families' projections keep each other's images?) and
+`_is_inverse` (a*b == I, the premise of the Picard pass) keep loops of
+their own: they guard what `_product` computes, and a check must not share
+the kernel it checks. The public functions, on tuples of Fraction rows, are
+`identity`, `zeros`, `mat_from_cols`, `mat_mul`, `mat_add`, and `inverse`
+and `independent_columns`, views of `_inverse` and `_eliminate`.
 """
 
 from __future__ import annotations
@@ -39,7 +32,6 @@ from .errors import DomainError, SingularMatrixError
 from .wpoly import _exact
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-Vector = tuple[Fraction, ...]
 IntMatrix = tuple[Sequence[Sequence[int]], int]  # rows N and denominator d: N / d
 
 _ZERO = Fraction(0)
@@ -81,8 +73,10 @@ def _scaled(a: Sequence[Sequence[Fraction | int]]) -> IntMatrix:
     return [[p * (d // q) for p, q in row] for row in rows], d
 
 
-def _fraction(n: int, d: int) -> Fraction:
-    return Fraction(n, d) if n else _ZERO
+def _fractions(a: IntMatrix) -> Matrix:
+    """The public form of N / d: one Fraction per entry."""
+    rows, d = a
+    return tuple(tuple(Fraction(x, d) if x else _ZERO for x in row) for row in rows)
 
 
 def _stored(a: IntMatrix) -> list[list[Fraction | int]]:
@@ -94,6 +88,14 @@ def _stored(a: IntMatrix) -> list[list[Fraction | int]]:
     return [[Fraction(x, d) if x % d else x // d for x in row] for row in rows]
 
 
+def _product(
+    rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """The integer product whose entry (i, j) is rows[i] . cols[j]: the rows
+    of the left factor times the columns of the right one."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and len(a[0]) != len(b):
         raise DomainError(
@@ -101,11 +103,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         )
     na, da = _scaled(a)
     nb, db = _scaled(b)
-    d = da * db
-    cols = list(zip(*nb))
-    return tuple(
-        tuple(_fraction(sum(map(mul, row, col)), d) for col in cols) for row in na
-    )
+    return _fractions((_product(na, list(zip(*nb))), da * db))
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _fixes(a: IntMatrix, m: Sequence[Sequence[int]]) -> bool:
@@ -122,25 +124,6 @@ def _fixes(a: IntMatrix, m: Sequence[Sequence[int]]) -> bool:
     )
 
 
-def fixes(a: Matrix, b: Matrix) -> bool:
-    """Is a*b == b? `_fixes` over ints; no Fraction is built.
-
-    `a` must be square, with as many rows as `b`; otherwise DomainError, as
-    for mat_mul.
-    """
-    if any(len(row) != len(b) for row in a) or len(a) != len(b):
-        raise DomainError(
-            f"a*b == b needs a square a as tall as b, got {len(a)} rows of "
-            f"lengths {sorted({len(row) for row in a})} and {len(b)} rows"
-        )
-    return _fixes(_scaled(a), _scaled(b)[0])
-
-
-def is_idempotent(a: Matrix) -> bool:
-    """Is a*a == a? That is fixes(a, a), decided over ints."""
-    return fixes(a, a)
-
-
 def _is_inverse(a: IntMatrix, b: IntMatrix) -> bool:
     """Is a*b == I for square a = N / d and b = M / e? That is N*M == d*e*I.
 
@@ -154,28 +137,6 @@ def _is_inverse(a: IntMatrix, b: IntMatrix) -> bool:
         for i, row in enumerate(na)
         for j, col in enumerate(cols)
     )
-
-
-def is_inverse(a: Matrix, b: Matrix) -> bool:
-    """Is a*b == I? `_is_inverse` over ints; no Fraction is built.
-
-    Both must be square of one size; otherwise DomainError, as for fixes.
-    """
-    n = len(a)
-    if len(b) != n or any(len(row) != n for m in (a, b) for row in m):
-        raise DomainError(
-            f"a*b == I needs two square matrices of one size, got {n} and "
-            f"{len(b)} rows of lengths {sorted({len(row) for m in (a, b) for row in m})}"
-        )
-    return _is_inverse(_scaled(a), _scaled(b))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def column(a: Matrix, j: int) -> Vector:
-    return tuple(a[i][j] for i in range(len(a)))
 
 
 def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[Sequence[int]], int]:
@@ -254,8 +215,7 @@ def inverse(a: Matrix) -> Matrix:
             f"inverse needs a square matrix, got {n} rows of lengths "
             f"{sorted({len(row) for row in a})}"
         )
-    rows, d = _inverse(_scaled(a))
-    return tuple(tuple(_fraction(x, d) for x in row) for row in rows)
+    return _fractions(_inverse(_scaled(a)))
 
 
 def independent_columns(a: Matrix) -> list[int]:
@@ -270,6 +230,3 @@ def independent_columns(a: Matrix) -> list[int]:
         return []
     return _eliminate(_scaled(a)[0])[0]
 
-
-def rank(a: Matrix) -> int:
-    return len(independent_columns(a))

@@ -67,14 +67,13 @@ from gradua.errors import (
     SingularMatrixError,
 )
 from gradua.graded import ActionFamily, PolyMap, invert_automorphism
+from gradua.jets import adapt, jet_action, prolong_action
 from gradua.linalg import (
-    column,
     identity,
     independent_columns,
     inverse,
     mat_from_cols,
     mat_mul,
-    rank,
     zeros,
 )
 from gradua.multigrade import bihomogenize, check_commuting
@@ -442,7 +441,7 @@ def reference_taylor_projections(h, theta=None):
         for i, row in enumerate(coeffs)
         for j, c in enumerate(row)
     ):
-        if rank(tuple(row for q in qs for row in q)) < n_vars:
+        if len(independent_columns(tuple(row for q in qs for row in q))) < n_vars:
             raise DegenerateActionError(
                 "some direction is annihilated by every Taylor projection"
             )
@@ -533,6 +532,47 @@ def test_taylor_projections_match_the_reference_route(dressed):
             seen["projections"] += 1
             assert all(type(x) is Fraction for q in got for row in q for x in row)
     assert all(seen.values()), seen
+
+
+def rational(x, sympy):
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def to_sympy(p, sympy):
+    """A polynomial as a sympy expression in symbols named after its chart."""
+    syms = [sympy.Symbol(v) for v in p.chart.names]
+    expr = sympy.Integer(0)
+    for mono, c in p.terms.items():
+        term = rational(c, sympy)
+        for i, e in mono:
+            term *= syms[i] ** e
+        expr += term
+    return expr
+
+
+def test_taylor_projections_agree_with_the_sympy_jacobian(dressed):
+    """Q_r is the t^r coefficient of the Jacobian of the entries at theta, and
+    there is one Q_r for each power of t up to the Jacobian's t-degree."""
+    sympy = pytest.importorskip("sympy")
+    seen = {"weight-0 block": 0, "shifted theta": 0}
+    for family, theta in dressed:
+        names = family.chart.names
+        t = sympy.Symbol(family.param)
+        point = {sympy.Symbol(v): rational(theta[v], sympy) for v in names}
+        entries = sympy.Matrix([to_sympy(family.entries[v], sympy) for v in names])
+        jacobian = entries.jacobian([sympy.Symbol(v) for v in names])
+        jacobian = jacobian.subs(point, simultaneous=True).expand()
+        degree = max(sympy.degree(x, t) for x in jacobian if x != 0)
+        qs = taylor_projections(family, theta)
+        assert len(qs) == degree + 1
+        for r, q in enumerate(qs):
+            expected = jacobian.applyfunc(lambda x: x.coeff(t, r))
+            got = sympy.Matrix([[rational(x, sympy) for x in row] for row in q])
+            assert got == expected, (r, q)
+        seen["weight-0 block"] += 0 in family.chart.weights
+        seen["shifted theta"] += any(theta.values())
+    assert min(seen.values()) >= 10, seen
 
 
 # --- one composite of the inverse ----------------------------------------------
@@ -864,7 +904,7 @@ def test_rank_factors_give_back_the_projections_and_invert_the_basis(dressed):
             assert as_fractions(f.q) == q
             at_pivots = tuple(tuple(row[j] for j in f.pivots) for row in q)
             assert mat_mul(at_pivots, as_fractions(f.factor)) == q
-            assert len(f.factor[0]) == len(f.pivots) == rank(q)
+            assert len(f.factor[0]) == len(f.pivots) == len(independent_columns(q))
         c, c_inv, orders = _joint_basis([factored])
         assert_blocks_factor(c, c_inv, orders, {(r,): q for r, q in enumerate(qs)})
         seen["weight-0 block"] += 0 in family.chart.weights
@@ -921,7 +961,7 @@ def reference_joint_route(per_family):
     for idx, p in joint.items():
         if any(map(any, p)):
             for j in independent_columns(p):
-                basis.append(column(p, j))
+                basis.append(tuple(row[j] for row in p))
                 orders.append(idx)
     return joint, basis, orders
 
@@ -1006,6 +1046,50 @@ def test_bihomogenize_projections_are_the_products():
         bihom = bihomogenize(h1, h2)
         assert bihom.projections == joint
         assert "projections" not in repr(bihom)
+
+
+def off_by_one_product(product):
+    """linalg._product with 1 added to the first entry of every result."""
+
+    def wrong(rows, cols):
+        out = product(rows, cols)
+        if out and out[0]:
+            out[0][0] += 1
+        return out
+
+    return wrong
+
+
+def test_a_wrong_product_is_caught_by_the_checks(monkeypatch):
+    """With linalg._product off by one, the k >= 2 certificate restricts to
+    wrong blocks and reads a wrong C^-1. The checks that do not share the
+    product (_fixes, the premise C^-1 C = I, the scaling check) must refuse
+    them: every call raises a typed error or returns a homogenizer that its
+    inverse undoes. Run on the seeded pairs and triples of joint_cases and
+    on order-1 jet doubles (a prolonged family with the jet scaling)."""
+    rng = random.Random(1968)
+    doubles = []
+    for _ in range(12):
+        chart = random_chart(rng, max_rank=(2, 1), max_base=1)
+        family, _ = conjugated_action(rng, chart)
+        doubles.append([prolong_action(family, 1), jet_action(adapt(chart, 1), "u")])
+    calls = []
+    for families in joint_cases() + doubles:
+        calls.append((_joint_certificate, (families, None, "L_h")))
+        calls.append((bihomogenize, tuple(families[:2])))
+    # outcome gives (error type, message) for a call that raises
+    succeeds = [not isinstance(outcome(fn, *args), tuple) for fn, args in calls]
+    monkeypatch.setattr(linalg, "_product", off_by_one_product(linalg._product))
+    seen = {"raised": 0, "raised only when wrong": 0}
+    for (fn, args), succeeded in zip(calls, succeeds):
+        try:
+            result = fn(*args)
+        except GraduaError:
+            seen["raised"] += 1
+            seen["raised only when wrong"] += succeeded
+            continue
+        assert result.homogenizer.then(result.inverse).is_identity()
+    assert min(seen.values()) >= 10, seen
 
 
 # --- the term-dict linear combinations ------------------------------------------

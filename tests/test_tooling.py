@@ -215,7 +215,7 @@ def test_analyze_decides_projections_by_rank_and_composes_nothing(monkeypatch):
     chart = GradedChart("D", tuple((f"x{w}", w) for w in range(1, 7)))
     family, _ = conjugated_action(random.Random(3), chart)
     assert family.entries != standard_action(chart).entries
-    idempotent = _count_calls(monkeypatch, linalg, "is_idempotent")
+    fixed = _count_calls(monkeypatch, linalg, "_fixes")
     scanned = _count_calls(monkeypatch, linalg, "_eliminate")
     composed = _count_calls(monkeypatch, PolyMap, "then")
     inverted = _count_calls(monkeypatch, linalg, "inverse")
@@ -226,7 +226,7 @@ def test_analyze_decides_projections_by_rank_and_composes_nothing(monkeypatch):
     # one elimination per nonzero Q_r gives its rank, its pivots (the
     # homogenizer's basis columns) and its rank factor (rows of C^-1); the
     # settled Picard round certifies the inverse
-    assert (len(idempotent), len(scanned), len(composed)) == (0, 6, 0)
+    assert (len(fixed), len(scanned), len(composed)) == (0, 6, 0)
     assert (len(inverted), len(scaled)) == (0, 0)
     # each elimination runs on the integer numerators of its Q_r
     assert [[list(row) for row in a] for a, in scanned] == [
@@ -415,3 +415,36 @@ def test_no_module_imports_a_name_it_never_uses():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno}: {name}")
     assert not unused, unused
+
+
+def _linalg_names(path):
+    """The names a module takes from linalg: attributes of `linalg`, names
+    imported from it, and strings in a tuple that holds the module object
+    (how perfbench/spans.py names the functions it wraps)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "linalg":
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module in ("linalg", "gradua.linalg"):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Tuple) and any(
+            getattr(e, "id", None) == "linalg" for e in node.elts
+        ):
+            names.update(e.value for e in node.elts if isinstance(e, ast.Constant))
+    return names
+
+
+def test_every_public_linalg_function_has_a_caller():
+    """Each public top-level function of gradua/linalg.py is named in another
+    module of src/gradua, in perfbench/spans.py or in the acceptance suite;
+    a view with none of these callers is dead code."""
+    linalg_path = ROOT / "src" / "gradua" / "linalg.py"
+    public = {
+        node.name
+        for node in ast.parse(linalg_path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    callers = [p for p in (ROOT / "src" / "gradua").glob("*.py") if p != linalg_path]
+    callers += [ROOT / "perfbench" / "spans.py", ROOT / "tests" / "test_acceptance.py"]
+    named = set().union(*map(_linalg_names, callers))
+    assert public and not public - named, sorted(public - named)
