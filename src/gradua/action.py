@@ -13,7 +13,9 @@ basis of each image and pushing the dual linear coordinates through h_t
 yields, weight by weight, new coordinates on which the family acts by plain
 powers of t. That change of coordinates (the homogenizer) is built, checked
 exactly, and inverted; its existence is what makes the family a grading in
-disguise.
+disguise. k commuting families are homogenized the same way, at once: the
+t_1^m_1 ... t_k^m_k coefficients of their composite's derivative at theta
+are the joint projections, and one pipeline serves every k.
 
 The checked homogenizer is also the certificate of the laws: a family that
 acts by plain powers of t in polynomial coordinates with a polynomial
@@ -33,9 +35,9 @@ evaluated by substitution: h_(ts) is a term map, and the infinitesimal
 generator reads the t-derivatives at 1 with ActionFamily.at.
 
 The certificate's linear algebra stays in integer form (linalg.IntMatrix)
-from the Taylor projections to the inverse kernel's premise: the inverse of
+from the joint projections to the inverse kernel's premise: the inverse of
 the basis matrix is read off the projections' rank factors, and Fractions
-are built only for the public projections.
+are built only for the public projections, in the same pass.
 
 The homogenizer is inverted by graded's one inverse kernel,
 _invert_coordinate_change. Its pass, _picard_inverse, is imported here too,
@@ -45,10 +47,9 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
@@ -118,11 +119,11 @@ class AnalysisReport:
 
 
 class _Factored(NamedTuple):
-    """A nonzero Taylor projection Q_r in integer form, as the rank check left it.
+    """A nonzero joint projection P_m in integer form, as the rank check left it.
 
-    q is Q_r as integer rows over one denominator, pivots its pivot columns
-    and factor its rank factor R_r (rank rows over one denominator), so that
-    Q_r = Q_r[:, pivots] R_r.
+    q is P_m as integer rows over one denominator, pivots its pivot columns
+    and factor its rank factor R_m (rank rows over one denominator), so that
+    P_m = P_m[:, pivots] R_m.
     """
 
     q: IntMatrix
@@ -232,47 +233,72 @@ def base_projection(h: ActionFamily) -> PolyMap:
     return p0
 
 
-def _jacobian_coefficients(
-    h: ActionFamily, theta: Mapping[str, Fraction]
-) -> list[list[dict[int, Fraction | int]]]:
-    """The t-coefficients of the derivative at theta, read from the entries' terms.
+def _split(
+    composite: Sequence[Mapping[Monomial, Fraction | int]], n_vars: int, k: int
+) -> list[dict[tuple[int, ...], dict[Monomial, Fraction | int]]]:
+    """Each entry of a composite of k families, split by its multi-index of
+    parameter exponents.
 
-    Cell (v, u) maps k to the t^k coefficient of d(h_t^* x_v)/dx_u at theta.
-    A term c * t^k * prod x_i^e_i adds c * e_u * theta_u^(e_u - 1) *
-    prod_(i != u) theta_i^e_i to cell (v, u) at power k. Cells that cancel
-    are dropped, so every stored coefficient is nonzero. No polynomial is
-    built.
+    The composite's chart is the chart followed by the k parameters, the
+    last family's first (_joint_certificate), so in every sorted monomial
+    the parameter factors come last and parameter j sits at index n_vars +
+    k - 1 - j. Cutting each monomial where they begin writes it once as a
+    monomial over the chart, with the same indices, times a multi-index of
+    parameter exponents. For one family the composite is its entries, with
+    t at index n_vars.
     """
-    names = h.chart.names
-    n_vars = len(names)  # the parameter's index on the extended chart
-    point = [_coefficient(theta[v]) for v in names]
+    parts = []
+    for terms in composite:
+        split: dict[tuple[int, ...], dict[Monomial, Fraction | int]] = {}
+        for mono, c in terms.items():
+            exps = [0] * k
+            cut = len(mono)
+            while cut and mono[cut - 1][0] >= n_vars:
+                cut -= 1
+                i, e = mono[cut]
+                exps[n_vars + k - 1 - i] = e
+            split.setdefault(tuple(exps), {})[mono[:cut]] = c
+        parts.append(split)
+    return parts
+
+
+def _jacobian_coefficients(
+    parts: Sequence[Mapping[tuple[int, ...], Mapping[Monomial, Fraction | int]]],
+    point: Sequence[Fraction | int],
+) -> list[list[dict[tuple[int, ...], Fraction | int]]]:
+    """The parameter coefficients of the derivative at theta, read from the
+    split entries' terms.
+
+    Cell (v, u) maps a multi-index m to the t_1^m_1 ... t_k^m_k coefficient
+    of d(entry_v)/dx_u at theta, point holding theta in stored form. A term
+    c * prod x_i^e_i of part m adds c * e_u * theta_u^(e_u - 1) *
+    prod_(i != u) theta_i^e_i to cell (v, u) at m. Cells that cancel are
+    dropped, so every stored coefficient is nonzero. No polynomial is built.
+    """
     rows = []
-    for v in names:
-        row: list[dict[int, Fraction | int]] = [{} for _ in names]
-        for mono, c in h.entries[v].terms.items():
-            k = 0
-            if mono and mono[-1][0] == n_vars:
-                k = mono[-1][1]
-                mono = mono[:-1]
-            for u, e in mono:
-                value = c * e
-                for i, f in mono:
-                    if i == u:
-                        f -= 1
-                    if f:
-                        value *= point[i] ** f
-                if not value:
-                    continue
-                cell = row[u]
-                s = cell.get(k)
-                if s is None:
-                    cell[k] = value
-                else:
-                    s += value
-                    if s:
-                        cell[k] = s
+    for split in parts:
+        row: list[dict[tuple[int, ...], Fraction | int]] = [{} for _ in point]
+        for idx, terms in split.items():
+            for mono, c in terms.items():
+                for u, e in mono:
+                    value = c * e
+                    for i, f in mono:
+                        if i == u:
+                            f -= 1
+                        if f:
+                            value *= point[i] ** f
+                    if not value:
+                        continue
+                    cell = row[u]
+                    s = cell.get(idx)
+                    if s is None:
+                        cell[idx] = value
                     else:
-                        del cell[k]
+                        s += value
+                        if s:
+                            cell[idx] = s
+                        else:
+                            del cell[idx]
         rows.append(row)
     return rows
 
@@ -282,62 +308,48 @@ def taylor_projections(
 ) -> tuple[Matrix, ...]:
     """Taylor coefficient matrices Q_0 .. Q_n of the derivative at theta.
 
-    The projections of _taylor_projections, which has the checks.
-    """
-    return _taylor_projections(h, theta)[0]
-
-
-def _taylor_projections(
-    h: ActionFamily, theta: Mapping[str, Fraction | int] | None = None
-) -> tuple[tuple[Matrix, ...], list[_Factored | None], dict[str, Fraction]]:
-    """The Taylor projections Q_0 .. Q_n at theta, each nonzero Q_r factored
-    by the rank check (None for a zero Q_r), and theta resolved to a point of
-    the chart.
-
-    Q_r is 1/r! times the r-th t-derivative of H(t) at t=0, which for
-    polynomial entries is just the t^r coefficient matrix. The coefficients
-    are read in one pass over the entries' terms (_jacobian_coefficients):
-    no derivative or substitution is formed. The same pass writes each Q_r
-    twice: as the public Fraction matrix, and as integer numerators over
-    one denominator (linalg.IntMatrix), which is all the certificate uses.
-    The matrices are checked to be complementary projections summing to the
-    identity.
-
-    Two checks suffice: sum Q_r = I, and sum_r rank Q_r = N. Given the sum:
-
-    - Complementary projections have ranks adding up to N: the trace of an
-      idempotent is its rank, and sum tr Q_r = tr I = N.
-    - Conversely, the images span everything, since x = sum Q_r x, and their
-      dimensions add up to N, so their sum is direct. For x in the image of
-      Q_s, x = sum_r Q_r x writes x as a sum over the images; by uniqueness
-      Q_s x = x and Q_r x = 0 for r != s. So Q_s Q_s = Q_s and Q_r Q_s = 0.
-
-    The ranks come from one fraction-free elimination of each nonzero Q_r's
-    numerators (linalg._eliminate), which also gives its pivot columns piv
-    and its rank factor R_r = rref(Q_r) restricted to the rank rows, with
-    Q_r = Q_r[:, piv] R_r. Both travel with the result (_Factored): the
-    pivot columns become the homogenizer's basis and the stacked R_r its
-    inverse (_joint_basis). The ranks of matrices summing to I add up to at
-    least N, so a failure means a sum above N; the first Q_r that is not
-    idempotent (linalg._fixes(q, q)) is then reported.
-
-    The laws are not checked here; _homogenize_joint explains a failure.
+    Q_r is 1/r! times the r-th t-derivative of the derivative H(t) at t=0,
+    which for polynomial entries is just the t^r coefficient matrix. These
+    are the one-family joint projections of _joint_certificate, with its
+    checks (_projections).
     """
     point = _resolve_theta(h, theta)
-    n_vars = len(h.chart)
-    coeffs = _jacobian_coefficients(h, point)
-    degree = max((k for row in coeffs for c in row for k in c), default=0)
-    nonzero: list[list[tuple[int, int, Fraction | int]]] = [[] for _ in range(degree + 1)]
+    names = h.chart.names
+    parts = _split([h.entries[v].terms for v in names], len(names), 1)
+    coeffs = _jacobian_coefficients(parts, [_coefficient(point[v]) for v in names])
+    return tuple(_projections(coeffs, 1)[0].values())
+
+
+def _projections(
+    coeffs: Sequence[Sequence[Mapping[tuple[int, ...], Fraction | int]]], k: int
+) -> tuple[dict[tuple[int, ...], Matrix], dict[tuple[int, ...], _Factored]]:
+    """The joint projections P_m on the full grid of multi-indices, and each
+    nonzero P_m factored by the rank check.
+
+    coeffs are the cells of _jacobian_coefficients for k parameters. The
+    grid runs, in lexicographic order, over every multi-index m with m_i at
+    most the largest exponent of parameter i in a nonzero cell; the P_m
+    with no cell are zero matrices. The same pass writes each P_m twice: as
+    the public Fraction matrix, and as integer numerators over one
+    denominator (linalg.IntMatrix), which is all the certificate uses. The
+    checks, sum P_m = I and sum rank P_m = n, and their proof are in
+    _homogenize_joint; a failure raises DegenerateActionError when some
+    direction is annihilated by every P_m, NotGradedActionError otherwise.
+    """
+    n_vars = len(coeffs)
+    nonzero: dict[tuple[int, ...], list[tuple[int, int, Fraction | int]]] = {}
     for i, row in enumerate(coeffs):
         for j, c in enumerate(row):
-            for r, x in c.items():
-                nonzero[r].append((i, j, x))
-    # each Q_r as Fractions and as integer rows over one denominator; the
-    # zero rows of both are shared and never written to
+            for idx, x in c.items():
+                nonzero.setdefault(idx, []).append((i, j, x))
+    shape = [max(exps) for exps in zip(*nonzero)] if nonzero else [0] * k
+    # each P_m as Fractions and, when nonzero, as integer rows over one
+    # denominator; the zero rows of both are shared and never written to
     zero_row, zero_ints = (_ZERO,) * n_vars, (0,) * n_vars
-    public = []
-    ints = []
-    for entries in nonzero:
+    grid: dict[tuple[int, ...], Matrix] = {}
+    ints: dict[tuple[int, ...], IntMatrix] = {}
+    for idx in product(*(range(d + 1) for d in shape)):
+        entries = nonzero.get(idx, ())
         fractions: list = [zero_row] * n_vars
         numerators: list = [zero_ints] * n_vars
         d = lcm(*{x.denominator for _, _, x in entries})
@@ -346,35 +358,33 @@ def _taylor_projections(
                 fractions[i], numerators[i] = [_ZERO] * n_vars, [0] * n_vars
             fractions[i][j] = _exact(x)
             numerators[i][j] = x.numerator * (d // x.denominator)
-        public.append(tuple(map(tuple, fractions)))
-        ints.append((numerators, d))
-    qs = tuple(public)
+        grid[idx] = tuple(map(tuple, fractions))
+        if entries:
+            ints[idx] = (numerators, d)
 
-    # sum Q_r = I, read entry by entry from the t-coefficients
+    # sum P_m = I, read entry by entry from the coefficients
     if any(
         sum(c.values()) != (i == j)
         for i, row in enumerate(coeffs)
         for j, c in enumerate(row)
     ):
-        stacked = [row for rows, _ in ints for row in rows]
+        stacked = [row for rows, _ in ints.values() for row in rows]
         if len(linalg._eliminate(stacked)[0]) < n_vars:
             raise DegenerateActionError(
                 "some direction is annihilated by every Taylor projection"
             )
         raise NotGradedActionError("Taylor projections do not sum to the identity")
-    factored: list[_Factored | None] = []
-    for q, entries in zip(ints, nonzero):
-        if entries:
-            pivots, rows, scale = linalg._eliminate(q[0])
-            factored.append(_Factored(q, pivots, (rows, scale)))
-        else:
-            factored.append(None)
-    if sum(len(f.pivots) for f in factored if f) != n_vars:
-        for r, f in enumerate(factored):
-            if f and not linalg._fixes(f.q, f.q[0]):
-                raise NotGradedActionError(f"Taylor coefficient Q_{r} is not a projection")
+    factored = {}
+    for idx, q in ints.items():
+        pivots, rows, scale = linalg._eliminate(q[0])
+        factored[idx] = _Factored(q, pivots, (rows, scale))
+    if sum(len(f.pivots) for f in factored.values()) != n_vars:
+        for idx, f in factored.items():
+            if not linalg._fixes(f.q, f.q[0]):
+                name = "_".join(map(str, idx))
+                raise NotGradedActionError(f"Taylor coefficient Q_{name} is not a projection")
         raise EngineDefectError("idempotent Taylor projections have ranks above the chart")
-    return qs, factored, point
+    return grid, factored
 
 
 def homogenize(
@@ -398,32 +408,14 @@ def homogenize(
     )
 
 
-def _joint_projections(
-    factors: Sequence[Sequence[Matrix]],
-) -> dict[tuple[int, ...], Matrix]:
-    """The joint projection Q1_r_1 ... Qk_r_k of every multi-index, in
-    lexicographic order, from each family's Taylor projections; a product
-    with a zero factor is the zero matrix and is not computed."""
-    n_vars = len(factors[0][0])
-    zero = linalg.zeros(n_vars, n_vars)
-    joint = {(r,): q for r, q in enumerate(factors[0])}
-    for qs in factors[1:]:
-        joint = {
-            idx + (s,): (
-                linalg.mat_mul(p, q) if any(map(any, p)) and any(map(any, q)) else zero
-            )
-            for idx, p in joint.items()
-            for s, q in enumerate(qs)
-        }
-    return joint
-
-
 @dataclass(frozen=True)
-class _JointHomogenization:
+class JointHomogenization:
     """Coordinates that scale under k commuting families at once.
 
-    factors holds each family's Taylor projections; the joint projections
-    are multiplied out only when `projections` is read.
+    orders holds the multi-index of each new coordinate, biweights is its
+    name for two families, and projections maps every multi-index of the
+    lexicographic grid to its joint projection, zero matrices included.
+    The projections are left out of the repr.
     """
 
     chart: GradedChart
@@ -431,94 +423,74 @@ class _JointHomogenization:
     inverse: PolyMap
     orders: tuple[tuple[int, ...], ...]
     theta: dict[str, Fraction]
-    factors: tuple[tuple[Matrix, ...], ...]
+    projections: dict[tuple[int, ...], Matrix] = field(repr=False)
 
-    @cached_property
-    def projections(self) -> dict[tuple[int, ...], Matrix]:
-        return _joint_projections(self.factors)
+    @property
+    def biweights(self) -> tuple[tuple[int, ...], ...]:
+        return self.orders
 
 
 def _homogenize_joint(
     families: Sequence[ActionFamily],
     theta: Mapping[str, Fraction | int] | None,
     name: str,
-) -> _JointHomogenization:
+) -> JointHomogenization:
     """Coordinates scaling by t_1**r_1 ... t_k**r_k under k monoid families.
 
-    The families share one chart and have distinct parameters. Each family's
-    Taylor projections are computed and checked (_taylor_projections), and
-    each nonzero Q_r comes factored, Q_r = Q_r[:, piv] R_r, by one
-    fraction-free elimination of its integer numerators (linalg._eliminate).
-    Commuting families of complementary projections summing to I have
-    products that are again complementary projections summing to I, so the
-    joint projection P of the multi-index (r_1, ..., r_k) is the product
-    Q1_r_1 ... Qk_r_k with no further check. Neither these products nor the
-    commutation of the families' projections are formed as n x n products:
-    both are read off the images, one family at a time and over ints
-    (_joint_basis). Each nonzero joint projection P of the first j families
-    is held as a rank factorization P = B R: B holds basis columns of Im P,
-    an n x rank(P) matrix, and R is rank(P) x n. For one family, B =
-    Q1_r[:, piv] and R = R_r. For each nonzero projection Q of the next
-    family, form c = Q B, again n x rank(P).
+    The families share one chart and have distinct parameters, and theta
+    must be fixed by every family's h_0 (_resolve_theta, a DomainError
+    otherwise). One argument serves every k, k = 1 included. The families'
+    composite h1_t1 o ... o hk_tk (graded._compose_families) is built once,
+    its entries are split once by their multi-index of parameter exponents
+    (_split), and its derivative at theta is read off the split terms
+    (_jacobian_coefficients) as H(t) = sum_m t_1^m_1 ... t_k^m_k P_m.
 
-    - Invariance is commutation. Let the P_i be complementary projections
-      summing to I. A matrix Q commutes with every P_i exactly when Q maps
-      every Im P_i into itself. If Q P_i = P_i Q and x = P_i x, then Q x =
-      P_i Q x. Conversely, Q P_l x lies in Im P_l for any x, so P_i Q P_l x
-      = delta_il Q P_l x, and summing over l gives P_i Q x = Q P_i x. As y
-      lies in Im P exactly when P y = y, Q commutes with every P_i exactly
-      when P_i c = c for every nonzero P_i (Im 0 is kept by any Q).
-    - The k-family step. When the first j families commute, Im P is the
-      intersection of the images of P's factors: P y = y for y in all of
-      them, and P = Q_i S with S the product of the other factors, for each
-      factor Q_i. So P c = c exactly when every factor of P fixes c
-      (linalg._fixes, decided over ints). And Q commutes with every joint
-      projection of the first j families exactly when it commutes with
-      each of their projections, since Qi_r is the sum of the joint
-      projections with r in place i. By induction on j, the families
-      commute pairwise exactly when every such test passes; the first that
-      fails raises NotDoubleStructureError.
-    - The images restrict. Q P = P Q gives Im(P Q) = Q(Im P), which the
-      columns of c span. So rank(P Q) = rank(c), and a zero c is dropped.
-    - The pivots stay. pivots(Q P) lies in pivots(P): a non-pivot column
-      P e_j of P is a combination of earlier columns P e_i, so Q P e_j is
-      the same combination of the earlier columns Q P e_i, and j is no
-      pivot of Q P. The columns of c are the columns of Q P at the pivots
-      of P; the ones left out lie in the span of earlier columns, so
-      first-pivot elimination of c picks the columns it would pick from
-      the n x n product, and the basis is unchanged.
-    - The factors restrict. P Q = Q P = Q B R = c R. The elimination of c
-      gives its pivots piv and rank factor G, c = c[:, piv] G, so P Q =
-      c[:, piv] (G R): the new block is B = c[:, piv] and R = G R, and no
-      n x n product is formed.
-    - The stacked factors are the inverse. Let C hold the blocks' B side by
-      side and stack their R in the same order. The joint projections sum
-      to I, and being complementary, their ranks add up to n, so C is
-      square (a count checked as an engine defect). C (stacked R) = sum_P
-      B_P R_P = sum_P P = I, and a square matrix with a right inverse is
-      invertible, so the stacked R is C^-1 and no inverse is computed. For
-      one family this needs only sum Q_r = I and sum rank Q_r = n, both
-      checked by _taylor_projections. The inverse kernel's premise C^-1 C
-      = I is checked over ints all the same (graded._checked_stored).
+    - The chain rule. A monoid family fixes theta for every t: h_t(theta) =
+      h_t(h_0(theta)) = h_0(theta) = theta, by the semigroup law h_t o h_0
+      = h_0. At a point every family fixes, the derivative of the composite
+      is the product of the families' derivatives, H1(t_1) ... Hk(t_k), so
+      its t^m coefficient P_m is Q1_m_1 ... Qk_m_k, Qi_r being the Taylor
+      projections of family i. These are the joint projections. Nothing
+      here is assumed: the P_m are checked below, and the certificate
+      proves the laws and the commutation of the families.
+    - The rank check. Two checks make the P_m complementary projections:
+      sum P_m = I, and sum_m rank P_m = n (_projections). Given the sum,
+      complementary projections have ranks adding up to n: the trace of an
+      idempotent is its rank, and sum tr P_m = tr I = n. Conversely, the
+      images span everything, since x = sum P_m x, and their dimensions add
+      up to n, so their sum is direct. For x in the image of P_l, x = sum
+      P_m x writes x as a sum over the images; by uniqueness P_l x = x and
+      P_m x = 0 for m != l. So P_l P_l = P_l and P_m P_l = 0.
+    - The factors. The ranks come from one fraction-free elimination of
+      each nonzero P_m's integer numerators (linalg._eliminate), which also
+      gives its pivot columns piv and its rank factor R_m = rref(P_m)
+      restricted to the rank rows, with P_m = P_m[:, piv] R_m. The ranks of
+      matrices summing to I add up to at least n, so a failed count means
+      a sum above n; the first P_m in lexicographic order that is not
+      idempotent (linalg._fixes) is then reported, as Q_r for one family
+      and as Q_1_2 for the multi-index (1, 2).
+    - The stacked factors are the inverse. Let C hold the pivot columns
+      P_m[:, piv] of every nonzero P_m side by side, in lexicographic order
+      of m, and stack their R_m in the same order. The ranks add up to n,
+      so C is square, and C (stacked R) = sum_m P_m[:, piv] R_m = sum_m P_m
+      = I. A square matrix with a right inverse is invertible, so the
+      stacked R is C^-1 and no inverse is computed. The inverse kernel's
+      premise C^-1 C = I is checked over ints all the same
+      (graded._checked_stored).
 
-    The joint projections themselves are multiplied out only when read
-    (_joint_projections). The dual linear coordinates are pushed through
-    the composite of the families, and their t_1^r_1 ... t_k^r_k
-    coefficients become the new coordinates y{r_1}_..._{r_k}_{i}, of
-    weight r_1 + ... + r_k. Both steps run on term dicts, one linear
-    combination (wpoly._terms_combine) and one polynomial per coordinate,
-    with the entries of C^-1 in stored form (graded._checked_stored):
+    The dual linear coordinates are pushed through the composite, and their
+    t_1^r_1 ... t_k^r_k coefficients become the new coordinates
+    y{r_1}_..._{r_k}_{i}, of weight r_1 + ... + r_k (for one family,
+    y{r}_{i}). Both steps run on term dicts, one linear combination
+    (wpoly._terms_combine) and one polynomial per coordinate, with the
+    entries of C^-1 in stored form (graded._checked_stored):
 
-    - The split. The composite's chart is the chart followed by the k
-      parameters, so in every sorted monomial of the composite the
-      parameter factors come last. Cutting each monomial where they begin
-      writes it once as a monomial over the chart, with the same indices,
-      times a multi-index of parameter exponents; a constant lies in the
-      zero multi-index only, where theta_v is subtracted. Taking the
-      coefficient of one multi-index is linear, so the coordinate of row i
-      and multi-index m is sum_j C^-1_ij part_j[m] over the split entries:
-      what the t_1^r_1 ... t_k^r_k coefficient of the whole row, read off
-      and rewritten over the chart, would give.
+    - The split. A constant lies in the zero multi-index only, where
+      theta_v is subtracted. Taking the coefficient of one multi-index is
+      linear, so the coordinate of row i and multi-index m is sum_j C^-1_ij
+      part_j[m] over the split entries: what the t_1^r_1 ... t_k^r_k
+      coefficient of the whole row, read off and rewritten over the chart,
+      would give.
     - The scaling check. A family's extended chart is the chart followed by
       its parameter t, so t has index n = len(chart), above every index of
       a monomial over the chart. The terms of t^r phi_i are therefore those
@@ -533,11 +505,12 @@ def _homogenize_joint(
     docstring has the proofs: the checked premise, the settle certificate,
     the bound D (the largest summed parameter exponent of the composite)
     when every new weight is at least 1, and the Bass-Connell-Wright bound
-    otherwise. That certificate proves the laws, the commutation of the
-    families and the total degree, so none of them is checked when it
-    succeeds. Write phi for the new coordinates, psi for the verified
-    inverse (phi o psi = id = psi o phi) and w_i for the order of phi_i
-    under one family h.
+    otherwise. Soundness rests on these three checks, the premise, the
+    scaling and the certified inverse, and not on how C was found. The
+    certificate proves the laws, the commutation of the families and the
+    total degree, so none of them is checked when it succeeds. Write phi
+    for the new coordinates, psi for the verified inverse (phi o psi = id
+    = psi o phi) and w_i for the order of phi_i under one family h.
 
     - A pullback h_t^* is a ring homomorphism.
     - h_t^* phi_i = t^w_i phi_i is checked exactly, so h_t^* x_v =
@@ -577,44 +550,46 @@ def _joint_certificate(
     families: Sequence[ActionFamily],
     theta: Mapping[str, Fraction | int] | None,
     name: str,
-) -> _JointHomogenization:
+) -> JointHomogenization:
     """The construction and exact checks of _homogenize_joint, unexplained."""
-    per_family = [_taylor_projections(h, theta) for h in families]
     chart = families[0].chart
-    point = per_family[0][2]
+    point = _resolve_theta(families[0], theta)
+    for h in families[1:]:
+        _resolve_theta(h, theta)
     n_vars = len(chart)
-    basis, cinv, orders = _joint_basis([factored for _, factored, _ in per_family])
-    if len(orders) != n_vars:
-        raise EngineDefectError("projection images do not fill the chart")
-    # the inverse kernel's premise, checked once; both matrices in stored
-    # form, so that integral entries multiply as ints
-    basis, rows = _checked_stored(basis, cinv)
+    values = [_coefficient(point[v]) for v in chart.names]
 
     # the composite applies the last family first; its chart lists the
     # parameters in that order
     params = [h.param for h in families]
     k = len(params)
     ext = chart.extend(tuple((t, 0) for t in reversed(params)))
-    composite = _compose_families(families, ext)
+    parts = _split(_compose_families(families, ext), n_vars, k)
+    projections, factored = _projections(_jacobian_coefficients(parts, values), k)
 
-    # each entry minus theta, split once by its multi-index of parameter
-    # exponents (parameter j sits at index n_vars + k - 1 - j of ext); the
-    # rest of each monomial is a monomial over chart
-    parts: list[dict[tuple[int, ...], dict[Monomial, Fraction | int]]] = []
-    for terms, v in zip(composite, chart.names):
-        split: dict[tuple[int, ...], dict[Monomial, Fraction | int]] = {}
-        for mono, c in terms.items():
-            exps = [0] * k
-            cut = len(mono)
-            while cut and mono[cut - 1][0] >= n_vars:
-                cut -= 1
-                i, e = mono[cut]
-                exps[n_vars + k - 1 - i] = e
-            split.setdefault(tuple(exps), {})[mono[:cut]] = c
-        if point[v]:
-            constant = {(): _coefficient(point[v])}
-            _terms_combine(((-1, constant),), split.setdefault((0,) * k, {}))
-        parts.append(split)
+    # C: the pivot columns of each nonzero P_m; C^-1: their rank factors
+    # stacked in the same order; each as integer rows over one denominator
+    c_den = lcm(*(f.q[1] for f in factored.values()))
+    r_den = lcm(*(f.factor[1] for f in factored.values()))
+    cols = [
+        [row[j] * (c_den // d) for row in q]
+        for (q, d), pivots, _ in factored.values()
+        for j in pivots
+    ]
+    cinv = [
+        [x * (r_den // den) for x in row]
+        for _, _, (rows, den) in factored.values()
+        for row in rows
+    ]
+    orders = [idx for idx, f in factored.items() for _ in f.pivots]
+    # the inverse kernel's premise, checked once; both matrices in stored
+    # form, so that integral entries multiply as ints
+    basis, rows = _checked_stored(([list(row) for row in zip(*cols)], c_den), (cinv, r_den))
+
+    # each entry minus theta; a constant lies in the zero multi-index only
+    for split, c in zip(parts, values):
+        if c:
+            _terms_combine(((-1, {(): c}),), split.setdefault((0,) * k, {}))
     degree = max((sum(idx) for split in parts for idx in split), default=0)
 
     counter: dict[tuple[int, ...], int] = {}
@@ -642,79 +617,14 @@ def _joint_certificate(
                     f"coordinate {v!r} does not scale by {h.param}^{idx[i]}"
                 )
 
-    return _JointHomogenization(
+    return JointHomogenization(
         chart=new_chart,
         homogenizer=phi,
         inverse=_invert_coordinate_change(phi, point, basis, rows, degree),
         orders=tuple(orders),
         theta=point,
-        factors=tuple(qs for qs, _, _ in per_family),
+        projections=projections,
     )
-
-
-def _joint_basis(
-    per_family: Sequence[Sequence[_Factored | None]],
-) -> tuple[IntMatrix, IntMatrix, list[tuple[int, ...]]]:
-    """The basis matrix C, its inverse and the multi-index of each basis
-    column, by restriction over ints (proofs in _homogenize_joint).
-
-    Each family gives its factored Taylor projections, as
-    _taylor_projections returns them. Every nonzero joint projection P is
-    held as a block: the factors of P, basis columns B of its image and
-    the rank factor R with P = B R. One family's blocks are Q_r[:, piv] and
-    R_r. For each further family, each block is restricted to c = Q B for
-    each nonzero Q of that family; every factor of the block must fix c,
-    else the families do not commute and NotDoubleStructureError is raised.
-    The elimination of c gives its pivots piv and rank factor G, and the
-    new block is c[:, piv] and G R. Both products are linalg._product,
-    which neither _fixes nor the premise check of C^-1 C = I shares. C
-    stacks the blocks' B side by side and C^-1 their R, in the same order;
-    both are integer rows over one denominator.
-    """
-    # multi-index -> (factors of the joint projection, B, R): B as integer
-    # columns and R as integer rows, over one denominator each
-    blocks = {
-        (r,): ((f.q,), ([[row[j] for row in f.q[0]] for j in f.pivots], f.q[1]), f.factor)
-        for r, f in enumerate(per_family[0])
-        if f
-    }
-    for factored in per_family[1:]:
-        restricted = {}
-        for idx, (factors, (b_cols, b_den), (r_rows, r_den)) in blocks.items():
-            r_cols = list(zip(*r_rows))
-            for s, f in enumerate(factored):
-                if not f:
-                    continue
-                q, q_den = f.q
-                c = linalg._product(q, b_cols)
-                if not any(map(any, c)):
-                    continue
-                if not all(linalg._fixes(g, c) for g in factors):
-                    raise NotDoubleStructureError(
-                        "the families' Taylor projections do not commute"
-                    )
-                pivots, g_rows, g_den = linalg._eliminate(c)
-                restricted[idx + (s,)] = (
-                    factors + (f.q,),
-                    ([[row[j] for row in c] for j in pivots], q_den * b_den),
-                    (linalg._product(g_rows, r_cols), g_den * r_den),
-                )
-        blocks = restricted
-    c_den = lcm(*(b_den for _, (_, b_den), _ in blocks.values()))
-    r_den = lcm(*(den for _, _, (_, den) in blocks.values()))
-    cols = [
-        [x * (c_den // b_den) for x in col]
-        for _, (b_cols, b_den), _ in blocks.values()
-        for col in b_cols
-    ]
-    basis = [list(row) for row in zip(*cols)]
-    cinv = [
-        [x * (r_den // den) for x in row]
-        for _, _, (rows, den) in blocks.values()
-        for row in rows
-    ]
-    orders = [idx for idx, (_, _, (rows, _)) in blocks.items() for _ in rows]
-    return (basis, c_den), (cinv, r_den), orders
 
 
 def detect_degree(

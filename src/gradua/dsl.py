@@ -9,8 +9,9 @@ program emits canonical text (polynomials in canonical term order), and
 parsing that text yields an equal program, spans aside.
 
 The parser states each statement kind once: one table, built with the
-class, maps each statement keyword to its parser, an optional token is one
-accept() call, and one rule-block parser reads the `{ v op expr; }` bodies
+class, maps each statement keyword to its parser, and the tokenizer's
+keywords are that table's keys plus five words read inside statements (on,
+at, order, json, text). An optional token is one accept() call, and one rule-block parser reads the `{ v op expr; }` bodies
 of map (`=`, over the source chart) and action (`->`, over the chart
 extended by t). Each statement class prints its own canonical text
 (__str__), and print_program joins them.
@@ -49,43 +50,6 @@ from .wpoly import (
     _terms_mul,
     _terms_pow,
 )
-
-KEYWORDS = {
-    "chart",
-    "map",
-    "action",
-    "double",
-    "on",
-    "at",
-    "order",
-    "prolong",
-    "flip",
-    "report",
-    "json",
-    "text",
-    "check-morphism",
-    "analyze-action",
-    "check-double",
-}
-
-# One alternative per token class, tried in order at each position: the
-# hyphenated keywords come before identifiers, so `check-morphismX` lexes as
-# the keyword and then `X`. `\w` is str.isalnum() or `_`, so `[^\W\d]` also
-# admits numerals that are not letters, such as `²`; tokenize refuses a word
-# that starts with one. `[0-9]` is ASCII only (str.isdigit accepts `²`,
-# which int() refuses). Any other character, `\f` included, is `bad`.
-_TOKEN = re.compile(
-    r"(?P<space>[ \t\r]+)"
-    r"|(?P<newline>\n)"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<hyphenated>check-morphism|analyze-action|check-double)"
-    r"|(?P<word>[^\W\d][\w']*)"
-    r"|(?P<number>(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?)"
-    r"|(?P<symbol>->|[(){}:;,=+\-*^])"
-    r"|(?P<bad>.)",
-    re.DOTALL,
-)
-
 
 class Span(NamedTuple):
     line: int
@@ -653,6 +617,31 @@ class _Parser:
             self.require(")")
             return inner
         raise self.unexpected(tok, ("a variable", "a number", "("))
+
+
+# Each keyword is written once: a statement keyword is a key of
+# _Parser.STATEMENTS, and these five are only read inside statements.
+KEYWORDS = frozenset(_Parser.STATEMENTS) | {"on", "at", "order", "json", "text"}
+
+# One alternative per token class, tried in order at each position: the
+# hyphenated keywords, longest first, come before identifiers, so
+# `check-morphismX` lexes as the keyword and then `X`. `\w` is str.isalnum()
+# or `_`, so `[^\W\d]` also admits numerals that are not letters, such as
+# `²`; tokenize refuses a word that starts with one. `[0-9]` is ASCII only
+# (str.isdigit accepts `²`, which int() refuses). Any other character, `\f`
+# included, is `bad`.
+_HYPHENATED = sorted((k for k in KEYWORDS if "-" in k), key=lambda k: (-len(k), k))
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r]+)"
+    r"|(?P<newline>\n)"
+    r"|(?P<comment>#[^\n]*)"
+    rf"|(?P<hyphenated>{'|'.join(map(re.escape, _HYPHENATED))})"
+    r"|(?P<word>[^\W\d][\w']*)"
+    r"|(?P<number>(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?)"
+    r"|(?P<symbol>->|[(){}:;,=+\-*^])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 def parse(source: str) -> Program:

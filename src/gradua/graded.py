@@ -394,9 +394,12 @@ def _invert_coordinate_change(
       phi(theta) = 0, from scaling at t = 0. C is the basis matrix and cinv
       its inverse, read off the rank factors (proof in
       action._homogenize_joint). cinv is the derivative of phi at theta:
-      row i of cinv is C^-1_i P for the joint projection P of phi_i's
-      multi-index, and C^-1_i P c_j = delta_ij if c_j lies in the image of
-      P, else 0. D is the largest summed parameter exponent of the
+      phi_i is row i of C^-1 applied to the m-coefficient of the
+      composite, m being phi_i's multi-index, so its derivative at theta
+      is C^-1_i P_m, P_m being the joint projection read off the
+      composite's derivative there. C^-1_i P_m c_j = delta_ij if c_j lies
+      in the image of P_m, else 0, and C^-1_i c_j = delta_ij, so C^-1_i P_m
+      = C^-1_i. D is the largest summed parameter exponent of the
       families' composite. With every parameter set to t, h_t^* x_v =
       psi_v(t^w phi) = sum_m c_m t^(w.m) phi^m has t-degree at most D.
       Each d = w.m has finitely many m and the phi^m are linearly

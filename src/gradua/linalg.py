@@ -1,24 +1,22 @@
 """Exact linear algebra over the rationals, just enough for this engine.
 
 The internal currency is the integer form: a matrix N / d held as a list of
-integer rows N and one nonzero int d (IntMatrix). The kernels compute on it
-alone: `_product` multiplies integer rows by integer columns, and
-`_eliminate`, fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968),
-returns the pivot columns, the reduced rows D * rref and D. Fractions are
-met only at the boundary: `_scaled` writes a matrix in integer form over
-the lcm of its entries' denominators, `_fractions` builds one Fraction per
-entry of a public result, and `_stored` gives wpoly's stored form (int when
-integral, else a Fraction) for use as coefficients.
+integer rows N and one nonzero int d (IntMatrix). The kernel `_eliminate`,
+fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968), computes on it
+alone and returns the pivot columns, the reduced rows D * rref and D.
+Fractions are met only at the boundary: `_scaled` writes a matrix in
+integer form over the lcm of its entries' denominators, `_fractions` builds
+one Fraction per entry of a public result, and `_stored` gives wpoly's
+stored form (int when integral, else a Fraction) for use as coefficients.
 
-action takes each Taylor projection's pivots and rank factor from
-`_eliminate` and restricts commuting families' blocks with `_product`;
-graded inverts linear blocks with `_inverse`. The checks `_fixes` (a*b ==
-b, do the families' projections keep each other's images?) and
-`_is_inverse` (a*b == I, the premise of the Picard pass) keep loops of
-their own: they guard what `_product` computes, and a check must not share
-the kernel it checks. The public functions, on tuples of Fraction rows, are
-`identity`, `zeros`, `mat_from_cols`, `mat_mul`, `mat_add`, and `inverse`
-and `independent_columns`, views of `_inverse` and `_eliminate`.
+action takes each joint projection's pivots and rank factor from
+`_eliminate`; graded inverts linear blocks with `_inverse`. The checks
+`_fixes` (a*b == b, is a projection idempotent?) and `_is_inverse` (a*b ==
+I, the premise of the Picard pass) keep loops of their own, and a check
+must not share the kernel it checks. The public functions, on tuples of
+Fraction rows, are `identity`, `zeros`, `mat_from_cols`, `mat_mul`,
+`mat_add`, and `inverse` and `independent_columns`, views of `_inverse` and
+`_eliminate`.
 """
 
 from __future__ import annotations
@@ -88,14 +86,6 @@ def _stored(a: IntMatrix) -> list[list[Fraction | int]]:
     return [[Fraction(x, d) if x % d else x // d for x in row] for row in rows]
 
 
-def _product(
-    rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
-) -> list[list[int]]:
-    """The integer product whose entry (i, j) is rows[i] . cols[j]: the rows
-    of the left factor times the columns of the right one."""
-    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and len(a[0]) != len(b):
         raise DomainError(
@@ -103,7 +93,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         )
     na, da = _scaled(a)
     nb, db = _scaled(b)
-    return _fractions((_product(na, list(zip(*nb))), da * db))
+    cols = list(zip(*nb))
+    return _fractions(([[sum(map(mul, row, col)) for col in cols] for row in na], da * db))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

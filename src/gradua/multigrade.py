@@ -1,9 +1,9 @@
 """Pairs of commuting parameter families and their joint homogenization.
 
 Two monoid families on one chart that commute as self-map families give
-every direction a pair of orders, one per family. The joint analysis
-restricts the second family's Taylor projections to the images of the
-first's, picks bases of the restricted images, and produces coordinates
+every direction a pair of orders, one per family. The joint analysis reads
+the joint projections Q1_r Q2_s off the derivative of the families'
+composite at theta, picks a basis of each image, and produces coordinates
 scaling by t**r under the first family and u**s under the second. The
 resulting chart records the pair (r, s) for each variable and carries
 r + s as its weight, so collapsing both parameters to one recovers an
@@ -12,51 +12,32 @@ suggests.
 
 The checked joint coordinates certify that the families commute and give
 the degree of their total action (the argument is in
-action._homogenize_joint). The direct check, check_commuting, lives in
-action, which runs it only to explain a failure; it is re-exported here.
-The total family renames both families to one parameter and composes them
-with graded._compose_families, the builder of every family composite.
+action._homogenize_joint, which serves any number of families). Its record,
+action.JointHomogenization, is the Bihomogenization of two families. The
+direct check, check_commuting, lives in action, which runs it only to
+explain a failure; it is re-exported here. The total family renames both
+families to one parameter and composes them with graded._compose_families,
+the builder of every family composite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping
 
 from .action import (  # noqa: F401
+    JointHomogenization,
     _distinct_params,
     _homogenize_joint,
-    _joint_projections,
     check_commuting,
 )
 from .charts import GradedChart
 from .graded import ActionFamily, PolyMap, _compose_families
 from .jets import adapt
-from .linalg import Matrix
 from .wpoly import WPolynomial
 
-
-@dataclass(frozen=True)
-class Bihomogenization:
-    """A joint coordinate change and the order pair of each new variable.
-
-    factors holds the two families' Taylor projections; the joint
-    projections Q1_r Q2_s are multiplied out only when `projections` is
-    read.
-    """
-
-    chart: GradedChart
-    biweights: tuple[tuple[int, int], ...]
-    homogenizer: PolyMap
-    inverse: PolyMap
-    theta: dict[str, Fraction]
-    factors: tuple[tuple[Matrix, ...], ...] = field(repr=False)
-
-    @cached_property
-    def projections(self) -> dict[tuple[int, int], Matrix]:
-        return _joint_projections(self.factors)
+# the record of the joint homogenization, for two families
+Bihomogenization = JointHomogenization
 
 
 def total_action(
@@ -84,25 +65,16 @@ def bihomogenize(
     """Joint coordinates scaling by t**r under h1 and u**s under h2.
 
     The two-family case of action._homogenize_joint: the order-(r, s)
-    projection is the product of the order-r projection of h1 and the
-    order-s projection of h2, whose image is the order-s projection of h2
-    applied to the image of the order-r projection of h1. The new
-    coordinates y{r}_{s}_1, y{r}_{s}_2, ... have weight r + s. The checked
-    coordinates certify that the families commute, so check_commuting runs
-    only when they cannot be built; a pair that does not commute raises
-    NotDoubleStructureError with the commutation witnesses, before any
-    broken law is reported.
+    projection is the t^r u^s coefficient of the derivative of h1_t o h2_u
+    at theta, which is the product of the order-r projection of h1 and the
+    order-s projection of h2. The new coordinates y{r}_{s}_1, y{r}_{s}_2,
+    ... have weight r + s. The checked coordinates certify that the
+    families commute, so check_commuting runs only when they cannot be
+    built; a pair that does not commute raises NotDoubleStructureError with
+    the commutation witnesses, before any broken law is reported.
     """
     h1, h2 = _distinct_params(h1, h2)
-    joint = _homogenize_joint((h1, h2), theta, f"{h1.chart.name}_bh")
-    return Bihomogenization(
-        chart=joint.chart,
-        biweights=joint.orders,
-        homogenizer=joint.homogenizer,
-        inverse=joint.inverse,
-        theta=joint.theta,
-        factors=joint.factors,
-    )
+    return _homogenize_joint((h1, h2), theta, f"{h1.chart.name}_bh")
 
 
 def flip(m: int, n: int, chart: GradedChart) -> PolyMap:

@@ -6,21 +6,23 @@ both, and the direct checks run only to explain a failure. The functions
 below keep the old order as a reference; every report, result, error type
 and error message must agree with it.
 
-The certificate's own stages keep references too: the Jacobian built from
-n^2 derivatives and substitutions (the term-level read must equal it), the
-Fraction-matrix projection checks with idempotence per Q_r (the rank
-verdict and its message must equal them), the two-sided inverse check (the
-one-composite verdict must equal it, on correct and on wrong candidates,
-and so must the degree verdict of every settled Picard round), and the
-doubling search for the inverse (the bounded Picard pass must find the same
-inverse), the n x n products of the families' projections for k >= 2
-(the restricted blocks must give the same verdict, error, basis and joint
-projections), and the object-level linear combinations of the homogenizer
-rows, the scaling check, N and the Picard iterates (the term-dict
-combinations must give the same coordinates, inverse, orders, verdicts and
-errors). The reference certificate inverts the basis matrix with
-linalg.inverse, the certificate reads C^-1 off the Taylor projections'
-rank factors; both must give the same results.
+The certificate's own stages keep references too: the composite's
+Jacobian built by substitution and n^2 derivatives (the term-level read
+must equal it), the Fraction-matrix projection checks with idempotence per
+joint projection (the rank verdict and its message must equal them), the
+two-sided inverse check (the one-composite verdict must equal it, on
+correct and on wrong candidates, and so must the degree verdict of every
+settled Picard round), the doubling search for the inverse (the bounded
+Picard pass must find the same inverse), the n x n products of the
+families' Taylor projections for k >= 2 (the joint projections read off
+the composite's Jacobian must give the same orders, basis and grid, and a
+pair that does not commute must be refused), and the object-level linear
+combinations of the homogenizer rows, the scaling check, N and the Picard
+iterates (the term-dict combinations must give the same coordinates,
+inverse, orders, verdicts and errors). The reference certificate inverts
+the basis matrix with linalg.inverse, the certificate reads C^-1 off the
+joint projections' rank factors; both must give the same results. A
+sympy check ties the joint projections to the products Q1_r Q2_s.
 
 The inverse kernel lives in gradua.graded, which runs the pass; action
 calls the kernel. The helpers that intercept a stage patch it in the
@@ -28,6 +30,7 @@ module that calls it.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -37,16 +40,14 @@ from hypothesis import strategies as st
 
 import gradua.action as action
 import gradua.graded as graded
-import gradua.linalg as linalg
 from gradua.action import (
     AnalysisReport,
     _distinct_params,
+    _homogenize_joint,
     _jacobian_coefficients,
-    _joint_basis,
     _joint_certificate,
-    _joint_projections,
     _resolve_theta,
-    _taylor_projections,
+    _split,
     analyze,
     base_projection,
     detect_degree,
@@ -77,7 +78,7 @@ from gradua.linalg import (
     zeros,
 )
 from gradua.multigrade import bihomogenize, check_commuting
-from gradua.wpoly import WPolynomial, _terms_combine
+from gradua.wpoly import WPolynomial, _coefficient, _terms_combine
 
 from helpers import (
     chained_family,
@@ -405,58 +406,93 @@ def test_direct_checks_run_only_on_failure(monkeypatch):
     assert calls == {"verify_laws": 1, "check_commuting": 1}
 
 
-# --- the derivative at theta, read from the entries' terms ---------------------
+# --- the derivative at theta, read from the composite's terms -------------------
 
 
-def reference_jacobian_at(h, theta):
-    """The route the term-level read replaced: n^2 derivatives, substituted."""
-    ext = h.extended_chart
-    consts = {v: WPolynomial.constant(ext, theta[v]) for v in h.chart.names}
-    consts[h.param] = ext_var(ext, h.param)
-    return [
-        [h.entries[v].differentiate(u).substitute(consts, into=ext) for u in h.chart.names]
-        for v in h.chart.names
-    ]
+def reference_composite(families, ext):
+    """h1 o ... o hk over ext by object-level substitution, the last family
+    applied first: the route graded._compose_families replaced."""
+    names = families[0].chart.names
+    composite = [families[-1].entries[v].lift(ext) for v in names]
+    for h in reversed(families[:-1]):
+        sigma = dict(zip(names, composite))
+        sigma[h.param] = ext_var(ext, h.param)
+        composite = [h.entries[v].substitute(sigma, into=ext) for v in names]
+    return composite
 
 
-def reference_coefficients(h, theta):
-    return [
-        [{k: q.constant_term() for k, q in p.coefficients_in(h.param).items()} for p in row]
-        for row in reference_jacobian_at(h, theta)
-    ]
+def reference_cells(families, theta):
+    """Cell (v, u) of the composite's derivative at theta, on the route the
+    term-level read replaced: n^2 derivatives substituted at theta, then
+    coefficients_in once per parameter. Multi-index -> nonzero coefficient."""
+    chart = families[0].chart
+    params = [h.param for h in families]
+    ext = chart.extend(tuple((t, 0) for t in reversed(params)))
+    consts = {v: WPolynomial.constant(ext, theta[v]) for v in chart.names}
+    consts.update({t: ext_var(ext, t) for t in params})
+    cells = []
+    for p in reference_composite(families, ext):
+        row = []
+        for u in chart.names:
+            parts = {(): p.differentiate(u).substitute(consts, into=ext)}
+            for t in params:
+                parts = {
+                    idx + (r,): q
+                    for idx, part in parts.items()
+                    for r, q in part.coefficients_in(t).items()
+                }
+            row.append({idx: q.constant_term() for idx, q in parts.items() if q.constant_term()})
+        cells.append(row)
+    return cells
 
 
-def reference_taylor_projections(h, theta=None):
-    """taylor_projections on the reference route, comparing Fraction matrices."""
-    point = _resolve_theta(h, theta)
-    n_vars = len(h.chart)
-    coeffs = reference_coefficients(h, point)
-    degree = max((k for row in coeffs for c in row for k in c), default=0)
-    qs = tuple(
-        tuple(tuple(c.get(r, Fraction(0)) for c in row) for row in coeffs)
-        for r in range(degree + 1)
-    )
+def reference_joint_projections(families, theta=None):
+    """The joint projections on the reference route, checked as Fraction
+    matrices with idempotence per P_m; the grid of multi-indices in
+    lexicographic order, zero matrices included."""
+    point = [_resolve_theta(h, theta) for h in families][0]
+    cells = reference_cells(families, point)
+    n_vars = len(cells)
+    keys = {idx for row in cells for c in row for idx in c}
+    shape = [max(exps) for exps in zip(*keys)] if keys else [0] * len(families)
+    grid = {
+        idx: tuple(tuple(c.get(idx, Fraction(0)) for c in row) for row in cells)
+        for idx in product(*(range(d + 1) for d in shape))
+    }
     if any(
         sum(c.values()) != (i == j)
-        for i, row in enumerate(coeffs)
+        for i, row in enumerate(cells)
         for j, c in enumerate(row)
     ):
-        if len(independent_columns(tuple(row for q in qs for row in q))) < n_vars:
+        stacked = tuple(row for q in grid.values() for row in q)
+        if len(independent_columns(stacked)) < n_vars:
             raise DegenerateActionError(
                 "some direction is annihilated by every Taylor projection"
             )
         raise NotGradedActionError("Taylor projections do not sum to the identity")
     zero = zeros(n_vars, n_vars)
-    for r, q in enumerate(qs):
+    for idx, q in grid.items():
         if q != zero and mat_mul(q, q) != q:
-            raise NotGradedActionError(f"Taylor coefficient Q_{r} is not a projection")
-    return qs
+            name = "_".join(map(str, idx))
+            raise NotGradedActionError(f"Taylor coefficient Q_{name} is not a projection")
+    return grid
 
 
-def term_level(h, theta):
+def reference_taylor_projections(h, theta=None):
+    """taylor_projections on the reference route, comparing Fraction matrices."""
+    return tuple(reference_joint_projections([h], theta).values())
+
+
+def term_level(families, theta):
+    """The engine's cells of the composite's derivative at theta, with
+    Fraction values."""
+    chart = families[0].chart
+    ext = chart.extend(tuple((h.param, 0) for h in reversed(families)))
+    parts = _split(graded._compose_families(families, ext), len(chart), len(families))
+    point = [_coefficient(theta[v]) for v in chart.names]
     return [
-        [{k: Fraction(c) for k, c in cell.items()} for cell in row]
-        for row in _jacobian_coefficients(h, theta)
+        [{idx: Fraction(c) for idx, c in cell.items()} for cell in row]
+        for row in _jacobian_coefficients(parts, point)
     ]
 
 
@@ -471,7 +507,9 @@ def families_at_points(draw):
     theta takes repeated values, nonzero ones included, on every weight.
     Half of the cases add c * t^k * m * (z_a - z_b) to one entry with
     theta_a = theta_b, so the contributions of two terms to every cell
-    (v, u) with u in m cancel at theta.
+    (v, u) with u in m cancel at theta. A third of the cases add a second
+    family in u (up to three terms an entry), whose composite with the
+    first is read.
     """
     weights = draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
     chart = GradedChart("J", tuple((f"z{i}", w) for i, w in enumerate(weights)))
@@ -491,15 +529,22 @@ def families_at_points(draw):
         v = draw(st.sampled_from(chart.names))
         m = WPolynomial(ext, {draw(exponents): draw(coefficients)})
         entries[v] = entries[v] + m * (ext_var(ext, a) - ext_var(ext, b))
-    return ActionFamily(chart, "t", entries), theta
+    families = [ActionFamily(chart, "t", entries)]
+    if draw(st.integers(0, 2)) == 0:
+        second = {
+            v: WPolynomial(ext, draw(st.dictionaries(exponents, coefficients, max_size=3)))
+            for v in chart.names
+        }
+        families.append(ActionFamily(chart, "t", second).with_param("u"))
+    return families, theta
 
 
 @settings(max_examples=300, deadline=None)
 @given(families_at_points())
 def test_term_level_jacobian_matches_the_reference_route(case):
-    family, theta = case
-    got = term_level(family, theta)
-    assert got == reference_coefficients(family, theta)
+    families, theta = case
+    got = term_level(families, theta)
+    assert got == reference_cells(families, theta)
     assert all(c for row in got for cell in row for c in cell.values())
 
 
@@ -511,8 +556,8 @@ def test_cells_that_cancel_are_dropped():
     h = ActionFamily(chart, "t", {"x": entry, "y": y, "z": z})
     theta = {"x": Fraction(1), "y": Fraction(2), "z": Fraction(2)}
     # d/dx at theta: (2 - 2) t + 4 t^2, so the t^1 cell cancels and is dropped
-    assert term_level(h, theta)[0] == [{2: 4}, {1: 1, 2: 1}, {1: -1}]
-    assert term_level(h, theta) == reference_coefficients(h, theta)
+    assert term_level([h], theta)[0] == [{(2,): 4}, {(1,): 1, (2,): 1}, {(1,): -1}]
+    assert term_level([h], theta) == reference_cells([h], theta)
 
 
 def test_taylor_projections_match_the_reference_route(dressed):
@@ -798,13 +843,7 @@ def test_a_wrong_basis_inverse_is_caught_by_the_premise(monkeypatch):
     for seed in range(60):
         rng = random.Random(seed)
         families.append(conjugated_action(rng, random_chart(rng, min_vars=2))[0])
-    joint_basis = action._joint_basis
-
-    def off_by_one(per_family):
-        basis, (rows, d), orders = joint_basis(per_family)
-        return basis, ([[rows[0][0] + d] + rows[0][1:]] + rows[1:], d), orders
-
-    monkeypatch.setattr(action, "_joint_basis", off_by_one)
+    monkeypatch.setattr(action, "_projections", off_by_one_factor(action._projections))
     for family in families:
         with pytest.raises(EngineDefectError, match="cinv \\* C = I"):
             homogenize(family)
@@ -878,10 +917,14 @@ def as_fractions(m):
     return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
 
 
+def fractions_of(m):
+    """The Fraction matrix of a matrix in stored form (ints and Fractions)."""
+    return tuple(tuple(Fraction(x) for x in row) for row in m)
+
+
 def assert_blocks_factor(c, c_inv, orders, joint):
     """C^-1 C = C C^-1 = I, and for every multi-index the columns of C and
     the rows of C^-1 it owns multiply out to its joint projection."""
-    c, c_inv = as_fractions(c), as_fractions(c_inv)
     n = len(c)
     assert mat_mul(c_inv, c) == mat_mul(c, c_inv) == identity(n)
     for idx, p in joint.items():
@@ -891,37 +934,68 @@ def assert_blocks_factor(c, c_inv, orders, joint):
         assert (mat_mul(b, r) if own else zeros(n, n)) == p
 
 
-def test_rank_factors_give_back_the_projections_and_invert_the_basis(dressed):
-    """Q_r = Q_r[:, piv] R_r for every nonzero Q_r, and the stacked R is C^-1,
-    for one family and for the k = 2 and k = 3 joint blocks of its copies."""
+def certificate_parts(monkeypatch, families, theta):
+    """_joint_certificate(families, theta), the joint projections and rank
+    factors its rank check returned, and the C and C^-1 it handed to the
+    inverse kernel, as Fraction matrices."""
+    seen = []
+    projections = action._projections
+
+    def recording(*args):
+        seen.append(projections(*args))
+        return seen[-1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(action, "_projections", recording)
+        cert, inputs = inversion_inputs(monkeypatch, _joint_certificate, families, theta, "L_h")
+    (grid, factored), (_, _, basis, cinv, _) = seen[0], inputs
+    return cert, grid, factored, fractions_of(basis), fractions_of(cinv)
+
+
+def test_rank_factors_give_back_the_projections_and_invert_the_basis(dressed, monkeypatch):
+    """P_m = P_m[:, piv] R_m for every nonzero joint projection P_m, and the
+    stacked R is C^-1, for one family and for the k = 2 and k = 3
+    composites of its copies."""
     seen = {"weight-0 block": 0, "shifted theta": 0, "k = 2": 0, "k = 3": 0}
     for i, (family, theta) in enumerate(dressed):
-        qs, factored, _ = _taylor_projections(family, theta)
-        for q, f in zip(qs, factored):
-            if f is None:
-                assert q == zeros(len(q), len(q))
-                continue
-            assert as_fractions(f.q) == q
-            at_pivots = tuple(tuple(row[j] for j in f.pivots) for row in q)
-            assert mat_mul(at_pivots, as_fractions(f.factor)) == q
-            assert len(f.factor[0]) == len(f.pivots) == len(independent_columns(q))
-        c, c_inv, orders = _joint_basis([factored])
-        assert_blocks_factor(c, c_inv, orders, {(r,): q for r, q in enumerate(qs)})
+        runs = [[family]]
+        if i < 10:
+            runs.append([family, family.with_param("u")])
+            runs.append([family, family.with_param("u"), family.with_param("v")])
+        for families in runs:
+            cert, grid, factored, c, c_inv = certificate_parts(monkeypatch, families, theta)
+            assert cert.projections == grid
+            for idx, q in grid.items():
+                f = factored.get(idx)
+                if f is None:
+                    assert q == zeros(len(q), len(q))
+                    continue
+                assert as_fractions(f.q) == q
+                at_pivots = tuple(tuple(row[j] for j in f.pivots) for row in q)
+                assert mat_mul(at_pivots, as_fractions(f.factor)) == q
+                assert len(f.factor[0]) == len(f.pivots) == len(independent_columns(q))
+            assert_blocks_factor(c, c_inv, cert.orders, grid)
+            if len(families) > 1:
+                seen[f"k = {len(families)}"] += 1
         seen["weight-0 block"] += 0 in family.chart.weights
         seen["shifted theta"] += any(theta.values())
-        if i < 10:
-            for k, params in ((2, "u"), (3, "uv")):
-                families = [family] + [family.with_param(p) for p in params]
-                per_family = [_taylor_projections(h, theta) for h in families]
-                c, c_inv, orders = _joint_basis([f for _, f, _ in per_family])
-                joint = _joint_projections([qs for qs, _, _ in per_family])
-                assert_blocks_factor(c, c_inv, orders, joint)
-                seen[f"k = {k}"] += 1
     assert seen["k = 2"] == seen["k = 3"] == 10, seen
     assert seen["weight-0 block"] >= 10 and seen["shifted theta"] >= 10, seen
 
 
-# --- the k-family certificate by restriction ------------------------------------
+# --- k families: the joint projections off the composite's Jacobian -------------
+
+
+def reference_basis(joint):
+    """The basis columns of every nonzero joint projection, in lexicographic
+    order, and their multi-indices: the first-pivot columns of each."""
+    basis, orders = [], []
+    for idx, p in joint.items():
+        if any(map(any, p)):
+            for j in independent_columns(p):
+                basis.append(tuple(row[j] for row in p))
+                orders.append(idx)
+    return basis, orders
 
 
 def reference_joint_route(per_family):
@@ -957,13 +1031,7 @@ def reference_joint_route(per_family):
             for idx, p in joint.items()
             for s, q in enumerate(qs)
         }
-    basis, orders = [], []
-    for idx, p in joint.items():
-        if any(map(any, p)):
-            for j in independent_columns(p):
-                basis.append(tuple(row[j] for row in p))
-                orders.append(idx)
-    return joint, basis, orders
+    return (joint, *reference_basis(joint))
 
 
 def _block_change(rng, c, c_inv, orders):
@@ -1008,30 +1076,46 @@ def joint_cases():
     return cases
 
 
-def test_restricted_blocks_agree_with_the_product_route():
+def first_witnesses(families):
+    """check_commuting's witnesses for the first pair of families, in
+    argument order, that does not commute."""
+    for a, b in combinations(families, 2):
+        commuting, witnesses = check_commuting(a, b)
+        if not commuting:
+            return witnesses
+    return None
+
+
+def test_joint_projections_agree_with_the_product_route(monkeypatch):
+    """Where the families commute, the certificate read off the composite's
+    Jacobian gives the product route's orders, basis columns and grid of
+    joint projections, and an inverse. Where they do not, it raises, and
+    _homogenize_joint raises NotDoubleStructureError with the witnesses. A
+    joint projection that is not idempotent is named by its multi-index."""
     seen = {"pair": 0, "triple": 0, "pair raises": 0, "triple raises": 0}
+    messages = set()
     for families in joint_cases():
-        per_family = [taylor_projections(h) for h in families]
-        factored = [_taylor_projections(h)[1] for h in families]
         kind = "pair" if len(families) == 2 else "triple"
         try:
-            joint, basis, orders = reference_joint_route(per_family)
-        except NotDoubleStructureError as exc:
-            expected = (type(exc), str(exc))
-            assert outcome(_joint_basis, factored) == expected
-            assert outcome(_joint_certificate, families, None, "L_h") == expected
+            joint, basis, orders = reference_joint_route([taylor_projections(h) for h in families])
+        except NotDoubleStructureError:
+            got = outcome(_joint_certificate, families, None, "L_h")
+            assert isinstance(got, tuple)
+            messages.add(got[1])
+            with pytest.raises(NotDoubleStructureError) as caught:
+                _homogenize_joint(families, None, "L_h")
+            assert caught.value.detail == first_witnesses(families) is not None
             seen[f"{kind} raises"] += 1
             continue
-        c, c_inv, got_orders = _joint_basis(factored)
-        assert (as_fractions(c), got_orders) == (mat_from_cols(basis), orders)
-        assert_blocks_factor(c, c_inv, got_orders, joint)
-        assert _joint_projections(per_family) == joint
-        cert = _joint_certificate(families, None, "L_h")
-        assert cert.orders == tuple(orders)
-        assert cert.projections == joint
+        cert, grid, _, c, c_inv = certificate_parts(monkeypatch, families, None)
+        assert (c, cert.orders) == (mat_from_cols(basis), tuple(orders))
+        assert cert.projections == grid == joint
+        assert_blocks_factor(c, c_inv, cert.orders, joint)
         assert cert.homogenizer.then(cert.inverse).is_identity()
         seen[kind] += 1
-    assert min(seen.values()) >= 8, seen
+    assert seen["pair"] + seen["triple"] == 43 and min(seen.values()) >= 8, seen
+    named = [m for m in messages if re.fullmatch(r"Taylor coefficient Q(_\d){2,3} is not a projection", m)]
+    assert any(len(m.split("_")) == 3 for m in named) and any(len(m.split("_")) == 4 for m in named)
 
 
 def test_bihomogenize_projections_are_the_products():
@@ -1048,48 +1132,120 @@ def test_bihomogenize_projections_are_the_products():
         assert "projections" not in repr(bihom)
 
 
-def off_by_one_product(product):
-    """linalg._product with 1 added to the first entry of every result."""
+def test_joint_projections_agree_with_the_sympy_composite_jacobian(dressed):
+    """For a commuting pair, the t^r u^s coefficient of the derivative of
+    h1_t o h2_u at theta is Q1_r Q2_s, and it is the joint projection of
+    (r, s); the grid runs up to the derivative's degree in t and in u."""
+    sympy = pytest.importorskip("sympy")
+    pairs = [([family, family.with_param("u")], theta) for family, theta in dressed[:4]]
+    for families in joint_cases()[:30]:
+        if len(families) == 2 and first_witnesses(families) is None:
+            pairs.append((families, {v: 0 for v in families[0].chart.names}))
+    assert len(pairs) >= 10
+    for (h1, h2), theta in pairs:
+        names = h1.chart.names
+        syms = [sympy.Symbol(v) for v in names]
+        t, u = sympy.Symbol(h1.param), sympy.Symbol(h2.param)
+        first = sympy.Matrix([to_sympy(h1.entries[v], sympy) for v in names])
+        second = [to_sympy(h2.entries[v], sympy) for v in names]
+        composite = first.subs(dict(zip(syms, second)), simultaneous=True)
+        point = {s: rational(theta[v], sympy) for s, v in zip(syms, names)}
+        jacobian = composite.jacobian(syms).subs(point, simultaneous=True).expand()
+        q1, q2 = taylor_projections(h1, theta), taylor_projections(h2, theta)
+        grid = bihomogenize(h1, h2, theta).projections
+        nonzero = [x for x in jacobian if x != 0]
+        assert len(q1) == max(sympy.degree(x, t) for x in nonzero) + 1
+        assert len(q2) == max(sympy.degree(x, u) for x in nonzero) + 1
+        assert list(grid) == list(product(range(len(q1)), range(len(q2))))
+        for (r, s), p in grid.items():
+            expected = jacobian.applyfunc(lambda x: x.coeff(t, r).coeff(u, s))
+            for m in (mat_mul(q1[r], q2[s]), p):
+                assert sympy.Matrix([[rational(x, sympy) for x in row] for row in m]) == expected
 
-    def wrong(rows, cols):
-        out = product(rows, cols)
-        if out and out[0]:
-            out[0][0] += 1
-        return out
+
+# mutations of the assembly: each takes the engine function it wraps
+
+
+def off_by_one_cell(jacobian):
+    """_jacobian_coefficients with 1 added to its first stored coefficient:
+    sum P_m moves off I."""
+
+    def wrong(parts, point):
+        rows = jacobian(parts, point)
+        cell = next(c for row in rows for c in row if c)
+        cell[next(iter(cell))] += 1
+        return rows
 
     return wrong
 
 
-def test_a_wrong_product_is_caught_by_the_checks(monkeypatch):
-    """With linalg._product off by one, the k >= 2 certificate restricts to
-    wrong blocks and reads a wrong C^-1. The checks that do not share the
-    product (_fixes, the premise C^-1 C = I, the scaling check) must refuse
-    them: every call raises a typed error or returns a homogenizer that its
-    inverse undoes. Run on the seeded pairs and triples of joint_cases and
-    on order-1 jet doubles (a prolonged family with the jet scaling)."""
+def moved_unit(jacobian):
+    """_jacobian_coefficients with 1 moved from the first stored coefficient,
+    at multi-index m, to m with its first exponent raised by one, in the
+    same cell: sum P_m stays I."""
+
+    def wrong(parts, point):
+        rows = jacobian(parts, point)
+        cell = next(c for row in rows for c in row if c)
+        a = next(iter(cell))
+        b = (a[0] + 1, *a[1:])
+        cell[a] -= 1
+        cell[b] = cell.get(b, 0) + 1
+        return rows
+
+    return wrong
+
+
+def off_by_one_factor(projections):
+    """_projections with 1 added to the first entry of the first rank
+    factor: C^-1 is wrong."""
+
+    def wrong(coeffs, k):
+        grid, factored = projections(coeffs, k)
+        idx, f = next(iter(factored.items()))
+        rows, d = f.factor
+        factored[idx] = f._replace(factor=([[rows[0][0] + d, *rows[0][1:]], *rows[1:]], d))
+        return grid, factored
+
+    return wrong
+
+
+MUTATIONS = {
+    "cell off by one": ("_jacobian_coefficients", off_by_one_cell),
+    "unit moved": ("_jacobian_coefficients", moved_unit),
+    "rank factor off by one": ("_projections", off_by_one_factor),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_a_wrong_assembly_is_caught_by_the_checks(mutation, dressed, monkeypatch):
+    """With the Jacobian read or the rank factors off, the checks that do
+    not share the assembly (sum P_m = I and the rank count, the premise
+    C^-1 C = I, the scaling check) refuse every call: none returns a
+    homogenizer. Run on one-family dressed structures, on the seeded pairs
+    and triples of joint_cases and on order-1 jet doubles (a prolonged
+    family with the jet scaling)."""
     rng = random.Random(1968)
     doubles = []
     for _ in range(12):
         chart = random_chart(rng, max_rank=(2, 1), max_base=1)
         family, _ = conjugated_action(rng, chart)
         doubles.append([prolong_action(family, 1), jet_action(adapt(chart, 1), "u")])
-    calls = []
+    calls = [(homogenize, (family, theta)) for family, theta in dressed[:20]]
     for families in joint_cases() + doubles:
         calls.append((_joint_certificate, (families, None, "L_h")))
         calls.append((bihomogenize, tuple(families[:2])))
-    # outcome gives (error type, message) for a call that raises
-    succeeds = [not isinstance(outcome(fn, *args), tuple) for fn, args in calls]
-    monkeypatch.setattr(linalg, "_product", off_by_one_product(linalg._product))
-    seen = {"raised": 0, "raised only when wrong": 0}
-    for (fn, args), succeeded in zip(calls, succeeds):
-        try:
-            result = fn(*args)
-        except GraduaError:
-            seen["raised"] += 1
-            seen["raised only when wrong"] += succeeded
-            continue
-        assert result.homogenizer.then(result.inverse).is_identity()
-    assert min(seen.values()) >= 10, seen
+    succeeds = sum(not isinstance(outcome(fn, *args), tuple) for fn, args in calls)
+    name, mutate = MUTATIONS[mutation]
+    monkeypatch.setattr(action, name, mutate(getattr(action, name)))
+    raised = {}
+    for fn, args in calls:
+        with pytest.raises(GraduaError) as caught:
+            fn(*args)
+        kind = type(caught.value).__name__
+        raised[kind] = raised.get(kind, 0) + 1
+    assert succeeds >= 100, succeeds
+    assert sum(raised.values()) == len(calls), raised
 
 
 # --- the term-dict linear combinations ------------------------------------------
@@ -1147,29 +1303,26 @@ def reference_picard(phi, theta, basis, nonlinear, limit):
 def reference_certificate(families, theta, name):
     """_joint_certificate with object-level combinations, kept as the oracle.
 
-    Each row is coeff + entry * c over the whole extended chart, then
+    The joint projections and their checks come from
+    reference_joint_projections, the basis from their first-pivot columns
+    and C^-1 from linalg.inverse. Each row is coeff + entry * c over the
+    whole extended chart, then
     coefficients_in once per parameter and restrict_chart; each coordinate
     is checked against lift * t ** r; the inverse comes from
     reference_nonlinear and reference_picard. Returns the chart, phi, psi,
     the orders and theta.
     """
-    per_family = [_taylor_projections(h, theta)[1] for h in families]
+    joint = reference_joint_projections(families, theta)
     chart = families[0].chart
     point = _resolve_theta(families[0], theta)
     n_vars = len(chart)
-    basis, _, orders = _joint_basis(per_family)
-    if len(orders) != n_vars:
-        raise EngineDefectError("projection images do not fill the chart")
-    basis = as_fractions(basis)
+    basis, orders = reference_basis(joint)
+    basis = mat_from_cols(basis)
     cinv = inverse(basis)
 
     params = [h.param for h in families]
     ext = chart.extend(tuple((t, 0) for t in reversed(params)))
-    composite = [families[-1].entries[v].lift(ext) for v in chart.names]
-    for h in reversed(families[:-1]):
-        sigma = dict(zip(chart.names, composite))
-        sigma[h.param] = ext_var(ext, h.param)
-        composite = [h.entries[v].substitute(sigma, into=ext) for v in chart.names]
+    composite = reference_composite(families, ext)
     shifted = [
         p - WPolynomial.constant(ext, point[v]) for v, p in zip(chart.names, composite)
     ]
@@ -1260,7 +1413,14 @@ def test_term_dict_certificate_agrees_with_the_object_level_route(dressed):
         cases.append(("k = 2", [family, family.with_param("u")], theta))
         cases.append(("k = 3", [family, family.with_param("u"), family.with_param("v")], theta))
         t = ext_var(family.extended_chart, "t")
-        broken = bumped(family, family.chart.names[0], t, 1).with_param("u")
+        v = family.chart.names[0]
+        z = ext_var(family.extended_chart, v) - theta[v]
+        # a t-bump moves theta under the second family, so the chain rule
+        # fails and the joint projections with it; a second-order bump keeps
+        # them and fails the scaling check
+        moved = bumped(family, v, t, 1).with_param("u")
+        cases.append(("k = 2 moved", [family, moved], theta))
+        broken = bumped(family, v, z**2, 1).with_param("u")
         cases.append(("k = 2 broken", [family, broken], theta))
     for families in joint_cases()[:40]:
         cases.append((f"k = {len(families)} linear", families, None))
@@ -1272,7 +1432,7 @@ def test_term_dict_certificate_agrees_with_the_object_level_route(dressed):
         got = outcome(certificate_fields, families, theta, "W_h")
         assert got == outcome(reference_certificate, families, theta, "W_h"), kind
         if isinstance(got[0], type):
-            stages = ("commute", "does not scale", "inverse", "projection")
+            stages = ("does not scale", "inverse", "projection")
             kind += ": " + next(stage for stage in stages if stage in got[1])
         else:
             assert in_stored_form(got[1]) and in_stored_form(got[2])
@@ -1280,7 +1440,8 @@ def test_term_dict_certificate_agrees_with_the_object_level_route(dressed):
     assert seen["one"] == 40 and seen["k = 2"] == seen["k = 3"] == 10, seen
     assert seen["bumped: projection"] >= 30 and seen["bumped: does not scale"] >= 30, seen
     assert seen["k = 2 broken: does not scale"] >= 5, seen
-    assert seen["k = 2 linear: commute"] >= 5 and seen["k = 3 linear: commute"] >= 5, seen
+    assert seen["k = 2 moved: projection"] >= 5, seen
+    assert seen["k = 2 linear: projection"] >= 5 and seen["k = 3 linear: projection"] >= 5, seen
     assert seen["k = 2 linear"] >= 5 and seen["k = 3 linear"] >= 5, seen
     assert seen["no inverse: inverse"] == seen["settled too early"] == 1, seen
 

@@ -542,6 +542,21 @@ def test_every_statement_class_prints_itself_under_its_table_keyword():
     assert keywords == set(_Parser.STATEMENTS)
 
 
+def test_keywords_are_the_statement_table_and_five_inner_words():
+    """Each keyword is written once: the words that lex as keywords are the
+    keys of _Parser.STATEMENTS and on, at, order, json and text, which are
+    read only inside statements. A hyphenated keyword lexes whole, and a
+    word that only starts like one does not."""
+    inner = {"on", "at", "order", "json", "text"}
+    assert not inner & set(_Parser.STATEMENTS)
+    assert KEYWORDS == set(_Parser.STATEMENTS) | inner
+    near = ["check", "morphism", "check-", "double-check", "ons", "reports", "tuple"]
+    tokens = tokenize(" ".join(sorted(KEYWORDS) + near))
+    keywords = [tok.text for tok in tokens if tok.kind == "keyword"]
+    assert set(keywords) == KEYWORDS
+    assert len(keywords) == len(KEYWORDS) + 1  # the `double` of double-check
+
+
 def test_report_statement_parses():
     program = parse("report text")
     assert program.statements == (ReportCmd("text"),)

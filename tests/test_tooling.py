@@ -327,25 +327,30 @@ def test_at_and_with_param_substitute_nothing(monkeypatch):
 
 
 def test_check_double_multiplies_no_square_matrix(monkeypatch):
-    """Commutation and the joint basis come from n x rank blocks over ints:
-    mat_mul is never called, no joint projection is multiplied out, and
-    every elimination but the rank checks' runs on an n x rank block."""
+    """The joint projections are read off the composite's Jacobian: a
+    successful check-double calls no mat_mul, no _fixes and no family's own
+    taylor_projections, and makes one n x n elimination per nonzero joint
+    projection."""
     calls = _count_calls(monkeypatch, linalg, "mat_mul")
+    fixed = _count_calls(monkeypatch, linalg, "_fixes")
+    per_family = _count_calls(monkeypatch, action, "taylor_projections")
     eliminated = _count_calls(monkeypatch, linalg, "_eliminate")
     source = (ROOT / "tests" / "data" / "tour.gradua").read_text()
     program = parse(source.replace("check-double D", "").replace("report text", ""))
     cli.run(program)
     assert calls == []  # the one-family commands multiply nothing
+    program = parse(source.split("analyze-action")[0] + "check-double D\n")
+    double = [program.actions()[name] for name in program.doubles()["D"]]
+    nonzero = [q for q in bihomogenize(*double).projections.values() if any(map(any, q))]
     eliminated.clear()
-    report = cli.run(parse(source.split("analyze-action")[0] + "check-double D\n"))
+    report = cli.run(program)
     assert report.results[0]["commuting"] is True
-    assert calls == []
-    # the rank checks eliminate each family's two nonzero Q_r, 2 x 2; of the
-    # first family's two rank-1 blocks times each Q_s of the second, the two
-    # nonzero products are eliminated, 2 x 1
-    blocks = [rows for rows, in eliminated if len(rows[0]) < len(rows)]
-    assert len(eliminated) == 4 + 2 and len(blocks) == 2
-    assert all(len(b) == 2 > len(b[0]) for b in blocks)
+    # Q1_r Q2_s is nonzero for two of the four multi-indices, each 2 x 2
+    assert len(nonzero) == 2
+    assert [[list(row) for row in rows] for rows, in eliminated] == [
+        linalg._scaled(q)[0] for q in nonzero
+    ]
+    assert (calls, fixed, per_family) == ([], [], [])
 
     # the order-1 jet double of a dressed structure and its level scaling
     chart = GradedChart("P", (("x1", 1), ("y1", 2)))
@@ -354,10 +359,11 @@ def test_check_double_multiplies_no_square_matrix(monkeypatch):
     levels = jets.jet_action(jets.adapt(chart, 1), "u")
     eliminated.clear()
     bihom = bihomogenize(lifted, levels)
-    assert len(bihom.chart) == 4 and calls == []
-    blocks = [rows for rows, in eliminated if len(rows[0]) < len(rows)]
-    assert len(blocks) >= 4
-    assert all(len(b) == 4 > len(b[0]) for b in blocks)
+    assert len(bihom.chart) == 4
+    nonzero = [q for q in bihom.projections.values() if any(map(any, q))]
+    assert len(eliminated) == len(nonzero) >= 4
+    assert all(len(rows) == len(rows[0]) == 4 for rows, in eliminated)
+    assert (calls, fixed, per_family) == ([], [], [])
 
 
 def test_family_composites_substitute_once_per_outer_family(monkeypatch):
@@ -448,3 +454,43 @@ def test_every_public_linalg_function_has_a_caller():
     callers += [ROOT / "perfbench" / "spans.py", ROOT / "tests" / "test_acceptance.py"]
     named = set().union(*map(_linalg_names, callers))
     assert public and not public - named, sorted(public - named)
+
+
+def _mentioned(nodes):
+    """Every name the syntax trees mention: names, attributes, imported
+    names, and strings equal to a name (how perfbench/spans.py names what it
+    wraps)."""
+    out = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.add(node.value)
+    return out
+
+
+def test_every_private_function_has_a_caller():
+    """Each module-level private function of src/gradua is named outside its
+    own definition: elsewhere in its module, in another module of
+    src/gradua, or in perfbench/spans.py. A helper left behind with no
+    caller is dead code."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "gradua").glob("*.py"))
+    }
+    spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    uncalled = []
+    for name, tree in trees.items():
+        others = [t for n, t in trees.items() if n != name] + [spans]
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
+                continue
+            rest = [other for other in tree.body if other is not node]
+            if node.name not in _mentioned(rest + others):
+                uncalled.append(f"{name}: {node.name}")
+    assert not uncalled, uncalled
