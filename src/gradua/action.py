@@ -37,7 +37,9 @@ generator reads the t-derivatives at 1 with ActionFamily.at.
 The certificate's linear algebra stays in integer form (linalg.IntMatrix)
 from the joint projections to the inverse kernel's premise: the inverse of
 the basis matrix is read off the projections' rank factors, and Fractions
-are built only for the public projections, in the same pass.
+are built only for the public projections, in the same pass. The checks
+that theta is fixed by h_0 (_fixes) and that every coordinate scales
+(_check_scaling) run on integer numerators too.
 
 The homogenizer is inverted by graded's one inverse kernel,
 _invert_coordinate_change. Its pass, _picard_inverse, is imported here too,
@@ -69,7 +71,10 @@ from .graded import (  # noqa: F401
     _picard_inverse,
 )
 from .linalg import IntMatrix, Matrix
-from .wpoly import Monomial, WPolynomial, _coefficient, _exact, _terms_combine
+from .wpoly import (
+    Monomial, WPolynomial, _coefficient, _exact, _mono_total_degree, _numerators,
+    _terms_combine, _terms_substitute,
+)
 
 _ZERO = Fraction(0)
 
@@ -216,12 +221,39 @@ def _resolve_theta(
         unknown = set(theta) - set(chart.names)
         if unknown:
             raise DomainError(f"theta mentions unknown variables {sorted(unknown)}")
-    zero_map = h._zero_map
-    for v in chart.names:
-        if zero_map.pullbacks[v].evaluate(point) != point[v]:
-            hint = "" if theta is not None else "; pass a fixed point of h_0"
-            raise DomainError(f"theta is not fixed by the parameter-0 map{hint}")
+    if not _fixes(h, point):
+        hint = "" if theta is not None else "; pass a fixed point of h_0"
+        raise DomainError(f"theta is not fixed by the parameter-0 map{hint}")
     return point
+
+
+def _fixes(h: ActionFamily, point: Mapping[str, Fraction | int]) -> bool:
+    """Whether h_0 fixes the point (a value per chart variable), decided on
+    integers.
+
+    Write the pullback of v under h_0 (ActionFamily._zero_map) as sum_m C_m
+    x^m / E with integer C_m, and point = Theta / q with Theta integral.
+    With K at least 1 and at least every |m|, q^K E h_0(point)_v = sum_m C_m
+    Theta^m q^(K - |m|) and q^K E point_v = E Theta_v q^(K - 1), both
+    integers. As q^K E is not 0, h_0(point)_v = point_v exactly when they
+    are equal.
+    """
+    names = h.chart.names
+    big, q = _numerators(point)
+    values = [big[v] for v in names]
+    zero_map = h._zero_map.pullbacks
+    for v, target in zip(names, values):
+        terms, e = _numerators(zero_map[v].terms)
+        k = max([1, *map(_mono_total_degree, terms)])
+        total = 0
+        for m, c in terms.items():
+            for i, f in m:
+                c *= values[i] ** f
+            if c:
+                total += c * q ** (k - _mono_total_degree(m))
+        if total != e * target * q ** (k - 1):
+            return False
+    return True
 
 
 def base_projection(h: ActionFamily) -> PolyMap:
@@ -491,12 +523,24 @@ def _homogenize_joint(
       part_j[m] over the split entries: what the t_1^r_1 ... t_k^r_k
       coefficient of the whole row, read off and rewritten over the chart,
       would give.
-    - The scaling check. A family's extended chart is the chart followed by
-      its parameter t, so t has index n = len(chart), above every index of
-      a monomial over the chart. The terms of t^r phi_i are therefore those
-      of phi_i with (n, r) appended to each monomial, still sorted (phi_i
-      itself when r = 0), and h_t^* phi_i == t^r phi_i is the equality of
-      the term dicts of h_t^* phi_i and of t^r phi_i.
+    - The scaling check (_check_scaling). A family's extended chart is the
+      chart followed by its parameter t, so t has index n = len(chart),
+      above every index of a monomial over the chart. The terms of t^r
+      phi_i are therefore those of phi_i with (n, r) appended to each
+      monomial, still sorted (phi_i itself when r = 0), and h_t^* phi_i ==
+      t^r phi_i is an equality of term dicts.
+    - On integers. Let D_i clear the denominators of phi_i, so that Phi_i =
+      D_i phi_i = sum_m c_m x^m has integer c_m and total degree K, and let
+      E clear those of the family's entries, H = E h. h_t^* is Q-linear and
+      multiplicative, so D_i E^K h_t^* phi_i = sum_m c_m E^(K - |m|) H^m,
+      and h_t^* phi_i = t^r phi_i holds exactly when sum_m c_m E^(K - |m|)
+      H^m = E^K t^r Phi_i: D_i E^K is not 0. Both sides are integer term
+      dicts, the left one pass of the substitution kernel for all the
+      coordinates at once.
+    - A coordinate with no term. Its derivative at theta is row i of C^-1
+      (proof in graded._invert_coordinate_change), which is not 0, so an
+      empty phi_i can only come from a wrong assembly. The check refuses
+      it by name as an EngineDefectError, where 0 = t^r 0 would pass.
 
     Each new coordinate is checked to scale exactly under every family, and
     the change of coordinates is inverted by the one inverse kernel,
@@ -604,19 +648,7 @@ def _joint_certificate(
     new_chart = GradedChart(name, tuple(new_vars))
     phi = PolyMap(chart, new_chart, {v: p for (v, _), p in zip(new_vars, pullbacks)})
 
-    # h_t^* p == t^r p, with t at index n_vars of h's extended chart, after
-    # every index of p's monomials
-    for i, h in enumerate(families):
-        hext = h.extended_chart
-        for (v, _), idx in zip(new_vars, orders):
-            p = phi.pullbacks[v]
-            r = idx[i]
-            scaled = {m + ((n_vars, r),): c for m, c in p.terms.items()} if r else p.terms
-            if p.substitute(h.entries, into=hext).terms != scaled:
-                raise NotGradedActionError(
-                    f"coordinate {v!r} does not scale by {h.param}^{idx[i]}"
-                )
-
+    _check_scaling(families, [(v, p.terms) for v, p in phi.pullbacks.items()], orders)
     return JointHomogenization(
         chart=new_chart,
         homogenizer=phi,
@@ -625,6 +657,51 @@ def _joint_certificate(
         theta=point,
         projections=projections,
     )
+
+
+def _check_scaling(
+    families: Sequence[ActionFamily],
+    coordinates: Sequence[tuple[str, Mapping[Monomial, Fraction | int]]],
+    orders: Sequence[tuple[int, ...]],
+) -> None:
+    """Refuse the named coordinates unless h_t^* phi_i = t^r phi_i exactly
+    for every family, r being the family's entry of phi_i's multi-index.
+
+    Decided on integers, with one pass of the substitution kernel
+    (wpoly._terms_substitute) per family; the identity is proved in
+    _homogenize_joint. A coordinate with no term is refused first, as an
+    EngineDefectError naming it: it can only come from a wrong assembly.
+    A coordinate that does not scale raises NotGradedActionError, at the
+    first family and then the first coordinate that fails.
+    """
+    n_vars = len(families[0].chart)
+    numerators = []  # per coordinate: D_i phi_i, and its total degree K_i
+    for v, terms in coordinates:
+        if not terms:
+            raise EngineDefectError(f"homogenizer coordinate {v!r} is identically zero")
+        ints, _ = _numerators(terms)
+        numerators.append((ints, max(_mono_total_degree(m) for m in ints)))
+    for i, h in enumerate(families):
+        entries = [h.entries[v].terms for v in h.chart.names]
+        e = lcm(*(c.denominator for terms in entries for c in terms.values()))
+        images = [
+            {m: c.numerator * (e // c.denominator) for m, c in terms.items()}
+            for terms in entries
+        ]  # H = E h
+        pushed = _terms_substitute(
+            [
+                {m: c * e ** (k - _mono_total_degree(m)) for m, c in ints.items()}
+                for ints, k in numerators
+            ],
+            images,
+        )
+        for (v, _), (ints, k), idx, got in zip(coordinates, numerators, orders, pushed):
+            tail = ((n_vars, idx[i]),) if idx[i] else ()
+            top = e**k
+            if got != {m + tail: c * top for m, c in ints.items()}:
+                raise NotGradedActionError(
+                    f"coordinate {v!r} does not scale by {h.param}^{idx[i]}"
+                )
 
 
 def detect_degree(

@@ -48,7 +48,7 @@ from .errors import (
 from .linalg import IntMatrix, Matrix
 from .wpoly import (
     Monomial, Terms, WPolynomial, _coefficient, _mono_total_degree, _terms_combine,
-    _terms_mul,
+    _terms_mul, _terms_substitute,
 )
 
 
@@ -206,8 +206,9 @@ def _compose_families(families: Sequence[ActionFamily], ext: GradedChart) -> lis
     (ext.index_of(param), k) with n = len(chart): the parameter is the last
     factor of any monomial that has it, and every parameter of ext comes
     after every chart index, so the monomial stays sorted. Each outer family
-    is substituted once, its chart variables by the composite so far and its
-    parameter by its ext variable.
+    is one pass of the substitution kernel (wpoly._terms_substitute) over all
+    its entries: its chart variables go to the composite so far and its
+    parameter, at index n of its extended chart, to its ext variable.
     """
     names = families[0].chart.names
     n_vars = len(names)
@@ -223,9 +224,8 @@ def _compose_families(families: Sequence[ActionFamily], ext: GradedChart) -> lis
             for terms in composite
         ]
     for h in reversed(families[:-1]):
-        sigma = {v: WPolynomial(ext, terms) for v, terms in zip(names, composite)}
-        sigma[h.param] = WPolynomial.variable(ext, h.param)
-        composite = [h.entries[v].substitute(sigma, into=ext).terms for v in names]
+        images = [*composite, {((ext.index_of(h.param), 1),): 1}]
+        composite = _terms_substitute([h.entries[v].terms for v in names], images)
     return composite
 
 
@@ -371,6 +371,13 @@ def _invert_coordinate_change(
       and the round is certified with no composite; otherwise the pass goes
       on. A pass that reaches its limit unsettled checks the composite
       x_k.then(phi), phi at the iterate.
+    - Settling is decided on T_k = trunc_k F. With base = theta + C y, x_k =
+      base - C T_k, and x_1 = base gives T_1 = 0. So x_k - x_(k-1) = C
+      (T_(k-1) - T_k). C is injective, since cinv C = I: C a = 0 gives a =
+      cinv C a = 0. Hence x_k = x_(k-1) exactly when T_k = T_(k-1). The pass
+      compares the T_k, and a settled round forms no x_k, as it equals
+      x_(k-1). The premise is what makes this exact, as it is for the
+      certificate.
     - One side proves both. phi o psi = id says psi^* o phi^* = id on Q[y],
       so psi^* : Q[x] -> Q[y] is onto. As x and y are equally many,
       renaming x to y makes psi^* a surjective endomorphism of Q[y]. A
@@ -456,46 +463,55 @@ def _picard_inverse(
     nonlinear: Sequence[WPolynomial],
     limit: int,
 ) -> tuple[PolyMap, bool]:
-    """Rounds k = 1 .. limit of x = theta + C (y - N(x)), truncated at degree k.
+    """Rounds k = 1 .. limit of x_k = base - C T_k, with base = theta + C y
+    and T_k = trunc_k N(x_(k-1)).
 
-    Returns the last iterate and whether it inverts phi. Round k substitutes
-    the previous iterate into N in full, giving F, before it truncates. A
-    round that settles is certified from F alone (the proof is in
-    _invert_coordinate_change): the iterate inverts phi exactly when F has
-    no term of total degree above k. A pass that reaches the limit
+    Returns the last iterate and whether it inverts phi. Round 1 is base,
+    with T_1 = 0. Round k >= 2 pushes every nonzero row of N through
+    x_(k-1) in one pass of the substitution kernel (wpoly._terms_substitute),
+    giving F, and reads T_k off F's terms. The round settles when T_k =
+    T_(k-1), which is exactly x_k = x_(k-1) (the proof is in
+    _invert_coordinate_change), so a settled round forms no iterate. It is
+    certified from F alone: the iterate inverts phi exactly when F has no
+    term of total degree above k. Otherwise x_k is base minus one linear
+    combination of the nonzero rows of T_k per coordinate, and only the
+    last iterate becomes WPolynomials. A pass that reaches the limit
     unsettled checks the composite candidate.then(phi).
-
-    Each iterate is one linear combination of term dicts per coordinate,
-    with theta in stored form, and trunc_k F is read off F's terms.
     """
     chart, new_chart = phi.source, phi.target
     names = chart.names
-    rhs = ys = [{((j, 1),): 1} for j in range(len(new_chart))]
-    start = [{(): _coefficient(theta[v])} if theta[v] else {} for v in names]
-    guesses: list[WPolynomial] = []
-    for k in range(1, limit + 1):
+    base = []  # theta + C y
+    for v, row in zip(names, basis):
+        terms = {((j, 1),): a for j, a in enumerate(row) if a}
+        if theta[v]:
+            terms[()] = _coefficient(theta[v])
+        base.append(terms)
+    columns = [[(j, -a) for j, a in enumerate(row) if a] for row in basis]  # -C
+    rows = [(j, n.terms) for j, n in enumerate(nonlinear) if n.terms]
+    iterate, trunc, settled = base, {}, False  # x_1 and T_1
+    for k in range(2, limit + 1):
+        pushed = _terms_substitute([n for _, n in rows], iterate)
         within = True  # no term of F above total degree k
-        if guesses:  # round 1 needs no substitution: N(theta) = 0
-            sigma = dict(zip(names, guesses))
-            rhs = []
-            for y, n in zip(ys, nonlinear):
-                if not n.terms:
-                    rhs.append(y)
-                    continue
-                pushed = n.substitute(sigma, into=new_chart).terms
-                kept = {m: c for m, c in pushed.items() if _mono_total_degree(m) <= k}
-                within = within and len(kept) == len(pushed)
-                rhs.append(_terms_combine(((-1, kept),), dict(y)))
-        updated = [
-            WPolynomial(new_chart, _terms_combine(zip(row, rhs), dict(t)))
-            for t, row in zip(start, basis)
-        ]
-        settled = updated == guesses
-        guesses = updated
+        previous, trunc = trunc, {}
+        for (j, _), f in zip(rows, pushed):
+            kept = {m: c for m, c in f.items() if _mono_total_degree(m) <= k}
+            within = within and len(kept) == len(f)
+            if kept:
+                trunc[j] = kept
+        settled = trunc == previous
         if settled and within:
-            return PolyMap(new_chart, chart, dict(zip(names, guesses))), True
-    candidate = PolyMap(new_chart, chart, dict(zip(names, guesses)))
-    return candidate, not settled and candidate.then(phi).is_identity()
+            break
+        if not settled:
+            iterate = [
+                _terms_combine(((a, trunc[j]) for j, a in col if j in trunc), dict(b))
+                for b, col in zip(base, columns)
+            ]
+    candidate = PolyMap(
+        new_chart, chart, {v: WPolynomial(new_chart, x) for v, x in zip(names, iterate)}
+    )
+    if settled:
+        return candidate, within
+    return candidate, candidate.then(phi).is_identity()
 
 
 def matrix_representation(psi: PolyMap) -> Matrix:

@@ -19,12 +19,21 @@ Euler route builds the weighted Euler operator as one _terms_combine of
 the parts x * df/dx, read off the exponents, and compares it with r times
 the original. The routes must agree; disagreement raises EngineDefectError
 since it can only come from a defect in this module.
+
+Substitution has one kernel, _terms_substitute. It pushes any number of
+term dicts through one list of images indexed by variable, with one cache
+of powers and monomial images shared by every polynomial of the call, and
+forms each result as one _terms_combine of c * image(m) over its terms c *
+m. WPolynomial.substitute is its validated public wrapper; the engine's
+certificate (the scaling check and the Picard rounds) and the family
+composites call it on term dicts directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import lcm
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .charts import GradedChart, fresh_name
 from .errors import ChartMismatchError, DomainError, EngineDefectError
@@ -88,6 +97,14 @@ def _coefficient(value: Fraction | int) -> Fraction | int:
     if type(value) is not Fraction:
         value = _exact(value)
     return value.numerator if value.denominator == 1 else value
+
+
+def _numerators(values: Mapping[Hashable, Fraction | int]) -> tuple[dict, int]:
+    """The values as integer numerators over their least common denominator
+    d, and d: value = numerator / d for every key. Ints and Fractions only,
+    so no Fraction arithmetic is done."""
+    d = lcm(*(c.denominator for c in values.values()))
+    return {k: c.numerator * (d // c.denominator) for k, c in values.items()}, d
 
 
 def _terms_mul(a: Terms, b: Terms) -> dict[Monomial, Fraction | int]:
@@ -158,15 +175,50 @@ def _terms_combine(
 
 
 def _terms_pow(a: Terms, n: int) -> Terms:
-    """The n-th power of a term dict by repeated squaring; n = 0 gives 1."""
-    result: Terms = {(): 1}
+    """The n-th power of a term dict by repeated squaring; n = 0 gives 1.
+
+    The first factor of the result is taken as it is, not multiplied by 1,
+    so n = 1 returns a itself and no product with the constant 1 is formed.
+    """
+    result: Terms | None = None
     while n:
         if n & 1:
-            result = _terms_mul(result, a)
+            result = a if result is None else _terms_mul(result, a)
         n >>= 1
         if n:
             a = _terms_mul(a, a)
-    return result
+    return {(): 1} if result is None else result
+
+
+def _terms_substitute(
+    polys: Iterable[Terms], images: Sequence[Terms]
+) -> list[dict[Monomial, Fraction | int]]:
+    """Each term dict of polys with every variable i replaced by images[i].
+
+    One cache serves every polynomial of the call: the powers images[i]^e,
+    and the image of every monomial met and of its prefixes, so a monomial's
+    image is its prefix's image times the power of its last factor. Each
+    result is one _terms_combine of c * image(m) over the terms c * m: no
+    product with a constant is formed and no second pass adds the parts.
+    Images are indexed only at the variables that occur, so the others may
+    be anything.
+    """
+    powers: dict[tuple[int, int], Terms] = {}
+    cache: dict[Monomial, Terms] = {(): {(): 1}}
+
+    def image(mono: Monomial) -> Terms:
+        got = cache.get(mono)
+        if got is None:
+            last = mono[-1]
+            power = powers.get(last)
+            if power is None:
+                i, e = last
+                power = powers[last] = images[i] if e == 1 else _terms_pow(images[i], e)
+            got = power if len(mono) == 1 else _terms_mul(image(mono[:-1]), power)
+            cache[mono] = got
+        return got
+
+    return [_terms_combine((c, image(m)) for m, c in terms.items()) for terms in polys]
 
 
 def weighted_degree(exponents: Mapping[str, int], chart: GradedChart) -> int:
@@ -447,7 +499,8 @@ class WPolynomial:
         """Replace every occurring variable by its assigned polynomial.
 
         All assigned polynomials must share one target chart; every variable
-        occurring in this polynomial must be assigned.
+        occurring in this polynomial must be assigned. The work is one call
+        of the kernel _terms_substitute.
         """
         target = into
         for var, p in sigma.items():
@@ -459,28 +512,11 @@ class WPolynomial:
                 raise ChartMismatchError("substitution images live on different charts")
         if target is None:
             raise DomainError("substitution into an unknown chart; pass `into`")
-        names = self.chart.names
         for var in self.variables():
             if var not in sigma:
                 raise DomainError(f"no assignment for variable {var!r}")
-        cache: dict[tuple[int, int], Terms] = {}
-
-        def power(i: int, e: int) -> Terms:
-            key = (i, e)
-            got = cache.get(key)
-            if got is None:
-                image = sigma[names[i]].terms
-                got = image if e == 1 else _terms_pow(image, e)
-                cache[key] = got
-            return got
-
-        acc: dict[Monomial, Fraction | int] = {}
-        for mono, c in self.terms.items():
-            prod: Terms = {(): c}
-            for i, e in mono:
-                prod = _terms_mul(prod, power(i, e))
-            _terms_add_into(acc, prod)
-        return WPolynomial(target, acc)
+        images = [sigma[v].terms if v in sigma else {} for v in self.chart.names]
+        return WPolynomial(target, _terms_substitute((self.terms,), images)[0])
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
         """Value at a rational point covering every occurring variable."""

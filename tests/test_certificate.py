@@ -19,10 +19,15 @@ the composite's Jacobian must give the same orders, basis and grid, and a
 pair that does not commute must be refused), and the object-level linear
 combinations of the homogenizer rows, the scaling check, N and the Picard
 iterates (the term-dict combinations must give the same coordinates,
-inverse, orders, verdicts and errors). The reference certificate inverts
-the basis matrix with linalg.inverse, the certificate reads C^-1 off the
-joint projections' rank factors; both must give the same results. A
-sympy check ties the joint projections to the products Q1_r Q2_s.
+inverse, orders, verdicts and errors), the Picard pass that built every
+iterate and settled on x_k = x_(k-1) (the pass that settles on T_k must
+give the same iterate and verdict at every limit), and the scaling check
+and h_0(theta) = theta on Fractions (the integer checks must give the same
+verdicts, on mutated coordinates and moved points too). The reference
+certificate inverts the basis matrix with linalg.inverse, the certificate
+reads C^-1 off the joint projections' rank factors; both must give the
+same results. A sympy check ties the joint projections to the products
+Q1_r Q2_s.
 
 The inverse kernel lives in gradua.graded, which runs the pass; action
 calls the kernel. The helpers that intercept a stage patch it in the
@@ -78,7 +83,7 @@ from gradua.linalg import (
     zeros,
 )
 from gradua.multigrade import bihomogenize, check_commuting
-from gradua.wpoly import WPolynomial, _coefficient, _terms_combine
+from gradua.wpoly import WPolynomial, _coefficient, _mono_total_degree, _terms_combine
 
 from helpers import (
     chained_family,
@@ -819,15 +824,29 @@ def test_weight0_coordinates_with_no_inverse_stop_at_the_bcw_bound(monkeypatch):
     family = ActionFamily(chart, "t", {"a": s + (u + s**2) ** 2, "b": u + s**2})
     assert verify_laws(family).monoid_ok
 
-    truncate = WPolynomial.truncate_total_degree
+    # round 1 is theta + C y; each round k >= 2 is one pass of the
+    # substitution kernel, so the pass's own calls count its rounds
+    rounds, inside = [1], []
+    picard, substitute = graded._picard_inverse, graded._terms_substitute
 
-    def at_most_8(self, bound):
-        assert bound <= 8, f"truncated at total degree {bound}"
-        return truncate(self, bound)
+    def one_pass(*args):
+        inside.append(True)
+        try:
+            return picard(*args)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(WPolynomial, "truncate_total_degree", at_most_8)
+    def one_round(polys, images):
+        if inside:
+            rounds.append(rounds[-1] + 1)
+            assert rounds[-1] <= 8, f"Picard round {rounds[-1]}"
+        return substitute(polys, images)
+
+    monkeypatch.setattr(graded, "_picard_inverse", one_pass)
+    monkeypatch.setattr(graded, "_terms_substitute", one_round)
     with pytest.raises(NotGradedActionError, match="total degree <= 8 "):
         homogenize(family)
+    assert rounds[-1] == 8
 
 
 # --- the kernel's checked premise ---------------------------------------------
@@ -1238,14 +1257,21 @@ def test_a_wrong_assembly_is_caught_by_the_checks(mutation, dressed, monkeypatch
     succeeds = sum(not isinstance(outcome(fn, *args), tuple) for fn, args in calls)
     name, mutate = MUTATIONS[mutation]
     monkeypatch.setattr(action, name, mutate(getattr(action, name)))
-    raised = {}
+    raised, messages = {}, []
     for fn, args in calls:
         with pytest.raises(GraduaError) as caught:
             fn(*args)
         kind = type(caught.value).__name__
         raised[kind] = raised.get(kind, 0) + 1
+        messages.append(str(caught.value))
     assert succeeds >= 100, succeeds
     assert sum(raised.values()) == len(calls), raised
+    if mutation == "unit moved":
+        # the moved unit empties some coordinates; the scaling check refuses
+        # each by name, before the inverse is tried
+        empty = re.compile(r"homogenizer coordinate '\w+' is identically zero")
+        assert sum(bool(empty.fullmatch(m)) for m in messages) >= 20, raised
+        assert not any("inverse" in m for m in messages), raised
 
 
 # --- the term-dict linear combinations ------------------------------------------
@@ -1518,3 +1544,169 @@ def test_terms_combine_drops_a_full_cancellation():
     assert _terms_combine([(2, x), (Fraction(-4, 2), x)]) == {}
     assert _terms_combine([(0, x)]) == {}
     assert _terms_combine([(Fraction(2), x)]) == {((0, 1),): 1, (): 6}
+
+
+# --- the Picard pass on T_k, and the checks on integers ---------------------------
+
+
+def previous_picard(phi, theta, basis, nonlinear, limit):
+    """The pass before it settled on T_k, kept as the reference: every round
+    substitutes x_(k-1) into each row of N with WPolynomial.substitute, builds
+    every iterate x_k = theta + C (y - trunc_k F) as WPolynomials and settles
+    on x_k = x_(k-1)."""
+    chart, new_chart = phi.source, phi.target
+    names = chart.names
+    rhs = ys = [{((j, 1),): 1} for j in range(len(new_chart))]
+    start = [{(): _coefficient(theta[v])} if theta[v] else {} for v in names]
+    guesses = []
+    for k in range(1, limit + 1):
+        within = True
+        if guesses:
+            sigma = dict(zip(names, guesses))
+            rhs = []
+            for y, n in zip(ys, nonlinear):
+                if not n.terms:
+                    rhs.append(y)
+                    continue
+                pushed = n.substitute(sigma, into=new_chart).terms
+                kept = {m: c for m, c in pushed.items() if _mono_total_degree(m) <= k}
+                within = within and len(kept) == len(pushed)
+                rhs.append(_terms_combine(((-1, kept),), dict(y)))
+        updated = [
+            WPolynomial(new_chart, _terms_combine(zip(row, rhs), dict(t)))
+            for t, row in zip(start, basis)
+        ]
+        settled = updated == guesses
+        guesses = updated
+        if settled and within:
+            return PolyMap(new_chart, chart, dict(zip(names, guesses))), True
+    candidate = PolyMap(new_chart, chart, dict(zip(names, guesses)))
+    return candidate, not settled and candidate.then(phi).is_identity()
+
+
+def pass_inputs(monkeypatch, family, theta):
+    """The arguments of the first Picard pass that homogenize(family, theta)
+    runs, whether or not it succeeds."""
+    seen = []
+    picard = graded._picard_inverse
+
+    def recording(*inputs):
+        seen.append(inputs)
+        return picard(*inputs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(graded, "_picard_inverse", recording)
+        outcome(homogenize, family, theta)
+    return seen[0]
+
+
+def test_picard_on_t_k_agrees_with_the_previous_pass_at_every_limit(dressed, monkeypatch):
+    """Every limit k gives the iterate and verdict of the pass that built
+    each x_k. A pass certified at round s returns there for every limit
+    from s on, so the rounds are run up to s and then at the case's own
+    limit; a pass that is never certified is run at every limit."""
+    rng = random.Random(53)
+    chained = [chained_family(rng, i % 3) for i in range(12)]
+    cases = dressed + chained + [(cubic_shear_family(), None), (broken_inverse_family(), None)]
+    seen = {"certified": 0, "settled above k": 0, "by the composite": 0, "never": 0}
+    for family, theta in cases:
+        phi, point, basis, nonlinear, limit = pass_inputs(monkeypatch, family, theta)
+        previous = None
+        for k in range(1, limit + 1):
+            got = graded._picard_inverse(phi, point, basis, nonlinear, k)
+            assert got == previous_picard(phi, point, basis, nonlinear, k)
+            if got[0] == previous and not got[1]:
+                seen["settled above k"] += 1
+            elif got[1] and k == 1:
+                seen["by the composite"] += 1
+            if got[1]:
+                seen["certified"] += 1
+                break
+            previous = got[0]
+        else:
+            seen["never"] += 1
+        got = graded._picard_inverse(phi, point, basis, nonlinear, limit)
+        assert got == previous_picard(phi, point, basis, nonlinear, limit)
+    assert seen["certified"] == len(cases) - 1 and seen["never"] == 1, seen
+    assert seen["settled above k"] >= 1 and seen["by the composite"] >= 1, seen
+
+
+def rational_scaling(families, coordinates, orders):
+    """The scaling check on Fractions, kept as the reference: h_t^* phi_i by
+    WPolynomial.substitute of the family's entries, against the terms of t^r
+    phi_i. It lets a zero coordinate pass, as 0 = t^r 0."""
+    chart = families[0].chart
+    n_vars = len(chart)
+    for i, h in enumerate(families):
+        for (v, terms), idx in zip(coordinates, orders):
+            p = WPolynomial(chart, terms)
+            r = idx[i]
+            scaled = {m + ((n_vars, r),): c for m, c in p.terms.items()} if r else p.terms
+            if p.substitute(h.entries, into=h.extended_chart).terms != scaled:
+                raise NotGradedActionError(
+                    f"coordinate {v!r} does not scale by {h.param}^{idx[i]}"
+                )
+
+
+def rational_fixes(h, point):
+    """h_0(point) = point, by Fraction evaluation of the parameter-0 map."""
+    return all(h._zero_map.pullbacks[v].evaluate(point) == point[v] for v in h.chart.names)
+
+
+def test_integer_checks_agree_with_the_rational_ones(dressed, monkeypatch):
+    """The scaling check and h_0(theta) = theta, decided on integers, give
+    the rational verdicts: on the certificate's own coordinates and theta,
+    on a coordinate with one coefficient moved, on a coordinate with an
+    added term, and on theta moved along one axis. A coordinate with no
+    term is the one difference: the integer check refuses it by name."""
+    rng = random.Random(59)
+    calls = [(family, theta) for family, theta in dressed]
+    calls += [((family, family.with_param("u")), theta) for family, theta in dressed[:10]]
+    calls += [(tuple(families), None) for families in joint_cases()[:20]]
+    seen = {"scales": 0, "refused": 0, "fixed": 0, "moved": 0}
+    checked = []
+    scaling = action._check_scaling
+
+    def recording(families, coordinates, orders):
+        checked.append((families, coordinates, orders))
+        return scaling(families, coordinates, orders)
+
+    monkeypatch.setattr(action, "_check_scaling", recording)
+    for families, theta in calls:
+        if isinstance(families, ActionFamily):
+            families = (families,)
+        checked.clear()
+        outcome(_joint_certificate, families, theta, "I_h")
+        if not checked:
+            continue
+        args = checked[0]
+        got = outcome(scaling, *args)
+        assert got == outcome(rational_scaling, *args)
+        seen["scales" if got is None else "refused"] += 1
+
+        families, coordinates, orders = args
+        i = rng.randrange(len(coordinates))
+        v, terms = coordinates[i]
+        for changed in (
+            {**terms, next(iter(terms)): terms[next(iter(terms))] + 1},
+            {**terms, ((rng.randrange(len(families[0].chart)), 3),): 1},
+        ):
+            mutated = [*coordinates[:i], (v, changed), *coordinates[i + 1:]]
+            got = outcome(scaling, families, mutated, orders)
+            assert got == outcome(rational_scaling, families, mutated, orders)
+            seen["scales" if got is None else "refused"] += 1
+        emptied = [*coordinates[:i], (v, {}), *coordinates[i + 1:]]
+        assert outcome(rational_scaling, families, emptied, orders) is None
+        with pytest.raises(EngineDefectError, match=f"^homogenizer coordinate '{v}' is identically zero$"):
+            scaling(families, emptied, orders)
+
+        point = _resolve_theta(families[0], theta)
+        v = rng.choice(families[0].chart.names)
+        moved = {**point, v: point[v] + rng.choice((1, Fraction(1, 3), -2))}
+        for h in families:
+            for at in (point, moved):
+                fixed = action._fixes(h, at)
+                assert fixed == rational_fixes(h, at)
+                seen["fixed" if fixed else "moved"] += 1
+    assert seen["scales"] >= 60 and seen["refused"] >= 80, seen
+    assert seen["fixed"] >= 80 and seen["moved"] >= 50, seen

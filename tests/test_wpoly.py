@@ -1,7 +1,9 @@
 """Core polynomial arithmetic: frozen values, algebraic laws, fused kernels.
 
 The reference kernels near the end are the object-level `__mul__`, `__pow__`
-and `substitute` that the fused term-dict kernels in gradua.wpoly replaced:
+and `substitute` that the fused term-dict kernels in gradua.wpoly replaced
+(the substitution kernel, _terms_substitute, takes several polynomials at
+once and is checked against one substitute per polynomial):
 Fraction running sums, one WPolynomial per factor. They are kept here only
 as the oracle, next to a sympy oracle for the same three operations. The
 object-level `is_homogeneous` and `euler`, which products, sums, lifts and
@@ -23,7 +25,9 @@ from gradua.errors import (
     EngineDefectError,
     UnknownVariableError,
 )
-from gradua.wpoly import WPolynomial, _exact, _mono_mul, monomial_basis, weighted_degree
+from gradua.wpoly import (
+    WPolynomial, _exact, _mono_mul, _terms_substitute, monomial_basis, weighted_degree,
+)
 
 V = GradedChart("V", (("x", 1), ("y", 2)))
 W = GradedChart("W", (("x1", 1), ("x2", 1), ("y", 2)))
@@ -500,6 +504,31 @@ def test_fused_substitute_matches_reference(case):
     got = f.substitute(sigma, into=target)
     assert_same(got, ref_substitute(f, sigma, target))
     assert_stored_form(got)
+
+
+@st.composite
+def shared_substitutions(draw):
+    """Several polynomials on one chart and one map of images: with
+    exponents up to 2 on small charts, they share monomials and powers."""
+    source = draw(st.sampled_from(KERNEL_CHARTS))
+    target = draw(st.sampled_from(KERNEL_CHARTS))
+    polys = draw(st.lists(raw_polynomials(source), min_size=1, max_size=4))
+    sigma = {v: draw(raw_polynomials(target)) for v in source.names}
+    return polys, sigma, target
+
+
+@settings(max_examples=150)
+@given(shared_substitutions())
+def test_one_shared_substitution_matches_one_substitute_per_polynomial(case):
+    polys, sigma, target = case
+    images = [sigma[v].terms for v in polys[0].chart.names]
+    got = _terms_substitute([p.terms for p in polys], images)
+    assert len(got) == len(polys)
+    for p, terms in zip(polys, got):
+        assert all(terms.values())  # cells that cancel are dropped
+        want = p.substitute(sigma, into=target)
+        assert_same(WPolynomial(target, terms), want)
+        assert_same(want, ref_substitute(p, sigma, target))
 
 
 def test_cancellation_to_zero_is_dropped():
