@@ -37,9 +37,11 @@ generator reads the t-derivatives at 1 with ActionFamily.at.
 The certificate's linear algebra stays in integer form (linalg.IntMatrix)
 from the joint projections to the inverse kernel's premise: the inverse of
 the basis matrix is read off the projections' rank factors, and Fractions
-are built only for the public projections, in the same pass. The checks
-that theta is fixed by h_0 (_fixes) and that every coordinate scales
-(_check_scaling) run on integer numerators too.
+are built only for the public projections, in the same pass. That every
+coordinate scales (_check_scaling) is decided by wpoly's one scaling
+kernel, the one WPolynomial.is_homogeneous runs for the standard action,
+on integer numerators too. That h_0 fixes theta is checked by evaluating
+h_0 at theta exactly.
 
 The homogenizer is inverted by graded's one inverse kernel,
 _invert_coordinate_change. Its pass, _picard_inverse, is imported here too,
@@ -72,8 +74,7 @@ from .graded import (  # noqa: F401
 )
 from .linalg import IntMatrix, Matrix
 from .wpoly import (
-    Monomial, WPolynomial, _coefficient, _exact, _mono_total_degree, _numerators,
-    _terms_combine, _terms_substitute,
+    Monomial, WPolynomial, _cleared, _coefficient, _exact, _scaling_failures, _terms_combine,
 )
 
 _ZERO = Fraction(0)
@@ -221,39 +222,11 @@ def _resolve_theta(
         unknown = set(theta) - set(chart.names)
         if unknown:
             raise DomainError(f"theta mentions unknown variables {sorted(unknown)}")
-    if not _fixes(h, point):
+    zero_map = h._zero_map.pullbacks
+    if any(zero_map[v].evaluate(point) != point[v] for v in chart.names):
         hint = "" if theta is not None else "; pass a fixed point of h_0"
         raise DomainError(f"theta is not fixed by the parameter-0 map{hint}")
     return point
-
-
-def _fixes(h: ActionFamily, point: Mapping[str, Fraction | int]) -> bool:
-    """Whether h_0 fixes the point (a value per chart variable), decided on
-    integers.
-
-    Write the pullback of v under h_0 (ActionFamily._zero_map) as sum_m C_m
-    x^m / E with integer C_m, and point = Theta / q with Theta integral.
-    With K at least 1 and at least every |m|, q^K E h_0(point)_v = sum_m C_m
-    Theta^m q^(K - |m|) and q^K E point_v = E Theta_v q^(K - 1), both
-    integers. As q^K E is not 0, h_0(point)_v = point_v exactly when they
-    are equal.
-    """
-    names = h.chart.names
-    big, q = _numerators(point)
-    values = [big[v] for v in names]
-    zero_map = h._zero_map.pullbacks
-    for v, target in zip(names, values):
-        terms, e = _numerators(zero_map[v].terms)
-        k = max([1, *map(_mono_total_degree, terms)])
-        total = 0
-        for m, c in terms.items():
-            for i, f in m:
-                c *= values[i] ** f
-            if c:
-                total += c * q ** (k - _mono_total_degree(m))
-        if total != e * target * q ** (k - 1):
-            return False
-    return True
 
 
 def base_projection(h: ActionFamily) -> PolyMap:
@@ -525,18 +498,9 @@ def _homogenize_joint(
       would give.
     - The scaling check (_check_scaling). A family's extended chart is the
       chart followed by its parameter t, so t has index n = len(chart),
-      above every index of a monomial over the chart. The terms of t^r
-      phi_i are therefore those of phi_i with (n, r) appended to each
-      monomial, still sorted (phi_i itself when r = 0), and h_t^* phi_i ==
-      t^r phi_i is an equality of term dicts.
-    - On integers. Let D_i clear the denominators of phi_i, so that Phi_i =
-      D_i phi_i = sum_m c_m x^m has integer c_m and total degree K, and let
-      E clear those of the family's entries, H = E h. h_t^* is Q-linear and
-      multiplicative, so D_i E^K h_t^* phi_i = sum_m c_m E^(K - |m|) H^m,
-      and h_t^* phi_i = t^r phi_i holds exactly when sum_m c_m E^(K - |m|)
-      H^m = E^K t^r Phi_i: D_i E^K is not 0. Both sides are integer term
-      dicts, the left one pass of the substitution kernel for all the
-      coordinates at once.
+      above every index of a monomial over the chart, and h_t^* phi_i =
+      t^r phi_i is decided by the scaling kernel, wpoly._scaling_failures,
+      whose docstring has the proof that its integer form is exact.
     - A coordinate with no term. Its derivative at theta is row i of C^-1
       (proof in graded._invert_coordinate_change), which is not 0, so an
       empty phi_i can only come from a wrong assembly. The check refuses
@@ -667,41 +631,28 @@ def _check_scaling(
     """Refuse the named coordinates unless h_t^* phi_i = t^r phi_i exactly
     for every family, r being the family's entry of phi_i's multi-index.
 
-    Decided on integers, with one pass of the substitution kernel
-    (wpoly._terms_substitute) per family; the identity is proved in
-    _homogenize_joint. A coordinate with no term is refused first, as an
-    EngineDefectError naming it: it can only come from a wrong assembly.
-    A coordinate that does not scale raises NotGradedActionError, at the
-    first family and then the first coordinate that fails.
+    One call of the scaling kernel (wpoly._scaling_failures) per family,
+    with t at index n = len(chart), where the family's extended chart puts
+    it, and the coordinates put over their denominators (wpoly._cleared)
+    once for all the families. A coordinate with no term is refused first, as an EngineDefectError
+    naming it: it can only come from a wrong assembly. A coordinate that
+    does not scale raises NotGradedActionError, at the first family and
+    then the first coordinate that fails.
     """
-    n_vars = len(families[0].chart)
-    numerators = []  # per coordinate: D_i phi_i, and its total degree K_i
     for v, terms in coordinates:
         if not terms:
             raise EngineDefectError(f"homogenizer coordinate {v!r} is identically zero")
-        ints, _ = _numerators(terms)
-        numerators.append((ints, max(_mono_total_degree(m) for m in ints)))
+    cleared = _cleared(terms for _, terms in coordinates)
+    n_vars = len(families[0].chart)
     for i, h in enumerate(families):
-        entries = [h.entries[v].terms for v in h.chart.names]
-        e = lcm(*(c.denominator for terms in entries for c in terms.values()))
-        images = [
-            {m: c.numerator * (e // c.denominator) for m, c in terms.items()}
-            for terms in entries
-        ]  # H = E h
-        pushed = _terms_substitute(
-            [
-                {m: c * e ** (k - _mono_total_degree(m)) for m, c in ints.items()}
-                for ints, k in numerators
-            ],
-            images,
-        )
-        for (v, _), (ints, k), idx, got in zip(coordinates, numerators, orders, pushed):
-            tail = ((n_vars, idx[i]),) if idx[i] else ()
-            top = e**k
-            if got != {m + tail: c * top for m, c in ints.items()}:
-                raise NotGradedActionError(
-                    f"coordinate {v!r} does not scale by {h.param}^{idx[i]}"
-                )
+        powers = [idx[i] for idx in orders]
+        images = [h.entries[v].terms for v in h.chart.names]
+        failures = _scaling_failures(cleared, powers, images, n_vars)
+        if failures:
+            v = coordinates[failures[0]][0]
+            raise NotGradedActionError(
+                f"coordinate {v!r} does not scale by {h.param}^{powers[failures[0]]}"
+            )
 
 
 def detect_degree(

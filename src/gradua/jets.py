@@ -11,11 +11,13 @@ ambiguous names.
 Prolonging a polynomial map pushes it to the adapted charts by substituting
 truncated Taylor curves and reading off coefficients; prolonging a parameter
 family does the same entrywise, keeping the family parameter inert. One
-prolongation builds the curves once, as term dicts, and substitutes every
-pullback (or every family entry) into them, once each. The curves carry
-integer coefficients, K!/k! at level k for order K, and each output term is
-rescaled once by k!/K!^d (d its degree in the jet variables), which the
-curves' linearity in the jet variables makes exact.
+prolongation builds the curves once, as integer term dicts indexed by
+variable, and pushes every pullback (or every family entry) through them in
+one pass of the substitution kernel, so all of them share its cache of
+monomial images. The curves carry integer coefficients, K!/k! at level k
+for order K, and each output term is rescaled by k!/K!^d (d its degree in
+the jet variables) in the pass that splits it by its power of the curve
+parameter, which the curves' linearity in the jet variables makes exact.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Mapping
 from .charts import GradedChart, fresh_name
 from .errors import DomainError
 from .graded import ActionFamily, PolyMap
-from .wpoly import WPolynomial
+from .wpoly import WPolynomial, _terms_substitute
 
 
 @dataclass(frozen=True)
@@ -101,13 +103,15 @@ def _taylor_components(
     polynomial of v is the value at target.jet_name(v, k).
 
     Every base variable is replaced by its level sum x + s*x'1 + s^2/2*x'2
-    + ... with a fresh curve parameter s; component k is k! times the s^k
+    + ... with a curve parameter s; component k is k! times the s^k
     coefficient. Extra weight-0 variables of the polynomials (a family
-    parameter, say) ride along untouched when named in inert. The curves
-    and charts are built once, for all the polynomials: the work chart is
-    the jet chart, then the inert variables, then s, so dropping the s
-    factor, the last of a sorted monomial, leaves a monomial of the result
-    chart with the same indices.
+    parameter, say), which follow the base variables in their chart, ride
+    along untouched when named in inert. The curves are term dicts indexed
+    by variable, built once, and every polynomial goes through them in one
+    pass of the substitution kernel (wpoly._terms_substitute). Their
+    monomials are over the result chart, the jet chart then the inert
+    variables, with s at the next index, so dropping the s factor, the last
+    of a sorted monomial, leaves a monomial of the result chart.
 
     The curves are integer: with K the order, each is K! times the Taylor
     curve, sum over k of (K!/k!) * s^k * x'k. Every curve is linear in the
@@ -116,51 +120,47 @@ def _taylor_components(
     the jet variables, each K!^d times the term the Taylor curves give.
     Each output term is therefore scaled once, by k!/K!^d, with k its power
     of s and d its degree in the jet variables (inert variables left out),
-    and the substitution itself forms no Fraction product from the curves.
+    in the pass that splits it by k, and the substitution itself forms no
+    Fraction product from the curves.
     """
     jet_chart = source.chart
-    s = fresh_name("s", jet_chart.names + inert)
     result_chart = jet_chart.extend(tuple((v, 0) for v in inert)) if inert else jet_chart
-    work = result_chart.extend(((s, 0),))
-    s_index = len(result_chart)
     jets = len(jet_chart)
+    s_index = len(result_chart)
+    n_base = len(source.source)
 
     order = source.order
     top = math.factorial(order)
-    sigma: dict[str, WPolynomial] = {}
-    for v in source.source.names:
-        curve = {}
-        for k in range(order + 1):
-            mono = ((jet_chart.index_of(source.jet_name(v, k)), 1),)
-            if k:
-                mono += ((s_index, k),)
-            curve[mono] = top // math.factorial(k)
-        sigma[v] = WPolynomial(work, curve)
-    for v in inert:
-        sigma[v] = WPolynomial.variable(work, v)
+    # the level-k variable of base variable i is at index k * n_base + i
+    images = [
+        {
+            ((k * n_base + i, 1), (s_index, k)) if k else ((i, 1),): top // math.factorial(k)
+            for k in range(order + 1)
+        }
+        for i in range(n_base)
+    ]
+    images += [{((jets + j, 1),): 1} for j in range(len(inert))]
 
+    names = target.source.names
+    pushed = _terms_substitute([polys[v].terms for v in names], images)
     factors: dict[tuple[int, int], Fraction] = {}
-
-    def rescaled(terms: dict, k: int) -> WPolynomial:
-        out = {}
-        for m, c in terms.items():
-            d = sum([e for i, e in m if i < jets])
+    components: dict[str, WPolynomial] = {}
+    for v, terms in zip(names, pushed):
+        by_power: list[dict] = [{} for _ in range(order + 1)]
+        for mono, c in terms.items():
+            k = 0
+            if mono and mono[-1][0] == s_index:
+                k = mono[-1][1]
+                if k > order:
+                    continue
+                mono = mono[:-1]
+            d = sum([e for i, e in mono if i < jets])
             factor = factors.get((k, d))
             if factor is None:
                 factor = factors[k, d] = Fraction(math.factorial(k), top**d)
-            out[m] = factor * c
-        return WPolynomial(result_chart, out)
-
-    components: dict[str, WPolynomial] = {}
-    for v in target.source.names:
-        by_power: list[dict] = [{} for _ in range(order + 1)]
-        for mono, c in polys[v].substitute(sigma, into=work).terms.items():
-            if not mono or mono[-1][0] != s_index:
-                by_power[0][mono] = c
-            elif mono[-1][1] <= order:
-                by_power[mono[-1][1]][mono[:-1]] = c
-        for k, terms in enumerate(by_power):
-            components[target.jet_name(v, k)] = rescaled(terms, k)
+            by_power[k][mono] = factor * c
+        for k, part in enumerate(by_power):
+            components[target.jet_name(v, k)] = WPolynomial(result_chart, part)
     return components
 
 

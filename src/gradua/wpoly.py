@@ -12,21 +12,27 @@ has weighted degree r.
 
 Homogeneity is always decided twice, by two independent routes, each on
 term dicts with no object-level product, sum or derivative. The scaling
-route substitutes t**weight * x for every variable x (one substitute, so it
-runs the product and power kernels) and compares the result with the term
-dict of t**r times the original, each monomial with t**r appended. The
-Euler route builds the weighted Euler operator as one _terms_combine of
-the parts x * df/dx, read off the exponents, and compares it with r times
-the original. The routes must agree; disagreement raises EngineDefectError
-since it can only come from a defect in this module.
+route runs the one scaling kernel, _scaling_failures, under the standard
+action x -> t**weight * x. The Euler route builds the weighted Euler
+operator as one _terms_combine of the parts x * df/dx, read off the
+exponents, and compares it with r times the original. The routes must
+agree; disagreement raises EngineDefectError since it can only come from a
+defect in this module.
 
 Substitution has one kernel, _terms_substitute. It pushes any number of
 term dicts through one list of images indexed by variable, with one cache
 of powers and monomial images shared by every polynomial of the call, and
 forms each result as one _terms_combine of c * image(m) over its terms c *
-m. WPolynomial.substitute is its validated public wrapper; the engine's
-certificate (the scaling check and the Picard rounds) and the family
-composites call it on term dicts directly.
+m. WPolynomial.substitute is its validated public wrapper; the Picard
+rounds, the family composites and the jet prolongations call it on term
+dicts directly.
+
+The scaling kernel decides h_t^* f = t^r f for any number of polynomials
+f and one family h_t given by its images, with t a variable index above
+every index of the f: one pass of the substitution kernel on integer
+numerators (_cleared), compared with the term dicts of t^r f. It serves
+is_homogeneous (the standard action) and the certificate's scaling check
+in action (any family).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .charts import GradedChart, fresh_name
+from .charts import GradedChart
 from .errors import ChartMismatchError, DomainError, EngineDefectError
 
 Rational = Fraction
@@ -221,6 +227,68 @@ def _terms_substitute(
     return [_terms_combine((c, image(m)) for m, c in terms.items()) for terms in polys]
 
 
+def _cleared(polys: Iterable[Terms]) -> list[tuple[dict[Monomial, int], int]]:
+    """Each term dict phi_i as its integer numerators over its least common
+    denominator, Phi_i = D_i phi_i, with its total degree K_i: the form in
+    which _scaling_failures takes its polynomials, built once however many
+    families they are checked under."""
+    return [
+        (ints, max(map(_mono_total_degree, ints)) if ints else 0)
+        for ints, _ in map(_numerators, polys)
+    ]
+
+
+def _scaling_failures(
+    cleared: Sequence[tuple[Terms, int]], powers: Sequence[int], images: Sequence[Terms], t: int
+) -> list[int]:
+    """The positions i at which h^* phi_i is not t^powers[i] phi_i, phi_i
+    given by _cleared and h^* replacing every variable j by images[j].
+
+    t is the index of the parameter, above every index of the phi_i, so the
+    terms of t^r phi_i are those of phi_i with (t, r) appended to each
+    monomial, still sorted (phi_i itself when r = 0), and the identity is an
+    equality of term dicts. It is decided on integers. _cleared gives Phi_i
+    = D_i phi_i = sum_m c_m x^m with integer c_m and total degree K; let E
+    clear the denominators of the images, H = E h. h^* is Q-linear and
+    multiplicative, so D_i E^K h^* phi_i = sum_m c_m E^(K - |m|) H^m, and
+    h^* phi_i = t^r phi_i holds exactly when sum_m c_m E^(K - |m|) H^m = E^K
+    t^r Phi_i: D_i E^K is not 0. Both sides are integer term dicts, the left
+    one pass of the substitution kernel for all the polynomials at once.
+    """
+    e = lcm(*(c.denominator for terms in images for c in terms.values()))
+    big = [{m: c.numerator * (e // c.denominator) for m, c in terms.items()} for terms in images]
+    pushed = _terms_substitute(
+        [
+            {m: c * e ** (k - _mono_total_degree(m)) for m, c in ints.items()}
+            for ints, k in cleared
+        ],
+        big,
+    )
+    failures = []
+    for i, ((ints, k), r, got) in enumerate(zip(cleared, powers, pushed)):
+        tail = ((t, r),) if r else ()
+        top = e**k
+        if got != {m + tail: c * top for m, c in ints.items()}:
+            failures.append(i)
+    return failures
+
+
+def _terms_euler(terms: Terms, weights: Sequence[int]) -> dict[Monomial, Fraction | int]:
+    """The weighted Euler operator sum(w_i * y_i * df/dy_i) of a term dict,
+    as one combination.
+
+    y_i * df/dy_i keeps every monomial that holds y_i and multiplies its
+    coefficient by the exponent of y_i, so each part is read off the
+    exponents with no product and no derivative; weight-0 parts are skipped
+    by the combination.
+    """
+    parts: dict[int, dict[Monomial, Fraction | int]] = {}
+    for mono, c in terms.items():
+        for i, e in mono:
+            parts.setdefault(i, {})[mono] = c * e
+    return _terms_combine((weights[i], part) for i, part in sorted(parts.items()))
+
+
 def weighted_degree(exponents: Mapping[str, int], chart: GradedChart) -> int:
     """Weight inner product sum(w_i * k_i) of an exponent assignment."""
     total = 0
@@ -400,23 +468,8 @@ class WPolynomial:
         return result
 
     def euler(self) -> WPolynomial:
-        """The weighted Euler operator sum(w_i * y_i * df/dy_i), as one
-        combination.
-
-        y_i * df/dy_i keeps every monomial that holds y_i and multiplies its
-        coefficient by the exponent of y_i, so each part is read off the
-        exponents with no product and no derivative; weight-0 parts are
-        skipped by the combination.
-        """
-        parts: dict[int, dict[Monomial, Fraction | int]] = {}
-        for mono, c in self.terms.items():
-            for i, e in mono:
-                parts.setdefault(i, {})[mono] = c * e
-        weights = self.chart.weights
-        return WPolynomial(
-            self.chart,
-            _terms_combine((weights[i], part) for i, part in sorted(parts.items())),
-        )
+        """The weighted Euler operator sum(w_i * y_i * df/dy_i), by _terms_euler."""
+        return WPolynomial(self.chart, _terms_euler(self.terms, self.chart.weights))
 
     # structure ------------------------------------------------------------
 
@@ -433,28 +486,21 @@ class WPolynomial:
     def is_homogeneous(self, r: int) -> bool:
         """True when the polynomial is weighted-homogeneous of degree r.
 
-        Decided by both the scaling-substitution route and the Euler-operator
-        route, each on term dicts; the zero polynomial is homogeneous of
-        every degree. The scaling route substitutes x_i -> t^(w_i) * x_i, t a
-        fresh last variable of the extended chart, and compares with the
-        term dict {m + ((n, r),): c}: appending t^r to a sorted monomial
-        keeps it sorted, as t's index n is the largest. The Euler route
-        compares euler() with {m: r * c}.
+        Decided by both the scaling route and the Euler-operator route, each
+        on term dicts; the zero polynomial is homogeneous of every degree.
+        The scaling route is the scaling kernel (_scaling_failures) under the
+        standard action x_i -> x_i * t^(w_i), t at index n = len(chart). The
+        Euler route compares _terms_euler, the term dict of euler(), with
+        {m: r * c}. No chart and no polynomial is built.
         """
         if r < 0:
             raise DomainError("homogeneity degree must be a natural number")
-        chart = self.chart
-        n = len(chart)
-        ext = chart.extend(((fresh_name("_t", chart.names), 0),))
-        names, weights = chart.names, chart.weights
-        sigma: dict[str, WPolynomial] = {}
-        for i in {i for mono in self.terms for i, _ in mono}:
-            w = weights[i]
-            sigma[names[i]] = WPolynomial(ext, {((i, 1), (n, w)) if w else ((i, 1),): 1})
-        scaled = self.substitute(sigma, into=ext)
-        tail = ((n, r),) if r else ()
-        by_scaling = scaled.terms == {m + tail: c for m, c in self.terms.items()}
-        by_euler = self.euler().terms == (
+        n = len(self.chart)
+        images = [
+            {((i, 1), (n, w)) if w else ((i, 1),): 1} for i, w in enumerate(self.chart.weights)
+        ]
+        by_scaling = not _scaling_failures(_cleared((self.terms,)), (r,), images, n)
+        by_euler = _terms_euler(self.terms, self.chart.weights) == (
             {m: c * r for m, c in self.terms.items()} if r else {}
         )
         if by_scaling != by_euler:

@@ -22,12 +22,13 @@ iterates (the term-dict combinations must give the same coordinates,
 inverse, orders, verdicts and errors), the Picard pass that built every
 iterate and settled on x_k = x_(k-1) (the pass that settles on T_k must
 give the same iterate and verdict at every limit), and the scaling check
-and h_0(theta) = theta on Fractions (the integer checks must give the same
-verdicts, on mutated coordinates and moved points too). The reference
-certificate inverts the basis matrix with linalg.inverse, the certificate
-reads C^-1 off the joint projections' rank factors; both must give the
-same results. A sympy check ties the joint projections to the products
-Q1_r Q2_s.
+on Fractions and h_0(theta) = theta on integers (the scaling kernel's
+integer check and the exact evaluation that replaced the integer one
+must give the same verdicts, on mutated coordinates and moved points
+too). The reference certificate inverts the basis matrix with
+linalg.inverse, the certificate reads C^-1 off the joint projections'
+rank factors; both must give the same results. A sympy check ties the
+joint projections to the products Q1_r Q2_s.
 
 The inverse kernel lives in gradua.graded, which runs the pass; action
 calls the kernel. The helpers that intercept a stage patch it in the
@@ -83,7 +84,9 @@ from gradua.linalg import (
     zeros,
 )
 from gradua.multigrade import bihomogenize, check_commuting
-from gradua.wpoly import WPolynomial, _coefficient, _mono_total_degree, _terms_combine
+from gradua.wpoly import (
+    WPolynomial, _coefficient, _mono_total_degree, _numerators, _terms_combine,
+)
 
 from helpers import (
     chained_family,
@@ -1648,17 +1651,43 @@ def rational_scaling(families, coordinates, orders):
                 )
 
 
-def rational_fixes(h, point):
-    """h_0(point) = point, by Fraction evaluation of the parameter-0 map."""
-    return all(h._zero_map.pullbacks[v].evaluate(point) == point[v] for v in h.chart.names)
+def integer_fixes(h, point):
+    """h_0(point) = point decided on integers, the route that exact
+    evaluation replaced, kept as the reference.
+
+    Write the pullback of v under h_0 (ActionFamily._zero_map) as sum_m C_m
+    x^m / E with integer C_m, and point = Theta / q with Theta integral.
+    With K at least 1 and at least every |m|, q^K E h_0(point)_v = sum_m C_m
+    Theta^m q^(K - |m|) and q^K E point_v = E Theta_v q^(K - 1), both
+    integers. As q^K E is not 0, h_0(point)_v = point_v exactly when they
+    are equal.
+    """
+    names = h.chart.names
+    big, q = _numerators(point)
+    values = [big[v] for v in names]
+    zero_map = h._zero_map.pullbacks
+    for v, target in zip(names, values):
+        terms, e = _numerators(zero_map[v].terms)
+        k = max([1, *map(_mono_total_degree, terms)])
+        total = 0
+        for m, c in terms.items():
+            for i, f in m:
+                c *= values[i] ** f
+            if c:
+                total += c * q ** (k - _mono_total_degree(m))
+        if total != e * target * q ** (k - 1):
+            return False
+    return True
 
 
 def test_integer_checks_agree_with_the_rational_ones(dressed, monkeypatch):
-    """The scaling check and h_0(theta) = theta, decided on integers, give
-    the rational verdicts: on the certificate's own coordinates and theta,
-    on a coordinate with one coefficient moved, on a coordinate with an
-    added term, and on theta moved along one axis. A coordinate with no
-    term is the one difference: the integer check refuses it by name."""
+    """The scaling check, decided on integers by the scaling kernel, gives
+    the rational verdicts, and h_0(theta) = theta, decided by exact
+    evaluation in _resolve_theta, gives the verdicts of the integer route
+    it replaced: on the certificate's own coordinates and theta, on a
+    coordinate with one coefficient moved, on a coordinate with an added
+    term, and on theta moved along one axis. A coordinate with no term is
+    the one difference: the integer scaling check refuses it by name."""
     rng = random.Random(59)
     calls = [(family, theta) for family, theta in dressed]
     calls += [((family, family.with_param("u")), theta) for family, theta in dressed[:10]]
@@ -1703,10 +1732,11 @@ def test_integer_checks_agree_with_the_rational_ones(dressed, monkeypatch):
         point = _resolve_theta(families[0], theta)
         v = rng.choice(families[0].chart.names)
         moved = {**point, v: point[v] + rng.choice((1, Fraction(1, 3), -2))}
+        refused = (DomainError, "theta is not fixed by the parameter-0 map")
         for h in families:
             for at in (point, moved):
-                fixed = action._fixes(h, at)
-                assert fixed == rational_fixes(h, at)
+                fixed = outcome(_resolve_theta, h, at) != refused
+                assert fixed == integer_fixes(h, at)
                 seen["fixed" if fixed else "moved"] += 1
     assert seen["scales"] >= 60 and seen["refused"] >= 80, seen
     assert seen["fixed"] >= 80 and seen["moved"] >= 50, seen

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradua import jets
 from gradua.action import verify_laws
 from gradua.charts import GradedChart, fresh_name
 from gradua.errors import DomainError
@@ -342,15 +343,16 @@ def test_prolong_of_a_ticked_chart_matches_the_reference():
 
 @pytest.mark.parametrize("order", range(6))
 def test_taylor_curves_hold_only_integer_coefficients(order, monkeypatch):
-    """The curves are K! times the Taylor curves (K the order), so the
-    substitutions form no Fraction product from them; the inert parameter
-    maps to itself."""
-    images = []
-    original = WPolynomial.substitute
+    """One pass of the substitution kernel per prolongation, over every
+    pullback or entry. The curves are K! times the Taylor curves (K the
+    order), so the pass forms no Fraction product from them; the inert
+    parameter maps to itself, the variable that follows the jet chart."""
+    passes = []
+    original = jets._terms_substitute
 
-    def recording(self, sigma, into=None):
-        images.append(sigma)
-        return original(self, sigma, into)
+    def recording(polys, images):
+        passes.append((list(polys), images))
+        return original(polys, images)
 
     rng = random.Random(order)
     chart = GradedChart("C", (("a", 0), ("x", 1), ("y", 2)))
@@ -358,16 +360,19 @@ def test_taylor_curves_hold_only_integer_coefficients(order, monkeypatch):
     phi = PolyMap(chart, chart, {v: _random_poly(rng, chart) for v in chart.names})
     t = WPolynomial.variable(ext, "t")
     family = ActionFamily(chart, "t", {v: _random_poly(rng, ext) * t for v in chart.names})
-    monkeypatch.setattr(WPolynomial, "substitute", recording)
+    monkeypatch.setattr(jets, "_terms_substitute", recording)
     prolong(phi, order)
-    prolong_action(family, order)
-    assert len(images) == 2 * len(chart)  # one substitution per pullback or entry
+    lifted = prolong_action(family, order)
+    assert len(passes) == 2  # one per prolongation
+    assert [len(polys) for polys, _ in passes] == [len(chart)] * 2
+    assert [len(images) for _, images in passes] == [len(chart), len(chart) + 1]
     top = math.factorial(order)
-    for sigma in images:
-        for v in chart.names:
-            assert sorted(sigma[v].terms.values()) == sorted(
+    for _, images in passes:
+        for curve in images[: len(chart)]:
+            assert sorted(curve.values()) == sorted(
                 top // math.factorial(k) for k in range(order + 1)
             )
-        assert all(type(c) is int for p in sigma.values() for c in p.terms.values())
-    for sigma in images[len(chart):]:
-        assert sigma["t"] == WPolynomial.variable(sigma["t"].chart, "t")
+        assert all(type(c) is int for image in images for c in image.values())
+    t_index = lifted.extended_chart.index_of("t")
+    assert t_index == len(lifted.chart)
+    assert passes[1][1][len(chart)] == {((t_index, 1),): 1}

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradua import action, cli, graded, jets, linalg, multigrade
+from gradua import action, cli, graded, jets, linalg, multigrade, wpoly
 from gradua.action import analyze, homogenize
 from gradua.charts import GradedChart
 from gradua.dsl import parse
@@ -174,20 +174,20 @@ def test_check_morphism_decides_gradedness_once(monkeypatch):
 
 
 def test_check_morphism_makes_no_object_level_product_or_derivative(monkeypatch):
-    """is_homogeneous's scaling route is one substitution compared with a
-    term dict, its Euler route one term-dict combination, and the matrix
-    multiplies term dicts: no WPolynomial product, sum, lift, scaling or
-    derivative, on a graded map and on one that is not graded."""
-    methods = ("__mul__", "__add__", "lift", "differentiate", "scale")
+    """is_homogeneous's scaling route is one pass of the scaling kernel,
+    its Euler route one term-dict combination, and the matrix multiplies
+    term dicts: no WPolynomial product, sum, lift, scaling, derivative or
+    substitute, on a graded map and on one that is not graded."""
+    methods = ("__mul__", "__add__", "lift", "differentiate", "scale", "substitute")
     calls = {name: _count_calls(monkeypatch, WPolynomial, name) for name in methods}
-    substitutions = _count_calls(monkeypatch, WPolynomial, "substitute")
+    passes = _count_calls(monkeypatch, wpoly, "_scaling_failures")
     for map_name, is_graded in (("psi", True), ("bad", False)):
         program = parse(GRADED_SHEAR + NOT_GRADED + f"check-morphism {map_name}\n")
-        substitutions.clear()
+        passes.clear()
         (entry,) = cli.run(program).results
         assert entry["graded"] is is_graded
         assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(methods, 0)
-        assert len(substitutions) == 3  # the scaling route, once per target variable
+        assert len(passes) == 3  # the scaling route, once per target variable
 
 
 def test_analyze_inverts_one_matrix(monkeypatch):
@@ -289,11 +289,41 @@ def test_invert_automorphism_runs_one_picard_pass(monkeypatch):
 
 
 def test_prolong_substitutes_the_curves_once(monkeypatch):
+    """One set of curves per prolongation, and no chart beyond the result's:
+    the curves are term dicts, with no work chart for the curve parameter."""
     program = parse(GRADED_SHEAR)
     calls = _count_calls(monkeypatch, jets, "_taylor_components")
+    charts = _count_calls(monkeypatch, GradedChart, "__post_init__")
     lifted = jets.prolong(program.maps()["psi"], 4)
     assert len(lifted.pullbacks) == 15
     assert len(calls) == 1
+    assert [c for c, in charts] == [lifted.source, lifted.target]
+
+    family, _ = conjugated_action(random.Random(9), GradedChart("P", (("x1", 1), ("y1", 2))))
+    charts.clear()
+    lifted = jets.prolong_action(family, 2)
+    assert {c for c, in charts} == {lifted.chart, lifted.extended_chart}
+
+
+def test_is_homogeneous_builds_no_chart_and_no_polynomial(monkeypatch):
+    """Both routes of is_homogeneous run on term dicts: the scaling kernel
+    takes the standard action's images indexed by variable, so neither an
+    extended chart nor an image or Euler polynomial is built."""
+    chart = GradedChart("C", (("a", 0), ("x", 1), ("y", 2)))
+    a, x, y = (WPolynomial.variable(chart, v) for v in chart.names)
+    polys = [
+        x * x * a + y * Fraction(1, 3), y * x + x, WPolynomial.zero(chart), a * 5 - 1
+    ]
+    charts = _count_calls(monkeypatch, GradedChart, "__post_init__")
+    built = _count_constructions(monkeypatch)
+    verdicts = [[p.is_homogeneous(r) for r in range(4)] for p in polys]
+    assert verdicts == [
+        [False, False, True, False],
+        [False, False, False, False],
+        [True] * 4,
+        [True, False, False, False],
+    ]
+    assert (charts, built) == ([], [])
 
 
 def test_flip_round_trip_substitutes_nothing(monkeypatch):
