@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedChartError,
 )
 from .graded import ActionFamily, PolyMap, compose, standard_action
-from .wpoly import Rational, WPolynomial, monomial_basis, weighted_degree
+from .wpoly import WPolynomial, monomial_basis, weighted_degree
 
 __all__ = [
     "ActionFamily",
@@ -40,7 +40,6 @@ __all__ = [
     "NotInvertibleError",
     "ParseError",
     "PolyMap",
-    "Rational",
     "ResourceLimitError",
     "SingularMatrixError",
     "UnknownVariableError",

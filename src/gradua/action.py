@@ -15,7 +15,10 @@ powers of t. That change of coordinates (the homogenizer) is built, checked
 exactly, and inverted; its existence is what makes the family a grading in
 disguise. k commuting families are homogenized the same way, at once: the
 t_1^m_1 ... t_k^m_k coefficients of their composite's derivative at theta
-are the joint projections, and one pipeline serves every k.
+are the joint projections, and one pipeline serves every k. Its first
+stage, from theta to the joint projections, is one function, _first_stage,
+and taylor_projections is that stage for one family. The degree of a
+family is the degree of its homogenized chart, analyze(h).degree.
 
 The checked homogenizer is also the certificate of the laws: a family that
 acts by plain powers of t in polynomial coordinates with a polynomial
@@ -32,7 +35,10 @@ The composites these checks compare, h_t o h_s for the laws, both orders of
 two families for commutation and all k families for the homogenizer, come
 from graded._compose_families. The parameter of a family is never renamed or
 evaluated by substitution: h_(ts) is a term map, and the infinitesimal
-generator reads the t-derivatives at 1 with ActionFamily.at.
+generator reads the t-derivatives at 1 with ActionFamily.at. The converse
+route, reconstruct_entries, conjugates the model family y_i -> t^(w_i) y_i
+(wpoly._scaling_terms) back through the homogenizer and its inverse, in
+two passes of the substitution kernel.
 
 The certificate's linear algebra stays in integer form (linalg.IntMatrix)
 from the joint projections to the inverse kernel's premise: the inverse of
@@ -74,7 +80,8 @@ from .graded import (  # noqa: F401
 )
 from .linalg import IntMatrix, Matrix
 from .wpoly import (
-    Monomial, WPolynomial, _cleared, _coefficient, _exact, _scaling_failures, _terms_combine,
+    Monomial, WPolynomial, _cleared, _coefficient, _exact, _scaling_failures, _scaling_terms,
+    _terms_combine, _terms_substitute,
 )
 
 _ZERO = Fraction(0)
@@ -315,14 +322,35 @@ def taylor_projections(
 
     Q_r is 1/r! times the r-th t-derivative of the derivative H(t) at t=0,
     which for polynomial entries is just the t^r coefficient matrix. These
-    are the one-family joint projections of _joint_certificate, with its
-    checks (_projections).
+    are the one-family joint projections of _joint_certificate, from its
+    first stage (_first_stage), with its checks (_projections).
     """
-    point = _resolve_theta(h, theta)
-    names = h.chart.names
-    parts = _split([h.entries[v].terms for v in names], len(names), 1)
-    coeffs = _jacobian_coefficients(parts, [_coefficient(point[v]) for v in names])
-    return tuple(_projections(coeffs, 1)[0].values())
+    return tuple(_first_stage((h,), theta)[3].values())
+
+
+def _first_stage(
+    families: Sequence[ActionFamily], theta: Mapping[str, Fraction | int] | None
+) -> tuple[dict[str, Fraction], list, list, dict, dict]:
+    """The certificate's first stage, for any number of families.
+
+    Returns theta, checked to be fixed by every family's h_0
+    (_resolve_theta); theta in stored form, one value per chart variable;
+    the families' composite (graded._compose_families), split once by
+    multi-index (_split); and the joint projections on the grid with each
+    nonzero one factored (_projections), read off the composite's
+    derivative at theta (_jacobian_coefficients). The composite applies the
+    last family first, and its chart lists the parameters in that order.
+    """
+    chart = families[0].chart
+    point = _resolve_theta(families[0], theta)
+    for h in families[1:]:
+        _resolve_theta(h, theta)
+    values = [_coefficient(point[v]) for v in chart.names]
+    k = len(families)
+    ext = chart.extend(tuple((h.param, 0) for h in reversed(families)))
+    parts = _split(_compose_families(families, ext), len(chart), k)
+    projections, factored = _projections(_jacobian_coefficients(parts, values), k)
+    return point, values, parts, projections, factored
 
 
 def _projections(
@@ -561,19 +589,8 @@ def _joint_certificate(
 ) -> JointHomogenization:
     """The construction and exact checks of _homogenize_joint, unexplained."""
     chart = families[0].chart
-    point = _resolve_theta(families[0], theta)
-    for h in families[1:]:
-        _resolve_theta(h, theta)
-    n_vars = len(chart)
-    values = [_coefficient(point[v]) for v in chart.names]
-
-    # the composite applies the last family first; its chart lists the
-    # parameters in that order
-    params = [h.param for h in families]
-    k = len(params)
-    ext = chart.extend(tuple((t, 0) for t in reversed(params)))
-    parts = _split(_compose_families(families, ext), n_vars, k)
-    projections, factored = _projections(_jacobian_coefficients(parts, values), k)
+    k = len(families)
+    point, values, parts, projections, factored = _first_stage(families, theta)
 
     # C: the pivot columns of each nonzero P_m; C^-1: their rank factors
     # stacked in the same order; each as integer rows over one denominator
@@ -655,30 +672,22 @@ def _check_scaling(
             )
 
 
-def detect_degree(
-    h: ActionFamily, theta: Mapping[str, Fraction | int] | None = None
-) -> int:
-    """Largest weight of the homogenized chart."""
-    return homogenize(h, theta).chart.degree
-
-
 def reconstruct_entries(hom: Homogenization, h: ActionFamily) -> dict[str, WPolynomial]:
     """Entries of the family conjugated from the standard one by hom.
 
-    Pull each original variable back through the inverse change, scale the
-    new coordinates by their powers of t, and push through the homogenizer.
-    For a correct homogenization this reproduces h exactly.
+    h_t^* x_v = psi_v(t^w phi), phi the homogenizer and psi its inverse, in
+    two passes of the substitution kernel on term dicts. The model family
+    y_i -> t^(w_i) y_i of the homogenized chart (wpoly._scaling_terms) goes
+    through phi, with its parameter sent to the parameter of h's extended
+    chart, giving t^(w_i) phi_i; then each psi_v goes through those. For a
+    correct homogenization this reproduces h exactly.
     """
-    ext = h.extended_chart
-    tvar = WPolynomial.variable(ext, h.param)
-    scaled = {
-        v: phi_p.lift(ext) * tvar ** hom.chart.weight_of(v)
-        for v, phi_p in hom.homogenizer.pullbacks.items()
-    }
-    out = {}
-    for v in h.chart.names:
-        out[v] = hom.inverse.pullbacks[v].substitute(scaled, into=ext)
-    return out
+    names = h.chart.names
+    phi, psi = hom.homogenizer.pullbacks, hom.inverse.pullbacks
+    images = [*(phi[y].terms for y in hom.chart.names), {((len(names), 1),): 1}]
+    scaled = _terms_substitute(_scaling_terms(hom.chart.weights), images)
+    rebuilt = _terms_substitute([psi[v].terms for v in names], scaled)
+    return {v: WPolynomial(h.extended_chart, terms) for v, terms in zip(names, rebuilt)}
 
 
 def extend_negative(

@@ -77,10 +77,9 @@ class GradedChart:
     def weight_of(self, var: str) -> int:
         return self.variables[self.index_of(var)][1]
 
-    def extend(self, extra: Iterable[VarSpec], name: str | None = None) -> GradedChart:
+    def extend(self, extra: Iterable[VarSpec]) -> GradedChart:
         """Chart with extra variables appended; existing positions are kept."""
-        extra = tuple(extra)
-        return GradedChart(name or self.name, self.variables + extra)
+        return GradedChart(self.name, self.variables + tuple(extra))
 
     def restrict(self, keep: Sequence[str], name: str | None = None) -> GradedChart:
         """Sub-chart with the named variables, in declaration order."""

@@ -6,8 +6,11 @@ or `compose(a, b)` meaning "apply a first, then b"; the pullback of the
 composite substitutes a's pullbacks into b's.
 
 An ActionFamily is a one-parameter family of self-maps whose entries are
-polynomials in the chart variables and one formal parameter. The standard
-family scales every variable by t**weight and fixes weight-0 variables.
+polynomials in the chart variables and one formal parameter. The model
+family x_i -> t**p_i * x_i has one builder, _scaling_family, on the term
+dicts of wpoly._scaling_terms: the standard family (p_i the weights, so
+weight-0 variables stay fixed) and jets.jet_action (p_i the jet levels)
+are both made by it.
 The parameter is the last variable of the family's extended chart, so it is
 the last factor of every monomial that has it: ActionFamily.at evaluates it
 and with_param renames it without substituting. Composites of families,
@@ -47,8 +50,8 @@ from .errors import (
 )
 from .linalg import IntMatrix, Matrix
 from .wpoly import (
-    Monomial, Terms, WPolynomial, _coefficient, _mono_total_degree, _terms_combine,
-    _terms_mul, _terms_substitute,
+    Monomial, Terms, WPolynomial, _coefficient, _mono_total_degree, _scaling_terms,
+    _terms_combine, _terms_mul, _terms_substitute,
 )
 
 
@@ -78,14 +81,6 @@ class PolyMap:
     def identity(cls, chart: GradedChart) -> PolyMap:
         return cls(chart, chart, {v: WPolynomial.variable(chart, v) for v in chart.names})
 
-    def pull(self, f: WPolynomial) -> WPolynomial:
-        """Pullback of a polynomial on the target chart."""
-        if f.chart is not self.target and f.chart != self.target:
-            raise ChartMismatchError(
-                f"polynomial lives on {f.chart.name!r}, expected {self.target.name!r}"
-            )
-        return f.substitute(self.pullbacks, into=self.source)
-
     def then(self, other: PolyMap) -> PolyMap:
         """The composite map: this one first, then `other`."""
         if self.target is not other.source and self.target != other.source:
@@ -93,10 +88,11 @@ class PolyMap:
                 f"cannot compose: {self.source.name!r}->{self.target.name!r} "
                 f"then {other.source.name!r}->{other.target.name!r}"
             )
+        pullbacks = self.pullbacks
         return PolyMap(
             self.source,
             other.target,
-            {v: self.pull(p) for v, p in other.pullbacks.items()},
+            {v: p.substitute(pullbacks, into=self.source) for v, p in other.pullbacks.items()},
         )
 
     def is_identity(self) -> bool:
@@ -229,16 +225,21 @@ def _compose_families(families: Sequence[ActionFamily], ext: GradedChart) -> lis
     return composite
 
 
-def standard_action(chart: GradedChart, param: str = "t") -> ActionFamily:
-    """Scale each variable by param**weight; weight-0 variables stay fixed."""
+def _scaling_family(chart: GradedChart, powers: Sequence[int], param: str) -> ActionFamily:
+    """The family x_i -> param**powers[i] * x_i, param made fresh for chart.
+
+    The entries are the term dicts of wpoly._scaling_terms: the parameter is
+    at index len(chart), where the extended chart puts it.
+    """
     param = fresh_name(param, chart.names)
     ext = chart.extend(((param, 0),))
-    tvar = WPolynomial.variable(ext, param)
-    entries = {
-        v: tvar ** chart.weight_of(v) * WPolynomial.variable(ext, v)
-        for v in chart.names
-    }
-    return ActionFamily(chart, param, entries)
+    terms = _scaling_terms(powers)
+    return ActionFamily(chart, param, {v: WPolynomial(ext, m) for v, m in zip(chart.names, terms)})
+
+
+def standard_action(chart: GradedChart, param: str = "t") -> ActionFamily:
+    """Scale each variable by param**weight; weight-0 variables stay fixed."""
+    return _scaling_family(chart, chart.weights, param)
 
 
 def is_graded_morphism(psi: PolyMap) -> bool:

@@ -6,7 +6,12 @@ expansion; the level-j variable carries weight w + j. Level-0 variables keep
 their names, level-j variables get a tick marker and the level as suffix
 (x'1, x'2, ...). The marker grows by one tick whenever the underlying names
 already contain ticks, so iterated adaptation never produces colliding or
-ambiguous names.
+ambiguous names. The marker is read off the chart's names, so a chart has
+one adapted chart per order.
+
+The level scaling (jet_action), each level-k variable times t^k, is the
+model family x_i -> t**p_i * x_i with the levels as powers, built by
+graded._scaling_family, the builder of the standard action too.
 
 Prolonging a polynomial map pushes it to the adapted charts by substituting
 truncated Taylor curves and reading off coefficients; prolonging a parameter
@@ -27,9 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .charts import GradedChart, fresh_name
+from .charts import GradedChart
 from .errors import DomainError
-from .graded import ActionFamily, PolyMap
+from .graded import ActionFamily, PolyMap, _scaling_family
 from .wpoly import WPolynomial, _terms_substitute
 
 
@@ -70,12 +75,11 @@ def _tick_marker(names: tuple[str, ...]) -> str:
     return "'" * (longest + 1)
 
 
-def adapt(chart: GradedChart, order: int, marker: str | None = None) -> AdaptedChart:
+def adapt(chart: GradedChart, order: int) -> AdaptedChart:
     """Chart of jets up to the given level, ordered level-major."""
     if order < 0:
         raise DomainError("jet order must be nonnegative")
-    if marker is None:
-        marker = _tick_marker(chart.names)
+    marker = _tick_marker(chart.names)
     variables: list[tuple[str, int]] = []
     jet_orders: list[int] = []
     base_names: list[str] = []
@@ -182,15 +186,10 @@ def jet_action(ac: AdaptedChart, param: str = "t") -> ActionFamily:
 
     Levels, not chart weights, drive the scaling; on the adapted chart of a
     graded chart this is a second, independent family alongside the one the
-    underlying weights induce.
+    underlying weights induce. It is the model family of graded's one
+    builder, _scaling_family, with the levels as powers.
     """
-    param = fresh_name(param, ac.chart.names)
-    ext = ac.chart.extend(((param, 0),))
-    tvar = WPolynomial.variable(ext, param)
-    entries = {}
-    for name, level in zip(ac.chart.names, ac.jet_orders):
-        entries[name] = WPolynomial.variable(ext, name) * tvar**level
-    return ActionFamily(ac.chart, param, entries)
+    return _scaling_family(ac.chart, ac.jet_orders, param)
 
 
 def iota(order: int, chart: GradedChart) -> PolyMap:
@@ -223,7 +222,7 @@ def jet_projection(ac: AdaptedChart, order: int) -> PolyMap:
     """
     if order < 0 or order > ac.order:
         raise DomainError(f"target level {order} outside 0..{ac.order}")
-    low = adapt(ac.source, order, ac.marker)
+    low = adapt(ac.source, order)
     pullbacks = {
         v: WPolynomial.variable(ac.chart, v) for v in low.chart.names
     }

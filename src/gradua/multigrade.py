@@ -12,12 +12,12 @@ suggests.
 
 The checked joint coordinates certify that the families commute and give
 the degree of their total action (the argument is in
-action._homogenize_joint, which serves any number of families). Its record,
-action.JointHomogenization, is the Bihomogenization of two families. The
-direct check, check_commuting, lives in action, which runs it only to
-explain a failure; it is re-exported here. The total family renames both
-families to one parameter and composes them with graded._compose_families,
-the builder of every family composite.
+action._homogenize_joint, which serves any number of families).
+bihomogenize returns that routine's record, action.JointHomogenization,
+under its one name. The direct check, check_commuting, lives in action,
+which runs it only to explain a failure; it is re-exported here. The total
+family renames both families to one parameter and composes them with
+graded._compose_families, the builder of every family composite.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from .charts import GradedChart
 from .graded import ActionFamily, PolyMap, _compose_families
 from .jets import adapt
 from .wpoly import WPolynomial
-
-# the record of the joint homogenization, for two families
-Bihomogenization = JointHomogenization
 
 
 def total_action(
@@ -61,7 +58,7 @@ def bihomogenize(
     h1: ActionFamily,
     h2: ActionFamily,
     theta: Mapping[str, Fraction | int] | None = None,
-) -> Bihomogenization:
+) -> JointHomogenization:
     """Joint coordinates scaling by t**r under h1 and u**s under h2.
 
     The two-family case of action._homogenize_joint: the order-(r, s)

@@ -13,11 +13,13 @@ has weighted degree r.
 Homogeneity is always decided twice, by two independent routes, each on
 term dicts with no object-level product, sum or derivative. The scaling
 route runs the one scaling kernel, _scaling_failures, under the standard
-action x -> t**weight * x. The Euler route builds the weighted Euler
-operator as one _terms_combine of the parts x * df/dx, read off the
-exponents, and compares it with r times the original. The routes must
-agree; disagreement raises EngineDefectError since it can only come from a
-defect in this module.
+action x -> t**weight * x, whose images come from _scaling_terms, the one
+builder of the model family x_i -> t**p_i * x_i (graded's standard action
+and jets' level scaling are built from it too). The Euler route builds
+the weighted Euler operator as one _terms_combine of the parts x * df/dx,
+read off the exponents, and compares it with r times the original. The
+routes must agree; disagreement raises EngineDefectError since it can only
+come from a defect in this module.
 
 Substitution has one kernel, _terms_substitute. It pushes any number of
 term dicts through one list of images indexed by variable, with one cache
@@ -44,7 +46,6 @@ from typing import Hashable, Iterable, Mapping, Sequence
 from .charts import GradedChart
 from .errors import ChartMismatchError, DomainError, EngineDefectError
 
-Rational = Fraction
 Monomial = tuple[tuple[int, int], ...]
 Terms = Mapping[Monomial, Fraction | int]
 
@@ -103,6 +104,40 @@ def _coefficient(value: Fraction | int) -> Fraction | int:
     if type(value) is not Fraction:
         value = _exact(value)
     return value.numerator if value.denominator == 1 else value
+
+
+def _natural(value: int, what: str) -> int:
+    """The value when it is a natural number; DomainError otherwise.
+
+    Exponents, derivative orders and powers go through this check, as
+    coefficients go through _exact: a bool, a float or a negative number
+    is refused.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise DomainError(f"{what} must be a natural number, got {value!r}")
+    return value
+
+
+def _monomial(chart: GradedChart, exponents: Mapping[str, int]) -> Monomial:
+    """The monomial of an exponent assignment over chart.
+
+    Every variable must be in chart, at exponent 0 too, and every exponent
+    must be a natural number (_natural).
+    """
+    pairs = []
+    for var, e in exponents.items():
+        i = chart.index_of(var)
+        if _natural(e, f"exponent of {var!r}"):
+            pairs.append((i, e))
+    pairs.sort()
+    return tuple(pairs)
+
+
+def _scaling_terms(powers: Sequence[int]) -> list[dict[Monomial, int]]:
+    """The term dicts of the model family x_i -> x_i * t^powers[i], t at
+    index len(powers), after every x_i; a power 0 fixes x_i."""
+    t = len(powers)
+    return [{((i, 1), (t, p)) if p else ((i, 1),): 1} for i, p in enumerate(powers)]
 
 
 def _numerators(values: Mapping[Hashable, Fraction | int]) -> tuple[dict, int]:
@@ -291,12 +326,7 @@ def _terms_euler(terms: Terms, weights: Sequence[int]) -> dict[Monomial, Fractio
 
 def weighted_degree(exponents: Mapping[str, int], chart: GradedChart) -> int:
     """Weight inner product sum(w_i * k_i) of an exponent assignment."""
-    total = 0
-    for var, e in exponents.items():
-        if e < 0:
-            raise DomainError(f"negative exponent for {var!r}")
-        total += chart.weight_of(var) * e
-    return total
+    return _mono_weighted_degree(_monomial(chart, exponents), chart.weights)
 
 
 class WPolynomial:
@@ -336,14 +366,7 @@ class WPolynomial:
         exponents: Mapping[str, int],
         coefficient: Fraction | int = 1,
     ) -> WPolynomial:
-        pairs = []
-        for var, e in exponents.items():
-            if e < 0:
-                raise DomainError(f"negative exponent for {var!r}")
-            if e > 0:
-                pairs.append((chart.index_of(var), e))
-        pairs.sort()
-        return cls(chart, {tuple(pairs): coefficient})
+        return cls(chart, {_monomial(chart, exponents): coefficient})
 
     # predicates and views ----------------------------------------------
 
@@ -364,11 +387,8 @@ class WPolynomial:
         return max((_mono_weighted_degree(m, w) for m in self.terms), default=0)
 
     def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
-        pairs = sorted((self.chart.index_of(v), e) for v, e in exponents.items() if e > 0)
-        return Fraction(self.terms.get(tuple(pairs), 0))
-
-    def constant_term(self) -> Fraction:
-        return Fraction(self.terms.get((), 0))
+        """The coefficient of one monomial; coefficient({}) is the constant term."""
+        return Fraction(self.terms.get(_monomial(self.chart, exponents), 0))
 
     # arithmetic ---------------------------------------------------------
 
@@ -426,9 +446,7 @@ class WPolynomial:
         return NotImplemented
 
     def __pow__(self, n: int) -> WPolynomial:
-        if not isinstance(n, int) or n < 0:
-            raise DomainError(f"polynomial power must be a natural number, got {n!r}")
-        return WPolynomial(self.chart, _terms_pow(self.terms, n))
+        return WPolynomial(self.chart, _terms_pow(self.terms, _natural(n, "polynomial power")))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WPolynomial):
@@ -443,11 +461,9 @@ class WPolynomial:
 
     def differentiate(self, var: str, order: int = 1) -> WPolynomial:
         """Partial derivative, repeated `order` times."""
-        if order < 0:
-            raise DomainError("derivative order must be a natural number")
         idx = self.chart.index_of(var)
         result = self
-        for _ in range(order):
+        for _ in range(_natural(order, "derivative order")):
             out: dict[Monomial, Fraction] = {}
             for mono, c in result.terms.items():
                 for pos, (i, e) in enumerate(mono):
@@ -489,18 +505,17 @@ class WPolynomial:
         Decided by both the scaling route and the Euler-operator route, each
         on term dicts; the zero polynomial is homogeneous of every degree.
         The scaling route is the scaling kernel (_scaling_failures) under the
-        standard action x_i -> x_i * t^(w_i), t at index n = len(chart). The
+        standard action x_i -> x_i * t^(w_i), t at index n = len(chart), its
+        images from _scaling_terms. The
         Euler route compares _terms_euler, the term dict of euler(), with
         {m: r * c}. No chart and no polynomial is built.
         """
         if r < 0:
             raise DomainError("homogeneity degree must be a natural number")
-        n = len(self.chart)
-        images = [
-            {((i, 1), (n, w)) if w else ((i, 1),): 1} for i, w in enumerate(self.chart.weights)
-        ]
-        by_scaling = not _scaling_failures(_cleared((self.terms,)), (r,), images, n)
-        by_euler = _terms_euler(self.terms, self.chart.weights) == (
+        weights = self.chart.weights
+        images = _scaling_terms(weights)
+        by_scaling = not _scaling_failures(_cleared((self.terms,)), (r,), images, len(weights))
+        by_euler = _terms_euler(self.terms, weights) == (
             {m: c * r for m, c in self.terms.items()} if r else {}
         )
         if by_scaling != by_euler:

@@ -12,7 +12,6 @@ from gradua.action import (
     _homogenize_joint,
     analyze,
     base_projection,
-    detect_degree,
     euler_field,
     extend_negative,
     homogenize,
@@ -123,8 +122,8 @@ def test_homogenize_frozen():
 
 
 def test_detect_degree():
-    assert detect_degree(H) == 2
-    assert detect_degree(standard_action(M)) == 2
+    assert homogenize(H).chart.degree == 2
+    assert homogenize(standard_action(M)).chart.degree == 2
 
 
 def test_reconstruction_matches_entries():

@@ -376,3 +376,53 @@ def test_taylor_curves_hold_only_integer_coefficients(order, monkeypatch):
     t_index = lifted.extended_chart.index_of("t")
     assert t_index == len(lifted.chart)
     assert passes[1][1][len(chart)] == {((t_index, 1),): 1}
+
+
+def _sympy_of(p, symbols, sympy):
+    """p as a sympy expression, its variables replaced by symbols[name]."""
+    names = p.chart.names
+    total = sympy.Integer(0)
+    for mono, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for i, e in mono:
+            term *= symbols[names[i]] ** e
+        total += term
+    return total
+
+
+def test_prolong_matches_the_sympy_taylor_series():
+    """An oracle outside the engine: the level-j pullback of prolong(phi, k)
+    is j! times the s^j coefficient of phi(x + s*x'1 + s^2/2*x'2 + ...), the
+    series expanded by sympy, on seeded graded maps at orders 1 to 4."""
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    rng = random.Random(4096)
+    nonlinear = 0
+    for i in range(12):
+        order = 1 + i % 4
+        source = random_chart(rng, max_rank=(2, 1), name="S")
+        target = random_chart(rng, max_rank=(1, 2, 2), name="T")
+        pullbacks = {
+            v: random_homogeneous(rng, source, w, max_terms=3, min_terms=1)
+            for v, w in target.variables
+        }
+        phi = PolyMap(source, target, pullbacks)
+        lifted = prolong(phi, order)
+        src, dst = adapt(source, order), adapt(target, order)
+        symbols = {v: sympy.Symbol(v) for v in src.chart.names}
+        curve = {
+            x: sum(
+                s**j / sympy.factorial(j) * symbols[src.jet_name(x, j)]
+                for j in range(order + 1)
+            )
+            for x in source.names
+        }
+        for v in target.names:
+            nonlinear += phi.pullbacks[v].total_degree() >= 2
+            along = _sympy_of(phi.pullbacks[v], curve, sympy)
+            series = sympy.expand(sympy.series(along, s, 0, order + 1).removeO())
+            for j in range(order + 1):
+                got = _sympy_of(lifted.pullbacks[dst.jet_name(v, j)], symbols, sympy)
+                expected = sympy.factorial(j) * series.coeff(s, j)
+                assert sympy.expand(got - expected) == 0, (i, v, j)
+    assert nonlinear >= 10, nonlinear

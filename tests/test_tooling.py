@@ -534,3 +534,82 @@ def test_every_private_function_has_a_caller():
             if node.name not in _mentioned(rest + others):
                 uncalled.append(f"{name}: {node.name}")
     assert not uncalled, uncalled
+
+
+# Public functions kept with no caller in src/gradua, perfbench/spans.py or
+# the acceptance suite: constructions of the theory, each with its reason.
+UNCALLED_CONSTRUCTIONS = {
+    "graded.py: truncate_map": "a graded map descends to each truncation of the tower",
+    "graded.py: weight_field": "the weight vector field, the reference of the Euler-route oracle",
+    "jets.py: jet_projection": "the projection between jet levels, a morphism of jet lifts",
+    "jets.py: iota": "the embedding of first-level jets at the top level of a higher jet chart",
+}
+
+
+def test_every_public_function_has_a_caller():
+    """Each public top-level function of src/gradua is named outside its own
+    definition: elsewhere in its module, in another module of src/gradua, in
+    perfbench/spans.py or in the acceptance suite. The constructions kept
+    without such a caller are exactly UNCALLED_CONSTRUCTIONS; any other
+    public function with none is a second route to a result, or dead code."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "gradua").glob("*.py"))
+    }
+    outside = [
+        ast.parse((ROOT / path).read_text(encoding="utf-8"))
+        for path in ("perfbench/spans.py", "tests/test_acceptance.py")
+    ]
+    uncalled = []
+    for name, tree in trees.items():
+        others = [t for n, t in trees.items() if n != name] + outside
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            rest = [other for other in tree.body if other is not node]
+            if node.name not in _mentioned(rest + others):
+                uncalled.append(f"{name}: {node.name}")
+    assert sorted(uncalled) == sorted(UNCALLED_CONSTRUCTIONS), uncalled
+
+
+def test_no_public_name_is_a_bare_alias():
+    """No module of src/gradua binds a public module-level name to another
+    name (X = Y, or X = module.Y): each construction or result has one name."""
+    aliases = []
+    for path in sorted((ROOT / "src" / "gradua").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if isinstance(value, (ast.Name, ast.Attribute)):
+                aliases += [
+                    f"{path.name}: {target.id} = {ast.unparse(value)}"
+                    for target in targets
+                    if isinstance(target, ast.Name) and not target.id.startswith("_")
+                ]
+    assert not aliases, aliases
+
+
+def test_extend_negative_conjugates_the_model_family_on_term_dicts(monkeypatch):
+    """reconstruct_entries is two passes of the substitution kernel, the model
+    family through the homogenizer and the inverse through that; neither it
+    nor the homogenization before it forms a WPolynomial product, power,
+    lift or substitute. Run on a family fixing the origin and on one with
+    weight-0 coordinates and a shifted fixed point."""
+    chart = GradedChart("D", tuple((f"x{w}", w) for w in range(1, 4)))
+    cases = [
+        (conjugated_action(random.Random(3), chart)[0], None),
+        chained_family(random.Random(4), 2),
+    ]
+    methods = ("__mul__", "__pow__", "lift", "substitute")
+    calls = {name: _count_calls(monkeypatch, WPolynomial, name) for name in methods}
+    passes = _count_calls(monkeypatch, action, "_terms_substitute")
+    for family, theta in cases:
+        passes.clear()
+        extended = action.extend_negative(family, theta)
+        assert extended.entries == family.entries
+        assert len(passes) == 2
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(methods, 0)

@@ -55,7 +55,7 @@ def test_constant_and_zero():
     zero = WPolynomial.zero(V)
     assert zero.is_zero()
     assert str(zero) == "0"
-    assert WPolynomial.constant(V, Fraction(3, 4)).constant_term() == Fraction(3, 4)
+    assert WPolynomial.constant(V, Fraction(3, 4)).coefficient({}) == Fraction(3, 4)
     assert (X * 0).is_zero()
 
 
@@ -216,6 +216,58 @@ def test_float_scale_factor_rejected():
 def test_float_evaluation_point_rejected():
     with pytest.raises(DomainError):
         (X + Y).evaluate({"x": 0.5, "y": 2})
+
+
+# An exponent, a derivative order or a power is a natural number: an int that
+# is not a bool. A variable named in an exponent assignment is a chart
+# variable, at exponent 0 too. Anything else raises DomainError.
+
+
+def test_float_exponent_rejected():
+    with pytest.raises(DomainError):
+        WPolynomial.monomial(V, {"x": 1.5})
+
+
+def test_float_exponent_rejected_by_weighted_degree():
+    with pytest.raises(DomainError):
+        weighted_degree({"x": 1.5}, V)
+
+
+def test_negative_exponent_rejected_by_coefficient():
+    with pytest.raises(DomainError):
+        (X + 1).coefficient({"x": -1})
+
+
+def test_bool_exponent_rejected():
+    with pytest.raises(DomainError):
+        WPolynomial.monomial(V, {"x": True})
+
+
+def test_unknown_variable_at_exponent_zero_rejected_by_monomial():
+    with pytest.raises(UnknownVariableError):
+        WPolynomial.monomial(V, {"x": 1, "z": 0})
+
+
+def test_unknown_variable_at_exponent_zero_rejected_by_coefficient():
+    with pytest.raises(UnknownVariableError):
+        (X + 1).coefficient({"z": 0})
+
+
+@pytest.mark.parametrize("order", [1.5, True])
+def test_inexact_derivative_order_rejected(order):
+    with pytest.raises(DomainError):
+        X.differentiate("x", order)
+
+
+def test_bool_power_rejected():
+    with pytest.raises(DomainError):
+        X**True
+
+
+def test_exponent_zero_of_a_chart_variable_is_accepted():
+    assert WPolynomial.monomial(V, {"x": 0, "y": 0}, 2) == WPolynomial.constant(V, 2)
+    assert (X * 3 + 5).coefficient({"x": 0}) == 5
+    assert weighted_degree({"x": 0, "y": 2}, V) == 4
 
 
 @pytest.mark.parametrize("value", [0.5, 0.0, 2.0, "1"])
