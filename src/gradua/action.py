@@ -445,8 +445,8 @@ def homogenize(
 class JointHomogenization:
     """Coordinates that scale under k commuting families at once.
 
-    orders holds the multi-index of each new coordinate, biweights is its
-    name for two families, and projections maps every multi-index of the
+    orders holds the multi-index of each new coordinate (for two families,
+    the report's biweights), and projections maps every multi-index of the
     lexicographic grid to its joint projection, zero matrices included.
     The projections are left out of the repr.
     """
@@ -457,10 +457,6 @@ class JointHomogenization:
     orders: tuple[tuple[int, ...], ...]
     theta: dict[str, Fraction]
     projections: dict[tuple[int, ...], Matrix] = field(repr=False)
-
-    @property
-    def biweights(self) -> tuple[tuple[int, ...], ...]:
-        return self.orders
 
 
 def _homogenize_joint(

@@ -9,12 +9,26 @@ counts the variables of each positive weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainError, UnknownVariableError
 
 VarSpec = tuple[str, int]
+
+
+class _lookup:
+    """A chart lookup built on first read and kept in the chart's __dict__,
+    outside the fields (functools.cached_property without its lock)."""
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+
+    def __get__(self, chart, owner=None):
+        if chart is None:
+            return self
+        value = chart.__dict__[self.name] = self.build(chart)
+        return value
 
 
 @dataclass(frozen=True)
@@ -35,15 +49,15 @@ class GradedChart:
                 raise DomainError(f"variable {var!r} has invalid weight {weight!r}")
             seen.add(var)
 
-    @cached_property
+    @_lookup
     def _index(self) -> dict[str, int]:
         return {var: i for i, (var, _) in enumerate(self.variables)}
 
-    @cached_property
+    @_lookup
     def names(self) -> tuple[str, ...]:
         return tuple(var for var, _ in self.variables)
 
-    @cached_property
+    @_lookup
     def weights(self) -> tuple[int, ...]:
         return tuple(w for _, w in self.variables)
 

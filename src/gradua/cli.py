@@ -159,7 +159,7 @@ def _run_check_double(stmt: CheckDoubleCmd, program: Program) -> dict:
     entry["commuting"] = True
     entry["chart"] = _chart_json(bihom.chart)
     entry["biweights"] = {
-        v: list(rs) for v, rs in zip(bihom.chart.names, bihom.biweights)
+        v: list(rs) for v, rs in zip(bihom.chart.names, bihom.orders)
     }
     entry["homogenizer"] = _pullbacks_json(bihom.homogenizer)
     entry["inverse"] = _pullbacks_json(bihom.inverse)

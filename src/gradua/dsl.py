@@ -11,10 +11,11 @@ parsing that text yields an equal program, spans aside.
 The parser states each statement kind once: one table, built with the
 class, maps each statement keyword to its parser, and the tokenizer's
 keywords are that table's keys plus five words read inside statements (on,
-at, order, json, text). An optional token is one accept() call, and one rule-block parser reads the `{ v op expr; }` bodies
-of map (`=`, over the source chart) and action (`->`, over the chart
-extended by t). Each statement class prints its own canonical text
-(__str__), and print_program joins them.
+at, order, json, text). An optional token is one accept() call, and one
+rule-block parser reads the `{ v op expr; }` bodies of map (`=`, over the
+source chart) and action (`->`, over the chart extended by t). Each
+statement class prints its own canonical text (__str__), and print_program
+joins them.
 
 Rationals are single tokens (2/3); there is no division operator. The
 family parameter in action bodies is always called t.
@@ -23,9 +24,18 @@ Three fixed budgets keep one line from exhausting memory. A power, a
 product, a prolongation or a flip above one is refused before anything is
 expanded, with a ResourceLimitError (a ParseError) at the offending token.
 
-The tokenizer scans with one compiled regular expression, one alternative
-per token class, and builds tokens and spans as named tuples. An
-identifier starts with a letter (str.isalpha) or `_` and goes on with
+The tokenizer is one re.split of the source by a pattern that captures the
+gap (blanks, newlines, comments) and the token after it, at every position:
+the token texts and, by a running sum of the parts' lengths, their offsets
+come out of C code, with no Python loop over the tokens. Lexical errors are
+read off the distinct texts, the first in source order raised. tokenize
+returns a lazy sequence (Tokens) that builds a Token and its Span only when
+an item is read, and the parser compares texts: a keyword or a symbol is
+its own text. In a product, the plain factors (numbers, variables and
+their powers) multiply into one coefficient and one monomial; only
+parenthesized factors are multiplied as term dicts.
+
+An identifier starts with a letter (str.isalpha) or `_` and goes on with
 letters, digits (str.isalnum), `_` and `'`; number literals use ASCII
 digits only. Any other character, `\f` included, is a parse error at its
 line and column.
@@ -34,8 +44,12 @@ line and column.
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, prod
 from typing import Any, Callable, NamedTuple
 
@@ -45,7 +59,7 @@ from .graded import ActionFamily, PolyMap
 from .wpoly import (
     Monomial,
     WPolynomial,
-    _coefficient,
+    _mono_mul,
     _terms_add_into,
     _terms_mul,
     _terms_pow,
@@ -63,57 +77,95 @@ class Token(NamedTuple):
     value: Fraction | None = None
 
 
-def tokenize(source: str) -> list[Token]:
+class Tokens(Sequence[Token]):
+    """The tokens of a program, ending with an eof token: each token's text
+    (the eof token's is "") and, in an array, its offset in the source. A
+    second array holds the offset each line starts at, so a token's line is
+    one bisection.
+
+    A Token and its Span are built only when an item is read. The text of a
+    token fixes its kind: a keyword or a symbol is its own text, a number
+    starts with a digit and an identifier with a letter or `_`.
+    """
+
+    __slots__ = ("texts", "starts", "lines")
+
+    def __init__(self, source: str, texts: list[str], starts: array):
+        self.texts = texts
+        self.starts = starts
+        lengths = map((1).__add__, map(len, source.split("\n")))
+        self.lines = array("q", accumulate(lengths, initial=0))
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        text = self.texts[i]
+        kind = (
+            "eof" if not text
+            else "keyword" if text in KEYWORDS
+            else "symbol" if text in _SYMBOLS
+            else "number" if text[0] in _DIGITS
+            else "ident"
+        )
+        return Token(kind, text, self.span(i), Fraction(text) if kind == "number" else None)
+
+    def span(self, i: int) -> Span:
+        """Line and column of token i, counted from 1 in characters."""
+        start = self.starts[i]
+        line = bisect_right(self.lines, start)
+        return Span(line, start - self.lines[line - 1] + 1)
+
+
+def tokenize(source: str) -> Tokens:
     """Tokens of a program, ending with an eof token; raises ParseError.
 
     Lines and columns count from 1, in characters. A comment does not move
     the column, so after a trailing comment with no newline the eof token
     sits where the comment starts.
     """
-    tokens: list[Token] = []
-    append = tokens.append
-    line = 1
-    line_start = 0
-    col = 1
-    group = None
-    for m in _TOKEN.finditer(source):
-        group = m.lastgroup
-        if group == "space":
-            continue
-        if group == "newline":
-            line += 1
-            line_start = m.end()
-            continue
-        col = m.start() - line_start + 1
-        if group == "comment":
-            continue
-        text = m.group()
-        if group == "word":
-            first = text[0]
-            if not (first.isalpha() or first == "_"):
-                raise ParseError(f"unexpected character {first!r}", line, col)
-            kind = "keyword" if text in KEYWORDS else "ident"
-            append(Token(kind, text, Span(line, col)))
-        elif group == "symbol":
-            append(Token("symbol", text, Span(line, col)))
-        elif group == "number":
-            den = m.group("den")
-            if den is None:
-                value = Fraction(int(text))
-            else:
-                denominator = int(den)
-                if not denominator:
-                    raise ParseError(f"zero denominator in {text!r}", line, col)
-                value = Fraction(int(m.group("num")), denominator)
-            append(Token("number", text, Span(line, col), value))
-        elif group == "hyphenated":
-            append(Token("keyword", text, Span(line, col)))
-        else:
-            raise ParseError(f"unexpected character {text!r}", line, col)
-    if group != "comment":
-        col = len(source) - line_start + 1
-    append(Token("eof", "", Span(line, col)))
+    # parts: "" (before the first match), then gap, token and "" (between
+    # two matches, which are contiguous) for every match; the first \Z
+    # match is eof, and a second one follows it after a trailing gap
+    parts = _SPLIT.split(source)
+    texts = parts[2::3]
+    del texts[texts.index("") + 1 :]
+    starts = array("q", accumulate(map(len, parts)))[1 : 3 * len(texts) : 3]
+    del parts
+    comment = source.find("#", source.rfind("\n") + 1)
+    if comment >= 0:  # a `#` is always a comment, and this one is on the last line
+        starts[-1] = comment
+    tokens = Tokens(source, texts, starts)
+    errors = [
+        (texts.index(text), message)
+        for text in set(texts).difference(_LEXEMES)
+        if (message := _lexical_error(text))
+    ]
+    if errors:
+        i, message = min(errors)
+        raise ParseError(message, *tokens.span(i))
     return tokens
+
+
+def _number(text: str) -> Fraction | int:
+    """The value of a number literal, n or n/d; tokenize refuses d = 0."""
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den)) if den else int(num)
+
+
+def _lexical_error(text: str) -> str | None:
+    """The error a token text that is no keyword or symbol raises, if any:
+    a word must start with a letter or `_`, a denominator must not be 0,
+    and a character no token starts with is refused."""
+    first = text[0]
+    if first.isalpha() or first == "_":
+        return None
+    if first in _DIGITS:
+        num, _, den = text.partition("/")
+        return f"zero denominator in {text!r}" if den and not int(den) else None
+    return f"unexpected character {first!r}"
 
 
 @dataclass(frozen=True)
@@ -278,8 +330,12 @@ _STARTS = ("chart", "map", "action", "double", "a command")
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    """The parser reads the token texts; a Token is built only where one is
+    kept or located: names, references, `at (...)` values and errors."""
+
+    def __init__(self, tokens: Tokens):
         self.tokens = tokens
+        self.texts = tokens.texts
         self.pos = 0
         self.charts: dict[str, GradedChart] = {}
         self.maps: dict[str, PolyMap] = {}
@@ -289,12 +345,6 @@ class _Parser:
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
     def error(self, message: str, tok: Token, expected: tuple[str, ...] = ()) -> ParseError:
         return ParseError(message, tok.span.line, tok.span.col, expected)
 
@@ -303,51 +353,63 @@ class _Parser:
         found = f"found {tok.text!r}" if tok.text else "unexpected end of input"
         return self.error(found, tok, expected)
 
-    def accept(self, text: str, kind: str = "symbol") -> Token | None:
-        """The next token, consumed, if it is this text of this kind; else None."""
-        tok = self.tokens[self.pos]
-        if tok.kind == kind and tok.text == text:
+    def accept(self, text: str) -> bool:
+        """Consume the next token if it is this keyword or symbol."""
+        if self.texts[self.pos] == text:
             self.pos += 1
-            return tok
-        return None
+            return True
+        return False
 
-    def require(self, *texts: str, kind: str = "symbol") -> Token:
-        """The next token, consumed, which must be one of these texts of this kind."""
-        for text in texts:
-            tok = self.accept(text, kind)
-            if tok is not None:
-                return tok
+    def require(self, *texts: str) -> str:
+        """The next token's text, consumed, which must be one of these."""
+        text = self.texts[self.pos]
+        if text in texts:
+            self.pos += 1
+            return text
         raise self.unexpected(self.peek(), texts)
 
-    def expect(self, kind: str, what: str) -> Token:
-        """The next token, which must be of this kind (ident or number)."""
+    def ident(self, what: str) -> str:
+        """The next token's text, consumed, which must be an identifier."""
+        text = self.texts[self.pos]
+        if (text[:1].isalpha() or text[:1] == "_") and text not in KEYWORDS:
+            self.pos += 1
+            return text
+        raise self.unexpected(self.peek(), (what,))
+
+    def name(self, what: str) -> Token:
+        """The next token, consumed, which must be an identifier."""
         tok = self.peek()
-        if tok.kind == kind:
-            return self.advance()
-        raise self.unexpected(tok, (what,))
+        self.ident(what)
+        return tok
 
-    def expect_integer(self, what: str) -> tuple[int, Token]:
-        tok = self.expect("number", what)
-        assert tok.value is not None
-        if tok.value.denominator != 1:
-            raise self.error(f"{tok.text!r} is not an integer", tok, (what,))
-        return int(tok.value), tok
-
-    def check_variable(self, tok: Token, chart: GradedChart) -> None:
-        if tok.text not in chart:
-            raise self.error(f"variable {tok.text!r} is not in chart {chart.name!r}", tok)
+    def expect_integer(self, what: str) -> tuple[int, int]:
+        """The value of the next token, consumed, which must be a number
+        literal of an integer, and the token's position."""
+        pos = self.pos
+        text = self.texts[pos]
+        if text[:1] not in _DIGITS:
+            raise self.unexpected(self.peek(), (what,))
+        value = _number(text)
+        if value.denominator != 1:
+            raise self.error(f"{text!r} is not an integer", self.peek(), (what,))
+        self.pos += 1
+        return int(value), pos
 
     # --- declarations -----------------------------------------------------
 
     def parse_program(self) -> Program:
         statements: list[Statement] = []
-        while (tok := self.peek()).kind != "eof":
-            if tok.kind != "keyword":
-                raise self.unexpected(tok, _STARTS)
-            handler = self.STATEMENTS.get(tok.text)
+        texts = self.texts
+        while text := texts[self.pos]:
+            handler = self.STATEMENTS.get(text)
             if handler is None:
-                raise self.error(f"{tok.text!r} cannot start a statement", tok, _STARTS)
-            statements.append(handler(self, self.advance().span))
+                tok = self.peek()
+                if tok.kind != "keyword":
+                    raise self.unexpected(tok, _STARTS)
+                raise self.error(f"{text!r} cannot start a statement", tok, _STARTS)
+            span = self.tokens.span(self.pos)
+            self.pos += 1
+            statements.append(handler(self, span))
         return Program(tuple(statements))
 
     def define(self, table: dict, name: str, value, tok: Token, kind: str) -> None:
@@ -357,7 +419,7 @@ class _Parser:
 
     def reference(self, table: dict, kind: str) -> tuple[Token, Any]:
         """The next token, a declared name of this kind, and what it names."""
-        tok = self.expect("ident", f"{kind} name")
+        tok = self.name(f"{kind} name")
         if tok.text not in table:
             raise self.error(f"unknown {kind} {tok.text!r}", tok)
         return tok, table[tok.text]
@@ -369,6 +431,16 @@ class _Parser:
         except DomainError as exc:
             raise self.error(str(exc), name_tok) from None
 
+    def chart_variable(self, chart: GradedChart, what: str) -> str:
+        """The next token's text, consumed, which must name a variable of
+        chart."""
+        text = self.texts[self.pos]
+        if text not in chart:
+            tok = self.name(what)
+            raise self.error(f"variable {text!r} is not in chart {chart.name!r}", tok)
+        self.pos += 1
+        return text
+
     def parse_rules(
         self, target: GradedChart, op: str, chart: GradedChart, what: str
     ) -> dict[str, WPolynomial]:
@@ -377,28 +449,25 @@ class _Parser:
         self.require("{")
         rules: dict[str, WPolynomial] = {}
         while not self.accept("}"):
-            var_tok = self.expect("ident", what)
-            self.check_variable(var_tok, target)
-            if var_tok.text in rules:
-                raise self.error(f"variable {var_tok.text!r} is assigned twice", var_tok)
+            at = self.pos
+            var = self.chart_variable(target, what)
+            if var in rules:
+                raise self.error(f"variable {var!r} is assigned twice", self.tokens[at])
             self.require(op)
-            rules[var_tok.text] = self.parse_expression(chart)
+            rules[var] = self.parse_expression(chart)
             self.require(";")
         return rules
 
     # Each statement parser starts after its keyword, whose span it is given.
 
     def parse_chart(self, span: Span) -> ChartStmt:
-        name_tok = self.expect("ident", "chart name")
+        name_tok = self.name("chart name")
         self.require("(")
         variables: list[tuple[str, int]] = []
         while True:
-            var_tok = self.expect("ident", "variable name")
+            var = self.ident("variable name")
             self.require(":")
-            weight, wtok = self.expect_integer("weight")
-            if weight < 0:
-                raise self.error("weights must be nonnegative", wtok)
-            variables.append((var_tok.text, weight))
+            variables.append((var, self.expect_integer("weight")[0]))
             if not self.accept(","):
                 break
         self.require(")")
@@ -407,7 +476,7 @@ class _Parser:
         return ChartStmt(name_tok.text, chart, span)
 
     def parse_map(self, span: Span) -> MapStmt:
-        name_tok = self.expect("ident", "map name")
+        name_tok = self.name("map name")
         self.require(":")
         _, source = self.reference(self.charts, "chart")
         self.require("->")
@@ -418,8 +487,8 @@ class _Parser:
         return MapStmt(name_tok.text, pmap, span)
 
     def parse_action(self, span: Span) -> ActionStmt:
-        name_tok = self.expect("ident", "action name")
-        self.require("on", kind="keyword")
+        name_tok = self.name("action name")
+        self.require("on")
         chart_tok, chart = self.reference(self.charts, "chart")
         if ACTION_PARAM in chart:
             raise self.error(
@@ -434,11 +503,11 @@ class _Parser:
         return ActionStmt(name_tok.text, family, span)
 
     def _double_member(self) -> str:
-        self.accept("action", "keyword")  # tolerated before each member
+        self.accept("action")  # tolerated before each member
         return self.reference(self.actions, "action")[0].text
 
     def parse_double(self, span: Span) -> DoubleStmt:
-        name_tok = self.expect("ident", "double name")
+        name_tok = self.name("double name")
         self.require("{")
         first = self._double_member()
         self.require(",", ";")
@@ -456,21 +525,22 @@ class _Parser:
     def parse_analyze_action(self, span: Span) -> AnalyzeActionCmd:
         name_tok, family = self.reference(self.actions, "action")
         point: tuple[tuple[str, Fraction], ...] | None = None
-        if self.accept("at", "keyword"):
+        if self.accept("at"):
             self.require("(")
             seen: dict[str, Fraction] = {}
             while True:
-                var_tok = self.expect("ident", "chart variable")
-                self.check_variable(var_tok, family.chart)
-                if var_tok.text in seen:
-                    raise self.error(
-                        f"variable {var_tok.text!r} is given twice", var_tok
-                    )
+                at = self.pos
+                var = self.chart_variable(family.chart, "chart variable")
+                if var in seen:
+                    raise self.error(f"variable {var!r} is given twice", self.tokens[at])
                 self.require("=")
                 negative = self.accept("-")
-                num_tok = self.expect("number", "rational value")
+                num_tok = self.peek()
+                if num_tok.kind != "number":
+                    raise self.unexpected(num_tok, ("rational value",))
+                self.pos += 1
                 assert num_tok.value is not None
-                seen[var_tok.text] = -num_tok.value if negative else num_tok.value
+                seen[var] = -num_tok.value if negative else num_tok.value
                 if not self.accept(","):
                     break
             self.require(")")
@@ -481,16 +551,14 @@ class _Parser:
 
     def parse_prolong(self, span: Span) -> ProlongCmd:
         name_tok, pmap = self.reference(self.maps, "map")
-        self.require("order", kind="keyword")
-        order, otok = self.expect_integer("order")
-        if order < 0:
-            raise self.error("order must be nonnegative", otok)
+        self.require("order")
+        order, at = self.expect_integer("order")
         size = max(len(pmap.source), len(pmap.target)) * (order + 1)
         if size > VARIABLE_BUDGET:
             raise ResourceLimitError(
                 f"order {order} would adapt a chart to {size} variables, "
                 f"above the budget of {VARIABLE_BUDGET}",
-                *otok.span,
+                *self.tokens.span(at),
             )
         # prolong substitutes (order + 1)-term curves in full, and x^e of a
         # curve has comb(order + e, e) terms before the levels are cut
@@ -503,7 +571,7 @@ class _Parser:
             raise ResourceLimitError(
                 f"order {order} may expand the pullbacks to {terms} terms, "
                 f"above the budget of {TERM_BUDGET}",
-                *otok.span,
+                *self.tokens.span(at),
             )
         return ProlongCmd(name_tok.text, order, span)
 
@@ -511,10 +579,8 @@ class _Parser:
         return CheckDoubleCmd(self.reference(self.doubles, "double")[0].text, span)
 
     def parse_flip(self, span: Span) -> FlipCmd:
-        m, mtok = self.expect_integer("order")
-        n, ntok = self.expect_integer("order")
-        if m < 0 or n < 0:
-            raise self.error("orders must be nonnegative", mtok if m < 0 else ntok)
+        m = self.expect_integer("order")[0]
+        n = self.expect_integer("order")[0]
         chart_tok, chart = self.reference(self.charts, "chart")
         size = len(chart) * (m + 1) * (n + 1)
         if size > VARIABLE_BUDGET:
@@ -526,7 +592,7 @@ class _Parser:
         return FlipCmd(m, n, chart_tok.text, span)
 
     def parse_report(self, span: Span) -> ReportCmd:
-        return ReportCmd(self.require("json", "text", kind="keyword").text, span)
+        return ReportCmd(self.require("json", "text"), span)
 
     # the parser of each statement keyword, built once with the class
     STATEMENTS: dict[str, Callable[[_Parser, Span], Statement]] = {
@@ -553,95 +619,148 @@ class _Parser:
 
     def parse_sum(self, chart: GradedChart) -> dict[Monomial, Fraction | int]:
         acc = self.parse_product(chart)
-        while tok := self.accept("+") or self.accept("-"):
+        texts = self.texts
+        while (op := texts[self.pos]) == "+" or op == "-":
+            self.pos += 1
             rhs = self.parse_product(chart)
-            if tok.text == "-":
+            if op == "-":
                 rhs = {m: -c for m, c in rhs.items()}
             _terms_add_into(acc, rhs)
         return acc
 
     def parse_product(self, chart: GradedChart) -> dict[Monomial, Fraction | int]:
-        acc = self.parse_unary(chart)
-        while tok := self.accept("*"):
-            rhs = self.parse_unary(chart)
-            if len(acc) * len(rhs) > TERM_BUDGET:
-                raise ResourceLimitError(
-                    f"a product of {len(acc)} by {len(rhs)} terms may give more "
-                    f"terms than the budget of {TERM_BUDGET}",
-                    *tok.span,
-                )
-            acc = _terms_mul(acc, rhs)
-        return acc
+        """Factors joined by `*`, each under any number of unary minuses.
 
-    def parse_unary(self, chart: GradedChart) -> dict[Monomial, Fraction | int]:
-        if self.accept("-"):
-            return {m: -c for m, c in self.parse_unary(chart).items()}
-        return self.parse_power(chart)
+        The plain factors, numbers and variables with their powers, multiply
+        into one coefficient and one exponent per variable; only the
+        parenthesized factors are term dicts, multiplied with _terms_mul. A
+        product has as many terms as the product of its factors' term
+        counts, or none once a factor is 0, so the budget on each `*` reads
+        the term counts off these without forming the product.
+        """
+        texts = self.texts
+        index = chart._index
+        coef: Fraction | int = 1
+        exponents: dict[int, int] = {}
+        acc: dict[Monomial, Fraction | int] | None = None  # the parenthesized factors
+        star = -1  # the position of the `*` before this factor
+        pos = self.pos
+        while True:
+            text = texts[pos]
+            while text == "-":
+                coef = -coef
+                pos += 1
+                text = texts[pos]
+            var = index.get(text)
+            if var is None and text[:1] not in _DIGITS:
+                self.pos = pos
+                factor = self.parse_group(chart)
+                pos = self.pos
+                size = len(factor)
+            else:
+                factor = None
+                value = 1 if var is not None else _number(text)
+                power = 1
+                pos += 1
+                if texts[pos] == "^":
+                    self.pos = pos + 1
+                    power, at = self.expect_integer("nonnegative integer exponent")
+                    pos = self.pos
+                    # as in parse_group, with a base of total degree 0 or 1
+                    if power > DEGREE_BUDGET:
+                        raise ResourceLimitError(
+                            f"exponent {power} on a base of total degree "
+                            f"{0 if var is None else 1} exceeds the degree budget "
+                            f"of {DEGREE_BUDGET}",
+                            *self.tokens.span(at),
+                        )
+                size = 1 if value or not power else 0
+            if star >= 0:
+                before = (1 if acc is None else len(acc)) if coef else 0
+                if before * size > TERM_BUDGET:
+                    raise ResourceLimitError(
+                        f"a product of {before} by {size} terms may give more "
+                        f"terms than the budget of {TERM_BUDGET}",
+                        *self.tokens.span(star),
+                    )
+            if factor is not None:
+                if coef:
+                    acc = factor if acc is None else _terms_mul(acc, factor)
+            elif var is None:
+                coef *= value**power
+            elif power:
+                exponents[var] = exponents.get(var, 0) + power
+            if texts[pos] != "*":
+                break
+            star = pos
+            pos += 1
+        self.pos = pos
+        if not coef:
+            return {}
+        mono = tuple(sorted(exponents.items()))
+        if acc is None:
+            return {mono: coef}
+        if coef == 1 and not mono:
+            return acc
+        return {_mono_mul(m, mono): c * coef for m, c in acc.items()}
 
-    def parse_power(self, chart: GradedChart) -> dict[Monomial, Fraction | int]:
-        base = self.parse_atom(chart)
+    def parse_group(self, chart: GradedChart) -> dict[Monomial, Fraction | int]:
+        """A parenthesized sum and its power; parse_product reads the plain
+        factors."""
+        if not self.accept("("):
+            tok = self.peek()
+            if tok.kind == "ident":
+                raise self.error(f"variable {tok.text!r} is not in chart {chart.name!r}", tok)
+            raise self.unexpected(tok, ("a variable", "a number", "("))
+        base = self.parse_sum(chart)
+        self.require(")")
         if self.accept("^"):
-            exponent, etok = self.expect_integer("nonnegative integer exponent")
-            if exponent < 0:
-                raise self.error("exponents must be nonnegative", etok)
+            exponent, at = self.expect_integer("nonnegative integer exponent")
             # a number counts as degree 1: its power's coefficient grows too
             degree = max((sum(e for _, e in m) for m in base), default=0)
             if exponent * max(degree, 1) > DEGREE_BUDGET:
                 raise ResourceLimitError(
                     f"exponent {exponent} on a base of total degree {degree} "
                     f"exceeds the degree budget of {DEGREE_BUDGET}",
-                    *etok.span,
+                    *self.tokens.span(at),
                 )
             if len(base) > 1 and comb(len(base) + exponent - 1, exponent) > TERM_BUDGET:
                 raise ResourceLimitError(
                     f"exponent {exponent} on a base of {len(base)} terms may give "
                     f"more terms than the budget of {TERM_BUDGET}",
-                    *etok.span,
+                    *self.tokens.span(at),
                 )
             return _terms_pow(base, exponent)
         return base
-
-    def parse_atom(self, chart: GradedChart) -> dict[Monomial, Fraction | int]:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            assert tok.value is not None
-            value = _coefficient(tok.value)
-            return {(): value} if value else {}
-        if tok.kind == "ident":
-            self.check_variable(tok, chart)
-            self.advance()
-            return {((chart.index_of(tok.text), 1),): 1}
-        if self.accept("("):
-            inner = self.parse_sum(chart)
-            self.require(")")
-            return inner
-        raise self.unexpected(tok, ("a variable", "a number", "("))
 
 
 # Each keyword is written once: a statement keyword is a key of
 # _Parser.STATEMENTS, and these five are only read inside statements.
 KEYWORDS = frozenset(_Parser.STATEMENTS) | {"on", "at", "order", "json", "text"}
 
-# One alternative per token class, tried in order at each position: the
-# hyphenated keywords, longest first, come before identifiers, so
-# `check-morphismX` lexes as the keyword and then `X`. `\w` is str.isalnum()
-# or `_`, so `[^\W\d]` also admits numerals that are not letters, such as
-# `²`; tokenize refuses a word that starts with one. `[0-9]` is ASCII only
-# (str.isdigit accepts `²`, which int() refuses). Any other character, `\f`
-# included, is `bad`.
+# Every character is in one gap or one token: a gap is any run of blanks,
+# newlines and comments, and each match is a gap then one token. The gap is
+# taken whole: the token's `.` and `\Z` alternatives match whatever follows
+# it, so the greedy gap is never given back. The token's alternatives are tried in order: the hyphenated
+# keywords, longest first, come before identifiers, so `check-morphismX`
+# lexes as the keyword and then `X`. `\w` is str.isalnum() or `_`, so
+# `[^\W\d]` also admits numerals that are not letters, such as `²`;
+# tokenize refuses a word that starts with one. `[0-9]` is ASCII only
+# (str.isdigit accepts `²`, which int() refuses). `.` takes any other
+# character, `\f` included, as a token that tokenize refuses, and `\Z`
+# ends the source with the empty eof token, so the matches leave no
+# character between them.
 _HYPHENATED = sorted((k for k in KEYWORDS if "-" in k), key=lambda k: (-len(k), k))
-_TOKEN = re.compile(
-    r"(?P<space>[ \t\r]+)"
-    r"|(?P<newline>\n)"
-    r"|(?P<comment>#[^\n]*)"
-    rf"|(?P<hyphenated>{'|'.join(map(re.escape, _HYPHENATED))})"
-    r"|(?P<word>[^\W\d][\w']*)"
-    r"|(?P<number>(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?)"
-    r"|(?P<symbol>->|[(){}:;,=+\-*^])"
-    r"|(?P<bad>.)",
+_SPLIT = re.compile(
+    r"((?:[ \t\r\n]+|#[^\n]*)*)"
+    rf"({'|'.join(map(re.escape, _HYPHENATED))}"
+    r"|[^\W\d][\w']*|[0-9]+(?:/[0-9]+)?|->|[(){}:;,=+\-*^]|.|\Z)",
     re.DOTALL,
 )
+_SYMBOLS = frozenset(["->", *"(){}:;,=+-*^"])
+_DIGITS = frozenset("0123456789")
+# the token texts that are never an error: keywords, symbols and eof's
+_LEXEMES = KEYWORDS | _SYMBOLS | {""}
 
 
 def parse(source: str) -> Program:

@@ -128,17 +128,26 @@ class ActionFamily:
         extra = set(self.entries) - set(self.chart.names)
         if extra:
             raise DomainError(f"entries for unknown variables {sorted(extra)}")
-        ext = self.extended_chart
+        # extended_chart is the chart followed by the parameter at weight 0;
+        # a family whose entries were built on that chart takes theirs
+        # rather than building it again
+        variables = self.chart.variables + ((self.param, 0),)
+        first = next(iter(self.entries.values()), None)
+        if (
+            first is not None
+            and first.chart.name == self.chart.name
+            and first.chart.variables == variables
+        ):
+            ext = first.chart
+        else:
+            ext = GradedChart(self.chart.name, variables)
+        object.__setattr__(self, "extended_chart", ext)
         for var, p in self.entries.items():
-            if p.chart != ext:
+            if p.chart is not ext and p.chart != ext:
                 raise ChartMismatchError(
                     f"entry for {var!r} must live on the chart extended by "
                     f"{self.param!r}"
                 )
-
-    @cached_property
-    def extended_chart(self) -> GradedChart:
-        return self.chart.extend(((self.param, 0),))
 
     @cached_property
     def _zero_map(self) -> PolyMap:

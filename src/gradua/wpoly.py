@@ -580,16 +580,24 @@ class WPolynomial:
         return WPolynomial(target, _terms_substitute((self.terms,), images)[0])
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
-        """Value at a rational point covering every occurring variable."""
+        """Value at a rational point covering every occurring variable.
+
+        Each occurring variable's value is looked up and made exact once,
+        into a list by chart position that every term then reads.
+        """
         names = self.chart.names
+        values: list[Fraction | None] = [None] * len(names)
         total = _ZERO
         for mono, c in self.terms.items():
             val = c
             for i, e in mono:
-                var = names[i]
-                if var not in point:
-                    raise DomainError(f"no value for variable {var!r}")
-                val *= _exact(point[var]) ** e
+                x = values[i]
+                if x is None:
+                    var = names[i]
+                    if var not in point:
+                        raise DomainError(f"no value for variable {var!r}")
+                    x = values[i] = _exact(point[var])
+                val *= x**e
             total += val
         return total
 
@@ -651,24 +659,28 @@ class WPolynomial:
         return sorted(self.terms.items(), key=key)
 
     def __str__(self) -> str:
-        if not self.terms:
+        """Terms in canonical order, each sign and magnitude read off the
+        coefficient's numerator and denominator."""
+        terms = self.terms
+        if not terms:
             return "0"
         names = self.chart.names
         pieces: list[str] = []
-        for mono, c in self.sorted_terms():
-            factors = []
-            for i, e in mono:
-                factors.append(names[i] if e == 1 else f"{names[i]}^{e}")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
+        for mono, c in self.sorted_terms() if len(terms) > 1 else terms.items():
+            num = c.numerator
+            den = c.denominator
+            if num < 0:
+                sign, num = "- ", -num
             else:
-                body = "*".join([str(abs(c))] + factors)
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+                sign = "+ "
+            factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono]
+            if den != 1:
+                factors.insert(0, f"{num}/{den}")
+            elif num != 1 or not factors:
+                factors.insert(0, str(num))
+            pieces.append(sign + "*".join(factors))
+        first = pieces[0]
+        pieces[0] = first[2:] if first[0] == "+" else "-" + first[2:]
         return " ".join(pieces)
 
     def __repr__(self) -> str:

@@ -416,7 +416,7 @@ def test_joint_projections_pass_the_pairwise_reference():
     bihom = bihomogenize(h1, h2)
     assert len(bihom.projections) == 9
     assert pairwise_complementary(list(bihom.projections.values()))
-    assert sorted(bihom.biweights) == sorted(zip(first, second))
+    assert sorted(bihom.orders) == sorted(zip(first, second))
     assert bihom.homogenizer.then(bihom.inverse).is_identity()
 
 

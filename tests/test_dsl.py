@@ -321,6 +321,48 @@ def test_eof_after_a_trailing_comment_stays_at_the_comment():
     assert toks[-1].span == Span(1, 16)
 
 
+class _ScanCountingSource(str):
+    """A source that tallies the characters its str searches scan."""
+
+    scanned = 0
+
+    def _tally(self, start=None, end=None):
+        type(self).scanned += len(range(len(self))[start:end])
+
+    def count(self, sub, start=None, end=None):
+        self._tally(start, end)
+        return str.count(self, sub, start, end)
+
+    def find(self, sub, start=None, end=None):
+        self._tally(start, end)
+        return str.find(self, sub, start, end)
+
+    def rfind(self, sub, start=None, end=None):
+        self._tally(start, end)
+        return str.rfind(self, sub, start, end)
+
+    def split(self, sep=None, maxsplit=-1):
+        self._tally()
+        return str.split(self, sep, maxsplit)
+
+
+@pytest.mark.parametrize("statements", [50, 400])
+def test_locating_tokens_scans_the_source_a_bounded_number_of_times(statements):
+    """Every statement span, name and reference is located, yet the source
+    is scanned a fixed number of times, however many statements it has."""
+    lines = []
+    for i in range(statements):
+        lines.append(f"chart C{i} (x:1, y:2)")
+        lines.append(f"map m{i} : C{i} -> C{i} {{ x = x + 2*x^3; y = y - x^2; }}")
+        lines.append(f"  check-morphism m{i}  # line {3 * i + 3}")
+    source = _ScanCountingSource("\n".join(lines) + "\n")
+    _ScanCountingSource.scanned = 0
+    program = parse(source)
+    assert _ScanCountingSource.scanned <= 3 * len(source)
+    spans = [stmt.span for stmt in program.statements]
+    assert spans == [Span(line, 3 if line % 3 == 0 else 1) for line in range(1, 3 * statements + 1)]
+
+
 # --- frozen errors ----------------------------------------------------------
 
 ERROR_CASES = [
@@ -577,6 +619,12 @@ class _ReferenceParser(_Parser):
     """The expression parser as it was before term dicts, kept as the oracle:
     it builds one WPolynomial per atom and per operator."""
 
+    def advance(self):
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
     def parse_expression(self, chart):
         return self.parse_sum(chart)
 
@@ -803,6 +851,23 @@ def test_a_product_over_the_budget_is_refused_before_it_is_expanded(monkeypatch)
             "map m : V -> V { a = (a + b + c + d)^8*(a + b + c + d)^8; b = b; c = c; d = d; }"
         )
     assert (exc.value.line, exc.value.col) == (2, 39)
+
+
+def test_the_product_budget_counts_the_terms_of_the_product_so_far():
+    """One-term factors keep a product's term count and a zero factor
+    empties it, wherever they stand among the factors."""
+    chart = "chart V (a:1, b:1, c:1, d:1)\n"
+    rest = "; b = b; c = c; d = d; }"
+    big = "(a + b + c + d)^8"  # 165 terms
+    parse(f"{chart}map m : V -> V {{ a = {big}*0*{big}{rest}")
+    parse(f"{chart}map m : V -> V {{ a = -0*{big}*{big}{rest}")
+    source = f"{chart}map m : V -> V {{ a = {big}*2*a^3*-1/2*{big}{rest}"
+    with pytest.raises(ResourceLimitError) as exc:
+        parse(source)
+    assert str(exc.value) == (
+        f"line 2, column {source.rindex('*(') - len(chart) + 1}: a product of 165 "
+        f"by 165 terms may give more terms than the budget of {TERM_BUDGET}"
+    )
 
 
 def test_budgets_admit_what_they_allow():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from gradua.charts import GradedChart, fresh_name
 from gradua import linalg
 from gradua.errors import (
+    ChartMismatchError,
     DomainError,
     EngineDefectError,
     GraduaError,
@@ -167,6 +168,46 @@ def test_action_with_param_rename():
     renamed = std.with_param("s")
     assert renamed.param == "s"
     assert renamed.at(5).pullbacks == std.at(5).pullbacks
+
+
+def test_a_family_takes_its_extended_chart_from_its_entries():
+    """ActionFamily adopts the chart its entries live on as extended_chart
+    when that is the chart followed by the parameter at weight 0, and builds
+    it only when it is not given one."""
+    ext = V.extend((("t", 0),))
+    x, y, t = (WPolynomial.variable(ext, v) for v in ext.names)
+    h = ActionFamily(V, "t", {"x": t * x, "y": t**2 * y})
+    assert h.extended_chart is ext
+    # an equal chart built apart is adopted as well, and families compare
+    # by their fields only
+    twin = GradedChart("V", (("x", 1), ("y", 2), ("t", 0)))
+    g = ActionFamily(V, "t", {v: WPolynomial(twin, p.terms) for v, p in h.entries.items()})
+    assert g.extended_chart is twin and g == h
+    # a chart with no variables has no entries to take it from
+    empty = ActionFamily(GradedChart("E", ()), "s", {})
+    assert empty.extended_chart == GradedChart("E", (("s", 0),))
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [
+        GradedChart("U", (("x", 1), ("y", 2), ("t", 0))),  # another name
+        GradedChart("V", (("x", 1), ("y", 2), ("t", 1))),  # t of weight 1
+        GradedChart("V", (("t", 0), ("x", 1), ("y", 2))),  # t first
+        GradedChart("V", (("x", 1), ("y", 2), ("s", 0))),  # another parameter
+        V,  # no parameter
+    ],
+)
+def test_entries_on_any_other_chart_are_refused(chart):
+    good = standard_action(V)
+    off = {v: WPolynomial(chart, p.terms) for v, p in good.entries.items()}
+    for entries in (
+        off,
+        {"x": good.entries["x"], "y": off["y"]},  # only the last entry is off
+        {"x": off["x"], "y": good.entries["y"]},  # only the first is off
+    ):
+        with pytest.raises(ChartMismatchError, match="must live on the chart extended by 't'"):
+            ActionFamily(V, "t", entries)
 
 
 def test_truncate_drops_high_weights():

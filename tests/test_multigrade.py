@@ -61,7 +61,7 @@ def test_bihomogenize_splits_orders():
     h2 = family(M, "u", lambda v, u: {"x": v["x"], "y": u * v["y"]})
     bihom = bihomogenize(h1, h2)
     assert bihom.chart.variables == (("y0_1_1", 1), ("y1_0_1", 1))
-    assert bihom.biweights == ((0, 1), (1, 0))
+    assert bihom.orders == ((0, 1), (1, 0))
     assert str(bihom.homogenizer.pullbacks["y0_1_1"]) == "y"
     assert str(bihom.homogenizer.pullbacks["y1_0_1"]) == "x"
     assert compose(bihom.homogenizer, bihom.inverse).is_identity()
@@ -89,7 +89,7 @@ def test_double_vector_bundle_total_structure():
     commuting, _ = check_commuting(h1, h2)
     assert commuting
     bihom = bihomogenize(h1, h2)
-    assert sorted(bihom.biweights) == [(0, 1), (1, 0), (1, 1)]
+    assert sorted(bihom.orders) == [(0, 1), (1, 0), (1, 1)]
     assert sorted(bihom.chart.weights) == [1, 1, 2]
 
     total = total_action(h1, h2)
@@ -122,7 +122,7 @@ def test_bihomogenize_with_corrections():
     commuting, witnesses = check_commuting(h1, h2)
     assert commuting, [(v, str(d)) for v, d in witnesses]
     bihom = bihomogenize(h1, h2)
-    assert sorted(bihom.biweights) == [(0, 1), (1, 0), (1, 2)]
+    assert sorted(bihom.orders) == [(0, 1), (1, 0), (1, 2)]
     assert str(bihom.homogenizer.pullbacks["y1_2_1"]) == "z + x1*x2"
 
 

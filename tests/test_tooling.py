@@ -22,9 +22,10 @@ from fractions import Fraction
 
 import pytest
 
-from gradua import action, cli, graded, jets, linalg, multigrade, wpoly
+from gradua import action, cli, dsl, graded, jets, linalg, multigrade, wpoly
 from gradua.action import analyze, homogenize
 from gradua.charts import GradedChart
+from gradua.errors import ParseError
 from gradua.dsl import parse
 from gradua.graded import ActionFamily, PolyMap, standard_action
 from gradua.multigrade import bihomogenize
@@ -302,7 +303,41 @@ def test_prolong_substitutes_the_curves_once(monkeypatch):
     family, _ = conjugated_action(random.Random(9), GradedChart("P", (("x1", 1), ("y1", 2))))
     charts.clear()
     lifted = jets.prolong_action(family, 2)
-    assert {c for c, in charts} == {lifted.chart, lifted.extended_chart}
+    assert [c for c, in charts] == [lifted.chart, lifted.extended_chart]
+
+
+def test_each_family_builder_builds_its_extended_chart_once(monkeypatch):
+    """A family built on its extended chart takes that chart as it is:
+    parse_action, with_param, the model family's builder (standard_action,
+    jet_action), prolong_action and total_action each build the chart
+    extended by the parameter once, and ActionFamily builds none."""
+    chart = GradedChart("M", (("x", 1), ("y", 2)))
+    charts = _count_calls(monkeypatch, GradedChart, "__post_init__")
+
+    def built(make):
+        charts.clear()
+        family = make()
+        assert all(p.chart is family.extended_chart for p in family.entries.values())
+        return [c for c, in charts]
+
+    h = standard_action(chart)
+    assert built(lambda: standard_action(chart)) == [h.extended_chart]
+    assert built(lambda: h.with_param("s")) == [chart.extend((("s", 0),))]
+    levels = jets.jet_action(jets.adapt(chart, 1))
+    assert built(lambda: jets.jet_action(jets.adapt(chart, 1))) == [
+        levels.chart, levels.extended_chart
+    ]
+    assert built(lambda: jets.prolong_action(h, 1)) == [levels.chart, levels.extended_chart]
+    # total_action renames the second family to the shared parameter: one
+    # chart for the renamed family and one for the total
+    other = ActionFamily(chart, "u", {
+        v: WPolynomial(chart.extend((("u", 0),)), p.terms) for v, p in h.entries.items()
+    })
+    assert built(lambda: multigrade.total_action(h, other)) == [h.extended_chart] * 2
+    source = "chart M (x:1, y:2)\naction g on M { x -> t*x; y -> t^2*y + t*x^2; }\n"
+    charts.clear()
+    g = parse(source).actions()["g"]
+    assert [c for c, in charts] == [chart, g.extended_chart]
 
 
 def test_is_homogeneous_builds_no_chart_and_no_polynomial(monkeypatch):
@@ -351,6 +386,31 @@ def test_parsing_builds_one_polynomial_per_pullback_and_entry(monkeypatch):
     polys += [p for h in program.actions().values() for p in h.entries.values()]
     assert len(calls) == len(polys) == 8
     assert calls == [p.chart for p in polys]
+
+
+def test_parsing_tokenizes_once_and_builds_no_symbol_token(monkeypatch):
+    """parse lexes the source in one tokenize call, and the parser reads
+    token texts: a Token is built only for a name, a reference, an `at`
+    value or an error, never for a keyword that only guides the parse or
+    for a symbol."""
+    source = (ROOT / "tests" / "data" / "tour.gradua").read_text()
+    source += "analyze-action g at (x=0, y=-1/2)\n"
+    lexed = _count_calls(monkeypatch, dsl, "tokenize")
+    built = []
+    original = dsl.Token
+
+    def token(*args):
+        built.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(dsl, "Token", token)
+    program = dsl.parse(source)
+    assert lexed == [(source,)]
+    assert program.statements
+    assert set(built) == {"ident", "number"}
+    with pytest.raises(ParseError):
+        dsl.parse("chart V (x:1)\nmap m : V -> V { x = x +; }")
+    assert built[-1] == "symbol"  # the error's token
 
 
 def test_at_and_with_param_substitute_nothing(monkeypatch):
@@ -499,11 +559,15 @@ def test_every_public_linalg_function_has_a_caller():
 def _mentioned(nodes):
     """Every name the syntax trees mention: names, attributes, imported
     names, and strings equal to a name (how perfbench/spans.py names what it
-    wraps)."""
+    wraps). The name an annotated declaration declares (a dataclass field,
+    `x: T = ...`) is no mention: it calls nothing."""
     out = set()
     for root in nodes:
+        declared = set()  # ast.walk visits a declaration before its target
         for node in ast.walk(root):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.AnnAssign):
+                declared.add(id(node.target))
+            elif isinstance(node, ast.Name) and id(node) not in declared:
                 out.add(node.id)
             elif isinstance(node, ast.Attribute):
                 out.add(node.attr)
@@ -539,6 +603,7 @@ def test_every_private_function_has_a_caller():
 # Public functions kept with no caller in src/gradua, perfbench/spans.py or
 # the acceptance suite: constructions of the theory, each with its reason.
 UNCALLED_CONSTRUCTIONS = {
+    "action.py: base_projection": "the bundle projection h_0 onto the base",
     "graded.py: truncate_map": "a graded map descends to each truncation of the tower",
     "graded.py: weight_field": "the weight vector field, the reference of the Euler-route oracle",
     "jets.py: jet_projection": "the projection between jet levels, a morphism of jet lifts",
@@ -572,12 +637,41 @@ def test_every_public_function_has_a_caller():
     assert sorted(uncalled) == sorted(UNCALLED_CONSTRUCTIONS), uncalled
 
 
+def _is_alias_property(node) -> bool:
+    """A property whose body, past its docstring, only returns an attribute
+    of the object: a second name for that attribute."""
+    if not isinstance(node, ast.FunctionDef) or not any(
+        getattr(d, "id", getattr(d, "attr", None)) in ("property", "cached_property")
+        for d in node.decorator_list
+    ):
+        return False
+    body = node.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    return (
+        len(body) == 1
+        and isinstance(body[0], ast.Return)
+        and isinstance(body[0].value, ast.Attribute)
+        and getattr(body[0].value.value, "id", None) == "self"
+    )
+
+
 def test_no_public_name_is_a_bare_alias():
     """No module of src/gradua binds a public module-level name to another
-    name (X = Y, or X = module.Y): each construction or result has one name."""
+    name (X = Y, or X = module.Y), and no class has a public property that
+    only returns another attribute: each construction or result has one
+    name."""
     aliases = []
     for path in sorted((ROOT / "src" / "gradua").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases += [
+            f"{path.name}: {cls.name}.{node.name}"
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if _is_alias_property(node) and not node.name.startswith("_")
+        ]
+        for node in tree.body:
             if isinstance(node, ast.Assign):
                 targets, value = node.targets, node.value
             elif isinstance(node, ast.AnnAssign):

@@ -749,3 +749,101 @@ def test_sparse_print_key_orders_like_the_dense_key():
         expected = sorted(p.terms.items(), key=lambda mc: _mono_sort_key(mc[0], chart))
         assert p.sorted_terms() == expected
     assert weight_zero > 100
+
+
+# --- the printer and the evaluator against their earlier bodies ---------------
+
+
+def _reference_str(p):
+    """WPolynomial.__str__ as it was before it read each sign and magnitude
+    off the numerator and denominator, kept as the oracle: abs() and
+    comparisons of the coefficient, and sorted_terms for every polynomial."""
+    if not p.terms:
+        return "0"
+    names = p.chart.names
+    pieces = []
+    for mono, c in p.sorted_terms():
+        factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono]
+        if not factors:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(abs(c))] + factors)
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+def _reference_evaluate(p, point):
+    """WPolynomial.evaluate as it was before it read the point by index,
+    kept as the oracle: a name lookup and _exact for every factor."""
+    names = p.chart.names
+    total = Fraction(0)
+    for mono, c in p.terms.items():
+        val = c
+        for i, e in mono:
+            var = names[i]
+            if var not in point:
+                raise DomainError(f"no value for variable {var!r}")
+            val *= _exact(point[var]) ** e
+        total += val
+    return total
+
+
+@st.composite
+def printable_polynomials(draw):
+    """Polynomials with coefficients of any size and sign, ints and
+    fractions, 1 and -1 included, over a chart of up to four variables."""
+    chart = draw(st.sampled_from(CHARTS + (B, GradedChart("E", ()))))
+    coefficient = st.one_of(
+        st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 3)]),
+        st.integers(-10**30, 10**30),
+        st.fractions(max_denominator=10**12),
+    )
+    monomial = st.lists(st.integers(0, 3), min_size=len(chart), max_size=len(chart)).map(
+        lambda es: tuple((i, e) for i, e in enumerate(es) if e)
+    )
+    return WPolynomial(chart, draw(st.dictionaries(monomial, coefficient, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(printable_polynomials())
+def test_str_matches_the_reference_printer(p):
+    assert str(p) == _reference_str(p)
+
+
+def _outcome(evaluate, p, point):
+    try:
+        value = evaluate(p, point)
+    except DomainError as exc:
+        return str(exc)
+    return value, type(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    printable_polynomials(),
+    st.dictionaries(
+        st.sampled_from(["x", "y", "x1", "x2", "a", "u", "v", "z"]),
+        st.one_of(st.integers(-5, 5), st.fractions(max_denominator=7), st.just(0.5)),
+    ),
+)
+def test_evaluate_matches_the_reference_evaluator(p, point):
+    """The same value, of the same type, or the same DomainError: a missing
+    variable or an inexact value, found at the same factor."""
+    assert _outcome(WPolynomial.evaluate, p, point) == _outcome(_reference_evaluate, p, point)
+
+
+def test_chart_lookups_stay_out_of_equality_hash_and_repr():
+    """A chart builds its names, weights and index once, on first read;
+    equality, hash and repr read its two fields only."""
+    a = GradedChart("C", (("x", 1), ("b", 0)))
+    b = GradedChart("C", (("x", 1), ("b", 0)))
+    assert (a.names, a.weights, a.index_of("b"), "b" in a) == (("x", "b"), (1, 0), 1, True)
+    assert a.names is a.names and a.weights is a.weights and a._index is a._index
+    assert a == b and hash(a) == hash(b)
+    assert a != GradedChart("D", a.variables)
+    assert repr(a) == "GradedChart(name='C', variables=(('x', 1), ('b', 0)))"
