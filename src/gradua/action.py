@@ -533,11 +533,12 @@ def _homogenize_joint(
     Each new coordinate is checked to scale exactly under every family, and
     the change of coordinates is inverted by the one inverse kernel,
     graded._invert_coordinate_change: a Picard pass of bounded length,
-    certified on one side, phi o psi = id, which proves both. The kernel's
-    docstring has the proofs: the checked premise, the settle certificate,
-    the bound D (the largest summed parameter exponent of the composite)
-    when every new weight is at least 1, and the Bass-Connell-Wright bound
-    otherwise. Soundness rests on these three checks, the premise, the
+    certified on one side by a zero residual, phi o psi = id, which proves
+    both. The kernel's docstring has the proofs: the certificate, the
+    checked premise, which proves only that a pass that fails has no
+    inverse to find, the bound D (the largest summed parameter exponent of
+    the composite) when every new weight is at least 1, and the
+    Bass-Connell-Wright bound otherwise. Soundness rests on two checks, the
     scaling and the certified inverse, and not on how C was found. The
     certificate proves the laws, the commutation of the families and the
     total degree, so none of them is checked when it succeeds. Write phi
@@ -629,7 +630,7 @@ def _joint_certificate(
     return JointHomogenization(
         chart=new_chart,
         homogenizer=phi,
-        inverse=_invert_coordinate_change(phi, point, basis, rows, degree),
+        inverse=_invert_coordinate_change(phi, point, basis, degree),
         orders=tuple(orders),
         theta=point,
         projections=projections,

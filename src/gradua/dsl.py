@@ -83,9 +83,10 @@ class Tokens(Sequence[Token]):
     second array holds the offset each line starts at, so a token's line is
     one bisection.
 
-    A Token and its Span are built only when an item is read. The text of a
-    token fixes its kind: a keyword or a symbol is its own text, a number
-    starts with a digit and an identifier with a letter or `_`.
+    A Token and its Span are built only when an item is read, by an int
+    index; a slice is not supported (list(tokens) can be sliced). The text
+    of a token fixes its kind: a keyword or a symbol is its own text, a
+    number starts with a digit and an identifier with a letter or `_`.
     """
 
     __slots__ = ("texts", "starts", "lines")
@@ -100,8 +101,6 @@ class Tokens(Sequence[Token]):
         return len(self.texts)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
         text = self.texts[i]
         kind = (
             "eof" if not text

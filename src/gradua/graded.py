@@ -26,7 +26,9 @@ raised.
 
 Polynomial maps are inverted by one kernel, the bounded Picard pass of
 _invert_coordinate_change. It inverts graded automorphisms here
-(invert_automorphism) and the homogenizer of action's certificate.
+(invert_automorphism) and the homogenizer of action's certificate. The
+pass iterates on its residual phi(x) - y and certifies an iterate only by
+a zero residual; its checked premise proves the negative verdicts.
 """
 
 from __future__ import annotations
@@ -274,9 +276,9 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
     the weight-0 block must be affine, and every B_w constant and
     invertible. Otherwise there is no polynomial inverse in the supported
     class, and NotInvertibleError is raised. The checks build what the pass
-    takes: theta, the block-diagonal B_w as the derivative at theta, the
-    block-diagonal B_w^-1 as C (each block inverted over ints by
-    linalg._inverse), and the chart degree as the bound. The
+    takes: theta, the block-diagonal B_w^-1 as C (each block inverted over
+    ints by linalg._inverse), and the chart degree as the bound, with the
+    block-diagonal B_w, the derivative at theta, for the premise check. The
     kernel's docstring proves that these are right. The checks also
     guarantee a triangular inverse, so any failure of the pass is an
     EngineDefectError.
@@ -325,9 +327,9 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
                 basis[i][j] = x * (e_all // e)
             shift = sum(x * constants[j] for j, x in zip(block, row))
             theta[names[i]] = _coefficient(Fraction(-shift, e)) if shift else 0
-    basis, cinv = _checked_stored((basis, e_all), linalg._scaled(derivative))
+    basis, _ = _checked_stored((basis, e_all), linalg._scaled(derivative))
     try:
-        return _invert_coordinate_change(psi, theta, basis, cinv, chart.degree)
+        return _invert_coordinate_change(psi, theta, basis, chart.degree)
     except NotGradedActionError as exc:
         raise EngineDefectError(f"a graded automorphism was not inverted: {exc}") from exc
 
@@ -351,7 +353,6 @@ def _invert_coordinate_change(
     phi: PolyMap,
     theta: Mapping[str, Fraction | int],
     basis: Sequence[Sequence[Fraction | int]],
-    cinv: Sequence[Sequence[Fraction | int]],
     degree: int,
 ) -> PolyMap:
     """Exact inverse of a polynomial map phi, from one bounded Picard pass.
@@ -359,35 +360,31 @@ def _invert_coordinate_change(
     This is the one inverse kernel: the homogenizer of action._joint_certificate
     and the graded automorphisms of invert_automorphism are inverted here.
     phi maps the chart of x to a chart of y with as many variables, theta is
-    a point with phi(theta) = 0, cinv is the derivative of phi at theta and
-    basis is a matrix C. Both matrices come in stored form (int when
-    integral, see wpoly), from _checked_stored. degree is a bound D on the
-    total degree of the inverse, used when every weight of the y chart is
-    at least 1.
+    a point with phi(theta) = 0 and basis is a matrix C, the inverse of the
+    derivative of phi at theta. C comes in stored form (int when integral,
+    see wpoly) from _checked_stored. degree is a bound D on the total
+    degree of the inverse, used when every weight of the y chart is at
+    least 1.
 
-    - The premise, checked. cinv C = I is decided exactly by
-      _checked_stored, which both callers run on the integer forms before
-      they call the kernel, and EngineDefectError is raised when it fails.
-      The settle certificate below rests on it: with a wrong C it would
-      accept a wrong inverse.
-    - The pass. N = phi - cinv (x - theta) has order >= 2 at theta, so round
-      k of x = theta + C (y - N(x)) from x = theta, truncated at total degree
-      k, is the degree-k truncation of the formal inverse psi.
-    - The settle certificate. Round k substitutes x_(k-1) into N in full,
-      giving F, and then sets x_k = theta + C (y - trunc_k F). If the round
-      settles (x_k = x_(k-1)), then N(x_k) = F and phi(x_k) = cinv (x_k -
-      theta) + N(x_k) = cinv C (y - trunc_k F) + F = y + (F - trunc_k F). So
-      phi o x_k = id exactly when F has no term of total degree above k,
-      and the round is certified with no composite; otherwise the pass goes
-      on. A pass that reaches its limit unsettled checks the composite
-      x_k.then(phi), phi at the iterate.
-    - Settling is decided on T_k = trunc_k F. With base = theta + C y, x_k =
-      base - C T_k, and x_1 = base gives T_1 = 0. So x_k - x_(k-1) = C
-      (T_(k-1) - T_k). C is injective, since cinv C = I: C a = 0 gives a =
-      cinv C a = 0. Hence x_k = x_(k-1) exactly when T_k = T_(k-1). The pass
-      compares the T_k, and a settled round forms no x_k, as it equals
-      x_(k-1). The premise is what makes this exact, as it is for the
-      certificate.
+    - The pass. Write L = C^-1 for the derivative of phi at theta and N =
+      phi - L (x - theta), of order >= 2 at theta. Round k of x = theta + C
+      (y - N(x)) from x = theta, truncated at total degree k, is the
+      degree-k truncation of the formal inverse psi. The pass runs it on
+      its residual: x_1 = theta + C y, and x_k = x_(k-1) - C trunc_k R_k
+      with R_k = phi(x_(k-1)) - y. Both give the same x_k: if x_(k-1) =
+      theta + C (y - T) with T of total degree at most k - 1, then R_k =
+      L C (y - T) + N(x_(k-1)) - y = N(x_(k-1)) - T, since L C = I (C L = I
+      is checked, and C is square), so x_k = theta + C (y - trunc_k
+      N(x_(k-1))).
+    - The certificate. R_k = 0 says phi o x_(k-1) = id: the iterate is
+      returned, certified by that equality alone. A positive verdict rests
+      on no premise.
+    - The premise, checked. C L = I is decided exactly by _checked_stored,
+      which both callers run on the integer forms before they call the
+      kernel, and EngineDefectError is raised when it fails. It proves the
+      negative verdicts only: with it, the iterates are the truncations of
+      psi, so the pass reaches psi, and R = 0, by round D + 1 whenever an
+      inverse of total degree at most D exists.
     - One side proves both. phi o psi = id says psi^* o phi^* = id on Q[y],
       so psi^* : Q[x] -> Q[y] is onto. As x and y are equally many,
       renaming x to y makes psi^* a surjective endomorphism of Q[y]. A
@@ -399,7 +396,7 @@ def _invert_coordinate_change(
       homogenizer checks that it has as many coordinates as the chart; an
       automorphism is a self-map.)
     - The limits. If every weight of the y chart is at least 1, the pass
-      stops at round D and a failure there is an engine defect
+      stops at x_D and a failure there is an engine defect
       (EngineDefectError). Otherwise a polynomial inverse of phi, if any,
       has total degree at most deg(phi)^(n-1) (Bass, Connell and Wright,
       Bull. AMS 7 (1982), Thm 1.5), so a failure at that round proves that
@@ -408,9 +405,9 @@ def _invert_coordinate_change(
     Each caller's inputs meet these conditions:
 
     - The homogenizer phi of k commuting monoid families fixing theta.
-      phi(theta) = 0, from scaling at t = 0. C is the basis matrix and cinv
-      its inverse, read off the rank factors (proof in
-      action._homogenize_joint). cinv is the derivative of phi at theta:
+      phi(theta) = 0, from scaling at t = 0. C is the basis matrix, and its
+      inverse is read off the rank factors (proof in
+      action._homogenize_joint). C^-1 is the derivative of phi at theta:
       phi_i is row i of C^-1 applied to the m-coefficient of the
       composite, m being phi_i's multi-index, so its derivative at theta
       is C^-1_i P_m, P_m being the joint projection read off the
@@ -436,24 +433,13 @@ def _invert_coordinate_change(
       of weight w_v. When every weight is at least 1 its total degree is
       at most w_v, so D is the chart degree.
     """
-    chart = phi.source
-    shift = [  # x_j - theta_j
-        {((j, 1),): 1, (): -_coefficient(theta[v])} if theta[v] else {((j, 1),): 1}
-        for j, v in enumerate(chart.names)
-    ]
-    nonlinear = []  # N = phi - cinv (x - theta), one combination per row
-    for v, row in zip(phi.target.names, cinv):
-        pairs = ((-a, z) for a, z in zip(row, shift))
-        terms = _terms_combine(pairs, dict(phi.pullbacks[v].terms))
-        nonlinear.append(WPolynomial(chart, terms))
-
     positive = all(phi.target.weights)
     if positive:
         limit = degree
     else:
         phi_degree = max(p.total_degree() for p in phi.pullbacks.values())
-        limit = phi_degree ** (len(chart) - 1)
-    inverse, exact = _picard_inverse(phi, theta, basis, nonlinear, max(limit, 1))
+        limit = phi_degree ** (len(phi.source) - 1)
+    inverse, exact = _picard_inverse(phi, theta, basis, limit)
     if exact:
         return inverse
     if positive:
@@ -470,58 +456,52 @@ def _picard_inverse(
     phi: PolyMap,
     theta: Mapping[str, Fraction | int],
     basis: Matrix,
-    nonlinear: Sequence[WPolynomial],
     limit: int,
 ) -> tuple[PolyMap, bool]:
-    """Rounds k = 1 .. limit of x_k = base - C T_k, with base = theta + C y
-    and T_k = trunc_k N(x_(k-1)).
+    """The iterates x_1 = theta + C y and x_k = x_(k-1) - C trunc_k R_k, R_k =
+    phi(x_(k-1)) - y, up to x_limit.
 
-    Returns the last iterate and whether it inverts phi. Round 1 is base,
-    with T_1 = 0. Round k >= 2 pushes every nonzero row of N through
-    x_(k-1) in one pass of the substitution kernel (wpoly._terms_substitute),
-    giving F, and reads T_k off F's terms. The round settles when T_k =
-    T_(k-1), which is exactly x_k = x_(k-1) (the proof is in
-    _invert_coordinate_change), so a settled round forms no iterate. It is
-    certified from F alone: the iterate inverts phi exactly when F has no
-    term of total degree above k. Otherwise x_k is base minus one linear
-    combination of the nonzero rows of T_k per coordinate, and only the
-    last iterate becomes WPolynomials. A pass that reaches the limit
-    unsettled checks the composite candidate.then(phi).
+    Returns the last iterate and whether it inverts phi. Each round pushes
+    phi's rows through the iterate in one pass of the substitution kernel
+    (wpoly._terms_substitute) and subtracts y, giving the residual. A zero
+    residual returns the iterate as certified; otherwise x_k is x_(k-1)
+    minus one linear combination of the nonzero rows of trunc_k R_k per
+    coordinate. So rounds 2 .. limit + 1 check x_1 .. x_limit, and the
+    iterates stay term dicts until the last one is returned. The proofs are
+    in _invert_coordinate_change.
     """
     chart, new_chart = phi.source, phi.target
     names = chart.names
-    base = []  # theta + C y
+    iterate = []  # x_1 = theta + C y
     for v, row in zip(names, basis):
         terms = {((j, 1),): a for j, a in enumerate(row) if a}
         if theta[v]:
             terms[()] = _coefficient(theta[v])
-        base.append(terms)
+        iterate.append(terms)
     columns = [[(j, -a) for j, a in enumerate(row) if a] for row in basis]  # -C
-    rows = [(j, n.terms) for j, n in enumerate(nonlinear) if n.terms]
-    iterate, trunc, settled = base, {}, False  # x_1 and T_1
-    for k in range(2, limit + 1):
-        pushed = _terms_substitute([n for _, n in rows], iterate)
-        within = True  # no term of F above total degree k
-        previous, trunc = trunc, {}
-        for (j, _), f in zip(rows, pushed):
-            kept = {m: c for m, c in f.items() if _mono_total_degree(m) <= k}
-            within = within and len(kept) == len(f)
+    rows = [phi.pullbacks[v].terms for v in new_chart.names]
+    k = 1  # the iterate is x_k
+    while True:
+        residual = _terms_substitute(rows, iterate)
+        for j, r in enumerate(residual):  # minus y_j
+            c = r.pop(((j, 1),), 0) - 1
+            if c:
+                r[((j, 1),)] = c
+        exact = not any(residual)
+        if exact or k >= limit:
+            break
+        k += 1
+        trunc = {}
+        for j, r in enumerate(residual):
+            kept = {m: c for m, c in r.items() if _mono_total_degree(m) <= k}
             if kept:
                 trunc[j] = kept
-        settled = trunc == previous
-        if settled and within:
-            break
-        if not settled:
-            iterate = [
-                _terms_combine(((a, trunc[j]) for j, a in col if j in trunc), dict(b))
-                for b, col in zip(base, columns)
-            ]
+        for x, col in zip(iterate, columns):  # x_k, in place of x_(k-1)
+            _terms_combine(((a, trunc[j]) for j, a in col if j in trunc), x)
     candidate = PolyMap(
         new_chart, chart, {v: WPolynomial(new_chart, x) for v, x in zip(names, iterate)}
     )
-    if settled:
-        return candidate, within
-    return candidate, candidate.then(phi).is_identity()
+    return candidate, exact
 
 
 def matrix_representation(psi: PolyMap) -> Matrix:

@@ -11,17 +11,18 @@ Jacobian built by substitution and n^2 derivatives (the term-level read
 must equal it), the Fraction-matrix projection checks with idempotence per
 joint projection (the rank verdict and its message must equal them), the
 two-sided inverse check (the one-composite verdict must equal it, on
-correct and on wrong candidates, and so must the degree verdict of every
-settled Picard round), the doubling search for the inverse (the bounded
-Picard pass must find the same inverse), the n x n products of the
+correct and on wrong candidates, and so must the zero-residual verdict of
+the Picard pass at every limit), the doubling search for the inverse
+(the bounded Picard pass must find the same inverse), the n x n products of the
 families' Taylor projections for k >= 2 (the joint projections read off
 the composite's Jacobian must give the same orders, basis and grid, and a
 pair that does not commute must be refused), and the object-level linear
 combinations of the homogenizer rows, the scaling check, N and the Picard
 iterates (the term-dict combinations must give the same coordinates,
-inverse, orders, verdicts and errors), the Picard pass that built every
-iterate and settled on x_k = x_(k-1) (the pass that settles on T_k must
-give the same iterate and verdict at every limit), and the scaling check
+inverse, orders, verdicts and errors), the Picard passes that built every
+iterate and settled on x_k = x_(k-1), and that settled on T_k (the pass
+on its residual must give the same iterate and verdict at every limit, on
+drawn coordinate changes too), and the scaling check
 on Fractions and h_0(theta) = theta on integers (the scaling kernel's
 integer check and the exact evaluation that replaced the integer one
 must give the same verdicts, on mutated coordinates and moved points
@@ -41,7 +42,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gradua.action as action
@@ -85,6 +86,7 @@ from gradua.linalg import (
 from gradua.multigrade import bihomogenize, check_commuting
 from gradua.wpoly import (
     WPolynomial, _coefficient, _mono_total_degree, _numerators, _terms_combine,
+    _terms_substitute,
 )
 
 from helpers import (
@@ -630,23 +632,35 @@ def test_taylor_projections_agree_with_the_sympy_jacobian(dressed):
 # --- one composite of the inverse ----------------------------------------------
 
 
-# the module whose code calls each stage of the inverse kernel: action calls
-# the kernel, and the kernel, in graded, runs the pass
-CALLER = {"_invert_coordinate_change": action, "_picard_inverse": graded}
-
-
-def inversion_inputs(monkeypatch, build, *args, stage="_invert_coordinate_change"):
-    """build(*args), and the arguments its first call of <stage> got."""
+def inversion_inputs(monkeypatch, build, *args):
+    """build(*args), and the arguments its first call of the inverse kernel
+    got; action calls the kernel, and the kernel, in graded, runs the pass."""
     seen = []
-    invert = getattr(CALLER[stage], stage)
+    invert = action._invert_coordinate_change
 
     def recording(*inputs):
         seen.append(inputs)
         return invert(*inputs)
 
     with monkeypatch.context() as patched:
-        patched.setattr(CALLER[stage], stage, recording)
+        patched.setattr(action, "_invert_coordinate_change", recording)
         result = build(*args)
+    return result, seen[0]
+
+
+def checked_matrices(monkeypatch, build, *args):
+    """build(*args), whether or not it succeeds, and the C and C^-1 in stored
+    form that its first check of the inverse kernel's premise returned."""
+    seen = []
+    checked = action._checked_stored
+
+    def recording(*matrices):
+        seen.append(checked(*matrices))
+        return seen[-1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(action, "_checked_stored", recording)
+        result = outcome(build, *args)
     return result, seen[0]
 
 
@@ -805,12 +819,12 @@ def test_a_degree_bound_below_the_inverse_is_an_engine_defect(monkeypatch):
         hom, inputs = inversion_inputs(monkeypatch, homogenize, family, theta)
         if total_degree(hom.inverse) >= 4:
             break
-    phi, point, basis, cinv, degree = inputs
+    phi, point, basis, degree = inputs
     exact = total_degree(hom.inverse)
     assert exact <= degree
-    assert action._invert_coordinate_change(phi, point, basis, cinv, exact) == hom.inverse
+    assert action._invert_coordinate_change(phi, point, basis, exact) == hom.inverse
     with pytest.raises(EngineDefectError, match=f"<= {exact - 1}$"):
-        action._invert_coordinate_change(phi, point, basis, cinv, exact - 1)
+        action._invert_coordinate_change(phi, point, basis, exact - 1)
 
 
 def test_weight0_coordinates_with_no_inverse_stop_at_the_bcw_bound(monkeypatch):
@@ -827,7 +841,8 @@ def test_weight0_coordinates_with_no_inverse_stop_at_the_bcw_bound(monkeypatch):
     assert verify_laws(family).monoid_ok
 
     # round 1 is theta + C y; each round k >= 2 is one pass of the
-    # substitution kernel, so the pass's own calls count its rounds
+    # substitution kernel, so the pass's own calls count its rounds. Rounds
+    # 2 .. 9 check x_1 .. x_8, and no composite is formed
     rounds, inside = [1], []
     picard, substitute = graded._picard_inverse, graded._terms_substitute
 
@@ -841,14 +856,23 @@ def test_weight0_coordinates_with_no_inverse_stop_at_the_bcw_bound(monkeypatch):
     def one_round(polys, images):
         if inside:
             rounds.append(rounds[-1] + 1)
-            assert rounds[-1] <= 8, f"Picard round {rounds[-1]}"
+            assert rounds[-1] <= 9, f"Picard round {rounds[-1]}"
         return substitute(polys, images)
 
     monkeypatch.setattr(graded, "_picard_inverse", one_pass)
     monkeypatch.setattr(graded, "_terms_substitute", one_round)
+    composites = []
+    then = PolyMap.then
+
+    def counted_then(*args):
+        if inside:
+            composites.append(args)
+        return then(*args)
+
+    monkeypatch.setattr(PolyMap, "then", counted_then)
     with pytest.raises(NotGradedActionError, match="total degree <= 8 "):
         homogenize(family)
-    assert rounds[-1] == 8
+    assert rounds[-1] == 9 and composites == []
 
 
 # --- the kernel's checked premise ---------------------------------------------
@@ -858,8 +882,11 @@ def test_a_wrong_basis_inverse_is_caught_by_the_premise(monkeypatch):
     """With the first entry of the stacked rank factors R off by one, C^-1 is
     wrong, yet every coordinate it builds still scales (a combination of t^r
     coefficients of a monoid action does). The inverse kernel's premise
-    check, cinv * C = I, refuses every family; with that check bypassed,
-    the settle certificate accepts wrong inverses."""
+    check, cinv * C = I, refuses every family. With that check bypassed,
+    no wrong inverse is accepted: the pass certifies only a zero residual,
+    phi o psi = id, so each family gets a true inverse of its homogenizer
+    or, with the iteration under a wrong C not converging, an
+    EngineDefectError at the degree bound."""
     families = []
     for seed in range(60):
         rng = random.Random(seed)
@@ -869,24 +896,29 @@ def test_a_wrong_basis_inverse_is_caught_by_the_premise(monkeypatch):
         with pytest.raises(EngineDefectError, match="cinv \\* C = I"):
             homogenize(family)
     monkeypatch.setattr(graded.linalg, "_is_inverse", lambda a, b: True)
-    wrong = 0
+    seen = {"inverted": 0, "not inverted": 0}
     for family in families:
         got = outcome(homogenize, family)
-        if not isinstance(got, tuple):
-            assert not got.homogenizer.then(got.inverse).is_identity()
-            wrong += 1
-    assert wrong >= 30, wrong
+        if isinstance(got, tuple):
+            assert got[0] is EngineDefectError, got
+            seen["not inverted"] += 1
+        else:
+            assert got.homogenizer.then(got.inverse).is_identity()
+            seen["inverted"] += 1
+    assert seen["not inverted"] >= 30, seen
 
 
-# --- the settled Picard round as the certificate --------------------------------
+# --- a zero residual as the certificate ---------------------------------------
 
 
 def cubic_shear_family():
     """h_t = gamma^-1 o s_t o gamma on (x:1, y:2), with gamma = (x, y + x^3).
 
-    The homogenizer is gamma and N = (0, x^3). Round 2 of the Picard pass
-    settles at the identity while F = N(x_1) = (0, y1_1^3) still has a term
-    above degree 2, so it is not the inverse.
+    The homogenizer is gamma and N = (0, x^3). The truncated rounds x_k =
+    theta + C (y - trunc_k N(x_(k-1))) give x_2 = x_1, the identity, while
+    N(x_1) = (0, y1_1^3) still has a term above degree 2: a pass that
+    accepted an unchanged round would return it, and it is not the
+    inverse.
     """
     chart = GradedChart("C", (("x", 1), ("y", 2)))
     ext = chart.extend((("t", 0),))
@@ -894,30 +926,23 @@ def cubic_shear_family():
     return ActionFamily(chart, "t", {"x": t * x, "y": t**2 * (y + x**3) - t**3 * x**3})
 
 
-def test_a_settled_round_is_certified_by_its_degree(dressed, monkeypatch):
+def test_a_zero_residual_is_certified(dressed, monkeypatch):
+    """At every limit, the pass's verdict is the one-sided composite and the
+    other side: the iterate is certified exactly when it inverts phi."""
     rng = random.Random(37)
     chained = [chained_family(rng, i % 3) for i in range(36)]
     cases = dressed + chained + [(cubic_shear_family(), None)]
-    seen = {"accepted": 0, "terms above k": 0}
+    seen = {"accepted": 0, "refused": 0}
     for family, theta in cases:
-        _, inputs = inversion_inputs(
-            monkeypatch, homogenize, family, theta, stage="_picard_inverse"
-        )
-        phi, point, basis, nonlinear, limit = inputs
-        previous = None
+        phi, point, basis, _, limit = pass_inputs(monkeypatch, family, theta)
         for k in range(1, limit + 1):
-            iterate, verdict = action._picard_inverse(phi, point, basis, nonlinear, k)
-            if iterate == previous:  # round k settled
-                pushed = [n.substitute(previous.pullbacks, into=phi.target) for n in nonlinear]
-                within = all(f.total_degree() <= k for f in pushed)
-                assert verdict == within
-                assert within == iterate.then(phi).is_identity()
-                assert within == phi.then(iterate).is_identity()
-                seen["accepted" if within else "terms above k"] += 1
-                if within:
-                    break
-            previous = iterate
-    assert seen["accepted"] >= 50 and seen["terms above k"] >= 3, seen
+            iterate, verdict = graded._picard_inverse(phi, point, basis, k)
+            assert verdict == iterate.then(phi).is_identity()
+            assert verdict == phi.then(iterate).is_identity()
+            seen["accepted" if verdict else "refused"] += 1
+            if verdict:
+                break
+    assert seen["accepted"] >= 50 and seen["refused"] >= 30, seen
 
 
 def test_a_settled_round_with_terms_above_its_degree_goes_on():
@@ -957,8 +982,8 @@ def assert_blocks_factor(c, c_inv, orders, joint):
 
 def certificate_parts(monkeypatch, families, theta):
     """_joint_certificate(families, theta), the joint projections and rank
-    factors its rank check returned, and the C and C^-1 it handed to the
-    inverse kernel, as Fraction matrices."""
+    factors its rank check returned, and the C and C^-1 that the inverse
+    kernel's premise check returned, as Fraction matrices."""
     seen = []
     projections = action._projections
 
@@ -968,8 +993,8 @@ def certificate_parts(monkeypatch, families, theta):
 
     with monkeypatch.context() as patched:
         patched.setattr(action, "_projections", recording)
-        cert, inputs = inversion_inputs(monkeypatch, _joint_certificate, families, theta, "L_h")
-    (grid, factored), (_, _, basis, cinv, _) = seen[0], inputs
+        cert, matrices = checked_matrices(monkeypatch, _joint_certificate, families, theta, "L_h")
+    (grid, factored), (basis, cinv) = seen[0], matrices
     return cert, grid, factored, fractions_of(basis), fractions_of(cinv)
 
 
@@ -1475,21 +1500,19 @@ def test_term_dict_certificate_agrees_with_the_object_level_route(dressed):
 
 
 def test_term_dict_inverse_agrees_with_the_object_level_route(dressed, monkeypatch):
-    """N, and every round's iterate and verdict, equal the reference's."""
+    """Every limit's iterate and verdict equal those of the object-level
+    reference and of the pass that settled on T_k, both run on N =
+    phi - C^-1 (x - theta) with the C^-1 that the premise check returned."""
     rng = random.Random(47)
     chained = [chained_family(rng, i % 3) for i in range(12)]
     rounds = 0
     for family, theta in dressed[:20] + chained + [(cubic_shear_family(), None)]:
-        _, (phi, point, _, cinv, _) = inversion_inputs(
-            monkeypatch, homogenize, family, theta
-        )
-        _, (_, _, basis, nonlinear, limit) = inversion_inputs(
-            monkeypatch, homogenize, family, theta, stage="_picard_inverse"
-        )
-        assert list(nonlinear) == reference_nonlinear(phi, point, cinv)
+        phi, point, basis, cinv, limit = pass_inputs(monkeypatch, family, theta)
+        nonlinear = reference_nonlinear(phi, point, cinv)
         for k in range(1, limit + 1):
-            got = action._picard_inverse(phi, point, basis, nonlinear, k)
+            got = action._picard_inverse(phi, point, basis, k)
             assert got == reference_picard(phi, point, basis, nonlinear, k)
+            assert got == settle_picard(phi, point, basis, nonlinear, k)
             rounds += 1
             if got[1]:
                 break
@@ -1586,9 +1609,53 @@ def previous_picard(phi, theta, basis, nonlinear, limit):
     return candidate, not settled and candidate.then(phi).is_identity()
 
 
+def settle_picard(phi, theta, basis, nonlinear, limit):
+    """The pass before it iterated on its residual, kept as the reference:
+    rounds k = 1 .. limit of x_k = base - C T_k, with base = theta + C y and
+    T_k = trunc_k F, F = N(x_(k-1)) by one pass of the substitution kernel.
+    A round that settled (T_k = T_(k-1)) was certified when F had no term
+    above total degree k; a pass that reached the limit unsettled checked
+    the composite candidate.then(phi)."""
+    chart, new_chart = phi.source, phi.target
+    names = chart.names
+    base = []
+    for v, row in zip(names, basis):
+        terms = {((j, 1),): a for j, a in enumerate(row) if a}
+        if theta[v]:
+            terms[()] = _coefficient(theta[v])
+        base.append(terms)
+    columns = [[(j, -a) for j, a in enumerate(row) if a] for row in basis]
+    rows = [(j, n.terms) for j, n in enumerate(nonlinear) if n.terms]
+    iterate, trunc, settled = base, {}, False
+    for k in range(2, limit + 1):
+        pushed = _terms_substitute([n for _, n in rows], iterate)
+        within = True
+        previous, trunc = trunc, {}
+        for (j, _), f in zip(rows, pushed):
+            kept = {m: c for m, c in f.items() if _mono_total_degree(m) <= k}
+            within = within and len(kept) == len(f)
+            if kept:
+                trunc[j] = kept
+        settled = trunc == previous
+        if settled and within:
+            break
+        if not settled:
+            iterate = [
+                _terms_combine(((a, trunc[j]) for j, a in col if j in trunc), dict(b))
+                for b, col in zip(base, columns)
+            ]
+    candidate = PolyMap(
+        new_chart, chart, {v: WPolynomial(new_chart, x) for v, x in zip(names, iterate)}
+    )
+    if settled:
+        return candidate, within
+    return candidate, candidate.then(phi).is_identity()
+
+
 def pass_inputs(monkeypatch, family, theta):
-    """The arguments of the first Picard pass that homogenize(family, theta)
-    runs, whether or not it succeeds."""
+    """phi, theta, C, C^-1 and the limit of the first Picard pass that
+    homogenize(family, theta) runs, whether or not it succeeds; C^-1 is
+    what the premise check returned."""
     seen = []
     picard = graded._picard_inverse
 
@@ -1598,25 +1665,29 @@ def pass_inputs(monkeypatch, family, theta):
 
     with monkeypatch.context() as patched:
         patched.setattr(graded, "_picard_inverse", recording)
-        outcome(homogenize, family, theta)
-    return seen[0]
+        _, (_, cinv) = checked_matrices(monkeypatch, homogenize, family, theta)
+    phi, point, basis, limit = seen[0]
+    return phi, point, basis, cinv, limit
 
 
 def test_picard_on_t_k_agrees_with_the_previous_pass_at_every_limit(dressed, monkeypatch):
     """Every limit k gives the iterate and verdict of the pass that built
-    each x_k. A pass certified at round s returns there for every limit
-    from s on, so the rounds are run up to s and then at the case's own
-    limit; a pass that is never certified is run at every limit."""
+    each x_k and of the pass that settled on T_k, both run on N = phi -
+    C^-1 (x - theta). A pass certified at round s returns there for every
+    limit from s on, so the rounds are run up to s and then at the case's
+    own limit; a pass that is never certified is run at every limit."""
     rng = random.Random(53)
     chained = [chained_family(rng, i % 3) for i in range(12)]
     cases = dressed + chained + [(cubic_shear_family(), None), (broken_inverse_family(), None)]
     seen = {"certified": 0, "settled above k": 0, "by the composite": 0, "never": 0}
     for family, theta in cases:
-        phi, point, basis, nonlinear, limit = pass_inputs(monkeypatch, family, theta)
+        phi, point, basis, cinv, limit = pass_inputs(monkeypatch, family, theta)
+        nonlinear = reference_nonlinear(phi, point, cinv)
         previous = None
         for k in range(1, limit + 1):
-            got = graded._picard_inverse(phi, point, basis, nonlinear, k)
+            got = graded._picard_inverse(phi, point, basis, k)
             assert got == previous_picard(phi, point, basis, nonlinear, k)
+            assert got == settle_picard(phi, point, basis, nonlinear, k)
             if got[0] == previous and not got[1]:
                 seen["settled above k"] += 1
             elif got[1] and k == 1:
@@ -1627,10 +1698,87 @@ def test_picard_on_t_k_agrees_with_the_previous_pass_at_every_limit(dressed, mon
             previous = got[0]
         else:
             seen["never"] += 1
-        got = graded._picard_inverse(phi, point, basis, nonlinear, limit)
+        got = graded._picard_inverse(phi, point, basis, limit)
         assert got == previous_picard(phi, point, basis, nonlinear, limit)
+        assert got == settle_picard(phi, point, basis, nonlinear, limit)
     assert seen["certified"] == len(cases) - 1 and seen["never"] == 1, seen
     assert seen["settled above k"] >= 1 and seen["by the composite"] >= 1, seen
+
+
+small_rational = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+
+
+@st.composite
+def coordinate_changes(draw):
+    """phi = A u(x - theta) on a chart whose coordinates all have weight 0,
+    with the C and C^-1 of the premise check and the Bass-Connell-Wright
+    limit deg(phi)^(n-1), the one the kernel uses on such a chart.
+
+    With z = x - theta, u_i = z_i + g_i, and g_i holds terms of degree 2 ..
+    d and linear terms in z_0 .. z_(i-1). In a triangular map g_i has only
+    z_0 .. z_(i-1), and phi has a polynomial inverse. Otherwise g_i may
+    hold z_i too, and g_0 holds c z_0^2 with c != 0: the Jacobian of u is
+    lower triangular, its determinant prod_i (1 + dg_i/dz_i) has the
+    non-constant factor 1 + 2c z_0 + ..., and phi has no polynomial
+    inverse. Those maps keep d^(n-1) <= 8.
+    """
+    n = draw(st.integers(1, 3))
+    triangular = draw(st.booleans())
+    d = draw(st.integers(2, 3 if triangular or n < 3 else 2))
+    chart = GradedChart("X", tuple((f"x{i}", 0) for i in range(n)))
+    image = GradedChart("Y", tuple((f"y{i}", 0) for i in range(n)))
+    theta = {v: draw(small_rational) for v in chart.names}
+    z = [ext_var(chart, v) - theta[v] for v in chart.names]
+    jacobian = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]  # of u at 0
+    us = []
+    for i in range(n):
+        u = z[i]
+        if not triangular and i == 0:
+            u = u + z[0] ** 2 * draw(small_rational.filter(bool))
+        among = range(i if triangular else i + 1)
+        monos = st.lists(st.sampled_from(among), min_size=1, max_size=d)
+        for mono in draw(st.lists(monos, max_size=3)) if among else ():
+            mono.sort()
+            if mono == [i] or i == 0 and mono == [0, 0]:  # u_i's own z_i, and c z_0^2
+                continue
+            c = draw(small_rational.filter(bool))
+            if len(mono) == 1:
+                jacobian[i][mono[0]] += c
+            term = WPolynomial.constant(chart, c)
+            for j in mono:
+                term = term * z[j]
+            u = u + term
+        us.append(u)
+    a = [[Fraction(draw(small_rational)) for _ in range(n)] for _ in range(n)]
+    try:
+        inverse(tuple(map(tuple, a)))
+    except SingularMatrixError:
+        assume(False)
+    phi = PolyMap(chart, image, {
+        y: sum((u * c for c, u in zip(row, us) if c), WPolynomial.zero(chart))
+        for y, row in zip(image.names, a)
+    })
+    derivative = mat_mul(tuple(map(tuple, a)), tuple(map(tuple, jacobian)))
+    basis, cinv = graded._checked_stored(
+        graded.linalg._scaled(inverse(derivative)), graded.linalg._scaled(derivative)
+    )
+    limit = max(p.total_degree() for p in phi.pullbacks.values()) ** (n - 1)
+    return phi, theta, basis, cinv, limit, triangular
+
+
+@given(coordinate_changes())
+@settings(max_examples=60, deadline=None)
+def test_residual_pass_agrees_with_the_settled_pass_on_drawn_maps(change):
+    """On drawn coordinate changes, shifted theta and maps with no inverse
+    included, the pass gives the iterate and verdict of the pass that
+    settled on T_k at every limit up to the Bass-Connell-Wright bound, and
+    certifies a triangular map by that bound."""
+    phi, theta, basis, cinv, limit, triangular = change
+    nonlinear = reference_nonlinear(phi, theta, cinv)
+    for k in range(1, limit + 1):
+        got = graded._picard_inverse(phi, theta, basis, k)
+        assert got == settle_picard(phi, theta, basis, nonlinear, k)
+    assert got[1] == triangular
 
 
 def rational_scaling(families, coordinates, orders):

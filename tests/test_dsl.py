@@ -58,14 +58,14 @@ def test_tokenize_kinds_and_spans():
 
 def test_fraction_is_a_single_token():
     toks = tokenize("2/3")
-    assert [(t.kind, t.text) for t in toks[:-1]] == [("number", "2/3")]
+    assert [(t.kind, t.text) for t in list(toks)[:-1]] == [("number", "2/3")]
     assert toks[0].value == Fraction(2, 3)
 
 
 def test_hyphen_after_ident_is_subtraction():
     # only the three command words swallow a hyphen; x-1 stays arithmetic
     toks = tokenize("x-1")
-    assert [(t.kind, t.text) for t in toks[:-1]] == [
+    assert [(t.kind, t.text) for t in list(toks)[:-1]] == [
         ("ident", "x"),
         ("symbol", "-"),
         ("number", "1"),
@@ -76,7 +76,7 @@ def test_hyphen_after_ident_is_subtraction():
 
 def test_tick_names_lex_as_one_ident():
     toks = tokenize("x'2")
-    assert [(t.kind, t.text) for t in toks[:-1]] == [("ident", "x'2")]
+    assert [(t.kind, t.text) for t in list(toks)[:-1]] == [("ident", "x'2")]
 
 
 def test_comments_and_blank_lines_are_skipped():

@@ -125,6 +125,10 @@ def test_invert_automorphism_frozen():
     assert str(inv.pullbacks["y"]) == "-5/12*x^2 + 1/3*y"
     assert compose(psi, inv).is_identity()
     assert compose(inv, psi).is_identity()
+    # the empty chart has degree 0, so the pass's limit is 0; it still checks
+    # x_1, the empty map, and certifies it
+    empty = PolyMap.identity(GradedChart("E", ()))
+    assert invert_automorphism(empty) == empty
 
 
 def test_a_wrong_inverse_is_still_caught(monkeypatch):
@@ -598,9 +602,16 @@ def off_by_one(inverse):
 
 def test_a_wrong_block_inverse_is_caught_by_the_premise(monkeypatch):
     """With linalg._inverse off by one, C no longer inverts the derivative.
-    The pass's checked premise refuses every map. With the check bypassed,
-    the settle certificate accepts wrong inverses, and a pass that fails
-    is still an EngineDefectError, at the Bass-Connell-Wright bound too."""
+    The pass's checked premise refuses every map, with weight-0 coordinates
+    too. With the check bypassed, no wrong inverse is accepted: the pass
+    certifies only a zero residual, so each map gets its true inverse or
+    an EngineDefectError at the chart degree.
+
+    The bypassed half runs on the 200 maps with positive weights only.
+    Under a wrong C the iteration does not converge, and a map with
+    weight-0 coordinates runs on to its Bass-Connell-Wright limit
+    deg(psi)^(n-1) (625 rounds for seed 200), so the 100 of them take
+    too long to run here."""
     maps = []
     for seed in range(300):
         seeded = random.Random(seed)
@@ -611,13 +622,13 @@ def test_a_wrong_block_inverse_is_caught_by_the_premise(monkeypatch):
         with pytest.raises(EngineDefectError, match="cinv \\* C = I"):
             invert_automorphism(psi)
     monkeypatch.setattr(linalg, "_is_inverse", lambda a, b: True)
-    seen = {"wrong": 0, "not inverted": 0}
-    for psi in maps:
+    seen = {"inverted": 0, "not inverted": 0}
+    for psi in maps[:200]:
         got = outcome(invert_automorphism, psi)
         if isinstance(got, PolyMap):
-            assert not compose(psi, got).is_identity()
-            seen["wrong"] += 1
+            assert compose(psi, got).is_identity()
+            seen["inverted"] += 1
         else:
             assert got[0] is EngineDefectError, got
-            seen["not inverted"] += "Bass-Connell-Wright" in got[1]
-    assert seen["wrong"] >= 100 and seen["not inverted"] >= 20, seen
+            seen["not inverted"] += 1
+    assert seen["not inverted"] >= 100, seen

@@ -245,7 +245,7 @@ def test_analyze_decides_projections_by_rank_and_composes_nothing(monkeypatch):
 
 
 def test_analyze_forms_its_linear_combinations_on_term_dicts(monkeypatch):
-    """The homogenizer rows, the scaling check, N and the Picard iterates are
+    """The homogenizer rows, the scaling check and the Picard iterates are
     term-dict combinations and substitutions: no polynomial sum, difference,
     scaling, lift, coefficient split, chart rewrite or substitute, and one
     polynomial per result that is returned."""
@@ -260,11 +260,12 @@ def test_analyze_forms_its_linear_combinations_on_term_dicts(monkeypatch):
     report = analyze(family)
     assert report.degree == 6
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(methods, 0)
-    # 24 measured: h_0, phi, N and the Picard pass's last iterate build 6
+    # 18 measured: h_0, phi and the Picard pass's last iterate build 6
     # each; the scaling check and the other rounds stay term dicts. It was
-    # 44 when the scaling check and every Picard round built polynomials,
-    # and the object-level route built 224
-    assert len(built) <= 24
+    # 24 when the pass built the 6 rows of N, 44 when the scaling check and
+    # every Picard round built polynomials, and the object-level route
+    # built 224
+    assert len(built) <= 18
 
 
 def test_invert_automorphism_runs_one_picard_pass(monkeypatch):
@@ -287,6 +288,60 @@ def test_invert_automorphism_runs_one_picard_pass(monkeypatch):
     # check makes no sum or scaling either; the inverse adds none to it
     assert checking == dict.fromkeys(methods, 0)
     assert {name: len(c) for name, c in calls.items()} == checking
+
+
+def test_the_inverse_kernel_checks_each_round_by_one_substitution(monkeypatch):
+    """Inside the Picard pass of analyze and of invert_automorphism: one pass
+    of the substitution kernel per round, no composite and no polynomial
+    substitute, and WPolynomials built only for the returned iterate. Both
+    maps have an inverse of total degree equal to the pass's limit, so it is
+    certified only at round limit + 1, where the pass once checked the
+    composite candidate.then(phi)."""
+    inside, seen = [], {"then": 0, "substitute": 0, "rounds": 0, "built": 0}
+    limits = []
+    picard = graded._picard_inverse
+
+    def one_pass(*args):
+        limits.append(args[-1])
+        inside.append(True)
+        try:
+            return picard(*args)
+        finally:
+            inside.pop()
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            seen[key] += bool(inside)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    monkeypatch.setattr(graded, "_picard_inverse", one_pass)
+    counting(PolyMap, "then", "then")
+    counting(WPolynomial, "substitute", "substitute")
+    counting(graded, "_terms_substitute", "rounds")
+    counting(WPolynomial, "__init__", "built")
+
+    # h_t = gamma^-1 o s_t o gamma with gamma = (x, y + x^3): the limit is the
+    # composite's parameter degree 3, and psi_y = y2_1 - y1_1^3
+    chart = GradedChart("C", (("x", 1), ("y", 2)))
+    ext = chart.extend((("t", 0),))
+    x, y, t = (WPolynomial.variable(ext, v) for v in ext.names)
+    family = ActionFamily(chart, "t", {"x": t * x, "y": t**2 * (y + x**3) - t**3 * x**3})
+    inverse = analyze(family).inverse_homogenizer
+    assert str(inverse.pullbacks["y"]) == "-y1_1^3 + y2_1"
+    assert limits == [3]
+    assert seen == {"then": 0, "substitute": 0, "rounds": 3, "built": 2}
+
+    # psi = (x, y + x^2) on the same chart: the limit is the chart degree 2
+    limits.clear()
+    seen.update(dict.fromkeys(seen, 0))
+    shear = parse("chart C (x:1, y:2)\nmap psi : C -> C { x = x; y = y + x^2; }").maps()["psi"]
+    assert str(graded.invert_automorphism(shear).pullbacks["y"]) == "-x^2 + y"
+    assert limits == [2]
+    assert seen == {"then": 0, "substitute": 0, "rounds": 2, "built": 2}
 
 
 def test_prolong_substitutes_the_curves_once(monkeypatch):
