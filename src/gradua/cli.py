@@ -58,7 +58,6 @@ SCHEMA_ENV_VAR = "GRADUA_SCHEMA_VERSION"
 
 @dataclass
 class Report:
-    version: str = SCHEMA_VERSION
     results: list[dict] = dataclass_field(default_factory=list)
     format: str | None = None
 
@@ -241,11 +240,11 @@ def run(program: Program, timing: bool = False) -> Report:
 def emit(report: Report, fmt: str) -> str:
     """Deterministic bytes (as text) for a report, JSON or human-readable."""
     if fmt == "json":
-        payload = {"version": report.version, "results": report.results}
+        payload = {"version": SCHEMA_VERSION, "results": report.results}
         return json.dumps(payload, indent=2) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
-    lines = [f"gradua report (schema {report.version})"]
+    lines = [f"gradua report (schema {SCHEMA_VERSION})"]
     for entry in report.results:
         title = entry.get("command", "?")
         name = entry.get("name")

@@ -13,9 +13,10 @@ class, maps each statement keyword to its parser, and the tokenizer's
 keywords are that table's keys plus five words read inside statements (on,
 at, order, json, text). An optional token is one accept() call, and one
 rule-block parser reads the `{ v op expr; }` bodies of map (`=`, over the
-source chart) and action (`->`, over the chart extended by t). Each
-statement class prints its own canonical text (__str__), and print_program
-joins them.
+source chart) and action (`->`, over the chart extended by t). The ten
+statement classes subclass one base, Statement, which holds the span of the
+statement's keyword. Each prints its own canonical text (__str__), and
+print_program joins them.
 
 Rationals are single tokens (2/3); there is no division operator. The
 family parameter in action bodies is always called t.
@@ -23,6 +24,8 @@ family parameter in action bodies is always called t.
 Three fixed budgets keep one line from exhausting memory. A power, a
 product, a prolongation or a flip above one is refused before anything is
 expanded, with a ResourceLimitError (a ParseError) at the offending token.
+One exponent rule (_Parser.exponent) reads the integer after every `^` and
+holds the degree budget, for plain factors and groups alike.
 
 The tokenizer is one re.split of the source by a pattern that captures the
 gap (blanks, newlines, comments) and the token after it, at every position:
@@ -60,6 +63,7 @@ from .wpoly import (
     Monomial,
     WPolynomial,
     _mono_mul,
+    _mono_total_degree,
     _terms_add_into,
     _terms_mul,
     _terms_pow,
@@ -168,10 +172,18 @@ def _lexical_error(text: str) -> str | None:
 
 
 @dataclass(frozen=True)
-class ChartStmt:
+class Statement:
+    """The base of the ten statement classes, one per statement keyword. It
+    holds the span of the keyword, which takes no part in equality or repr
+    and is given by keyword, after the statement's own fields."""
+
+    span: Span = field(compare=False, repr=False, default=Span(0, 0), kw_only=True)
+
+
+@dataclass(frozen=True)
+class ChartStmt(Statement):
     name: str
     chart: GradedChart
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
     def __str__(self) -> str:
         vars_text = ", ".join(f"{v}:{w}" for v, w in self.chart.variables)
@@ -179,10 +191,9 @@ class ChartStmt:
 
 
 @dataclass(frozen=True)
-class MapStmt:
+class MapStmt(Statement):
     name: str
     pmap: PolyMap
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
     def __str__(self) -> str:
         pmap = self.pmap
@@ -192,10 +203,9 @@ class MapStmt:
 
 
 @dataclass(frozen=True)
-class ActionStmt:
+class ActionStmt(Statement):
     name: str
     family: ActionFamily
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
     def __str__(self) -> str:
         family = self.family
@@ -205,30 +215,27 @@ class ActionStmt:
 
 
 @dataclass(frozen=True)
-class DoubleStmt:
+class DoubleStmt(Statement):
     name: str
     first: str
     second: str
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
     def __str__(self) -> str:
         return f"double {self.name} {{ {self.first}, {self.second} }}"
 
 
 @dataclass(frozen=True)
-class CheckMorphismCmd:
+class CheckMorphismCmd(Statement):
     name: str
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
     def __str__(self) -> str:
         return f"check-morphism {self.name}"
 
 
 @dataclass(frozen=True)
-class AnalyzeActionCmd:
+class AnalyzeActionCmd(Statement):
     name: str
     point: tuple[tuple[str, Fraction], ...] | None = None
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
     def __str__(self) -> str:
         if self.point is None:
@@ -238,56 +245,39 @@ class AnalyzeActionCmd:
 
 
 @dataclass(frozen=True)
-class ProlongCmd:
+class ProlongCmd(Statement):
     name: str
     order: int
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
     def __str__(self) -> str:
         return f"prolong {self.name} order {self.order}"
 
 
 @dataclass(frozen=True)
-class CheckDoubleCmd:
+class CheckDoubleCmd(Statement):
     name: str
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
     def __str__(self) -> str:
         return f"check-double {self.name}"
 
 
 @dataclass(frozen=True)
-class FlipCmd:
+class FlipCmd(Statement):
     m: int
     n: int
     chart_name: str
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
     def __str__(self) -> str:
         return f"flip {self.m} {self.n} {self.chart_name}"
 
 
 @dataclass(frozen=True)
-class ReportCmd:
+class ReportCmd(Statement):
     format: str
-    span: Span = field(compare=False, repr=False, default=Span(0, 0))
 
     def __str__(self) -> str:
         return f"report {self.format}"
 
-
-Statement = (
-    ChartStmt
-    | MapStmt
-    | ActionStmt
-    | DoubleStmt
-    | CheckMorphismCmd
-    | AnalyzeActionCmd
-    | ProlongCmd
-    | CheckDoubleCmd
-    | FlipCmd
-    | ReportCmd
-)
 
 ACTION_PARAM = "t"
 
@@ -394,6 +384,20 @@ class _Parser:
         self.pos += 1
         return int(value), pos
 
+    def exponent(self, degree: int) -> tuple[int, int]:
+        """The exponent after a `^`, consumed, and its token's position, for
+        a base of this total degree. The one degree rule of plain factors and
+        groups: exponent times the degree may not pass DEGREE_BUDGET, and a
+        number counts as degree 1, since its power's coefficient grows too."""
+        power, at = self.expect_integer("nonnegative integer exponent")
+        if power * max(degree, 1) > DEGREE_BUDGET:
+            raise ResourceLimitError(
+                f"exponent {power} on a base of total degree {degree} "
+                f"exceeds the degree budget of {DEGREE_BUDGET}",
+                *self.tokens.span(at),
+            )
+        return power, at
+
     # --- declarations -----------------------------------------------------
 
     def parse_program(self) -> Program:
@@ -472,7 +476,7 @@ class _Parser:
         self.require(")")
         chart = self.construct(name_tok, GradedChart, name_tok.text, tuple(variables))
         self.define(self.charts, name_tok.text, chart, name_tok, "chart")
-        return ChartStmt(name_tok.text, chart, span)
+        return ChartStmt(name_tok.text, chart, span=span)
 
     def parse_map(self, span: Span) -> MapStmt:
         name_tok = self.name("map name")
@@ -483,7 +487,7 @@ class _Parser:
         pullbacks = self.parse_rules(target, "=", source, "target variable")
         pmap = self.construct(name_tok, PolyMap, source, target, pullbacks)
         self.define(self.maps, name_tok.text, pmap, name_tok, "map")
-        return MapStmt(name_tok.text, pmap, span)
+        return MapStmt(name_tok.text, pmap, span=span)
 
     def parse_action(self, span: Span) -> ActionStmt:
         name_tok = self.name("action name")
@@ -499,7 +503,7 @@ class _Parser:
         entries = self.parse_rules(chart, "->", ext, "chart variable")
         family = self.construct(name_tok, ActionFamily, chart, ACTION_PARAM, entries)
         self.define(self.actions, name_tok.text, family, name_tok, "action")
-        return ActionStmt(name_tok.text, family, span)
+        return ActionStmt(name_tok.text, family, span=span)
 
     def _double_member(self) -> str:
         self.accept("action")  # tolerated before each member
@@ -514,12 +518,12 @@ class _Parser:
         self.accept(";")
         self.require("}")
         self.define(self.doubles, name_tok.text, (first, second), name_tok, "double")
-        return DoubleStmt(name_tok.text, first, second, span)
+        return DoubleStmt(name_tok.text, first, second, span=span)
 
     # --- commands ---------------------------------------------------------
 
     def parse_check_morphism(self, span: Span) -> CheckMorphismCmd:
-        return CheckMorphismCmd(self.reference(self.maps, "map")[0].text, span)
+        return CheckMorphismCmd(self.reference(self.maps, "map")[0].text, span=span)
 
     def parse_analyze_action(self, span: Span) -> AnalyzeActionCmd:
         name_tok, family = self.reference(self.actions, "action")
@@ -546,7 +550,7 @@ class _Parser:
             point = tuple(
                 (v, seen[v]) for v in family.chart.names if v in seen
             )
-        return AnalyzeActionCmd(name_tok.text, point, span)
+        return AnalyzeActionCmd(name_tok.text, point, span=span)
 
     def parse_prolong(self, span: Span) -> ProlongCmd:
         name_tok, pmap = self.reference(self.maps, "map")
@@ -572,10 +576,10 @@ class _Parser:
                 f"above the budget of {TERM_BUDGET}",
                 *self.tokens.span(at),
             )
-        return ProlongCmd(name_tok.text, order, span)
+        return ProlongCmd(name_tok.text, order, span=span)
 
     def parse_check_double(self, span: Span) -> CheckDoubleCmd:
-        return CheckDoubleCmd(self.reference(self.doubles, "double")[0].text, span)
+        return CheckDoubleCmd(self.reference(self.doubles, "double")[0].text, span=span)
 
     def parse_flip(self, span: Span) -> FlipCmd:
         m = self.expect_integer("order")[0]
@@ -588,10 +592,10 @@ class _Parser:
                 f"variables, above the budget of {VARIABLE_BUDGET}",
                 *chart_tok.span,
             )
-        return FlipCmd(m, n, chart_tok.text, span)
+        return FlipCmd(m, n, chart_tok.text, span=span)
 
     def parse_report(self, span: Span) -> ReportCmd:
-        return ReportCmd(self.require("json", "text"), span)
+        return ReportCmd(self.require("json", "text"), span=span)
 
     # the parser of each statement keyword, built once with the class
     STATEMENTS: dict[str, Callable[[_Parser, Span], Statement]] = {
@@ -663,16 +667,8 @@ class _Parser:
                 pos += 1
                 if texts[pos] == "^":
                     self.pos = pos + 1
-                    power, at = self.expect_integer("nonnegative integer exponent")
+                    power = self.exponent(0 if var is None else 1)[0]
                     pos = self.pos
-                    # as in parse_group, with a base of total degree 0 or 1
-                    if power > DEGREE_BUDGET:
-                        raise ResourceLimitError(
-                            f"exponent {power} on a base of total degree "
-                            f"{0 if var is None else 1} exceeds the degree budget "
-                            f"of {DEGREE_BUDGET}",
-                            *self.tokens.span(at),
-                        )
                 size = 1 if value or not power else 0
             if star >= 0:
                 before = (1 if acc is None else len(acc)) if coef else 0
@@ -714,22 +710,14 @@ class _Parser:
         base = self.parse_sum(chart)
         self.require(")")
         if self.accept("^"):
-            exponent, at = self.expect_integer("nonnegative integer exponent")
-            # a number counts as degree 1: its power's coefficient grows too
-            degree = max((sum(e for _, e in m) for m in base), default=0)
-            if exponent * max(degree, 1) > DEGREE_BUDGET:
+            power, at = self.exponent(max(map(_mono_total_degree, base), default=0))
+            if len(base) > 1 and comb(len(base) + power - 1, power) > TERM_BUDGET:
                 raise ResourceLimitError(
-                    f"exponent {exponent} on a base of total degree {degree} "
-                    f"exceeds the degree budget of {DEGREE_BUDGET}",
-                    *self.tokens.span(at),
-                )
-            if len(base) > 1 and comb(len(base) + exponent - 1, exponent) > TERM_BUDGET:
-                raise ResourceLimitError(
-                    f"exponent {exponent} on a base of {len(base)} terms may give "
+                    f"exponent {power} on a base of {len(base)} terms may give "
                     f"more terms than the budget of {TERM_BUDGET}",
                     *self.tokens.span(at),
                 )
-            return _terms_pow(base, exponent)
+            return _terms_pow(base, power)
         return base
 
 

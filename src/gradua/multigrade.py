@@ -16,8 +16,8 @@ action._homogenize_joint, which serves any number of families).
 bihomogenize returns that routine's record, action.JointHomogenization,
 under its one name. The direct check, check_commuting, lives in action,
 which runs it only to explain a failure; it is re-exported here. The total
-family renames both families to one parameter and composes them with
-graded._compose_families, the builder of every family composite.
+family renames the second family to the first's parameter and composes them
+with graded._compose_families, the builder of every family composite.
 """
 
 from __future__ import annotations
@@ -37,21 +37,17 @@ from .jets import adapt
 from .wpoly import WPolynomial
 
 
-def total_action(
-    h1: ActionFamily, h2: ActionFamily, param: str | None = None
-) -> ActionFamily:
-    """Both families run with one shared parameter, second applied first.
+def total_action(h1: ActionFamily, h2: ActionFamily) -> ActionFamily:
+    """Both families run with h1's parameter, second applied first.
 
-    Both are renamed to the shared parameter (with_param), which
-    _compose_families then reads as the one parameter of its chart.
+    h2 is renamed to that parameter (with_param), which _compose_families
+    then reads as the one parameter of h1's extended chart.
     """
     h1, h2 = _distinct_params(h1, h2)
-    chart = h1.chart
-    param = param or h1.param
-    ext = chart.extend(((param, 0),))  # a param that is a chart variable raises here
-    composite = _compose_families((h1.with_param(param), h2.with_param(param)), ext)
-    entries = {v: WPolynomial(ext, terms) for v, terms in zip(chart.names, composite)}
-    return ActionFamily(chart, param, entries)
+    ext = h1.extended_chart
+    composite = _compose_families((h1, h2.with_param(h1.param)), ext)
+    entries = {v: WPolynomial(ext, terms) for v, terms in zip(h1.chart.names, composite)}
+    return ActionFamily(h1.chart, h1.param, entries)
 
 
 def bihomogenize(

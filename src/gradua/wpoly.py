@@ -619,13 +619,6 @@ class WPolynomial:
             buckets.setdefault(k, {})[rest] = c
         return {k: WPolynomial(self.chart, t) for k, t in sorted(buckets.items())}
 
-    def truncate_total_degree(self, bound: int) -> WPolynomial:
-        """Drop monomials of total degree above the bound."""
-        return WPolynomial(
-            self.chart,
-            {m: c for m, c in self.terms.items() if _mono_total_degree(m) <= bound},
-        )
-
     # printing -----------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:

@@ -9,7 +9,6 @@ import json
 import os
 import subprocess
 import sys
-import typing
 from pathlib import Path
 
 import pytest
@@ -292,5 +291,5 @@ def test_every_report_entry_keeps_its_key_order(timing):
 
 def test_the_command_table_covers_exactly_the_command_statements():
     declarations = {dsl.ChartStmt, dsl.MapStmt, dsl.ActionStmt, dsl.DoubleStmt}
-    statements = set(typing.get_args(dsl.Statement))
+    statements = set(dsl.Statement.__subclasses__())
     assert set(cli._COMMANDS) == statements - declarations - {dsl.ReportCmd}

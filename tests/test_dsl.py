@@ -5,7 +5,6 @@ user sees, so regressions here matter as much as wrong parses.
 """
 
 import random
-import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -574,9 +573,11 @@ def test_printed_text_is_frozen():
 def test_every_statement_class_prints_itself_under_its_table_keyword():
     """Each statement kind states its canonical text once, in its own
     __str__, and the text starts with the keyword whose parser in
-    _Parser.STATEMENTS reads it back (test_print_then_parse_is_identity)."""
-    classes = set(typing.get_args(dsl.Statement))
+    _Parser.STATEMENTS reads it back (test_print_then_parse_is_identity).
+    The span is declared once, on the Statement base."""
+    classes = set(dsl.Statement.__subclasses__())
     assert all("__str__" in vars(cls) for cls in classes)
+    assert not any("span" in vars(cls).get("__annotations__", {}) for cls in classes)
     assert set(_Parser.STATEMENTS) <= KEYWORDS
     program = parse(FULL_SOURCE)
     assert {type(stmt) for stmt in program.statements} == classes
@@ -829,6 +830,16 @@ RESOURCE_CASES = [
         "map m : V -> V { a = (a + b + c + d)^8*(a + b + c + d)^8; b = b; c = c; d = d; }",
         f"line 2, column 39: a product of 165 by 165 terms may give more "
         f"terms than the budget of {TERM_BUDGET}",
+    ),
+    (
+        "chart V (x:1)\nmap m : V -> V { x = x^1001; }",
+        f"line 2, column 24: exponent 1001 on a base of total degree 1 "
+        f"exceeds the degree budget of {DEGREE_BUDGET}",
+    ),
+    (
+        "chart V (x:1)\nmap m : V -> V { x = x*(2)^1001; }",
+        f"line 2, column 28: exponent 1001 on a base of total degree 0 "
+        f"exceeds the degree budget of {DEGREE_BUDGET}",
     ),
 ]
 

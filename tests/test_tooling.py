@@ -383,12 +383,12 @@ def test_each_family_builder_builds_its_extended_chart_once(monkeypatch):
         levels.chart, levels.extended_chart
     ]
     assert built(lambda: jets.prolong_action(h, 1)) == [levels.chart, levels.extended_chart]
-    # total_action renames the second family to the shared parameter: one
-    # chart for the renamed family and one for the total
+    # total_action renames the second family to the first's parameter: one
+    # chart for the renamed family, and the total takes the first's
     other = ActionFamily(chart, "u", {
         v: WPolynomial(chart.extend((("u", 0),)), p.terms) for v, p in h.entries.items()
     })
-    assert built(lambda: multigrade.total_action(h, other)) == [h.extended_chart] * 2
+    assert built(lambda: multigrade.total_action(h, other)) == [h.extended_chart]
     source = "chart M (x:1, y:2)\naction g on M { x -> t*x; y -> t^2*y + t*x^2; }\n"
     charts.clear()
     g = parse(source).actions()["g"]

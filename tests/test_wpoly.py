@@ -159,12 +159,6 @@ def test_coefficients_in():
     assert str(by_x[0]) == "5*y"
 
 
-def test_truncate_total_degree():
-    p = (X + 1) ** 3
-    assert str(p.truncate_total_degree(1)) == "3*x + 1"
-    assert p.truncate_total_degree(3) == p
-
-
 def test_lift_and_restrict():
     ext = V.extend((("t", 0),))
     lifted = (X + Y).lift(ext)
