@@ -17,8 +17,11 @@ disguise. k commuting families are homogenized the same way, at once: the
 t_1^m_1 ... t_k^m_k coefficients of their composite's derivative at theta
 are the joint projections, and one pipeline serves every k. Its first
 stage, from theta to the joint projections, is one function, _first_stage,
-and taylor_projections is that stage for one family. The degree of a
-family is the degree of its homogenized chart, analyze(h).degree.
+and taylor_projections is that stage for one family. One record,
+Homogenization, holds the result for every k: the new coordinates' orders
+as multi-indices, and the joint projections as the grid in nested tuples,
+which for one family is the list Q_0 .. Q_n. The degree of a family is the
+degree of its homogenized chart, analyze(h).degree.
 
 The checked homogenizer is also the certificate of the laws: a family that
 acts by plain powers of t in polynomial coordinates with a polynomial
@@ -105,14 +108,21 @@ class LawReport:
 
 @dataclass(frozen=True)
 class Homogenization:
-    """A homogenizing coordinate change and the data used to build it."""
+    """Coordinates that scale under k >= 1 commuting families at once.
+
+    orders holds the multi-index of each new coordinate ((r,) for one
+    family; for two, the report's biweights), and projections the joint
+    projections on the full lexicographic grid as nested tuples,
+    projections[m_1]...[m_k] = P_m, zero matrices included: for one family
+    the list Q_0 .. Q_n. The projections are left out of the repr.
+    """
 
     chart: GradedChart
     homogenizer: PolyMap
     inverse: PolyMap
-    projections: tuple[Matrix, ...]
+    orders: tuple[tuple[int, ...], ...]
     theta: dict[str, Fraction]
-    orders: tuple[int, ...]
+    projections: tuple = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -187,11 +197,15 @@ def _require_monoid(h: ActionFamily) -> None:
         raise InconsistentActionError(f"the family breaks the {broken} law", laws)
 
 
+def _require_same_chart(h1: ActionFamily, h2: ActionFamily) -> None:
+    if h1.chart != h2.chart:
+        raise NotDoubleStructureError("the two families live on different charts")
+
+
 def _distinct_params(
     h1: ActionFamily, h2: ActionFamily
 ) -> tuple[ActionFamily, ActionFamily]:
-    if h1.chart != h2.chart:
-        raise NotDoubleStructureError("the two families live on different charts")
+    _require_same_chart(h1, h2)
     if h2.param == h1.param:
         h2 = h2.with_param(fresh_name(h2.param, h2.chart.names + (h1.param,)))
     return h1, h2
@@ -325,26 +339,24 @@ def taylor_projections(
     are the one-family joint projections of _joint_certificate, from its
     first stage (_first_stage), with its checks (_projections).
     """
-    return tuple(_first_stage((h,), theta)[3].values())
+    return _first_stage((h,), theta)[3]
 
 
 def _first_stage(
     families: Sequence[ActionFamily], theta: Mapping[str, Fraction | int] | None
-) -> tuple[dict[str, Fraction], list, list, dict, dict]:
+) -> tuple[dict[str, Fraction], list, list, tuple, dict]:
     """The certificate's first stage, for any number of families.
 
     Returns theta, checked to be fixed by every family's h_0
     (_resolve_theta); theta in stored form, one value per chart variable;
     the families' composite (graded._compose_families), split once by
-    multi-index (_split); and the joint projections on the grid with each
-    nonzero one factored (_projections), read off the composite's
-    derivative at theta (_jacobian_coefficients). The composite applies the
+    multi-index (_split); and the joint projections on the grid, as nested
+    tuples, with each nonzero one factored (_projections), read off the
+    composite's derivative at theta (_jacobian_coefficients). The composite applies the
     last family first, and its chart lists the parameters in that order.
     """
     chart = families[0].chart
-    point = _resolve_theta(families[0], theta)
-    for h in families[1:]:
-        _resolve_theta(h, theta)
+    point = [_resolve_theta(h, theta) for h in families][0]
     values = [_coefficient(point[v]) for v in chart.names]
     k = len(families)
     ext = chart.extend(tuple((h.param, 0) for h in reversed(families)))
@@ -355,19 +367,21 @@ def _first_stage(
 
 def _projections(
     coeffs: Sequence[Sequence[Mapping[tuple[int, ...], Fraction | int]]], k: int
-) -> tuple[dict[tuple[int, ...], Matrix], dict[tuple[int, ...], _Factored]]:
+) -> tuple[tuple, dict[tuple[int, ...], _Factored]]:
     """The joint projections P_m on the full grid of multi-indices, and each
     nonzero P_m factored by the rank check.
 
     coeffs are the cells of _jacobian_coefficients for k parameters. The
     grid runs, in lexicographic order, over every multi-index m with m_i at
     most the largest exponent of parameter i in a nonzero cell; the P_m
-    with no cell are zero matrices. The same pass writes each P_m twice: as
-    the public Fraction matrix, and as integer numerators over one
-    denominator (linalg.IntMatrix), which is all the certificate uses. The
-    checks, sum P_m = I and sum rank P_m = n, and their proof are in
-    _homogenize_joint; a failure raises DegenerateActionError when some
-    direction is annihilated by every P_m, NotGradedActionError otherwise.
+    with no cell are zero matrices. It is returned as nested tuples,
+    grid[m_1]...[m_k] = P_m, so one family's grid is Q_0 .. Q_n. The same
+    pass writes each P_m twice: as the public Fraction matrix, and as
+    integer numerators over one denominator (linalg.IntMatrix), which is
+    all the certificate uses. The checks, sum P_m = I and sum rank P_m =
+    n, and their proof are in _homogenize_joint; a failure raises
+    DegenerateActionError when some direction is annihilated by every P_m,
+    NotGradedActionError otherwise.
     """
     n_vars = len(coeffs)
     nonzero: dict[tuple[int, ...], list[tuple[int, int, Fraction | int]]] = {}
@@ -379,7 +393,7 @@ def _projections(
     # each P_m as Fractions and, when nonzero, as integer rows over one
     # denominator; the zero rows of both are shared and never written to
     zero_row, zero_ints = (_ZERO,) * n_vars, (0,) * n_vars
-    grid: dict[tuple[int, ...], Matrix] = {}
+    cells: list = []
     ints: dict[tuple[int, ...], IntMatrix] = {}
     for idx in product(*(range(d + 1) for d in shape)):
         entries = nonzero.get(idx, ())
@@ -391,9 +405,12 @@ def _projections(
                 fractions[i], numerators[i] = [_ZERO] * n_vars, [0] * n_vars
             fractions[i][j] = _exact(x)
             numerators[i][j] = x.numerator * (d // x.denominator)
-        grid[idx] = tuple(map(tuple, fractions))
+        cells.append(tuple(map(tuple, fractions)))
         if entries:
             ints[idx] = (numerators, d)
+    # nest the lexicographic list, whose last index runs fastest
+    for d in reversed(shape[1:]):
+        cells = [tuple(cells[i : i + d + 1]) for i in range(0, len(cells), d + 1)]
 
     # sum P_m = I, read entry by entry from the coefficients
     if any(
@@ -417,7 +434,7 @@ def _projections(
                 name = "_".join(map(str, idx))
                 raise NotGradedActionError(f"Taylor coefficient Q_{name} is not a projection")
         raise EngineDefectError("idempotent Taylor projections have ranks above the chart")
-    return grid, factored
+    return tuple(cells), factored
 
 
 def homogenize(
@@ -425,45 +442,20 @@ def homogenize(
 ) -> Homogenization:
     """Build coordinates on which the family acts by plain powers of t.
 
-    The one-family case of _homogenize_joint: for each order r with a nonzero
-    projection Q_r, the t^r coefficients of the pushed dual coordinates
-    become the new weight-r coordinates y{r}_1, y{r}_2, ... A family that
-    breaks a law raises InconsistentActionError.
+    The one-family case of _homogenize_joint, whose record it returns: for
+    each order r with a nonzero projection Q_r, the t^r coefficients of the
+    pushed dual coordinates become the new weight-r coordinates y{r}_1,
+    y{r}_2, ..., each of order (r,), and the projections are Q_0 .. Q_n. A
+    family that breaks a law raises InconsistentActionError.
     """
-    joint = _homogenize_joint((h,), theta, f"{h.chart.name}_h")
-    return Homogenization(
-        chart=joint.chart,
-        homogenizer=joint.homogenizer,
-        inverse=joint.inverse,
-        projections=tuple(joint.projections.values()),
-        theta=joint.theta,
-        orders=tuple(r for (r,) in joint.orders),
-    )
-
-
-@dataclass(frozen=True)
-class JointHomogenization:
-    """Coordinates that scale under k commuting families at once.
-
-    orders holds the multi-index of each new coordinate (for two families,
-    the report's biweights), and projections maps every multi-index of the
-    lexicographic grid to its joint projection, zero matrices included.
-    The projections are left out of the repr.
-    """
-
-    chart: GradedChart
-    homogenizer: PolyMap
-    inverse: PolyMap
-    orders: tuple[tuple[int, ...], ...]
-    theta: dict[str, Fraction]
-    projections: dict[tuple[int, ...], Matrix] = field(repr=False)
+    return _homogenize_joint((h,), theta, f"{h.chart.name}_h")
 
 
 def _homogenize_joint(
     families: Sequence[ActionFamily],
     theta: Mapping[str, Fraction | int] | None,
     name: str,
-) -> JointHomogenization:
+) -> Homogenization:
     """Coordinates scaling by t_1**r_1 ... t_k**r_k under k monoid families.
 
     The families share one chart and have distinct parameters, and theta
@@ -583,7 +575,7 @@ def _joint_certificate(
     families: Sequence[ActionFamily],
     theta: Mapping[str, Fraction | int] | None,
     name: str,
-) -> JointHomogenization:
+) -> Homogenization:
     """The construction and exact checks of _homogenize_joint, unexplained."""
     chart = families[0].chart
     k = len(families)
@@ -627,7 +619,7 @@ def _joint_certificate(
     phi = PolyMap(chart, new_chart, {v: p for (v, _), p in zip(new_vars, pullbacks)})
 
     _check_scaling(families, [(v, p.terms) for v, p in phi.pullbacks.items()], orders)
-    return JointHomogenization(
+    return Homogenization(
         chart=new_chart,
         homogenizer=phi,
         inverse=_invert_coordinate_change(phi, point, basis, degree),

@@ -21,11 +21,13 @@ print_program joins them.
 Rationals are single tokens (2/3); there is no division operator. The
 family parameter in action bodies is always called t.
 
-Three fixed budgets keep one line from exhausting memory. A power, a
+Four fixed budgets keep one line from exhausting memory. A power, a
 product, a prolongation or a flip above one is refused before anything is
 expanded, with a ResourceLimitError (a ParseError) at the offending token.
 One exponent rule (_Parser.exponent) reads the integer after every `^` and
-holds the degree budget, for plain factors and groups alike.
+holds the degree budget, then the bit budget on coefficients, for plain
+factors and groups alike; a product holds the bit budget on each `*`, and
+a number literal above it is a lexical error.
 
 The tokenizer is one re.split of the source by a pattern that captures the
 gap (blanks, newlines, comments) and the token after it, at every position:
@@ -158,15 +160,29 @@ def _number(text: str) -> Fraction | int:
     return Fraction(int(num), int(den)) if den else int(num)
 
 
+def _bits(c: Fraction | int) -> int:
+    """The larger bit length of a value's numerator and denominator."""
+    return max(abs(c.numerator), c.denominator).bit_length()
+
+
 def _lexical_error(text: str) -> str | None:
     """The error a token text that is no keyword or symbol raises, if any:
-    a word must start with a letter or `_`, a denominator must not be 0,
-    and a character no token starts with is refused."""
+    a word must start with a letter or `_`, a number literal must keep its
+    numerator and denominator within BIT_BUDGET bits, a denominator
+    must not be 0, and a character no token starts with is refused.
+
+    A literal of more than BIT_BUDGET // 3 characters is refused unread:
+    without leading zeros or a `/` it is above the budget, since each digit
+    after the first adds more than 3 bits. A shorter one converts to int
+    under Python's int-string limit.
+    """
     first = text[0]
     if first.isalpha() or first == "_":
         return None
     if first in _DIGITS:
         num, _, den = text.partition("/")
+        if len(text) > BIT_BUDGET // 3 or max(int(num), int(den or 1)).bit_length() > BIT_BUDGET:
+            return f"number literal above the coefficient budget of {BIT_BUDGET} bits"
         return f"zero denominator in {text!r}" if den and not int(den) else None
     return f"unexpected character {first!r}"
 
@@ -286,9 +302,14 @@ ACTION_PARAM = "t"
 # largest programs in the tests and the benchmark use ^3, order 4,
 # flip 2 2 on three variables (27 variables) and products of at most 2 term
 # pairs. A product's budget is the product of its operands' term counts.
+# The bit budget bounds a coefficient's numerator and denominator: of a
+# literal (a lexical error), of a power (the base's largest bit length
+# times the exponent) and of a product (its factors' bounds added), well
+# inside the 4300 decimal digits Python converts to and from str.
 DEGREE_BUDGET = 1000  # exponent times the base's total degree (at least 1)
 TERM_BUDGET = 10_000  # the most terms (or product term pairs) an expansion may reach
 VARIABLE_BUDGET = 1000  # variables of an adapted chart (prolong, flip)
+BIT_BUDGET = 4096  # bits of a coefficient's numerator or denominator
 
 
 @dataclass(frozen=True)
@@ -384,11 +405,13 @@ class _Parser:
         self.pos += 1
         return int(value), pos
 
-    def exponent(self, degree: int) -> tuple[int, int]:
+    def exponent(self, degree: int, bits: int) -> tuple[int, int]:
         """The exponent after a `^`, consumed, and its token's position, for
-        a base of this total degree. The one degree rule of plain factors and
-        groups: exponent times the degree may not pass DEGREE_BUDGET, and a
-        number counts as degree 1, since its power's coefficient grows too."""
+        a base of this total degree whose coefficients have at most this many
+        bits (_bits). The one rule of plain factors and groups: exponent
+        times the degree may not pass DEGREE_BUDGET, a number counting as
+        degree 1, since its power's coefficient grows too; then exponent
+        times the bits may not pass BIT_BUDGET (coefficients)."""
         power, at = self.expect_integer("nonnegative integer exponent")
         if power * max(degree, 1) > DEGREE_BUDGET:
             raise ResourceLimitError(
@@ -396,7 +419,16 @@ class _Parser:
                 f"exceeds the degree budget of {DEGREE_BUDGET}",
                 *self.tokens.span(at),
             )
+        self.coefficients(power * bits, at, f"exponent {power} on a {bits}-bit base")
         return power, at
+
+    def coefficients(self, bits: int, at: int, what: str) -> None:
+        """Refuse what, at token at, when it may give coefficients of more
+        bits than BIT_BUDGET: the bound the exponent rule and the product
+        budget compute."""
+        if bits > BIT_BUDGET:
+            message = f"{what} may give {bits}-bit coefficients, above the coefficient budget"
+            raise ResourceLimitError(f"{message} of {BIT_BUDGET} bits", *self.tokens.span(at))
 
     # --- declarations -----------------------------------------------------
 
@@ -639,7 +671,9 @@ class _Parser:
         parenthesized factors are term dicts, multiplied with _terms_mul. A
         product has as many terms as the product of its factors' term
         counts, or none once a factor is 0, so the budget on each `*` reads
-        the term counts off these without forming the product.
+        the term counts off these without forming the product. Its
+        coefficients have about as many bits as its factors' largest
+        coefficients added, and the bit budget bounds that sum on each `*`.
         """
         texts = self.texts
         index = chart._index
@@ -647,6 +681,7 @@ class _Parser:
         exponents: dict[int, int] = {}
         acc: dict[Monomial, Fraction | int] | None = None  # the parenthesized factors
         star = -1  # the position of the `*` before this factor
+        bits = 0  # the bits of the factors' largest coefficients, added
         pos = self.pos
         while True:
             text = texts[pos]
@@ -660,6 +695,7 @@ class _Parser:
                 factor = self.parse_group(chart)
                 pos = self.pos
                 size = len(factor)
+                bits += max(map(_bits, factor.values()), default=0)
             else:
                 factor = None
                 value = 1 if var is not None else _number(text)
@@ -667,9 +703,10 @@ class _Parser:
                 pos += 1
                 if texts[pos] == "^":
                     self.pos = pos + 1
-                    power = self.exponent(0 if var is None else 1)[0]
+                    power = self.exponent(0 if var is None else 1, _bits(value))[0]
                     pos = self.pos
                 size = 1 if value or not power else 0
+                bits += 0 if var is not None else _bits(value) * power
             if star >= 0:
                 before = (1 if acc is None else len(acc)) if coef else 0
                 if before * size > TERM_BUDGET:
@@ -678,6 +715,7 @@ class _Parser:
                         f"terms than the budget of {TERM_BUDGET}",
                         *self.tokens.span(star),
                     )
+                self.coefficients(bits, star, "a product")
             if factor is not None:
                 if coef:
                     acc = factor if acc is None else _terms_mul(acc, factor)
@@ -710,7 +748,8 @@ class _Parser:
         base = self.parse_sum(chart)
         self.require(")")
         if self.accept("^"):
-            power, at = self.exponent(max(map(_mono_total_degree, base), default=0))
+            degree = max(map(_mono_total_degree, base), default=0)
+            power, at = self.exponent(degree, max(map(_bits, base.values()), default=0))
             if len(base) > 1 and comb(len(base) + power - 1, power) > TERM_BUDGET:
                 raise ResourceLimitError(
                     f"exponent {power} on a base of {len(base)} terms may give "

@@ -52,8 +52,8 @@ from .errors import (
 )
 from .linalg import IntMatrix, Matrix
 from .wpoly import (
-    Monomial, Terms, WPolynomial, _coefficient, _mono_total_degree, _scaling_terms,
-    _terms_combine, _terms_mul, _terms_substitute,
+    Monomial, Terms, WPolynomial, _coefficient, _mono_total_degree, _natural,
+    _scaling_terms, _terms_combine, _terms_mul, _terms_substitute,
 )
 
 
@@ -566,7 +566,7 @@ def truncate(chart: GradedChart, k: int) -> tuple[GradedChart, PolyMap]:
     pullback is the inclusion of coordinates. Truncating at the full degree
     returns the chart itself with the identity.
     """
-    if k < 0 or k > chart.degree:
+    if _natural(k, "truncation level") > chart.degree:
         raise DomainError(f"truncation level {k} outside 0..{chart.degree}")
     if k == chart.degree:
         return chart, PolyMap.identity(chart)

@@ -35,7 +35,7 @@ from typing import Mapping
 from .charts import GradedChart
 from .errors import DomainError
 from .graded import ActionFamily, PolyMap, _scaling_family
-from .wpoly import WPolynomial, _terms_substitute
+from .wpoly import WPolynomial, _natural, _terms_substitute
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class AdaptedChart:
     base_names: tuple[str, ...]
 
     def jet_name(self, base: str, level: int) -> str:
-        if level < 0 or level > self.order:
+        if _natural(level, "jet level") > self.order:
             raise DomainError(f"level {level} outside 0..{self.order}")
         self.source.index_of(base)
         return base if level == 0 else f"{base}{self.marker}{level}"
@@ -77,8 +77,7 @@ def _tick_marker(names: tuple[str, ...]) -> str:
 
 def adapt(chart: GradedChart, order: int) -> AdaptedChart:
     """Chart of jets up to the given level, ordered level-major."""
-    if order < 0:
-        raise DomainError("jet order must be nonnegative")
+    _natural(order, "jet order")
     marker = _tick_marker(chart.names)
     variables: list[tuple[str, int]] = []
     jet_orders: list[int] = []
@@ -199,7 +198,7 @@ def iota(order: int, chart: GradedChart) -> PolyMap:
     line, so the top level pulls back to the first-level variable, level 0
     to the base variable, and everything strictly between to zero.
     """
-    if order < 1:
+    if _natural(order, "iota target level") < 1:
         raise DomainError("iota needs a target level of at least 1")
     one = adapt(chart, 1)
     top = adapt(chart, order)
@@ -220,7 +219,7 @@ def jet_projection(ac: AdaptedChart, order: int) -> PolyMap:
     The pullback is the inclusion of the lower chart's variables, which all
     exist under the same names in the higher chart.
     """
-    if order < 0 or order > ac.order:
+    if _natural(order, "target level") > ac.order:
         raise DomainError(f"target level {order} outside 0..{ac.order}")
     low = adapt(ac.source, order)
     pullbacks = {

@@ -13,11 +13,13 @@ suggests.
 The checked joint coordinates certify that the families commute and give
 the degree of their total action (the argument is in
 action._homogenize_joint, which serves any number of families).
-bihomogenize returns that routine's record, action.JointHomogenization,
-under its one name. The direct check, check_commuting, lives in action,
-which runs it only to explain a failure; it is re-exported here. The total
-family renames the second family to the first's parameter and composes them
-with graded._compose_families, the builder of every family composite.
+bihomogenize returns that routine's record, action.Homogenization, the
+record of homogenize too: its orders are the pairs (r, s), and its
+projections the grid as nested tuples, projections[r][s] = Q1_r Q2_s. The
+direct check, check_commuting, lives in action, which runs it only to
+explain a failure; it is re-exported here. The total family renames the
+second family to the first's parameter and composes them with
+graded._compose_families, the builder of every family composite.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from .action import (  # noqa: F401
-    JointHomogenization,
+    Homogenization,
     _distinct_params,
     _homogenize_joint,
+    _require_same_chart,
     check_commuting,
 )
 from .charts import GradedChart
@@ -40,10 +43,11 @@ from .wpoly import WPolynomial
 def total_action(h1: ActionFamily, h2: ActionFamily) -> ActionFamily:
     """Both families run with h1's parameter, second applied first.
 
-    h2 is renamed to that parameter (with_param), which _compose_families
-    then reads as the one parameter of h1's extended chart.
+    h2 is renamed to that parameter (with_param, which builds no chart when
+    the two already share it), and _compose_families reads it as the one
+    parameter of h1's extended chart.
     """
-    h1, h2 = _distinct_params(h1, h2)
+    _require_same_chart(h1, h2)
     ext = h1.extended_chart
     composite = _compose_families((h1, h2.with_param(h1.param)), ext)
     entries = {v: WPolynomial(ext, terms) for v, terms in zip(h1.chart.names, composite)}
@@ -54,7 +58,7 @@ def bihomogenize(
     h1: ActionFamily,
     h2: ActionFamily,
     theta: Mapping[str, Fraction | int] | None = None,
-) -> JointHomogenization:
+) -> Homogenization:
     """Joint coordinates scaling by t**r under h1 and u**s under h2.
 
     The two-family case of action._homogenize_joint: the order-(r, s)

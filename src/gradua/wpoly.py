@@ -110,8 +110,10 @@ def _natural(value: int, what: str) -> int:
     """The value when it is a natural number; DomainError otherwise.
 
     Exponents, derivative orders and powers go through this check, as
-    coefficients go through _exact: a bool, a float or a negative number
-    is refused.
+    coefficients go through _exact, and so do the other orders, levels and
+    degrees: jet orders and levels (jets), truncation levels (graded),
+    basis and homogeneity degrees. A bool, a float or a negative number is
+    refused; a caller's range check follows it.
     """
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise DomainError(f"{what} must be a natural number, got {value!r}")
@@ -510,8 +512,7 @@ class WPolynomial:
         Euler route compares _terms_euler, the term dict of euler(), with
         {m: r * c}. No chart and no polynomial is built.
         """
-        if r < 0:
-            raise DomainError("homogeneity degree must be a natural number")
+        _natural(r, "homogeneity degree")
         weights = self.chart.weights
         images = _scaling_terms(weights)
         by_scaling = not _scaling_failures(_cleared((self.terms,)), (r,), images, len(weights))
@@ -687,8 +688,7 @@ def monomial_basis(chart: GradedChart, k: int) -> list[tuple[tuple[str, int], ..
     make the basis infinite, so its presence is a domain error. Entries are
     tuples of (variable, exponent) pairs in declaration order.
     """
-    if k < 0:
-        raise DomainError("weighted degree must be a natural number")
+    _natural(k, "weighted degree")
     for var, w in chart.variables:
         if w == 0:
             raise DomainError(

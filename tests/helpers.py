@@ -212,6 +212,15 @@ def linear_family(qs, param="t"):
     return ActionFamily(chart, param, entries)
 
 
+def nest(grid):
+    """A grid of matrices keyed by multi-index, every multi-index of its box
+    a key, as nested tuples: nest(grid)[m_1]...[m_k] == grid[m]."""
+    first = range(max(idx[0] for idx in grid) + 1)
+    if len(next(iter(grid))) == 1:
+        return tuple(grid[r,] for r in first)
+    return tuple(nest({idx[1:]: q for idx, q in grid.items() if idx[0] == r}) for r in first)
+
+
 def random_basis_change(rng, n):
     """C = L U with unit triangular L and U, and its exact inverse."""
     def unit_triangular(below):

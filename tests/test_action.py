@@ -96,6 +96,20 @@ def test_taylor_projections_frozen():
     assert q2 == ((0, 0), (-1, 1))
 
 
+def test_one_grid_has_three_readers():
+    """taylor_projections, homogenize and analyze read one grid: for one
+    family, the list Q_0 .. Q_n as a tuple, whose orders are 1-tuples."""
+    rng = random.Random(12)
+    for _ in range(8):
+        family, _ = conjugated_action(rng, random_chart(rng))
+        hom = homogenize(family)
+        grid = taylor_projections(family)
+        assert type(grid) is tuple
+        assert grid == hom.projections == analyze(family).projections
+        assert len(grid) == hom.chart.degree + 1
+        assert sorted(hom.orders) == sorted((w,) for w in hom.chart.weights)
+
+
 def test_degenerate_direction_detected():
     # the projection analysis does not check the laws, so it reaches a family
     # whose parameter-derivative kills the y-direction outright
@@ -117,7 +131,7 @@ def test_homogenize_frozen():
     assert str(hom.homogenizer.pullbacks["y2_1"]) == "-y + x"
     assert str(hom.inverse.pullbacks["x"]) == "y1_1"
     assert str(hom.inverse.pullbacks["y"]) == "-y2_1 + y1_1"
-    assert hom.orders == (1, 2)
+    assert hom.orders == ((1,), (2,))
     assert hom.theta == {"x": Fraction(0), "y": Fraction(0)}
 
 
@@ -223,8 +237,9 @@ def test_zero_joint_projections_are_not_scanned(monkeypatch):
     h1, h2 = linear_family(first, "t"), linear_family(second, "u")
     seen.clear()
     bihom = bihomogenize(h1, h2)
-    nonzero = [q for q in bihom.projections.values() if q != zeros(4, 4)]
-    assert len(nonzero) == 4 < len(bihom.projections)
+    cells = [q for row in bihom.projections for q in row]
+    nonzero = [q for q in cells if q != zeros(4, 4)]
+    assert len(nonzero) == 4 < len(cells)
     # the joint projections are read off the composite's Jacobian, and the
     # rank check eliminates the integer numerators of each nonzero one once,
     # in lexicographic order; no family's own Q_r and no zero matrix is
@@ -414,8 +429,8 @@ def test_joint_projections_pass_the_pairwise_reference():
     h1 = linear_family(order_projections(c, c_inv, first, 2), "t")
     h2 = linear_family(order_projections(c, c_inv, second, 2), "u")
     bihom = bihomogenize(h1, h2)
-    assert len(bihom.projections) == 9
-    assert pairwise_complementary(list(bihom.projections.values()))
+    assert [len(row) for row in bihom.projections] == [3, 3, 3]
+    assert pairwise_complementary([q for row in bihom.projections for q in row])
     assert sorted(bihom.orders) == sorted(zip(first, second))
     assert bihom.homogenizer.then(bihom.inverse).is_identity()
 
@@ -431,5 +446,7 @@ def test_three_commuting_families_homogenize_jointly():
     joint = _homogenize_joint(families, None, "L_h3")
     assert sorted(joint.orders) == sorted(orders)
     assert [w for _, w in joint.chart.variables] == [sum(o) for o in joint.orders]
-    assert pairwise_complementary(list(joint.projections.values()))
+    cells = [q for plane in joint.projections for row in plane for q in row]
+    assert len(cells) == 3 * 2 * 2
+    assert pairwise_complementary(cells)
     assert joint.homogenizer.then(joint.inverse).is_identity()

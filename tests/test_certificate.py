@@ -93,6 +93,7 @@ from helpers import (
     chained_family,
     conjugated_action,
     linear_family,
+    nest,
     order_projections,
     random_basis_change,
     random_chart,
@@ -1016,17 +1017,21 @@ def test_rank_factors_give_back_the_projections_and_invert_the_basis(dressed, mo
             runs.append([family, family.with_param("u"), family.with_param("v")])
         for families in runs:
             cert, grid, factored, c, c_inv = certificate_parts(monkeypatch, families, theta)
-            assert cert.projections == grid
-            for idx, q in grid.items():
-                f = factored.get(idx)
-                if f is None:
-                    assert q == zeros(len(q), len(q))
-                    continue
-                assert as_fractions(f.q) == q
+            # the grid is the box of the nonzero P_m, each given back by its
+            # integer form, and zero elsewhere
+            n = len(family.chart)
+            box = product(*(range(max(exps) + 1) for exps in zip(*factored)))
+            keyed = {
+                idx: as_fractions(factored[idx].q) if idx in factored else zeros(n, n)
+                for idx in box
+            }
+            assert cert.projections == grid == nest(keyed)
+            for f in factored.values():
+                q = as_fractions(f.q)
                 at_pivots = tuple(tuple(row[j] for j in f.pivots) for row in q)
                 assert mat_mul(at_pivots, as_fractions(f.factor)) == q
                 assert len(f.factor[0]) == len(f.pivots) == len(independent_columns(q))
-            assert_blocks_factor(c, c_inv, cert.orders, grid)
+            assert_blocks_factor(c, c_inv, cert.orders, keyed)
             if len(families) > 1:
                 seen[f"k = {len(families)}"] += 1
         seen["weight-0 block"] += 0 in family.chart.weights
@@ -1161,7 +1166,7 @@ def test_joint_projections_agree_with_the_product_route(monkeypatch):
             continue
         cert, grid, _, c, c_inv = certificate_parts(monkeypatch, families, None)
         assert (c, cert.orders) == (mat_from_cols(basis), tuple(orders))
-        assert cert.projections == grid == joint
+        assert cert.projections == grid == nest(joint)
         assert_blocks_factor(c, c_inv, cert.orders, joint)
         assert cert.homogenizer.then(cert.inverse).is_identity()
         seen[kind] += 1
@@ -1180,7 +1185,7 @@ def test_bihomogenize_projections_are_the_products():
         except NotDoubleStructureError:
             continue
         bihom = bihomogenize(h1, h2)
-        assert bihom.projections == joint
+        assert bihom.projections == nest(joint)
         assert "projections" not in repr(bihom)
 
 
@@ -1208,8 +1213,9 @@ def test_joint_projections_agree_with_the_sympy_composite_jacobian(dressed):
         nonzero = [x for x in jacobian if x != 0]
         assert len(q1) == max(sympy.degree(x, t) for x in nonzero) + 1
         assert len(q2) == max(sympy.degree(x, u) for x in nonzero) + 1
-        assert list(grid) == list(product(range(len(q1)), range(len(q2))))
-        for (r, s), p in grid.items():
+        assert [len(row) for row in grid] == [len(q2)] * len(q1)
+        for r, s in product(range(len(q1)), range(len(q2))):
+            p = grid[r][s]
             expected = jacobian.applyfunc(lambda x: x.coeff(t, r).coeff(u, s))
             for m in (mat_mul(q1[r], q2[s]), p):
                 assert sympy.Matrix([[rational(x, sympy) for x in row] for row in m]) == expected

@@ -120,6 +120,30 @@ def test_malformed_number_literal_is_a_parse_error(literal, col):
     assert "Traceback" not in result.stderr
 
 
+# Numbers above the bit budget (dsl.BIT_BUDGET) are refused where they are
+# written, before anything is expanded or printed: a literal Python cannot
+# convert, a power whose report Python cannot print, a power that takes
+# seconds to expand, and a product of in-budget factors, plain or grouped.
+_MAP = "chart C (x:1)\nmap m : C -> C {{ x = {}; }}\ncheck-morphism m\n"
+BIG_NUMBER_CASES = [
+    ("check", _MAP.format("7" * 5000 + "*x"), 22),
+    ("run", _MAP.format("10000000000^430*x"), 34),
+    ("run", _MAP.format("(x + 2^999)^200"), 34),
+    ("run", _MAP.format("2^1000*2^1000*2^1000*x"), 35),
+    ("run", _MAP.format("(x + 2^999)^2*(x + 2^999)^2*(x + 2^999)^2"), 49),
+]
+
+
+@pytest.mark.parametrize("command,source,col", BIG_NUMBER_CASES, ids=range(len(BIG_NUMBER_CASES)))
+def test_numbers_above_the_bit_budget_are_parse_errors(command, source, col):
+    result = gradua(command, "-", stdin=source)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"line 2, column {col}:" in result.stderr
+    assert f"coefficient budget of {dsl.BIT_BUDGET} bits" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_missing_file_is_usage_error():
     result = gradua("run", str(DATA / "no_such_file.gradua"))
     assert result.returncode == 2

@@ -12,15 +12,38 @@ from gradua import jets
 from gradua.action import verify_laws
 from gradua.charts import GradedChart, fresh_name
 from gradua.errors import DomainError
-from gradua.graded import ActionFamily, PolyMap, compose, standard_action
+from gradua.graded import ActionFamily, PolyMap, compose, standard_action, truncate
 from gradua.jets import adapt, iota, jet_action, jet_projection, prolong, prolong_action
-from gradua.multigrade import check_commuting
-from gradua.wpoly import WPolynomial
+from gradua.multigrade import check_commuting, flip
+from gradua.wpoly import WPolynomial, monomial_basis
 
 from helpers import random_chart, random_homogeneous
 
 LINE = GradedChart("L", (("x", 1),))
 PLANE = GradedChart("M", (("x", 1), ("y", 2)))
+
+
+# Orders, levels and degrees are natural numbers by the one rule of
+# exponents (wpoly._natural): a float, a bool or a negative number raises
+# DomainError, before any range check.
+NATURAL_CALLS = {
+    "adapt": lambda v: adapt(PLANE, v),
+    "prolong": lambda v: prolong(PolyMap.identity(PLANE), v),
+    "iota": lambda v: iota(v, PLANE),
+    "flip": lambda v: flip(v, 1, PLANE),
+    "jet_projection": lambda v: jet_projection(adapt(PLANE, 2), v),
+    "monomial_basis": lambda v: monomial_basis(PLANE, v),
+    "jet_name": lambda v: adapt(PLANE, 2).jet_name("x", v),
+    "truncate": lambda v: truncate(PLANE, v),
+    "is_homogeneous": lambda v: WPolynomial.variable(PLANE, "x").is_homogeneous(v),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, True, -1])
+@pytest.mark.parametrize("call", sorted(NATURAL_CALLS))
+def test_orders_levels_and_degrees_are_natural_numbers(call, value):
+    with pytest.raises(DomainError):
+        NATURAL_CALLS[call](value)
 
 
 def test_adapt_orders_variables_level_major():

@@ -384,11 +384,14 @@ def test_each_family_builder_builds_its_extended_chart_once(monkeypatch):
     ]
     assert built(lambda: jets.prolong_action(h, 1)) == [levels.chart, levels.extended_chart]
     # total_action renames the second family to the first's parameter: one
-    # chart for the renamed family, and the total takes the first's
+    # chart for the renamed family, none when the two share it, and the
+    # total takes the first's
     other = ActionFamily(chart, "u", {
         v: WPolynomial(chart.extend((("u", 0),)), p.terms) for v, p in h.entries.items()
     })
     assert built(lambda: multigrade.total_action(h, other)) == [h.extended_chart]
+    # a pair with one shared parameter is composed as it is: no chart
+    assert built(lambda: multigrade.total_action(h, h)) == []
     source = "chart M (x:1, y:2)\naction g on M { x -> t*x; y -> t^2*y + t*x^2; }\n"
     charts.clear()
     g = parse(source).actions()["g"]
@@ -492,7 +495,8 @@ def test_check_double_multiplies_no_square_matrix(monkeypatch):
     assert calls == []  # the one-family commands multiply nothing
     program = parse(source.split("analyze-action")[0] + "check-double D\n")
     double = [program.actions()[name] for name in program.doubles()["D"]]
-    nonzero = [q for q in bihomogenize(*double).projections.values() if any(map(any, q))]
+    grid = bihomogenize(*double).projections
+    nonzero = [q for row in grid for q in row if any(map(any, q))]
     eliminated.clear()
     report = cli.run(program)
     assert report.results[0]["commuting"] is True
@@ -511,7 +515,7 @@ def test_check_double_multiplies_no_square_matrix(monkeypatch):
     eliminated.clear()
     bihom = bihomogenize(lifted, levels)
     assert len(bihom.chart) == 4
-    nonzero = [q for q in bihom.projections.values() if any(map(any, q))]
+    nonzero = [q for row in bihom.projections for q in row if any(map(any, q))]
     assert len(eliminated) == len(nonzero) >= 4
     assert all(len(rows) == len(rows[0]) == 4 for rows, in eliminated)
     assert (calls, fixed, per_family) == ([], [], [])
