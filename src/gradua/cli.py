@@ -48,9 +48,9 @@ from .errors import (
     ParseError,
     UnsupportedChartError,
 )
-from .graded import _graded_matrix
+from .graded import _graded_failures, _graded_matrix
 from .jets import prolong
-from .multigrade import bihomogenize, flip, is_renaming_round_trip
+from .multigrade import _flip_names, _is_round_trip, bihomogenize
 
 SCHEMA_VERSION = "1"
 SCHEMA_ENV_VAR = "GRADUA_SCHEMA_VERSION"
@@ -80,16 +80,13 @@ def _pullbacks_json(pmap) -> dict[str, str]:
 
 def _run_check_morphism(stmt: CheckMorphismCmd, program: Program) -> dict:
     pmap = program.maps()[stmt.name]
-    # is_graded_morphism's test, run once per target variable to list failures
-    failures = [
-        {"variable": v, "weight": w, "pullback": str(pmap.pullbacks[v])}
-        for v, w in pmap.target.variables
-        if not pmap.pullbacks[v].is_homogeneous(w)
-    ]
-    graded = not failures
-    entry = {"ok": graded, "graded": graded}
-    if not graded:
-        entry["failures"] = failures
+    failing = _graded_failures(pmap)  # is_graded_morphism's test
+    entry = {"ok": not failing, "graded": not failing}
+    if failing:
+        entry["failures"] = [
+            {"variable": v, "weight": pmap.target.weight_of(v), "pullback": str(pmap.pullbacks[v])}
+            for v in failing
+        ]
         return entry
     if pmap.source == pmap.target:
         try:
@@ -168,19 +165,20 @@ def _run_check_double(stmt: CheckDoubleCmd, program: Program) -> dict:
 
 def _run_flip(stmt: FlipCmd, program: Program) -> dict:
     chart = program.charts()[stmt.chart_name]
-    forward = flip(stmt.m, stmt.n, chart)
+    forward = _flip_names(stmt.m, stmt.n, chart)
     # with m = n the flip maps the chart to itself and is its own candidate inverse
-    backward = forward if stmt.m == stmt.n else flip(stmt.n, stmt.m, chart)
-    round_trip = is_renaming_round_trip(forward, backward)
+    backward = forward if stmt.m == stmt.n else _flip_names(stmt.n, stmt.m, chart)
+    round_trip = _is_round_trip(forward, backward)
+    source, target, names = forward
     return {
         "m": stmt.m,
         "n": stmt.n,
         "chart": stmt.chart_name,
         "ok": round_trip,
         "round_trip_identity": round_trip,
-        "source": _chart_json(forward.source),
-        "target": _chart_json(forward.target),
-        "renaming": _pullbacks_json(forward),
+        "source": _chart_json(source),
+        "target": _chart_json(target),
+        "renaming": names,
     }
 
 

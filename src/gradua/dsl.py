@@ -26,8 +26,9 @@ product, a prolongation or a flip above one is refused before anything is
 expanded, with a ResourceLimitError (a ParseError) at the offending token.
 One exponent rule (_Parser.exponent) reads the integer after every `^` and
 holds the degree budget, then the bit budget on coefficients, for plain
-factors and groups alike; a product holds the bit budget on each `*`, and
-a number literal above it is a lexical error.
+factors and groups alike. A group's power then holds the term budget and
+a budget on its work, terms squared times bits; a product holds the bit
+budget on each `*`, and a number literal above it is a lexical error.
 
 The tokenizer is one re.split of the source by a pattern that captures the
 gap (blanks, newlines, comments) and the token after it, at every position:
@@ -305,7 +306,9 @@ ACTION_PARAM = "t"
 # The bit budget bounds a coefficient's numerator and denominator: of a
 # literal (a lexical error), of a power (the base's largest bit length
 # times the exponent) and of a product (its factors' bounds added), well
-# inside the 4300 decimal digits Python converts to and from str.
+# inside the 4300 decimal digits Python converts to and from str. A power's
+# work, its term bound squared times its bit bound, may not pass the two
+# budgets multiplied.
 DEGREE_BUDGET = 1000  # exponent times the base's total degree (at least 1)
 TERM_BUDGET = 10_000  # the most terms (or product term pairs) an expansion may reach
 VARIABLE_BUDGET = 1000  # variables of an adapted chart (prolong, flip)
@@ -747,17 +750,27 @@ class _Parser:
             raise self.unexpected(tok, ("a variable", "a number", "("))
         base = self.parse_sum(chart)
         self.require(")")
-        if self.accept("^"):
-            degree = max(map(_mono_total_degree, base), default=0)
-            power, at = self.exponent(degree, max(map(_bits, base.values()), default=0))
-            if len(base) > 1 and comb(len(base) + power - 1, power) > TERM_BUDGET:
-                raise ResourceLimitError(
-                    f"exponent {power} on a base of {len(base)} terms may give "
-                    f"more terms than the budget of {TERM_BUDGET}",
-                    *self.tokens.span(at),
-                )
-            return _terms_pow(base, power)
-        return base
+        if not self.accept("^"):
+            return base
+        degree = max(map(_mono_total_degree, base), default=0)
+        bits = max(map(_bits, base.values()), default=0)
+        power, at = self.exponent(degree, bits)
+        terms = comb(max(len(base), 1) + power - 1, power)
+        if terms > TERM_BUDGET:
+            raise ResourceLimitError(
+                f"exponent {power} on a base of {len(base)} terms may give "
+                f"more terms than the budget of {TERM_BUDGET}",
+                *self.tokens.span(at),
+            )
+        # _terms_pow forms on the order of terms * terms coefficient products
+        # of up to power * bits bits: that work has a budget too
+        if terms * terms * power * bits > TERM_BUDGET * BIT_BUDGET:
+            raise ResourceLimitError(
+                f"exponent {power} on a base of {len(base)} terms may give {terms} terms "
+                f"of {power * bits} bits, more work than {TERM_BUDGET} terms of {BIT_BUDGET} bits",
+                *self.tokens.span(at),
+            )
+        return _terms_pow(base, power)
 
 
 # Each keyword is written once: a statement keyword is a key of

@@ -19,10 +19,10 @@ family and the homogenizer's composite, all have one builder,
 _compose_families.
 
 A map respects the grading when each pullback is weighted-homogeneous of
-its target variable's weight. Homogeneity itself is decided by two
-independent routes, scaling substitution and the weighted Euler operator
-(WPolynomial.is_homogeneous), which must agree or EngineDefectError is
-raised.
+its target variable's weight. _graded_failures decides this for all the
+pullbacks in one call of wpoly._homogeneity_failures, by two independent
+routes, scaling substitution and the weighted Euler operator, which must
+agree or EngineDefectError is raised.
 
 Polynomial maps are inverted by one kernel, the bounded Picard pass of
 _invert_coordinate_change. It inverts graded automorphisms here
@@ -52,8 +52,8 @@ from .errors import (
 )
 from .linalg import IntMatrix, Matrix
 from .wpoly import (
-    Monomial, Terms, WPolynomial, _coefficient, _mono_total_degree, _natural,
-    _scaling_terms, _terms_combine, _terms_mul, _terms_substitute,
+    Monomial, Terms, WPolynomial, _coefficient, _homogeneity_failures, _mono_total_degree,
+    _natural, _scaling_terms, _terms_combine, _terms_mul, _terms_substitute,
 )
 
 
@@ -84,18 +84,21 @@ class PolyMap:
         return cls(chart, chart, {v: WPolynomial.variable(chart, v) for v in chart.names})
 
     def then(self, other: PolyMap) -> PolyMap:
-        """The composite map: this one first, then `other`."""
+        """The composite map: this one first, then `other`.
+
+        One pass of the substitution kernel (wpoly._terms_substitute) pushes
+        all of other's pullbacks through this map's, which are complete and
+        live on one chart, so no image needs checking again.
+        """
         if self.target is not other.source and self.target != other.source:
             raise DomainError(
                 f"cannot compose: {self.source.name!r}->{self.target.name!r} "
                 f"then {other.source.name!r}->{other.target.name!r}"
             )
-        pullbacks = self.pullbacks
-        return PolyMap(
-            self.source,
-            other.target,
-            {v: p.substitute(pullbacks, into=self.source) for v, p in other.pullbacks.items()},
-        )
+        images = [self.pullbacks[v].terms for v in self.target.names]
+        pulled = _terms_substitute([p.terms for p in other.pullbacks.values()], images)
+        pullbacks = {v: WPolynomial(self.source, t) for v, t in zip(other.pullbacks, pulled)}
+        return PolyMap(self.source, other.target, pullbacks)
 
     def is_identity(self) -> bool:
         if self.source is not self.target and self.source != self.target:
@@ -253,18 +256,26 @@ def standard_action(chart: GradedChart, param: str = "t") -> ActionFamily:
     return _scaling_family(chart, chart.weights, param)
 
 
+def _graded_failures(psi: PolyMap) -> list[str]:
+    """The target variables, in chart order, whose pullbacks are not
+    homogeneous of their weight: one call of wpoly._homogeneity_failures
+    over all the pullbacks, so one pass of the scaling kernel per map."""
+    names = psi.target.names
+    pulled = [psi.pullbacks[v].terms for v in names]
+    return [names[i] for i in _homogeneity_failures(psi.source, pulled, psi.target.weights)]
+
+
 def is_graded_morphism(psi: PolyMap) -> bool:
     """True when every pullback is homogeneous of its target variable's weight.
 
-    Each test runs both of is_homogeneous's routes, scaling and Euler. A
-    third route, intertwining the two standard families symbolically, is
-    not run: p(t^w . x) == t^r . p(x) over the source chart is the scaling
-    route's identity on the same chart, so it could never disagree.
+    _graded_failures decides it, by both of the homogeneity routes, scaling
+    and Euler, for all the pullbacks at once; the check-morphism command
+    reads the same helper to list the failures. A third route, intertwining
+    the two standard families symbolically, is not run: p(t^w . x) == t^r .
+    p(x) over the source chart is the scaling route's identity on the same
+    chart, so it could never disagree.
     """
-    target = psi.target
-    return all(
-        psi.pullbacks[v].is_homogeneous(target.weight_of(v)) for v in target.names
-    )
+    return not _graded_failures(psi)
 
 
 def invert_automorphism(psi: PolyMap) -> PolyMap:

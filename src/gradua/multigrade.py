@@ -20,6 +20,12 @@ direct check, check_commuting, lives in action, which runs it only to
 explain a failure; it is re-exported here. The total family renames the
 second family to the first's parameter and composes them with
 graded._compose_families, the builder of every family composite.
+
+The flip of an iterated jet adaptation, which swaps its two levels, is a
+renaming of coordinates, and _flip_names builds it as a map of names.
+flip wraps that map as a PolyMap; the flip command prints the names and
+decides its round trip on them with _is_round_trip, building no
+polynomial.
 """
 
 from __future__ import annotations
@@ -74,56 +80,48 @@ def bihomogenize(
     return _homogenize_joint((h1, h2), theta, f"{h1.chart.name}_bh")
 
 
-def flip(m: int, n: int, chart: GradedChart) -> PolyMap:
-    """Swap the two levels of an iterated jet adaptation, as a renaming.
+def _flip_names(m: int, n: int, chart: GradedChart) -> tuple:
+    """The flip as a map of names: its source chart, its target chart and
+    the dict from each target variable, in chart order, to the source
+    variable it pulls back to.
 
     The source is the order-n adaptation of the order-m adaptation; the
     target nests the orders the other way around. A variable that is the
     outer level-q jet of the inner level-p jet of x pulls back to the outer
-    level-p jet of the inner level-q jet of x.
+    level-p jet of the inner level-q jet of x. With m = n both are the
+    same two adaptations, built once.
     """
     inner_src = adapt(chart, m)
     outer_src = adapt(inner_src.chart, n)
-    inner_dst = adapt(chart, n)
-    outer_dst = adapt(inner_dst.chart, m)
-
-    pullbacks: dict[str, WPolynomial] = {}
+    inner_dst = inner_src if m == n else adapt(chart, n)
+    outer_dst = outer_src if m == n else adapt(inner_dst.chart, m)
+    names = {}
     for name in outer_dst.chart.names:
         mid, q = outer_dst.level_of(name)
         base, p = inner_dst.level_of(mid)
-        source_name = outer_src.jet_name(inner_src.jet_name(base, q), p)
-        pullbacks[name] = WPolynomial.variable(outer_src.chart, source_name)
-    return PolyMap(outer_src.chart, outer_dst.chart, pullbacks)
+        names[name] = outer_src.jet_name(inner_src.jet_name(base, q), p)
+    return outer_src.chart, outer_dst.chart, names
 
 
-def _renaming(pmap: PolyMap) -> dict[str, str] | None:
-    """Target name -> source name when every pullback is one variable with
-    coefficient 1; None otherwise."""
-    names = pmap.source.names
-    out: dict[str, str] = {}
-    for v, p in pmap.pullbacks.items():
-        if len(p.terms) != 1:
-            return None
-        ((mono, c),) = p.terms.items()
-        if c != 1 or len(mono) != 1 or mono[0][1] != 1:
-            return None
-        out[v] = names[mono[0][0]]
-    return out
+def flip(m: int, n: int, chart: GradedChart) -> PolyMap:
+    """Swap the two levels of an iterated jet adaptation, as a renaming:
+    the PolyMap of _flip_names, each pullback one source variable."""
+    source, target, names = _flip_names(m, n, chart)
+    pullbacks = {v: WPolynomial.variable(source, u) for v, u in names.items()}
+    return PolyMap(source, target, pullbacks)
 
 
-def is_renaming_round_trip(forward: PolyMap, backward: PolyMap) -> bool:
-    """True when two renamings undo each other, both ways round.
+def _is_round_trip(forward: tuple, backward: tuple) -> bool:
+    """True when two maps of names, each as _flip_names returns it (every
+    target variable listed), undo each other both ways round.
 
-    For renamings this is compose(forward, backward).is_identity() and
-    compose(backward, forward).is_identity(), decided by composing the
-    maps of names, with no polynomial substituted. A map with a pullback
-    that is not a single variable with coefficient 1, or a pair whose
-    charts do not compose back to where they started, gives False.
+    For the renamings they stand for, this is compose(forward,
+    backward).is_identity() and compose(backward, forward).is_identity():
+    the charts close up (forward's target is backward's source and
+    backward's target forward's source), and following one map of names
+    and then the other gives back every name. No polynomial is built.
     """
-    if forward.target != backward.source or backward.target != forward.source:
+    (source, target, f), (back_source, back_target, g) = forward, backward
+    if target != back_source or back_target != source:
         return False
-    f = _renaming(forward)
-    g = _renaming(backward)
-    if f is None or g is None:
-        return False
-    return all(f[g[u]] == u for u in g) and all(g[f[v]] == v for v in f)
+    return all(f.get(g[u]) == u for u in g) and all(g.get(f[v]) == v for v in f)

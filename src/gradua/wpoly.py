@@ -11,30 +11,33 @@ its factors, and a polynomial is homogeneous of degree r when every monomial
 has weighted degree r.
 
 Homogeneity is always decided twice, by two independent routes, each on
-term dicts with no object-level product, sum or derivative. The scaling
-route runs the one scaling kernel, _scaling_failures, under the standard
-action x -> t**weight * x, whose images come from _scaling_terms, the one
-builder of the model family x_i -> t**p_i * x_i (graded's standard action
-and jets' level scaling are built from it too). The Euler route builds
-the weighted Euler operator as one _terms_combine of the parts x * df/dx,
-read off the exponents, and compares it with r times the original. The
-routes must agree; disagreement raises EngineDefectError since it can only
-come from a defect in this module.
+term dicts with no object-level product, sum or derivative, in one helper,
+_homogeneity_failures, for any number of polynomials on one chart:
+is_homogeneous is its one-polynomial call, and graded decides a map's
+gradedness by one call over all its pullbacks. The scaling route is one
+call of the scaling kernel, _scaling_failures, for all the polynomials,
+under the standard action x -> t**weight * x, whose images come from
+_scaling_terms, the one builder of the model family x_i -> t**p_i * x_i
+(graded's standard action and jets' level scaling are built from it too).
+The Euler route builds each polynomial's weighted Euler operator as one
+_terms_combine of the parts x * df/dx, read off the exponents, and compares
+it with r times the original. The routes must agree; disagreement raises
+EngineDefectError since it can only come from a defect in this module.
 
 Substitution has one kernel, _terms_substitute. It pushes any number of
 term dicts through one list of images indexed by variable, with one cache
 of powers and monomial images shared by every polynomial of the call, and
 forms each result as one _terms_combine of c * image(m) over its terms c *
 m. WPolynomial.substitute is its validated public wrapper; the Picard
-rounds, the family composites and the jet prolongations call it on term
-dicts directly.
+rounds, the family composites, the jet prolongations and the composite of
+two maps (graded.PolyMap.then) call it on term dicts directly.
 
 The scaling kernel decides h_t^* f = t^r f for any number of polynomials
 f and one family h_t given by its images, with t a variable index above
 every index of the f: one pass of the substitution kernel on integer
 numerators (_cleared), compared with the term dicts of t^r f. It serves
-is_homogeneous (the standard action) and the certificate's scaling check
-in action (any family).
+_homogeneity_failures (the standard action) and the certificate's scaling
+check in action (any family).
 """
 
 from __future__ import annotations
@@ -326,6 +329,33 @@ def _terms_euler(terms: Terms, weights: Sequence[int]) -> dict[Monomial, Fractio
     return _terms_combine((weights[i], part) for i, part in sorted(parts.items()))
 
 
+def _homogeneity_failures(
+    chart: GradedChart, polys: Sequence[Terms], degrees: Sequence[int]
+) -> list[int]:
+    """The positions i at which polys[i], a term dict over chart, is not
+    weighted-homogeneous of degree degrees[i]; zero is homogeneous of every
+    degree.
+
+    Decided by both routes, on term dicts; no chart is built, and a
+    polynomial only to name the first poly on which the routes disagree, in
+    the EngineDefectError that disagreement raises. The scaling route is
+    one call of the scaling kernel (_scaling_failures) for all the polys,
+    under the standard action x_i -> x_i * t^(w_i), t at index len(chart),
+    its images from _scaling_terms. The Euler route compares each poly's
+    _terms_euler with r times the poly ({} when r = 0).
+    """
+    weights = chart.weights
+    scaling = _scaling_failures(_cleared(polys), degrees, _scaling_terms(weights), len(weights))
+    for i, (terms, r) in enumerate(zip(polys, degrees)):
+        by_euler = _terms_euler(terms, weights) == {m: c * r for m, c in terms.items() if r}
+        if by_euler == (i in scaling):
+            raise EngineDefectError(
+                "homogeneity routes disagree: "
+                f"scaling={not by_euler} euler={by_euler} for {WPolynomial(chart, terms)}"
+            )
+    return scaling
+
+
 def weighted_degree(exponents: Mapping[str, int], chart: GradedChart) -> int:
     """Weight inner product sum(w_i * k_i) of an exponent assignment."""
     return _mono_weighted_degree(_monomial(chart, exponents), chart.weights)
@@ -504,27 +534,12 @@ class WPolynomial:
     def is_homogeneous(self, r: int) -> bool:
         """True when the polynomial is weighted-homogeneous of degree r.
 
-        Decided by both the scaling route and the Euler-operator route, each
-        on term dicts; the zero polynomial is homogeneous of every degree.
-        The scaling route is the scaling kernel (_scaling_failures) under the
-        standard action x_i -> x_i * t^(w_i), t at index n = len(chart), its
-        images from _scaling_terms. The
-        Euler route compares _terms_euler, the term dict of euler(), with
-        {m: r * c}. No chart and no polynomial is built.
+        The one-polynomial call of _homogeneity_failures: both routes, on
+        term dicts; the zero polynomial is homogeneous of every degree.
         """
-        _natural(r, "homogeneity degree")
-        weights = self.chart.weights
-        images = _scaling_terms(weights)
-        by_scaling = not _scaling_failures(_cleared((self.terms,)), (r,), images, len(weights))
-        by_euler = _terms_euler(self.terms, weights) == (
-            {m: c * r for m, c in self.terms.items()} if r else {}
+        return not _homogeneity_failures(
+            self.chart, (self.terms,), (_natural(r, "homogeneity degree"),)
         )
-        if by_scaling != by_euler:
-            raise EngineDefectError(
-                "homogeneity routes disagree: "
-                f"scaling={by_scaling} euler={by_euler} for {self}"
-            )
-        return by_scaling
 
     # rebasing ---------------------------------------------------------------
 

@@ -144,6 +144,19 @@ def test_numbers_above_the_bit_budget_are_parse_errors(command, source, col):
     assert "Traceback" not in result.stderr
 
 
+def test_a_power_above_the_work_budget_is_a_parse_error():
+    # every other budget holds; expanding it took seconds before it was refused
+    result = gradua("run", "-", stdin=_MAP.format("(x + 15)^1000"))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "gradua: -: line 2, column 31: exponent 1000 on a base of 2 terms may give "
+        f"1001 terms of 4000 bits, more work than {dsl.TERM_BUDGET} "
+        f"terms of {dsl.BIT_BUDGET} bits\n"
+    )
+    assert "Traceback" not in result.stderr
+
+
 def test_missing_file_is_usage_error():
     result = gradua("run", str(DATA / "no_such_file.gradua"))
     assert result.returncode == 2

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gradua import cli, dsl
 from gradua.charts import GradedChart
 from gradua.dsl import (
+    BIT_BUDGET,
     DEGREE_BUDGET,
     KEYWORDS,
     TERM_BUDGET,
@@ -841,6 +842,25 @@ RESOURCE_CASES = [
         f"line 2, column 28: exponent 1001 on a base of total degree 0 "
         f"exceeds the degree budget of {DEGREE_BUDGET}",
     ),
+    # within the degree, bit and term budgets, but seconds of coefficient work
+    (
+        "chart V (x:1)\nmap m : V -> V { x = (x + 15)^1000; }",
+        f"line 2, column 31: exponent 1000 on a base of 2 terms may give 1001 "
+        f"terms of 4000 bits, more work than {TERM_BUDGET} terms "
+        f"of {BIT_BUDGET} bits",
+    ),
+    (
+        "chart V (x:1, y:1)\nmap m : V -> V { x = (x + y)^1000; y = y; }",
+        f"line 2, column 30: exponent 1000 on a base of 2 terms may give 1001 "
+        f"terms of 1000 bits, more work than {TERM_BUDGET} terms "
+        f"of {BIT_BUDGET} bits",
+    ),
+    (
+        "chart V (x:1, y:1)\nmap m : V -> V { x = (x + y + 1)^60; y = y; }",
+        f"line 2, column 34: exponent 60 on a base of 3 terms may give 1891 "
+        f"terms of 60 bits, more work than {TERM_BUDGET} terms "
+        f"of {BIT_BUDGET} bits",
+    ),
 ]
 
 
@@ -889,9 +909,12 @@ def test_budgets_admit_what_they_allow():
     parse(f"chart V (x:1)\nflip 9 {VARIABLE_BUDGET // 10 - 1} V")
     with pytest.raises(ResourceLimitError):
         parse(f"chart V (x:1)\nflip 9 {VARIABLE_BUDGET // 10} V")
-    # the largest term count a power may reach: comb(2 + e - 1, e) = e + 1
-    e = min(DEGREE_BUDGET, TERM_BUDGET - 1)
-    parse(f"chart V (x:1, y:1)\nmap m : V -> V {{ x = (x + y)^{e}; y = y; }}")
+    # the largest power of x + y the work budget admits: its term bound
+    # squared times its bit bound, (e + 1)^2 * e, may not pass TERM_BUDGET *
+    # BIT_BUDGET, so e = 344
+    parse("chart V (x:1, y:1)\nmap m : V -> V { x = (x + y)^344; y = y; }")
+    with pytest.raises(ResourceLimitError):
+        parse("chart V (x:1, y:1)\nmap m : V -> V { x = (x + y)^345; y = y; }")
     # the largest product the budget admits: 100 by 100 terms
     parse(
         "chart V (x:1, y:1)\n"

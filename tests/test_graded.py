@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradua.charts import GradedChart, fresh_name
-from gradua import linalg
+from gradua import graded as graded_module, linalg, wpoly
+from gradua.action import homogenize
 from gradua.errors import (
     ChartMismatchError,
     DomainError,
@@ -27,6 +28,7 @@ from gradua.errors import (
 )
 from gradua.graded import (
     ActionFamily,
+    _graded_failures,
     PolyMap,
     compose,
     invert_automorphism,
@@ -356,6 +358,79 @@ def test_gradedness_reference_on_the_fixed_maps():
     ]
     for psi in maps:
         assert is_graded_morphism(psi) == _reference_is_graded_morphism(psi)
+
+
+def test_one_pass_gradedness_matches_each_pullback_alone():
+    """_graded_failures decides all of a map's pullbacks in one call; on
+    seeded maps it lists exactly the target variables whose pullbacks
+    is_homogeneous refuses one at a time, in chart order."""
+    failing = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        source = _random_weighted_chart(rng, "S")
+        target = _random_weighted_chart(rng, "T") if seed % 2 else source
+        psi = _random_map(rng, source, target, graded=seed % 3 == 0)
+        alone = [
+            v for v in target.names
+            if not psi.pullbacks[v].is_homogeneous(target.weight_of(v))
+        ]
+        assert _graded_failures(psi) == alone
+        assert is_graded_morphism(psi) == (not alone)
+        failing += bool(alone)
+    assert 0 < failing < 80  # both verdicts are drawn
+
+
+def test_homogeneity_routes_that_disagree_name_the_first_pullback(monkeypatch):
+    chart = GradedChart("A", (("x", 1), ("y", 2), ("z", 3)))
+    x, y, z = (WPolynomial.variable(chart, v) for v in chart.names)
+    psi = PolyMap(chart, chart, {"x": x, "y": y + x * x, "z": z * 2 + x * y})
+    assert _graded_failures(psi) == []
+    euler = wpoly._terms_euler
+
+    def wrong_on_y(terms, weights):
+        # the Euler route, broken on every polynomial that holds y
+        return {} if any(i == 1 for m in terms for i, _ in m) else euler(terms, weights)
+
+    monkeypatch.setattr(wpoly, "_terms_euler", wrong_on_y)
+    with pytest.raises(EngineDefectError) as exc:
+        _graded_failures(psi)
+    assert str(exc.value) == (
+        f"homogeneity routes disagree: scaling=True euler=False for {psi.pullbacks['y']}"
+    )
+    with pytest.raises(EngineDefectError):
+        psi.pullbacks["z"].is_homogeneous(3)
+    assert x.is_homogeneous(1)
+
+
+def _then_by_substitution(a, b):
+    """a.then(b) as it was: each of b's pullbacks substituted on its own."""
+    return PolyMap(
+        a.source,
+        b.target,
+        {v: p.substitute(a.pullbacks, into=a.source) for v, p in b.pullbacks.items()},
+    )
+
+
+def test_then_is_one_substitution_pass_equal_to_substituting_each_pullback(monkeypatch):
+    passes = []
+    kernel = graded_module._terms_substitute
+
+    def counted(polys, images):
+        passes.append(len(images))
+        return kernel(polys, images)
+
+    monkeypatch.setattr(graded_module, "_terms_substitute", counted)
+    for seed in range(20):
+        rng = random.Random(seed)
+        chart = random_chart(rng, max_base=seed % 2)
+        family, _ = conjugated_action(rng, chart)
+        hom = homogenize(family)
+        for a, b in ((hom.homogenizer, hom.inverse), (hom.inverse, hom.homogenizer)):
+            passes.clear()
+            composite = a.then(b)
+            assert passes == [len(a.target)]
+            assert composite == _then_by_substitution(a, b)
+            assert composite.is_identity()
 
 
 # --- at and with_param against the substitution route -------------------------

@@ -11,10 +11,11 @@ from gradua.errors import NotDoubleStructureError
 from gradua.graded import ActionFamily, PolyMap, compose
 from gradua.jets import adapt, jet_action, prolong_action
 from gradua.multigrade import (
+    _flip_names,
+    _is_round_trip,
     bihomogenize,
     check_commuting,
     flip,
-    is_renaming_round_trip,
     total_action,
 )
 from gradua.wpoly import WPolynomial
@@ -198,10 +199,14 @@ def test_charts_must_match():
         check_commuting(h1, h2)
 
 
-# --- the flip round trip by composing name maps -----------------------------------
+# --- the flip round trip on maps of names ----------------------------------------
 
 
 def _round_trip_by_composition(a, b):
+    """The reference: both composites of the PolyMaps are the identity (False
+    when the charts do not compose, where compose would raise)."""
+    if a.target != b.source or b.target != a.source:
+        return False
     return compose(a, b).is_identity() and compose(b, a).is_identity()
 
 
@@ -212,27 +217,49 @@ def _renaming(source, target, names):
     )
 
 
-@pytest.mark.parametrize("chart", [M, GradedChart("B", (("a", 0), ("x", 1), ("x'", 1)))])
+TICK_AND_WEIGHT_0 = GradedChart("B", (("a", 0), ("x", 1), ("x'", 1)))
+
+
+@pytest.mark.parametrize("chart", [M, TICK_AND_WEIGHT_0])
 def test_flip_round_trip_matches_composition(chart):
     for m in range(3):
         for n in range(3):
-            forward, backward = flip(m, n, chart), flip(n, m, chart)
-            assert is_renaming_round_trip(forward, backward)
-            assert _round_trip_by_composition(forward, backward)
+            forward, backward = _flip_names(m, n, chart), _flip_names(n, m, chart)
+            assert flip(m, n, chart) == _renaming(*forward)
+            assert _is_round_trip(forward, backward)
+            assert _round_trip_by_composition(flip(m, n, chart), flip(n, m, chart))
             if m == n and m:
                 # a flip that swaps levels is not undone by the identity
-                ident = PolyMap.identity(forward.source)
-                assert not _round_trip_by_composition(forward, ident)
-                assert not is_renaming_round_trip(forward, ident)
+                ident = PolyMap.identity(forward[0])
+                assert not _round_trip_by_composition(flip(m, n, chart), ident)
+                names = (forward[0], forward[0], {v: v for v in forward[0].names})
+                assert not _is_round_trip(forward, names)
+
+
+@pytest.mark.parametrize("chart", [M, TICK_AND_WEIGHT_0])
+def test_name_round_trip_agrees_with_composing_flips(chart):
+    """Every pair of flips of orders 0..2, matched or not: the round trip on
+    the maps of names is the composition reference on flip's PolyMaps."""
+    orders = [(m, n) for m in range(3) for n in range(3)]
+    names = {mn: _flip_names(*mn, chart) for mn in orders}
+    maps = {mn: flip(*mn, chart) for mn in orders}
+    verdicts = []
+    for first in orders:
+        for second in orders:
+            verdict = _is_round_trip(names[first], names[second])
+            assert verdict == _round_trip_by_composition(maps[first], maps[second])
+            verdicts.append(verdict)
+    # each flip(m, n) is undone by flip(n, m) only, and flip(0, 0) by itself
+    assert sum(verdicts) == len(orders)
 
 
 def test_renaming_round_trip_on_hand_made_permutations():
     chart = GradedChart("P", (("a", 1), ("b", 1), ("c", 1)))
-    cycle = _renaming(chart, chart, {"a": "b", "b": "c", "c": "a"})
-    back = _renaming(chart, chart, {"a": "c", "b": "a", "c": "b"})
-    swap = _renaming(chart, chart, {"a": "b", "b": "a", "c": "c"})
-    collapse = _renaming(chart, chart, {"a": "a", "b": "a", "c": "c"})
-    ident = PolyMap.identity(chart)
+    cycle = {"a": "b", "b": "c", "c": "a"}
+    back = {"a": "c", "b": "a", "c": "b"}
+    swap = {"a": "b", "b": "a", "c": "c"}
+    collapse = {"a": "a", "b": "a", "c": "c"}
+    ident = {v: v for v in chart.names}
     cases = [
         (cycle, back, True),
         (back, cycle, True),
@@ -244,11 +271,14 @@ def test_renaming_round_trip_on_hand_made_permutations():
         (collapse, ident, False),
     ]
     for a, b, expected in cases:
-        assert _round_trip_by_composition(a, b) == expected
-        assert is_renaming_round_trip(a, b) == expected
+        maps = _renaming(chart, chart, a), _renaming(chart, chart, b)
+        assert _round_trip_by_composition(*maps) == expected
+        assert _is_round_trip((chart, chart, a), (chart, chart, b)) == expected
 
 
 def test_renaming_round_trip_refuses_scaled_and_composite_pullbacks():
+    # a map of names stands only for pullbacks that are one variable with
+    # coefficient 1: any other pullback breaks the composition round trip
     chart = GradedChart("P", (("a", 1), ("b", 2)))
     a, b = (WPolynomial.variable(chart, n) for n in chart.names)
     ident = PolyMap.identity(chart)
@@ -260,27 +290,30 @@ def test_renaming_round_trip_refuses_scaled_and_composite_pullbacks():
         PolyMap(chart, chart, {"a": a + 1, "b": b}),
         PolyMap(chart, chart, {"a": a, "b": WPolynomial.zero(chart)}),
     ]
+    names = (chart, chart, {v: v for v in chart.names})
+    assert _is_round_trip(names, names) and _round_trip_by_composition(ident, ident)
     for other in others:
         for first, second in ((ident, other), (other, ident)):
             assert not _round_trip_by_composition(first, second)
-            assert not is_renaming_round_trip(first, second)
 
 
 def test_renaming_round_trip_needs_charts_that_close_up():
     one = GradedChart("P", (("a", 1),))
     two = GradedChart("Q", (("a", 1),))
-    there = _renaming(one, two, {"a": "a"})
-    assert is_renaming_round_trip(there, _renaming(two, one, {"a": "a"}))
-    assert not is_renaming_round_trip(there, there)
+    there, back = (one, two, {"a": "a"}), (two, one, {"a": "a"})
+    assert _is_round_trip(there, back)
+    assert _round_trip_by_composition(_renaming(*there), _renaming(*back))
+    assert not _is_round_trip(there, there)
+    assert not _round_trip_by_composition(_renaming(*there), _renaming(*there))
 
 
 def test_renaming_round_trip_needs_both_composites():
     # one composite is the identity, the other sends q to p
     small = GradedChart("S", (("a", 1),))
     big = GradedChart("T", (("p", 1), ("q", 1)))
-    doubled = _renaming(small, big, {"p": "a", "q": "a"})
-    first = _renaming(big, small, {"a": "p"})
-    assert compose(doubled, first).is_identity()
-    assert not compose(first, doubled).is_identity()
-    assert not is_renaming_round_trip(doubled, first)
-    assert not is_renaming_round_trip(first, doubled)
+    doubled = (small, big, {"p": "a", "q": "a"})
+    first = (big, small, {"a": "p"})
+    assert compose(_renaming(*doubled), _renaming(*first)).is_identity()
+    assert not compose(_renaming(*first), _renaming(*doubled)).is_identity()
+    assert not _is_round_trip(doubled, first)
+    assert not _is_round_trip(first, doubled)

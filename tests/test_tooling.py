@@ -163,20 +163,30 @@ map bad : A -> A {
 
 
 def test_check_morphism_decides_gradedness_once(monkeypatch):
-    calls = _count_calls(monkeypatch, WPolynomial, "is_homogeneous")
-    for name, graded in (("psi", True), ("bad", False)):
+    """check-morphism reads is_graded_morphism's helper: one call of
+    wpoly._homogeneity_failures (is_homogeneous's helper too) for all the
+    pullbacks, so one pass of the scaling kernel; no pullback is decided on
+    its own."""
+    helper = _count_calls(monkeypatch, graded, "_homogeneity_failures")
+    passes = _count_calls(monkeypatch, wpoly, "_scaling_failures")
+    single = _count_calls(monkeypatch, WPolynomial, "is_homogeneous")
+    for name, is_graded in (("psi", True), ("bad", False)):
         program = parse(GRADED_SHEAR + NOT_GRADED + f"check-morphism {name}\n")
-        calls.clear()
+        helper.clear()
+        passes.clear()
         (entry,) = cli.run(program).results
-        assert entry["graded"] is graded
-        assert ("matrix" in entry) is graded
-        assert len(calls) == 3  # one per target variable
+        assert entry["graded"] is is_graded
+        assert ("matrix" in entry) is is_graded
+        assert (len(helper), len(passes), single) == (1, 1, [])
+        ((_, pulled, degrees),) = helper
+        assert (len(pulled), degrees) == (3, (1, 1, 2))  # every target variable
     assert entry["failures"] == [{"variable": "y1", "weight": 2, "pullback": "y1 + x1"}]
 
 
 def test_check_morphism_makes_no_object_level_product_or_derivative(monkeypatch):
-    """is_homogeneous's scaling route is one pass of the scaling kernel,
-    its Euler route one term-dict combination, and the matrix multiplies
+    """The gradedness check's scaling route is one pass of the scaling
+    kernel for the whole map, its Euler route one term-dict combination per
+    pullback, and the matrix multiplies
     term dicts: no WPolynomial product, sum, lift, scaling, derivative or
     substitute, on a graded map and on one that is not graded."""
     methods = ("__mul__", "__add__", "lift", "differentiate", "scale", "substitute")
@@ -188,7 +198,7 @@ def test_check_morphism_makes_no_object_level_product_or_derivative(monkeypatch)
         (entry,) = cli.run(program).results
         assert entry["graded"] is is_graded
         assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(methods, 0)
-        assert len(passes) == 3  # the scaling route, once per target variable
+        assert len(passes) == 1  # the scaling route, once for every target variable
 
 
 def test_analyze_inverts_one_matrix(monkeypatch):
@@ -430,10 +440,46 @@ def test_flip_round_trip_substitutes_nothing(monkeypatch):
 def test_flip_with_equal_orders_builds_one_renaming(monkeypatch):
     # with m = n the flip is its own candidate inverse
     program = parse("chart A (x1:1, x2:1, y1:2)\nflip 2 2 A\nflip 1 2 A\n")
-    calls = _count_calls(monkeypatch, cli, "flip")
+    calls = _count_calls(monkeypatch, cli, "_flip_names")
+    adapted = _count_calls(monkeypatch, multigrade, "adapt")
     report = cli.run(program)
     assert [args[:2] for args in calls] == [(2, 2), (1, 2), (2, 1)]
     assert [entry["round_trip_identity"] for entry in report.results] == [True, True]
+    # flip 2 2 adapts twice, flip 1 2 and its inverse four times each
+    assert [args[1] for args in adapted] == [2, 2] + [1, 2, 2, 1] + [2, 1, 1, 2]
+
+
+def test_flip_builds_no_polynomial_and_no_map(monkeypatch):
+    program = parse("chart A (x1:1, x2:1, y1:2)\nflip 2 2 A\nflip 1 2 A\n")
+    built = _count_constructions(monkeypatch)
+    maps = _count_calls(monkeypatch, PolyMap, "__post_init__")
+    report = cli.run(program)
+    assert [entry["ok"] for entry in report.results] == [True, True]
+    assert (built, maps) == ([], [])
+    # the printed renaming is the name map of flip's PolyMap
+    chart = program.charts()["A"]
+    assert report.results[0]["renaming"] == {
+        v: str(p) for v, p in multigrade.flip(2, 2, chart).pullbacks.items()
+    }
+
+
+def test_a_backward_flip_off_by_one_name_fails_the_round_trip(monkeypatch):
+    original = multigrade._flip_names
+
+    def off_by_one(m, n, chart):
+        source, target, names = original(m, n, chart)
+        if (m, n) == (2, 1):  # the backward map of flip 1 2
+            first, second = list(names)[:2]
+            names = {**names, first: names[second]}
+        return source, target, names
+
+    monkeypatch.setattr(cli, "_flip_names", off_by_one)
+    program = parse("chart A (x1:1, x2:1, y1:2)\nflip 1 2 A\nreport text\n")
+    report = cli.run(program)
+    (entry,) = report.results
+    assert (entry["ok"], entry["round_trip_identity"]) == (False, False)
+    text = cli.emit(report, "text")
+    assert "round_trip_identity: no" in text and "ok: no" in text
 
 
 def test_parsing_builds_one_polynomial_per_pullback_and_entry(monkeypatch):
