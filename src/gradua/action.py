@@ -36,9 +36,15 @@ follows from one that is by that argument.
 
 The composites these checks compare, h_t o h_s for the laws, both orders of
 two families for commutation and all k families for the homogenizer, come
-from graded._compose_families. The parameter of a family is never renamed or
-evaluated by substitution: h_(ts) is a term map, and the infinitesimal
-generator reads the t-derivatives at 1 with ActionFamily.at. The converse
+from graded._compose_families, which takes each family's parameter as a
+slot, an index after the chart's: h_t o h_s puts h at n and n + 1, and the
+k families of the homogenizer sit at n .. n + k - 1. So no family is
+renamed to be composed, families that share a parameter name are composed
+as they are, and a name is made only for a witness chart. The parameter is
+never evaluated by substitution: h_(ts) is a term map, and graded._split,
+the one reader of a family by parameter power, gives the infinitesimal
+generator as sum k * part_k and the certificate's first stage its
+multi-indices. The converse
 route, reconstruct_entries, conjugates the model family y_i -> t^(w_i) y_i
 (wpoly._scaling_terms) back through the homogenizer and its inverse, in
 two passes of the substitution kernel.
@@ -79,7 +85,7 @@ from .errors import (
 )
 from .graded import (  # noqa: F401
     ActionFamily, PolyMap, _checked_stored, _compose_families, _invert_coordinate_change,
-    _picard_inverse,
+    _picard_inverse, _split,
 )
 from .linalg import IntMatrix, Matrix
 from .wpoly import (
@@ -157,17 +163,18 @@ class _Factored(NamedTuple):
 def verify_laws(h: ActionFamily) -> LawReport:
     """Check the semigroup and monoid laws as exact polynomial identities.
 
-    The composite h_t o h_s is one _compose_families call over the chart
-    followed by t and s. h_(ts) is a term map: t is the last factor of any
-    monomial of an entry that has it, at index n = len(chart), so t^k
-    becomes t^k s^k by appending (n + 1, k) after (n, k).
+    The composite h_t o h_s is one _compose_families call on the slots n =
+    len(chart) for t and n + 1 for s. h_(ts) is a term map: t is the last
+    factor of any monomial of an entry that has it, at index n, so t^k
+    becomes t^k s^k by appending (n + 1, k) after (n, k). The witnesses
+    live on the chart followed by t and a fresh s.
     """
     chart = h.chart
     t = h.param
     s = fresh_name("s", chart.names + (t,))
     ext2 = chart.extend(((t, 0), (s, 0)))
     n_vars = len(chart)
-    composite = _compose_families((h, h.with_param(s)), ext2)
+    composite = _compose_families((h, h), (n_vars, n_vars + 1))
 
     witnesses: list[LawWitness] = []
     for v, terms in zip(chart.names, composite):
@@ -202,28 +209,24 @@ def _require_same_chart(h1: ActionFamily, h2: ActionFamily) -> None:
         raise NotDoubleStructureError("the two families live on different charts")
 
 
-def _distinct_params(
-    h1: ActionFamily, h2: ActionFamily
-) -> tuple[ActionFamily, ActionFamily]:
-    _require_same_chart(h1, h2)
-    if h2.param == h1.param:
-        h2 = h2.with_param(fresh_name(h2.param, h2.chart.names + (h1.param,)))
-    return h1, h2
-
-
 def check_commuting(
     h1: ActionFamily, h2: ActionFamily
 ) -> tuple[bool, tuple[tuple[str, WPolynomial], ...]]:
     """Do the two families commute as self-map families, exactly in t and u?
 
     Returns the verdict and, per failing variable, the pullback through
-    first-family-last minus the pullback through second-family-last.
+    first-family-last minus the pullback through second-family-last. Both
+    composites put t at slot n = len(chart) and u at n + 1; the witnesses
+    live on the chart followed by h1's parameter and h2's, made fresh when
+    the two share a name.
     """
-    h1, h2 = _distinct_params(h1, h2)
+    _require_same_chart(h1, h2)
     chart = h1.chart
-    ext = chart.extend(((h1.param, 0), (h2.param, 0)))
-    h1_last = _compose_families((h1, h2), ext)
-    h2_last = _compose_families((h2, h1), ext)
+    n_vars = len(chart)
+    u = fresh_name(h2.param, chart.names + (h1.param,))
+    ext = chart.extend(((h1.param, 0), (u, 0)))
+    h1_last = _compose_families((h1, h2), (n_vars, n_vars + 1))
+    h2_last = _compose_families((h2, h1), (n_vars + 1, n_vars))
     witnesses = tuple(
         (v, WPolynomial(ext, a) - WPolynomial(ext, b))
         for v, a, b in zip(chart.names, h1_last, h2_last)
@@ -251,41 +254,11 @@ def _resolve_theta(
 
 
 def base_projection(h: ActionFamily) -> PolyMap:
-    """The parameter-0 self-map of a monoid family; checked to be idempotent."""
+    """The parameter-0 self-map of a monoid family, which is idempotent:
+    _require_monoid proves h_t o h_s = h_ts, and t = s = 0 gives h_0 o h_0 =
+    h_0."""
     _require_monoid(h)
-    p0 = h._zero_map
-    if p0.then(p0) != p0:
-        raise InconsistentActionError("the parameter-0 map is not idempotent")
-    return p0
-
-
-def _split(
-    composite: Sequence[Mapping[Monomial, Fraction | int]], n_vars: int, k: int
-) -> list[dict[tuple[int, ...], dict[Monomial, Fraction | int]]]:
-    """Each entry of a composite of k families, split by its multi-index of
-    parameter exponents.
-
-    The composite's chart is the chart followed by the k parameters, the
-    last family's first (_joint_certificate), so in every sorted monomial
-    the parameter factors come last and parameter j sits at index n_vars +
-    k - 1 - j. Cutting each monomial where they begin writes it once as a
-    monomial over the chart, with the same indices, times a multi-index of
-    parameter exponents. For one family the composite is its entries, with
-    t at index n_vars.
-    """
-    parts = []
-    for terms in composite:
-        split: dict[tuple[int, ...], dict[Monomial, Fraction | int]] = {}
-        for mono, c in terms.items():
-            exps = [0] * k
-            cut = len(mono)
-            while cut and mono[cut - 1][0] >= n_vars:
-                cut -= 1
-                i, e = mono[cut]
-                exps[n_vars + k - 1 - i] = e
-            split.setdefault(tuple(exps), {})[mono[:cut]] = c
-        parts.append(split)
-    return parts
+    return h._zero_map
 
 
 def _jacobian_coefficients(
@@ -350,17 +323,18 @@ def _first_stage(
     Returns theta, checked to be fixed by every family's h_0
     (_resolve_theta); theta in stored form, one value per chart variable;
     the families' composite (graded._compose_families), split once by
-    multi-index (_split); and the joint projections on the grid, as nested
-    tuples, with each nonzero one factored (_projections), read off the
-    composite's derivative at theta (_jacobian_coefficients). The composite applies the
-    last family first, and its chart lists the parameters in that order.
+    multi-index (graded._split); and the joint projections on the grid, as
+    nested tuples, with each nonzero one factored (_projections), read off
+    the composite's derivative at theta (_jacobian_coefficients). The
+    composite applies the last family first, and family j's parameter sits
+    at slot n + j, n = len(chart), so it is entry j of the multi-index. No
+    chart is built.
     """
     chart = families[0].chart
     point = [_resolve_theta(h, theta) for h in families][0]
     values = [_coefficient(point[v]) for v in chart.names]
-    k = len(families)
-    ext = chart.extend(tuple((h.param, 0) for h in reversed(families)))
-    parts = _split(_compose_families(families, ext), len(chart), k)
+    n_vars, k = len(chart), len(families)
+    parts = _split(_compose_families(families, range(n_vars, n_vars + k)), n_vars, k)
     projections, factored = _projections(_jacobian_coefficients(parts, values), k)
     return point, values, parts, projections, factored
 
@@ -458,12 +432,14 @@ def _homogenize_joint(
 ) -> Homogenization:
     """Coordinates scaling by t_1**r_1 ... t_k**r_k under k monoid families.
 
-    The families share one chart and have distinct parameters, and theta
-    must be fixed by every family's h_0 (_resolve_theta, a DomainError
-    otherwise). One argument serves every k, k = 1 included. The families'
-    composite h1_t1 o ... o hk_tk (graded._compose_families) is built once,
-    its entries are split once by their multi-index of parameter exponents
-    (_split), and its derivative at theta is read off the split terms
+    The families share one chart, and theta must be fixed by every family's
+    h_0 (_resolve_theta, a DomainError otherwise). Their parameters are
+    slots, not names, so families that share a parameter name are
+    homogenized as they are. One argument serves every k, k = 1 included.
+    The families' composite h1_t1 o ... o hk_tk (graded._compose_families)
+    is built once, its entries are split once by their multi-index of
+    parameter exponents (graded._split), and its derivative at theta is
+    read off the split terms
     (_jacobian_coefficients) as H(t) = sum_m t_1^m_1 ... t_k^m_k P_m.
 
     - The chain rule. A monoid family fixes theta for every t: h_t(theta) =
@@ -705,15 +681,15 @@ def euler_field(h: ActionFamily) -> tuple[tuple[str, WPolynomial], ...]:
     """Coefficients of the infinitesimal generator at parameter 1.
 
     For the standard family this is the weight field: each variable times
-    its weight. The t-derivatives of the entries are again a family in t,
-    and ActionFamily.at reads it at 1 in one pass over its terms.
+    its weight. The t-derivative of an entry sum t^k part_k at t = 1 is sum
+    k * part_k, one linear combination of the parts graded._split reads.
     """
     names = h.chart.names
-    derivative = ActionFamily(
-        h.chart, h.param, {v: h.entries[v].differentiate(h.param) for v in names}
+    parts = _split([h.entries[v].terms for v in names], len(names), 1)
+    return tuple(
+        (v, WPolynomial(h.chart, _terms_combine((k, p) for (k,), p in split.items())))
+        for v, split in zip(names, parts)
     )
-    generator = derivative.at(1)
-    return tuple((v, generator.pullbacks[v]) for v in names)
 
 
 def analyze(

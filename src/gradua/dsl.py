@@ -55,6 +55,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import comb, prod
 from typing import Any, Callable, NamedTuple
@@ -317,25 +318,37 @@ BIT_BUDGET = 4096  # bits of a coefficient's numerator or denominator
 
 @dataclass(frozen=True)
 class Program:
+    """The parsed statements, with their definitions by name.
+
+    charts, maps, actions and doubles each read one table, and the four are
+    built together on first use, so a run of many commands scans the
+    program a fixed number of times; a later definition of a name replaces
+    an earlier one. Callers share the tables and only read them.
+    """
+
     statements: tuple[Statement, ...]
 
     def charts(self) -> dict[str, GradedChart]:
-        return {s.name: s.chart for s in self.statements if isinstance(s, ChartStmt)}
+        return self._tables[0]
 
     def maps(self) -> dict[str, PolyMap]:
-        return {s.name: s.pmap for s in self.statements if isinstance(s, MapStmt)}
+        return self._tables[1]
 
     def actions(self) -> dict[str, ActionFamily]:
-        return {
-            s.name: s.family for s in self.statements if isinstance(s, ActionStmt)
-        }
+        return self._tables[2]
 
     def doubles(self) -> dict[str, tuple[str, str]]:
-        return {
-            s.name: (s.first, s.second)
-            for s in self.statements
-            if isinstance(s, DoubleStmt)
-        }
+        return self._tables[3]
+
+    @cached_property
+    def _tables(self) -> tuple[dict, dict, dict, dict]:
+        statements = self.statements
+        return (
+            {s.name: s.chart for s in statements if isinstance(s, ChartStmt)},
+            {s.name: s.pmap for s in statements if isinstance(s, MapStmt)},
+            {s.name: s.family for s in statements if isinstance(s, ActionStmt)},
+            {s.name: (s.first, s.second) for s in statements if isinstance(s, DoubleStmt)},
+        )
 
 
 # what may start a statement, listed by the errors that refuse a token there

@@ -11,12 +11,17 @@ family x_i -> t**p_i * x_i has one builder, _scaling_family, on the term
 dicts of wpoly._scaling_terms: the standard family (p_i the weights, so
 weight-0 variables stay fixed) and jets.jet_action (p_i the jet levels)
 are both made by it.
-The parameter is the last variable of the family's extended chart, so it is
-the last factor of every monomial that has it: ActionFamily.at evaluates it
-and with_param renames it without substituting. Composites of families,
-the semigroup law's h_t o h_s, the commutation of two families, their total
-family and the homogenizer's composite, all have one builder,
-_compose_families.
+The parameter is the last variable of the family's extended chart, at index
+n = len(chart), so it is the last factor of every monomial that has it.
+A parameter is a slot, not a name: composites of families, the semigroup
+law's h_t o h_s, the commutation of two families, their total family and
+the homogenizer's composite, all have one builder, _compose_families, which
+puts family i's parameter at the index slots[i] the caller passes, so no
+family is renamed to be composed and families given one slot share a
+parameter. One reader, _split, writes a family or a composite by its
+powers of the parameters: ActionFamily.at sums value^k times the t^k part
+and action.euler_field k times it. Names are kept only where a witness is
+printed.
 
 A map respects the grading when each pullback is weighted-homogeneous of
 its target variable's weight. _graded_failures decides this for all the
@@ -162,25 +167,18 @@ class ActionFamily:
     def at(self, value: Fraction | int) -> PolyMap:
         """The self-map at one rational parameter value.
 
-        The parameter is the last variable of extended_chart, so it is the
-        last factor of any monomial that has it, and the chart variables keep
-        their indices. A term c * x^m * t^k becomes c * value^k * x^m, read
-        off in one pass over the terms, equal monomials merged and zeros
+        Each entry is split by its power of the parameter (_split), and the
+        pullback is sum value^k * part_k, one linear combination
+        (wpoly._terms_combine) with equal monomials merged and zeros
         dropped; no polynomial is substituted. A float value raises
         DomainError.
         """
         value = _coefficient(value)
-        n_vars = len(self.chart)
-        pullbacks = {}
-        for v, p in self.entries.items():
-            out: dict[Monomial, Fraction | int] = {}
-            for mono, c in p.terms.items():
-                if mono and mono[-1][0] == n_vars:
-                    c *= value ** mono[-1][1]
-                    mono = mono[:-1]
-                out[mono] = out.get(mono, 0) + c
-            pullbacks[v] = WPolynomial(self.chart, out)  # drops the zeros
-        return PolyMap(self.chart, self.chart, pullbacks)
+        parts = _split([p.terms for p in self.entries.values()], len(self.chart), 1)
+        return PolyMap(self.chart, self.chart, {
+            v: WPolynomial(self.chart, _terms_combine((value**k, p) for (k,), p in split.items()))
+            for v, split in zip(self.entries, parts)
+        })
 
     def with_param(self, param: str) -> ActionFamily:
         """The same family written with a different parameter name.
@@ -205,26 +203,25 @@ class ActionFamily:
         return f"{self.chart.name}[{self.param}] {{ {rules} }}"
 
 
-def _compose_families(families: Sequence[ActionFamily], ext: GradedChart) -> list[Terms]:
-    """Term dicts of the composite family over ext, one per chart variable in
-    chart order: families[-1] is applied first and families[0] last.
+def _compose_families(families: Sequence[ActionFamily], slots: Sequence[int]) -> list[Terms]:
+    """Term dicts of the composite family, one per chart variable in chart
+    order: families[-1] is applied first and families[0] last.
 
-    The families share one chart, and ext is that chart followed by their
-    parameters; each family's parameter is read as the ext variable of the
-    same name, so families with one parameter name share it. The innermost
-    family moves onto ext by re-indexing its parameter factor, (n, k) ->
-    (ext.index_of(param), k) with n = len(chart): the parameter is the last
-    factor of any monomial that has it, and every parameter of ext comes
-    after every chart index, so the monomial stays sorted. Each outer family
-    is one pass of the substitution kernel (wpoly._terms_substitute) over all
-    its entries: its chart variables go to the composite so far and its
-    parameter, at index n of its extended chart, to its ext variable.
+    The families share one chart of n variables, and family i's parameter
+    is the variable of index slots[i] >= n of the composite's monomials, so
+    families given one slot share a parameter; no chart is built. The
+    innermost family moves to its slot by re-indexing its parameter factor,
+    (n, k) -> (slots[-1], k): the parameter is the last factor of any
+    monomial that has it, and every slot comes after every chart index, so
+    the monomial stays sorted. Each outer family is one pass of the
+    substitution kernel (wpoly._terms_substitute) over all its entries: its
+    chart variables go to the composite so far and its parameter, at index
+    n of its extended chart, to its slot.
     """
     names = families[0].chart.names
     n_vars = len(names)
-    inner = families[-1]
-    at = ext.index_of(inner.param)
-    composite: list[Terms] = [inner.entries[v].terms for v in names]
+    at = slots[-1]
+    composite: list[Terms] = [families[-1].entries[v].terms for v in names]
     if at != n_vars:
         composite = [
             {
@@ -233,10 +230,38 @@ def _compose_families(families: Sequence[ActionFamily], ext: GradedChart) -> lis
             }
             for terms in composite
         ]
-    for h in reversed(families[:-1]):
-        images = [*composite, {((ext.index_of(h.param), 1),): 1}]
+    for h, at in zip(reversed(families[:-1]), reversed(slots[:-1])):
+        images = [*composite, {((at, 1),): 1}]
         composite = _terms_substitute([h.entries[v].terms for v in names], images)
     return composite
+
+
+def _split(
+    composite: Sequence[Terms], n_vars: int, k: int
+) -> list[dict[tuple[int, ...], dict[Monomial, Fraction | int]]]:
+    """Each term dict of a composite of k families, split by its multi-index
+    of parameter exponents: the one reader of a family by parameter power.
+
+    Parameter j sits at index n_vars + j (the slots of _compose_families),
+    after every chart index, so in every sorted monomial the parameter
+    factors come last. Cutting each monomial where they begin writes it
+    once as a monomial over the chart, with the same indices, times the
+    multi-index m with m_j the exponent at index n_vars + j. A family's own
+    entries are its composite for k = 1, with t at index n_vars.
+    """
+    parts = []
+    for terms in composite:
+        split: dict[tuple[int, ...], dict[Monomial, Fraction | int]] = {}
+        for mono, c in terms.items():
+            exps = [0] * k
+            cut = len(mono)
+            while cut and mono[cut - 1][0] >= n_vars:
+                cut -= 1
+                i, e = mono[cut]
+                exps[i - n_vars] = e
+            split.setdefault(tuple(exps), {})[mono[:cut]] = c
+        parts.append(split)
+    return parts
 
 
 def _scaling_family(chart: GradedChart, powers: Sequence[int], param: str) -> ActionFamily:

@@ -173,10 +173,10 @@ def prolong(phi: PolyMap, order: int) -> PolyMap:
     The level-j pullback of a target jet variable is the j-th Taylor
     coefficient (times j!) of the original pullback along a curve, so
     level 1 is the usual derivative rule and higher levels follow the
-    repeated chain rule.
+    repeated chain rule. A self-map adapts its chart once.
     """
     src = adapt(phi.source, order)
-    dst = adapt(phi.target, order)
+    dst = src if phi.target == phi.source else adapt(phi.target, order)
     return PolyMap(src.chart, dst.chart, _taylor_components(phi.pullbacks, src, dst))
 
 

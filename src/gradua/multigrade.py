@@ -17,9 +17,11 @@ bihomogenize returns that routine's record, action.Homogenization, the
 record of homogenize too: its orders are the pairs (r, s), and its
 projections the grid as nested tuples, projections[r][s] = Q1_r Q2_s. The
 direct check, check_commuting, lives in action, which runs it only to
-explain a failure; it is re-exported here. The total family renames the
-second family to the first's parameter and composes them with
-graded._compose_families, the builder of every family composite.
+explain a failure; it is re-exported here. A family's parameter is a slot
+of graded._compose_families, the builder of every family composite, not a
+name: the total family composes the two families on one slot, and the
+pair is homogenized as it is, so no family is renamed and two families
+that both use t need nothing done to them.
 
 The flip of an iterated jet adaptation, which swaps its two levels, is a
 renaming of coordinates, and _flip_names builds it as a map of names.
@@ -35,7 +37,6 @@ from typing import Mapping
 
 from .action import (  # noqa: F401
     Homogenization,
-    _distinct_params,
     _homogenize_joint,
     _require_same_chart,
     check_commuting,
@@ -49,13 +50,14 @@ from .wpoly import WPolynomial
 def total_action(h1: ActionFamily, h2: ActionFamily) -> ActionFamily:
     """Both families run with h1's parameter, second applied first.
 
-    h2 is renamed to that parameter (with_param, which builds no chart when
-    the two already share it), and _compose_families reads it as the one
-    parameter of h1's extended chart.
+    _compose_families puts both parameters on the one slot n = len(chart),
+    where h1's extended chart has its parameter, so h2 is not renamed and
+    no chart is built.
     """
     _require_same_chart(h1, h2)
     ext = h1.extended_chart
-    composite = _compose_families((h1, h2.with_param(h1.param)), ext)
+    n_vars = len(h1.chart)
+    composite = _compose_families((h1, h2), (n_vars, n_vars))
     entries = {v: WPolynomial(ext, terms) for v, terms in zip(h1.chart.names, composite)}
     return ActionFamily(h1.chart, h1.param, entries)
 
@@ -76,7 +78,7 @@ def bihomogenize(
     built; a pair that does not commute raises NotDoubleStructureError with
     the commutation witnesses, before any broken law is reported.
     """
-    h1, h2 = _distinct_params(h1, h2)
+    _require_same_chart(h1, h2)
     return _homogenize_joint((h1, h2), theta, f"{h1.chart.name}_bh")
 
 

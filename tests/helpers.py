@@ -9,7 +9,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from gradua.charts import GradedChart
+from gradua.action import _require_same_chart
+from gradua.charts import GradedChart, fresh_name
 from gradua.graded import PolyMap, ActionFamily, compose, invert_automorphism
 from gradua.linalg import inverse, mat_mul
 from gradua.wpoly import WPolynomial, monomial_basis
@@ -289,3 +290,13 @@ def chained_family(rng, blocks):
     entries = {v: backward[v].substitute(scaled, into=ext) for v in chart.names}
     origin = {v: 0 for v in chart.names}
     return ActionFamily(chart, "t", entries), {v: backward[v].evaluate(origin) for v in chart.names}
+
+
+def distinct_params(h1, h2):
+    """The pair on one chart with h2's parameter renamed when it is h1's: the
+    renaming the engine once made before composing two families, kept for
+    the reference routes, which find each parameter by its name."""
+    _require_same_chart(h1, h2)
+    if h2.param == h1.param:
+        h2 = h2.with_param(fresh_name(h2.param, h2.chart.names + (h1.param,)))
+    return h1, h2

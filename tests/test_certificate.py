@@ -49,12 +49,10 @@ import gradua.action as action
 import gradua.graded as graded
 from gradua.action import (
     AnalysisReport,
-    _distinct_params,
     _homogenize_joint,
     _jacobian_coefficients,
     _joint_certificate,
     _resolve_theta,
-    _split,
     analyze,
     base_projection,
     extend_negative,
@@ -73,7 +71,7 @@ from gradua.errors import (
     NotGradedActionError,
     SingularMatrixError,
 )
-from gradua.graded import ActionFamily, PolyMap, invert_automorphism
+from gradua.graded import ActionFamily, PolyMap, _split, invert_automorphism
 from gradua.jets import adapt, jet_action, prolong_action
 from gradua.linalg import (
     identity,
@@ -92,6 +90,7 @@ from gradua.wpoly import (
 from helpers import (
     chained_family,
     conjugated_action,
+    distinct_params,
     linear_family,
     nest,
     order_projections,
@@ -140,7 +139,7 @@ def reference_homogenize(h, theta=None):
 
 def reference_bihomogenize(h1, h2, theta=None):
     """Commutation first, then each family's laws before its projections."""
-    h1, h2 = _distinct_params(h1, h2)
+    h1, h2 = distinct_params(h1, h2)
     commuting, witnesses = check_commuting(h1, h2)
     if not commuting:
         names = ", ".join(v for v, _ in witnesses)
@@ -495,10 +494,11 @@ def reference_taylor_projections(h, theta=None):
 
 def term_level(families, theta):
     """The engine's cells of the composite's derivative at theta, with
-    Fraction values."""
+    Fraction values: family j's parameter at slot n + j, as the
+    certificate's first stage puts it."""
     chart = families[0].chart
-    ext = chart.extend(tuple((h.param, 0) for h in reversed(families)))
-    parts = _split(graded._compose_families(families, ext), len(chart), len(families))
+    n, k = len(chart), len(families)
+    parts = _split(graded._compose_families(families, range(n, n + k)), n, k)
     point = [_coefficient(theta[v]) for v in chart.names]
     return [
         [{idx: Fraction(c) for idx, c in cell.items()} for cell in row]
@@ -1509,6 +1509,35 @@ def test_term_dict_certificate_agrees_with_the_object_level_route(dressed):
     assert seen["k = 2 linear: projection"] >= 5 and seen["k = 3 linear: projection"] >= 5, seen
     assert seen["k = 2 linear"] >= 5 and seen["k = 3 linear"] >= 5, seen
     assert seen["no inverse: inverse"] == seen["settled too early"] == 1, seen
+
+
+def test_families_that_all_use_t_homogenize_as_the_renamed_ones(dressed):
+    """A parameter is a slot, not a name: k = 2 and k = 3 families that all
+    use t give the record of the same families with parameters t, u and v,
+    or the same error: the explanation's check_commuting names only the
+    variables that fail."""
+
+    def joint(families, theta):
+        return outcome(_homogenize_joint, families, theta, "W_bh")
+
+    cases = []
+    for family, theta in dressed[:10]:
+        v = family.chart.names[0]
+        z = ext_var(family.extended_chart, v) - theta[v]
+        cases += [([family] * k, theta) for k in (2, 3)]
+        # a bumped copy breaks a law and does not commute with the family
+        cases.append(([family, bumped(family, v, z**2, 1)], theta))
+    cases += [(families, None) for families in joint_cases()[:40]]
+    seen = {}
+    for families, theta in cases:
+        shared = [h.with_param("t") for h in families]
+        got = joint(shared, theta)
+        assert got == joint([h.with_param(p) for h, p in zip(families, "tuv")], theta)
+        kind = f"k = {len(families)}" + (": " + got[0].__name__ if isinstance(got, tuple) else "")
+        seen[kind] = seen.get(kind, 0) + 1
+    assert seen["k = 2"] >= 10 and seen["k = 3"] >= 10, seen
+    assert seen.get("k = 2: NotDoubleStructureError", 0) >= 10, seen
+    assert seen.get("k = 3: NotDoubleStructureError", 0) >= 3, seen
 
 
 def test_term_dict_inverse_agrees_with_the_object_level_route(dressed, monkeypatch):

@@ -3,8 +3,9 @@
 verify_laws, check_commuting and multigrade.total_action once built their
 composites by substituting whole polynomials to rename a parameter, and
 euler_field evaluated the parameter at 1 by substitution. They now call
-graded._compose_families, build h_(ts) as a term map and read the generator
-with ActionFamily.at. The old routes are kept below as references: every
+graded._compose_families, which takes each parameter as a slot, build
+h_(ts) as a term map and read the generator off graded._split. The old
+routes are kept below as references: every
 LawReport (verdicts, witness order, witness polynomials), commutation
 verdict and witness, total family, generator, error type and error message
 must agree with them.
@@ -16,7 +17,6 @@ from fractions import Fraction
 from gradua.action import (
     LawReport,
     LawWitness,
-    _distinct_params,
     check_commuting,
     euler_field,
     verify_laws,
@@ -31,6 +31,7 @@ from gradua.wpoly import WPolynomial
 from helpers import (
     chained_family,
     conjugated_action,
+    distinct_params,
     linear_family,
     order_projections,
     random_basis_change,
@@ -89,7 +90,7 @@ def reference_composite_entries(first, last, ext):
 
 
 def reference_check_commuting(h1, h2):
-    h1, h2 = _distinct_params(h1, h2)
+    h1, h2 = distinct_params(h1, h2)
     chart = h1.chart
     ext = chart.extend(((h1.param, 0), (h2.param, 0)))
     h1_last = reference_composite_entries(h2, h1, ext)
@@ -101,7 +102,7 @@ def reference_check_commuting(h1, h2):
 
 
 def reference_total_action(h1, h2):
-    h1, h2 = _distinct_params(h1, h2)
+    h1, h2 = distinct_params(h1, h2)
     chart = h1.chart
     param = h1.param
     ext = chart.extend(((param, 0),))
@@ -289,28 +290,33 @@ def test_euler_field_agrees_with_the_substitution_route():
         assert euler_field(h) == reference_euler_field(h)
 
 
-def test_compose_families_reads_parameters_by_name():
+def test_compose_families_reads_parameters_by_slot():
     # three linear families with the parameter of the innermost one placed
-    # first, last and in the middle of the composite's chart
+    # first, last and in the middle of the composite's parameters, then the
+    # first and the last family on one shared slot; the reference finds each
+    # parameter by name, as the builder once did
     c, c_inv = random_basis_change(random.Random(3), 3)
     families = [
         linear_family(order_projections(c, c_inv, orders, 2), param)
         for orders, param in (([0, 1, 2], "t"), ([1, 1, 0], "u"), ([2, 0, 1], "v"))
     ]
     chart = families[0].chart
-    for params in (("v", "u", "t"), ("t", "u", "v"), ("u", "v", "t")):
+    cases = [(params, "tuv") for params in ("vut", "tuv", "uvt")]
+    cases.append(("tu", "tut"))  # the parameters read, family by family
+    for params, reads in cases:
         ext = chart.extend(tuple((p, 0) for p in params))
         expected = {v: var(ext, v) for v in chart.names}
-        for h in reversed(families):  # the last family is applied first
+        for h, p in zip(reversed(families), reversed(reads)):  # the last family is applied first
             sigma = dict(expected)
-            sigma[h.param] = var(ext, h.param)
+            sigma[h.param] = var(ext, p)
             expected = {
                 v: h.entries[v].substitute(sigma, into=ext) for v in chart.names
             }
-        got = _compose_families(families, ext)
+        got = _compose_families(families, [ext.index_of(p) for p in reads])
         assert [WPolynomial(ext, terms) for terms in got] == list(expected.values())
-    assert _compose_families(families[:1], ext) == [
-        {m[:-1] + ((ext.index_of("t"), m[-1][1]),) if m and m[-1][0] == 3 else m: c
+    # one family moves to its slot by re-indexing its parameter factor
+    assert _compose_families(families[:1], (5,)) == [
+        {m[:-1] + ((5, m[-1][1]),) if m and m[-1][0] == 3 else m: c
          for m, c in families[0].entries[v].terms.items()}
         for v in chart.names
     ]

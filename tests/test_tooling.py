@@ -25,7 +25,7 @@ import pytest
 from gradua import action, cli, dsl, graded, jets, linalg, multigrade, wpoly
 from gradua.action import analyze, homogenize
 from gradua.charts import GradedChart
-from gradua.errors import ParseError
+from gradua.errors import GraduaError, ParseError
 from gradua.dsl import parse
 from gradua.graded import ActionFamily, PolyMap, standard_action
 from gradua.multigrade import bihomogenize
@@ -356,14 +356,15 @@ def test_the_inverse_kernel_checks_each_round_by_one_substitution(monkeypatch):
 
 def test_prolong_substitutes_the_curves_once(monkeypatch):
     """One set of curves per prolongation, and no chart beyond the result's:
-    the curves are term dicts, with no work chart for the curve parameter."""
+    the curves are term dicts, with no work chart for the curve parameter,
+    and a self-map's one adapted chart is its source and its target."""
     program = parse(GRADED_SHEAR)
     calls = _count_calls(monkeypatch, jets, "_taylor_components")
     charts = _count_calls(monkeypatch, GradedChart, "__post_init__")
     lifted = jets.prolong(program.maps()["psi"], 4)
     assert len(lifted.pullbacks) == 15
     assert len(calls) == 1
-    assert [c for c, in charts] == [lifted.source, lifted.target]
+    assert [c for c, in charts] == [lifted.source] and lifted.target is lifted.source
 
     family, _ = conjugated_action(random.Random(9), GradedChart("P", (("x1", 1), ("y1", 2))))
     charts.clear()
@@ -371,11 +372,83 @@ def test_prolong_substitutes_the_curves_once(monkeypatch):
     assert [c for c, in charts] == [lifted.chart, lifted.extended_chart]
 
 
+def test_prolong_adapts_each_chart_once(monkeypatch):
+    """A self-map's chart is adapted once, as flip does for m = n; a map
+    between two charts adapts each of them."""
+    program = parse(GRADED_SHEAR + "chart B (u:1)\nmap f : A -> B { u = x1 + x2; }\n")
+    adapted = _count_calls(monkeypatch, jets, "adapt")
+    jets.prolong(program.maps()["psi"], 2)
+    assert len(adapted) == 1
+    adapted.clear()
+    lifted = jets.prolong(program.maps()["f"], 2)
+    assert [chart.name for chart, _ in adapted] == ["A", "B"]
+    assert str(lifted.pullbacks["u'1"]) == "x1'1 + x2'1"
+
+
+def test_a_run_scans_the_program_a_fixed_number_of_times():
+    """The runners read the definitions from tables built once per program,
+    so a run of N commands and one of 2N scan the statements equally often:
+    once to run them and once per table."""
+
+    class Scanned(tuple):
+        scans = 0
+
+        def __iter__(self):
+            Scanned.scans += 1
+            return super().__iter__()
+
+    source = (ROOT / "tests" / "data" / "tour.gradua").read_text()
+    definitions, commands = source.split("analyze-action g\n")
+    commands = "analyze-action g\n" + commands.replace("report text\n", "")
+    commands += "check-morphism idm\n"
+
+    def scans(n):
+        program = parse(definitions + commands * n)
+        Scanned.scans = 0
+        report = cli.run(dsl.Program(Scanned(program.statements)))
+        assert len(report.results) == 5 * n and report.all_ok
+        return Scanned.scans
+
+    assert scans(20) == scans(40) == 5
+
+
+def test_analyze_builds_one_chart(monkeypatch):
+    """analyze builds the homogenized chart and no other: the composite's
+    parameters are slots, so the certificate's first stage builds no chart."""
+    family, _ = conjugated_action(random.Random(9), GradedChart("P", (("x1", 1), ("y1", 2))))
+    charts = _count_calls(monkeypatch, GradedChart, "__post_init__")
+    report = analyze(family)
+    assert [c for c, in charts] == [report.homogenized_chart]
+
+
+def test_compositions_of_families_rename_none(monkeypatch):
+    """verify_laws, check_commuting, total_action and bihomogenize, on its
+    certificate and on its explanation path, compose the families on slots
+    and call no with_param, whether the two parameters share a name or not."""
+    chart = GradedChart("P", (("x1", 1), ("y1", 2)))
+    family, _ = conjugated_action(random.Random(9), chart)
+    std = standard_action(chart)
+    std_u = std.with_param("u")
+    renamed = _count_calls(monkeypatch, ActionFamily, "with_param")
+    outcomes = []
+    for h1, h2 in ((family, family), (family, std), (family, std_u), (std, std_u)):
+        action.verify_laws(h1)
+        action.check_commuting(h1, h2)
+        multigrade.total_action(h1, h2)
+        try:
+            outcomes.append(bihomogenize(h1, h2).orders)
+        except GraduaError as exc:
+            outcomes.append(type(exc).__name__)
+    assert renamed == []
+    assert outcomes == [((1, 1), (2, 2)), "NotDoubleStructureError", "NotDoubleStructureError",
+                        ((1, 1), (2, 2))]
+
+
 def test_each_family_builder_builds_its_extended_chart_once(monkeypatch):
     """A family built on its extended chart takes that chart as it is:
     parse_action, with_param, the model family's builder (standard_action,
-    jet_action), prolong_action and total_action each build the chart
-    extended by the parameter once, and ActionFamily builds none."""
+    jet_action) and prolong_action each build the chart extended by the
+    parameter once, and ActionFamily and total_action build none."""
     chart = GradedChart("M", (("x", 1), ("y", 2)))
     charts = _count_calls(monkeypatch, GradedChart, "__post_init__")
 
@@ -393,14 +466,12 @@ def test_each_family_builder_builds_its_extended_chart_once(monkeypatch):
         levels.chart, levels.extended_chart
     ]
     assert built(lambda: jets.prolong_action(h, 1)) == [levels.chart, levels.extended_chart]
-    # total_action renames the second family to the first's parameter: one
-    # chart for the renamed family, none when the two share it, and the
-    # total takes the first's
+    # total_action puts both parameters on one slot, so neither family is
+    # renamed, whatever its parameter, and the total takes the first's chart
     other = ActionFamily(chart, "u", {
         v: WPolynomial(chart.extend((("u", 0),)), p.terms) for v, p in h.entries.items()
     })
-    assert built(lambda: multigrade.total_action(h, other)) == [h.extended_chart]
-    # a pair with one shared parameter is composed as it is: no chart
+    assert built(lambda: multigrade.total_action(h, other)) == []
     assert built(lambda: multigrade.total_action(h, h)) == []
     source = "chart M (x:1, y:2)\naction g on M { x -> t*x; y -> t^2*y + t*x^2; }\n"
     charts.clear()
