@@ -217,13 +217,13 @@ def check_commuting(
     Returns the verdict and, per failing variable, the pullback through
     first-family-last minus the pullback through second-family-last. Both
     composites put t at slot n = len(chart) and u at n + 1; the witnesses
-    live on the chart followed by h1's parameter and h2's, made fresh when
-    the two share a name.
+    live on the chart followed by h1's parameter and h2's, which is named
+    u, made fresh, when the two families share a parameter name.
     """
     _require_same_chart(h1, h2)
     chart = h1.chart
     n_vars = len(chart)
-    u = fresh_name(h2.param, chart.names + (h1.param,))
+    u = fresh_name("u" if h2.param == h1.param else h2.param, chart.names + (h1.param,))
     ext = chart.extend(((h1.param, 0), (u, 0)))
     h1_last = _compose_families((h1, h2), (n_vars, n_vars + 1))
     h2_last = _compose_families((h2, h1), (n_vars + 1, n_vars))

@@ -16,22 +16,30 @@ error tail (`ok: false`, then `error`), so each command is named once.
 Reports serialize deterministically: dictionary keys appear in a fixed
 order, every number is an exact rational rendered as a string, and timing
 is omitted unless --timing is given, so byte-identical inputs give
-byte-identical reports.
+byte-identical reports. A JSON report is written by _write_json, which
+gives exactly the bytes of json.dumps(payload, indent=2) at about half
+the cost: with an indent, json.dumps runs json's pure-Python encoder. The
+golden reports and a differential test against json.dumps pin the bytes.
+
+main builds its argument parser once per process (_parser), on first use
+and not at import, so a process that calls main many times only parses
+its arguments after the first call; a one-shot `python -m gradua` gains
+only from the writer.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
 from .action import analyze
-from .charts import fresh_name
 from .dsl import (
     AnalyzeActionCmd,
     CheckDoubleCmd,
@@ -138,7 +146,6 @@ def _run_check_double(stmt: CheckDoubleCmd, program: Program) -> dict:
     actions = program.actions()
     h1 = actions[first_name]
     h2 = actions[second_name]
-    h2 = h2.with_param(fresh_name("u", h2.chart.names + (h1.param,)))
     entry = {"first": first_name, "second": second_name}
     try:
         bihom = bihomogenize(h1, h2)
@@ -238,8 +245,10 @@ def run(program: Program, timing: bool = False) -> Report:
 def emit(report: Report, fmt: str) -> str:
     """Deterministic bytes (as text) for a report, JSON or human-readable."""
     if fmt == "json":
-        payload = {"version": SCHEMA_VERSION, "results": report.results}
-        return json.dumps(payload, indent=2) + "\n"
+        out: list[str] = []
+        _write_json({"version": SCHEMA_VERSION, "results": report.results}, "\n", out)
+        out.append("\n")
+        return "".join(out)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     lines = [f"gradua report (schema {SCHEMA_VERSION})"]
@@ -253,6 +262,56 @@ def emit(report: Report, fmt: str) -> str:
                 continue
             lines.extend(_text_lines(key, value, ""))
     return "\n".join(lines) + "\n"
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the text json.dumps(value, indent=2) gives to out.
+
+    newline is a line break followed by the indent of the line the value
+    starts on. A report holds dicts with string keys, lists, strings, ints,
+    floats (the --timing fields), bools and None; keys and strings go
+    through json's own escaping, and numbers through the reprs json uses,
+    so every byte matches json.dumps, whose indented form runs json's
+    pure-Python encoder.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(float.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            out.append(separator)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"a report holds no {type(value).__name__}")
 
 
 def _is_matrix(value) -> bool:
@@ -331,7 +390,11 @@ def _read_source(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process:
+    parse_args leaves it unchanged, so later in-process calls of main only
+    parse."""
     parser = argparse.ArgumentParser(
         prog="gradua",
         description="exact engine for weighted charts and parameter families",
@@ -348,7 +411,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     check_parser = sub.add_parser("check", help="parse a program, report problems")
     check_parser.add_argument("file", help="program file, or - for stdin")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     pinned = os.environ.get(SCHEMA_ENV_VAR)
     if pinned is not None and pinned != SCHEMA_VERSION:

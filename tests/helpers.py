@@ -293,10 +293,11 @@ def chained_family(rng, blocks):
 
 
 def distinct_params(h1, h2):
-    """The pair on one chart with h2's parameter renamed when it is h1's: the
+    """The pair on one chart with h2's parameter renamed when it is h1's, to
+    u made fresh, the name check_commuting gives it in its witnesses: the
     renaming the engine once made before composing two families, kept for
     the reference routes, which find each parameter by its name."""
     _require_same_chart(h1, h2)
     if h2.param == h1.param:
-        h2 = h2.with_param(fresh_name(h2.param, h2.chart.names + (h1.param,)))
+        h2 = h2.with_param(fresh_name("u", h2.chart.names + (h1.param,)))
     return h1, h2

@@ -302,6 +302,45 @@ def test_analyze_agrees_with_the_law_first_reference(dressed):
     assert all(seen.values()), seen
 
 
+def test_no_refusal_of_a_pair_sharing_a_parameter_names_it(dressed, monkeypatch):
+    """check-double passes both families with parameter t. Of the messages a
+    pair can be refused with, only the scaling check's names a parameter,
+    and _homogenize_joint re-raises it only when both families keep their
+    laws and commute, where the certificate exists. So a refusal at the
+    scaling check is always explained by a commutation defect or a broken
+    law, whose messages name no parameter."""
+    refused = []
+    scaling = action._check_scaling
+
+    def recording(families, coordinates, orders):
+        try:
+            return scaling(families, coordinates, orders)
+        except NotGradedActionError:
+            refused.append(families)
+            raise
+
+    monkeypatch.setattr(action, "_check_scaling", recording)
+    seen = {"double": 0, "refused at scaling": 0}
+    for family, theta in dressed[:10]:
+        v = family.chart.names[0]
+        z = ext_var(family.extended_chart, v) - theta[v]
+        t = ext_var(family.extended_chart, "t")
+        # the broken family fails the scaling check; the moved one, not fixing
+        # theta, fails the chain rule
+        for other in (family, bumped(family, v, z**2, 1), bumped(family, v, t, 1)):
+            for h1, h2 in ((family, other), (other, family)):
+                assert h1.param == h2.param == "t"
+                refused.clear()
+                got = outcome(bihomogenize, h1, h2, theta)
+                if not isinstance(got, tuple):
+                    seen["double"] += 1
+                    continue
+                assert got[0] in (InconsistentActionError, NotDoubleStructureError), got
+                assert "scale" not in got[1] and "t^" not in got[1]
+                seen["refused at scaling"] += bool(refused)
+    assert seen["double"] == 20 and seen["refused at scaling"] >= 20, seen
+
+
 def test_a_point_not_fixed_by_h0_agrees_with_the_reference(dressed):
     for family, theta in dressed[:5]:
         moved = {v: x + 1 for v, x in theta.items()}

@@ -2,16 +2,22 @@
 and the shape of every report entry, checked on cli.run in process.
 
 The JSON goldens pin the report bytes: if serialization drifts, these fail
-and the golden files must be regenerated on purpose, not by accident.
+and the golden files must be regenerated on purpose, not by accident. The
+report writer is checked byte for byte against json.dumps(indent=2), and
+main, whose parser is built once per process, against fresh processes.
 """
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradua import cli, dsl
 
@@ -330,3 +336,109 @@ def test_the_command_table_covers_exactly_the_command_statements():
     declarations = {dsl.ChartStmt, dsl.MapStmt, dsl.ActionStmt, dsl.DoubleStmt}
     statements = set(dsl.Statement.__subclasses__())
     assert set(cli._COMMANDS) == statements - declarations - {dsl.ReportCmd}
+
+
+# --- the JSON writer against json.dumps ----------------------------------------
+
+
+def json_reference(report):
+    payload = {"version": cli.SCHEMA_VERSION, "results": report.results}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# strings with what json escapes: quotes, backslashes, control characters
+# and characters outside ASCII
+_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f') | st.characters(), max_size=8)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**130), max_value=2**130)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _TEXT
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(_TEXT, _VALUES, max_size=5), max_size=4))
+def test_the_json_writer_gives_the_bytes_of_json_dumps(results):
+    report = cli.Report(results)
+    assert cli.emit(report, "json") == json_reference(report)
+
+
+@pytest.mark.parametrize("timing", [False, True])
+def test_every_test_program_emits_the_bytes_of_json_dumps(timing):
+    sources = [path.read_text() for path in sorted(DATA.glob("*.gradua"))]
+    for source in sources + [SHAPE_PROGRAM]:
+        report = cli.run(dsl.parse(source), timing=timing)
+        assert cli.emit(report, "json") == json_reference(report)
+
+
+@pytest.mark.parametrize("source,golden,code", GOLDEN_CASES)
+def test_golden_outputs_in_process(source, golden, code, capsys):
+    assert cli.main(["run", str(DATA / source)]) == code
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+# --- one parser per process ----------------------------------------------------
+
+
+def test_the_cached_parser_keeps_no_state(tmp_path, monkeypatch, capsys):
+    """A sequence of in-process calls of main gives, call by call, the stdout,
+    stderr, exit code and --out file of the same call in a fresh process,
+    and builds the parser once: the top-level parser and its two
+    subparsers are the only ArgumentParsers constructed."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv(cli.SCHEMA_ENV_VAR, raising=False)
+    scaling = str(DATA / "scaling.gradua")
+    calls = [
+        (["run", scaling, "--format", "json"], {}),
+        (["run", str(DATA / "tour.gradua"), "--format", "text"], {}),
+        (["check", str(DATA / "tour.gradua")], {}),
+        (["run", str(DATA / "monoid_gap.gradua"), "--out", "{out}"], {}),
+        (["run", scaling, "--format", "json", "--timing"], {}),
+        (["run", scaling, "--format", "yaml"], {}),
+        (["run", scaling], {cli.SCHEMA_ENV_VAR: "9"}),
+    ]
+
+    def untimed(text):
+        return re.sub(r'"(elapsed_ms|total_ms)": [0-9.e-]+', r'"\1": _', text)
+
+    def in_process(args, env):
+        with monkeypatch.context() as patch:
+            for key, value in env.items():
+                patch.setenv(key, value)
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = capsys.readouterr()
+        return code, untimed(out), err
+
+    def fresh(args, env):
+        result = gradua(*args, env_extra={**env, "COLUMNS": "80"})
+        return result.returncode, untimed(result.stdout), result.stderr
+
+    codes = []
+    for i, (args, env) in enumerate(calls):
+        outs = [tmp_path / f"{i}-{side}.json" for side in ("in", "fresh")]
+        got = in_process([a.format(out=outs[0]) for a in args], env)
+        assert got == fresh([a.format(out=outs[1]) for a in args], env), args
+        if "{out}" in args:
+            assert outs[0].read_text() == outs[1].read_text() != ""
+        codes.append(got[0])
+    assert codes == [0, 0, 0, 1, 0, 2, 2]
+    assert built == ["gradua", "gradua run", "gradua check"]

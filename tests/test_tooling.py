@@ -13,6 +13,7 @@ change that alters a result fails here.
 import ast
 import hashlib
 import importlib.util
+import json
 import random
 import subprocess
 import sys
@@ -410,6 +411,57 @@ def test_a_run_scans_the_program_a_fixed_number_of_times():
         return Scanned.scans
 
     assert scans(20) == scans(40) == 5
+
+
+def test_reports_are_written_without_the_pure_python_encoder(monkeypatch):
+    """json.dumps with an indent runs json's pure-Python encoder, which costs
+    twice what cli's own writer costs: with that encoder refused, every
+    golden report still comes out of emit, byte for byte."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refused)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps({}, indent=2)
+    goldens = sorted((ROOT / "tests" / "golden").iterdir())
+    assert len(goldens) == 4
+    for golden in goldens:
+        source = (ROOT / "tests" / "data" / f"{golden.stem}.gradua").read_text()
+        report = cli.run(parse(source))
+        assert cli.emit(report, report.format or "json") == golden.read_text()
+        assert cli.emit(report, "json").startswith('{\n  "version": "1",\n')
+
+
+def test_check_double_renames_neither_family(monkeypatch):
+    """check-double passes the program's two families as they are, both with
+    parameter t: it calls no with_param, a commuting pair builds the joint
+    chart and no other, and a pair that does not commute gets witnesses over
+    (x, y, t, u), u being the name check_commuting gives the second
+    parameter."""
+    source = (ROOT / "tests" / "data" / "tour.gradua").read_text()
+    commuting = parse(source.split("analyze-action")[0] + "check-double D\n")
+    other = parse(
+        "chart M (x:1, y:2)\n"
+        "action a1 on M { x -> t*x; y -> y; }\n"
+        "action s on M { x -> t*x; y -> t^2*y + (t^2 - t)*x^2; }\n"
+        "double E { s, a1 }\n"
+        "check-double E\n"
+    )
+    for program in (commuting, other):
+        program.actions()
+    renamed = _count_calls(monkeypatch, ActionFamily, "with_param")
+    charts = _count_calls(monkeypatch, GradedChart, "__post_init__")
+    [entry] = cli.run(commuting).results
+    assert entry["commuting"] is True
+    assert [c.name for c, in charts] == ["M_bh"]
+    charts.clear()
+    [entry] = cli.run(other).results
+    assert entry["witnesses"] == [
+        {"variable": "y", "defect": "x^2*t^2*u^2 - x^2*t^2 - x^2*t*u^2 + x^2*t"}
+    ]
+    assert ("x", "y", "t", "u") in [c.names for c, in charts]
+    assert renamed == []
 
 
 def test_analyze_builds_one_chart(monkeypatch):
