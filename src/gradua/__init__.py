@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedChartError,
 )
 from .graded import ActionFamily, PolyMap, compose, standard_action
-from .wpoly import WPolynomial, monomial_basis, weighted_degree
+from .wpoly import WPolynomial, monomial_basis
 
 __all__ = [
     "ActionFamily",
@@ -48,7 +48,6 @@ __all__ = [
     "compose",
     "monomial_basis",
     "standard_action",
-    "weighted_degree",
 ]
 
 __version__ = "0.1.0"

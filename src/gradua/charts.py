@@ -2,8 +2,7 @@
 
 A chart is an ordered list of named variables, each carrying a weight >= 0.
 Weight-0 variables play the role of base coordinates; positive weights tag
-fiber coordinates. The degree of a chart is its largest weight and its rank
-counts the variables of each positive weight.
+fiber coordinates. The degree of a chart is its largest weight.
 """
 
 from __future__ import annotations
@@ -65,16 +64,6 @@ class GradedChart:
     def degree(self) -> int:
         """Largest weight present; 0 for an empty chart."""
         return max(self.weights, default=0)
-
-    @property
-    def rank(self) -> tuple[int, ...]:
-        """Counts (d_1, ..., d_n) of variables of each positive weight."""
-        n = self.degree
-        counts = [0] * n
-        for w in self.weights:
-            if w > 0:
-                counts[w - 1] += 1
-        return tuple(counts)
 
     def __len__(self) -> int:
         return len(self.variables)

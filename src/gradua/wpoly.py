@@ -356,11 +356,6 @@ def _homogeneity_failures(
     return scaling
 
 
-def weighted_degree(exponents: Mapping[str, int], chart: GradedChart) -> int:
-    """Weight inner product sum(w_i * k_i) of an exponent assignment."""
-    return _mono_weighted_degree(_monomial(chart, exponents), chart.weights)
-
-
 class WPolynomial:
     """An immutable sparse polynomial attached to a chart."""
 
@@ -412,15 +407,6 @@ class WPolynomial:
     def total_degree(self) -> int:
         """Largest total degree of any monomial; 0 for the zero polynomial."""
         return max((_mono_total_degree(m) for m in self.terms), default=0)
-
-    def weighted_degree(self) -> int:
-        """Largest weighted degree present; 0 for the zero polynomial."""
-        w = self.chart.weights
-        return max((_mono_weighted_degree(m, w) for m in self.terms), default=0)
-
-    def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
-        """The coefficient of one monomial; coefficient({}) is the constant term."""
-        return Fraction(self.terms.get(_monomial(self.chart, exponents), 0))
 
     # arithmetic ---------------------------------------------------------
 
@@ -514,10 +500,6 @@ class WPolynomial:
             if result.is_zero():
                 break
         return result
-
-    def euler(self) -> WPolynomial:
-        """The weighted Euler operator sum(w_i * y_i * df/dy_i), by _terms_euler."""
-        return WPolynomial(self.chart, _terms_euler(self.terms, self.chart.weights))
 
     # structure ------------------------------------------------------------
 

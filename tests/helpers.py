@@ -44,6 +44,12 @@ def random_chart(
     return GradedChart(name, tuple(variables))
 
 
+def weighted_degree(p: WPolynomial) -> int:
+    """The largest weighted degree of p's monomials; 0 for the zero polynomial."""
+    w = p.chart.weights
+    return max((sum(w[i] * e for i, e in mono) for mono in p.terms), default=0)
+
+
 def random_coefficient(rng: random.Random) -> Fraction:
     num = rng.choice([-3, -2, -1, 1, 2, 3])
     den = rng.choice([1, 1, 1, 2, 3])

@@ -17,6 +17,7 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from fractions import Fraction
@@ -784,26 +785,33 @@ def test_every_public_linalg_function_has_a_caller():
     assert public and not public - named, sorted(public - named)
 
 
-def _mentioned(nodes):
-    """Every name the syntax trees mention: names, attributes, imported
-    names, and strings equal to a name (how perfbench/spans.py names what it
-    wraps). The name an annotated declaration declares (a dataclass field,
-    `x: T = ...`) is no mention: it calls nothing."""
-    out = set()
-    for root in nodes:
+def _mentioned(trees, bare=True):
+    """How often the syntax trees mention each name: attributes, strings
+    equal to a name (how perfbench/spans.py names what it wraps) and, when
+    `bare`, names and imported names. The name an annotated declaration
+    declares (a dataclass field, `x: T = ...`) is no mention: it calls
+    nothing."""
+    out = Counter()
+    for root in trees:
         declared = set()  # ast.walk visits a declaration before its target
         for node in ast.walk(root):
             if isinstance(node, ast.AnnAssign):
                 declared.add(id(node.target))
-            elif isinstance(node, ast.Name) and id(node) not in declared:
-                out.add(node.id)
             elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
-            elif isinstance(node, ast.alias):
-                out.add(node.name)
+                out[node.attr] += 1
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                out.add(node.value)
+                out[node.value] += 1
+            elif bare and isinstance(node, ast.Name) and id(node) not in declared:
+                out[node.id] += 1
+            elif bare and isinstance(node, ast.alias):
+                out[node.name] += 1
     return out
+
+
+def _called_outside(node, mentions, bare=True):
+    """Whether `mentions`, counted over trees that hold the definition
+    `node`, mention its name outside the definition itself."""
+    return mentions[node.name] > _mentioned([node], bare)[node.name]
 
 
 def test_every_private_function_has_a_caller():
@@ -816,20 +824,19 @@ def test_every_private_function_has_a_caller():
         for path in sorted((ROOT / "src" / "gradua").glob("*.py"))
     }
     spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
-    uncalled = []
-    for name, tree in trees.items():
-        others = [t for n, t in trees.items() if n != name] + [spans]
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
-                continue
-            rest = [other for other in tree.body if other is not node]
-            if node.name not in _mentioned(rest + others):
-                uncalled.append(f"{name}: {node.name}")
+    mentions = _mentioned([*trees.values(), spans])
+    uncalled = [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        and not _called_outside(node, mentions)
+    ]
     assert not uncalled, uncalled
 
 
-# Public functions kept with no caller in src/gradua, perfbench/spans.py or
-# the acceptance suite: constructions of the theory, each with its reason.
+# Public functions kept with no caller in src/gradua, perfbench or the
+# acceptance suite: constructions of the theory, each with its reason.
 UNCALLED_CONSTRUCTIONS = {
     "action.py: base_projection": "the bundle projection h_0 onto the base",
     "graded.py: truncate_map": "a graded map descends to each truncation of the tower",
@@ -840,28 +847,42 @@ UNCALLED_CONSTRUCTIONS = {
 
 
 def test_every_public_function_has_a_caller():
-    """Each public top-level function of src/gradua is named outside its own
-    definition: elsewhere in its module, in another module of src/gradua, in
-    perfbench/spans.py or in the acceptance suite. The constructions kept
-    without such a caller are exactly UNCALLED_CONSTRUCTIONS; any other
-    public function with none is a second route to a result, or dead code."""
+    """Each public top-level function of src/gradua, and each public method,
+    property and classmethod of its classes, is called outside its own
+    definition: elsewhere in src/gradua, in perfbench or in the acceptance
+    suite. gradua/__init__.py is no caller: a re-export calls nothing. A
+    function is called by its name; a method only as an attribute `.name`,
+    as a string equal to its name, or by its bare name in its class's own
+    body (a dispatch table), never by a local that shares its spelling. The
+    constructions kept without a caller are exactly UNCALLED_CONSTRUCTIONS;
+    any other public name with none is a second route to a result, or dead
+    code."""
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((ROOT / "src" / "gradua").glob("*.py"))
+        if path.name != "__init__.py"
     }
-    outside = [
-        ast.parse((ROOT / path).read_text(encoding="utf-8"))
-        for path in ("perfbench/spans.py", "tests/test_acceptance.py")
-    ]
+    outside = [*sorted((ROOT / "perfbench").rglob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    callers = [*trees.values()] + [ast.parse(path.read_text(encoding="utf-8")) for path in outside]
+    mentions, attributes = _mentioned(callers), _mentioned(callers, bare=False)
     uncalled = []
     for name, tree in trees.items():
-        others = [t for n, t in trees.items() if n != name] + outside
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
-                continue
-            rest = [other for other in tree.body if other is not node]
-            if node.name not in _mentioned(rest + others):
-                uncalled.append(f"{name}: {node.name}")
+        uncalled += [
+            f"{name}: {node.name}"
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and not _called_outside(node, mentions)
+        ]
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            in_body = _mentioned(
+                [node for node in cls.body if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+            )
+            uncalled += [
+                f"{name}: {cls.name}.{node.name}"
+                for node in cls.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                and not in_body[node.name] and not _called_outside(node, attributes, bare=False)
+            ]
     assert sorted(uncalled) == sorted(UNCALLED_CONSTRUCTIONS), uncalled
 
 
