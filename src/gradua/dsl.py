@@ -611,8 +611,9 @@ class _Parser:
                 f"above the budget of {VARIABLE_BUDGET}",
                 *self.tokens.span(at),
             )
-        # prolong substitutes (order + 1)-term curves in full, and x^e of a
-        # curve has comb(order + e, e) terms before the levels are cut
+        # an upper bound: x^e along an (order + 1)-term curve expands to
+        # comb(order + e, e) terms, and prolong builds only those of the
+        # levels up to the order
         terms = sum(
             prod(comb(order + e, e) for _, e in mono)
             for p in pmap.pullbacks.values()

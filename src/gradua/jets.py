@@ -13,29 +13,27 @@ The level scaling (jet_action), each level-k variable times t^k, is the
 model family x_i -> t**p_i * x_i with the levels as powers, built by
 graded._scaling_family, the builder of the standard action too.
 
-Prolonging a polynomial map pushes it to the adapted charts by substituting
-truncated Taylor curves and reading off coefficients; prolonging a parameter
-family does the same entrywise, keeping the family parameter inert. One
-prolongation builds the curves once, as integer term dicts indexed by
-variable, and pushes every pullback (or every family entry) through them in
-one pass of the substitution kernel, so all of them share its cache of
-monomial images. The curves carry integer coefficients, K!/k! at level k
-for order K, and each output term is rescaled by k!/K!^d (d its degree in
-the jet variables) in the pass that splits it by its power of the curve
-parameter, which the curves' linearity in the jet variables makes exact.
+Prolonging a polynomial map reads off the levels of its pullbacks along a
+curve: level k is the k-th derivative in the curve parameter at 0, so the
+levels of a base variable are its jet variables, and those of a product
+follow by the Leibniz rule, with int binomials as weights. Prolonging a
+parameter family does the same entrywise, the family parameter constant
+along the curve. One prolongation builds the levels of every monomial it
+meets once, as integer term dicts up to the order and no further, and
+each output level is one combination of them with the polynomial's
+coefficients.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb
 from typing import Mapping
 
 from .charts import GradedChart
 from .errors import DomainError
 from .graded import ActionFamily, PolyMap, _scaling_family
-from .wpoly import WPolynomial, _natural, _terms_substitute
+from .wpoly import WPolynomial, _natural, _terms_combine, _terms_mul
 
 
 @dataclass(frozen=True)
@@ -100,70 +98,67 @@ def _taylor_components(
     target: AdaptedChart,
     inert: tuple[str, ...] = (),
 ) -> dict[str, WPolynomial]:
-    """Levels 0..order of each polynomial along truncated Taylor curves,
-    keyed by the jet names of target: polys maps each variable of
+    """Levels 0..order of each polynomial along a curve, by the Leibniz
+    rule, keyed by the jet names of target: polys maps each variable of
     target.source to a polynomial on source.source, and level k of the
     polynomial of v is the value at target.jet_name(v, k).
 
-    Every base variable is replaced by its level sum x + s*x'1 + s^2/2*x'2
-    + ... with a curve parameter s; component k is k! times the s^k
-    coefficient. Extra weight-0 variables of the polynomials (a family
-    parameter, say), which follow the base variables in their chart, ride
-    along untouched when named in inert. The curves are term dicts indexed
-    by variable, built once, and every polynomial goes through them in one
-    pass of the substitution kernel (wpoly._terms_substitute). Their
-    monomials are over the result chart, the jet chart then the inert
-    variables, with s at the next index, so dropping the s factor, the last
-    of a sorted monomial, leaves a monomial of the result chart.
+    Level k of a function along the curve x + s*x'1 + s^2/2*x'2 + ... is
+    its k-th derivative in s at 0, so level k of a base variable is its
+    level-k jet variable, with coefficient 1. Extra weight-0 variables of
+    the polynomials (a family parameter, say), which follow the base
+    variables in their chart, are constant along the curve when named in
+    inert: level 0 is the variable itself, every higher level is 0. The
+    levels of a product are those of its factors by the Leibniz rule,
+    level k of f*g being the sum over a of C(k, a) * f_a * g_(k-a), formed
+    for k up to the order only, so no term above the order is built; the
+    weights are int binomials and the levels of a monomial are integer
+    term dicts. Level k of a
+    polynomial is then one _terms_combine of c * image(m)_k over its terms
+    c * m. The term dicts are over the result chart, the jet chart (the
+    level-k variable of base variable i at index k * n + i, n the number
+    of base variables) then the inert variables.
 
-    The curves are integer: with K the order, each is K! times the Taylor
-    curve, sum over k of (K!/k!) * s^k * x'k. Every curve is linear in the
-    jet variables and an inert variable maps to itself, so a monomial of
-    degree d in the base variables goes to a sum of terms of degree d in
-    the jet variables, each K!^d times the term the Taylor curves give.
-    Each output term is therefore scaled once, by k!/K!^d, with k its power
-    of s and d its degree in the jet variables (inert variables left out),
-    in the pass that splits it by k, and the substitution itself forms no
-    Fraction product from the curves.
+    One cache, keyed by monomial, serves every polynomial: a monomial's
+    levels are its prefix's times those of the power of its last factor,
+    and the power ((i, e),) is built from ((i, e - 1),) in a loop, so no
+    recursion grows with the exponent. This is not the substitution kernel
+    (wpoly._terms_substitute): reusing it would make it branch on
+    truncation for this one caller, and separate code is simpler there.
     """
     jet_chart = source.chart
     result_chart = jet_chart.extend(tuple((v, 0) for v in inert)) if inert else jet_chart
-    jets = len(jet_chart)
-    s_index = len(result_chart)
     n_base = len(source.source)
-
     order = source.order
-    top = math.factorial(order)
-    # the level-k variable of base variable i is at index k * n_base + i
-    images = [
-        {
-            ((k * n_base + i, 1), (s_index, k)) if k else ((i, 1),): top // math.factorial(k)
-            for k in range(order + 1)
-        }
-        for i in range(n_base)
-    ]
-    images += [{((jets + j, 1),): 1} for j in range(len(inert))]
+    zeros = [{}] * order
+    cache: dict[tuple, list] = {(): [{(): 1}] + zeros}
+    for i in range(n_base):
+        cache[((i, 1),)] = [{((k * n_base + i, 1),): 1} for k in range(order + 1)]
+    for j in range(len(inert)):
+        cache[((n_base + j, 1),)] = [{((len(jet_chart) + j, 1),): 1}] + zeros
 
-    names = target.source.names
-    pushed = _terms_substitute([polys[v].terms for v in names], images)
-    factors: dict[tuple[int, int], Fraction] = {}
+    def leibniz(f: list, g: list) -> list:
+        return [
+            _terms_combine((comb(k, a), _terms_mul(f[a], g[k - a])) for a in range(k + 1))
+            for k in range(order + 1)
+        ]
+
+    def image(mono: tuple) -> list:
+        if mono not in cache:
+            i, e = mono[-1]
+            for d in range(2, e + 1):
+                if ((i, d),) not in cache:
+                    cache[((i, d),)] = leibniz(cache[((i, d - 1),)], cache[((i, 1),)])
+            if len(mono) > 1:
+                cache[mono] = leibniz(image(mono[:-1]), cache[mono[-1:]])
+        return cache[mono]
+
     components: dict[str, WPolynomial] = {}
-    for v, terms in zip(names, pushed):
-        by_power: list[dict] = [{} for _ in range(order + 1)]
-        for mono, c in terms.items():
-            k = 0
-            if mono and mono[-1][0] == s_index:
-                k = mono[-1][1]
-                if k > order:
-                    continue
-                mono = mono[:-1]
-            d = sum([e for i, e in mono if i < jets])
-            factor = factors.get((k, d))
-            if factor is None:
-                factor = factors[k, d] = Fraction(math.factorial(k), top**d)
-            by_power[k][mono] = factor * c
-        for k, part in enumerate(by_power):
-            components[target.jet_name(v, k)] = WPolynomial(result_chart, part)
+    for v in target.source.names:
+        images = [(c, image(m)) for m, c in polys[v].terms.items()]
+        for k in range(order + 1):
+            level = _terms_combine((c, levels[k]) for c, levels in images)
+            components[target.jet_name(v, k)] = WPolynomial(result_chart, level)
     return components
 
 

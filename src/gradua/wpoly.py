@@ -29,8 +29,8 @@ term dicts through one list of images indexed by variable, with one cache
 of powers and monomial images shared by every polynomial of the call, and
 forms each result as one _terms_combine of c * image(m) over its terms c *
 m. WPolynomial.substitute is its validated public wrapper; the Picard
-rounds, the family composites, the jet prolongations and the composite of
-two maps (graded.PolyMap.then) call it on term dicts directly.
+rounds, the family composites and the composite of two maps
+(graded.PolyMap.then) call it on term dicts directly.
 
 The scaling kernel decides h_t^* f = t^r f for any number of polynomials
 f and one family h_t given by its images, with t a variable index above

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradua import jets
+from gradua import action, graded, jets, wpoly
 from gradua.action import verify_laws
 from gradua.charts import GradedChart, fresh_name
 from gradua.errors import DomainError
@@ -366,39 +366,131 @@ def test_prolong_of_a_ticked_chart_matches_the_reference():
 
 @pytest.mark.parametrize("order", range(6))
 def test_taylor_curves_hold_only_integer_coefficients(order, monkeypatch):
-    """One pass of the substitution kernel per prolongation, over every
-    pullback or entry. The curves are K! times the Taylor curves (K the
-    order), so the pass forms no Fraction product from them; the inert
-    parameter maps to itself, the variable that follows the jet chart."""
-    passes = []
-    original = jets._terms_substitute
+    """Prolongation runs no substitution. The levels of a base variable are
+    its jet variables, each with coefficient 1, the inert parameter is
+    constant, and the Leibniz rule weighs each product of levels by an int
+    binomial, so every product is an integer term dict; the polynomials'
+    own coefficients enter only in the last combination, one per output
+    level."""
+    substitutions = []
+    for module in (wpoly, graded, action):
+        monkeypatch.setattr(module, "_terms_substitute", lambda *a: substitutions.append(a))
+    products = []
+    original_mul = jets._terms_mul
 
-    def recording(polys, images):
-        passes.append((list(polys), images))
-        return original(polys, images)
+    def recording_mul(a, b):
+        products.append((a, b, original_mul(a, b)))
+        return products[-1][2]
+
+    combinations = []
+    original_combine = jets._terms_combine
+
+    def recording_combine(pairs):
+        combinations.append(list(pairs))
+        return original_combine(combinations[-1])
 
     rng = random.Random(order)
     chart = GradedChart("C", (("a", 0), ("x", 1), ("y", 2)))
     ext = chart.extend((("t", 0),))
-    phi = PolyMap(chart, chart, {v: _random_poly(rng, chart) for v in chart.names})
+    phi = PolyMap(chart, chart, {v: _random_poly(rng, chart, max_exp=3) for v in chart.names})
     t = WPolynomial.variable(ext, "t")
     family = ActionFamily(chart, "t", {v: _random_poly(rng, ext) * t for v in chart.names})
-    monkeypatch.setattr(jets, "_terms_substitute", recording)
+    monkeypatch.setattr(jets, "_terms_mul", recording_mul)
+    monkeypatch.setattr(jets, "_terms_combine", recording_combine)
     prolong(phi, order)
-    lifted = prolong_action(family, order)
-    assert len(passes) == 2  # one per prolongation
-    assert [len(polys) for polys, _ in passes] == [len(chart)] * 2
-    assert [len(images) for _, images in passes] == [len(chart), len(chart) + 1]
-    top = math.factorial(order)
-    for _, images in passes:
-        for curve in images[: len(chart)]:
-            assert sorted(curve.values()) == sorted(
-                top // math.factorial(k) for k in range(order + 1)
-            )
-        assert all(type(c) is int for image in images for c in image.values())
-    t_index = lifted.extended_chart.index_of("t")
-    assert t_index == len(lifted.chart)
-    assert passes[1][1][len(chart)] == {((t_index, 1),): 1}
+    prolong_action(family, order)
+    assert not hasattr(jets, "_terms_substitute") and substitutions == []
+
+    for a, b, product in products:
+        for factor in (a, b):
+            if any(sum(e for _, e in mono) == 1 for mono in factor):
+                assert list(factor.values()) == [1]  # a level of a base or inert variable
+        assert all(type(c) is int for terms in (a, b, product) for c in terms.values())
+    formed = {id(product) for _, _, product in products}
+    outputs = []
+    for pairs in combinations:
+        weights = [c for c, _ in pairs]
+        if pairs and all(id(terms) in formed for _, terms in pairs):  # a Leibniz sum
+            assert all(type(c) is int for c in weights)
+            assert weights == [math.comb(len(pairs) - 1, a) for a in range(len(pairs))]
+        else:
+            outputs.append(weights)
+    coefficients = [list(p.terms.values()) for p in (*phi.pullbacks.values(), *family.entries.values())]
+    assert outputs == [
+        c for c in coefficients for _ in range(order + 1)
+    ]
+
+
+def _level_sums(terms, n_base, jet_count):
+    """Sum of level times exponent over the jet variables of each monomial,
+    the level-k variable of base variable i at index k * n_base + i."""
+    return [sum(i // n_base * e for i, e in mono if i < jet_count) for mono in terms]
+
+
+@pytest.mark.parametrize("order", range(1, 5))
+def test_prolongation_forms_no_term_above_the_order(order, monkeypatch):
+    """Every term dict that the term kernels form for one prolong and one
+    prolong_action has level sum at most the order: the terms above it,
+    which the levels drop, are never built."""
+    formed = []
+    for name in [n for n in dir(jets) if n.startswith("_terms_")]:
+
+        def recording(*args, _original=getattr(jets, name)):
+            out = _original(*args)
+            formed.extend(out if isinstance(out, list) else [out])
+            return out
+
+        monkeypatch.setattr(jets, name, recording)
+    chart = GradedChart("C", (("a", 0), ("x", 1), ("y", 2)))
+    ext = chart.extend((("t", 0),))
+    a, x, y = (WPolynomial.variable(chart, v) for v in chart.names)
+    phi = PolyMap(chart, chart, {"a": a**2 + 1, "x": x**3 * a - x * Fraction(2, 3), "y": x**2 * y + y**2})
+    a, x, y, t = (WPolynomial.variable(ext, v) for v in ext.names)
+    family = ActionFamily(chart, "t", {"a": a, "x": t * x + t**2 * a * x**2, "y": t**2 * y - t * x**2 * y})
+    prolong(phi, order)
+    prolong_action(family, order)
+    assert formed
+    sums = [s for terms in formed for s in _level_sums(terms, len(chart), len(chart) * (order + 1))]
+    assert max(sums) == order
+
+
+def test_prolong_work_grows_with_the_kept_levels(monkeypatch):
+    """Term pairs formed by the products of one prolong, a size ladder: for
+    x = x^e at order 1 they grow linearly in e (the curve (x + s*x'1)^e has
+    e + 1 terms, of which 2 are kept), and for a dense graded map at orders
+    1 to 8 they stay within twice the terms of the result, while the full
+    curve expansion outgrows it twelvefold."""
+    pairs = []
+    original = wpoly._terms_mul
+
+    def counting(a, b):
+        pairs.append(len(a) * len(b))
+        return original(a, b)
+
+    monkeypatch.setattr(wpoly, "_terms_mul", counting)
+    monkeypatch.setattr(jets, "_terms_mul", counting, raising=False)
+    line = GradedChart("Q", (("x", 1),))
+    for e in (10, 100, 1000):
+        pairs.clear()
+        lifted = prolong(PolyMap(line, line, {"x": WPolynomial.monomial(line, {"x": e})}), 1)
+        assert str(lifted.pullbacks["x'1"]) == f"{e}*x^{e - 1}*x'1"
+        assert sum(pairs) <= 3 * e, (e, sum(pairs))
+
+    chart = GradedChart("D", (("x", 1), ("y", 2), ("z", 3)))
+    pullbacks = {
+        v: sum(
+            (WPolynomial.monomial(chart, dict(m), c + 1) for c, m in enumerate(monomial_basis(chart, 2 * w))),
+            WPolynomial.zero(chart),
+        )
+        for v, w in chart.variables
+    }
+    phi = PolyMap(chart, chart, pullbacks)
+    for order in range(1, 9):
+        pairs.clear()
+        kept = sum(len(p.terms) for p in prolong(phi, order).pullbacks.values())
+        assert sum(pairs) <= 2 * kept, (order, sum(pairs), kept)
+    full = sum(math.prod(math.comb(8 + e, e) for _, e in m) for p in pullbacks.values() for m in p.terms)
+    assert full > 12 * kept
 
 
 def _sympy_of(p, symbols, sympy):
@@ -413,39 +505,65 @@ def _sympy_of(p, symbols, sympy):
     return total
 
 
+def _assert_sympy_levels(polys, lifted, src, dst, sympy, inert=()):
+    """Level j of each polys[v], lifted[dst.jet_name(v, j)], is j! times the
+    s^j coefficient of polys[v] along x + s*x'1 + s^2/2*x'2 + ..., as sympy
+    expands the series, with the inert variables constant along the curve."""
+    s = sympy.Dummy("s")
+    symbols = {v: sympy.Symbol(v) for v in src.chart.names + inert}
+    curve = {
+        x: sum(s**j / sympy.factorial(j) * symbols[src.jet_name(x, j)] for j in range(src.order + 1))
+        for x in src.source.names
+    }
+    curve.update((v, symbols[v]) for v in inert)
+    for v, p in polys.items():
+        along = _sympy_of(p, curve, sympy)
+        series = sympy.expand(sympy.series(along, s, 0, src.order + 1).removeO())
+        for j in range(src.order + 1):
+            got = _sympy_of(lifted[dst.jet_name(v, j)], symbols, sympy)
+            assert sympy.expand(got - sympy.factorial(j) * series.coeff(s, j)) == 0, (v, j)
+
+
 def test_prolong_matches_the_sympy_taylor_series():
     """An oracle outside the engine: the level-j pullback of prolong(phi, k)
     is j! times the s^j coefficient of phi(x + s*x'1 + s^2/2*x'2 + ...), the
-    series expanded by sympy, on seeded graded maps at orders 1 to 4."""
+    series expanded by sympy, at orders 0 to 5. On seeded graded maps, on
+    maps with weight-0 variables, constant terms and non-integer
+    coefficients, and on families through prolong_action, their parameter
+    t inert."""
     sympy = pytest.importorskip("sympy")
-    s = sympy.Symbol("s")
     rng = random.Random(4096)
-    nonlinear = 0
+    nonlinear = weightless = constants = 0
     for i in range(12):
-        order = 1 + i % 4
+        order = i % 6
         source = random_chart(rng, max_rank=(2, 1), name="S")
         target = random_chart(rng, max_rank=(1, 2, 2), name="T")
         pullbacks = {
             v: random_homogeneous(rng, source, w, max_terms=3, min_terms=1)
             for v, w in target.variables
         }
-        phi = PolyMap(source, target, pullbacks)
-        lifted = prolong(phi, order)
-        src, dst = adapt(source, order), adapt(target, order)
-        symbols = {v: sympy.Symbol(v) for v in src.chart.names}
-        curve = {
-            x: sum(
-                s**j / sympy.factorial(j) * symbols[src.jet_name(x, j)]
-                for j in range(order + 1)
-            )
-            for x in source.names
+        nonlinear += sum(p.total_degree() >= 2 for p in pullbacks.values())
+        lifted = prolong(PolyMap(source, target, pullbacks), order)
+        _assert_sympy_levels(pullbacks, lifted.pullbacks, adapt(source, order), adapt(target, order), sympy)
+    for i in range(12):
+        order = i % 6
+        source = _random_base_chart(rng, "S")
+        target = _random_base_chart(rng, "T")
+        pullbacks = {v: _random_poly(rng, source) for v in target.names}
+        weightless += 0 in source.weights
+        constants += any(() in p.terms for p in pullbacks.values())
+        lifted = prolong(PolyMap(source, target, pullbacks), order)
+        _assert_sympy_levels(pullbacks, lifted.pullbacks, adapt(source, order), adapt(target, order), sympy)
+    for i in range(12):
+        order = i % 6
+        chart = _random_base_chart(rng, "C")
+        ext = chart.extend((("t", 0),))
+        t = WPolynomial.variable(ext, "t")
+        entries = {
+            v: _random_poly(rng, ext) + t ** rng.randint(1, 2) * WPolynomial.variable(ext, v)
+            for v in chart.names
         }
-        for v in target.names:
-            nonlinear += phi.pullbacks[v].total_degree() >= 2
-            along = _sympy_of(phi.pullbacks[v], curve, sympy)
-            series = sympy.expand(sympy.series(along, s, 0, order + 1).removeO())
-            for j in range(order + 1):
-                got = _sympy_of(lifted.pullbacks[dst.jet_name(v, j)], symbols, sympy)
-                expected = sympy.factorial(j) * series.coeff(s, j)
-                assert sympy.expand(got - expected) == 0, (i, v, j)
-    assert nonlinear >= 10, nonlinear
+        lifted = prolong_action(ActionFamily(chart, "t", entries), order)
+        src = adapt(chart, order)
+        _assert_sympy_levels(entries, lifted.entries, src, src, sympy, inert=("t",))
+    assert nonlinear >= 10 and weightless >= 4 and constants >= 4, (nonlinear, weightless, constants)

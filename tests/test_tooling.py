@@ -356,10 +356,11 @@ def test_the_inverse_kernel_checks_each_round_by_one_substitution(monkeypatch):
     assert seen == {"then": 0, "substitute": 0, "rounds": 2, "built": 2}
 
 
-def test_prolong_substitutes_the_curves_once(monkeypatch):
-    """One set of curves per prolongation, and no chart beyond the result's:
-    the curves are term dicts, with no work chart for the curve parameter,
-    and a self-map's one adapted chart is its source and its target."""
+def test_prolong_builds_the_levels_once(monkeypatch):
+    """One computation of the levels per prolongation, and no chart beyond
+    the result's: the levels are term dicts, with no work chart and no
+    curve parameter, and a self-map's one adapted chart is its source and
+    its target."""
     program = parse(GRADED_SHEAR)
     calls = _count_calls(monkeypatch, jets, "_taylor_components")
     charts = _count_calls(monkeypatch, GradedChart, "__post_init__")
