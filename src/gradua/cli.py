@@ -8,10 +8,11 @@ program that cannot be read (missing, or not UTF-8) and a report that
 cannot be written.
 
 One table, _COMMANDS, maps each command statement class to its name in the
-report and its runner. A runner takes the statement and the program and
-returns only its own fields; run() writes every entry's prefix (`command`,
-then `name` for a statement that has one) and, when the engine raises, its
-error tail (`ok: false`, then `error`), so each command is named once.
+report and its runner. A runner takes the statement and the program, reads
+its definitions from the program's tables, and returns only its own
+fields; run() writes every entry's prefix (`command`, then `name` for a
+statement that has one) and, when the engine raises, its error tail
+(`ok: false`, then `error`), so each command is named once.
 
 Reports serialize deterministically: dictionary keys appear in a fixed
 order, every number is an exact rational rendered as a string, and timing
@@ -20,6 +21,9 @@ byte-identical reports. A JSON report is written by _write_json, which
 gives exactly the bytes of json.dumps(payload, indent=2) at about half
 the cost: with an indent, json.dumps runs json's pure-Python encoder. The
 golden reports and a differential test against json.dumps pin the bytes.
+A runner marks each chart and matrix it reports where it builds it
+(_Chart, _Matrix: lists, which JSON writes as plain lists), and the text
+renderer dispatches on the marks; it tests no list's cells for a shape.
 
 main builds its argument parser once per process (_parser), on first use
 and not at import, so a process that calls main many times only parses
@@ -74,12 +78,22 @@ class Report:
         return all(entry.get("ok", True) for entry in self.results)
 
 
-def _matrix_json(matrix) -> list[list[str]]:
-    return [[str(c) for c in row] for row in matrix]
+class _Chart(list):
+    """A chart in a report, [[variable, weight], ...]: text writes it on one
+    line as (v:w, ...). JSON writes it as the list it is."""
 
 
-def _chart_json(chart) -> list[list]:
-    return [[v, w] for v, w in chart.variables]
+class _Matrix(list):
+    """A matrix in a report, rows of exact entries as strings: text writes
+    one aligned row a line. JSON writes it as the list it is."""
+
+
+def _matrix_json(matrix) -> _Matrix:
+    return _Matrix([str(c) for c in row] for row in matrix)
+
+
+def _chart_json(chart) -> _Chart:
+    return _Chart([v, w] for v, w in chart.variables)
 
 
 def _pullbacks_json(pmap) -> dict[str, str]:
@@ -87,7 +101,7 @@ def _pullbacks_json(pmap) -> dict[str, str]:
 
 
 def _run_check_morphism(stmt: CheckMorphismCmd, program: Program) -> dict:
-    pmap = program.maps()[stmt.name]
+    pmap = program.maps[stmt.name]
     failing = _graded_failures(pmap)  # is_graded_morphism's test
     entry = {"ok": not failing, "graded": not failing}
     if failing:
@@ -106,7 +120,7 @@ def _run_check_morphism(stmt: CheckMorphismCmd, program: Program) -> dict:
 
 def _run_analyze_action(stmt: AnalyzeActionCmd, program: Program) -> dict:
     theta = dict(stmt.point) if stmt.point is not None else None
-    report = analyze(program.actions()[stmt.name], theta)
+    report = analyze(program.actions[stmt.name], theta)
     entry = {
         "ok": report.monoid_ok,
         "semigroup_ok": report.semigroup_ok,
@@ -131,7 +145,7 @@ def _run_analyze_action(stmt: AnalyzeActionCmd, program: Program) -> dict:
 
 
 def _run_prolong(stmt: ProlongCmd, program: Program) -> dict:
-    lifted = prolong(program.maps()[stmt.name], stmt.order)
+    lifted = prolong(program.maps[stmt.name], stmt.order)
     return {
         "order": stmt.order,
         "ok": True,
@@ -142,10 +156,9 @@ def _run_prolong(stmt: ProlongCmd, program: Program) -> dict:
 
 
 def _run_check_double(stmt: CheckDoubleCmd, program: Program) -> dict:
-    first_name, second_name = program.doubles()[stmt.name]
-    actions = program.actions()
-    h1 = actions[first_name]
-    h2 = actions[second_name]
+    first_name, second_name = program.doubles[stmt.name]
+    h1 = program.actions[first_name]
+    h2 = program.actions[second_name]
     entry = {"first": first_name, "second": second_name}
     try:
         bihom = bihomogenize(h1, h2)
@@ -171,7 +184,7 @@ def _run_check_double(stmt: CheckDoubleCmd, program: Program) -> dict:
 
 
 def _run_flip(stmt: FlipCmd, program: Program) -> dict:
-    chart = program.charts()[stmt.chart_name]
+    chart = program.charts[stmt.chart_name]
     forward = _flip_names(stmt.m, stmt.n, chart)
     # with m = n the flip maps the chart to itself and is its own candidate inverse
     backward = forward if stmt.m == stmt.n else _flip_names(stmt.n, stmt.m, chart)
@@ -314,71 +327,41 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         raise TypeError(f"a report holds no {type(value).__name__}")
 
 
-def _is_matrix(value) -> bool:
-    return (
-        isinstance(value, list)
-        and bool(value)
-        and all(
-            isinstance(row, list) and all(isinstance(c, str) for c in row)
-            for row in value
-        )
-    )
-
-
-def _is_chart_listing(value) -> bool:
-    return (
-        isinstance(value, list)
-        and bool(value)
-        and all(
-            isinstance(item, list)
-            and len(item) == 2
-            and isinstance(item[0], str)
-            and isinstance(item[1], int)
-            for item in value
-        )
-    )
-
-
 def _text_lines(key: str, value, indent: str) -> list[str]:
+    """The text lines of one report field. Charts and matrices carry their
+    kind (_Chart, _Matrix) from the runner that built them; any other list
+    holds scalars, matrices or dicts, all of one kind."""
     if isinstance(value, bool):
         return [f"{indent}{key}: {'yes' if value else 'no'}"]
-    if value is None or isinstance(value, (int, float, str)):
+    if not isinstance(value, (list, dict)):  # None, int, float, str
         return [f"{indent}{key}: {value}"]
-    if _is_chart_listing(value):
-        listing = ", ".join(f"{v}:{w}" for v, w in value)
-        return [f"{indent}{key}: ({listing})"]
-    if _is_matrix(value):
-        widths = [
-            max(len(row[j]) for row in value) for j in range(len(value[0]))
-        ]
-        lines = [f"{indent}{key}:"]
-        for row in value:
-            cells = "  ".join(c.rjust(w) for c, w in zip(row, widths))
-            lines.append(f"{indent}  [ {cells} ]")
-        return lines
-    if isinstance(value, list):
-        if all(isinstance(item, (int, float, str)) for item in value):
-            joined = ", ".join(str(item) for item in value)
-            return [f"{indent}{key}: {joined}"]
-        if all(_is_matrix(item) for item in value):
-            lines = []
-            for i, item in enumerate(value):
-                lines.extend(_text_lines(f"{key}[{i}]", item, indent))
-            return lines
-        lines = [f"{indent}{key}:"]
-        for item in value:
-            if isinstance(item, dict):
-                pairs = ", ".join(f"{k}={v}" for k, v in item.items())
-                lines.append(f"{indent}  - {pairs}")
-            else:
-                lines.append(f"{indent}  - {item}")
-        return lines
     if isinstance(value, dict):
         lines = [f"{indent}{key}:"]
         for k, v in value.items():
             lines.extend(_text_lines(k, v, indent + "  "))
         return lines
-    return [f"{indent}{key}: {value}"]
+    if isinstance(value, _Chart):
+        listing = ", ".join(f"{v}:{w}" for v, w in value)
+        return [f"{indent}{key}: ({listing})"]
+    if isinstance(value, _Matrix):
+        widths = [max(len(row[j]) for row in value) for j in range(len(value[0]))]
+        lines = [f"{indent}{key}:"]
+        for row in value:
+            cells = "  ".join(c.rjust(w) for c, w in zip(row, widths))
+            lines.append(f"{indent}  [ {cells} ]")
+        return lines
+    if value and isinstance(value[0], _Matrix):
+        lines = []
+        for i, item in enumerate(value):
+            lines.extend(_text_lines(f"{key}[{i}]", item, indent))
+        return lines
+    if value and isinstance(value[0], dict):
+        lines = [f"{indent}{key}:"]
+        for item in value:
+            pairs = ", ".join(f"{k}={v}" for k, v in item.items())
+            lines.append(f"{indent}  - {pairs}")
+        return lines
+    return [f"{indent}{key}: {', '.join(map(str, value))}"]
 
 
 # --- entry point --------------------------------------------------------------

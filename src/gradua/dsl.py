@@ -4,9 +4,10 @@ Programs are sequences of declarations (chart, map, action, double) and
 commands (check-morphism, analyze-action, prolong, check-double, flip,
 report). Parsing resolves every reference on the spot: expressions are
 evaluated into exact polynomials over the declared charts, so a parsed
-program carries finished engine objects and no unresolved names. Printing a
-program emits canonical text (polynomials in canonical term order), and
-parsing that text yields an equal program, spans aside.
+program carries finished engine objects, no unresolved names, and the
+parser's tables of definitions by name. Printing a program emits canonical
+text (polynomials in canonical term order), and parsing that text yields
+an equal program, spans aside.
 
 The parser states each statement kind once: one table, built with the
 class, maps each statement keyword to its parser, and the tokenizer's
@@ -55,7 +56,6 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from math import comb, prod
 from typing import Any, Callable, NamedTuple
@@ -320,35 +320,18 @@ BIT_BUDGET = 4096  # bits of a coefficient's numerator or denominator
 class Program:
     """The parsed statements, with their definitions by name.
 
-    charts, maps, actions and doubles each read one table, and the four are
-    built together on first use, so a run of many commands scans the
-    program a fixed number of times; a later definition of a name replaces
-    an earlier one. Callers share the tables and only read them.
+    charts, maps, actions and doubles are the tables the parser fills as it
+    resolves references, each name defined once (a duplicate is a parse
+    error), so no run scans the statements for them again. They take no
+    part in equality or repr: the statements determine them. Callers share
+    the tables and only read them.
     """
 
     statements: tuple[Statement, ...]
-
-    def charts(self) -> dict[str, GradedChart]:
-        return self._tables[0]
-
-    def maps(self) -> dict[str, PolyMap]:
-        return self._tables[1]
-
-    def actions(self) -> dict[str, ActionFamily]:
-        return self._tables[2]
-
-    def doubles(self) -> dict[str, tuple[str, str]]:
-        return self._tables[3]
-
-    @cached_property
-    def _tables(self) -> tuple[dict, dict, dict, dict]:
-        statements = self.statements
-        return (
-            {s.name: s.chart for s in statements if isinstance(s, ChartStmt)},
-            {s.name: s.pmap for s in statements if isinstance(s, MapStmt)},
-            {s.name: s.family for s in statements if isinstance(s, ActionStmt)},
-            {s.name: (s.first, s.second) for s in statements if isinstance(s, DoubleStmt)},
-        )
+    charts: dict[str, GradedChart] = field(default_factory=dict, compare=False, repr=False)
+    maps: dict[str, PolyMap] = field(default_factory=dict, compare=False, repr=False)
+    actions: dict[str, ActionFamily] = field(default_factory=dict, compare=False, repr=False)
+    doubles: dict[str, tuple[str, str]] = field(default_factory=dict, compare=False, repr=False)
 
 
 # what may start a statement, listed by the errors that refuse a token there
@@ -461,7 +444,7 @@ class _Parser:
             span = self.tokens.span(self.pos)
             self.pos += 1
             statements.append(handler(self, span))
-        return Program(tuple(statements))
+        return Program(tuple(statements), self.charts, self.maps, self.actions, self.doubles)
 
     def define(self, table: dict, name: str, value, tok: Token, kind: str) -> None:
         if name in table:

@@ -670,6 +670,48 @@ def test_taylor_projections_agree_with_the_sympy_jacobian(dressed):
     assert min(seen.values()) >= 10, seen
 
 
+def sympy_pullbacks(pmap, prefix, sympy):
+    """pmap's pullbacks as sympy expressions, by target variable, over
+    symbols named prefix + source variable."""
+    rename = {sympy.Symbol(v): sympy.Symbol(prefix + v) for v in pmap.source.names}
+    return {
+        v: to_sympy(p, sympy).subs(rename, simultaneous=True)
+        for v, p in pmap.pullbacks.items()
+    }
+
+
+def test_the_inverse_composes_to_the_identity_in_sympy(dressed):
+    """An oracle for the inverse kernel that shares no code with it: sympy
+    composes the homogenizer phi with its inverse psi both ways, and both
+    composites are the identity. Run on the 40 dressed families and on 10
+    bihomogenized pairs, 5 of dressed families with a renamed copy and 5 of
+    commuting linear families."""
+    sympy = pytest.importorskip("sympy")
+    cases = [homogenize(family, theta) for family, theta in dressed]
+    cases += [bihomogenize(f, f.with_param("u"), theta) for f, theta in dressed[:5]]
+    pairs = [fs for fs in joint_cases() if len(fs) == 2 and first_witnesses(fs) is None]
+    cases += [bihomogenize(*families) for families in pairs[:5]]
+    assert len(cases) == 50
+    seen = {"weight-0 block": 0, "shifted theta": 0, "nonlinear inverse": 0}
+    for hom in cases:
+        phi, psi = hom.homogenizer, hom.inverse
+        assert psi.source == phi.target and psi.target == phi.source
+        xs = {v: sympy.Symbol("x_" + v) for v in phi.source.names}
+        ys = {v: sympy.Symbol("y_" + v) for v in phi.target.names}
+        forward = sympy_pullbacks(phi, "x_", sympy)  # y in terms of x
+        backward = sympy_pullbacks(psi, "y_", sympy)  # x in terms of y
+        into_x = {ys[v]: p for v, p in forward.items()}
+        into_y = {xs[v]: p for v, p in backward.items()}
+        for v, p in forward.items():
+            assert sympy.expand(p.subs(into_y, simultaneous=True)) == ys[v]
+        for v, p in backward.items():
+            assert sympy.expand(p.subs(into_x, simultaneous=True)) == xs[v]
+        seen["weight-0 block"] += 0 in phi.source.weights
+        seen["shifted theta"] += any(hom.theta.values())
+        seen["nonlinear inverse"] += max(p.total_degree() for p in psi.pullbacks.values()) > 1
+    assert min(seen.values()) >= 10, seen
+
+
 # --- one composite of the inverse ----------------------------------------------
 
 

@@ -10,9 +10,11 @@ main, whose parser is built once per process, against fresh processes.
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -336,6 +338,88 @@ def test_the_command_table_covers_exactly_the_command_statements():
     declarations = {dsl.ChartStmt, dsl.MapStmt, dsl.ActionStmt, dsl.DoubleStmt}
     statements = set(dsl.Statement.__subclasses__())
     assert set(cli._COMMANDS) == statements - declarations - {dsl.ReportCmd}
+
+
+# --- the kind marks against the shape tests they replaced -----------------------
+
+
+def _is_matrix(value) -> bool:
+    """cli's matrix test from before a matrix carried its kind, kept as the
+    oracle: a nonempty list of lists of strings."""
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(
+            isinstance(row, list) and all(isinstance(c, str) for c in row)
+            for row in value
+        )
+    )
+
+
+def _is_chart_listing(value) -> bool:
+    """cli's chart test from before a chart carried its kind, kept as the
+    oracle: a nonempty list of [str, int] pairs."""
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(
+            isinstance(item, list)
+            and len(item) == 2
+            and isinstance(item[0], str)
+            and isinstance(item[1], int)
+            for item in value
+        )
+    )
+
+
+def _lists(value):
+    """Every list in a report value, at any depth, the value included."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif isinstance(value, list):
+        yield value
+    else:
+        return
+    for item in value:
+        yield from _lists(item)
+
+
+def _kind(item) -> str:
+    if isinstance(item, dict):
+        return "dict"
+    if isinstance(item, cli._Matrix):
+        return "matrix"
+    return "list" if isinstance(item, list) else "scalar"
+
+
+def test_charts_and_matrices_carry_their_mark_where_the_shape_tests_see_one():
+    """A list in a report is marked a chart (cli._Chart) or a matrix
+    (cli._Matrix) exactly when the shape test the text renderer used before
+    the marks says it is one, so a runner that forgets a mark fails here.
+    Every list also holds items of one kind: scalars, matrices or dicts,
+    which are the lists the renderer writes. Run on tests/data,
+    SHAPE_PROGRAM and the 50 programs of a benchmark pass at seed 1."""
+    sources = [path.read_text() for path in sorted(DATA.glob("*.gradua"))]
+    sources.append(SHAPE_PROGRAM)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(HERE.parent / "perfbench"))
+        import progs
+
+        rng = random.Random("programs:1")
+        sources += [progs.build(rng, i).source for i in range(50)]
+    seen = Counter()
+    for source in sources:
+        for entry in cli.run(dsl.parse(source)).results:
+            for value in _lists(entry):
+                assert isinstance(value, cli._Chart) == _is_chart_listing(value), value
+                assert isinstance(value, cli._Matrix) == _is_matrix(value), value
+                if type(value) is list:
+                    kinds = {_kind(item) for item in value}
+                    assert len(kinds) <= 1 and "list" not in kinds, value
+                    seen.update(kinds)
+                else:
+                    seen[type(value).__name__] += 1
+    assert set(seen) == {"_Chart", "_Matrix", "scalar", "matrix", "dict"}, seen
 
 
 # --- the JSON writer against json.dumps ----------------------------------------

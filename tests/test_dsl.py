@@ -81,7 +81,7 @@ def test_tick_names_lex_as_one_ident():
 
 def test_comments_and_blank_lines_are_skipped():
     program = parse("# a comment\n\nchart V (x:1)  # trailing\n")
-    assert list(program.charts()) == ["V"]
+    assert list(program.charts) == ["V"]
 
 
 def test_empty_program():
@@ -100,9 +100,9 @@ def test_parse_chart_and_map():
         "  y = 3*y + 5*x^2;\n"
         "}\n"
     )
-    chart = program.charts()["V"]
+    chart = program.charts["V"]
     assert chart == GradedChart("V", (("x", 1), ("y", 2)))
-    psi = program.maps()["psi"]
+    psi = program.maps["psi"]
     assert str(psi.pullbacks["x"]) == "2*x"
     assert str(psi.pullbacks["y"]) == "5*x^2 + 3*y"
 
@@ -115,7 +115,7 @@ def test_parse_action_uses_reserved_parameter():
         "  y -> t^2*y + (t - t^2)*x;\n"
         "}\n"
     )
-    g = program.actions()["g"]
+    g = program.actions["g"]
     assert g.param == "t"
     assert str(g.entries["x"]) == "x*t"
     assert str(g.entries["y"]) == "y*t^2 - x*t^2 + x*t"
@@ -128,7 +128,7 @@ def test_parse_double_and_accessors():
         "action a2 on M { x -> x; y -> t*y; }\n"
         "double D { a1, a2 }\n"
     )
-    assert program.doubles() == {"D": ("a1", "a2")}
+    assert program.doubles == {"D": ("a1", "a2")}
 
 
 def test_parse_double_tolerant_input_forms():
@@ -164,7 +164,7 @@ def test_analyze_point_with_negative_fraction():
 
 def test_rational_coefficients_in_expressions():
     program = parse("chart V (x:1)\nmap m : V -> V { x = 1/2*x; }\n")
-    assert str(program.maps()["m"].pullbacks["x"]) == "1/2*x"
+    assert str(program.maps["m"].pullbacks["x"]) == "1/2*x"
 
 
 # --- the regex tokenizer against the old character scanner --------------------

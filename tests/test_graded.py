@@ -1,9 +1,10 @@
 """Polynomial maps between charts: composition, gradedness, matrices.
 
 invert_automorphism runs on the Picard kernel that also inverts the
-homogenizer. The weight-filtered back-substitution it replaced is kept
-below as the oracle: inverses, error types and messages must agree with it,
-on charts with and without weight-0 coordinates.
+homogenizer. The weight-filtered back-substitution it replaced is kept in
+helpers as the oracle: inverses, error types and messages must agree with
+it, on charts with and without weight-0 coordinates. The test families of
+helpers.conjugated_action invert with that oracle, not with the kernel.
 """
 
 import random
@@ -23,7 +24,6 @@ from gradua.errors import (
     EngineDefectError,
     GraduaError,
     NotInvertibleError,
-    SingularMatrixError,
     UnsupportedChartError,
 )
 from gradua.graded import (
@@ -48,6 +48,7 @@ from helpers import (
     random_chart,
     random_coefficient,
     random_graded_automorphism,
+    reference_invert_automorphism,
 )
 
 V = GradedChart("V", (("x", 1), ("y", 2)))
@@ -515,67 +516,6 @@ def test_with_param_matches_the_substitution_route():
 # --- the Picard kernel against the back-substitution ----------------------------
 
 
-def reference_invert_automorphism(psi):
-    """invert_automorphism as it was, by weight-filtered back-substitution,
-    kept as the oracle.
-
-    For each weight r in increasing order the pullbacks split into a linear
-    block in the weight-r variables plus corrections in lower weights; the
-    block is inverted exactly and the corrections are pushed through the
-    already-built inverse. One composite is checked, psi.then(inverse).
-    """
-    if psi.source != psi.target:
-        raise DomainError("only self-maps of one chart can be inverted here")
-    if not is_graded_morphism(psi):
-        raise DomainError("the map does not respect the weights")
-    chart = psi.source
-    inv = {}
-    for w in sorted(set(chart.weights)):
-        block_vars = [v for v in chart.names if chart.weight_of(v) == w]
-        block_monos = [((chart.index_of(u), 1),) for u in block_vars]
-        rows = []
-        residues = []
-        for v in block_vars:
-            p = psi.pullbacks[v]
-            row = [Fraction(p.terms.get(m, 0)) for m in block_monos]
-            residue = WPolynomial(
-                chart, {m: c for m, c in p.terms.items() if m not in block_monos}
-            )
-            if w == 0:
-                if residue.total_degree() > 0:
-                    raise NotInvertibleError(
-                        f"pullback of weight-0 variable {v!r} is not affine"
-                    )
-            else:
-                for u in residue.variables():
-                    if chart.weight_of(u) >= w:
-                        raise NotInvertibleError(
-                            f"pullback of {v!r} has a non-constant linear block "
-                            f"(term mixing {u!r})"
-                        )
-            rows.append(row)
-            residues.append(residue)
-        try:
-            binv = linalg.inverse(tuple(tuple(r) for r in rows))
-        except SingularMatrixError as exc:
-            raise NotInvertibleError(
-                f"weight-{w} linear block is singular: {exc}"
-            ) from exc
-        solved_residues = [
-            r.substitute(inv, into=chart) if r.terms else r for r in residues
-        ]
-        for i, v in enumerate(block_vars):
-            acc = WPolynomial.zero(chart)
-            for j, u in enumerate(block_vars):
-                part = WPolynomial.variable(chart, u) - solved_residues[j]
-                acc = acc + part * binv[i][j]
-            inv[v] = acc
-    result = PolyMap(chart, chart, inv)
-    if not psi.then(result).is_identity():
-        raise EngineDefectError("back-substitution produced a wrong inverse")
-    return result
-
-
 def outcome(fn, *args):
     """The result of fn(*args), or the type and message of the error it raised."""
     try:
@@ -662,6 +602,31 @@ def test_invert_automorphism_agrees_with_the_back_substitution():
     # the five refusals: not affine, non-constant block, singular block, not
     # graded, not a self-map
     assert len(seen) == 3 + 5 and min(seen.values()) >= 20, seen
+
+
+def test_conjugated_families_do_not_call_the_inverse_kernel(monkeypatch):
+    """helpers.conjugated_action inverts its graded automorphism by the
+    back-substitution, so a defect in the kernel cannot break the families
+    that test it: building the first 50 families of the acceptance corpus,
+    and 20 over weight-0 coordinates, calls invert_automorphism and the
+    kernel behind it 0 times. The last call shows that the count sees one."""
+    calls = []
+    for name in ("invert_automorphism", "_invert_coordinate_change"):
+        original = getattr(graded_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(graded_module, name, counted)
+    rng = random.Random(20260818)  # test_acceptance.SEED
+    for _ in range(50):
+        conjugated_action(rng, random_chart(rng, max_rank=(3, 2, 1), min_vars=2))
+    for _ in range(20):
+        conjugated_action(rng, random_chart(rng, max_rank=(2, 1, 1), max_base=2))
+    assert calls == []
+    graded_module.invert_automorphism(random_graded_automorphism(rng, V))
+    assert calls == ["invert_automorphism", "_invert_coordinate_change"]
 
 
 def off_by_one(inverse):

@@ -11,6 +11,7 @@ change that alters a result fails here.
 """
 
 import ast
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -350,7 +351,7 @@ def test_the_inverse_kernel_checks_each_round_by_one_substitution(monkeypatch):
     # psi = (x, y + x^2) on the same chart: the limit is the chart degree 2
     limits.clear()
     seen.update(dict.fromkeys(seen, 0))
-    shear = parse("chart C (x:1, y:2)\nmap psi : C -> C { x = x; y = y + x^2; }").maps()["psi"]
+    shear = parse("chart C (x:1, y:2)\nmap psi : C -> C { x = x; y = y + x^2; }").maps["psi"]
     assert str(graded.invert_automorphism(shear).pullbacks["y"]) == "-x^2 + y"
     assert limits == [2]
     assert seen == {"then": 0, "substitute": 0, "rounds": 2, "built": 2}
@@ -364,7 +365,7 @@ def test_prolong_builds_the_levels_once(monkeypatch):
     program = parse(GRADED_SHEAR)
     calls = _count_calls(monkeypatch, jets, "_taylor_components")
     charts = _count_calls(monkeypatch, GradedChart, "__post_init__")
-    lifted = jets.prolong(program.maps()["psi"], 4)
+    lifted = jets.prolong(program.maps["psi"], 4)
     assert len(lifted.pullbacks) == 15
     assert len(calls) == 1
     assert [c for c, in charts] == [lifted.source] and lifted.target is lifted.source
@@ -380,18 +381,18 @@ def test_prolong_adapts_each_chart_once(monkeypatch):
     between two charts adapts each of them."""
     program = parse(GRADED_SHEAR + "chart B (u:1)\nmap f : A -> B { u = x1 + x2; }\n")
     adapted = _count_calls(monkeypatch, jets, "adapt")
-    jets.prolong(program.maps()["psi"], 2)
+    jets.prolong(program.maps["psi"], 2)
     assert len(adapted) == 1
     adapted.clear()
-    lifted = jets.prolong(program.maps()["f"], 2)
+    lifted = jets.prolong(program.maps["f"], 2)
     assert [chart.name for chart, _ in adapted] == ["A", "B"]
     assert str(lifted.pullbacks["u'1"]) == "x1'1 + x2'1"
 
 
 def test_a_run_scans_the_program_a_fixed_number_of_times():
-    """The runners read the definitions from tables built once per program,
+    """The runners read the definitions from the tables the parser filled,
     so a run of N commands and one of 2N scan the statements equally often:
-    once to run them and once per table."""
+    once, to run them. No table is rebuilt."""
 
     class Scanned(tuple):
         scans = 0
@@ -408,11 +409,11 @@ def test_a_run_scans_the_program_a_fixed_number_of_times():
     def scans(n):
         program = parse(definitions + commands * n)
         Scanned.scans = 0
-        report = cli.run(dsl.Program(Scanned(program.statements)))
+        report = cli.run(dataclasses.replace(program, statements=Scanned(program.statements)))
         assert len(report.results) == 5 * n and report.all_ok
         return Scanned.scans
 
-    assert scans(20) == scans(40) == 5
+    assert scans(20) == scans(40) == 1
 
 
 def test_reports_are_written_without_the_pure_python_encoder(monkeypatch):
@@ -450,8 +451,6 @@ def test_check_double_renames_neither_family(monkeypatch):
         "double E { s, a1 }\n"
         "check-double E\n"
     )
-    for program in (commuting, other):
-        program.actions()
     renamed = _count_calls(monkeypatch, ActionFamily, "with_param")
     charts = _count_calls(monkeypatch, GradedChart, "__post_init__")
     [entry] = cli.run(commuting).results
@@ -529,7 +528,7 @@ def test_each_family_builder_builds_its_extended_chart_once(monkeypatch):
     assert built(lambda: multigrade.total_action(h, h)) == []
     source = "chart M (x:1, y:2)\naction g on M { x -> t*x; y -> t^2*y + t*x^2; }\n"
     charts.clear()
-    g = parse(source).actions()["g"]
+    g = parse(source).actions["g"]
     assert [c for c, in charts] == [chart, g.extended_chart]
 
 
@@ -582,7 +581,7 @@ def test_flip_builds_no_polynomial_and_no_map(monkeypatch):
     assert [entry["ok"] for entry in report.results] == [True, True]
     assert (built, maps) == ([], [])
     # the printed renaming is the name map of flip's PolyMap
-    chart = program.charts()["A"]
+    chart = program.charts["A"]
     assert report.results[0]["renaming"] == {
         v: str(p) for v, p in multigrade.flip(2, 2, chart).pullbacks.items()
     }
@@ -611,8 +610,8 @@ def test_parsing_builds_one_polynomial_per_pullback_and_entry(monkeypatch):
     source = (ROOT / "tests" / "data" / "tour.gradua").read_text()
     calls = _count_constructions(monkeypatch)
     program = parse(source)
-    polys = [p for m in program.maps().values() for p in m.pullbacks.values()]
-    polys += [p for h in program.actions().values() for p in h.entries.values()]
+    polys = [p for m in program.maps.values() for p in m.pullbacks.values()]
+    polys += [p for h in program.actions.values() for p in h.entries.values()]
     assert len(calls) == len(polys) == 8
     assert calls == [p.chart for p in polys]
 
@@ -665,7 +664,7 @@ def test_check_double_multiplies_no_square_matrix(monkeypatch):
     cli.run(program)
     assert calls == []  # the one-family commands multiply nothing
     program = parse(source.split("analyze-action")[0] + "check-double D\n")
-    double = [program.actions()[name] for name in program.doubles()["D"]]
+    double = [program.actions[name] for name in program.doubles["D"]]
     grid = bihomogenize(*double).projections
     nonzero = [q for row in grid for q in row if any(map(any, q))]
     eliminated.clear()

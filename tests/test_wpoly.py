@@ -825,3 +825,53 @@ def test_chart_lookups_stay_out_of_equality_hash_and_repr():
     assert a == b and hash(a) == hash(b)
     assert a != GradedChart("D", a.variables)
     assert repr(a) == "GradedChart(name='C', variables=(('x', 1), ('b', 0)))"
+
+
+# --- the derivative against its summing loop ------------------------------------
+
+
+def _reference_differentiate(p, var, order=1):
+    """WPolynomial.differentiate as it was before each round became one
+    comprehension, kept as the oracle: a running sum per reduced monomial,
+    with a term deleted when its sum cancels."""
+    idx = p.chart.index_of(var)
+    result = p
+    for _ in range(order):
+        out = {}
+        for mono, c in result.terms.items():
+            for pos, (i, e) in enumerate(mono):
+                if i == idx:
+                    if e == 1:
+                        reduced = mono[:pos] + mono[pos + 1:]
+                    else:
+                        reduced = mono[:pos] + ((i, e - 1),) + mono[pos + 1:]
+                    s = out.get(reduced, 0) + c * e
+                    if s:
+                        out[reduced] = s
+                    else:
+                        del out[reduced]
+                    break
+        result = WPolynomial(p.chart, out)
+        if result.is_zero():
+            break
+    return result
+
+
+@st.composite
+def derivatives(draw):
+    """A polynomial, the zero one included, over a chart with or without a
+    weight-0 variable, one of its variables and an order from 0 to 3."""
+    chart = draw(st.sampled_from(CHARTS + (B,)))
+    p = draw(st.one_of(st.just(WPolynomial.zero(chart)), polynomials(chart=chart)))
+    return p, draw(st.sampled_from(chart.names)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(derivatives())
+def test_differentiate_matches_the_summing_loop(case):
+    p, var, order = case
+    got = p.differentiate(var, order)
+    expected = _reference_differentiate(p, var, order)
+    assert got.chart is expected.chart
+    assert list(got.terms.items()) == list(expected.terms.items())
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in expected.terms.values()]
