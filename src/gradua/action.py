@@ -55,8 +55,11 @@ the basis matrix is read off the projections' rank factors, and Fractions
 are built only for the public projections, in the same pass. That every
 coordinate scales (_check_scaling) is decided by wpoly's one scaling
 kernel, the one WPolynomial.is_homogeneous runs for the standard action,
-on integer numerators too. That h_0 fixes theta is checked by evaluating
-h_0 at theta exactly.
+on integer numerators too. That h_0 fixes theta is checked on the
+entries' terms with no parameter factor, summed at theta exactly
+(_resolve_theta), and the unit law h_1 = id on the entries split by their
+power of t: no map of h_0 or h_1 is built for a check. A law's witness is
+one linear combination of the law's two sides, on term dicts.
 
 The homogenizer is inverted by graded's one inverse kernel,
 _invert_coordinate_change. Its pass, _picard_inverse, is imported here too,
@@ -166,8 +169,13 @@ def verify_laws(h: ActionFamily) -> LawReport:
     The composite h_t o h_s is one _compose_families call on the slots n =
     len(chart) for t and n + 1 for s. h_(ts) is a term map: t is the last
     factor of any monomial of an entry that has it, at index n, so t^k
-    becomes t^k s^k by appending (n + 1, k) after (n, k). The witnesses
-    live on the chart followed by t and a fresh s.
+    becomes t^k s^k by appending (n + 1, k) after (n, k). h_1 is read off the
+    entries split by their power of t (graded._split): its entry for v is
+    the sum of the parts, so the unit law's witness x_v - h_1(v) is one
+    linear combination of x_v and the parts, empty when the law holds. Each
+    witness is one wpoly._terms_combine of the law's two sides; the
+    semigroup witnesses live on the chart followed by t and a fresh s, the
+    monoid ones on the chart.
     """
     chart = h.chart
     t = h.param
@@ -183,15 +191,15 @@ def verify_laws(h: ActionFamily) -> LawReport:
             for m, c in h.entries[v].terms.items()
         }
         if terms != merged:
-            difference = WPolynomial(ext2, terms) - WPolynomial(ext2, merged)
+            difference = WPolynomial(ext2, _terms_combine(((1, terms), (-1, merged))))
             witnesses.append(LawWitness("semigroup", v, difference))
     semigroup_ok = not witnesses
 
-    unit = h.at(1)
-    for v in chart.names:
-        expected = WPolynomial.variable(chart, v)
-        if unit.pullbacks[v] != expected:
-            witnesses.append(LawWitness("monoid", v, expected - unit.pullbacks[v]))
+    parts = _split([h.entries[v].terms for v in chart.names], n_vars, 1)
+    for i, (v, split) in enumerate(zip(chart.names, parts)):
+        defect = _terms_combine(((-1, p) for p in split.values()), {((i, 1),): 1})
+        if defect:
+            witnesses.append(LawWitness("monoid", v, WPolynomial(chart, defect)))
     monoid_ok = semigroup_ok and all(w.law != "monoid" for w in witnesses)
 
     return LawReport(semigroup_ok, monoid_ok, tuple(witnesses))
@@ -228,7 +236,7 @@ def check_commuting(
     h1_last = _compose_families((h1, h2), (n_vars, n_vars + 1))
     h2_last = _compose_families((h2, h1), (n_vars + 1, n_vars))
     witnesses = tuple(
-        (v, WPolynomial(ext, a) - WPolynomial(ext, b))
+        (v, WPolynomial(ext, _terms_combine(((1, a), (-1, b)))))
         for v, a, b in zip(chart.names, h1_last, h2_last)
         if a != b
     )
@@ -236,21 +244,38 @@ def check_commuting(
 
 
 def _resolve_theta(
-    h: ActionFamily, theta: Mapping[str, Fraction | int] | None
-) -> dict[str, Fraction]:
-    chart = h.chart
+    families: Sequence[ActionFamily], theta: Mapping[str, Fraction | int] | None
+) -> tuple[dict[str, Fraction], list[Fraction | int]]:
+    """Theta, checked to be fixed by every family's h_0, and theta in stored
+    form, one value per chart variable.
+
+    The parameter is the last factor of any monomial that has it, at index
+    n = len(chart), so h_0's entry for v is the sum of the entry's terms
+    with no factor at index n, and h_0(theta)_v is that sum at theta, read
+    off the stored terms: no map of h_0 is built.
+    """
+    names = families[0].chart.names
     if theta is None:
-        point = {v: _ZERO for v in chart.names}
+        point = dict.fromkeys(names, _ZERO)
     else:
-        point = {v: _exact(theta.get(v, 0)) for v in chart.names}
-        unknown = set(theta) - set(chart.names)
+        point = {v: _exact(theta.get(v, 0)) for v in names}
+        unknown = set(theta) - set(names)
         if unknown:
             raise DomainError(f"theta mentions unknown variables {sorted(unknown)}")
-    zero_map = h._zero_map.pullbacks
-    if any(zero_map[v].evaluate(point) != point[v] for v in chart.names):
-        hint = "" if theta is not None else "; pass a fixed point of h_0"
-        raise DomainError(f"theta is not fixed by the parameter-0 map{hint}")
-    return point
+    values = [_coefficient(point[v]) for v in names]
+    n_vars = len(names)
+    for h in families:
+        for v, value in zip(names, values):
+            fixed = 0
+            for mono, c in h.entries[v].terms.items():
+                if not mono or mono[-1][0] != n_vars:
+                    for i, e in mono:
+                        c *= values[i] ** e
+                    fixed += c
+            if fixed != value:
+                hint = "" if theta is not None else "; pass a fixed point of h_0"
+                raise DomainError(f"theta is not fixed by the parameter-0 map{hint}")
+    return point, values
 
 
 def base_projection(h: ActionFamily) -> PolyMap:
@@ -330,10 +355,8 @@ def _first_stage(
     at slot n + j, n = len(chart), so it is entry j of the multi-index. No
     chart is built.
     """
-    chart = families[0].chart
-    point = [_resolve_theta(h, theta) for h in families][0]
-    values = [_coefficient(point[v]) for v in chart.names]
-    n_vars, k = len(chart), len(families)
+    point, values = _resolve_theta(families, theta)
+    n_vars, k = len(values), len(families)
     parts = _split(_compose_families(families, range(n_vars, n_vars + k)), n_vars, k)
     projections, factored = _projections(_jacobian_coefficients(parts, values), k)
     return point, values, parts, projections, factored

@@ -36,9 +36,11 @@ gap (blanks, newlines, comments) and the token after it, at every position:
 the token texts and, by a running sum of the parts' lengths, their offsets
 come out of C code, with no Python loop over the tokens. Lexical errors are
 read off the distinct texts, the first in source order raised. tokenize
-returns a lazy sequence (Tokens) that builds a Token and its Span only when
-an item is read, and the parser compares texts: a keyword or a symbol is
-its own text. In a product, the plain factors (numbers, variables and
+returns the texts, their offsets and the line starts as plain lists
+(Tokens), and the parser reads texts and keeps positions: a keyword or a
+symbol is its own text, and a token's kind is read off its text. A line
+and column are computed only for a statement keyword, whose span the
+statement keeps, and for a raised ParseError. In a product, the plain factors (numbers, variables and
 their powers) multiply into one coefficient and one monomial; only
 parenthesized factors are multiplied as term dicts.
 
@@ -51,13 +53,14 @@ line and column.
 from __future__ import annotations
 
 import re
-from array import array
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, prod
+from math import comb
+from operator import mul
 from typing import Any, Callable, NamedTuple
 
 from .charts import GradedChart
@@ -78,46 +81,28 @@ class Span(NamedTuple):
     col: int
 
 
-class Token(NamedTuple):
-    kind: str  # "ident", "number", "keyword", "symbol", "eof"
-    text: str
-    span: Span
-    value: Fraction | None = None
-
-
-class Tokens(Sequence[Token]):
+class Tokens:
     """The tokens of a program, ending with an eof token: each token's text
-    (the eof token's is "") and, in an array, its offset in the source. A
-    second array holds the offset each line starts at, so a token's line is
-    one bisection.
+    (the eof token's is "") and its offset in the source, and the offset
+    each line starts at, so a token's line is one bisection. All three are
+    plain lists, read by position.
 
-    A Token and its Span are built only when an item is read, by an int
-    index; a slice is not supported (list(tokens) can be sliced). The text
-    of a token fixes its kind: a keyword or a symbol is its own text, a
-    number starts with a digit and an identifier with a letter or `_`.
+    The text of a token fixes its kind: a keyword or a symbol is its own
+    text, a number starts with a digit and an identifier with a letter or
+    `_`. len gives the number of tokens, eof included, which
+    perfbench/spans.py counts as dsl.tokens.
     """
 
     __slots__ = ("texts", "starts", "lines")
 
-    def __init__(self, source: str, texts: list[str], starts: array):
+    def __init__(self, source: str, texts: list[str], starts: list[int]):
         self.texts = texts
         self.starts = starts
         lengths = map((1).__add__, map(len, source.split("\n")))
-        self.lines = array("q", accumulate(lengths, initial=0))
+        self.lines = list(accumulate(lengths, initial=0))
 
     def __len__(self) -> int:
         return len(self.texts)
-
-    def __getitem__(self, i):
-        text = self.texts[i]
-        kind = (
-            "eof" if not text
-            else "keyword" if text in KEYWORDS
-            else "symbol" if text in _SYMBOLS
-            else "number" if text[0] in _DIGITS
-            else "ident"
-        )
-        return Token(kind, text, self.span(i), Fraction(text) if kind == "number" else None)
 
     def span(self, i: int) -> Span:
         """Line and column of token i, counted from 1 in characters."""
@@ -139,7 +124,7 @@ def tokenize(source: str) -> Tokens:
     parts = _SPLIT.split(source)
     texts = parts[2::3]
     del texts[texts.index("") + 1 :]
-    starts = array("q", accumulate(map(len, parts)))[1 : 3 * len(texts) : 3]
+    starts = list(accumulate(map(len, parts)))[1 : 3 * len(texts) : 3]
     del parts
     comment = source.find("#", source.rfind("\n") + 1)
     if comment >= 0:  # a `#` is always a comment, and this one is on the last line
@@ -160,6 +145,11 @@ def _number(text: str) -> Fraction | int:
     """The value of a number literal, n or n/d; tokenize refuses d = 0."""
     num, _, den = text.partition("/")
     return Fraction(int(num), int(den)) if den else int(num)
+
+
+def _is_word(text: str) -> bool:
+    """Whether a token text is an identifier: a word that is no keyword."""
+    return (text[:1].isalpha() or text[:1] == "_") and text not in KEYWORDS
 
 
 def _bits(c: Fraction | int) -> int:
@@ -187,6 +177,48 @@ def _lexical_error(text: str) -> str | None:
             return f"number literal above the coefficient budget of {BIT_BUDGET} bits"
         return f"zero denominator in {text!r}" if den and not int(den) else None
     return f"unexpected character {first!r}"
+
+
+def _level_terms(monomials: Sequence[Monomial], order: int) -> int:
+    """The terms of levels 0..order that prolong builds for these monomials,
+    by the Leibniz rule.
+
+    Level s of x^e holds one term per partition of s into at most e parts,
+    as many as the partitions of s into parts of at most e, the s^th
+    coefficient of G_e = prod_(j <= e) 1/(1 - x^j); an exponent above the
+    order counts as the order. A product's levels convolve its factors',
+    and the levels up to the order are summed by one more factor 1/(1 - x),
+    so a monomial of exponents e_1 >= ... >= e_k has [x^order] G_e_1 *
+    (1/(1 - x) * G_e_2 * ... * G_e_k) terms: the rows G_e come from one
+    sweep over e, the bracket is a running sum of G_e_2's row and one pass
+    per factor 1/(1 - x^j) of the others, and the largest factor's row is
+    dotted with it; a constant is the row G_0 = 1. Monomials with the same
+    sorted exponents are counted once. The count is exact for a polynomial too: the Leibniz weights are
+    positive, so no term of a monomial's levels cancels, and the levels of
+    distinct monomials share no term, since the exponents of x, x'1, x'2,
+    ... in a jet monomial add up to the exponent of x in its monomial.
+    """
+    shapes = Counter(
+        tuple(sorted((min(e, order) for _, e in mono), reverse=True)) or (0,)
+        for mono in monomials
+    )
+    needed = {e for shape in shapes for e in shape}
+    row = [1] + [0] * order
+    rows = {0: row[:]}
+    for e in range(1, max(needed, default=0) + 1):
+        for s in range(e, order + 1):
+            row[s] += row[s - e]
+        if e in needed:
+            rows[e] = row[:]
+    total = 0
+    for shape, count in shapes.items():
+        rest = list(accumulate(rows[shape[1]])) if len(shape) > 1 else [1] * (order + 1)
+        for e in shape[2:]:
+            for j in range(1, e + 1):
+                for s in range(j, order + 1):
+                    rest[s] += rest[s - j]
+        total += count * sum(map(mul, rows[shape[0]], reversed(rest)))
+    return total
 
 
 @dataclass(frozen=True)
@@ -339,8 +371,8 @@ _STARTS = ("chart", "map", "action", "double", "a command")
 
 
 class _Parser:
-    """The parser reads the token texts; a Token is built only where one is
-    kept or located: names, references, `at (...)` values and errors."""
+    """The parser reads the token texts and keeps token positions: a line
+    and column are computed only for a statement keyword and an error."""
 
     def __init__(self, tokens: Tokens):
         self.tokens = tokens
@@ -351,16 +383,14 @@ class _Parser:
         self.actions: dict[str, ActionFamily] = {}
         self.doubles: dict[str, tuple[str, str]] = {}
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, at: int, expected: tuple[str, ...] = ()) -> ParseError:
+        """The error at the token of position at."""
+        return ParseError(message, *self.tokens.span(at), expected)
 
-    def error(self, message: str, tok: Token, expected: tuple[str, ...] = ()) -> ParseError:
-        return ParseError(message, tok.span.line, tok.span.col, expected)
-
-    def unexpected(self, tok: Token, expected: tuple[str, ...]) -> ParseError:
+    def unexpected(self, at: int, expected: tuple[str, ...]) -> ParseError:
         """The error for a token that is none of the expected ones."""
-        found = f"found {tok.text!r}" if tok.text else "unexpected end of input"
-        return self.error(found, tok, expected)
+        text = self.texts[at]
+        return self.error(f"found {text!r}" if text else "unexpected end of input", at, expected)
 
     def accept(self, text: str) -> bool:
         """Consume the next token if it is this keyword or symbol."""
@@ -375,21 +405,21 @@ class _Parser:
         if text in texts:
             self.pos += 1
             return text
-        raise self.unexpected(self.peek(), texts)
+        raise self.unexpected(self.pos, texts)
 
     def ident(self, what: str) -> str:
         """The next token's text, consumed, which must be an identifier."""
         text = self.texts[self.pos]
-        if (text[:1].isalpha() or text[:1] == "_") and text not in KEYWORDS:
+        if _is_word(text):
             self.pos += 1
             return text
-        raise self.unexpected(self.peek(), (what,))
+        raise self.unexpected(self.pos, (what,))
 
-    def name(self, what: str) -> Token:
-        """The next token, consumed, which must be an identifier."""
-        tok = self.peek()
-        self.ident(what)
-        return tok
+    def name(self, what: str) -> tuple[str, int]:
+        """The next token's text, consumed, which must be an identifier, and
+        its position."""
+        at = self.pos
+        return self.ident(what), at
 
     def expect_integer(self, what: str) -> tuple[int, int]:
         """The value of the next token, consumed, which must be a number
@@ -397,10 +427,10 @@ class _Parser:
         pos = self.pos
         text = self.texts[pos]
         if text[:1] not in _DIGITS:
-            raise self.unexpected(self.peek(), (what,))
+            raise self.unexpected(pos, (what,))
         value = _number(text)
         if value.denominator != 1:
-            raise self.error(f"{text!r} is not an integer", self.peek(), (what,))
+            raise self.error(f"{text!r} is not an integer", pos, (what,))
         self.pos += 1
         return int(value), pos
 
@@ -437,41 +467,43 @@ class _Parser:
         while text := texts[self.pos]:
             handler = self.STATEMENTS.get(text)
             if handler is None:
-                tok = self.peek()
-                if tok.kind != "keyword":
-                    raise self.unexpected(tok, _STARTS)
-                raise self.error(f"{text!r} cannot start a statement", tok, _STARTS)
+                if text not in KEYWORDS:
+                    raise self.unexpected(self.pos, _STARTS)
+                raise self.error(f"{text!r} cannot start a statement", self.pos, _STARTS)
             span = self.tokens.span(self.pos)
             self.pos += 1
             statements.append(handler(self, span))
         return Program(tuple(statements), self.charts, self.maps, self.actions, self.doubles)
 
-    def define(self, table: dict, name: str, value, tok: Token, kind: str) -> None:
+    def define(self, table: dict, name: str, value, at: int, kind: str) -> None:
         if name in table:
-            raise self.error(f"duplicate {kind} name {name!r}", tok)
+            raise self.error(f"duplicate {kind} name {name!r}", at)
         table[name] = value
 
-    def reference(self, table: dict, kind: str) -> tuple[Token, Any]:
-        """The next token, a declared name of this kind, and what it names."""
-        tok = self.name(f"{kind} name")
-        if tok.text not in table:
-            raise self.error(f"unknown {kind} {tok.text!r}", tok)
-        return tok, table[tok.text]
+    def reference(self, table: dict, kind: str) -> tuple[str, Any, int]:
+        """The next token's text, consumed, a declared name of this kind;
+        what it names; and the token's position."""
+        name, at = self.name(f"{kind} name")
+        if name not in table:
+            raise self.error(f"unknown {kind} {name!r}", at)
+        return name, table[name], at
 
-    def construct(self, name_tok: Token, build: Callable, *args):
-        """build(*args), its DomainError raised as a ParseError at name_tok."""
+    def construct(self, at: int, build: Callable, *args):
+        """build(*args), its DomainError raised as a ParseError at the token
+        of position at."""
         try:
             return build(*args)
         except DomainError as exc:
-            raise self.error(str(exc), name_tok) from None
+            raise self.error(str(exc), at) from None
 
     def chart_variable(self, chart: GradedChart, what: str) -> str:
         """The next token's text, consumed, which must name a variable of
         chart."""
-        text = self.texts[self.pos]
+        at = self.pos
+        text = self.texts[at]
         if text not in chart:
-            tok = self.name(what)
-            raise self.error(f"variable {text!r} is not in chart {chart.name!r}", tok)
+            self.ident(what)
+            raise self.error(f"variable {text!r} is not in chart {chart.name!r}", at)
         self.pos += 1
         return text
 
@@ -486,7 +518,7 @@ class _Parser:
             at = self.pos
             var = self.chart_variable(target, what)
             if var in rules:
-                raise self.error(f"variable {var!r} is assigned twice", self.tokens[at])
+                raise self.error(f"variable {var!r} is assigned twice", at)
             self.require(op)
             rules[var] = self.parse_expression(chart)
             self.require(";")
@@ -495,7 +527,7 @@ class _Parser:
     # Each statement parser starts after its keyword, whose span it is given.
 
     def parse_chart(self, span: Span) -> ChartStmt:
-        name_tok = self.name("chart name")
+        name, at = self.name("chart name")
         self.require("(")
         variables: list[tuple[str, int]] = []
         while True:
@@ -505,86 +537,86 @@ class _Parser:
             if not self.accept(","):
                 break
         self.require(")")
-        chart = self.construct(name_tok, GradedChart, name_tok.text, tuple(variables))
-        self.define(self.charts, name_tok.text, chart, name_tok, "chart")
-        return ChartStmt(name_tok.text, chart, span=span)
+        chart = self.construct(at, GradedChart, name, tuple(variables))
+        self.define(self.charts, name, chart, at, "chart")
+        return ChartStmt(name, chart, span=span)
 
     def parse_map(self, span: Span) -> MapStmt:
-        name_tok = self.name("map name")
+        name, at = self.name("map name")
         self.require(":")
-        _, source = self.reference(self.charts, "chart")
+        source = self.reference(self.charts, "chart")[1]
         self.require("->")
-        _, target = self.reference(self.charts, "chart")
+        target = self.reference(self.charts, "chart")[1]
         pullbacks = self.parse_rules(target, "=", source, "target variable")
-        pmap = self.construct(name_tok, PolyMap, source, target, pullbacks)
-        self.define(self.maps, name_tok.text, pmap, name_tok, "map")
-        return MapStmt(name_tok.text, pmap, span=span)
+        pmap = self.construct(at, PolyMap, source, target, pullbacks)
+        self.define(self.maps, name, pmap, at, "map")
+        return MapStmt(name, pmap, span=span)
 
     def parse_action(self, span: Span) -> ActionStmt:
-        name_tok = self.name("action name")
+        name, at = self.name("action name")
         self.require("on")
-        chart_tok, chart = self.reference(self.charts, "chart")
+        _, chart, chart_at = self.reference(self.charts, "chart")
         if ACTION_PARAM in chart:
             raise self.error(
                 f"chart {chart.name!r} has a variable named {ACTION_PARAM!r}, "
                 "which is reserved for the family parameter",
-                chart_tok,
+                chart_at,
             )
         ext = chart.extend(((ACTION_PARAM, 0),))
         entries = self.parse_rules(chart, "->", ext, "chart variable")
-        family = self.construct(name_tok, ActionFamily, chart, ACTION_PARAM, entries)
-        self.define(self.actions, name_tok.text, family, name_tok, "action")
-        return ActionStmt(name_tok.text, family, span=span)
+        family = self.construct(at, ActionFamily, chart, ACTION_PARAM, entries)
+        self.define(self.actions, name, family, at, "action")
+        return ActionStmt(name, family, span=span)
 
     def _double_member(self) -> str:
         self.accept("action")  # tolerated before each member
-        return self.reference(self.actions, "action")[0].text
+        return self.reference(self.actions, "action")[0]
 
     def parse_double(self, span: Span) -> DoubleStmt:
-        name_tok = self.name("double name")
+        name, at = self.name("double name")
         self.require("{")
         first = self._double_member()
         self.require(",", ";")
         second = self._double_member()
         self.accept(";")
         self.require("}")
-        self.define(self.doubles, name_tok.text, (first, second), name_tok, "double")
-        return DoubleStmt(name_tok.text, first, second, span=span)
+        self.define(self.doubles, name, (first, second), at, "double")
+        return DoubleStmt(name, first, second, span=span)
 
     # --- commands ---------------------------------------------------------
 
     def parse_check_morphism(self, span: Span) -> CheckMorphismCmd:
-        return CheckMorphismCmd(self.reference(self.maps, "map")[0].text, span=span)
+        return CheckMorphismCmd(self.reference(self.maps, "map")[0], span=span)
 
     def parse_analyze_action(self, span: Span) -> AnalyzeActionCmd:
-        name_tok, family = self.reference(self.actions, "action")
-        point: tuple[tuple[str, Fraction], ...] | None = None
+        name, family, _ = self.reference(self.actions, "action")
+        point: tuple[tuple[str, Fraction | int], ...] | None = None
         if self.accept("at"):
             self.require("(")
-            seen: dict[str, Fraction] = {}
+            seen: dict[str, Fraction | int] = {}
             while True:
                 at = self.pos
                 var = self.chart_variable(family.chart, "chart variable")
                 if var in seen:
-                    raise self.error(f"variable {var!r} is given twice", self.tokens[at])
+                    raise self.error(f"variable {var!r} is given twice", at)
                 self.require("=")
                 negative = self.accept("-")
-                num_tok = self.peek()
-                if num_tok.kind != "number":
-                    raise self.unexpected(num_tok, ("rational value",))
+                text = self.texts[self.pos]
+                if text[:1] not in _DIGITS:
+                    raise self.unexpected(self.pos, ("rational value",))
                 self.pos += 1
-                assert num_tok.value is not None
-                seen[var] = -num_tok.value if negative else num_tok.value
+                value = _number(text)
+                seen[var] = -value if negative else value
                 if not self.accept(","):
                     break
             self.require(")")
             point = tuple(
                 (v, seen[v]) for v in family.chart.names if v in seen
             )
-        return AnalyzeActionCmd(name_tok.text, point, span=span)
+        return AnalyzeActionCmd(name, point, span=span)
 
     def parse_prolong(self, span: Span) -> ProlongCmd:
-        name_tok, pmap = self.reference(self.maps, "map")
+        name, pmap, _ = self.reference(self.maps, "map")
         self.require("order")
         order, at = self.expect_integer("order")
         size = max(len(pmap.source), len(pmap.target)) * (order + 1)
@@ -594,37 +626,30 @@ class _Parser:
                 f"above the budget of {VARIABLE_BUDGET}",
                 *self.tokens.span(at),
             )
-        # an upper bound: x^e along an (order + 1)-term curve expands to
-        # comb(order + e, e) terms, and prolong builds only those of the
-        # levels up to the order
-        terms = sum(
-            prod(comb(order + e, e) for _, e in mono)
-            for p in pmap.pullbacks.values()
-            for mono in p.terms
-        )
+        terms = _level_terms([m for p in pmap.pullbacks.values() for m in p.terms], order)
         if terms > TERM_BUDGET:
             raise ResourceLimitError(
                 f"order {order} may expand the pullbacks to {terms} terms, "
                 f"above the budget of {TERM_BUDGET}",
                 *self.tokens.span(at),
             )
-        return ProlongCmd(name_tok.text, order, span=span)
+        return ProlongCmd(name, order, span=span)
 
     def parse_check_double(self, span: Span) -> CheckDoubleCmd:
-        return CheckDoubleCmd(self.reference(self.doubles, "double")[0].text, span=span)
+        return CheckDoubleCmd(self.reference(self.doubles, "double")[0], span=span)
 
     def parse_flip(self, span: Span) -> FlipCmd:
         m = self.expect_integer("order")[0]
         n = self.expect_integer("order")[0]
-        chart_tok, chart = self.reference(self.charts, "chart")
+        name, chart, at = self.reference(self.charts, "chart")
         size = len(chart) * (m + 1) * (n + 1)
         if size > VARIABLE_BUDGET:
             raise ResourceLimitError(
                 f"flip {m} {n} would adapt chart {chart.name!r} to {size} "
                 f"variables, above the budget of {VARIABLE_BUDGET}",
-                *chart_tok.span,
+                *self.tokens.span(at),
             )
-        return FlipCmd(m, n, chart_tok.text, span=span)
+        return FlipCmd(m, n, name, span=span)
 
     def parse_report(self, span: Span) -> ReportCmd:
         return ReportCmd(self.require("json", "text"), span=span)
@@ -741,10 +766,10 @@ class _Parser:
         """A parenthesized sum and its power; parse_product reads the plain
         factors."""
         if not self.accept("("):
-            tok = self.peek()
-            if tok.kind == "ident":
-                raise self.error(f"variable {tok.text!r} is not in chart {chart.name!r}", tok)
-            raise self.unexpected(tok, ("a variable", "a number", "("))
+            text = self.texts[self.pos]
+            if _is_word(text):
+                raise self.error(f"variable {text!r} is not in chart {chart.name!r}", self.pos)
+            raise self.unexpected(self.pos, ("a variable", "a number", "("))
         base = self.parse_sum(chart)
         self.require(")")
         if not self.accept("^"):

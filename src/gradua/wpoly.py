@@ -52,8 +52,6 @@ from .errors import ChartMismatchError, DomainError, EngineDefectError
 Monomial = tuple[tuple[int, int], ...]
 Terms = Mapping[Monomial, Fraction | int]
 
-_ZERO = Fraction(0)
-
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     """Merge two sorted exponent tuples, adding exponents."""
@@ -545,7 +543,7 @@ class WPolynomial:
             out[new] = c
         return WPolynomial(subchart, out)
 
-    # substitution and evaluation ---------------------------------------------
+    # substitution --------------------------------------------------------------
 
     def substitute(
         self,
@@ -573,28 +571,6 @@ class WPolynomial:
                 raise DomainError(f"no assignment for variable {var!r}")
         images = [sigma[v].terms if v in sigma else {} for v in self.chart.names]
         return WPolynomial(target, _terms_substitute((self.terms,), images)[0])
-
-    def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
-        """Value at a rational point covering every occurring variable.
-
-        Each occurring variable's value is looked up and made exact once,
-        into a list by chart position that every term then reads.
-        """
-        names = self.chart.names
-        values: list[Fraction | None] = [None] * len(names)
-        total = _ZERO
-        for mono, c in self.terms.items():
-            val = c
-            for i, e in mono:
-                x = values[i]
-                if x is None:
-                    var = names[i]
-                    if var not in point:
-                        raise DomainError(f"no value for variable {var!r}")
-                    x = values[i] = _exact(point[var])
-                val *= x**e
-            total += val
-        return total
 
     def coefficients_in(self, var: str) -> dict[int, WPolynomial]:
         """Coefficients of powers of one variable, keyed by exponent.

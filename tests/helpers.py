@@ -19,7 +19,7 @@ from gradua.errors import (
 )
 from gradua.graded import PolyMap, ActionFamily, compose, is_graded_morphism
 from gradua.linalg import inverse, mat_mul
-from gradua.wpoly import WPolynomial, monomial_basis
+from gradua.wpoly import WPolynomial, _exact, monomial_basis
 
 _LETTERS = "xyz"
 
@@ -54,6 +54,23 @@ def weighted_degree(p: WPolynomial) -> int:
     """The largest weighted degree of p's monomials; 0 for the zero polynomial."""
     w = p.chart.weights
     return max((sum(w[i] * e for i, e in mono) for mono in p.terms), default=0)
+
+
+def reference_evaluate(p: WPolynomial, point) -> Fraction:
+    """The value of p at a rational point, kept as the reference evaluator: a
+    name lookup and _exact for every factor, DomainError for a variable with
+    no value or an inexact one. The engine evaluates no polynomial."""
+    names = p.chart.names
+    total = Fraction(0)
+    for mono, c in p.terms.items():
+        val = c
+        for i, e in mono:
+            var = names[i]
+            if var not in point:
+                raise DomainError(f"no value for variable {var!r}")
+            val *= _exact(point[var]) ** e
+        total += val
+    return total
 
 
 def random_coefficient(rng: random.Random) -> Fraction:
@@ -363,7 +380,8 @@ def chained_family(rng, blocks):
     scaled = {u: forward[u].lift(ext) * t ** chart.weight_of(u) for u in chart.names}
     entries = {v: backward[v].substitute(scaled, into=ext) for v in chart.names}
     origin = {v: 0 for v in chart.names}
-    return ActionFamily(chart, "t", entries), {v: backward[v].evaluate(origin) for v in chart.names}
+    theta = {v: reference_evaluate(backward[v], origin) for v in chart.names}
+    return ActionFamily(chart, "t", entries), theta
 
 
 def distinct_params(h1, h2):

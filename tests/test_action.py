@@ -450,3 +450,68 @@ def test_three_commuting_families_homogenize_jointly():
     assert len(cells) == 3 * 2 * 2
     assert pairwise_complementary(cells)
     assert joint.homogenizer.then(joint.inverse).is_identity()
+
+
+# --- metamorphic: the weights do not depend on how the chart is written ------
+
+
+def _renamed(h):
+    """The family on a chart whose variables carry other names; every
+    index, and so every term dict, stays as it is."""
+    chart = GradedChart("R", tuple((f"{v}_r", w) for v, w in h.chart.variables))
+    ext = chart.extend(((h.param, 0),))
+    entries = {f"{v}_r": WPolynomial(ext, h.entries[v].terms) for v in h.chart.names}
+    return ActionFamily(chart, h.param, entries)
+
+
+def _permuted(h, order):
+    """The family on the chart listing its variables in this order: each
+    monomial is re-indexed, the parameter keeping its index n."""
+    n = len(h.chart)
+    chart = GradedChart("P", tuple(h.chart.variables[i] for i in order))
+    ext = chart.extend(((h.param, 0),))
+    new_index = {old: new for new, old in enumerate(order)}
+    new_index[n] = n
+
+    def moved(terms):
+        return {tuple(sorted((new_index[i], e) for i, e in m)): c for m, c in terms.items()}
+
+    return ActionFamily(chart, h.param, {v: WPolynomial(ext, moved(h.entries[v].terms)) for v in chart.names})
+
+
+def _translated(h, shift):
+    """y -> h_t(y + shift) - shift, which fixes theta - shift when h fixes
+    theta."""
+    ext = h.extended_chart
+    sigma = {v: WPolynomial.variable(ext, v) + shift[v] for v in h.chart.names}
+    sigma[h.param] = WPolynomial.variable(ext, h.param)
+    entries = {v: h.entries[v].substitute(sigma, into=ext) - shift[v] for v in h.chart.names}
+    return ActionFamily(h.chart, h.param, entries)
+
+
+def _shape(hom):
+    return sorted(hom.chart.weights), hom.chart.degree
+
+
+def test_weights_and_degree_survive_renaming_permuting_and_translating():
+    """homogenize before and after renaming the chart's variables, permuting
+    them, and conjugating the family by a translation, which moves theta
+    from the origin: the sorted weights and the degree agree, on charts
+    with and without a weight-0 direction. The runs are compared with each
+    other, not with a golden."""
+    rng = random.Random(35)
+    moved = base = 0
+    for _ in range(30):
+        chart = random_chart(rng, max_rank=(2, 2, 1), min_vars=2, max_base=1)
+        family, _ = conjugated_action(rng, chart)
+        expected = _shape(homogenize(family))
+        assert _shape(homogenize(_renamed(family))) == expected
+        order = list(range(len(chart)))
+        rng.shuffle(order)
+        assert _shape(homogenize(_permuted(family, order))) == expected
+        shift = {v: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for v in chart.names}
+        moved += any(shift.values())
+        theta = {v: -a for v, a in shift.items()}
+        assert _shape(homogenize(_translated(family, shift), theta)) == expected
+        base += 0 in chart.weights
+    assert moved >= 25 and base >= 5, (moved, base)

@@ -98,6 +98,7 @@ from helpers import (
     random_chart,
     random_coefficient,
     random_graded_automorphism,
+    reference_evaluate,
     weighted_degree,
 )
 
@@ -207,7 +208,7 @@ def dressed_family(rng):
     pushed = {v: p.substitute(tau, into=ext) for v, p in product_entries.items()}
     entries = {v: tau_inv[v].substitute(pushed, into=ext) for v in chart.names}
     origin = {v: 0 for v in chart.names}
-    theta = {v: tau_inv[v].evaluate(origin) for v in chart.names}
+    theta = {v: reference_evaluate(tau_inv[v], origin) for v in chart.names}
     return ActionFamily(chart, "t", entries), theta
 
 
@@ -499,7 +500,7 @@ def reference_joint_projections(families, theta=None):
     """The joint projections on the reference route, checked as Fraction
     matrices with idempotence per P_m; the grid of multi-indices in
     lexicographic order, zero matrices included."""
-    point = [_resolve_theta(h, theta) for h in families][0]
+    point = _resolve_theta(families, theta)[0]
     cells = reference_cells(families, point)
     n_vars = len(cells)
     keys = {idx for row in cells for c in row for idx in c}
@@ -1461,7 +1462,7 @@ def reference_certificate(families, theta, name):
     """
     joint = reference_joint_projections(families, theta)
     chart = families[0].chart
-    point = _resolve_theta(families[0], theta)
+    point = _resolve_theta(families, theta)[0]
     n_vars = len(chart)
     basis, orders = reference_basis(joint)
     basis = mat_from_cols(basis)
@@ -1953,7 +1954,7 @@ def integer_fixes(h, point):
 def test_integer_checks_agree_with_the_rational_ones(dressed, monkeypatch):
     """The scaling check, decided on integers by the scaling kernel, gives
     the rational verdicts, and h_0(theta) = theta, decided by exact
-    evaluation in _resolve_theta, gives the verdicts of the integer route
+    summation in _resolve_theta, gives the verdicts of the integer route
     it replaced: on the certificate's own coordinates and theta, on a
     coordinate with one coefficient moved, on a coordinate with an added
     term, and on theta moved along one axis. A coordinate with no term is
@@ -1999,13 +2000,13 @@ def test_integer_checks_agree_with_the_rational_ones(dressed, monkeypatch):
         with pytest.raises(EngineDefectError, match=f"^homogenizer coordinate '{v}' is identically zero$"):
             scaling(families, emptied, orders)
 
-        point = _resolve_theta(families[0], theta)
+        point = _resolve_theta(families, theta)[0]
         v = rng.choice(families[0].chart.names)
         moved = {**point, v: point[v] + rng.choice((1, Fraction(1, 3), -2))}
         refused = (DomainError, "theta is not fixed by the parameter-0 map")
         for h in families:
             for at in (point, moved):
-                fixed = outcome(_resolve_theta, h, at) != refused
+                fixed = outcome(_resolve_theta, (h,), at) != refused
                 assert fixed == integer_fixes(h, at)
                 seen["fixed" if fixed else "moved"] += 1
     assert seen["scales"] >= 60 and seen["refused"] >= 80, seen

@@ -5,8 +5,10 @@ user sees, so regressions here matter as much as wrong parses.
 """
 
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -26,22 +28,48 @@ from gradua.dsl import (
     ReportCmd,
     Span,
     _Parser,
+    _number,
     parse,
     print_program,
     tokenize,
 )
 from gradua.errors import ParseError, ResourceLimitError
+from gradua.graded import PolyMap
+from gradua.jets import prolong
 from gradua.wpoly import WPolynomial
+
+from helpers import random_chart, random_homogeneous
 
 DATA = Path(__file__).parent / "data"
 
 
 # --- lexing -----------------------------------------------------------------
 
+_SYMBOLS = frozenset(["->", *"(){}:;,=+-*^"])
+
+
+def _kind(text):
+    """A token's kind, read off its text as the Tokens docstring states: a
+    keyword or a symbol is its own text, a number starts with a digit and
+    an identifier with a letter or `_`; eof's text is empty."""
+    if not text:
+        return "eof"
+    if text in KEYWORDS:
+        return "keyword"
+    if text in _SYMBOLS:
+        return "symbol"
+    return "number" if text[0] in "0123456789" else "ident"
+
+
+def _lexemes(source):
+    """(kind, text, span) of each token of source, eof included."""
+    tokens = tokenize(source)
+    return [(_kind(text), text, tokens.span(i)) for i, text in enumerate(tokens.texts)]
+
 
 def test_tokenize_kinds_and_spans():
-    toks = tokenize("chart V (x:1)")
-    assert [(t.kind, t.text) for t in toks] == [
+    toks = _lexemes("chart V (x:1)")
+    assert [(kind, text) for kind, text, _ in toks] == [
         ("keyword", "chart"),
         ("ident", "V"),
         ("symbol", "("),
@@ -51,32 +79,31 @@ def test_tokenize_kinds_and_spans():
         ("symbol", ")"),
         ("eof", ""),
     ]
-    assert toks[0].span == Span(1, 1)
-    assert toks[1].span == Span(1, 7)
-    assert toks[5].value == Fraction(1)
+    assert toks[0][2] == Span(1, 1)
+    assert toks[1][2] == Span(1, 7)
+    assert _number(toks[5][1]) == 1
 
 
 def test_fraction_is_a_single_token():
-    toks = tokenize("2/3")
-    assert [(t.kind, t.text) for t in list(toks)[:-1]] == [("number", "2/3")]
-    assert toks[0].value == Fraction(2, 3)
+    toks = _lexemes("2/3")
+    assert [(kind, text) for kind, text, _ in toks[:-1]] == [("number", "2/3")]
+    assert _number(toks[0][1]) == Fraction(2, 3)
 
 
 def test_hyphen_after_ident_is_subtraction():
     # only the three command words swallow a hyphen; x-1 stays arithmetic
-    toks = tokenize("x-1")
-    assert [(t.kind, t.text) for t in list(toks)[:-1]] == [
+    toks = _lexemes("x-1")
+    assert [(kind, text) for kind, text, _ in toks[:-1]] == [
         ("ident", "x"),
         ("symbol", "-"),
         ("number", "1"),
     ]
-    toks = tokenize("check-morphism m")
-    assert (toks[0].kind, toks[0].text) == ("keyword", "check-morphism")
+    assert _lexemes("check-morphism m")[0][:2] == ("keyword", "check-morphism")
 
 
 def test_tick_names_lex_as_one_ident():
-    toks = tokenize("x'2")
-    assert [(t.kind, t.text) for t in list(toks)[:-1]] == [("ident", "x'2")]
+    toks = _lexemes("x'2")
+    assert [(kind, text) for kind, text, _ in toks[:-1]] == [("ident", "x'2")]
 
 
 def test_comments_and_blank_lines_are_skipped():
@@ -256,9 +283,10 @@ def _reference_tokenize(source):
 
 
 def _lexed(lex, source):
-    """Tokens as plain tuples, or the ParseError message."""
+    """Each token's kind, text and (line, col) as plain tuples, or the
+    ParseError message."""
     try:
-        return [(t[0], t[1], tuple(t[2]), t[3]) for t in lex(source)]
+        return [(t[0], t[1], tuple(t[2])) for t in lex(source)]
     except ParseError as exc:
         return str(exc)
 
@@ -278,18 +306,18 @@ _PIECES = [
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
 def test_tokenize_matches_the_character_scanner(source):
-    assert _lexed(tokenize, source) == _lexed(_reference_tokenize, source)
+    assert _lexed(_lexemes, source) == _lexed(_reference_tokenize, source)
 
 
 def test_tokenize_matches_the_character_scanner_on_programs():
     rng = random.Random(8)
     for path in sorted(DATA.glob("*.gradua")):
         text = path.read_text()
-        assert _lexed(tokenize, text) == _lexed(_reference_tokenize, text), path.name
+        assert _lexed(_lexemes, text) == _lexed(_reference_tokenize, text), path.name
         for _ in range(200):
             cut = rng.randrange(len(text))
             mutated = text[:cut] + rng.choice(_PIECES) + text[cut + 1 :]
-            assert _lexed(tokenize, mutated) == _lexed(_reference_tokenize, mutated)
+            assert _lexed(_lexemes, mutated) == _lexed(_reference_tokenize, mutated)
 
 
 @pytest.mark.parametrize(
@@ -312,13 +340,12 @@ def test_tokenize_matches_the_character_scanner_on_programs():
     ],
 )
 def test_tokenize_edge_cases_match_the_character_scanner(source):
-    assert _lexed(tokenize, source) == _lexed(_reference_tokenize, source)
+    assert _lexed(_lexemes, source) == _lexed(_reference_tokenize, source)
 
 
 def test_eof_after_a_trailing_comment_stays_at_the_comment():
-    toks = tokenize("chart V (x:1)  # trailing")
-    assert toks[-1].kind == "eof"
-    assert toks[-1].span == Span(1, 16)
+    kind, _, span = _lexemes("chart V (x:1)  # trailing")[-1]
+    assert (kind, span) == ("eof", Span(1, 16))
 
 
 class _ScanCountingSource(str):
@@ -595,8 +622,8 @@ def test_keywords_are_the_statement_table_and_five_inner_words():
     assert not inner & set(_Parser.STATEMENTS)
     assert KEYWORDS == set(_Parser.STATEMENTS) | inner
     near = ["check", "morphism", "check-", "double-check", "ons", "reports", "tuple"]
-    tokens = tokenize(" ".join(sorted(KEYWORDS) + near))
-    keywords = [tok.text for tok in tokens if tok.kind == "keyword"]
+    lexemes = _lexemes(" ".join(sorted(KEYWORDS) + near))
+    keywords = [text for kind, text, _ in lexemes if kind == "keyword"]
     assert set(keywords) == KEYWORDS
     assert len(keywords) == len(KEYWORDS) + 1  # the `double` of double-check
 
@@ -617,12 +644,23 @@ def test_spans_do_not_affect_equality():
 # --- the term-dict expression parser against the object-level one -----------
 
 
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    at: int
+
+
 class _ReferenceParser(_Parser):
     """The expression parser as it was before term dicts, kept as the oracle:
-    it builds one WPolynomial per atom and per operator."""
+    it builds one WPolynomial per atom and per operator, and reads a token
+    of kind, text and position at each step."""
+
+    def peek(self):
+        text = self.texts[self.pos]
+        return _Token(_kind(text), text, self.pos)
 
     def advance(self):
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         if tok.kind != "eof":
             self.pos += 1
         return tok
@@ -673,11 +711,11 @@ class _ReferenceParser(_Parser):
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return WPolynomial.constant(chart, tok.value)
+            return WPolynomial.constant(chart, Fraction(tok.text))
         if tok.kind == "ident":
             if tok.text not in chart:
                 raise self.error(
-                    f"variable {tok.text!r} is not in chart {chart.name!r}", tok
+                    f"variable {tok.text!r} is not in chart {chart.name!r}", tok.at
                 )
             self.advance()
             return WPolynomial.variable(chart, tok.text)
@@ -688,7 +726,7 @@ class _ReferenceParser(_Parser):
             return inner
         raise self.error(
             f"found {tok.text!r}" if tok.text else "unexpected end of input",
-            tok,
+            tok.at,
             ("a variable", "a number", "("),
         )
 
@@ -815,9 +853,9 @@ RESOURCE_CASES = [
         f"variables, above the budget of {VARIABLE_BUDGET}",
     ),
     (
-        # within the variable budget, but x^3 of a 81-term curve is not
+        # within the variable budget, but the 81 levels of x^3 are not
         "chart V (x:1)\nmap m : V -> V { x = x^3 + x; }\nprolong m order 80",
-        f"line 3, column 17: order 80 may expand the pullbacks to 91962 terms, "
+        f"line 3, column 17: order 80 may expand the pullbacks to 16244 terms, "
         f"above the budget of {TERM_BUDGET}",
     ),
     (
@@ -905,7 +943,10 @@ def test_budgets_admit_what_they_allow():
     # each check refuses strictly above its budget; nothing here is run
     parse(f"chart V (x:1)\nmap m : V -> V {{ x = x^{DEGREE_BUDGET}; }}")
     parse(f"chart V (x:1)\nmap m : V -> V {{ x = x; }}\nprolong m order {VARIABLE_BUDGET - 1}")
-    parse("chart V (x:1)\nmap m : V -> V { x = x^3; }\nprolong m order 37")  # 9880 terms
+    parse("chart V (x:1)\nmap m : V -> V { x = x^3; }\nprolong m order 67")  # 9726 terms
+    with pytest.raises(ResourceLimitError):
+        parse("chart V (x:1)\nmap m : V -> V { x = x^3; }\nprolong m order 68")  # 10146
+    parse("chart V (x:1)\nmap m : V -> V { x = x^20; }\nprolong m order 8")  # 67 terms
     parse(f"chart V (x:1)\nflip 9 {VARIABLE_BUDGET // 10 - 1} V")
     with pytest.raises(ResourceLimitError):
         parse(f"chart V (x:1)\nflip 9 {VARIABLE_BUDGET // 10} V")
@@ -923,6 +964,60 @@ def test_budgets_admit_what_they_allow():
     # every program in the tests parses within the budgets
     for path in sorted(DATA.glob("*.gradua")):
         parse(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "pullback,order,terms",
+    [("x^20", 8, 67), ("x^3*y^2", 4, 33), ("x^4*y*z^2", 5, 124), ("x^3", 80, 16163), ("7", 3, 1)],
+)
+def test_the_prolong_budget_counts_the_terms_the_leibniz_rule_builds(pullback, order, terms):
+    """For one monomial the count is exact: the prolongation of u = m has
+    that many terms over its levels 0..order."""
+    chart = "chart V (x:1, y:1, z:1)\nchart U (u:1)\n"
+    program = parse(f"{chart}map m : V -> U {{ u = {pullback}; }}\n")
+    (mono,) = program.maps["m"].pullbacks["u"].terms
+    assert dsl._level_terms([mono], order) == terms
+    if terms < TERM_BUDGET:
+        lifted = prolong(program.maps["m"], order)
+        assert sum(len(p.terms) for p in lifted.pullbacks.values()) == terms
+
+
+def test_the_prolong_budget_counts_the_built_terms_on_seeded_maps():
+    """On maps of several terms per pullback the count is the number of
+    terms the prolongation builds: at least that many, and no more, as the
+    levels of distinct monomials never meet."""
+    rng = random.Random(35)
+    for _ in range(60):
+        chart = random_chart(rng, max_rank=(2, 2, 1))
+        pullbacks = {
+            v: random_homogeneous(rng, chart, w, max_terms=3, min_terms=1)
+            + WPolynomial.variable(chart, v)
+            for v, w in chart.variables
+        }
+        phi = PolyMap(chart, chart, pullbacks)
+        order = rng.randint(0, 4)
+        monomials = [m for p in phi.pullbacks.values() for m in p.terms]
+        built = sum(len(p.terms) for p in prolong(phi, order).pullbacks.values())
+        bound = dsl._level_terms(monomials, order)
+        assert bound == built
+
+
+def test_a_prolongation_just_under_the_budget_is_quick():
+    """The count admits x^6, y^6, z^6 at order 24, 9663 terms, and building
+    them takes a fraction of the fuzz test's two seconds."""
+    source = (
+        "chart V (x:1, y:1, z:1)\n"
+        "map m : V -> V { x = x^6; y = y^6; z = z^6; }\nprolong m order 24\n"
+    )
+    program = parse(source)
+    assert dsl._level_terms([m for p in program.maps["m"].pullbacks.values() for m in p.terms], 24) == 9663
+    started = time.perf_counter()
+    lifted = prolong(program.maps["m"], 24)
+    elapsed = time.perf_counter() - started
+    assert sum(len(p.terms) for p in lifted.pullbacks.values()) == 9663
+    assert elapsed < 1.0, elapsed
+    with pytest.raises(ResourceLimitError):
+        parse(source.replace("order 24", "order 25"))
 
 
 def test_cli_reports_a_resource_limit_as_a_located_parse_error(tmp_path, capsys):

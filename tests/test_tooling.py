@@ -28,7 +28,7 @@ import pytest
 from gradua import action, cli, dsl, graded, jets, linalg, multigrade, wpoly
 from gradua.action import analyze, homogenize
 from gradua.charts import GradedChart
-from gradua.errors import GraduaError, ParseError
+from gradua.errors import DomainError, GraduaError, NotDoubleStructureError, ParseError
 from gradua.dsl import parse
 from gradua.graded import ActionFamily, PolyMap, standard_action
 from gradua.multigrade import bihomogenize
@@ -618,27 +618,22 @@ def test_parsing_builds_one_polynomial_per_pullback_and_entry(monkeypatch):
 
 def test_parsing_tokenizes_once_and_builds_no_symbol_token(monkeypatch):
     """parse lexes the source in one tokenize call, and the parser reads
-    token texts: a Token is built only for a name, a reference, an `at`
-    value or an error, never for a keyword that only guides the parse or
-    for a symbol."""
+    token texts and keeps positions: a successful parse locates one token
+    per statement, its keyword, and builds no token object; a refused one
+    locates the token of its error too."""
     source = (ROOT / "tests" / "data" / "tour.gradua").read_text()
     source += "analyze-action g at (x=0, y=-1/2)\n"
     lexed = _count_calls(monkeypatch, dsl, "tokenize")
-    built = []
-    original = dsl.Token
-
-    def token(*args):
-        built.append(args[0])
-        return original(*args)
-
-    monkeypatch.setattr(dsl, "Token", token)
+    located = _count_calls(monkeypatch, dsl.Tokens, "span")
     program = dsl.parse(source)
     assert lexed == [(source,)]
-    assert program.statements
-    assert set(built) == {"ident", "number"}
+    keywords = [str(stmt).split(" ")[0] for stmt in program.statements]
+    assert [tokens.texts[i] for tokens, i in located] == keywords
+    assert not hasattr(dsl, "Token")
+    located.clear()
     with pytest.raises(ParseError):
         dsl.parse("chart V (x:1)\nmap m : V -> V { x = x +; }")
-    assert built[-1] == "symbol"  # the error's token
+    assert len(located) == 3  # two statement keywords and the error's token
 
 
 def test_at_and_with_param_substitute_nothing(monkeypatch):
@@ -956,3 +951,111 @@ def test_extend_negative_conjugates_the_model_family_on_term_dicts(monkeypatch):
         assert extended.entries == family.entries
         assert len(passes) == 2
         assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(methods, 0)
+
+
+def _calls_in(tree, name):
+    """The calls .name(...) in tree, by line."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == name
+    ]
+
+
+def _is_polynomial_call(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "WPolynomial"
+
+
+def test_action_evaluates_no_family_and_subtracts_no_polynomials():
+    """action checks the fixed point, the unit law and the law witnesses on
+    term dicts: it calls no .at( and no .evaluate(, and subtracts no
+    WPolynomial(...) from another."""
+    tree = ast.parse((ROOT / "src" / "gradua" / "action.py").read_text(encoding="utf-8"))
+    assert _calls_in(tree, "at") == []
+    assert _calls_in(tree, "evaluate") == []
+    differences = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+        and _is_polynomial_call(node.left) and _is_polynomial_call(node.right)
+    ]
+    assert differences == []
+
+
+def test_law_checks_and_joint_certificates_evaluate_no_family(monkeypatch):
+    """verify_laws reads h_1 off the entries, and the certificate checks
+    that h_0 fixes theta on the entries' terms: verify_laws and bihomogenize
+    call ActionFamily.at 0 times, on families that keep or break the laws,
+    fixing the origin or a shifted point, commuting or not. One analyze call
+    runs it at most once, for its base projection."""
+    chart = GradedChart("M", (("x", 1), ("y", 2)))
+    ext = chart.extend((("t", 0),))
+    x, y, t = (WPolynomial.variable(ext, v) for v in ("x", "y", "t"))
+    running = ActionFamily(chart, "t", {"x": t * x, "y": t**2 * y + (t - t**2) * x})
+    broken = ActionFamily(chart, "t", {"x": t * x, "y": WPolynomial.zero(ext)})
+    shifted, theta = chained_family(random.Random(4), 2)
+    values = _count_calls(monkeypatch, ActionFamily, "at")
+    for family in (running, broken, shifted):
+        verify_laws = action.verify_laws(family)
+        assert verify_laws.monoid_ok == (family is not broken)
+    bihomogenize(shifted, shifted, theta)
+    bihomogenize(running, running)
+    with pytest.raises(NotDoubleStructureError):
+        bihomogenize(running, standard_action(chart, "u"))
+    with pytest.raises(DomainError):
+        bihomogenize(running, running, {"x": 1})
+    assert values == []
+    for family, point, calls in ((running, None, 1), (broken, None, 0), (shifted, theta, 1)):
+        fresh = ActionFamily(family.chart, family.param, dict(family.entries))
+        values.clear()
+        analyze(fresh, point)
+        assert len(values) == calls
+
+
+def _counted_kernels(monkeypatch):
+    """Count the term pairs wpoly._terms_mul forms and the terms
+    wpoly._terms_combine reads, wherever a module of gradua looks them up."""
+    counts = Counter()
+    mul, combine = wpoly._terms_mul, wpoly._terms_combine
+
+    def counted_mul(a, b):
+        counts["pairs"] += len(a) * len(b)
+        return mul(a, b)
+
+    def counted_combine(pairs, out=None):
+        pairs = [(c, terms) for c, terms in pairs]
+        counts["read"] += sum(len(terms) for c, terms in pairs if c)
+        return combine(pairs, out)
+
+    for module in (action, cli, dsl, graded, jets, linalg, multigrade, wpoly):
+        for name, fn in (("_terms_mul", counted_mul), ("_terms_combine", counted_combine)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fn)
+    return counts
+
+
+def test_analyze_action_of_the_standard_family_grows_linearly_with_the_chart(monkeypatch):
+    """gradua run of analyze-action on the standard family of charts of 2,
+    4, 8 and 16 weight-1 variables: each doubling of the chart multiplies
+    the term pairs _terms_mul forms and the terms _terms_combine reads by
+    at most 2.5."""
+    counts = _counted_kernels(monkeypatch)
+    ladder = []
+    for n in (2, 4, 8, 16):
+        names = [f"x{i}" for i in range(1, n + 1)]
+        source = (
+            f"chart C ({', '.join(f'{v}:1' for v in names)})\n"
+            f"action h on C {{ {' '.join(f'{v} -> t*{v};' for v in names)} }}\n"
+            "analyze-action h\nreport json\n"
+        )
+        counts.clear()
+        report = cli.run(parse(source))
+        assert report.results[0]["ok"]
+        cli.emit(report, "json")
+        ladder.append((counts["pairs"], counts["read"]))
+    assert all(read for _, read in ladder), ladder
+    for (pairs, read), (more_pairs, more_read) in zip(ladder, ladder[1:]):
+        assert more_pairs <= 2.5 * pairs, ladder
+        assert more_read <= 2.5 * read, ladder

@@ -140,11 +140,6 @@ def test_substitute_rejects_mixed_charts():
         )
 
 
-def test_evaluate():
-    p = X**2 * 3 + Y - 1
-    assert p.evaluate({"x": Fraction(1, 2), "y": 2}) == Fraction(7, 4)
-
-
 def test_coefficients_in():
     p = X**2 * Y + X**2 + Y * 5
     by_x = p.coefficients_in("x")
@@ -199,11 +194,6 @@ def test_float_scale_factor_rejected():
     # Fraction(0.1) would store 3602879701896397/36028797018963968
     with pytest.raises(DomainError):
         X.scale(0.1)
-
-
-def test_float_evaluation_point_rejected():
-    with pytest.raises(DomainError):
-        (X + Y).evaluate({"x": 0.5, "y": 2})
 
 
 # An exponent, a derivative order or a power is a natural number: an int that
@@ -729,7 +719,7 @@ def test_sparse_print_key_orders_like_the_dense_key():
     assert weight_zero > 100
 
 
-# --- the printer and the evaluator against their earlier bodies ---------------
+# --- the printer against its earlier body ------------------------------------
 
 
 def _reference_str(p):
@@ -755,22 +745,6 @@ def _reference_str(p):
     return " ".join(pieces)
 
 
-def _reference_evaluate(p, point):
-    """WPolynomial.evaluate as it was before it read the point by index,
-    kept as the oracle: a name lookup and _exact for every factor."""
-    names = p.chart.names
-    total = Fraction(0)
-    for mono, c in p.terms.items():
-        val = c
-        for i, e in mono:
-            var = names[i]
-            if var not in point:
-                raise DomainError(f"no value for variable {var!r}")
-            val *= _exact(point[var]) ** e
-        total += val
-    return total
-
-
 @st.composite
 def printable_polynomials(draw):
     """Polynomials with coefficients of any size and sign, ints and
@@ -791,28 +765,6 @@ def printable_polynomials(draw):
 @given(printable_polynomials())
 def test_str_matches_the_reference_printer(p):
     assert str(p) == _reference_str(p)
-
-
-def _outcome(evaluate, p, point):
-    try:
-        value = evaluate(p, point)
-    except DomainError as exc:
-        return str(exc)
-    return value, type(value)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    printable_polynomials(),
-    st.dictionaries(
-        st.sampled_from(["x", "y", "x1", "x2", "a", "u", "v", "z"]),
-        st.one_of(st.integers(-5, 5), st.fractions(max_denominator=7), st.just(0.5)),
-    ),
-)
-def test_evaluate_matches_the_reference_evaluator(p, point):
-    """The same value, of the same type, or the same DomainError: a missing
-    variable or an inexact value, found at the same factor."""
-    assert _outcome(WPolynomial.evaluate, p, point) == _outcome(_reference_evaluate, p, point)
 
 
 def test_chart_lookups_stay_out_of_equality_hash_and_repr():
