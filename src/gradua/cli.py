@@ -7,12 +7,14 @@ verdict is negative or a command failed, 2 for usage or parse errors, a
 program that cannot be read (missing, or not UTF-8) and a report that
 cannot be written.
 
-One table, _COMMANDS, maps each command statement class to its name in the
-report and its runner. A runner takes the statement and the program, reads
-its definitions from the program's tables, and returns only its own
-fields; run() writes every entry's prefix (`command`, then `name` for a
-statement that has one) and, when the engine raises, its error tail
-(`ok: false`, then `error`), so each command is named once.
+One table, _COMMANDS, maps each command keyword to its runner and to
+whether its first argument is a name. A runner takes the program and the
+statement's arguments, reads its definitions from the program's tables,
+and returns only its own fields; run() writes every entry's prefix
+(`command`, the keyword itself, then `name` for a named command) and, when
+the engine raises, its error tail (`ok: false`, then `error`). The set of
+statement keywords lives in the dsl's table alone: a keyword with no
+runner, a declaration, is skipped, and `report` sets the report's format.
 
 Reports serialize deterministically: dictionary keys appear in a fixed
 order, every number is an exact rational rendered as a string, and timing
@@ -44,16 +46,7 @@ from pathlib import Path
 from typing import Callable
 
 from .action import analyze
-from .dsl import (
-    AnalyzeActionCmd,
-    CheckDoubleCmd,
-    CheckMorphismCmd,
-    FlipCmd,
-    Program,
-    ProlongCmd,
-    ReportCmd,
-    parse,
-)
+from .dsl import Program, parse
 from .errors import (
     GraduaError,
     NotDoubleStructureError,
@@ -100,8 +93,8 @@ def _pullbacks_json(pmap) -> dict[str, str]:
     return {v: str(pmap.pullbacks[v]) for v in pmap.target.names}
 
 
-def _run_check_morphism(stmt: CheckMorphismCmd, program: Program) -> dict:
-    pmap = program.maps[stmt.name]
+def _run_check_morphism(program: Program, name: str) -> dict:
+    pmap = program.maps[name]
     failing = _graded_failures(pmap)  # is_graded_morphism's test
     entry = {"ok": not failing, "graded": not failing}
     if failing:
@@ -118,9 +111,8 @@ def _run_check_morphism(stmt: CheckMorphismCmd, program: Program) -> dict:
     return entry
 
 
-def _run_analyze_action(stmt: AnalyzeActionCmd, program: Program) -> dict:
-    theta = dict(stmt.point) if stmt.point is not None else None
-    report = analyze(program.actions[stmt.name], theta)
+def _run_analyze_action(program: Program, name: str, point) -> dict:
+    report = analyze(program.actions[name], None if point is None else dict(point))
     entry = {
         "ok": report.monoid_ok,
         "semigroup_ok": report.semigroup_ok,
@@ -144,10 +136,10 @@ def _run_analyze_action(stmt: AnalyzeActionCmd, program: Program) -> dict:
     return entry
 
 
-def _run_prolong(stmt: ProlongCmd, program: Program) -> dict:
-    lifted = prolong(program.maps[stmt.name], stmt.order)
+def _run_prolong(program: Program, name: str, order: int) -> dict:
+    lifted = prolong(program.maps[name], order)
     return {
-        "order": stmt.order,
+        "order": order,
         "ok": True,
         "source": _chart_json(lifted.source),
         "target": _chart_json(lifted.target),
@@ -155,8 +147,8 @@ def _run_prolong(stmt: ProlongCmd, program: Program) -> dict:
     }
 
 
-def _run_check_double(stmt: CheckDoubleCmd, program: Program) -> dict:
-    first_name, second_name = program.doubles[stmt.name]
+def _run_check_double(program: Program, name: str) -> dict:
+    first_name, second_name = program.doubles[name]
     h1 = program.actions[first_name]
     h2 = program.actions[second_name]
     entry = {"first": first_name, "second": second_name}
@@ -183,17 +175,17 @@ def _run_check_double(stmt: CheckDoubleCmd, program: Program) -> dict:
     return entry
 
 
-def _run_flip(stmt: FlipCmd, program: Program) -> dict:
-    chart = program.charts[stmt.chart_name]
-    forward = _flip_names(stmt.m, stmt.n, chart)
+def _run_flip(program: Program, m: int, n: int, chart_name: str) -> dict:
+    chart = program.charts[chart_name]
+    forward = _flip_names(m, n, chart)
     # with m = n the flip maps the chart to itself and is its own candidate inverse
-    backward = forward if stmt.m == stmt.n else _flip_names(stmt.n, stmt.m, chart)
+    backward = forward if m == n else _flip_names(n, m, chart)
     round_trip = _is_round_trip(forward, backward)
     source, target, names = forward
     return {
-        "m": stmt.m,
-        "n": stmt.n,
-        "chart": stmt.chart_name,
+        "m": m,
+        "n": n,
+        "chart": chart_name,
         "ok": round_trip,
         "round_trip_identity": round_trip,
         "source": _chart_json(source),
@@ -202,13 +194,13 @@ def _run_flip(stmt: FlipCmd, program: Program) -> dict:
     }
 
 
-# each command statement class: its name in the report and its runner
-_COMMANDS: dict[type, tuple[str, Callable[..., dict]]] = {
-    CheckMorphismCmd: ("check-morphism", _run_check_morphism),
-    AnalyzeActionCmd: ("analyze-action", _run_analyze_action),
-    ProlongCmd: ("prolong", _run_prolong),
-    CheckDoubleCmd: ("check-double", _run_check_double),
-    FlipCmd: ("flip", _run_flip),
+# each command keyword: its runner, and whether its first argument is a name
+_COMMANDS: dict[str, tuple[Callable[..., dict], bool]] = {
+    "check-morphism": (_run_check_morphism, True),
+    "analyze-action": (_run_analyze_action, True),
+    "prolong": (_run_prolong, True),
+    "check-double": (_run_check_double, True),
+    "flip": (_run_flip, False),
 }
 
 
@@ -220,21 +212,20 @@ def run(program: Program, timing: bool = False) -> Report:
     """
     report = Report()
     started = time.perf_counter()
-    for stmt in program.statements:
-        if isinstance(stmt, ReportCmd):
-            report.format = stmt.format
+    for keyword, *args in program.statements:
+        if keyword == "report":
+            report.format = args[0]
             continue
-        command = _COMMANDS.get(type(stmt))
+        command = _COMMANDS.get(keyword)
         if command is None:
             continue
         begun = time.perf_counter()
-        title, runner = command
-        entry = {"command": title}
-        name = getattr(stmt, "name", None)
-        if name is not None:
-            entry["name"] = name
+        runner, named = command
+        entry = {"command": keyword}
+        if named:
+            entry["name"] = args[0]
         try:
-            entry.update(runner(stmt, program))
+            entry.update(runner(program, *args))
         except GraduaError as exc:
             entry["ok"] = False
             entry["error"] = {"type": type(exc).__name__, "message": str(exc)}

@@ -10,14 +10,15 @@ text (polynomials in canonical term order), and parsing that text yields
 an equal program, spans aside.
 
 The parser states each statement kind once: one table, built with the
-class, maps each statement keyword to its parser, and the tokenizer's
-keywords are that table's keys plus five words read inside statements (on,
-at, order, json, text). An optional token is one accept() call, and one
-rule-block parser reads the `{ v op expr; }` bodies of map (`=`, over the
-source chart) and action (`->`, over the chart extended by t). The ten
-statement classes subclass one base, Statement, which holds the span of the
-statement's keyword. Each prints its own canonical text (__str__), and
-print_program joins them.
+class, maps each statement keyword to the parser of its arguments and
+their printer, and the tokenizer's keywords are that table's keys plus five
+words read inside statements (on, at, order, json, text). An optional token
+is one accept() call, and one rule-block parser reads the `{ v op expr; }`
+bodies of map (`=`, over the source chart) and action (`->`, over the chart
+extended by t). Every statement is one type, Statement: the tuple of its
+keyword and its arguments, with the span of its keyword aside. Its
+canonical text is the keyword and what the keyword's printer writes of the
+arguments, and print_program joins these texts.
 
 Rationals are single tokens (2/3); there is no division operator. The
 family parameter in action bodies is always called t.
@@ -40,9 +41,11 @@ returns the texts, their offsets and the line starts as plain lists
 (Tokens), and the parser reads texts and keeps positions: a keyword or a
 symbol is its own text, and a token's kind is read off its text. A line
 and column are computed only for a statement keyword, whose span the
-statement keeps, and for a raised ParseError. In a product, the plain factors (numbers, variables and
-their powers) multiply into one coefficient and one monomial; only
-parenthesized factors are multiplied as term dicts.
+statement keeps, and for a raised ParseError.
+
+In a product, the plain factors (numbers, variables and their powers)
+multiply into one coefficient and one monomial; only parenthesized factors
+are multiplied as term dicts.
 
 An identifier starts with a letter (str.isalpha) or `_` and goes on with
 letters, digits (str.isalnum), `_` and `'`; number literals use ASCII
@@ -193,7 +196,9 @@ def _level_terms(monomials: Sequence[Monomial], order: int) -> int:
     sweep over e, the bracket is a running sum of G_e_2's row and one pass
     per factor 1/(1 - x^j) of the others, and the largest factor's row is
     dotted with it; a constant is the row G_0 = 1. Monomials with the same
-    sorted exponents are counted once. The count is exact for a polynomial too: the Leibniz weights are
+    sorted exponents are counted once.
+
+    The count is exact for a polynomial too: the Leibniz weights are
     positive, so no term of a monomial's levels cancels, and the levels of
     distinct monomials share no term, since the exponents of x, x'1, x'2,
     ... in a jet monomial add up to the exponent of x in its monomial.
@@ -221,112 +226,50 @@ def _level_terms(monomials: Sequence[Monomial], order: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Statement:
-    """The base of the ten statement classes, one per statement keyword. It
-    holds the span of the keyword, which takes no part in equality or repr
-    and is given by keyword, after the statement's own fields."""
+class Statement(tuple):
+    """A statement: its keyword, then its arguments, as one tuple, and the
+    span of its keyword as an attribute. Equality, hashing and unpacking
+    read the tuple alone, so a statement equals the tuple of its keyword
+    and arguments, and its span takes no part. str() gives the canonical
+    text: the keyword, then what the keyword's printer in _Parser.STATEMENTS
+    writes of the arguments."""
 
-    span: Span = field(compare=False, repr=False, default=Span(0, 0), kw_only=True)
-
-
-@dataclass(frozen=True)
-class ChartStmt(Statement):
-    name: str
-    chart: GradedChart
-
-    def __str__(self) -> str:
-        vars_text = ", ".join(f"{v}:{w}" for v, w in self.chart.variables)
-        return f"chart {self.name} ({vars_text})"
-
-
-@dataclass(frozen=True)
-class MapStmt(Statement):
-    name: str
-    pmap: PolyMap
+    def __new__(cls, keyword: str, *args: Any, span: Span = Span(0, 0)) -> Statement:
+        statement = super().__new__(cls, (keyword, *args))
+        statement.span = span
+        return statement
 
     def __str__(self) -> str:
-        pmap = self.pmap
-        lines = [f"map {self.name} : {pmap.source.name} -> {pmap.target.name} {{"]
-        lines += [f"  {v} = {pmap.pullbacks[v]};" for v in pmap.target.names]
-        return "\n".join(lines + ["}"])
+        keyword, *args = self
+        return f"{keyword} {_Parser.STATEMENTS[keyword][1](*args)}"
 
 
-@dataclass(frozen=True)
-class ActionStmt(Statement):
-    name: str
-    family: ActionFamily
-
-    def __str__(self) -> str:
-        family = self.family
-        lines = [f"action {self.name} on {family.chart.name} {{"]
-        lines += [f"  {v} -> {family.entries[v]};" for v in family.chart.names]
-        return "\n".join(lines + ["}"])
+# The printers: each writes a statement's arguments as they follow its keyword.
 
 
-@dataclass(frozen=True)
-class DoubleStmt(Statement):
-    name: str
-    first: str
-    second: str
-
-    def __str__(self) -> str:
-        return f"double {self.name} {{ {self.first}, {self.second} }}"
+def _print_chart(name: str, chart: GradedChart) -> str:
+    return f"{name} ({', '.join(f'{v}:{w}' for v, w in chart.variables)})"
 
 
-@dataclass(frozen=True)
-class CheckMorphismCmd(Statement):
-    name: str
-
-    def __str__(self) -> str:
-        return f"check-morphism {self.name}"
+def _print_rules(head: str, names: tuple[str, ...], op: str, rules: dict) -> str:
+    lines = [f"{head} {{", *(f"  {v} {op} {rules[v]};" for v in names), "}"]
+    return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class AnalyzeActionCmd(Statement):
-    name: str
-    point: tuple[tuple[str, Fraction], ...] | None = None
-
-    def __str__(self) -> str:
-        if self.point is None:
-            return f"analyze-action {self.name}"
-        point = ", ".join(f"{v}={val}" for v, val in self.point)
-        return f"analyze-action {self.name} at ({point})"
+def _print_map(name: str, pmap: PolyMap) -> str:
+    head = f"{name} : {pmap.source.name} -> {pmap.target.name}"
+    return _print_rules(head, pmap.target.names, "=", pmap.pullbacks)
 
 
-@dataclass(frozen=True)
-class ProlongCmd(Statement):
-    name: str
-    order: int
-
-    def __str__(self) -> str:
-        return f"prolong {self.name} order {self.order}"
+def _print_action(name: str, family: ActionFamily) -> str:
+    chart = family.chart
+    return _print_rules(f"{name} on {chart.name}", chart.names, "->", family.entries)
 
 
-@dataclass(frozen=True)
-class CheckDoubleCmd(Statement):
-    name: str
-
-    def __str__(self) -> str:
-        return f"check-double {self.name}"
-
-
-@dataclass(frozen=True)
-class FlipCmd(Statement):
-    m: int
-    n: int
-    chart_name: str
-
-    def __str__(self) -> str:
-        return f"flip {self.m} {self.n} {self.chart_name}"
-
-
-@dataclass(frozen=True)
-class ReportCmd(Statement):
-    format: str
-
-    def __str__(self) -> str:
-        return f"report {self.format}"
+def _print_analyze_action(name: str, point: tuple[tuple[str, Fraction], ...] | None) -> str:
+    if point is None:
+        return name
+    return f"{name} at ({', '.join(f'{v}={val}' for v, val in point)})"
 
 
 ACTION_PARAM = "t"
@@ -465,14 +408,14 @@ class _Parser:
         statements: list[Statement] = []
         texts = self.texts
         while text := texts[self.pos]:
-            handler = self.STATEMENTS.get(text)
-            if handler is None:
+            kind = self.STATEMENTS.get(text)
+            if kind is None:
                 if text not in KEYWORDS:
                     raise self.unexpected(self.pos, _STARTS)
                 raise self.error(f"{text!r} cannot start a statement", self.pos, _STARTS)
             span = self.tokens.span(self.pos)
             self.pos += 1
-            statements.append(handler(self, span))
+            statements.append(Statement(text, *kind[0](self), span=span))
         return Program(tuple(statements), self.charts, self.maps, self.actions, self.doubles)
 
     def define(self, table: dict, name: str, value, at: int, kind: str) -> None:
@@ -524,9 +467,10 @@ class _Parser:
             self.require(";")
         return rules
 
-    # Each statement parser starts after its keyword, whose span it is given.
+    # Each statement parser starts after its keyword and returns the
+    # statement's arguments.
 
-    def parse_chart(self, span: Span) -> ChartStmt:
+    def parse_chart(self) -> tuple[str, GradedChart]:
         name, at = self.name("chart name")
         self.require("(")
         variables: list[tuple[str, int]] = []
@@ -539,9 +483,9 @@ class _Parser:
         self.require(")")
         chart = self.construct(at, GradedChart, name, tuple(variables))
         self.define(self.charts, name, chart, at, "chart")
-        return ChartStmt(name, chart, span=span)
+        return name, chart
 
-    def parse_map(self, span: Span) -> MapStmt:
+    def parse_map(self) -> tuple[str, PolyMap]:
         name, at = self.name("map name")
         self.require(":")
         source = self.reference(self.charts, "chart")[1]
@@ -550,9 +494,9 @@ class _Parser:
         pullbacks = self.parse_rules(target, "=", source, "target variable")
         pmap = self.construct(at, PolyMap, source, target, pullbacks)
         self.define(self.maps, name, pmap, at, "map")
-        return MapStmt(name, pmap, span=span)
+        return name, pmap
 
-    def parse_action(self, span: Span) -> ActionStmt:
+    def parse_action(self) -> tuple[str, ActionFamily]:
         name, at = self.name("action name")
         self.require("on")
         _, chart, chart_at = self.reference(self.charts, "chart")
@@ -566,13 +510,13 @@ class _Parser:
         entries = self.parse_rules(chart, "->", ext, "chart variable")
         family = self.construct(at, ActionFamily, chart, ACTION_PARAM, entries)
         self.define(self.actions, name, family, at, "action")
-        return ActionStmt(name, family, span=span)
+        return name, family
 
     def _double_member(self) -> str:
         self.accept("action")  # tolerated before each member
         return self.reference(self.actions, "action")[0]
 
-    def parse_double(self, span: Span) -> DoubleStmt:
+    def parse_double(self) -> tuple[str, str, str]:
         name, at = self.name("double name")
         self.require("{")
         first = self._double_member()
@@ -581,14 +525,14 @@ class _Parser:
         self.accept(";")
         self.require("}")
         self.define(self.doubles, name, (first, second), at, "double")
-        return DoubleStmt(name, first, second, span=span)
+        return name, first, second
 
     # --- commands ---------------------------------------------------------
 
-    def parse_check_morphism(self, span: Span) -> CheckMorphismCmd:
-        return CheckMorphismCmd(self.reference(self.maps, "map")[0], span=span)
+    def parse_check_morphism(self) -> tuple[str]:
+        return (self.reference(self.maps, "map")[0],)
 
-    def parse_analyze_action(self, span: Span) -> AnalyzeActionCmd:
+    def parse_analyze_action(self) -> tuple[str, tuple[tuple[str, Fraction | int], ...] | None]:
         name, family, _ = self.reference(self.actions, "action")
         point: tuple[tuple[str, Fraction | int], ...] | None = None
         if self.accept("at"):
@@ -613,9 +557,9 @@ class _Parser:
             point = tuple(
                 (v, seen[v]) for v in family.chart.names if v in seen
             )
-        return AnalyzeActionCmd(name, point, span=span)
+        return name, point
 
-    def parse_prolong(self, span: Span) -> ProlongCmd:
+    def parse_prolong(self) -> tuple[str, int]:
         name, pmap, _ = self.reference(self.maps, "map")
         self.require("order")
         order, at = self.expect_integer("order")
@@ -633,12 +577,12 @@ class _Parser:
                 f"above the budget of {TERM_BUDGET}",
                 *self.tokens.span(at),
             )
-        return ProlongCmd(name, order, span=span)
+        return name, order
 
-    def parse_check_double(self, span: Span) -> CheckDoubleCmd:
-        return CheckDoubleCmd(self.reference(self.doubles, "double")[0], span=span)
+    def parse_check_double(self) -> tuple[str]:
+        return (self.reference(self.doubles, "double")[0],)
 
-    def parse_flip(self, span: Span) -> FlipCmd:
+    def parse_flip(self) -> tuple[int, int, str]:
         m = self.expect_integer("order")[0]
         n = self.expect_integer("order")[0]
         name, chart, at = self.reference(self.charts, "chart")
@@ -649,23 +593,24 @@ class _Parser:
                 f"variables, above the budget of {VARIABLE_BUDGET}",
                 *self.tokens.span(at),
             )
-        return FlipCmd(m, n, name, span=span)
+        return m, n, name
 
-    def parse_report(self, span: Span) -> ReportCmd:
-        return ReportCmd(self.require("json", "text"), span=span)
+    def parse_report(self) -> tuple[str]:
+        return (self.require("json", "text"),)
 
-    # the parser of each statement keyword, built once with the class
-    STATEMENTS: dict[str, Callable[[_Parser, Span], Statement]] = {
-        "chart": parse_chart,
-        "map": parse_map,
-        "action": parse_action,
-        "double": parse_double,
-        "check-morphism": parse_check_morphism,
-        "analyze-action": parse_analyze_action,
-        "prolong": parse_prolong,
-        "check-double": parse_check_double,
-        "flip": parse_flip,
-        "report": parse_report,
+    # each statement keyword: the parser of its arguments and their printer,
+    # built once with the class
+    STATEMENTS: dict[str, tuple[Callable[[_Parser], tuple], Callable[..., str]]] = {
+        "chart": (parse_chart, _print_chart),
+        "map": (parse_map, _print_map),
+        "action": (parse_action, _print_action),
+        "double": (parse_double, "{} {{ {}, {} }}".format),
+        "check-morphism": (parse_check_morphism, str),
+        "analyze-action": (parse_analyze_action, _print_analyze_action),
+        "prolong": (parse_prolong, "{} order {}".format),
+        "check-double": (parse_check_double, str),
+        "flip": (parse_flip, "{} {} {}".format),
+        "report": (parse_report, str),
     }
 
     # --- expressions --------------------------------------------------------
@@ -802,11 +747,11 @@ KEYWORDS = frozenset(_Parser.STATEMENTS) | {"on", "at", "order", "json", "text"}
 # Every character is in one gap or one token: a gap is any run of blanks,
 # newlines and comments, and each match is a gap then one token. The gap is
 # taken whole: the token's `.` and `\Z` alternatives match whatever follows
-# it, so the greedy gap is never given back. The token's alternatives are tried in order: the hyphenated
-# keywords, longest first, come before identifiers, so `check-morphismX`
-# lexes as the keyword and then `X`. `\w` is str.isalnum() or `_`, so
-# `[^\W\d]` also admits numerals that are not letters, such as `²`;
-# tokenize refuses a word that starts with one. `[0-9]` is ASCII only
+# it, so the greedy gap is never given back. The token's alternatives are
+# tried in order: the hyphenated keywords, longest first, come before
+# identifiers, so `check-morphismX` lexes as the keyword and then `X`. `\w`
+# is str.isalnum() or `_`, so `[^\W\d]` also admits numerals that are not
+# letters, such as `²`; tokenize refuses a word that starts with one. `[0-9]` is ASCII only
 # (str.isdigit accepts `²`, which int() refuses). `.` takes any other
 # character, `\f` included, as a token that tokenize refuses, and `\Z`
 # ends the source with the empty eof token, so the matches leave no

@@ -42,6 +42,7 @@ check in action (any family).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -624,25 +625,34 @@ class WPolynomial:
 
     def __str__(self) -> str:
         """Terms in canonical order, each sign and magnitude read off the
-        coefficient's numerator and denominator."""
+        coefficient's numerator and denominator. A coefficient with more
+        decimal digits than Python writes as text is a DomainError, typed as
+        the engine's other refusals, and the process-wide limit stays."""
         terms = self.terms
         if not terms:
             return "0"
         names = self.chart.names
         pieces: list[str] = []
-        for mono, c in self.sorted_terms() if len(terms) > 1 else terms.items():
-            num = c.numerator
-            den = c.denominator
-            if num < 0:
-                sign, num = "- ", -num
-            else:
-                sign = "+ "
-            factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono]
-            if den != 1:
-                factors.insert(0, f"{num}/{den}")
-            elif num != 1 or not factors:
-                factors.insert(0, str(num))
-            pieces.append(sign + "*".join(factors))
+        try:
+            for mono, c in self.sorted_terms() if len(terms) > 1 else terms.items():
+                num = c.numerator
+                den = c.denominator
+                if num < 0:
+                    sign, num = "- ", -num
+                else:
+                    sign = "+ "
+                factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono]
+                if den != 1:
+                    factors.insert(0, f"{num}/{den}")
+                elif num != 1 or not factors:
+                    factors.insert(0, str(num))
+                pieces.append(sign + "*".join(factors))
+        except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
+            bits = max(abs(c.numerator), c.denominator).bit_length()
+            raise DomainError(
+                f"a coefficient of {bits} bits has more than the "
+                f"{sys.get_int_max_str_digits()} decimal digits Python writes"
+            ) from None
         first = pieces[0]
         pieces[0] = first[2:] if first[0] == "+" else "-" + first[2:]
         return " ".join(pieces)

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradua import cli, dsl
+from gradua.errors import DomainError, GraduaError, ParseError
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -239,6 +240,37 @@ def test_command_error_becomes_entry():
     assert entry["error"]["message"] == "theta is not fixed by the parameter-0 map"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_coefficient_past_the_int_to_str_limit_is_a_typed_entry(fmt):
+    """K = 2^4000 + 1 is inside BIT_BUDGET, but the semigroup witness of
+    this family holds K^4, about 16,000 bits: more decimal digits than
+    Python writes. The run reports a typed ok: false entry and exits 1,
+    with no traceback; the process-wide limit is left as it is."""
+    k = 2**4000 + 1
+    source = (
+        "chart V (a:1, b:1)\n"
+        f"action h on V {{ a -> t*a + t^2*{k}*a^3; b -> t*b; }}\n"
+        "analyze-action h\n"
+    )
+    limit = sys.get_int_max_str_digits()
+    result = gradua("run", "-", "--format", fmt, stdin=source)
+    assert result.returncode == 1
+    assert result.stderr == ""
+    message = f"a coefficient of 16001 bits has more than the {limit} decimal digits Python writes"
+    if fmt == "json":
+        assert json.loads(result.stdout)["results"] == [
+            {
+                "command": "analyze-action",
+                "name": "h",
+                "ok": False,
+                "error": {"type": "DomainError", "message": message},
+            }
+        ]
+    else:
+        assert "type: DomainError" in result.stdout and message in result.stdout
+    assert issubclass(DomainError, GraduaError) and not issubclass(DomainError, ParseError)
+
+
 def test_timing_fields_only_with_flag():
     plain = json.loads(gradua("run", str(DATA / "scaling.gradua")).stdout)
     assert all("elapsed_ms" not in e for e in plain["results"])
@@ -335,9 +367,16 @@ def test_every_report_entry_keeps_its_key_order(timing):
 
 
 def test_the_command_table_covers_exactly_the_command_statements():
-    declarations = {dsl.ChartStmt, dsl.MapStmt, dsl.ActionStmt, dsl.DoubleStmt}
-    statements = set(dsl.Statement.__subclasses__())
-    assert set(cli._COMMANDS) == statements - declarations - {dsl.ReportCmd}
+    """_COMMANDS is keyed by the dsl's statement keywords: every one but the
+    four declarations and `report`, and each report entry's title is its
+    keyword."""
+    declarations = {"chart", "map", "action", "double"}
+    statements = set(dsl._Parser.STATEMENTS)
+    assert set(cli._COMMANDS) == statements - declarations - {"report"}
+    assert all(isinstance(named, bool) for _, named in cli._COMMANDS.values())
+    program = dsl.parse(SHAPE_PROGRAM)
+    commands = [stmt[0] for stmt in program.statements if stmt[0] in cli._COMMANDS]
+    assert [entry["command"] for entry in cli.run(program).results] == commands
 
 
 # --- the kind marks against the shape tests they replaced -----------------------

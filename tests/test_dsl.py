@@ -22,11 +22,9 @@ from gradua.dsl import (
     KEYWORDS,
     TERM_BUDGET,
     VARIABLE_BUDGET,
-    AnalyzeActionCmd,
-    ChartStmt,
     Program,
-    ReportCmd,
     Span,
+    Statement,
     _Parser,
     _number,
     parse,
@@ -183,10 +181,10 @@ def test_analyze_point_with_negative_fraction():
         "action h on V { x -> t*x; y -> t^2*y; }\n"
         "analyze-action h at (y=2, x=-1/2)\n"
     )
-    cmd = program.statements[-1]
-    assert isinstance(cmd, AnalyzeActionCmd)
+    keyword, name, point = program.statements[-1]
+    assert (keyword, name) == ("analyze-action", "h")
     # point entries come back in chart order, not source order
-    assert cmd.point == (("x", Fraction(-1, 2)), ("y", Fraction(2)))
+    assert point == (("x", Fraction(-1, 2)), ("y", Fraction(2)))
 
 
 def test_rational_coefficients_in_expressions():
@@ -598,19 +596,25 @@ def test_printed_text_is_frozen():
     assert print_program(parse(source)) == source
 
 
-def test_every_statement_class_prints_itself_under_its_table_keyword():
-    """Each statement kind states its canonical text once, in its own
-    __str__, and the text starts with the keyword whose parser in
-    _Parser.STATEMENTS reads it back (test_print_then_parse_is_identity).
-    The span is declared once, on the Statement base."""
-    classes = set(dsl.Statement.__subclasses__())
-    assert all("__str__" in vars(cls) for cls in classes)
-    assert not any("span" in vars(cls).get("__annotations__", {}) for cls in classes)
+def test_every_statement_keyword_has_a_parser_and_a_printer():
+    """Each statement kind is one entry of _Parser.STATEMENTS, keyed by its
+    keyword: the parser of its arguments and their printer. A statement is
+    one type whose text starts with its keyword, and the keyword's parser
+    reads that text back (test_print_then_parse_is_identity). The dsl
+    defines no other statement class."""
     assert set(_Parser.STATEMENTS) <= KEYWORDS
+    assert all(
+        len(kind) == 2 and all(map(callable, kind)) for kind in _Parser.STATEMENTS.values()
+    )
     program = parse(FULL_SOURCE)
-    assert {type(stmt) for stmt in program.statements} == classes
-    keywords = {str(stmt).split(" ")[0] for stmt in program.statements}
-    assert keywords == set(_Parser.STATEMENTS)
+    assert {type(stmt) for stmt in program.statements} == {Statement}
+    assert {stmt[0] for stmt in program.statements} == set(_Parser.STATEMENTS)
+    assert all(str(stmt).startswith(stmt[0] + " ") for stmt in program.statements)
+    classes = {
+        name for name, value in vars(dsl).items()
+        if isinstance(value, type) and value.__module__ == dsl.__name__
+    }
+    assert classes == {"Span", "Tokens", "Statement", "Program", "_Parser"}
 
 
 def test_keywords_are_the_statement_table_and_five_inner_words():
@@ -630,15 +634,34 @@ def test_keywords_are_the_statement_table_and_five_inner_words():
 
 def test_report_statement_parses():
     program = parse("report text")
-    assert program.statements == (ReportCmd("text"),)
+    assert program.statements == (Statement("report", "text"),)
+    assert program.statements[0].span == Span(1, 1)
 
 
 def test_spans_do_not_affect_equality():
     a = parse("chart V (x:1)")
     b = parse("\n\n   chart V (x:1)")
     assert a == b
-    assert isinstance(a.statements[0], ChartStmt)
+    assert a.statements[0][:2] == ("chart", "V")
     assert a.statements[0].span != b.statements[0].span
+
+
+def test_spans_do_not_affect_hashing():
+    a = parse("chart V (x:1)\nmap m : V -> V { x = x; }\ncheck-morphism m\nflip 1 1 V")
+    b = parse("\n\n   chart V (x:1)\nmap m : V -> V { x = x; }\n\n check-morphism m flip 1 1 V")
+    for x, y in zip(a.statements[2:], b.statements[2:]):
+        assert x.span != y.span
+        assert x == y and hash(x) == hash(y)
+    assert hash(a.statements[0]) == hash(b.statements[0])
+    assert len({*a.statements[2:], *b.statements[2:]}) == 2
+
+
+def test_statements_with_the_same_arguments_and_other_keywords_differ():
+    check_morphism, check_double = Statement("check-morphism", "m"), Statement("check-double", "m")
+    assert check_morphism != check_double
+    assert str(check_morphism) == "check-morphism m"
+    assert str(check_double) == "check-double m"
+    assert Statement("report", "json") != Statement("report", "text")
 
 
 # --- the term-dict expression parser against the object-level one -----------

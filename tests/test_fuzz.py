@@ -1,9 +1,13 @@
 """Whole-pipeline fuzzing: mutated programs through `gradua run`, in process.
 
-Each case takes a seed program, one of tests/data/*.gradua or a
-perfbench/progs.py program, and mutates it once: it drops, duplicates or
-swaps lines, bumps an exponent after `^`, puts one of 0, 1, 2, 3, 1/2 or 7
-in place of a number, or swaps two names on one line. The case then runs
+Each case takes a seed program, one of tests/data/*.gradua, a
+perfbench/progs.py program or GROWTH, and mutates it once: it drops, duplicates or
+swaps lines, bumps an exponent after `^`, puts one of 0, 1, 2, 3, 1/2, 7
+or BIG in place of a number, or swaps two names on one line. BIG, 2^4000 + 1
+written out, is a literal just inside the parser's bit budget: the engine's
+powers and products of it grow past the 4300 decimal digits Python writes,
+and one more test puts BIG in place of each number of each seed program in
+turn. The case then runs
 through cli.main, in JSON and in text, under a time limit. Every case keeps
 the command-line contract: exit 0, 1 or 2 and no traceback; on exit 0 or 1
 the JSON report parses, every error entry holds exactly `type` and
@@ -36,7 +40,11 @@ PROGS_PROGRAMS = 6
 NUMBER = re.compile(r"(?<![\w'])\d+")
 EXPONENT = re.compile(r"\^(\d+)")
 NAME = re.compile(r"[A-Za-z_][\w']*")
-NUMBERS = ("0", "1", "2", "3", "1/2", "7")
+BIG = str(2**4000 + 1)
+NUMBERS = ("0", "1", "2", "3", "1/2", "7", BIG)
+# a family that breaks the semigroup law: the witness holds the fourth power
+# of the coefficient 3
+GROWTH = "chart V (a:1, b:1)\naction h on V { a -> t*a + t^2*3*a^3; b -> t*b; }\nanalyze-action h\n"
 
 
 class CaseTimeout(BaseException):
@@ -47,7 +55,7 @@ class CaseTimeout(BaseException):
 @pytest.fixture(scope="module")
 def programs():
     """The seed programs: tests/data, then perfbench/progs.py programs built
-    as the benchmark builds them."""
+    as the benchmark builds them, then GROWTH."""
     data = sorted((ROOT / "tests" / "data").glob("*.gradua"))
     sources = [path.read_text(encoding="utf-8") for path in data]
     with pytest.MonkeyPatch.context() as patch:
@@ -56,7 +64,7 @@ def programs():
 
         rng = random.Random("programs:1")
         sources += [progs.build(rng, i).source for i in range(PROGS_PROGRAMS)]
-    return sources
+    return sources + [GROWTH]
 
 
 def _replace_one(rng, pattern, line, new):
@@ -186,3 +194,24 @@ def test_mutated_programs_keep_the_cli_contract(seed, programs):
     assert not broken, broken[:5]
     # a third of the cases get past the parser into the engine
     assert 3 * (splits[0] + splits[1]) >= CASES_PER_SEED, splits
+
+
+def test_a_big_literal_in_place_of_each_number_keeps_the_cli_contract(programs):
+    """BIG in place of each number of each seed program, one at a time: a
+    literal the parser admits ends in a report or a typed error, never in a
+    traceback, however far the engine's powers of it grow. In GROWTH it
+    makes the semigroup witness too long for str(), a typed entry (exit 1)."""
+    splits = {0: 0, 1: 0, 2: 0}
+    broken = []
+    started = time.perf_counter()
+    for source in programs:
+        for m in NUMBER.finditer(source):
+            code, breaks = check_case(source[: m.start()] + BIG + source[m.end() :])
+            if breaks:
+                broken.append((source[: m.end()].splitlines()[-1], breaks))
+            else:
+                splits[code] += 1
+    print(f"{sum(splits.values())} cases in {time.perf_counter() - started:.2f} s, exits {splits}")
+    assert not broken, broken[:5]
+    growth = GROWTH.replace("*3*", f"*{BIG}*")
+    assert check_case(growth) == (1, [])

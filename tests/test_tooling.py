@@ -809,24 +809,76 @@ def _called_outside(node, mentions, bare=True):
     return mentions[node.name] > _mentioned([node], bare)[node.name]
 
 
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _function_calls(modules, others, spans):
+    """How often the modules of src/gradua ({name: tree}) and the other
+    trees call each top-level function of src/gradua, counted under
+    (module, name): an import of it from its module, an attribute of its
+    module's name (`linalg.inverse`), and its bare name where the name is
+    bound to it, in its own module or in one that imports it. So neither the
+    field `bihom.inverse` nor a local `inverse` of another module calls
+    linalg.inverse. The strings of perfbench/spans.py, which names what it
+    wraps by strings, count under themselves. An annotated declaration's
+    own name calls nothing."""
+    out = Counter()
+    for module, root in [*modules.items(), *((None, tree) for tree in others)]:
+        bound = {  # each bare name that names a function here: its key
+            node.name: (module, node.name)
+            for node in (root.body if module else ())
+            if isinstance(node, ast.FunctionDef)
+        }
+        for node in ast.walk(root):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.rsplit(".", 1)[-1]
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = (source, alias.name)
+                    out[source, alias.name] += 1
+        declared = set()  # ast.walk visits a declaration before its target
+        for node in ast.walk(root):
+            if isinstance(node, ast.AnnAssign):
+                declared.add(id(node.target))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                out[node.value.id, node.attr] += 1
+            elif isinstance(node, ast.Name) and node.id in bound and id(node) not in declared:
+                out[bound[node.id]] += 1
+    out.update(
+        node.value
+        for node in ast.walk(spans)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+    return out
+
+
+def _uncalled_functions(modules, others, public):
+    """The public (or private) top-level functions of the modules of
+    src/gradua ({name: tree}) that no module and none of the other trees
+    call outside the function's own definition, as _function_calls counts
+    calls; inside it, its bare name and `module.name` are its own."""
+    calls = _function_calls(modules, others, _tree(ROOT / "perfbench" / "spans.py"))
+    return [
+        f"{module}.py: {node.name}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") != public
+        and calls[module, node.name] + calls[node.name] <= sum(
+            getattr(n, "id", None) == node.name
+            or isinstance(n, ast.Attribute) and n.attr == node.name
+            and getattr(n.value, "id", None) == module
+            for n in ast.walk(node)
+        )
+    ]
+
+
 def test_every_private_function_has_a_caller():
-    """Each module-level private function of src/gradua is named outside its
+    """Each module-level private function of src/gradua is called outside its
     own definition: elsewhere in its module, in another module of
     src/gradua, or in perfbench/spans.py. A helper left behind with no
     caller is dead code."""
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted((ROOT / "src" / "gradua").glob("*.py"))
-    }
-    spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
-    mentions = _mentioned([*trees.values(), spans])
-    uncalled = [
-        f"{name}: {node.name}"
-        for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-        and not _called_outside(node, mentions)
-    ]
+    modules = {path.stem: _tree(path) for path in sorted((ROOT / "src" / "gradua").glob("*.py"))}
+    uncalled = _uncalled_functions(modules, [_tree(ROOT / "perfbench" / "spans.py")], public=False)
     assert not uncalled, uncalled
 
 
@@ -846,34 +898,32 @@ def test_every_public_function_has_a_caller():
     property and classmethod of its classes, is called outside its own
     definition: elsewhere in src/gradua, in perfbench or in the acceptance
     suite. gradua/__init__.py is no caller: a re-export calls nothing. A
-    function is called by its name; a method only as an attribute `.name`,
-    as a string equal to its name, or by its bare name in its class's own
-    body (a dispatch table), never by a local that shares its spelling. The
-    constructions kept without a caller are exactly UNCALLED_CONSTRUCTIONS;
-    any other public name with none is a second route to a result, or dead
-    code."""
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"))
+    function is called by its bare name, an import, an attribute of its
+    module's name (`linalg.inverse`) or a string in perfbench/spans.py, the
+    tracer, which names what it wraps by strings; a report key such as
+    "inverse" elsewhere in perfbench calls nothing, nor does an attribute
+    of any other value (the field `bihom.inverse`). A method is called
+    only as an attribute `.name`, as a string equal to its name, or by its
+    bare name in its class's own body (a dispatch table), never by a local
+    that shares its spelling. The constructions kept without a caller are
+    exactly UNCALLED_CONSTRUCTIONS; any other public name with none is a
+    second route to a result, or dead code."""
+    modules = {
+        path.stem: _tree(path)
         for path in sorted((ROOT / "src" / "gradua").glob("*.py"))
         if path.name != "__init__.py"
     }
     outside = [*sorted((ROOT / "perfbench").rglob("*.py")), ROOT / "tests" / "test_acceptance.py"]
-    callers = [*trees.values()] + [ast.parse(path.read_text(encoding="utf-8")) for path in outside]
-    mentions, attributes = _mentioned(callers), _mentioned(callers, bare=False)
-    uncalled = []
-    for name, tree in trees.items():
-        uncalled += [
-            f"{name}: {node.name}"
-            for node in tree.body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-            and not _called_outside(node, mentions)
-        ]
+    others = list(map(_tree, outside))
+    uncalled = _uncalled_functions(modules, others, public=True)
+    attributes = _mentioned([*modules.values(), *others], bare=False)
+    for module, tree in modules.items():
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
             in_body = _mentioned(
                 [node for node in cls.body if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
             )
             uncalled += [
-                f"{name}: {cls.name}.{node.name}"
+                f"{module}.py: {cls.name}.{node.name}"
                 for node in cls.body
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
                 and not in_body[node.name] and not _called_outside(node, attributes, bare=False)
