@@ -29,7 +29,10 @@ inverse is a monoid action, and families that all act by plain powers in
 the same coordinates commute (the argument is in _homogenize_joint). So the
 laws (verify_laws) and the commutation of families (check_commuting) are
 checked directly only when the homogenizer cannot be built, to explain the
-failure.
+failure. One record, AnalysisReport, holds both outcomes: verify_laws
+fills its law verdicts and witnesses alone, InconsistentActionError
+carries that law-only record as its detail, and analyze returns it for a
+family that breaks a law, or the full record with the certificate.
 
 Every claimed identity is either verified by exact rational arithmetic or
 follows from one that is by that argument.
@@ -58,8 +61,10 @@ kernel, the one WPolynomial.is_homogeneous runs for the standard action,
 on integer numerators too. That h_0 fixes theta is checked on the
 entries' terms with no parameter factor, summed at theta exactly
 (_resolve_theta), and the unit law h_1 = id on the entries split by their
-power of t: no map of h_0 or h_1 is built for a check. A law's witness is
-one linear combination of the law's two sides, on term dicts.
+power of t: no map of h_0 or h_1 is built for a check, and analyze builds
+none for its report. base_projection is the one route to the map h_0. A
+law's witness is one linear combination of the law's two sides, on term
+dicts.
 
 The homogenizer is inverted by graded's one inverse kernel,
 _invert_coordinate_change. Its pass, _picard_inverse, is imported here too,
@@ -109,13 +114,6 @@ class LawWitness:
 
 
 @dataclass(frozen=True)
-class LawReport:
-    semigroup_ok: bool
-    monoid_ok: bool
-    witnesses: tuple[LawWitness, ...]
-
-
-@dataclass(frozen=True)
 class Homogenization:
     """Coordinates that scale under k >= 1 commuting families at once.
 
@@ -136,12 +134,16 @@ class Homogenization:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the action analysis produces, law verdicts first."""
+    """Everything the action analysis produces, law verdicts first.
+
+    verify_laws fills the law verdicts and witnesses alone, and that
+    law-only record is what analyze returns for a family that breaks a law;
+    the rest is the certificate of a family that keeps them.
+    """
 
     semigroup_ok: bool
     monoid_ok: bool
     witnesses: tuple[LawWitness, ...]
-    base_projection: PolyMap | None = None
     degree: int | None = None
     projections: tuple[Matrix, ...] | None = None
     homogenizer: PolyMap | None = None
@@ -163,8 +165,10 @@ class _Factored(NamedTuple):
     factor: IntMatrix
 
 
-def verify_laws(h: ActionFamily) -> LawReport:
+def verify_laws(h: ActionFamily) -> AnalysisReport:
     """Check the semigroup and monoid laws as exact polynomial identities.
+
+    Returns the law-only AnalysisReport: the two verdicts and the witnesses.
 
     The composite h_t o h_s is one _compose_families call on the slots n =
     len(chart) for t and n + 1 for s. h_(ts) is a term map: t is the last
@@ -202,7 +206,7 @@ def verify_laws(h: ActionFamily) -> LawReport:
             witnesses.append(LawWitness("monoid", v, WPolynomial(chart, defect)))
     monoid_ok = semigroup_ok and all(w.law != "monoid" for w in witnesses)
 
-    return LawReport(semigroup_ok, monoid_ok, tuple(witnesses))
+    return AnalysisReport(semigroup_ok, monoid_ok, tuple(witnesses))
 
 
 def _require_monoid(h: ActionFamily) -> None:
@@ -281,9 +285,9 @@ def _resolve_theta(
 def base_projection(h: ActionFamily) -> PolyMap:
     """The parameter-0 self-map of a monoid family, which is idempotent:
     _require_monoid proves h_t o h_s = h_ts, and t = s = 0 gives h_0 o h_0 =
-    h_0."""
+    h_0. This is the one route that evaluates h_0."""
     _require_monoid(h)
-    return h._zero_map
+    return h.at(0)
 
 
 def _jacobian_coefficients(
@@ -552,8 +556,8 @@ def _homogenize_joint(
     When a stage raises, the direct checks explain the failure, in this
     order: the commutation of each pair of families (NotDoubleStructureError
     with the witnesses as detail), then each family's laws in argument order
-    (InconsistentActionError with the LawReport as detail). If all of them
-    hold, the original error is re-raised.
+    (InconsistentActionError with verify_laws' record as detail). If all of
+    them hold, the original error is re-raised.
     """
     try:
         return _joint_certificate(families, theta, name)
@@ -721,21 +725,20 @@ def analyze(
 ) -> AnalysisReport:
     """Full pipeline: homogenization, or the broken laws that prevent it.
 
-    The checked homogenizer certifies both laws, and with the semigroup law
-    the parameter-0 map is idempotent, so the laws are verified directly
-    only when homogenize fails. A broken law gives a report of the law
-    verdicts and witnesses; any other failure is raised.
+    The checked homogenizer certifies both laws, so the laws are verified
+    directly only when homogenize fails. A broken law gives verify_laws'
+    record, the law verdicts and witnesses, which the error carries; any
+    other failure is raised. No map of h_0 is built: base_projection is its
+    one route.
     """
     try:
         hom = homogenize(h, theta)
     except InconsistentActionError as exc:
-        laws = exc.detail
-        return AnalysisReport(laws.semigroup_ok, laws.monoid_ok, laws.witnesses)
+        return exc.detail
     return AnalysisReport(
         semigroup_ok=True,
         monoid_ok=True,
         witnesses=(),
-        base_projection=h._zero_map,
         degree=hom.chart.degree,
         projections=hom.projections,
         homogenizer=hom.homogenizer,

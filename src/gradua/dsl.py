@@ -7,7 +7,7 @@ evaluated into exact polynomials over the declared charts, so a parsed
 program carries finished engine objects, no unresolved names, and the
 parser's tables of definitions by name. Printing a program emits canonical
 text (polynomials in canonical term order), and parsing that text yields
-an equal program, spans aside.
+an equal program.
 
 The parser states each statement kind once: one table, built with the
 class, maps each statement keyword to the parser of its arguments and
@@ -16,7 +16,7 @@ words read inside statements (on, at, order, json, text). An optional token
 is one accept() call, and one rule-block parser reads the `{ v op expr; }`
 bodies of map (`=`, over the source chart) and action (`->`, over the chart
 extended by t). Every statement is one type, Statement: the tuple of its
-keyword and its arguments, with the span of its keyword aside. Its
+keyword and its arguments, which keeps no source position. Its
 canonical text is the keyword and what the keyword's printer writes of the
 arguments, and print_program joins these texts.
 
@@ -37,11 +37,11 @@ gap (blanks, newlines, comments) and the token after it, at every position:
 the token texts and, by a running sum of the parts' lengths, their offsets
 come out of C code, with no Python loop over the tokens. Lexical errors are
 read off the distinct texts, the first in source order raised. tokenize
-returns the texts, their offsets and the line starts as plain lists
+returns the texts and their offsets as plain lists, with the source
 (Tokens), and the parser reads texts and keeps positions: a keyword or a
 symbol is its own text, and a token's kind is read off its text. A line
-and column are computed only for a statement keyword, whose span the
-statement keeps, and for a raised ParseError.
+and column are computed only for a raised ParseError, by counting the
+newlines before its token.
 
 In a product, the plain factors (numbers, variables and their powers)
 multiply into one coefficient and one monomial; only parenthesized factors
@@ -56,7 +56,6 @@ line and column.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -86,9 +85,9 @@ class Span(NamedTuple):
 
 class Tokens:
     """The tokens of a program, ending with an eof token: each token's text
-    (the eof token's is "") and its offset in the source, and the offset
-    each line starts at, so a token's line is one bisection. All three are
-    plain lists, read by position.
+    (the eof token's is "") and its offset in the source, as plain lists
+    read by position, and the source, from which span reads a token's line
+    and column.
 
     The text of a token fixes its kind: a keyword or a symbol is its own
     text, a number starts with a digit and an identifier with a letter or
@@ -96,22 +95,25 @@ class Tokens:
     perfbench/spans.py counts as dsl.tokens.
     """
 
-    __slots__ = ("texts", "starts", "lines")
+    __slots__ = ("texts", "starts", "source")
 
     def __init__(self, source: str, texts: list[str], starts: list[int]):
         self.texts = texts
         self.starts = starts
-        lengths = map((1).__add__, map(len, source.split("\n")))
-        self.lines = list(accumulate(lengths, initial=0))
+        self.source = source
 
     def __len__(self) -> int:
         return len(self.texts)
 
     def span(self, i: int) -> Span:
-        """Line and column of token i, counted from 1 in characters."""
+        """Line and column of token i, counted from 1 in characters.
+
+        Only a ParseError asks for one, so the newlines before the token are
+        counted when it does, and no table of line starts is kept.
+        """
         start = self.starts[i]
-        line = bisect_right(self.lines, start)
-        return Span(line, start - self.lines[line - 1] + 1)
+        source = self.source
+        return Span(source.count("\n", 0, start) + 1, start - source.rfind("\n", 0, start))
 
 
 def tokenize(source: str) -> Tokens:
@@ -227,17 +229,16 @@ def _level_terms(monomials: Sequence[Monomial], order: int) -> int:
 
 
 class Statement(tuple):
-    """A statement: its keyword, then its arguments, as one tuple, and the
-    span of its keyword as an attribute. Equality, hashing and unpacking
-    read the tuple alone, so a statement equals the tuple of its keyword
-    and arguments, and its span takes no part. str() gives the canonical
-    text: the keyword, then what the keyword's printer in _Parser.STATEMENTS
+    """A statement: its keyword, then its arguments, as one tuple, and
+    nothing else. A statement equals the tuple of its keyword and
+    arguments, wherever its source put it. str() gives the canonical text:
+    the keyword, then what the keyword's printer in _Parser.STATEMENTS
     writes of the arguments."""
 
-    def __new__(cls, keyword: str, *args: Any, span: Span = Span(0, 0)) -> Statement:
-        statement = super().__new__(cls, (keyword, *args))
-        statement.span = span
-        return statement
+    __slots__ = ()
+
+    def __new__(cls, keyword: str, *args: Any) -> Statement:
+        return super().__new__(cls, (keyword, *args))
 
     def __str__(self) -> str:
         keyword, *args = self
@@ -315,7 +316,7 @@ _STARTS = ("chart", "map", "action", "double", "a command")
 
 class _Parser:
     """The parser reads the token texts and keeps token positions: a line
-    and column are computed only for a statement keyword and an error."""
+    and column are computed only for an error."""
 
     def __init__(self, tokens: Tokens):
         self.tokens = tokens
@@ -413,9 +414,8 @@ class _Parser:
                 if text not in KEYWORDS:
                     raise self.unexpected(self.pos, _STARTS)
                 raise self.error(f"{text!r} cannot start a statement", self.pos, _STARTS)
-            span = self.tokens.span(self.pos)
             self.pos += 1
-            statements.append(Statement(text, *kind[0](self), span=span))
+            statements.append(Statement(text, *kind[0](self)))
         return Program(tuple(statements), self.charts, self.maps, self.actions, self.doubles)
 
     def define(self, table: dict, name: str, value, at: int, kind: str) -> None:

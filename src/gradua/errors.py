@@ -11,8 +11,9 @@ class GraduaError(Exception):
     """Base class for all engine errors.
 
     `detail` is the structured data behind the message, where there is some:
-    the action.LawReport of a broken law, or the commutation witnesses of a
-    pair of families that does not commute.
+    the law-only action.AnalysisReport of a broken law (verify_laws' verdicts
+    and witnesses), or the commutation witnesses of a pair of families that
+    does not commute.
     """
 
     def __init__(self, message: str, detail=None):

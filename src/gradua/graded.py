@@ -20,8 +20,9 @@ puts family i's parameter at the index slots[i] the caller passes, so no
 family is renamed to be composed and families given one slot share a
 parameter. One reader, _split, writes a family or a composite by its
 powers of the parameters: ActionFamily.at sums value^k times the t^k part
-and action.euler_field k times it. Names are kept only where a witness is
-printed.
+and action.euler_field k times it. A family keeps no evaluated map: at
+builds one when it is called, and action.base_projection is the one route
+to h_0. Names are kept only where a witness is printed.
 
 A map respects the grading when each pullback is weighted-homogeneous of
 its target variable's weight. _graded_failures decides this for all the
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -158,11 +158,6 @@ class ActionFamily:
                     f"entry for {var!r} must live on the chart extended by "
                     f"{self.param!r}"
                 )
-
-    @cached_property
-    def _zero_map(self) -> PolyMap:
-        """The parameter-0 map, evaluated once per family."""
-        return self.at(0)
 
     def at(self, value: Fraction | int) -> PolyMap:
         """The self-map at one rational parameter value.

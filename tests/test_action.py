@@ -89,6 +89,22 @@ def test_base_projection_demands_monoid():
         base_projection(bad)
 
 
+@pytest.mark.parametrize("entries", [
+    {"x": T * X, "y": WPolynomial.zero(EXT)},  # breaks the monoid law only
+    {"x": T * X, "y": T * Y + X},  # breaks both laws
+])
+def test_a_broken_law_has_one_record(entries):
+    """verify_laws, analyze and the error of a broken law give one record:
+    the law-only AnalysisReport."""
+    bad = ActionFamily(M, "t", entries)
+    laws = verify_laws(bad)
+    assert type(laws) is AnalysisReport and not laws.monoid_ok
+    assert analyze(bad) == laws
+    with pytest.raises(InconsistentActionError) as refused:
+        base_projection(bad)
+    assert refused.value.detail == laws
+
+
 def test_taylor_projections_frozen():
     q0, q1, q2 = taylor_projections(H)
     assert q0 == ((0, 0), (0, 0))
@@ -172,10 +188,10 @@ def test_analyze_full_report():
     assert report.monoid_ok
     assert report.degree == 2
     assert report.homogenized_chart.variables == (("y1_1", 1), ("y2_1", 2))
-    assert report.base_projection is not None
+    assert report.theta == {"x": 0, "y": 0}
 
 
-def test_analyze_evaluates_the_parameter_0_map_once(monkeypatch):
+def test_analyze_evaluates_h_0_only_for_base_projection(monkeypatch):
     values = []
     at = ActionFamily.at
 
@@ -187,7 +203,10 @@ def test_analyze_evaluates_the_parameter_0_map_once(monkeypatch):
     fresh = ActionFamily(M, "t", dict(H.entries))
     analyze(fresh)
     analyze(fresh)
-    # the homogenizer certifies the monoid law, so h_1 is never evaluated
+    # the homogenizer certifies the monoid law, so h_1 is never evaluated,
+    # and the report holds no map of h_0
+    assert values == []
+    base_projection(fresh)
     assert values == [0]
 
 

@@ -54,7 +54,6 @@ from gradua.action import (
     _joint_certificate,
     _resolve_theta,
     analyze,
-    base_projection,
     extend_negative,
     homogenize,
     taylor_projections,
@@ -114,17 +113,15 @@ def reference_require_monoid(h):
 
 
 def reference_analyze(h, theta=None):
-    """The laws first, then the base projection, then the homogenizer."""
+    """The laws first, then the homogenizer."""
     laws = verify_laws(h)
     if not laws.monoid_ok:
-        return AnalysisReport(laws.semigroup_ok, laws.monoid_ok, laws.witnesses)
-    p0 = base_projection(h)
+        return laws
     hom = homogenize(h, theta)
     return AnalysisReport(
         semigroup_ok=True,
         monoid_ok=True,
         witnesses=(),
-        base_projection=p0,
         degree=hom.chart.degree,
         projections=hom.projections,
         homogenizer=hom.homogenizer,
@@ -1926,7 +1923,7 @@ def integer_fixes(h, point):
     """h_0(point) = point decided on integers, the route that exact
     evaluation replaced, kept as the reference.
 
-    Write the pullback of v under h_0 (ActionFamily._zero_map) as sum_m C_m
+    Write the pullback of v under h_0 (ActionFamily.at(0)) as sum_m C_m
     x^m / E with integer C_m, and point = Theta / q with Theta integral.
     With K at least 1 and at least every |m|, q^K E h_0(point)_v = sum_m C_m
     Theta^m q^(K - |m|) and q^K E point_v = E Theta_v q^(K - 1), both
@@ -1936,7 +1933,7 @@ def integer_fixes(h, point):
     names = h.chart.names
     big, q = _numerators(point)
     values = [big[v] for v in names]
-    zero_map = h._zero_map.pullbacks
+    zero_map = h.at(0).pullbacks
     for v, target in zip(names, values):
         terms, e = _numerators(zero_map[v].terms)
         k = max([1, *map(_mono_total_degree, terms)])

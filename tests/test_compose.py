@@ -6,7 +6,7 @@ euler_field evaluated the parameter at 1 by substitution. They now call
 graded._compose_families, which takes each parameter as a slot, build
 h_(ts) as a term map and read the generator off graded._split. The old
 routes are kept below as references: every
-LawReport (verdicts, witness order, witness polynomials), commutation
+law record (verdicts, witness order, witness polynomials), commutation
 verdict and witness, total family, generator, error type and error message
 must agree with them.
 """
@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from gradua.action import (
-    LawReport,
+    AnalysisReport,
     LawWitness,
     check_commuting,
     euler_field,
@@ -76,7 +76,7 @@ def reference_verify_laws(h):
         if unit.pullbacks[v] != expected:
             witnesses.append(LawWitness("monoid", v, expected - unit.pullbacks[v]))
     monoid_ok = semigroup_ok and all(w.law != "monoid" for w in witnesses)
-    return LawReport(semigroup_ok, monoid_ok, tuple(witnesses))
+    return AnalysisReport(semigroup_ok, monoid_ok, tuple(witnesses))
 
 
 def reference_composite_entries(first, last, ext):

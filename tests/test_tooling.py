@@ -59,8 +59,8 @@ def test_perfbench_tracer_installs():
 # results keeps these digests; one that alters an output on purpose updates
 # them and says why.
 BENCH_OUTPUT_DIGESTS = {
-    "corpus": "b8f44995a283dced9e6b127e083132d7a8a35a73af71c457cb9fda8db2ce3cf2",
-    "deep": "aaba1d9ec9e96a5367cf7a224602bbc364e7dcfe062fe13d41cc978f6e3b799d",
+    "corpus": "7aeeca11c98a7d9773ec4a217c3e8b6fd6427e1c2ab75b0c8021d8f5619e1e5c",
+    "deep": "00fe64f0736333ba268faae883051ba0f3d44bf18b37486bc4a9b4b78bc62c99",
     "programs": "23fad1f0e2bb9dcac8693d9c53112837b230d4c67a8f25b9184fe8eaa7cc2b4a",
 }
 
@@ -618,22 +618,21 @@ def test_parsing_builds_one_polynomial_per_pullback_and_entry(monkeypatch):
 
 def test_parsing_tokenizes_once_and_builds_no_symbol_token(monkeypatch):
     """parse lexes the source in one tokenize call, and the parser reads
-    token texts and keeps positions: a successful parse locates one token
-    per statement, its keyword, and builds no token object; a refused one
-    locates the token of its error too."""
+    token texts and keeps positions: a successful parse locates no token
+    and builds no token object; a refused one locates the token of its
+    error, and only that one."""
     source = (ROOT / "tests" / "data" / "tour.gradua").read_text()
     source += "analyze-action g at (x=0, y=-1/2)\n"
     lexed = _count_calls(monkeypatch, dsl, "tokenize")
     located = _count_calls(monkeypatch, dsl.Tokens, "span")
-    program = dsl.parse(source)
+    dsl.parse(source)
     assert lexed == [(source,)]
-    keywords = [str(stmt).split(" ")[0] for stmt in program.statements]
-    assert [tokens.texts[i] for tokens, i in located] == keywords
+    assert located == []
     assert not hasattr(dsl, "Token")
-    located.clear()
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as refused:
         dsl.parse("chart V (x:1)\nmap m : V -> V { x = x +; }")
-    assert len(located) == 3  # two statement keywords and the error's token
+    assert [tokens.texts[i] for tokens, i in located] == [";"]
+    assert (refused.value.line, refused.value.col) == (2, 25)
 
 
 def test_at_and_with_param_substitute_nothing(monkeypatch):
@@ -981,6 +980,40 @@ def test_no_public_name_is_a_bare_alias():
     assert not aliases, aliases
 
 
+def _is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+        for d in (getattr(d, "func", d) for d in node.decorator_list)
+    )
+
+
+def test_every_dataclass_field_has_a_reader():
+    """Each field of each @dataclass of src/gradua is read as an attribute
+    (`report.degree`) somewhere in src/gradua, perfbench or the acceptance
+    suite. A field that no caller reads is built for nobody. The check is
+    by name, so a field shares its readers with any attribute so named."""
+    sources = sorted((ROOT / "src" / "gradua").glob("*.py"))
+    readers = [*sources, *sorted((ROOT / "perfbench").glob("*.py"))]
+    readers.append(ROOT / "tests" / "test_acceptance.py")
+    read = {
+        node.attr
+        for path in readers
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [
+        (path.name, cls.name, node.target.id)
+        for path in sources
+        for cls in ast.walk(_tree(path))
+        if _is_dataclass(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+    assert fields
+    unread = [f"{module}: {cls}.{name}" for module, cls, name in fields if name not in read]
+    assert not unread, unread
+
+
 def test_extend_negative_conjugates_the_model_family_on_term_dicts(monkeypatch):
     """reconstruct_entries is two passes of the substitution kernel, the model
     family through the homogenizer and the inverse through that; neither it
@@ -1020,10 +1053,15 @@ def _is_polynomial_call(node):
 
 def test_action_evaluates_no_family_and_subtracts_no_polynomials():
     """action checks the fixed point, the unit law and the law witnesses on
-    term dicts: it calls no .at( and no .evaluate(, and subtracts no
-    WPolynomial(...) from another."""
+    term dicts: its one .at( call is base_projection's, the route to the
+    map h_0, and it calls no .evaluate( and subtracts no WPolynomial(...)
+    from another."""
     tree = ast.parse((ROOT / "src" / "gradua" / "action.py").read_text(encoding="utf-8"))
-    assert _calls_in(tree, "at") == []
+    (route,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "base_projection"
+    ]
+    assert len(_calls_in(tree, "at")) == len(_calls_in(route, "at")) == 1
     assert _calls_in(tree, "evaluate") == []
     differences = [
         node.lineno
@@ -1036,10 +1074,11 @@ def test_action_evaluates_no_family_and_subtracts_no_polynomials():
 
 def test_law_checks_and_joint_certificates_evaluate_no_family(monkeypatch):
     """verify_laws reads h_1 off the entries, and the certificate checks
-    that h_0 fixes theta on the entries' terms: verify_laws and bihomogenize
-    call ActionFamily.at 0 times, on families that keep or break the laws,
-    fixing the origin or a shifted point, commuting or not. One analyze call
-    runs it at most once, for its base projection."""
+    that h_0 fixes theta on the entries' terms: verify_laws, bihomogenize,
+    analyze and an analyze-action run through `gradua run` call
+    ActionFamily.at 0 times, on families that keep or break the laws,
+    fixing the origin or a shifted point, commuting or not. base_projection,
+    the one route to the map h_0, calls it once."""
     chart = GradedChart("M", (("x", 1), ("y", 2)))
     ext = chart.extend((("t", 0),))
     x, y, t = (WPolynomial.variable(ext, v) for v in ("x", "y", "t"))
@@ -1056,12 +1095,14 @@ def test_law_checks_and_joint_certificates_evaluate_no_family(monkeypatch):
         bihomogenize(running, standard_action(chart, "u"))
     with pytest.raises(DomainError):
         bihomogenize(running, running, {"x": 1})
+    for family, point in ((running, None), (broken, None), (shifted, theta)):
+        analyze(ActionFamily(family.chart, family.param, dict(family.entries)), point)
+    source = (ROOT / "tests" / "data" / "tour.gradua").read_text()
+    report = cli.run(parse(source.split("check-double")[0]))
+    assert [entry["degree"] for entry in report.results if "degree" in entry] == [2]
     assert values == []
-    for family, point, calls in ((running, None, 1), (broken, None, 0), (shifted, theta, 1)):
-        fresh = ActionFamily(family.chart, family.param, dict(family.entries))
-        values.clear()
-        analyze(fresh, point)
-        assert len(values) == calls
+    action.base_projection(running)
+    assert [value for _, value in values] == [0]
 
 
 def _counted_kernels(monkeypatch):
