@@ -26,11 +26,12 @@ EngineDefectError since it can only come from a defect in this module.
 
 Substitution has one kernel, _terms_substitute. It pushes any number of
 term dicts through one list of images indexed by variable, with one cache
-of powers and monomial images shared by every polynomial of the call, and
-forms each result as one _terms_combine of c * image(m) over its terms c *
-m. WPolynomial.substitute is its validated public wrapper; the Picard
-rounds, the family composites and the composite of two maps
-(graded.PolyMap.then) call it on term dicts directly.
+of powers shared by every polynomial of the call, and forms each result in
+one pass over its terms c * m: the powers of m's factors multiplied left to
+right, and c times each cell of that product added in place. No monomial
+or prefix image is kept. WPolynomial.substitute is its validated public
+wrapper; the Picard rounds, the family composites and the composite of two
+maps (graded.PolyMap.then) call it on term dicts directly.
 
 The scaling kernel decides h_t^* f = t^r f for any number of polynomials
 f and one family h_t given by its images, with t a variable index above
@@ -240,30 +241,41 @@ def _terms_substitute(
 ) -> list[dict[Monomial, Fraction | int]]:
     """Each term dict of polys with every variable i replaced by images[i].
 
-    One cache serves every polynomial of the call: the powers images[i]^e,
-    and the image of every monomial met and of its prefixes, so a monomial's
-    image is its prefix's image times the power of its last factor. Each
-    result is one _terms_combine of c * image(m) over the terms c * m: no
-    product with a constant is formed and no second pass adds the parts.
-    Images are indexed only at the variables that occur, so the others may
-    be anything.
+    One pass per polynomial. The powers images[i]^e are built once per call
+    and shared by every polynomial of it. For each term c * m, the powers of
+    m's factors are multiplied left to right, and c times each cell of that
+    product is added straight into the result, a cell that cancels deleted:
+    no monomial or prefix image is kept, no product with a constant is
+    formed, and no second pass adds the parts. Images are indexed only at
+    the variables that occur, so the others may be anything.
     """
     powers: dict[tuple[int, int], Terms] = {}
-    cache: dict[Monomial, Terms] = {(): {(): 1}}
-
-    def image(mono: Monomial) -> Terms:
-        got = cache.get(mono)
-        if got is None:
-            last = mono[-1]
-            power = powers.get(last)
-            if power is None:
-                i, e = last
-                power = powers[last] = images[i] if e == 1 else _terms_pow(images[i], e)
-            got = power if len(mono) == 1 else _terms_mul(image(mono[:-1]), power)
-            cache[mono] = got
-        return got
-
-    return [_terms_combine((c, image(m)) for m, c in terms.items()) for terms in polys]
+    results = []
+    for terms in polys:
+        out: dict[Monomial, Fraction | int] = {}
+        get = out.get
+        for mono, c in terms.items():
+            product = None
+            for factor in mono:
+                power = powers.get(factor)
+                if power is None:
+                    i, e = factor
+                    power = powers[factor] = images[i] if e == 1 else _terms_pow(images[i], e)
+                product = power if product is None else _terms_mul(product, power)
+            if product is None:  # the constant monomial
+                product = {(): 1}
+            for m, a in product.items():
+                s = get(m)
+                if s is None:
+                    out[m] = a * c
+                else:
+                    s += a * c
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+        results.append(out)
+    return results
 
 
 def _cleared(polys: Iterable[Terms]) -> list[tuple[dict[Monomial, int], int]]:

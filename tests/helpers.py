@@ -19,7 +19,9 @@ from gradua.errors import (
 )
 from gradua.graded import PolyMap, ActionFamily, compose, is_graded_morphism
 from gradua.linalg import inverse, mat_mul
-from gradua.wpoly import WPolynomial, _exact, monomial_basis
+from gradua.wpoly import (
+    WPolynomial, _exact, _terms_combine, _terms_mul, _terms_pow, monomial_basis,
+)
 
 _LETTERS = "xyz"
 
@@ -393,3 +395,27 @@ def distinct_params(h1, h2):
     if h2.param == h1.param:
         h2 = h2.with_param(fresh_name("u", h2.chart.names + (h1.param,)))
     return h1, h2
+
+
+def prefix_cached_substitute(polys, images):
+    """The substitution kernel as it was before its one-pass form, kept as a
+    reference: one cache of the powers images[i]^e and of the image of every
+    monomial met and of its prefixes, a monomial's image its prefix's image
+    times the power of its last factor, and each result one _terms_combine
+    of c * image(m) over the terms c * m."""
+    powers = {}
+    cache = {(): {(): 1}}
+
+    def image(mono):
+        got = cache.get(mono)
+        if got is None:
+            last = mono[-1]
+            power = powers.get(last)
+            if power is None:
+                i, e = last
+                power = powers[last] = images[i] if e == 1 else _terms_pow(images[i], e)
+            got = power if len(mono) == 1 else _terms_mul(image(mono[:-1]), power)
+            cache[mono] = got
+        return got
+
+    return [_terms_combine((c, image(m)) for m, c in terms.items()) for terms in polys]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -180,6 +181,54 @@ def test_euler_field_of_standard_is_weight_field():
         ("x", "x"),
         ("y", "2*y - x"),
     ]
+
+
+def perfbench_structures():
+    """The unbroken structures of one corpus pass (every shape, plain and
+    shifted) and four deep ones, as (family, theta), drawn by the benchmark's
+    own generator on the benchmark's shapes and degrees."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import gen
+        import run as bench
+
+    rng = random.Random("euler-oracle:1")
+    drawn = [
+        (shape, bench.CORPUS_DEGREES, shifted)
+        for shape in bench.CORPUS_SHAPES
+        for shifted in (False, True)
+    ] + [(bench.DEEP_SHAPE, bench.DEEP_DEGREES, shifted) for shifted in (False, True, False, True)]
+    structures = []
+    for shape, degrees, shifted in drawn:
+        s = gen.build_structure(rng, shape, degrees, shifted=shifted, broken=False)
+        chart = GradedChart("C", tuple(zip(s.names, s.weights)))
+        ext = chart.extend((("t", 0),))
+        entries = {
+            v: WPolynomial(ext, {tuple((i, e) for i, e in enumerate(m) if e): c for m, c in dense.items()})
+            for v, dense in zip(s.names, s.entries)
+        }
+        theta = dict(zip(s.names, s.theta)) if s.theta else None
+        structures.append((ActionFamily(chart, "t", entries), theta))
+    return structures
+
+
+def test_the_euler_field_scales_each_homogeneous_coordinate_by_its_weight():
+    """The infinitesimal form of h_t^* phi_i = t^(r_i) phi_i, read at t = 1:
+    sum_v Delta_v * d(phi_i)/dx_v = r_i * phi_i, with Delta = euler_field(h),
+    on seeded corpus and deep structures. It is computed with differentiate,
+    products and sums only, so it shares no code with the substitution
+    kernel that certified phi. The chart's own coordinates break it, since
+    no drawn family is the standard one."""
+    for h, theta in perfbench_structures():
+        delta = euler_field(h)
+        hom = homogenize(h, theta)
+        for y, phi in hom.homogenizer.pullbacks.items():
+            pushed = WPolynomial.zero(h.chart)
+            for v, d in delta:
+                pushed = pushed + d * phi.differentiate(v)
+            assert pushed == phi.scale(hom.chart.weight_of(y)), (y, str(phi))
+        scaled = (WPolynomial.variable(h.chart, v).scale(w) for v, w in h.chart.variables)
+        assert any(d != x for (_, d), x in zip(delta, scaled))
 
 
 def test_analyze_full_report():

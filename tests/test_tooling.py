@@ -18,6 +18,7 @@ import json
 import random
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -34,7 +35,9 @@ from gradua.graded import ActionFamily, PolyMap, standard_action
 from gradua.multigrade import bihomogenize
 from gradua.wpoly import WPolynomial
 
-from helpers import chained_family, conjugated_action, random_graded_automorphism
+from helpers import (
+    chained_family, conjugated_action, prefix_cached_substitute, random_graded_automorphism,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -78,6 +81,73 @@ def test_benchmark_outputs_are_pinned(workload, monkeypatch):
             digest.update(repr(op.run()).encode())
             digest.update(b"\n")
     assert digest.hexdigest() == BENCH_OUTPUT_DIGESTS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_OUTPUT_DIGESTS))
+def test_every_benchmark_substitution_matches_the_prefix_cached_kernel(workload, monkeypatch):
+    """Every call of the substitution kernel made by one pass of the
+    workload at seed 1 gives the result of the prefix-cached kernel it
+    replaced: equal dicts, with the same key order. Each module that calls
+    the kernel holds its own reference to it, so each is patched."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # for its dataclasses
+    spec.loader.exec_module(bench)
+    kernel, calls = wpoly._terms_substitute, []
+
+    def replayed(polys, images):
+        polys = list(polys)
+        got = kernel(polys, images)
+        want = prefix_cached_substitute(polys, images)
+        calls.append(got == want and [list(t) for t in got] == [list(t) for t in want])
+        return got
+
+    for module in (action, cli, dsl, graded, jets, linalg, multigrade, wpoly):
+        if getattr(module, "_terms_substitute", None) is kernel:
+            monkeypatch.setattr(module, "_terms_substitute", replayed)
+    for op in bench.build_ops(workload, 1):
+        op.run()
+    assert calls and all(calls), (len(calls), calls.count(False))
+
+
+def test_the_substitution_kernel_multiplies_each_term_out_once(monkeypatch):
+    """On a hand example: the kernel builds each power images[i]^e with e >=
+    2 once per call, by one _terms_pow, and multiplies each term's factor
+    powers left to right, len(m) - 1 products per term c * m, a monomial
+    met again included: no monomial or prefix image is kept, and the kernel
+    defines no helper function to build one."""
+    kernel = wpoly._terms_substitute
+    pows, muls = [], []
+    pow_, mul = wpoly._terms_pow, wpoly._terms_mul
+
+    def counted_pow(a, n):
+        pows.append((a, n))
+        return pow_(a, n)
+
+    def counted_mul(a, b):
+        if sys._getframe(1).f_code is kernel.__code__:
+            muls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(wpoly, "_terms_pow", counted_pow)
+    monkeypatch.setattr(wpoly, "_terms_mul", counted_mul)
+    # x, y, z -> u + v, u^2 / 2, 3u; xy^2z is in both polynomials, and xy^2
+    # is its prefix
+    x, y2, z = (0, 1), (1, 2), (2, 1)
+    images = [{((0, 1),): 1, ((1, 1),): 1}, {((0, 2),): Fraction(1, 2)}, {((0, 1),): 3}]
+    polys = [{(x, y2, z): 2, (): 1, ((0, 2),): 3}, {(x, y2, z): -1, (x, y2): 5, (y2,): 1, ((1, 1),): 4}]
+    got = kernel(polys, images)
+    assert pows == [(images[1], 2), (images[0], 2)]
+    assert len(muls) == sum(max(len(m) - 1, 0) for terms in polys for m in terms) == 5
+    assert not any(isinstance(c, types.CodeType) for c in kernel.__code__.co_consts)
+    # 2 x y^2 z = 3/2 (u^6 + u^5 v), then 1, then 3 x^2 = 3 (u + v)^2
+    first = {
+        ((0, 6),): Fraction(3, 2), ((0, 5), (1, 1)): Fraction(3, 2), (): 1,
+        ((0, 2),): 3, ((0, 1), (1, 1)): 6, ((1, 2),): 3,
+    }
+    assert got[0] == first and list(got[0]) == list(first)
+    assert got == prefix_cached_substitute(polys, images)
 
 
 def test_benchmark_oracle_accepts_the_engine():

@@ -29,7 +29,7 @@ from gradua.wpoly import (
     WPolynomial, _exact, _mono_mul, _terms_euler, _terms_substitute, monomial_basis,
 )
 
-from helpers import weighted_degree
+from helpers import prefix_cached_substitute, weighted_degree
 
 V = GradedChart("V", (("x", 1), ("y", 2)))
 W = GradedChart("W", (("x1", 1), ("x2", 1), ("y", 2)))
@@ -549,6 +549,61 @@ def test_one_shared_substitution_matches_one_substitute_per_polynomial(case):
         want = p.substitute(sigma, into=target)
         assert_same(WPolynomial(target, terms), want)
         assert_same(want, ref_substitute(p, sigma, target))
+
+
+SOURCE = GradedChart("S", (("a", 0), ("x1", 1), ("x2", 1), ("y", 2)))
+
+
+def seeded_substitution(rng):
+    """A call of the substitution kernel on seeded term dicts over SOURCE,
+    with images over W given only at the variables that occur.
+
+    Every call holds the constant monomial, a monomial repeated in each of
+    its polynomials, exponents up to 3, and int and Fraction coefficients.
+    Its last polynomial is c * x1^e + c * x2^e, with x2's image the
+    negative of x1's and e odd, so that every cell of it cancels.
+    """
+
+    def coefficient():
+        if rng.random() < 0.5:
+            return rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+        return Fraction(rng.choice((-3, -1, 1, 5)), rng.choice((2, 3)))
+
+    def monomial():
+        picked = sorted(rng.sample(range(len(SOURCE.names)), rng.randint(1, 3)))
+        return tuple((i, rng.randint(1, 3)) for i in picked)
+
+    shared = monomial()
+    polys = []
+    for _ in range(rng.randint(1, 3)):
+        monos = [(), shared] + [monomial() for _ in range(rng.randint(0, 4))]
+        rng.shuffle(monos)
+        polys.append({m: coefficient() for m in monos})
+    c, e = coefficient(), rng.choice((1, 3))
+    polys.append({((1, e),): c, ((2, e),): c})
+    occurring = {i for terms in polys for mono in terms for i, _ in mono}
+    images = [None] * len(SOURCE.names)
+    for i in sorted(occurring):
+        cells = [sorted(rng.sample(range(3), rng.randint(0, 2))) for _ in range(rng.randint(1, 3))]
+        images[i] = {tuple((j, rng.randint(1, 2)) for j in cell): coefficient() for cell in cells}
+    images[2] = {m: -a for m, a in images[1].items()}
+    return polys, images
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_one_pass_substitution_matches_the_prefix_cached_kernel(seed):
+    polys, images = seeded_substitution(random.Random(seed))
+    got = _terms_substitute(polys, images)
+    want = prefix_cached_substitute(polys, images)
+    assert got == want
+    assert [list(terms) for terms in got] == [list(terms) for terms in want]
+    assert got[-1] == {}
+    sigma = {
+        SOURCE.names[i]: WPolynomial(W, image) for i, image in enumerate(images) if image
+    }
+    for terms, poly in zip(got, polys):
+        assert all(terms.values())  # no stored zero coefficient
+        assert_same(WPolynomial(W, terms), ref_substitute(WPolynomial(SOURCE, poly), sigma, W))
 
 
 def test_cancellation_to_zero_is_dropped():
