@@ -52,10 +52,13 @@ route, reconstruct_entries, conjugates the model family y_i -> t^(w_i) y_i
 (wpoly._scaling_terms) back through the homogenizer and its inverse, in
 two passes of the substitution kernel.
 
-The certificate's linear algebra stays in integer form (linalg.IntMatrix)
-from the joint projections to the inverse kernel's premise: the inverse of
-the basis matrix is read off the projections' rank factors, and Fractions
-are built only for the public projections, in the same pass. That every
+The certificate's linear algebra stays in sparse integer rows
+(linalg.IntMatrix), which hold the nonzero entries only, from the
+Jacobian's cells to the inverse kernel's premise: each joint projection is
+written straight from its nonzero cells, the inverse of the basis matrix is
+read off the projections' rank factors, the premise also decides that the
+projections sum to the identity, and Fractions are built only for the
+public projections, in the same pass. That every
 coordinate scales (_check_scaling) is decided by wpoly's one scaling
 kernel, the one WPolynomial.is_homogeneous runs for the standard action,
 on integer numerators too. That h_0 fixes theta is checked on the
@@ -78,7 +81,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, NoReturn, Sequence
 
 from . import linalg
 from .charts import GradedChart, fresh_name
@@ -92,8 +95,7 @@ from .errors import (
     NotGradedActionError,
 )
 from .graded import (  # noqa: F401
-    ActionFamily, PolyMap, _checked_stored, _compose_families, _invert_coordinate_change,
-    _picard_inverse, _split,
+    ActionFamily, PolyMap, _compose_families, _invert_coordinate_change, _picard_inverse, _split,
 )
 from .linalg import IntMatrix, Matrix
 from .wpoly import (
@@ -153,11 +155,11 @@ class AnalysisReport:
 
 
 class _Factored(NamedTuple):
-    """A nonzero joint projection P_m in integer form, as the rank check left it.
+    """A nonzero joint projection P_m in integer form, as its elimination left it.
 
-    q is P_m as integer rows over one denominator, pivots its pivot columns
-    and factor its rank factor R_m (rank rows over one denominator), so that
-    P_m = P_m[:, pivots] R_m.
+    q is P_m as sparse integer rows over one denominator, pivots its pivot
+    columns and factor its rank factor R_m (rank rows over one denominator),
+    so that P_m = P_m[:, pivots] R_m.
     """
 
     q: IntMatrix
@@ -339,22 +341,25 @@ def taylor_projections(
     Q_r is 1/r! times the r-th t-derivative of the derivative H(t) at t=0,
     which for polynomial entries is just the t^r coefficient matrix. These
     are the one-family joint projections of _joint_certificate, from its
-    first stage (_first_stage), with its checks (_projections).
+    first stage (_first_stage), with its checks (_checked_basis): the
+    premise that decides their sum runs here too.
     """
     return _first_stage((h,), theta)[3]
 
 
 def _first_stage(
     families: Sequence[ActionFamily], theta: Mapping[str, Fraction | int] | None
-) -> tuple[dict[str, Fraction], list, list, tuple, dict]:
+) -> tuple[dict[str, Fraction], list, list, tuple, list, list, list]:
     """The certificate's first stage, for any number of families.
 
     Returns theta, checked to be fixed by every family's h_0
     (_resolve_theta); theta in stored form, one value per chart variable;
     the families' composite (graded._compose_families), split once by
-    multi-index (graded._split); and the joint projections on the grid, as
-    nested tuples, with each nonzero one factored (_projections), read off
-    the composite's derivative at theta (_jacobian_coefficients). The
+    multi-index (graded._split); the joint projections on the grid, as
+    nested tuples, read off the composite's derivative at theta
+    (_jacobian_coefficients) with each nonzero one factored (_projections);
+    and the basis of their images, checked (_checked_basis): the
+    multi-index of each basis column, C and C^-1 in stored sparse rows. The
     composite applies the last family first, and family j's parameter sits
     at slot n + j, n = len(chart), so it is entry j of the multi-index. No
     chart is built.
@@ -362,80 +367,143 @@ def _first_stage(
     point, values = _resolve_theta(families, theta)
     n_vars, k = len(values), len(families)
     parts = _split(_compose_families(families, range(n_vars, n_vars + k)), n_vars, k)
-    projections, factored = _projections(_jacobian_coefficients(parts, values), k)
-    return point, values, parts, projections, factored
+    coeffs = _jacobian_coefficients(parts, values)
+    projections, factored = _projections(coeffs, k)
+    return (point, values, parts, projections, *_checked_basis(coeffs, factored))
 
 
 def _projections(
     coeffs: Sequence[Sequence[Mapping[tuple[int, ...], Fraction | int]]], k: int
 ) -> tuple[tuple, dict[tuple[int, ...], _Factored]]:
     """The joint projections P_m on the full grid of multi-indices, and each
-    nonzero P_m factored by the rank check.
+    nonzero P_m factored by one elimination.
 
     coeffs are the cells of _jacobian_coefficients for k parameters. The
     grid runs, in lexicographic order, over every multi-index m with m_i at
     most the largest exponent of parameter i in a nonzero cell; the P_m
     with no cell are zero matrices. It is returned as nested tuples,
     grid[m_1]...[m_k] = P_m, so one family's grid is Q_0 .. Q_n. The same
-    pass writes each P_m twice: as the public Fraction matrix, and as
-    integer numerators over one denominator (linalg.IntMatrix), which is
-    all the certificate uses. The checks, sum P_m = I and sum rank P_m =
-    n, and their proof are in _homogenize_joint; a failure raises
-    DegenerateActionError when some direction is annihilated by every P_m,
-    NotGradedActionError otherwise.
+    pass writes each nonzero P_m twice, straight from the nonzero cells: as
+    the public Fraction matrix, and as sparse integer rows over one
+    denominator (linalg.IntMatrix), which is all the certificate uses; its
+    elimination (linalg._eliminate) gives its pivots and rank factor.
+    Nothing is checked here: _checked_basis decides the P_m.
     """
     n_vars = len(coeffs)
     nonzero: dict[tuple[int, ...], list[tuple[int, int, Fraction | int]]] = {}
     for i, row in enumerate(coeffs):
         for j, c in enumerate(row):
             for idx, x in c.items():
-                nonzero.setdefault(idx, []).append((i, j, x))
+                entries = nonzero.setdefault(idx, [])
+                if x:  # the integer rows store no zero
+                    entries.append((i, j, x))
     shape = [max(exps) for exps in zip(*nonzero)] if nonzero else [0] * k
-    # each P_m as Fractions and, when nonzero, as integer rows over one
-    # denominator; the zero rows of both are shared and never written to
-    zero_row, zero_ints = (_ZERO,) * n_vars, (0,) * n_vars
+    # the zero row of the Fraction matrices is shared and never written to
+    zero_row = (_ZERO,) * n_vars
     cells: list = []
-    ints: dict[tuple[int, ...], IntMatrix] = {}
+    factored: dict[tuple[int, ...], _Factored] = {}
     for idx in product(*(range(d + 1) for d in shape)):
-        entries = nonzero.get(idx, ())
+        entries = nonzero.get(idx)
         fractions: list = [zero_row] * n_vars
-        numerators: list = [zero_ints] * n_vars
-        d = lcm(*{x.denominator for _, _, x in entries})
-        for i, j, x in entries:
-            if fractions[i] is zero_row:
-                fractions[i], numerators[i] = [_ZERO] * n_vars, [0] * n_vars
-            fractions[i][j] = _exact(x)
-            numerators[i][j] = x.numerator * (d // x.denominator)
-        cells.append(tuple(map(tuple, fractions)))
         if entries:
-            ints[idx] = (numerators, d)
+            numerators: list[dict[int, int]] = [{} for _ in range(n_vars)]
+            d = lcm(*{x.denominator for _, _, x in entries})
+            for i, j, x in entries:
+                if fractions[i] is zero_row:
+                    fractions[i] = [_ZERO] * n_vars
+                fractions[i][j] = _exact(x)
+                numerators[i][j] = x.numerator * (d // x.denominator)
+            pivots, rows, scale = linalg._eliminate(numerators)
+            factored[idx] = _Factored((numerators, d), pivots, (rows, scale))
+        cells.append(tuple(map(tuple, fractions)))
     # nest the lexicographic list, whose last index runs fastest
     for d in reversed(shape[1:]):
         cells = [tuple(cells[i : i + d + 1]) for i in range(0, len(cells), d + 1)]
+    return tuple(cells), factored
 
-    # sum P_m = I, read entry by entry from the coefficients
-    if any(
-        sum(c.values()) != (i == j)
-        for i, row in enumerate(coeffs)
-        for j, c in enumerate(row)
-    ):
-        stacked = [row for rows, _ in ints.values() for row in rows]
+
+def _checked_basis(
+    coeffs: Sequence[Sequence[Mapping[tuple[int, ...], Fraction | int]]],
+    factored: Mapping[tuple[int, ...], _Factored],
+) -> tuple[list[tuple[int, ...]], list[dict[int, Fraction | int]], list[dict[int, Fraction | int]]]:
+    """The multi-index of each basis column, and C and C^-1 in stored sparse
+    rows, once the joint projections are proved complementary.
+
+    C holds the pivot columns of each nonzero P_m and C^-1 their rank
+    factors, stacked in the same order, each as sparse integer rows over one
+    denominator. When the ranks add up to n and the inverse kernel's
+    premise C^-1 C = I holds (linalg._is_inverse, over the nonzero entries),
+    sum P_m = I holds too, and the P_m are complementary projections (proof
+    in _homogenize_joint). Otherwise the checks run in the order that
+    names the failure (_refuse_projections).
+    """
+    n_vars = len(coeffs)
+    orders = [idx for idx, f in factored.items() for _ in f.pivots]
+    if len(orders) == n_vars:
+        c_den = lcm(*(f.q[1] for f in factored.values()))
+        r_den = lcm(*(f.factor[1] for f in factored.values()))
+        basis: list[dict[int, int]] = [{} for _ in range(n_vars)]
+        col = 0
+        for (rows, d), pivots, _ in factored.values():
+            for j in pivots:
+                for i, row in enumerate(rows):
+                    x = row.get(j)
+                    if x:
+                        basis[i][col] = x * (c_den // d)
+                col += 1
+        cinv = [
+            {j: x * (r_den // den) for j, x in row.items()}
+            for _, _, (rows, den) in factored.values()
+            for row in rows
+        ]
+        if linalg._is_inverse((cinv, r_den), (basis, c_den)):
+            return orders, linalg._stored((basis, c_den)), linalg._stored((cinv, r_den))
+    _refuse_projections(coeffs, factored, len(orders))
+
+
+def _sums_to_identity(
+    coeffs: Sequence[Sequence[Mapping[tuple[int, ...], Fraction | int]]],
+) -> bool:
+    """sum P_m = I, read cell by cell from the coefficients of the derivative."""
+    return all(
+        sum(c.values()) == (i == j) for i, row in enumerate(coeffs) for j, c in enumerate(row)
+    )
+
+
+def _refuse_projections(
+    coeffs: Sequence[Sequence[Mapping[tuple[int, ...], Fraction | int]]],
+    factored: Mapping[tuple[int, ...], _Factored],
+    rank: int,
+) -> NoReturn:
+    """Raise the error that names why the joint projections fail, rank being
+    the sum of their ranks, when the rank count or the premise has failed.
+
+    The checks run in this order. sum P_m = I (_sums_to_identity) first:
+    when it fails, DegenerateActionError if the stacked P_m have rank below
+    n, so that some direction is annihilated by every P_m, and
+    NotGradedActionError otherwise. Then the rank count: given the sum, a
+    count other than n is a sum above n, and the first P_m in lexicographic
+    order that is not idempotent (linalg._fixes) is reported, as Q_r for one
+    family and as Q_1_2 for the multi-index (1, 2); if each is, the count
+    is an engine defect. With both, the premise C^-1 C = I holds unless the
+    rank factors are wrong, and EngineDefectError says it fails, in
+    graded._checked_stored's words.
+    """
+    n_vars = len(coeffs)
+    if not _sums_to_identity(coeffs):
+        stacked = [row for f in factored.values() for row in f.q[0]]
         if len(linalg._eliminate(stacked)[0]) < n_vars:
             raise DegenerateActionError(
                 "some direction is annihilated by every Taylor projection"
             )
         raise NotGradedActionError("Taylor projections do not sum to the identity")
-    factored = {}
-    for idx, q in ints.items():
-        pivots, rows, scale = linalg._eliminate(q[0])
-        factored[idx] = _Factored(q, pivots, (rows, scale))
-    if sum(len(f.pivots) for f in factored.values()) != n_vars:
+    if rank != n_vars:
         for idx, f in factored.items():
             if not linalg._fixes(f.q, f.q[0]):
                 name = "_".join(map(str, idx))
                 raise NotGradedActionError(f"Taylor coefficient Q_{name} is not a projection")
         raise EngineDefectError("idempotent Taylor projections have ranks above the chart")
-    return tuple(cells), factored
+    raise EngineDefectError("the Picard pass needs cinv * C = I, which fails")
 
 
 def homogenize(
@@ -477,8 +545,8 @@ def _homogenize_joint(
       projections of family i. These are the joint projections. Nothing
       here is assumed: the P_m are checked below, and the certificate
       proves the laws and the commutation of the families.
-    - The rank check. Two checks make the P_m complementary projections:
-      sum P_m = I, and sum_m rank P_m = n (_projections). Given the sum,
+    - The rank check. Two facts make the P_m complementary projections:
+      sum P_m = I, and sum_m rank P_m = n (_checked_basis). Given the sum,
       complementary projections have ranks adding up to n: the trace of an
       idempotent is its rank, and sum tr P_m = tr I = n. Conversely, the
       images span everything, since x = sum P_m x, and their dimensions add
@@ -486,33 +554,49 @@ def _homogenize_joint(
       P_m x writes x as a sum over the images; by uniqueness P_l x = x and
       P_m x = 0 for m != l. So P_l P_l = P_l and P_m P_l = 0.
     - The factors. The ranks come from one fraction-free elimination of
-      each nonzero P_m's integer numerators (linalg._eliminate), which also
-      gives its pivot columns piv and its rank factor R_m = rref(P_m)
-      restricted to the rank rows, with P_m = P_m[:, piv] R_m. The ranks of
-      matrices summing to I add up to at least n, so a failed count means
-      a sum above n; the first P_m in lexicographic order that is not
-      idempotent (linalg._fixes) is then reported, as Q_r for one family
-      and as Q_1_2 for the multi-index (1, 2).
-    - The stacked factors are the inverse. Let C hold the pivot columns
-      P_m[:, piv] of every nonzero P_m side by side, in lexicographic order
-      of m, and stack their R_m in the same order. The ranks add up to n,
-      so C is square, and C (stacked R) = sum_m P_m[:, piv] R_m = sum_m P_m
-      = I. A square matrix with a right inverse is invertible, so the
-      stacked R is C^-1 and no inverse is computed. The inverse kernel's
-      premise C^-1 C = I is checked over ints all the same
-      (graded._checked_stored).
+      each nonzero P_m's sparse integer rows (linalg._eliminate, in
+      _projections), which also gives its pivot columns piv and its rank
+      factor R_m = rref(P_m) restricted to the rank rows, with P_m = P_m[:,
+      piv] R_m.
+    - The stacked factors are the inverse, and the premise decides the sum.
+      Let C hold the pivot columns P_m[:, piv] of every nonzero P_m side by
+      side, in lexicographic order of m, and R their R_m stacked in the
+      same order. By the factors, C R = sum_m P_m[:, piv] R_m = sum_m P_m.
+      When the ranks add up to n, C and R are square, and for square
+      matrices R C = I holds exactly when C R = I: a one-sided inverse of
+      a square matrix is two-sided. So the inverse kernel's premise R C =
+      I, which the Picard pass needs anyway and which is checked exactly
+      over ints, row by row over the nonzero entries (linalg._is_inverse),
+      holds exactly when sum P_m = I. When it holds, the stacked R is C^-1,
+      no inverse is computed, no cell sum is read, and with the rank count
+      the P_m are complementary projections. This step trusts the
+      elimination's factors, which the premise's check does not share; a
+      wrong factor could only let through projections that do not sum to
+      I, and no wrong certificate, since soundness rests on the scaling
+      check and the certified inverse.
+    - A failure is named as a sum-first route names it
+      (_refuse_projections). When the rank count or the premise fails, the
+      cell sums run first: DegenerateActionError when some direction is
+      annihilated by every P_m, NotGradedActionError otherwise. Given the
+      sum, the ranks of matrices summing to I add up to at least n, so a
+      failed count means a sum above n; the first P_m in lexicographic
+      order that is not idempotent (linalg._fixes) is then reported, as Q_r
+      for one family and as Q_1_2 for the multi-index (1, 2). With the sum
+      and the count, the premise fails only by an engine defect
+      (EngineDefectError).
 
     The dual linear coordinates are pushed through the composite, and their
     t_1^r_1 ... t_k^r_k coefficients become the new coordinates
     y{r_1}_..._{r_k}_{i}, of weight r_1 + ... + r_k (for one family,
     y{r}_{i}). Both steps run on term dicts, one linear combination
     (wpoly._terms_combine) and one polynomial per coordinate, with the
-    entries of C^-1 in stored form (graded._checked_stored):
+    nonzero entries of C^-1 in stored form (_checked_basis):
 
     - The split. A constant lies in the zero multi-index only, where
       theta_v is subtracted. Taking the coefficient of one multi-index is
       linear, so the coordinate of row i and multi-index m is sum_j C^-1_ij
-      part_j[m] over the split entries: what the t_1^r_1 ... t_k^r_k
+      part_j[m] over the split entries, j running over the nonzero entries
+      of the row: what the t_1^r_1 ... t_k^r_k
       coefficient of the whole row, read off and rewritten over the chart,
       would give.
     - The scaling check (_check_scaling). A family's extended chart is the
@@ -582,26 +666,7 @@ def _joint_certificate(
     """The construction and exact checks of _homogenize_joint, unexplained."""
     chart = families[0].chart
     k = len(families)
-    point, values, parts, projections, factored = _first_stage(families, theta)
-
-    # C: the pivot columns of each nonzero P_m; C^-1: their rank factors
-    # stacked in the same order; each as integer rows over one denominator
-    c_den = lcm(*(f.q[1] for f in factored.values()))
-    r_den = lcm(*(f.factor[1] for f in factored.values()))
-    cols = [
-        [row[j] * (c_den // d) for row in q]
-        for (q, d), pivots, _ in factored.values()
-        for j in pivots
-    ]
-    cinv = [
-        [x * (r_den // den) for x in row]
-        for _, _, (rows, den) in factored.values()
-        for row in rows
-    ]
-    orders = [idx for idx, f in factored.items() for _ in f.pivots]
-    # the inverse kernel's premise, checked once; both matrices in stored
-    # form, so that integral entries multiply as ints
-    basis, rows = _checked_stored(([list(row) for row in zip(*cols)], c_den), (cinv, r_den))
+    point, values, parts, projections, orders, basis, rows = _first_stage(families, theta)
 
     # each entry minus theta; a constant lies in the zero multi-index only
     for split, c in zip(parts, values):
@@ -613,7 +678,7 @@ def _joint_certificate(
     new_vars: list[tuple[str, int]] = []
     pullbacks: list[WPolynomial] = []
     for row, idx in zip(rows, orders):
-        pairs = ((c, split[idx]) for c, split in zip(row, parts) if idx in split)
+        pairs = ((c, parts[j][idx]) for j, c in row.items() if idx in parts[j])
         coeff = _terms_combine(pairs)
         counter[idx] = counter.get(idx, 0) + 1
         new_vars.append((f"y{'_'.join(map(str, idx))}_{counter[idx]}", sum(idx)))

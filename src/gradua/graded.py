@@ -321,15 +321,14 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
     chart = psi.source
     names, weights = chart.names, chart.weights
     constants = [psi.pullbacks[v].terms.get((), 0) for v in names]  # 0 if w > 0
-    derivative = [[0] * len(names) for _ in names]  # the B_w, read off psi
-    inverses = []  # per block: its indices, B_w^-1 as integer rows, their denominator
+    blocks = []  # per block: its indices, B_w and B_w^-1 as integer forms
     for w in sorted(set(weights)):
         block = [i for i, u in enumerate(weights) if u == w]
         linear = {((j, 1),) for j in block}
+        b_w = []  # read off psi
         for i in block:
             terms = psi.pullbacks[names[i]].terms
-            for j in block:
-                derivative[i][j] = terms.get(((j, 1),), 0)
+            b_w.append([terms.get(((j, 1),), 0) for j in block])
             residue = [m for m in terms if m not in linear]
             if w == 0 and any(residue):
                 raise NotInvertibleError(
@@ -341,24 +340,25 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
                     f"pullback of {names[i]!r} has a non-constant linear block "
                     f"(term mixing {names[mixing[0]]!r})"
                 )
-        b_w = [[derivative[i][j] for j in block] for i in block]
+        scaled = linalg._scaled(b_w)
         try:
-            rows, e = linalg._inverse(linalg._scaled(b_w))
+            blocks.append((block, scaled, linalg._inverse(scaled)))
         except SingularMatrixError as exc:
             raise NotInvertibleError(
                 f"weight-{w} linear block is singular: {exc}"
             ) from exc
-        inverses.append((block, rows, e))
-    e_all = lcm(*(e for _, _, e in inverses))
-    basis = [[0] * len(names) for _ in names]  # the B_w^-1
+    d_all = lcm(*(d for _, (_, d), _ in blocks))
+    e_all = lcm(*(e for _, _, (_, e) in blocks))
+    derivative: list[dict[int, int]] = [{} for _ in names]  # the B_w
+    basis: list[dict[int, int]] = [{} for _ in names]  # the B_w^-1
     theta = {}  # B_w theta_w + constants_w = 0, so 0 in every positive weight
-    for block, rows, e in inverses:
-        for i, row in zip(block, rows):
-            for j, x in zip(block, row):
-                basis[i][j] = x * (e_all // e)
-            shift = sum(x * constants[j] for j, x in zip(block, row))
+    for block, (b_rows, d), (rows, e) in blocks:
+        for i, b_row, row in zip(block, b_rows, rows):
+            derivative[i] = {block[j]: x * (d_all // d) for j, x in b_row.items()}
+            basis[i] = {block[j]: x * (e_all // e) for j, x in row.items()}
+            shift = sum(x * constants[block[j]] for j, x in row.items())
             theta[names[i]] = _coefficient(Fraction(-shift, e)) if shift else 0
-    basis, _ = _checked_stored((basis, e_all), linalg._scaled(derivative))
+    basis, _ = _checked_stored((basis, e_all), (derivative, d_all))
     try:
         return _invert_coordinate_change(psi, theta, basis, chart.degree)
     except NotGradedActionError as exc:
@@ -367,13 +367,16 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
 
 def _checked_stored(
     basis: IntMatrix, cinv: IntMatrix
-) -> tuple[list[list[Fraction | int]], list[list[Fraction | int]]]:
-    """C and cinv in stored form, once the inverse kernel's premise holds.
+) -> tuple[list[dict[int, Fraction | int]], list[dict[int, Fraction | int]]]:
+    """C and cinv in stored sparse rows, once the inverse kernel's premise
+    holds.
 
-    cinv C = I is decided exactly on the integer forms (linalg._is_inverse),
-    and EngineDefectError is raised when it fails. Both callers of
-    _invert_coordinate_change call this once and hand it what it returns,
-    so the kernel computes with the integers the premise checked.
+    cinv C = I is decided exactly on the sparse integer forms, row by row
+    over the nonzero entries (linalg._is_inverse), and EngineDefectError is
+    raised when it fails. invert_automorphism calls this once and hands the
+    kernel what it returns, so the kernel computes with the integers the
+    premise checked; action's certificate checks the same premise on its
+    own forms (action._checked_basis), where it also decides sum P_m = I.
     """
     if not linalg._is_inverse(cinv, basis):
         raise EngineDefectError("the Picard pass needs cinv * C = I, which fails")
@@ -383,7 +386,7 @@ def _checked_stored(
 def _invert_coordinate_change(
     phi: PolyMap,
     theta: Mapping[str, Fraction | int],
-    basis: Sequence[Sequence[Fraction | int]],
+    basis: Sequence[Mapping[int, Fraction | int]],
     degree: int,
 ) -> PolyMap:
     """Exact inverse of a polynomial map phi, from one bounded Picard pass.
@@ -392,8 +395,9 @@ def _invert_coordinate_change(
     and the graded automorphisms of invert_automorphism are inverted here.
     phi maps the chart of x to a chart of y with as many variables, theta is
     a point with phi(theta) = 0 and basis is a matrix C, the inverse of the
-    derivative of phi at theta. C comes in stored form (int when integral,
-    see wpoly) from _checked_stored. degree is a bound D on the total
+    derivative of phi at theta. C comes in stored sparse rows, {column:
+    nonzero entry} with each entry an int when integral (see wpoly), from
+    the caller's premise check. degree is a bound D on the total
     degree of the inverse, used when every weight of the y chart is at
     least 1.
 
@@ -410,9 +414,10 @@ def _invert_coordinate_change(
     - The certificate. R_k = 0 says phi o x_(k-1) = id: the iterate is
       returned, certified by that equality alone. A positive verdict rests
       on no premise.
-    - The premise, checked. C L = I is decided exactly by _checked_stored,
-      which both callers run on the integer forms before they call the
-      kernel, and EngineDefectError is raised when it fails. It proves the
+    - The premise, checked. C L = I is decided exactly on the integer
+      forms before either caller calls the kernel (_checked_stored for
+      invert_automorphism, action._checked_basis for the homogenizer), and
+      EngineDefectError is raised when it fails. It proves the
       negative verdicts only: with it, the iterates are the truncations of
       psi, so the pass reaches psi, and R = 0, by round D + 1 whenever an
       inverse of total degree at most D exists.
@@ -486,13 +491,15 @@ def _invert_coordinate_change(
 def _picard_inverse(
     phi: PolyMap,
     theta: Mapping[str, Fraction | int],
-    basis: Matrix,
+    basis: Sequence[Mapping[int, Fraction | int]],
     limit: int,
 ) -> tuple[PolyMap, bool]:
     """The iterates x_1 = theta + C y and x_k = x_(k-1) - C trunc_k R_k, R_k =
     phi(x_(k-1)) - y, up to x_limit.
 
-    Returns the last iterate and whether it inverts phi. Each round pushes
+    basis is C in stored sparse rows, {column: nonzero entry}, so x_1 and
+    the columns of -C are read off its nonzero entries alone. Returns the
+    last iterate and whether it inverts phi. Each round pushes
     phi's rows through the iterate in one pass of the substitution kernel
     (wpoly._terms_substitute) and subtracts y, giving the residual. A zero
     residual returns the iterate as certified; otherwise x_k is x_(k-1)
@@ -505,11 +512,11 @@ def _picard_inverse(
     names = chart.names
     iterate = []  # x_1 = theta + C y
     for v, row in zip(names, basis):
-        terms = {((j, 1),): a for j, a in enumerate(row) if a}
+        terms = {((j, 1),): a for j, a in row.items()}
         if theta[v]:
             terms[()] = _coefficient(theta[v])
         iterate.append(terms)
-    columns = [[(j, -a) for j, a in enumerate(row) if a] for row in basis]  # -C
+    columns = [[(j, -a) for j, a in row.items()] for row in basis]  # -C
     rows = [phi.pullbacks[v].terms for v in new_chart.names]
     k = 1  # the iterate is x_k
     while True:

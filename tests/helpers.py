@@ -9,6 +9,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from gradua.action import _require_same_chart
 from gradua.charts import GradedChart, fresh_name
 from gradua.errors import (
@@ -18,6 +20,7 @@ from gradua.errors import (
     SingularMatrixError,
 )
 from gradua.graded import PolyMap, ActionFamily, compose, is_graded_morphism
+from gradua import linalg
 from gradua.linalg import inverse, mat_mul
 from gradua.wpoly import (
     WPolynomial, _exact, _terms_combine, _terms_mul, _terms_pow, monomial_basis,
@@ -419,3 +422,92 @@ def prefix_cached_substitute(polys, images):
         return got
 
     return [_terms_combine((c, image(m)) for m, c in terms.items()) for terms in polys]
+
+
+# --- the dense integer kernels the sparse ones replaced, kept as references -----
+
+
+def sparse_rows(rows):
+    """Dense integer rows as linalg's sparse rows: {column: nonzero int}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def dense_rows(rows, cols):
+    """Sparse integer rows written out over `cols` columns."""
+    return [[row.get(j, 0) for j in range(cols)] for row in rows]
+
+
+def dense_eliminate(rows):
+    """The dense fraction-free Gauss-Jordan kernel linalg._eliminate replaced:
+    the pivot columns, the first rank rows of D * rref and D, every column
+    scanned left to right, the first that extends the span taken."""
+    work = [row for row in rows if any(row)]
+    picked = []
+    prev = 1
+    for j in range(len(rows[0]) if rows else 0):
+        r = len(picked)
+        n_rows = len(work)
+        if r == n_rows:
+            break
+        pivot = next((i for i in range(r, n_rows) if work[i][j]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        top = work[r]
+        p = top[j]
+        for i in range(n_rows):
+            if i == r:
+                continue
+            f = work[i][j]
+            if f:
+                work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], top)]
+            elif p != prev:
+                work[i] = [p * x // prev for x in work[i]]
+        prev = p
+        picked.append(j)
+        work[r + 1 :] = [row for row in work[r + 1 :] if any(row)]
+    return picked, work[: len(picked)], prev
+
+
+def dense_inverse(rows, d):
+    """The dense inverse kernel linalg._inverse replaced, on N / d: the rows
+    of D * a^-1 and D, or SingularMatrixError naming the first column of N
+    with no pivot."""
+    n = len(rows)
+    work = [[*row] + [d if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
+    pivots, reduced, denominator = dense_eliminate(work)
+    if pivots[:n] != list(range(n)):
+        missing = next(j for j in range(n) if j not in pivots)
+        raise SingularMatrixError(f"column {missing} has no pivot")
+    return [row[n:] for row in reduced], denominator
+
+
+def assert_kernels_agree(m, cols, sympy=None):
+    """The sparse _eliminate on the rows of m, dense or sparse, gives exactly
+    the dense reference kernel's pivots, reduced rows and D, and, given
+    sympy, its rref; the sparse _inverse of a square m gives the dense
+    reference's rows and D, or the same SingularMatrixError."""
+    rows = [dict(row) for row in m] if m and isinstance(m[0], dict) else sparse_rows(m)
+    dense = dense_rows(rows, cols)
+    pivots, reduced, d = linalg._eliminate(rows)
+    ref_pivots, ref_reduced, ref_d = dense_eliminate(dense)
+    assert (pivots, dense_rows(reduced, cols), d) == (ref_pivots, ref_reduced, ref_d)
+    assert all(x for row in reduced for x in row.values())  # no zero is stored
+    if sympy is not None and rows:
+        expected, expected_pivots = sympy.Matrix(dense).rref()
+        assert tuple(pivots) == expected_pivots
+        assert [[Fraction(x, d) for x in row] for row in dense_rows(reduced, cols)] == [
+            [Fraction(int(expected[i, j].p), int(expected[i, j].q)) for j in range(cols)]
+            for i in range(len(pivots))
+        ]
+    if len(rows) == cols:
+        for den in (1, 3):
+            try:
+                expected_inverse = dense_inverse(dense, den)
+            except SingularMatrixError as exc:
+                with pytest.raises(SingularMatrixError, match=f"^{exc}$"):
+                    linalg._inverse((rows, den))
+            else:
+                got, e = linalg._inverse((rows, den))
+                assert (dense_rows(got, cols), e) == expected_inverse
+                assert all(x for row in got for x in row.values())

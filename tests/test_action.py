@@ -291,7 +291,7 @@ def test_zero_joint_projections_are_not_scanned(monkeypatch):
     eliminate = linalg._eliminate
 
     def recorded(rows):
-        seen.append([list(row) for row in rows])
+        seen.append([dict(row) for row in rows])
         return eliminate(rows)
 
     monkeypatch.setattr(linalg, "_eliminate", recorded)

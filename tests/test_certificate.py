@@ -40,6 +40,8 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -60,6 +62,7 @@ from gradua.action import (
     verify_laws,
 )
 from gradua.charts import GradedChart
+from gradua.dsl import parse
 from gradua.errors import (
     DegenerateActionError,
     DomainError,
@@ -89,6 +92,7 @@ from gradua.wpoly import (
 from helpers import (
     chained_family,
     conjugated_action,
+    dense_eliminate,
     distinct_params,
     linear_family,
     nest,
@@ -731,16 +735,18 @@ def inversion_inputs(monkeypatch, build, *args):
 
 def checked_matrices(monkeypatch, build, *args):
     """build(*args), whether or not it succeeds, and the C and C^-1 in stored
-    form that its first check of the inverse kernel's premise returned."""
+    sparse rows that its first check of the inverse kernel's premise
+    (action._checked_basis) returned."""
     seen = []
-    checked = action._checked_stored
+    checked = action._checked_basis
 
-    def recording(*matrices):
-        seen.append(checked(*matrices))
-        return seen[-1]
+    def recording(*args):
+        orders, basis, cinv = checked(*args)
+        seen.append((basis, cinv))
+        return orders, basis, cinv
 
     with monkeypatch.context() as patched:
-        patched.setattr(action, "_checked_stored", recording)
+        patched.setattr(action, "_checked_basis", recording)
         result = outcome(build, *args)
     return result, seen[0]
 
@@ -1044,15 +1050,22 @@ def test_a_settled_round_with_terms_above_its_degree_goes_on():
 # --- the rank factors are the inverse -------------------------------------------
 
 
-def as_fractions(m):
-    """The Fraction matrix of an integer form (rows, d)."""
+def as_fractions(m, cols):
+    """The Fraction matrix, with `cols` columns, of an integer form (rows, d)
+    of sparse rows."""
     rows, d = m
-    return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+    return tuple(tuple(Fraction(row.get(j, 0), d) for j in range(cols)) for row in rows)
+
+
+def written_out(m):
+    """A square matrix in stored sparse rows, written out as dense rows."""
+    return [[row.get(j, 0) for j in range(len(m))] for row in m]
 
 
 def fractions_of(m):
-    """The Fraction matrix of a matrix in stored form (ints and Fractions)."""
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
+    """The Fraction matrix of a square matrix in stored sparse rows (ints and
+    Fractions)."""
+    return tuple(tuple(Fraction(x) for x in row) for row in written_out(m))
 
 
 def assert_blocks_factor(c, c_inv, orders, joint):
@@ -1102,14 +1115,14 @@ def test_rank_factors_give_back_the_projections_and_invert_the_basis(dressed, mo
             n = len(family.chart)
             box = product(*(range(max(exps) + 1) for exps in zip(*factored)))
             keyed = {
-                idx: as_fractions(factored[idx].q) if idx in factored else zeros(n, n)
+                idx: as_fractions(factored[idx].q, n) if idx in factored else zeros(n, n)
                 for idx in box
             }
             assert cert.projections == grid == nest(keyed)
             for f in factored.values():
-                q = as_fractions(f.q)
+                q = as_fractions(f.q, n)
                 at_pivots = tuple(tuple(row[j] for j in f.pivots) for row in q)
-                assert mat_mul(at_pivots, as_fractions(f.factor)) == q
+                assert mat_mul(at_pivots, as_fractions(f.factor, n)) == q
                 assert len(f.factor[0]) == len(f.pivots) == len(independent_columns(q))
             assert_blocks_factor(c, c_inv, cert.orders, keyed)
             if len(families) > 1:
@@ -1342,7 +1355,10 @@ def off_by_one_factor(projections):
         grid, factored = projections(coeffs, k)
         idx, f = next(iter(factored.items()))
         rows, d = f.factor
-        factored[idx] = f._replace(factor=([[rows[0][0] + d, *rows[0][1:]], *rows[1:]], d))
+        first = {**rows[0], 0: rows[0].get(0, 0) + d}
+        if not first[0]:
+            del first[0]
+        factored[idx] = f._replace(factor=([first, *rows[1:]], d))
         return grid, factored
 
     return wrong
@@ -1391,6 +1407,133 @@ def test_a_wrong_assembly_is_caught_by_the_checks(mutation, dressed, monkeypatch
         empty = re.compile(r"homogenizer coordinate '\w+' is identically zero")
         assert sum(bool(empty.fullmatch(m)) for m in messages) >= 20, raised
         assert not any("inverse" in m for m in messages), raised
+
+
+# --- sum P_m = I decided by the premise: the refusals are unchanged ---------------
+
+
+def integer_rows(q):
+    """The dense integer numerators of a Fraction matrix over the lcm of its
+    denominators."""
+    d = lcm(*(x.denominator for row in q for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in q]
+
+
+def sum_first_stage(families, theta):
+    """The certificate's first stage on the route it took before the premise
+    decided sum P_m = I, kept as the reference for its refusals: sum P_m = I
+    read cell by cell first, then the rank count with the idempotence of
+    each P_m, then the premise C^-1 C = I, all on dense matrices (the dense
+    elimination kernel of tests/helpers.py and Fraction products). A family
+    it accepts goes on through the engine's own first stage."""
+    point, values = _resolve_theta(families, theta)
+    n, k = len(values), len(families)
+    parts = _split(graded._compose_families(families, range(n, n + k)), n, k)
+    cells = _jacobian_coefficients(parts, values)
+    keys = sorted({idx for row in cells for c in row for idx, x in c.items() if x})
+    grid = {idx: tuple(tuple(Fraction(c.get(idx, 0)) for c in row) for row in cells)
+            for idx in keys}
+    if any(sum(c.values()) != (i == j) for i, row in enumerate(cells) for j, c in enumerate(row)):
+        stacked = [row for q in grid.values() for row in integer_rows(q)]
+        if len(dense_eliminate(stacked)[0]) < n:
+            raise DegenerateActionError(
+                "some direction is annihilated by every Taylor projection"
+            )
+        raise NotGradedActionError("Taylor projections do not sum to the identity")
+    factors = {idx: dense_eliminate(integer_rows(q)) for idx, q in grid.items()}
+    if sum(len(pivots) for pivots, _, _ in factors.values()) != n:
+        for idx, q in grid.items():
+            if mat_mul(q, q) != q:
+                name = "_".join(map(str, idx))
+                raise NotGradedActionError(f"Taylor coefficient Q_{name} is not a projection")
+        raise EngineDefectError("idempotent Taylor projections have ranks above the chart")
+    c = mat_from_cols([[row[j] for row in grid[idx]]
+                       for idx, (pivots, _, _) in factors.items() for j in pivots])
+    cinv = tuple(tuple(Fraction(x, d) for x in row)
+                 for _, rows, d in factors.values() for row in rows)
+    if mat_mul(cinv, c) != identity(n):
+        raise EngineDefectError("the Picard pass needs cinv * C = I, which fails")
+    return first_stage(families, theta)
+
+
+first_stage = action._first_stage
+
+
+def refused_families(rng):
+    """Families that the linear stage refuses, each way, and some it accepts:
+    the example files' and test_action's families, linear families whose
+    Taylor projections are moved off I, miss the image of one of them, have
+    a non-idempotent summand or overlap, and seeded dressed families with one entry bumped so that a
+    law breaks."""
+    families = []
+    gap = parse((Path(__file__).parent / "data" / "monoid_gap.gradua").read_text())
+    families += [(h, None) for h in gap.actions.values()]
+    t, x, y = (ext_var(EXT, v) for v in ("t", "x", "y"))
+    families.append((ActionFamily(M, "t", {"x": t * x, "y": WPolynomial.zero(EXT)}), None))
+    families.append((ActionFamily(M, "t", {"x": t * x, "y": t * x + t * y}), None))
+    for _ in range(30):
+        n, degree = rng.randint(1, 4), rng.randint(1, 3)
+        c, c_inv = random_basis_change(rng, n)
+        qs = order_projections(c, c_inv, [rng.randint(0, degree) for _ in range(n)], degree)
+        families.append((linear_family(qs), None))
+        r, i, j = rng.randrange(degree + 1), rng.randrange(n), rng.randrange(n)
+        moved = [[list(row) for row in q] for q in qs]
+        moved[r][i][j] += Fraction(rng.choice([-1, 1]), rng.choice([1, 2, 3]))
+        families.append((linear_family([tuple(map(tuple, q)) for q in moved]), None))
+        m = tuple(tuple(rng.choice([0, 0, 1, -1, Fraction(1, 2)]) for _ in range(n))
+                  for _ in range(n))
+        rest = tuple(tuple((a == b) - v for b, v in enumerate(row)) for a, row in enumerate(m))
+        families.append((linear_family([rest, m]), None))
+        p = next(q for q in qs if any(map(any, q)))
+        families.append((linear_family([zeros(n, n) if q == p else q for q in qs]), None))
+        twice = tuple(tuple((a == b) - 2 * v for b, v in enumerate(row))
+                      for a, row in enumerate(p))
+        families.append((linear_family([twice, p, p]), None))
+    for _ in range(12):
+        h, theta = dressed_family(rng)
+        v = rng.choice(h.chart.names)
+        z = ext_var(h.extended_chart, rng.choice(h.chart.names))
+        families.append((h, theta))
+        families.append((bumped(h, v, z, random_coefficient(rng)), theta))
+    return families
+
+
+def test_the_premise_route_refuses_as_the_sum_first_route():
+    """Deciding sum P_m = I by the premise C^-1 C = I, with the cell sums run
+    only when the rank count or the premise fails, gives every call the
+    outcome of the sum-first route: the same error type and message, or
+    success. Checked on the first stage, taylor_projections, homogenize
+    (with its explanations) and the joint certificate of seeded pairs and
+    triples, with each route's first stage in turn."""
+    rng = random.Random(39)
+    calls = [(taylor_projections, (h, theta)) for h, theta in refused_families(rng)]
+    calls += [(homogenize, args) for _, args in calls]
+    calls += [(_joint_certificate, (families, None, "L_h")) for families in joint_cases()]
+
+    def refusal(fn, *args):
+        try:
+            fn(*args)
+        except GraduaError as exc:
+            return type(exc), str(exc)
+        return None
+
+    seen = {}
+    for fn, args in calls:
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(action, "_first_stage", sum_first_stage)
+            expected = refusal(fn, *args)
+        assert refusal(fn, *args) == expected, (fn.__name__, args)
+        kind = expected[1] if expected else "accepted"
+        kind = re.sub(r"Q_[\d_]+", "Q_m", re.sub(r"'\w+'|\S+\^\d+", "_", kind))
+        seen[kind] = seen.get(kind, 0) + 1
+    for message in (
+        "accepted",
+        "some direction is annihilated by every Taylor projection",
+        "Taylor projections do not sum to the identity",
+        "Taylor coefficient Q_m is not a projection",
+        "the family breaks the monoid law",
+    ):
+        assert seen.get(message, 0) >= 3, seen
 
 
 # --- the term-dict linear combinations ------------------------------------------
@@ -1629,11 +1772,12 @@ def test_term_dict_inverse_agrees_with_the_object_level_route(dressed, monkeypat
     rounds = 0
     for family, theta in dressed[:20] + chained + [(cubic_shear_family(), None)]:
         phi, point, basis, cinv, limit = pass_inputs(monkeypatch, family, theta)
-        nonlinear = reference_nonlinear(phi, point, cinv)
+        nonlinear = reference_nonlinear(phi, point, written_out(cinv))
+        dense = written_out(basis)
         for k in range(1, limit + 1):
             got = action._picard_inverse(phi, point, basis, k)
-            assert got == reference_picard(phi, point, basis, nonlinear, k)
-            assert got == settle_picard(phi, point, basis, nonlinear, k)
+            assert got == reference_picard(phi, point, dense, nonlinear, k)
+            assert got == settle_picard(phi, point, dense, nonlinear, k)
             rounds += 1
             if got[1]:
                 break
@@ -1803,12 +1947,13 @@ def test_picard_on_t_k_agrees_with_the_previous_pass_at_every_limit(dressed, mon
     seen = {"certified": 0, "settled above k": 0, "by the composite": 0, "never": 0}
     for family, theta in cases:
         phi, point, basis, cinv, limit = pass_inputs(monkeypatch, family, theta)
-        nonlinear = reference_nonlinear(phi, point, cinv)
+        nonlinear = reference_nonlinear(phi, point, written_out(cinv))
+        dense = written_out(basis)
         previous = None
         for k in range(1, limit + 1):
             got = graded._picard_inverse(phi, point, basis, k)
-            assert got == previous_picard(phi, point, basis, nonlinear, k)
-            assert got == settle_picard(phi, point, basis, nonlinear, k)
+            assert got == previous_picard(phi, point, dense, nonlinear, k)
+            assert got == settle_picard(phi, point, dense, nonlinear, k)
             if got[0] == previous and not got[1]:
                 seen["settled above k"] += 1
             elif got[1] and k == 1:
@@ -1820,8 +1965,8 @@ def test_picard_on_t_k_agrees_with_the_previous_pass_at_every_limit(dressed, mon
         else:
             seen["never"] += 1
         got = graded._picard_inverse(phi, point, basis, limit)
-        assert got == previous_picard(phi, point, basis, nonlinear, limit)
-        assert got == settle_picard(phi, point, basis, nonlinear, limit)
+        assert got == previous_picard(phi, point, dense, nonlinear, limit)
+        assert got == settle_picard(phi, point, dense, nonlinear, limit)
     assert seen["certified"] == len(cases) - 1 and seen["never"] == 1, seen
     assert seen["settled above k"] >= 1 and seen["by the composite"] >= 1, seen
 
@@ -1895,10 +2040,10 @@ def test_residual_pass_agrees_with_the_settled_pass_on_drawn_maps(change):
     settled on T_k at every limit up to the Bass-Connell-Wright bound, and
     certifies a triangular map by that bound."""
     phi, theta, basis, cinv, limit, triangular = change
-    nonlinear = reference_nonlinear(phi, theta, cinv)
+    nonlinear = reference_nonlinear(phi, theta, written_out(cinv))
     for k in range(1, limit + 1):
         got = graded._picard_inverse(phi, theta, basis, k)
-        assert got == settle_picard(phi, theta, basis, nonlinear, k)
+        assert got == settle_picard(phi, theta, written_out(basis), nonlinear, k)
     assert got[1] == triangular
 
 

@@ -631,11 +631,15 @@ def test_conjugated_families_do_not_call_the_inverse_kernel(monkeypatch):
 
 def off_by_one(inverse):
     """linalg._inverse with 1 added to the first entry of every result: the
-    result is rows over a denominator d, so d is added to its numerator."""
+    result is sparse rows over a denominator d, so d is added to the
+    numerator at column 0 of the first row (dropped if that makes it 0)."""
 
     def wrong(a):
         rows, d = inverse(a)
-        return [[rows[0][0] + d] + rows[0][1:]] + rows[1:], d
+        first = {**rows[0], 0: rows[0].get(0, 0) + d}
+        if not first[0]:
+            del first[0]
+        return [first, *rows[1:]], d
 
     return wrong
 

@@ -5,9 +5,12 @@ integer (shared-denominator, fraction-free) kernels in gradua.linalg
 replaced. They are kept here only as the oracle: products and inverses must
 be equal, singular inputs must fail at the same column, and
 independent_columns must pick the same indices (the first-pivot tie break).
-The checks _fixes (a*b == b) and _is_inverse (a*b == I), run on the integer
-forms _scaled writes, must agree with comparing the Fraction products a * a
-to a and a * b to the identity.
+The checks _fixes (a*b == b) and _is_inverse (a*b == I), run on the sparse
+integer forms _scaled writes, must agree with comparing the Fraction
+products a * a to a and a * b to the identity. The sparse integer kernels
+_eliminate and _inverse must give exactly what the dense kernels they
+replaced gave (tests/helpers.py), pivots, reduced rows and D, and agree
+with sympy's rref.
 """
 
 import random
@@ -19,6 +22,8 @@ from hypothesis import strategies as st
 
 from gradua import linalg
 from gradua.errors import DomainError, SingularMatrixError
+
+from helpers import assert_kernels_agree, dense_rows, sparse_rows
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -482,13 +487,15 @@ def integer_matrices(draw):
 
 
 def check_rank_factor(m):
-    """_eliminate(m) against the Fraction rref; returns its pivots and R."""
-    before = [list(row) for row in m]
-    pivots, reduced, d = linalg._eliminate(m)
-    assert m == before  # the input is not written to
+    """_eliminate on the sparse rows of m against the Fraction rref; returns
+    its pivots and R."""
+    rows = sparse_rows(m)
+    before = [dict(row) for row in rows]
+    pivots, reduced, d = linalg._eliminate(rows)
+    assert rows == before  # the input is not written to
     cols = len(m[0])
-    r = [tuple(Fraction(x, d) for x in row) for row in reduced]
-    assert d != 0 and all(type(x) is int for row in reduced for x in row)
+    r = [tuple(Fraction(x, d) for x in row) for row in dense_rows(reduced, cols)]
+    assert d != 0 and all(type(x) is int and x for row in reduced for x in row.values())
     assert (pivots, r) == ref_rref(m, cols)
     # m = m[:, piv] R
     a = tuple(tuple(Fraction(x) for x in row) for row in m)
@@ -514,7 +521,7 @@ def test_elimination_kernel_sees_deficient_ranks_and_zero_columns():
     for a in RECTANGULAR:
         if not a or not a[0]:
             continue
-        n = linalg._scaled(a)[0]
+        n = dense_rows(linalg._scaled(a)[0], len(a[0]))
         pivots, _ = check_rank_factor(n)
         seen["deficient"] += len(pivots) < min(len(a), len(a[0]))
         seen["zero column"] += any(not any(col) for col in zip(*n))
@@ -529,10 +536,10 @@ def test_elimination_kernel_sees_deficient_ranks_and_zero_columns():
 @given(integer_matrices())
 def test_elimination_kernel_agrees_with_sympy(m):
     sympy = pytest.importorskip("sympy")
-    pivots, r, d = linalg._eliminate(m)
+    pivots, r, d = linalg._eliminate(sparse_rows(m))
     expected, expected_pivots = sympy.Matrix(m).rref()
     assert tuple(pivots) == expected_pivots
-    assert [[Fraction(x, d) for x in row] for row in r] == [
+    assert [[Fraction(x, d) for x in row] for row in dense_rows(r, len(m[0]))] == [
         [Fraction(int(expected[i, j].p), int(expected[i, j].q)) for j in range(expected.cols)]
         for i in range(len(pivots))
     ]
@@ -541,10 +548,82 @@ def test_elimination_kernel_agrees_with_sympy(m):
 @settings(max_examples=100, deadline=None)
 @given(integer_matrices(), st.integers(-6, 6).filter(bool))
 def test_stored_form_of_an_integer_matrix(m, d):
-    stored = linalg._stored((m, d))
-    assert stored == [[Fraction(x, d) for x in row] for row in m]
+    stored = linalg._stored((sparse_rows(m), d))
+    assert stored == [{j: Fraction(x, d) for j, x in enumerate(row) if x} for row in m]
     assert all(
         (type(x) is int) if Fraction(x).denominator == 1 else type(x) is Fraction
         for row in stored
-        for x in row
+        for x in row.values()
     )
+
+
+# --- the sparse kernels against the dense ones they replaced -------------------
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Integer matrices of the shapes the certificate meets: empty, with
+    all-zero rows, with duplicate and scaled rows, of deficient rank, and
+    the stacked rows of several projections whose images miss a direction
+    (the degenerate case). Returns the dense rows and the column count."""
+    cols = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    kind = draw(st.sampled_from(["empty", "free", "deficient", "copies", "stacked"]))
+    if kind == "empty":
+        return [], cols
+    if kind == "stacked":
+        # blocks of rank 1 whose rows all lie in a span of rank < cols
+        span = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=1, max_size=max(1, cols - 1)))
+        m = []
+        for _ in range(draw(st.integers(2, 4))):
+            base = draw(st.sampled_from(span))
+            m += [[c * x for x in base] for c in draw(st.lists(entry, min_size=1, max_size=cols))]
+        return m, cols
+    rows = draw(st.integers(1, 6))
+    if kind == "deficient":
+        k = draw(st.integers(0, min(rows, cols) - 1))
+        left = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=rows, max_size=rows))
+        right = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=k, max_size=k))
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if k else [0] * cols
+             for row in left]
+    else:
+        m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+    if kind == "copies":
+        for _ in range(draw(st.integers(1, 3))):
+            row = draw(st.sampled_from(m))
+            m.insert(draw(st.integers(0, len(m))), [draw(entry) * x for x in row])
+    for at in draw(st.lists(st.integers(0, len(m)), max_size=2)):
+        m.insert(at, [0] * cols)
+    return m, cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_inputs())
+def test_sparse_kernels_match_the_dense_kernels_and_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    m, cols = case
+    assert_kernels_agree(m, cols, sympy)
+
+
+def test_sparse_kernels_see_every_input_shape():
+    """The drawn shapes all occur, square ones included, so _inverse is met
+    both invertible and singular."""
+    rng = random.Random(39)
+    seen = {"empty": 0, "zero row": 0, "deficient": 0, "invertible": 0, "singular": 0}
+    for a in RECTANGULAR + [a for a, _ in SQUARE]:
+        cols = len(a[0]) if a else 0
+        rows = linalg._scaled(a)[0]
+        assert_kernels_agree(rows, cols)
+        seen["empty"] += not rows
+        seen["zero row"] += any(not row for row in rows)
+        rank = len(linalg._eliminate(rows)[0])
+        seen["deficient"] += rank < min(len(rows), cols)
+        if rows and len(rows) == cols:
+            seen["invertible" if rank == cols else "singular"] += 1
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        assert_kernels_agree([[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(n)]
+                              for _ in range(n)], n)
+    assert min(seen.values()) >= 2, seen

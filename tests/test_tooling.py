@@ -36,7 +36,8 @@ from gradua.multigrade import bihomogenize
 from gradua.wpoly import WPolynomial
 
 from helpers import (
-    chained_family, conjugated_action, prefix_cached_substitute, random_graded_automorphism,
+    assert_kernels_agree, chained_family, conjugated_action, prefix_cached_substitute,
+    random_graded_automorphism,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,13 +69,19 @@ BENCH_OUTPUT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(BENCH_OUTPUT_DIGESTS))
-def test_benchmark_outputs_are_pinned(workload, monkeypatch):
+def load_bench(monkeypatch):
+    """perfbench/run.py as a module, with perfbench on the path."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, bench)  # for its dataclasses
     spec.loader.exec_module(bench)
+    return bench
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_OUTPUT_DIGESTS))
+def test_benchmark_outputs_are_pinned(workload, monkeypatch):
+    bench = load_bench(monkeypatch)
     digest = hashlib.sha256()
     for seed in (1, 2, 3):
         for op in bench.build_ops(workload, seed):
@@ -89,11 +96,7 @@ def test_every_benchmark_substitution_matches_the_prefix_cached_kernel(workload,
     workload at seed 1 gives the result of the prefix-cached kernel it
     replaced: equal dicts, with the same key order. Each module that calls
     the kernel holds its own reference to it, so each is patched."""
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench)  # for its dataclasses
-    spec.loader.exec_module(bench)
+    bench = load_bench(monkeypatch)
     kernel, calls = wpoly._terms_substitute, []
 
     def replayed(polys, images):
@@ -109,6 +112,69 @@ def test_every_benchmark_substitution_matches_the_prefix_cached_kernel(workload,
     for op in bench.build_ops(workload, 1):
         op.run()
     assert calls and all(calls), (len(calls), calls.count(False))
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_OUTPUT_DIGESTS))
+def test_every_benchmark_elimination_matches_the_dense_kernel(workload, monkeypatch):
+    """Every input of the sparse elimination and inverse kernels met in one
+    pass of the workload at seed 1 gives exactly the pivots, reduced rows
+    and D of the dense kernels they replaced, and, once per distinct input,
+    sympy's rref."""
+    sympy = pytest.importorskip("sympy")
+    bench = load_bench(monkeypatch)
+    inputs = []
+    for name in ("_eliminate", "_inverse"):
+        kernel = getattr(linalg, name)
+
+        def recorded(a, kernel=kernel, name=name):
+            rows = a if name == "_eliminate" else a[0]
+            inputs.append([dict(row) for row in rows])
+            return kernel(a)
+
+        monkeypatch.setattr(linalg, name, recorded)
+    for op in bench.build_ops(workload, 1):
+        op.run()
+    monkeypatch.undo()
+    assert inputs
+    distinct = {}
+    for rows in inputs:
+        cols = 1 + max((j for row in rows for j in row), default=-1)
+        distinct.setdefault(repr(rows), (rows, max(cols, len(rows))))
+    for rows, cols in distinct.values():
+        assert_kernels_agree(rows, cols, sympy)
+
+
+def test_the_cell_sums_run_only_to_name_a_refusal(monkeypatch):
+    """sum P_m = I is decided by the premise C^-1 C = I: the cell-by-cell
+    sum (action._sums_to_identity) runs on no op of a seed-1 deep pass, and
+    on a corpus op only when the linear stage refuses it, once, before the
+    rank count names the projection that fails. A broken corpus op that
+    passes the linear stage is refused by the scaling check, with no sum."""
+    bench = load_bench(monkeypatch)
+    sums = _count_calls(monkeypatch, action, "_sums_to_identity")
+    certificate, refusals = action._joint_certificate, []
+
+    def recorded(*args):
+        try:
+            return certificate(*args)
+        except GraduaError as exc:
+            refusals.append(str(exc))
+            raise
+
+    monkeypatch.setattr(action, "_joint_certificate", recorded)
+    for op in bench.build_ops("deep", 1):
+        op.run()
+    assert (sums, refusals) == ([], [])
+    seen = Counter()
+    for op in bench.build_ops("corpus", 1):
+        sums.clear()
+        refusals.clear()
+        report = op.run()
+        linear = refusals and "projection" in refusals[0]
+        assert len(sums) == bool(linear), refusals
+        assert report.monoid_ok == (not refusals)
+        seen["linear" if linear else "later" if refusals else "accepted"] += 1
+    assert seen["linear"] >= 15 and seen["later"] >= 1 and seen["accepted"] >= 70, seen
 
 
 def test_the_substitution_kernel_multiplies_each_term_out_once(monkeypatch):
@@ -313,7 +379,7 @@ def test_analyze_decides_projections_by_rank_and_composes_nothing(monkeypatch):
     assert (len(fixed), len(scanned), len(composed)) == (0, 6, 0)
     assert (len(inverted), len(scaled)) == (0, 0)
     # each elimination runs on the integer numerators of its Q_r
-    assert [[list(row) for row in a] for a, in scanned] == [
+    assert [[dict(row) for row in a] for a, in scanned] == [
         linalg._scaled(q)[0] for q in nonzero
     ]
 
@@ -736,7 +802,7 @@ def test_check_double_multiplies_no_square_matrix(monkeypatch):
     assert report.results[0]["commuting"] is True
     # Q1_r Q2_s is nonzero for two of the four multi-indices, each 2 x 2
     assert len(nonzero) == 2
-    assert [[list(row) for row in rows] for rows, in eliminated] == [
+    assert [[dict(row) for row in rows] for rows, in eliminated] == [
         linalg._scaled(q)[0] for q in nonzero
     ]
     assert (calls, fixed, per_family) == ([], [], [])
@@ -751,7 +817,7 @@ def test_check_double_multiplies_no_square_matrix(monkeypatch):
     assert len(bihom.chart) == 4
     nonzero = [q for row in bihom.projections for q in row if any(map(any, q))]
     assert len(eliminated) == len(nonzero) >= 4
-    assert all(len(rows) == len(rows[0]) == 4 for rows, in eliminated)
+    assert all(len(rows) == 4 and all(j < 4 for row in rows for j in row) for rows, in eliminated)
     assert (calls, fixed, per_family) == ([], [], [])
 
 
