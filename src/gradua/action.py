@@ -486,8 +486,8 @@ def _refuse_projections(
     order that is not idempotent (linalg._fixes) is reported, as Q_r for one
     family and as Q_1_2 for the multi-index (1, 2); if each is, the count
     is an engine defect. With both, the premise C^-1 C = I holds unless the
-    rank factors are wrong, and EngineDefectError says it fails, in
-    graded._checked_stored's words.
+    rank factors are wrong, and EngineDefectError says it fails, in the
+    words of graded.invert_automorphism's premise check.
     """
     n_vars = len(coeffs)
     if not _sums_to_identity(coeffs):

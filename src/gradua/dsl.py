@@ -71,9 +71,10 @@ from .graded import ActionFamily, PolyMap
 from .wpoly import (
     Monomial,
     WPolynomial,
+    _bits,
     _mono_mul,
     _mono_total_degree,
-    _terms_add_into,
+    _terms_combine,
     _terms_mul,
     _terms_pow,
 )
@@ -155,11 +156,6 @@ def _number(text: str) -> Fraction | int:
 def _is_word(text: str) -> bool:
     """Whether a token text is an identifier: a word that is no keyword."""
     return (text[:1].isalpha() or text[:1] == "_") and text not in KEYWORDS
-
-
-def _bits(c: Fraction | int) -> int:
-    """The larger bit length of a value's numerator and denominator."""
-    return max(abs(c.numerator), c.denominator).bit_length()
 
 
 def _lexical_error(text: str) -> str | None:
@@ -365,17 +361,24 @@ class _Parser:
         at = self.pos
         return self.ident(what), at
 
+    def number(self, what: str) -> Fraction | int:
+        """The value of the next token, consumed, which must be a number
+        literal, n or n/d (_number); what names it when it is not. The one
+        read of a number token: expect_integer and the values of an
+        `analyze ... at` point call it."""
+        text = self.texts[self.pos]
+        if text[:1] not in _DIGITS:
+            raise self.unexpected(self.pos, (what,))
+        self.pos += 1
+        return _number(text)
+
     def expect_integer(self, what: str) -> tuple[int, int]:
         """The value of the next token, consumed, which must be a number
         literal of an integer, and the token's position."""
         pos = self.pos
-        text = self.texts[pos]
-        if text[:1] not in _DIGITS:
-            raise self.unexpected(pos, (what,))
-        value = _number(text)
+        value = self.number(what)
         if value.denominator != 1:
-            raise self.error(f"{text!r} is not an integer", pos, (what,))
-        self.pos += 1
+            raise self.error(f"{self.texts[pos]!r} is not an integer", pos, (what,))
         return int(value), pos
 
     def exponent(self, degree: int, bits: int) -> tuple[int, int]:
@@ -545,11 +548,7 @@ class _Parser:
                     raise self.error(f"variable {var!r} is given twice", at)
                 self.require("=")
                 negative = self.accept("-")
-                text = self.texts[self.pos]
-                if text[:1] not in _DIGITS:
-                    raise self.unexpected(self.pos, ("rational value",))
-                self.pos += 1
-                value = _number(text)
+                value = self.number("rational value")
                 seen[var] = -value if negative else value
                 if not self.accept(","):
                     break
@@ -617,7 +616,8 @@ class _Parser:
     #
     # The expression parsers return term dicts (wpoly.Terms) and combine them
     # with wpoly's term kernels; parse_expression builds the one WPolynomial.
-    # Every dict they return is fresh, so parse_sum adds into its own in place.
+    # Every dict they return is fresh, so parse_sum adds each product into its
+    # own in place: one _terms_combine, the product's sign as its coefficient.
 
     def parse_expression(self, chart: GradedChart) -> WPolynomial:
         return WPolynomial(chart, self.parse_sum(chart))
@@ -627,10 +627,7 @@ class _Parser:
         texts = self.texts
         while (op := texts[self.pos]) == "+" or op == "-":
             self.pos += 1
-            rhs = self.parse_product(chart)
-            if op == "-":
-                rhs = {m: -c for m, c in rhs.items()}
-            _terms_add_into(acc, rhs)
+            _terms_combine(((1 if op == "+" else -1, self.parse_product(chart)),), acc)
         return acc
 
     def parse_product(self, chart: GradedChart) -> dict[Monomial, Fraction | int]:

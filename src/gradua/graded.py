@@ -55,7 +55,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedChartError,
 )
-from .linalg import IntMatrix, Matrix
+from .linalg import Matrix
 from .wpoly import (
     Monomial, Terms, WPolynomial, _coefficient, _homogeneity_failures, _mono_total_degree,
     _natural, _scaling_terms, _terms_combine, _terms_mul, _terms_substitute,
@@ -309,10 +309,12 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
     class, and NotInvertibleError is raised. The checks build what the pass
     takes: theta, the block-diagonal B_w^-1 as C (each block inverted over
     ints by linalg._inverse), and the chart degree as the bound, with the
-    block-diagonal B_w, the derivative at theta, for the premise check. The
-    kernel's docstring proves that these are right. The checks also
-    guarantee a triangular inverse, so any failure of the pass is an
-    EngineDefectError.
+    block-diagonal B_w, the derivative at theta, for the premise: B C = I
+    is decided on the integer forms by linalg._is_inverse, and
+    EngineDefectError is raised when it fails; the kernel gets C alone, in
+    stored sparse rows (linalg._stored). The kernel's docstring proves that
+    these are right. The checks also guarantee a triangular inverse, so any
+    failure of the pass is an EngineDefectError.
     """
     if psi.source != psi.target:
         raise DomainError("only self-maps of one chart can be inverted here")
@@ -358,29 +360,12 @@ def invert_automorphism(psi: PolyMap) -> PolyMap:
             basis[i] = {block[j]: x * (e_all // e) for j, x in row.items()}
             shift = sum(x * constants[block[j]] for j, x in row.items())
             theta[names[i]] = _coefficient(Fraction(-shift, e)) if shift else 0
-    basis, _ = _checked_stored((basis, e_all), (derivative, d_all))
+    if not linalg._is_inverse((derivative, d_all), (basis, e_all)):
+        raise EngineDefectError("the Picard pass needs cinv * C = I, which fails")
     try:
-        return _invert_coordinate_change(psi, theta, basis, chart.degree)
+        return _invert_coordinate_change(psi, theta, linalg._stored((basis, e_all)), chart.degree)
     except NotGradedActionError as exc:
         raise EngineDefectError(f"a graded automorphism was not inverted: {exc}") from exc
-
-
-def _checked_stored(
-    basis: IntMatrix, cinv: IntMatrix
-) -> tuple[list[dict[int, Fraction | int]], list[dict[int, Fraction | int]]]:
-    """C and cinv in stored sparse rows, once the inverse kernel's premise
-    holds.
-
-    cinv C = I is decided exactly on the sparse integer forms, row by row
-    over the nonzero entries (linalg._is_inverse), and EngineDefectError is
-    raised when it fails. invert_automorphism calls this once and hands the
-    kernel what it returns, so the kernel computes with the integers the
-    premise checked; action's certificate checks the same premise on its
-    own forms (action._checked_basis), where it also decides sum P_m = I.
-    """
-    if not linalg._is_inverse(cinv, basis):
-        raise EngineDefectError("the Picard pass needs cinv * C = I, which fails")
-    return linalg._stored(basis), linalg._stored(cinv)
 
 
 def _invert_coordinate_change(
@@ -415,12 +400,12 @@ def _invert_coordinate_change(
       returned, certified by that equality alone. A positive verdict rests
       on no premise.
     - The premise, checked. C L = I is decided exactly on the integer
-      forms before either caller calls the kernel (_checked_stored for
-      invert_automorphism, action._checked_basis for the homogenizer), and
-      EngineDefectError is raised when it fails. It proves the
-      negative verdicts only: with it, the iterates are the truncations of
-      psi, so the pass reaches psi, and R = 0, by round D + 1 whenever an
-      inverse of total degree at most D exists.
+      forms before either caller calls the kernel, by linalg._is_inverse
+      (in invert_automorphism, and in action._checked_basis for the
+      homogenizer), and EngineDefectError is raised when it fails. It
+      proves the negative verdicts only: with it, the iterates are the
+      truncations of psi, so the pass reaches psi, and R = 0, by round
+      D + 1 whenever an inverse of total degree at most D exists.
     - One side proves both. phi o psi = id says psi^* o phi^* = id on Q[y],
       so psi^* : Q[x] -> Q[y] is onto. As x and y are equally many,
       renaming x to y makes psi^* a surjective endomorphism of Q[y]. A

@@ -74,7 +74,14 @@ def _tick_marker(names: tuple[str, ...]) -> str:
 
 
 def adapt(chart: GradedChart, order: int) -> AdaptedChart:
-    """Chart of jets up to the given level, ordered level-major."""
+    """Chart of jets up to the given level, ordered level-major.
+
+    The layout is a contract that callers read by position: with n base
+    variables, the level-k jet of base variable i sits at index k * n + i
+    of the adapted chart, named jet_name(chart.names[i], k) and weighted
+    w_i + k. _taylor_components and multigrade._flip_names take names off
+    chart.names by this index rather than forming them again.
+    """
     _natural(order, "jet order")
     marker = _tick_marker(chart.names)
     variables: list[tuple[str, int]] = []
@@ -101,7 +108,9 @@ def _taylor_components(
     """Levels 0..order of each polynomial along a curve, by the Leibniz
     rule, keyed by the jet names of target: polys maps each variable of
     target.source to a polynomial on source.source, and level k of the
-    polynomial of v is the value at target.jet_name(v, k).
+    polynomial of v is the value at target.jet_name(v, k), read off
+    target.chart by adapt's layout. The keys come base variable by base
+    variable, levels 0..order within each.
 
     Level k of a function along the curve x + s*x'1 + s^2/2*x'2 + ... is
     its k-th derivative in s at 0, so level k of a base variable is its
@@ -154,11 +163,12 @@ def _taylor_components(
         return cache[mono]
 
     components: dict[str, WPolynomial] = {}
-    for v in target.source.names:
+    names, n_target = target.chart.names, len(target.source)
+    for i, v in enumerate(target.source.names):
         images = [(c, image(m)) for m, c in polys[v].terms.items()]
         for k in range(order + 1):
             level = _terms_combine((c, levels[k]) for c, levels in images)
-            components[target.jet_name(v, k)] = WPolynomial(result_chart, level)
+            components[names[k * n_target + i]] = WPolynomial(result_chart, level)
     return components
 
 

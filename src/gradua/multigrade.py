@@ -24,7 +24,8 @@ pair is homogenized as it is, so no family is renamed and two families
 that both use t need nothing done to them.
 
 The flip of an iterated jet adaptation, which swaps its two levels, is a
-renaming of coordinates, and _flip_names builds it as a map of names.
+renaming of coordinates, and _flip_names builds it as a map of names, read
+by position off the two adapted charts (jets.adapt's layout).
 flip wraps that map as a PolyMap; the flip command prints the names and
 decides its round trip on them with _is_round_trip, building no
 polynomial.
@@ -92,17 +93,21 @@ def _flip_names(m: int, n: int, chart: GradedChart) -> tuple:
     outer level-q jet of the inner level-p jet of x pulls back to the outer
     level-p jet of the inner level-q jet of x. With m = n both are the
     same two adaptations, built once.
+
+    Both charts are read by position, by adapt's level-major layout, with
+    b base variables: the target variable of outer level q <= m, inner
+    level p <= n and base i sits at q*b*(n+1) + p*b + i, and its source
+    variable at p*b*(m+1) + q*b + i. No name is formed or looked up.
     """
     inner_src = adapt(chart, m)
     outer_src = adapt(inner_src.chart, n)
-    inner_dst = inner_src if m == n else adapt(chart, n)
-    outer_dst = outer_src if m == n else adapt(inner_dst.chart, m)
-    names = {}
-    for name in outer_dst.chart.names:
-        mid, q = outer_dst.level_of(name)
-        base, p = inner_dst.level_of(mid)
-        names[name] = outer_src.jet_name(inner_src.jet_name(base, q), p)
-    return outer_src.chart, outer_dst.chart, names
+    outer_dst = outer_src if m == n else adapt(adapt(chart, n).chart, m)
+    b, source = len(chart), outer_src.chart.names
+    pulled = (
+        source[p * b * (m + 1) + q * b + i]
+        for q in range(m + 1) for p in range(n + 1) for i in range(b)
+    )
+    return outer_src.chart, outer_dst.chart, dict(zip(outer_dst.chart.names, pulled))
 
 
 def flip(m: int, n: int, chart: GradedChart) -> PolyMap:

@@ -24,6 +24,13 @@ _terms_combine of the parts x * df/dx, read off the exponents, and compares
 it with r times the original. The routes must agree; disagreement raises
 EngineDefectError since it can only come from a defect in this module.
 
+Sums of term dicts have one builder, _terms_combine: the linear
+combination of c * terms over (c, terms) pairs, added into a fresh dict or
+one the caller passes, with the cells that cancel deleted. WPolynomial's +
+is one call with c = 1 into a copy of the left operand, and dsl's sums add
+each product into their own dict with its sign as c. _bits is the one bit
+count of a coefficient; the printer's refusal and dsl's budgets read it.
+
 Substitution has one kernel, _terms_substitute. It pushes any number of
 term dicts through one list of images indexed by variable, with one cache
 of powers shared by every polynomial of the call, and forms each result in
@@ -153,6 +160,11 @@ def _numerators(values: Mapping[Hashable, Fraction | int]) -> tuple[dict, int]:
     return {k: c.numerator * (d // c.denominator) for k, c in values.items()}, d
 
 
+def _bits(c: Fraction | int) -> int:
+    """The larger bit length of a value's numerator and denominator."""
+    return max(abs(c.numerator), c.denominator).bit_length()
+
+
 def _terms_mul(a: Terms, b: Terms) -> dict[Monomial, Fraction | int]:
     """Product of two term dicts, dropping coefficients that cancel to zero.
 
@@ -174,20 +186,6 @@ def _terms_mul(a: Terms, b: Terms) -> dict[Monomial, Fraction | int]:
                 else:
                     del out[mono]
     return out
-
-
-def _terms_add_into(out: dict[Monomial, Fraction | int], terms: Terms) -> None:
-    """Add terms into out in place, dropping coefficients that cancel to zero."""
-    for mono, c in terms.items():
-        s = out.get(mono)
-        if s is None:
-            out[mono] = c
-        else:
-            s += c
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
 
 
 def _terms_combine(
@@ -433,9 +431,7 @@ class WPolynomial:
                 return NotImplemented
             other = WPolynomial.constant(self.chart, other)
         self._check_chart(other)
-        out = dict(self.terms)
-        _terms_add_into(out, other.terms)
-        return WPolynomial(self.chart, out)
+        return WPolynomial(self.chart, _terms_combine(((1, other.terms),), dict(self.terms)))
 
     def __radd__(self, other: Fraction | int) -> WPolynomial:
         return self.__add__(other)
@@ -660,9 +656,8 @@ class WPolynomial:
                     factors.insert(0, str(num))
                 pieces.append(sign + "*".join(factors))
         except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
-            bits = max(abs(c.numerator), c.denominator).bit_length()
             raise DomainError(
-                f"a coefficient of {bits} bits has more than the "
+                f"a coefficient of {_bits(c)} bits has more than the "
                 f"{sys.get_int_max_str_digits()} decimal digits Python writes"
             ) from None
         first = pieces[0]

@@ -20,6 +20,7 @@ from gradua.errors import (
     SingularMatrixError,
 )
 from gradua.graded import PolyMap, ActionFamily, compose, is_graded_morphism
+from gradua.jets import adapt
 from gradua import linalg
 from gradua.linalg import inverse, mat_mul
 from gradua.wpoly import (
@@ -422,6 +423,38 @@ def prefix_cached_substitute(polys, images):
         return got
 
     return [_terms_combine((c, image(m)) for m, c in terms.items()) for terms in polys]
+
+
+def terms_add_into(out, terms):
+    """wpoly._terms_add_into as it was before sums went through
+    _terms_combine, kept as a reference: add terms into out in place,
+    dropping coefficients that cancel to zero."""
+    for mono, c in terms.items():
+        s = out.get(mono)
+        if s is None:
+            out[mono] = c
+        else:
+            s += c
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+
+
+def named_flip(m, n, chart):
+    """multigrade._flip_names as it was before it read the charts by
+    position, kept as a reference: every target name is split into its two
+    levels and base by level_of, and its source name formed by jet_name."""
+    inner_src = adapt(chart, m)
+    outer_src = adapt(inner_src.chart, n)
+    inner_dst = inner_src if m == n else adapt(chart, n)
+    outer_dst = outer_src if m == n else adapt(inner_dst.chart, m)
+    names = {}
+    for name in outer_dst.chart.names:
+        mid, q = outer_dst.level_of(name)
+        base, p = inner_dst.level_of(mid)
+        names[name] = outer_src.jet_name(inner_src.jet_name(base, q), p)
+    return outer_src.chart, outer_dst.chart, names
 
 
 # --- the dense integer kernels the sparse ones replaced, kept as references -----

@@ -364,6 +364,61 @@ def test_prolong_of_a_ticked_chart_matches_the_reference():
         assert prolong(phi, order).pullbacks == _reference_prolong(phi, order).pullbacks
 
 
+# adapt's layout, which _taylor_components and multigrade._flip_names read by
+# position: charts with a weight-0 variable and names that already hold ticks
+LAYOUT_CHARTS = [
+    PLANE,
+    GradedChart("B", (("a", 0), ("x", 1), ("x'", 1))),
+    GradedChart("Q", (("x'1", 1), ("y''", 0), ("z", 2))),
+]
+
+
+def _assert_level_major(ac):
+    """Level k of base variable i at index k * n + i, named by jet_name and
+    weighted w_i + k."""
+    n = len(ac.source)
+    assert len(ac.chart) == n * (ac.order + 1)
+    for k in range(ac.order + 1):
+        for i, (v, w) in enumerate(ac.source.variables):
+            name, weight = ac.chart.variables[k * n + i]
+            assert name == ac.jet_name(v, k)
+            assert weight == w + k
+            assert ac.level_of(name) == (v, k)
+
+
+@pytest.mark.parametrize("chart", LAYOUT_CHARTS, ids=lambda c: c.name)
+def test_adapt_lays_level_k_of_base_i_at_k_n_plus_i(chart):
+    """The contract holds for one adaptation and for iterated ones."""
+    for m in range(4):
+        inner = adapt(chart, m)
+        _assert_level_major(inner)
+        for n in range(3):
+            _assert_level_major(adapt(inner.chart, n))
+
+
+@pytest.mark.parametrize("chart", LAYOUT_CHARTS, ids=lambda c: c.name)
+def test_prolong_keys_come_in_jet_name_order(chart):
+    """The outputs of prolong and prolong_action are keyed base variable by
+    base variable, levels 0..order within each, as jet_name names them; the
+    map's target has one variable more than its source, so a layout read
+    with the source's width would miss."""
+    target = GradedChart("T", (("u", 1), ("v'", 0), ("w", 2), ("r", 1)))
+    first = WPolynomial.variable(chart, chart.names[0])
+    phi = PolyMap(chart, target, {
+        v: first ** (j + 1) + j for j, v in enumerate(target.names)
+    })
+    family = standard_action(chart)
+    for order in range(4):
+        dst, src = adapt(target, order), adapt(chart, order)
+        levels = range(order + 1)
+        assert list(prolong(phi, order).pullbacks) == [
+            dst.jet_name(v, k) for v in target.names for k in levels
+        ]
+        assert list(prolong_action(family, order).entries) == [
+            src.jet_name(v, k) for v in chart.names for k in levels
+        ]
+
+
 @pytest.mark.parametrize("order", range(6))
 def test_taylor_curves_hold_only_integer_coefficients(order, monkeypatch):
     """Prolongation runs no substitution. The levels of a base variable are

@@ -20,7 +20,13 @@ from gradua.multigrade import (
 )
 from gradua.wpoly import WPolynomial
 
-from helpers import linear_family, order_projections, random_basis_change, weighted_degree
+from helpers import (
+    linear_family,
+    named_flip,
+    order_projections,
+    random_basis_change,
+    weighted_degree,
+)
 
 M = GradedChart("M", (("x", 1), ("y", 2)))
 
@@ -234,6 +240,25 @@ def test_flip_round_trip_matches_composition(chart):
                 assert not _round_trip_by_composition(flip(m, n, chart), ident)
                 names = (forward[0], forward[0], {v: v for v in forward[0].names})
                 assert not _is_round_trip(forward, names)
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [M, TICK_AND_WEIGHT_0, GradedChart("Q", (("x'1", 0), ("y''", 1), ("z", 2)))],
+    ids=lambda c: c.name,
+)
+def test_positional_flip_matches_the_name_route(chart):
+    """For every (m, n) in 0..3, the flip read by position off the adapted
+    charts is the one the name route builds with level_of and jet_name: the
+    same charts, and the same map of names in the same key order. The
+    charts have weight-0 variables and names that already hold ticks, so
+    the markers run from one tick to four."""
+    for m in range(4):
+        for n in range(4):
+            source, target, names = _flip_names(m, n, chart)
+            ref_source, ref_target, ref_names = named_flip(m, n, chart)
+            assert source == ref_source and target == ref_target
+            assert list(names.items()) == list(ref_names.items())
 
 
 @pytest.mark.parametrize("chart", [M, TICK_AND_WEIGHT_0])

@@ -26,10 +26,17 @@ from gradua.errors import (
     UnknownVariableError,
 )
 from gradua.wpoly import (
-    WPolynomial, _exact, _mono_mul, _terms_euler, _terms_substitute, monomial_basis,
+    WPolynomial,
+    _coefficient,
+    _exact,
+    _mono_mul,
+    _terms_combine,
+    _terms_euler,
+    _terms_substitute,
+    monomial_basis,
 )
 
-from helpers import prefix_cached_substitute, weighted_degree
+from helpers import prefix_cached_substitute, terms_add_into, weighted_degree
 
 V = GradedChart("V", (("x", 1), ("y", 2)))
 W = GradedChart("W", (("x1", 1), ("x2", 1), ("y", 2)))
@@ -882,3 +889,48 @@ def test_differentiate_matches_the_summing_loop(case):
     assert got.chart is expected.chart
     assert list(got.terms.items()) == list(expected.terms.items())
     assert [type(c) for c in got.terms.values()] == [type(c) for c in expected.terms.values()]
+
+
+# --- sums of term dicts: _terms_combine against the add-into it replaced --------
+
+SUM_CHART = GradedChart("S", (("x", 1), ("y", 1), ("z", 2)))
+SUM_MONOMIALS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(1, 3)), max_size=3, unique_by=lambda f: f[0]
+).map(lambda factors: tuple(sorted(factors)))
+SUM_COEFFICIENTS = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=6)
+).filter(bool).map(_coefficient)
+SUM_TERMS = st.dictionaries(SUM_MONOMIALS, SUM_COEFFICIENTS, max_size=6)
+
+
+@st.composite
+def term_sums(draw):
+    """Two stored term dicts a and b and a sign s, with some cells of b set
+    to cancel the matching cells of a in a + s*b; either may be empty."""
+    a, b = draw(SUM_TERMS), draw(SUM_TERMS)
+    s = draw(st.sampled_from((1, -1)))
+    for mono in draw(st.lists(st.sampled_from(sorted(a)), unique=True)) if a else ():
+        b[mono] = -s * a[mono]
+    return a, b, s
+
+
+def _typed(terms):
+    return [(m, c, type(c)) for m, c in terms.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_sums())
+def test_sums_through_terms_combine_match_the_add_into_reference(case):
+    """a + s*b by one _terms_combine, as WPolynomial.__add__ and dsl's sums
+    form it, is the dict the deleted add-into gave (for s = -1, adding the
+    negated b): the same cells, coefficient types and key order, with no
+    stored zero. WPolynomial's + and - agree."""
+    a, b, s = case
+    expected = dict(a)
+    terms_add_into(expected, b if s == 1 else {m: -c for m, c in b.items()})
+    got = _terms_combine(((s, b),), dict(a))
+    assert _typed(got) == _typed(expected)
+    assert all(got.values())
+    p, q = WPolynomial(SUM_CHART, a), WPolynomial(SUM_CHART, b)
+    total = p + q if s == 1 else p - q
+    assert _typed(total.terms) == _typed(WPolynomial(SUM_CHART, expected).terms)
