@@ -17,9 +17,9 @@ disguise. k commuting families are homogenized the same way, at once: the
 t_1^m_1 ... t_k^m_k coefficients of their composite's derivative at theta
 are the joint projections, and one pipeline serves every k. Its first
 stage, from theta to the joint projections, is one function, _first_stage,
-and taylor_projections is that stage for one family. One record,
-Homogenization, holds the result for every k: the new coordinates' orders
-as multi-indices, and the joint projections as the grid in nested tuples,
+and taylor_projections is that stage for one family. The pipeline's
+result, for every k, is one AnalysisReport: the new coordinates' orders as
+multi-indices, and the joint projections as the grid in nested tuples,
 which for one family is the list Q_0 .. Q_n. The degree of a family is the
 degree of its homogenized chart, analyze(h).degree.
 
@@ -29,10 +29,11 @@ inverse is a monoid action, and families that all act by plain powers in
 the same coordinates commute (the argument is in _homogenize_joint). So the
 laws (verify_laws) and the commutation of families (check_commuting) are
 checked directly only when the homogenizer cannot be built, to explain the
-failure. One record, AnalysisReport, holds both outcomes: verify_laws
+failure. One record, AnalysisReport, holds every outcome: verify_laws
 fills its law verdicts and witnesses alone, InconsistentActionError
 carries that law-only record as its detail, and analyze returns it for a
-family that breaks a law, or the full record with the certificate.
+family that breaks a law; homogenize, multigrade.bihomogenize and analyze
+return the full record, with the certificate, for families that keep them.
 
 Every claimed identity is either verified by exact rational arithmetic or
 follows from one that is by that argument.
@@ -77,7 +78,7 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -116,42 +117,29 @@ class LawWitness:
 
 
 @dataclass(frozen=True)
-class Homogenization:
-    """Coordinates that scale under k >= 1 commuting families at once.
-
-    orders holds the multi-index of each new coordinate ((r,) for one
-    family; for two, the report's biweights), and projections the joint
-    projections on the full lexicographic grid as nested tuples,
-    projections[m_1]...[m_k] = P_m, zero matrices included: for one family
-    the list Q_0 .. Q_n. The projections are left out of the repr.
-    """
-
-    chart: GradedChart
-    homogenizer: PolyMap
-    inverse: PolyMap
-    orders: tuple[tuple[int, ...], ...]
-    theta: dict[str, Fraction]
-    projections: tuple = field(repr=False)
-
-
-@dataclass(frozen=True)
 class AnalysisReport:
     """Everything the action analysis produces, law verdicts first.
 
     verify_laws fills the law verdicts and witnesses alone, and that
     law-only record is what analyze returns for a family that breaks a law;
-    the rest is the certificate of a family that keeps them.
+    the rest is the certificate of k >= 1 commuting families that keep
+    them: coordinates that scale under all of them at once. projections
+    holds the joint projections on the full lexicographic grid as nested
+    tuples, projections[m_1]...[m_k] = P_m, zero matrices included: for one
+    family the list Q_0 .. Q_n. orders holds the multi-index of each new
+    coordinate ((r,) for one family; for two, the report's biweights).
     """
 
     semigroup_ok: bool
     monoid_ok: bool
     witnesses: tuple[LawWitness, ...]
     degree: int | None = None
-    projections: tuple[Matrix, ...] | None = None
+    projections: tuple | None = None
     homogenizer: PolyMap | None = None
     homogenized_chart: GradedChart | None = None
     inverse_homogenizer: PolyMap | None = None
     theta: dict[str, Fraction] | None = None
+    orders: tuple[tuple[int, ...], ...] | None = None
 
 
 class _Factored(NamedTuple):
@@ -508,7 +496,7 @@ def _refuse_projections(
 
 def homogenize(
     h: ActionFamily, theta: Mapping[str, Fraction | int] | None = None
-) -> Homogenization:
+) -> AnalysisReport:
     """Build coordinates on which the family acts by plain powers of t.
 
     The one-family case of _homogenize_joint, whose record it returns: for
@@ -524,7 +512,7 @@ def _homogenize_joint(
     families: Sequence[ActionFamily],
     theta: Mapping[str, Fraction | int] | None,
     name: str,
-) -> Homogenization:
+) -> AnalysisReport:
     """Coordinates scaling by t_1**r_1 ... t_k**r_k under k monoid families.
 
     The families share one chart, and theta must be fixed by every family's
@@ -662,7 +650,7 @@ def _joint_certificate(
     families: Sequence[ActionFamily],
     theta: Mapping[str, Fraction | int] | None,
     name: str,
-) -> Homogenization:
+) -> AnalysisReport:
     """The construction and exact checks of _homogenize_joint, unexplained."""
     chart = families[0].chart
     k = len(families)
@@ -687,13 +675,9 @@ def _joint_certificate(
     phi = PolyMap(chart, new_chart, {v: p for (v, _), p in zip(new_vars, pullbacks)})
 
     _check_scaling(families, [(v, p.terms) for v, p in phi.pullbacks.items()], orders)
-    return Homogenization(
-        chart=new_chart,
-        homogenizer=phi,
-        inverse=_invert_coordinate_change(phi, point, basis, degree),
-        orders=tuple(orders),
-        theta=point,
-        projections=projections,
+    inverse = _invert_coordinate_change(phi, point, basis, degree)
+    return AnalysisReport(
+        True, True, (), new_chart.degree, projections, phi, new_chart, inverse, point, tuple(orders)
     )
 
 
@@ -729,7 +713,7 @@ def _check_scaling(
             )
 
 
-def reconstruct_entries(hom: Homogenization, h: ActionFamily) -> dict[str, WPolynomial]:
+def reconstruct_entries(hom: AnalysisReport, h: ActionFamily) -> dict[str, WPolynomial]:
     """Entries of the family conjugated from the standard one by hom.
 
     h_t^* x_v = psi_v(t^w phi), phi the homogenizer and psi its inverse, in
@@ -740,9 +724,10 @@ def reconstruct_entries(hom: Homogenization, h: ActionFamily) -> dict[str, WPoly
     correct homogenization this reproduces h exactly.
     """
     names = h.chart.names
-    phi, psi = hom.homogenizer.pullbacks, hom.inverse.pullbacks
-    images = [*(phi[y].terms for y in hom.chart.names), {((len(names), 1),): 1}]
-    scaled = _terms_substitute(_scaling_terms(hom.chart.weights), images)
+    phi, psi = hom.homogenizer.pullbacks, hom.inverse_homogenizer.pullbacks
+    chart = hom.homogenized_chart
+    images = [*(phi[y].terms for y in chart.names), {((len(names), 1),): 1}]
+    scaled = _terms_substitute(_scaling_terms(chart.weights), images)
     rebuilt = _terms_substitute([psi[v].terms for v in names], scaled)
     return {v: WPolynomial(h.extended_chart, terms) for v, terms in zip(names, rebuilt)}
 
@@ -793,21 +778,10 @@ def analyze(
     The checked homogenizer certifies both laws, so the laws are verified
     directly only when homogenize fails. A broken law gives verify_laws'
     record, the law verdicts and witnesses, which the error carries; any
-    other failure is raised. No map of h_0 is built: base_projection is its
-    one route.
+    other failure is raised. Otherwise the record is homogenize's. No map
+    of h_0 is built: base_projection is its one route.
     """
     try:
-        hom = homogenize(h, theta)
+        return homogenize(h, theta)
     except InconsistentActionError as exc:
         return exc.detail
-    return AnalysisReport(
-        semigroup_ok=True,
-        monoid_ok=True,
-        witnesses=(),
-        degree=hom.chart.degree,
-        projections=hom.projections,
-        homogenizer=hom.homogenizer,
-        homogenized_chart=hom.chart,
-        inverse_homogenizer=hom.inverse,
-        theta=hom.theta,
-    )

@@ -45,7 +45,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
-from .action import analyze
+from .action import AnalysisReport, analyze
 from .dsl import Program, parse
 from .errors import (
     GraduaError,
@@ -112,7 +112,12 @@ def _run_check_morphism(program: Program, name: str) -> dict:
 
 
 def _run_analyze_action(program: Program, name: str, point) -> dict:
-    report = analyze(program.actions[name], None if point is None else dict(point))
+    return _analysis_entry(analyze(program.actions[name], None if point is None else dict(point)))
+
+
+def _analysis_entry(report: AnalysisReport) -> dict:
+    """The fields `gradua run` prints for one analysis: the record's one
+    canonical form, which holds every result the record holds."""
     entry = {
         "ok": report.monoid_ok,
         "semigroup_ok": report.semigroup_ok,
@@ -165,21 +170,17 @@ def _run_check_double(program: Program, name: str) -> dict:
         return entry
     entry["ok"] = True
     entry["commuting"] = True
-    entry["chart"] = _chart_json(bihom.chart)
-    entry["biweights"] = {
-        v: list(rs) for v, rs in zip(bihom.chart.names, bihom.orders)
-    }
+    chart = bihom.homogenized_chart
+    entry["chart"] = _chart_json(chart)
+    entry["biweights"] = {v: list(rs) for v, rs in zip(chart.names, bihom.orders)}
     entry["homogenizer"] = _pullbacks_json(bihom.homogenizer)
-    entry["inverse"] = _pullbacks_json(bihom.inverse)
-    entry["total_degree"] = bihom.chart.degree
+    entry["inverse"] = _pullbacks_json(bihom.inverse_homogenizer)
+    entry["total_degree"] = bihom.degree
     return entry
 
 
 def _run_flip(program: Program, m: int, n: int, chart_name: str) -> dict:
-    chart = program.charts[chart_name]
-    forward = _flip_names(m, n, chart)
-    # with m = n the flip maps the chart to itself and is its own candidate inverse
-    backward = forward if m == n else _flip_names(n, m, chart)
+    forward, backward = _flip_names(m, n, program.charts[chart_name])
     round_trip = _is_round_trip(forward, backward)
     source, target, names = forward
     return {

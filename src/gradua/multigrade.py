@@ -13,9 +13,9 @@ suggests.
 The checked joint coordinates certify that the families commute and give
 the degree of their total action (the argument is in
 action._homogenize_joint, which serves any number of families).
-bihomogenize returns that routine's record, action.Homogenization, the
-record of homogenize too: its orders are the pairs (r, s), and its
-projections the grid as nested tuples, projections[r][s] = Q1_r Q2_s. The
+bihomogenize returns that routine's record, action.AnalysisReport, the
+record of homogenize and analyze too: its orders are the pairs (r, s), and
+its projections the grid as nested tuples, projections[r][s] = Q1_r Q2_s. The
 direct check, check_commuting, lives in action, which runs it only to
 explain a failure; it is re-exported here. A family's parameter is a slot
 of graded._compose_families, the builder of every family composite, not a
@@ -24,8 +24,9 @@ pair is homogenized as it is, so no family is renamed and two families
 that both use t need nothing done to them.
 
 The flip of an iterated jet adaptation, which swaps its two levels, is a
-renaming of coordinates, and _flip_names builds it as a map of names, read
-by position off the two adapted charts (jets.adapt's layout).
+renaming of coordinates, and _flip_names builds it and its candidate
+inverse as maps of names, read by position off the two adapted charts
+(jets.adapt's layout), each chart built once.
 flip wraps that map as a PolyMap; the flip command prints the names and
 decides its round trip on them with _is_round_trip, building no
 polynomial.
@@ -37,7 +38,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .action import (  # noqa: F401
-    Homogenization,
+    AnalysisReport,
     _homogenize_joint,
     _require_same_chart,
     check_commuting,
@@ -67,14 +68,15 @@ def bihomogenize(
     h1: ActionFamily,
     h2: ActionFamily,
     theta: Mapping[str, Fraction | int] | None = None,
-) -> Homogenization:
+) -> AnalysisReport:
     """Joint coordinates scaling by t**r under h1 and u**s under h2.
 
     The two-family case of action._homogenize_joint: the order-(r, s)
     projection is the t^r u^s coefficient of the derivative of h1_t o h2_u
     at theta, which is the product of the order-r projection of h1 and the
     order-s projection of h2. The new coordinates y{r}_{s}_1, y{r}_{s}_2,
-    ... have weight r + s. The checked coordinates certify that the
+    ... have weight r + s; the record's degree is the total degree, and its
+    orders the pairs (r, s). The checked coordinates certify that the
     families commute, so check_commuting runs only when they cannot be
     built; a pair that does not commute raises NotDoubleStructureError with
     the commutation witnesses, before any broken law is reported.
@@ -83,43 +85,50 @@ def bihomogenize(
     return _homogenize_joint((h1, h2), theta, f"{h1.chart.name}_bh")
 
 
-def _flip_names(m: int, n: int, chart: GradedChart) -> tuple:
-    """The flip as a map of names: its source chart, its target chart and
-    the dict from each target variable, in chart order, to the source
-    variable it pulls back to.
+def _flip_names(m: int, n: int, chart: GradedChart) -> tuple[tuple, tuple]:
+    """The flip and its candidate inverse as maps of names: for each, its
+    source chart, its target chart and the dict from each target variable,
+    in chart order, to the source variable it pulls back to.
 
-    The source is the order-n adaptation of the order-m adaptation; the
-    target nests the orders the other way around. A variable that is the
-    outer level-q jet of the inner level-p jet of x pulls back to the outer
-    level-p jet of the inner level-q jet of x. With m = n both are the
-    same two adaptations, built once.
+    The flip's source is the order-n adaptation of the order-m adaptation;
+    its target nests the orders the other way around, and is the source of
+    the candidate inverse, whose target is the flip's source. A variable
+    that is the outer level-q jet of the inner level-p jet of x pulls back
+    to the outer level-p jet of the inner level-q jet of x. The two charts
+    are built once, and with m = n they are the same chart and the inverse
+    is the flip itself.
 
     Both charts are read by position, by adapt's level-major layout, with
     b base variables: the target variable of outer level q <= m, inner
     level p <= n and base i sits at q*b*(n+1) + p*b + i, and its source
-    variable at p*b*(m+1) + q*b + i. No name is formed or looked up.
+    variable at p*b*(m+1) + q*b + i. The inverse is read the same way, with
+    m and n and the two charts swapped. No name is formed or looked up.
     """
-    inner_src = adapt(chart, m)
-    outer_src = adapt(inner_src.chart, n)
-    outer_dst = outer_src if m == n else adapt(adapt(chart, n).chart, m)
-    b, source = len(chart), outer_src.chart.names
-    pulled = (
-        source[p * b * (m + 1) + q * b + i]
-        for q in range(m + 1) for p in range(n + 1) for i in range(b)
-    )
-    return outer_src.chart, outer_dst.chart, dict(zip(outer_dst.chart.names, pulled))
+    b = len(chart)
+
+    def renaming(m: int, n: int, source: GradedChart, target: GradedChart) -> tuple:
+        pulled = (
+            source.names[p * b * (m + 1) + q * b + i]
+            for q in range(m + 1) for p in range(n + 1) for i in range(b)
+        )
+        return source, target, dict(zip(target.names, pulled))
+
+    source = adapt(adapt(chart, m).chart, n).chart
+    target = source if m == n else adapt(adapt(chart, n).chart, m).chart
+    forward = renaming(m, n, source, target)
+    return forward, forward if m == n else renaming(n, m, target, source)
 
 
 def flip(m: int, n: int, chart: GradedChart) -> PolyMap:
     """Swap the two levels of an iterated jet adaptation, as a renaming:
-    the PolyMap of _flip_names, each pullback one source variable."""
-    source, target, names = _flip_names(m, n, chart)
+    the PolyMap of _flip_names' flip, each pullback one source variable."""
+    (source, target, names), _ = _flip_names(m, n, chart)
     pullbacks = {v: WPolynomial.variable(source, u) for v, u in names.items()}
     return PolyMap(source, target, pullbacks)
 
 
 def _is_round_trip(forward: tuple, backward: tuple) -> bool:
-    """True when two maps of names, each as _flip_names returns it (every
+    """True when two maps of names, each as _flip_names returns them (every
     target variable listed), undo each other both ways round.
 
     For the renamings they stand for, this is compose(forward,

@@ -223,7 +223,11 @@ def _terms_pow(a: Terms, n: int) -> Terms:
 
     The first factor of the result is taken as it is, not multiplied by 1,
     so n = 1 returns a itself and no product with the constant 1 is formed.
+    A negative n, which only a hand-built monomial can hold, is refused: the
+    squaring would never end.
     """
+    if n < 0:
+        raise DomainError(f"exponent must be a natural number, got {n!r}")
     result: Terms | None = None
     while n:
         if n & 1:

@@ -183,7 +183,7 @@ def test_criterion_2_conjugated_actions_homogenize(corpus):
     assert len(entries) == 200
     for chart, family, gamma, hom in entries:
         # weight multiset is recovered exactly
-        assert sorted(hom.chart.weights) == sorted(chart.weights)
+        assert sorted(hom.homogenized_chart.weights) == sorted(chart.weights)
         # the homogenizer conjugates the family back to the standard one
         assert reconstruct_entries(hom, family) == dict(family.entries)
     elapsed = build_elapsed + (time.perf_counter() - started)
@@ -411,10 +411,10 @@ def test_criterion_7_negative_parameter(corpus):
         extended = extend_negative(family)
         f = extended.at(-1)
         # in homogenized coordinates, -1 negates the odd-weight directions
-        negate = standard_action(hom.chart, family.param).at(-1)
-        for v, w in hom.chart.variables:
+        negate = standard_action(hom.homogenized_chart, family.param).at(-1)
+        for v, w in hom.homogenized_chart.variables:
             scale = Fraction(-1) ** w
-            expected = scale * WPolynomial.variable(hom.chart, v)
+            expected = scale * WPolynomial.variable(hom.homogenized_chart, v)
             assert negate.pullbacks[v] == expected
         assert compose(f, hom.homogenizer) == compose(hom.homogenizer, negate)
         # and it is an involution on the original chart

@@ -123,8 +123,8 @@ def test_one_grid_has_three_readers():
         grid = taylor_projections(family)
         assert type(grid) is tuple
         assert grid == hom.projections == analyze(family).projections
-        assert len(grid) == hom.chart.degree + 1
-        assert sorted(hom.orders) == sorted((w,) for w in hom.chart.weights)
+        assert len(grid) == hom.homogenized_chart.degree + 1
+        assert sorted(hom.orders) == sorted((w,) for w in hom.homogenized_chart.weights)
 
 
 def test_degenerate_direction_detected():
@@ -143,18 +143,18 @@ def test_nonprojection_coefficients_detected():
 
 def test_homogenize_frozen():
     hom = homogenize(H)
-    assert hom.chart.variables == (("y1_1", 1), ("y2_1", 2))
+    assert hom.homogenized_chart.variables == (("y1_1", 1), ("y2_1", 2))
     assert str(hom.homogenizer.pullbacks["y1_1"]) == "x"
     assert str(hom.homogenizer.pullbacks["y2_1"]) == "-y + x"
-    assert str(hom.inverse.pullbacks["x"]) == "y1_1"
-    assert str(hom.inverse.pullbacks["y"]) == "-y2_1 + y1_1"
+    assert str(hom.inverse_homogenizer.pullbacks["x"]) == "y1_1"
+    assert str(hom.inverse_homogenizer.pullbacks["y"]) == "-y2_1 + y1_1"
     assert hom.orders == ((1,), (2,))
     assert hom.theta == {"x": Fraction(0), "y": Fraction(0)}
 
 
 def test_detect_degree():
-    assert homogenize(H).chart.degree == 2
-    assert homogenize(standard_action(M)).chart.degree == 2
+    assert homogenize(H).homogenized_chart.degree == 2
+    assert homogenize(standard_action(M)).homogenized_chart.degree == 2
 
 
 def test_reconstruction_matches_entries():
@@ -226,7 +226,7 @@ def test_the_euler_field_scales_each_homogeneous_coordinate_by_its_weight():
             pushed = WPolynomial.zero(h.chart)
             for v, d in delta:
                 pushed = pushed + d * phi.differentiate(v)
-            assert pushed == phi.scale(hom.chart.weight_of(y)), (y, str(phi))
+            assert pushed == phi.scale(hom.homogenized_chart.weight_of(y)), (y, str(phi))
         scaled = (WPolynomial.variable(h.chart, v).scale(w) for v, w in h.chart.variables)
         assert any(d != x for (_, d), x in zip(delta, scaled))
 
@@ -296,7 +296,7 @@ def test_zero_joint_projections_are_not_scanned(monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate", recorded)
     # on M, without weight-0 coordinates, Q_0 is zero
-    assert homogenize(H).chart.variables == (("y1_1", 1), ("y2_1", 2))
+    assert homogenize(H).homogenized_chart.variables == (("y1_1", 1), ("y2_1", 2))
     assert len(seen) == 2
     rng = random.Random(5)
     c, c_inv = random_basis_change(rng, 4)
@@ -342,7 +342,7 @@ def test_shifted_fixed_point():
         homogenize(shifted)  # origin is not fixed
     hom = homogenize(shifted, theta={"x": 1})
     assert str(hom.homogenizer.pullbacks["y1_1"]) == "x - 1"
-    assert str(hom.inverse.pullbacks["x"]) == "y1_1 + 1"
+    assert str(hom.inverse_homogenizer.pullbacks["x"]) == "y1_1 + 1"
 
 
 def test_float_theta_rejected():
@@ -366,7 +366,7 @@ def test_weight_zero_directions_become_base_coordinates():
     t = WPolynomial.variable(ext, "t")
     family = ActionFamily(chart, "t", {"a": a, "y": t * y + (1 - t) * a**2})
     hom = homogenize(family)
-    assert hom.chart.weights == (0, 1)
+    assert hom.homogenized_chart.weights == (0, 1)
     assert str(hom.homogenizer.pullbacks["y0_1"]) == "a"
     # a^2 has weighted degree 0 here, so y leads the canonical order
     assert str(hom.homogenizer.pullbacks["y1_1"]) == "y - a^2"
@@ -381,7 +381,7 @@ def test_conjugated_actions_homogenize_back(seed):
     chart = random_chart(rng)
     family, gamma = conjugated_action(rng, chart)
     hom = homogenize(family)
-    assert sorted(hom.chart.weights) == sorted(chart.weights)
+    assert sorted(hom.homogenized_chart.weights) == sorted(chart.weights)
     assert reconstruct_entries(hom, family) == dict(family.entries)
 
 
@@ -500,7 +500,7 @@ def test_joint_projections_pass_the_pairwise_reference():
     assert [len(row) for row in bihom.projections] == [3, 3, 3]
     assert pairwise_complementary([q for row in bihom.projections for q in row])
     assert sorted(bihom.orders) == sorted(zip(first, second))
-    assert bihom.homogenizer.then(bihom.inverse).is_identity()
+    assert bihom.homogenizer.then(bihom.inverse_homogenizer).is_identity()
 
 
 def test_three_commuting_families_homogenize_jointly():
@@ -513,11 +513,11 @@ def test_three_commuting_families_homogenize_jointly():
     ]
     joint = _homogenize_joint(families, None, "L_h3")
     assert sorted(joint.orders) == sorted(orders)
-    assert [w for _, w in joint.chart.variables] == [sum(o) for o in joint.orders]
+    assert [w for _, w in joint.homogenized_chart.variables] == [sum(o) for o in joint.orders]
     cells = [q for plane in joint.projections for row in plane for q in row]
     assert len(cells) == 3 * 2 * 2
     assert pairwise_complementary(cells)
-    assert joint.homogenizer.then(joint.inverse).is_identity()
+    assert joint.homogenizer.then(joint.inverse_homogenizer).is_identity()
 
 
 # --- metamorphic: the weights do not depend on how the chart is written ------
@@ -558,7 +558,7 @@ def _translated(h, shift):
 
 
 def _shape(hom):
-    return sorted(hom.chart.weights), hom.chart.degree
+    return sorted(hom.homogenized_chart.weights), hom.homogenized_chart.degree
 
 
 def test_weights_and_degree_survive_renaming_permuting_and_translating():

@@ -426,7 +426,8 @@ def test_then_is_one_substitution_pass_equal_to_substituting_each_pullback(monke
         chart = random_chart(rng, max_base=seed % 2)
         family, _ = conjugated_action(rng, chart)
         hom = homogenize(family)
-        for a, b in ((hom.homogenizer, hom.inverse), (hom.inverse, hom.homogenizer)):
+        phi, psi = hom.homogenizer, hom.inverse_homogenizer
+        for a, b in ((phi, psi), (psi, phi)):
             passes.clear()
             composite = a.then(b)
             assert passes == [len(a.target)]

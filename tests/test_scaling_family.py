@@ -52,12 +52,12 @@ def reference_reconstruct_entries(hom, h):
     ext = h.extended_chart
     tvar = WPolynomial.variable(ext, h.param)
     scaled = {
-        v: phi_p.lift(ext) * tvar ** hom.chart.weight_of(v)
+        v: phi_p.lift(ext) * tvar ** hom.homogenized_chart.weight_of(v)
         for v, phi_p in hom.homogenizer.pullbacks.items()
     }
     out = {}
     for v in h.chart.names:
-        out[v] = hom.inverse.pullbacks[v].substitute(scaled, into=ext)
+        out[v] = hom.inverse_homogenizer.pullbacks[v].substitute(scaled, into=ext)
     return out
 
 

@@ -58,13 +58,11 @@ def test_perfbench_tracer_installs():
     assert done.returncode == 0, done.stderr
 
 
-# sha256 over the repr of every perfbench/run.py build_ops result, seeds 1-3,
-# one line per op. The engine's outputs are exact, so a change that keeps its
-# results keeps these digests; one that alters an output on purpose updates
-# them and says why.
+# sha256 over the printed form of every perfbench/run.py build_ops result,
+# seeds 1-3 (test_benchmark_outputs_are_pinned says what is hashed and why)
 BENCH_OUTPUT_DIGESTS = {
-    "corpus": "7aeeca11c98a7d9773ec4a217c3e8b6fd6427e1c2ab75b0c8021d8f5619e1e5c",
-    "deep": "00fe64f0736333ba268faae883051ba0f3d44bf18b37486bc4a9b4b78bc62c99",
+    "corpus": "9538e3fa1087156c6e24f656b1fafb7dd18e1f92f244abbf1ff1bd234026e2bf",
+    "deep": "4aee86e0dd2f5e4532214b663ef1d567cd4cdef742a90e970189e9f5dcb4130f",
     "programs": "23fad1f0e2bb9dcac8693d9c53112837b230d4c67a8f25b9184fe8eaa7cc2b4a",
 }
 
@@ -81,13 +79,87 @@ def load_bench(monkeypatch):
 
 @pytest.mark.parametrize("workload", sorted(BENCH_OUTPUT_DIGESTS))
 def test_benchmark_outputs_are_pinned(workload, monkeypatch):
+    """Every benchmark op's result, seeds 1-3 in order, one line per op, is
+    hashed in the form `gradua run` prints it. For corpus and deep that is
+    json.dumps(cli._analysis_entry(report), indent=2), the entry printed for
+    an AnalysisReport, which holds every result of the record, projections
+    included, and nothing of its layout: its field names and order and its
+    repr. So reshaping a record moves no digest unless a result moves. A
+    programs op already returns its exit code and printed report, whose
+    repr is hashed. The engine's outputs are exact, so a change that keeps
+    its results keeps these digests; one that alters an output on purpose
+    updates them and says why."""
     bench = load_bench(monkeypatch)
     digest = hashlib.sha256()
+    printed = repr if workload == "programs" else (
+        lambda report: json.dumps(cli._analysis_entry(report), indent=2)
+    )
     for seed in (1, 2, 3):
         for op in bench.build_ops(workload, seed):
-            digest.update(repr(op.run()).encode())
+            digest.update(printed(op.run()).encode())
             digest.update(b"\n")
     assert digest.hexdigest() == BENCH_OUTPUT_DIGESTS[workload]
+
+
+def _bumped(pmap, v):
+    """pmap with the pullback of target variable v plus 1."""
+    return PolyMap(pmap.source, pmap.target, {**pmap.pullbacks, v: pmap.pullbacks[v] + 1})
+
+
+def test_the_printed_entry_pins_every_field_of_the_record(monkeypatch):
+    """The digest of corpus and deep hashes cli._analysis_entry, so every
+    result an AnalysisReport holds must show in it. On a broken and a
+    shifted seed-1 corpus report, each field perturbed alone changes the
+    entry. orders is printed through the chart: for one family it is the
+    chart's weights as 1-tuples. Three things the record's repr held are
+    not printed, and other tests pin them: the homogenized chart's name
+    (test_analyze_of_a_lawful_family_is_its_homogenization and
+    test_check_double_renames_neither_family), whether a number is stored
+    as an int or a Fraction (test_certificate's
+    test_term_dict_certificate_agrees_with_the_object_level_route), and the
+    witness chart (test_compose's witness tests)."""
+    bench = load_bench(monkeypatch)
+    reports = [op.run() for op in bench.build_ops("corpus", 1)]
+    broken = next(r for r in reports if not r.semigroup_ok)
+    shifted = next(r for r in reports if r.monoid_ok and any(r.theta.values()))
+    (first, *_), (v, *_) = shifted.homogenized_chart.names, shifted.theta
+    r, i, j = next(
+        (r, i, j) for r, q in enumerate(shifted.projections)
+        for i, row in enumerate(q) for j, c in enumerate(row) if c
+    )
+    cells = [list(map(list, q)) for q in shifted.projections]
+    cells[r][i][j] += 1
+    witness = broken.witnesses[0]
+    perturbed = [
+        (shifted, {"projections": tuple(tuple(map(tuple, q)) for q in cells)}),
+        (shifted, {"theta": {**shifted.theta, v: shifted.theta[v] + 1}}),
+        (shifted, {"homogenizer": _bumped(shifted.homogenizer, first)}),
+        (shifted, {"inverse_homogenizer": _bumped(shifted.inverse_homogenizer, v)}),
+        (shifted, {"degree": shifted.degree + 1}),
+        (broken, {"semigroup_ok": True}),
+        (broken, {"witnesses": (
+            action.LawWitness(witness.law, witness.variable, witness.difference + 1),
+            *broken.witnesses[1:],
+        )}),
+    ]
+    for report, change in perturbed:
+        assert cli._analysis_entry(dataclasses.replace(report, **change)) != (
+            cli._analysis_entry(report)
+        ), change
+    for report in reports:
+        if report.monoid_ok:
+            assert report.orders == tuple((w,) for w in report.homogenized_chart.weights)
+
+
+def test_analyze_of_a_lawful_family_is_its_homogenization():
+    """analyze, homogenize and bihomogenize return one record type, and for
+    a family that keeps the laws analyze's record is homogenize's."""
+    chart = GradedChart("C", (("x", 1), ("y", 2)))
+    family, _ = conjugated_action(random.Random(5), chart)
+    report = analyze(family)
+    assert report == homogenize(family)
+    assert report.homogenized_chart.name == "C_h"
+    assert type(bihomogenize(family, family.with_param("u"))) is type(report)
 
 
 @pytest.mark.parametrize("workload", sorted(BENCH_OUTPUT_DIGESTS))
@@ -389,7 +461,7 @@ def test_analyze_decides_projections_by_rank_and_composes_nothing(monkeypatch):
     family, theta = [chained_family(rng, i % 3) for i in range(21)][20]
     composed.clear()
     hom = homogenize(family, theta)
-    assert len(hom.inverse.pullbacks["y1"].terms) == 134
+    assert len(hom.inverse_homogenizer.pullbacks["y1"].terms) == 134
     assert composed == []
 
 
@@ -703,10 +775,10 @@ def test_flip_with_equal_orders_builds_one_renaming(monkeypatch):
     calls = _count_calls(monkeypatch, cli, "_flip_names")
     adapted = _count_calls(monkeypatch, multigrade, "adapt")
     report = cli.run(program)
-    assert [args[:2] for args in calls] == [(2, 2), (1, 2), (2, 1)]
+    assert [args[:2] for args in calls] == [(2, 2), (1, 2)]
     assert [entry["round_trip_identity"] for entry in report.results] == [True, True]
-    # flip 2 2 adapts twice, flip 1 2 and its inverse four times each
-    assert [args[1] for args in adapted] == [2, 2] + [1, 2, 2, 1] + [2, 1, 1, 2]
+    # flip 2 2 adapts twice; flip 1 2 four times, each of its two charts built once
+    assert [args[1] for args in adapted] == [2, 2] + [1, 2, 2, 1]
 
 
 def test_flip_builds_no_polynomial_and_no_map(monkeypatch):
@@ -727,11 +799,9 @@ def test_a_backward_flip_off_by_one_name_fails_the_round_trip(monkeypatch):
     original = multigrade._flip_names
 
     def off_by_one(m, n, chart):
-        source, target, names = original(m, n, chart)
-        if (m, n) == (2, 1):  # the backward map of flip 1 2
-            first, second = list(names)[:2]
-            names = {**names, first: names[second]}
-        return source, target, names
+        forward, (source, target, names) = original(m, n, chart)
+        first, second = list(names)[:2]  # the backward map of flip 1 2
+        return forward, (source, target, {**names, first: names[second]})
 
     monkeypatch.setattr(cli, "_flip_names", off_by_one)
     program = parse("chart A (x1:1, x2:1, y1:2)\nflip 1 2 A\nreport text\n")
@@ -814,7 +884,7 @@ def test_check_double_multiplies_no_square_matrix(monkeypatch):
     levels = jets.jet_action(jets.adapt(chart, 1), "u")
     eliminated.clear()
     bihom = bihomogenize(lifted, levels)
-    assert len(bihom.chart) == 4
+    assert len(bihom.homogenized_chart) == 4
     nonzero = [q for row in bihom.projections for q in row if any(map(any, q))]
     assert len(eliminated) == len(nonzero) >= 4
     assert all(len(rows) == 4 and all(j < 4 for row in rows for j in row) for rows, in eliminated)
@@ -954,8 +1024,8 @@ def _function_calls(modules, others, spans):
     (module, name): an import of it from its module, an attribute of its
     module's name (`linalg.inverse`), and its bare name where the name is
     bound to it, in its own module or in one that imports it. So neither the
-    field `bihom.inverse` nor a local `inverse` of another module calls
-    linalg.inverse. The strings of perfbench/spans.py, which names what it
+    attribute `.inverse` of another value nor a local `inverse` of another
+    module calls linalg.inverse. The strings of perfbench/spans.py, which names what it
     wraps by strings, count under themselves. An annotated declaration's
     own name calls nothing."""
     out = Counter()
@@ -1037,9 +1107,9 @@ def test_every_public_function_has_a_caller():
     module's name (`linalg.inverse`) or a string in perfbench/spans.py, the
     tracer, which names what it wraps by strings; a report key such as
     "inverse" elsewhere in perfbench calls nothing, nor does an attribute
-    of any other value (the field `bihom.inverse`). A method is called
-    only as an attribute `.name`, as a string equal to its name, or by its
-    bare name in its class's own body (a dispatch table), never by a local
+    of any other value (an attribute `.inverse`). A method is called only
+    as an attribute `.name`, as a string equal to its name, or by its bare
+    name in its class's own body (a dispatch table), never by a local
     that shares its spelling. The constructions kept without a caller are
     exactly UNCALLED_CONSTRUCTIONS; any other public name with none is a
     second route to a result, or dead code."""

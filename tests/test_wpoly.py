@@ -32,6 +32,7 @@ from gradua.wpoly import (
     _mono_mul,
     _terms_combine,
     _terms_euler,
+    _terms_pow,
     _terms_substitute,
     monomial_basis,
 )
@@ -934,3 +935,17 @@ def test_sums_through_terms_combine_match_the_add_into_reference(case):
     p, q = WPolynomial(SUM_CHART, a), WPolynomial(SUM_CHART, b)
     total = p + q if s == 1 else p - q
     assert _typed(total.terms) == _typed(WPolynomial(SUM_CHART, expected).terms)
+
+
+def test_a_negative_exponent_is_refused_not_squared_forever():
+    """A negative exponent reaches the power kernel only from a monomial
+    built by hand through the raw constructor. The kernel refuses it: its
+    repeated squaring would never end. The image is one term, so an
+    unrefused power would spin without growing."""
+    chart = GradedChart("C", (("x", 1), ("y", 1)))
+    p = WPolynomial(chart, {((0, -1), (1, 1)): 1})
+    x = WPolynomial.variable(chart, "x")
+    with pytest.raises(DomainError, match="got -1$"):
+        p.substitute({"x": x, "y": x})
+    with pytest.raises(DomainError, match="got -2$"):
+        _terms_pow({((0, 1),): 1}, -2)
