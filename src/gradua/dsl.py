@@ -26,11 +26,16 @@ family parameter in action bodies is always called t.
 Four fixed budgets keep one line from exhausting memory. A power, a
 product, a prolongation or a flip above one is refused before anything is
 expanded, with a ResourceLimitError (a ParseError) at the offending token.
-One exponent rule (_Parser.exponent) reads the integer after every `^` and
+A budget whose check recurs has one rule that the statements call. One
+exponent rule (_Parser.exponent) reads the integer after every `^` and
 holds the degree budget, then the bit budget on coefficients, for plain
-factors and groups alike. A group's power then holds the term budget and
-a budget on its work, terms squared times bits; a product holds the bit
-budget on each `*`, and a number literal above it is a lexical error.
+factors and groups alike. One coefficient rule (_Parser.coefficients)
+holds the bit budget, for the exponent rule and on each `*` of a product.
+One adapted-chart rule (_Parser.adapted) holds the variable budget, for
+prolong and flip alike. The term budget is one count per construct: a
+group's power, which also holds a budget on its work, terms squared times
+bits; a product; and a prolongation's levels. A number literal above the
+bit budget is a lexical error.
 
 The tokenizer is one re.split of the source by a pattern that captures the
 gap (blanks, newlines, comments) and the token after it, at every position:
@@ -406,6 +411,13 @@ class _Parser:
             message = f"{what} may give {bits}-bit coefficients, above the coefficient budget"
             raise ResourceLimitError(f"{message} of {BIT_BUDGET} bits", *self.tokens.span(at))
 
+    def adapted(self, size: int, at: int, what: str) -> None:
+        """Refuse what, at token at, when it would adapt a chart to more than
+        VARIABLE_BUDGET variables: the one rule of prolong and flip."""
+        if size > VARIABLE_BUDGET:
+            message = f"{what} to {size} variables, above the budget"
+            raise ResourceLimitError(f"{message} of {VARIABLE_BUDGET}", *self.tokens.span(at))
+
     # --- declarations -----------------------------------------------------
 
     def parse_program(self) -> Program:
@@ -563,12 +575,7 @@ class _Parser:
         self.require("order")
         order, at = self.expect_integer("order")
         size = max(len(pmap.source), len(pmap.target)) * (order + 1)
-        if size > VARIABLE_BUDGET:
-            raise ResourceLimitError(
-                f"order {order} would adapt a chart to {size} variables, "
-                f"above the budget of {VARIABLE_BUDGET}",
-                *self.tokens.span(at),
-            )
+        self.adapted(size, at, f"order {order} would adapt a chart")
         terms = _level_terms([m for p in pmap.pullbacks.values() for m in p.terms], order)
         if terms > TERM_BUDGET:
             raise ResourceLimitError(
@@ -586,12 +593,7 @@ class _Parser:
         n = self.expect_integer("order")[0]
         name, chart, at = self.reference(self.charts, "chart")
         size = len(chart) * (m + 1) * (n + 1)
-        if size > VARIABLE_BUDGET:
-            raise ResourceLimitError(
-                f"flip {m} {n} would adapt chart {chart.name!r} to {size} "
-                f"variables, above the budget of {VARIABLE_BUDGET}",
-                *self.tokens.span(at),
-            )
+        self.adapted(size, at, f"flip {m} {n} would adapt chart {chart.name!r}")
         return m, n, name
 
     def parse_report(self) -> tuple[str]:

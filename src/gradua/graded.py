@@ -111,10 +111,6 @@ class PolyMap:
         index_of = self.source.index_of
         return all(p.terms == {((index_of(v), 1),): 1} for v, p in self.pullbacks.items())
 
-    def __str__(self) -> str:
-        rules = "; ".join(f"{v} = {self.pullbacks[v]}" for v in self.target.names)
-        return f"{self.source.name} -> {self.target.name} {{ {rules} }}"
-
 
 def compose(psi: PolyMap, phi: PolyMap) -> PolyMap:
     """Apply psi first, then phi; pullbacks substitute psi's into phi's."""
@@ -192,10 +188,6 @@ class ActionFamily:
             param,
             {v: WPolynomial(ext_new, p.terms) for v, p in self.entries.items()},
         )
-
-    def __str__(self) -> str:
-        rules = "; ".join(f"{v} -> {self.entries[v]}" for v in self.chart.names)
-        return f"{self.chart.name}[{self.param}] {{ {rules} }}"
 
 
 def _compose_families(families: Sequence[ActionFamily], slots: Sequence[int]) -> list[Terms]:

@@ -7,7 +7,8 @@ their names, level-j variables get a tick marker and the level as suffix
 (x'1, x'2, ...). The marker grows by one tick whenever the underlying names
 already contain ticks, so iterated adaptation never produces colliding or
 ambiguous names. The marker is read off the chart's names, so a chart has
-one adapted chart per order.
+one adapted chart per order. Its layout, level-major, is stated once, in
+adapt's docstring; an AdaptedChart stores no level or base per variable.
 
 The level scaling (jet_action), each level-k variable times t^k, is the
 model family x_i -> t**p_i * x_i with the levels as powers, built by
@@ -27,6 +28,7 @@ coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 from typing import Mapping
 
@@ -40,16 +42,14 @@ from .wpoly import WPolynomial, _natural, _terms_combine, _terms_mul
 class AdaptedChart:
     """A chart together with jet variables up to a fixed level.
 
-    jet_orders[i] is the level of chart.variables[i]; base_names[i] is the
-    underlying variable it is a jet of (itself, at level 0).
+    The variables of chart are laid out as adapt's docstring states, so the
+    level and the base variable of each are read off its index.
     """
 
     source: GradedChart
     order: int
     marker: str
     chart: GradedChart
-    jet_orders: tuple[int, ...]
-    base_names: tuple[str, ...]
 
     def jet_name(self, base: str, level: int) -> str:
         if _natural(level, "jet level") > self.order:
@@ -59,8 +59,8 @@ class AdaptedChart:
 
     def level_of(self, name: str) -> tuple[str, int]:
         """Underlying variable and level of an adapted variable."""
-        i = self.chart.index_of(name)
-        return self.base_names[i], self.jet_orders[i]
+        level, i = divmod(self.chart.index_of(name), len(self.source))
+        return self.source.names[i], level
 
 
 def _tick_marker(names: tuple[str, ...]) -> str:
@@ -79,24 +79,20 @@ def adapt(chart: GradedChart, order: int) -> AdaptedChart:
     The layout is a contract that callers read by position: with n base
     variables, the level-k jet of base variable i sits at index k * n + i
     of the adapted chart, named jet_name(chart.names[i], k) and weighted
-    w_i + k. _taylor_components and multigrade._flip_names take names off
-    chart.names by this index rather than forming them again.
+    w_i + k. The layout is stored nowhere else: AdaptedChart.level_of
+    reads the level and base of index j as divmod(j, n), jet_action and
+    iota walk the levels k = 0..order outermost and the base variables
+    within, and _taylor_components and multigrade._flip_names take names
+    off chart.names by this index rather than forming them again.
     """
     _natural(order, "jet order")
     marker = _tick_marker(chart.names)
-    variables: list[tuple[str, int]] = []
-    jet_orders: list[int] = []
-    base_names: list[str] = []
-    for k in range(order + 1):
-        for v, w in chart.variables:
-            name = v if k == 0 else f"{v}{marker}{k}"
-            variables.append((name, w + k))
-            jet_orders.append(k)
-            base_names.append(v)
-    jet_chart = GradedChart(f"{chart.name}_j{order}", tuple(variables))
-    return AdaptedChart(
-        chart, order, marker, jet_chart, tuple(jet_orders), tuple(base_names)
+    variables = tuple(
+        (v if k == 0 else f"{v}{marker}{k}", w + k)
+        for k in range(order + 1)
+        for v, w in chart.variables
     )
+    return AdaptedChart(chart, order, marker, GradedChart(f"{chart.name}_j{order}", variables))
 
 
 def _taylor_components(
@@ -193,7 +189,8 @@ def jet_action(ac: AdaptedChart, param: str = "t") -> ActionFamily:
     underlying weights induce. It is the model family of graded's one
     builder, _scaling_family, with the levels as powers.
     """
-    return _scaling_family(ac.chart, ac.jet_orders, param)
+    levels = [k for k in range(ac.order + 1) for _ in ac.source.names]
+    return _scaling_family(ac.chart, levels, param)
 
 
 def iota(order: int, chart: GradedChart) -> PolyMap:
@@ -208,7 +205,7 @@ def iota(order: int, chart: GradedChart) -> PolyMap:
     one = adapt(chart, 1)
     top = adapt(chart, order)
     pullbacks: dict[str, WPolynomial] = {}
-    for name, base, level in zip(top.chart.names, top.base_names, top.jet_orders):
+    for name, (level, base) in zip(top.chart.names, product(range(order + 1), chart.names)):
         if level == 0:
             pullbacks[name] = WPolynomial.variable(one.chart, base)
         elif level == order:

@@ -11,7 +11,10 @@ boundary: `_scaled` writes a matrix of Fraction or int rows in integer
 form over the lcm of its entries' denominators, `_fractions` builds one
 Fraction per entry of a public result, and `_stored` gives wpoly's stored
 form (int when integral, else a Fraction) for use as coefficients, in
-sparse rows too.
+sparse rows too. `_scaled` is where a matrix's exactness is checked: each
+entry goes through wpoly._exact, so a float raises DomainError rather than
+becoming the binary fraction it holds. `mat_from_cols` and `mat_add` read
+their entries through wpoly._exact too.
 
 action takes each joint projection's pivots and rank factor from
 `_eliminate`; graded inverts linear blocks with `_inverse`. The checks
@@ -64,13 +67,14 @@ def _scaled(a: Sequence[Sequence[Fraction | int]]) -> IntMatrix:
     N / d.
 
     The entries are Fractions or ints (a public matrix, or one in stored
-    form). Each nonzero entry's numerator and denominator are read once, as
-    one pair; zeros are not stored. When every entry is integral, N is the
+    form); any other entry, a float say, raises wpoly._exact's DomainError.
+    Each nonzero entry's numerator and denominator are read once, as one
+    pair; zeros are not stored. When every entry is integral, N is the
     numerators and d = 1.
     """
     if len({len(row) for row in a}) > 1:
         raise DomainError("matrix rows have different lengths")
-    rows = [{j: x.as_integer_ratio() for j, x in enumerate(row) if x} for row in a]
+    rows = [{j: x.as_integer_ratio() for j, x in enumerate(map(_exact, row)) if x} for row in a]
     d = lcm(*{q for row in rows for _, q in row.values()})
     if d == 1:
         return [{j: p for j, (p, _) in row.items()} for row in rows], 1
@@ -116,7 +120,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    """Entrywise sum of two matrices of one shape, exact entries only."""
+    if [len(row) for row in a] != [len(row) for row in b]:
+        shapes = [f"{len(m)}x{len(m[0]) if m else 0}" for m in (a, b)]
+        raise DomainError(f"matrix shape mismatch: {shapes[0]} plus {shapes[1]}")
+    return tuple(tuple(_exact(x) + _exact(y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _fixes(a: IntMatrix, m: Sequence[Mapping[int, int]]) -> bool:

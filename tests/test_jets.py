@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gradua import action, graded, jets, wpoly
 from gradua.action import verify_laws
 from gradua.charts import GradedChart, fresh_name
-from gradua.errors import DomainError
+from gradua.errors import DomainError, UnknownVariableError
 from gradua.graded import ActionFamily, PolyMap, compose, standard_action, truncate
 from gradua.jets import adapt, iota, jet_action, jet_projection, prolong, prolong_action
 from gradua.multigrade import check_commuting, flip
@@ -56,8 +56,16 @@ def test_adapt_orders_variables_level_major():
         ("x'2", 3),
         ("y'2", 4),
     )
-    assert ac.jet_orders == (0, 0, 1, 1, 2, 2)
-    assert ac.level_of("y'1") == ("y", 1)
+    assert [ac.level_of(v) for v in ac.chart.names] == [
+        ("x", 0),
+        ("y", 0),
+        ("x", 1),
+        ("y", 1),
+        ("x", 2),
+        ("y", 2),
+    ]
+    with pytest.raises(UnknownVariableError):
+        ac.level_of("x'3")
     assert ac.jet_name("x", 2) == "x'2"
     with pytest.raises(DomainError):
         ac.jet_name("x", 3)
@@ -174,6 +182,46 @@ def test_iota_embeds_in_top_slot():
     assert str(emb.pullbacks["x'3"]) == "x'1"
     with pytest.raises(DomainError):
         iota(0, LINE)
+
+
+def reference_iota(order, chart):
+    # the name route: every pullback keyed by a name jet_name forms, level
+    # 0 to the base variable, the top level to its first jet, the rest to 0
+    one, top = adapt(chart, 1), adapt(chart, order)
+    pullbacks = {}
+    for base in chart.names:
+        pullbacks[base] = WPolynomial.variable(one.chart, base)
+        for level in range(1, order):
+            pullbacks[top.jet_name(base, level)] = WPolynomial.zero(one.chart)
+        top_name = top.jet_name(base, order)
+        pullbacks[top_name] = WPolynomial.variable(one.chart, one.jet_name(base, 1))
+    return PolyMap(one.chart, top.chart, pullbacks)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_iota_on_a_mixed_weight_chart_matches_the_name_route(order):
+    chart = GradedChart("C", (("u", 2), ("v", 0), ("w", 1)))
+    emb, ref = iota(order, chart), reference_iota(order, chart)
+    assert (emb.source, emb.target) == (ref.source, ref.target)
+    assert emb.pullbacks == ref.pullbacks
+    assert list(emb.pullbacks) == list(emb.target.names)
+
+
+def test_iota_on_a_mixed_weight_chart_is_unchanged():
+    # the order-3 embedding's charts and pullbacks, pinned as printed
+    emb = iota(3, GradedChart("C", (("u", 2), ("v", 0), ("w", 1))))
+    assert emb.target.variables == (
+        ("u", 2), ("v", 0), ("w", 1),
+        ("u'1", 3), ("v'1", 1), ("w'1", 2),
+        ("u'2", 4), ("v'2", 2), ("w'2", 3),
+        ("u'3", 5), ("v'3", 3), ("w'3", 4),
+    )
+    assert {v: str(p) for v, p in emb.pullbacks.items()} == {
+        "u": "u", "v": "v", "w": "w",
+        "u'1": "0", "v'1": "0", "w'1": "0",
+        "u'2": "0", "v'2": "0", "w'2": "0",
+        "u'3": "u'1", "v'3": "v'1", "w'3": "w'1",
+    }
 
 
 def test_iota_intertwines_reparametrizations():

@@ -414,6 +414,54 @@ def test_float_column_entry_rejected():
         linalg.mat_from_cols([(ONE, 0.5)])
 
 
+# each public function on matrices refuses what wpoly._exact refuses: a float
+# is not read as the binary fraction it holds, even when it is 0.0 or integral
+FLOATS = [0.5, 0.0, 2.0]
+
+
+@pytest.mark.parametrize("x", FLOATS)
+def test_mat_mul_refuses_a_float_entry(x):
+    with pytest.raises(DomainError, match="not an exact rational"):
+        linalg.mat_mul(((x,),), ((ONE,),))
+    with pytest.raises(DomainError, match="not an exact rational"):
+        linalg.mat_mul(((ONE,),), ((x,),))
+
+
+@pytest.mark.parametrize("x", FLOATS)
+def test_inverse_refuses_a_float_entry(x):
+    with pytest.raises(DomainError, match="not an exact rational"):
+        linalg.inverse(((ONE, ZERO), (ZERO, x)))
+
+
+@pytest.mark.parametrize("x", FLOATS)
+def test_independent_columns_refuses_a_float_entry(x):
+    with pytest.raises(DomainError, match="not an exact rational"):
+        linalg.independent_columns(((ONE, x),))
+
+
+@pytest.mark.parametrize("x", FLOATS)
+def test_mat_add_refuses_a_float_entry(x):
+    with pytest.raises(DomainError, match="not an exact rational"):
+        linalg.mat_add(((x,),), ((ONE,),))
+    with pytest.raises(DomainError, match="not an exact rational"):
+        linalg.mat_add(((ONE,),), ((x,),))
+
+
+@pytest.mark.parametrize(
+    "a, b, shapes",
+    [
+        (((1, 2),), ((1,),), "1x2 plus 1x1"),
+        (((1,), (2,)), ((1,),), "2x1 plus 1x1"),
+        ((), ((1,),), "0x0 plus 1x1"),
+    ],
+)
+def test_mat_add_refuses_mismatched_shapes(a, b, shapes):
+    # a zip over rows and entries would truncate to the smaller shape
+    with pytest.raises(DomainError, match=f"matrix shape mismatch: {shapes}"):
+        linalg.mat_add(a, b)
+    assert linalg.mat_add(a, a) == tuple(tuple(2 * x for x in row) for row in a)
+
+
 def test_ragged_rows_are_a_domain_error():
     # zip-based integer kernels would otherwise truncate the longer rows
     ragged = ((ONE, ONE), (ONE,))

@@ -43,8 +43,10 @@ def reference_jet_action(ac, param="t"):
     ext = ac.chart.extend(((param, 0),))
     tvar = WPolynomial.variable(ext, param)
     entries = {}
-    for name, level in zip(ac.chart.names, ac.jet_orders):
-        entries[name] = WPolynomial.variable(ext, name) * tvar**level
+    for name in ac.chart.names:
+        # the level is the digits after the marker, 0 when there is none
+        _, marker, digits = name.rpartition(ac.marker)
+        entries[name] = WPolynomial.variable(ext, name) * tvar ** (int(digits) if marker else 0)
     return ActionFamily(ac.chart, param, entries)
 
 

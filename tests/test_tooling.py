@@ -35,6 +35,7 @@ from gradua.graded import ActionFamily, PolyMap, standard_action
 from gradua.multigrade import bihomogenize
 from gradua.wpoly import WPolynomial
 
+import code_lines
 from helpers import (
     assert_kernels_agree, chained_family, conjugated_action, prefix_cached_substitute,
     random_graded_automorphism,
@@ -1356,3 +1357,42 @@ def test_analyze_action_of_the_standard_family_grows_linearly_with_the_chart(mon
     for (pairs, read), (more_pairs, more_read) in zip(ladder, ladder[1:]):
         assert more_pairs <= 2.5 * pairs, ladder
         assert more_read <= 2.5 * read, ladder
+
+
+CODE_LINES_FIXTURE = '''"""A module docstring,
+over two lines."""
+
+import os  # a trailing comment keeps its line
+
+# a comment line, then blank lines
+
+
+class Box:
+    """A class docstring."""
+
+    size = 1
+
+
+def f(x):
+    """A function docstring,
+
+    with a blank line inside."""
+    y = (
+        x
+        + os.sep.count("/")
+    )
+    s = """a string that is
+not a docstring"""
+    return y, s
+'''
+
+
+def test_code_lines_counts_code_not_docstrings_comments_or_blanks(tmp_path, capsys):
+    # code lines: import, class, size, def, the four lines of y = (...), the
+    # two of s = """...""", return
+    assert code_lines.code_lines(CODE_LINES_FIXTURE) == 11
+    (tmp_path / "one.py").write_text(CODE_LINES_FIXTURE, encoding="utf-8")
+    (tmp_path / "two.py").write_text('"""Only a docstring."""\n\nX = 1\n', encoding="utf-8")
+    assert code_lines.count_package(tmp_path) == {"one.py": 11, "two.py": 1}
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "    11  one.py\n     1  two.py\n    12  total\n"
